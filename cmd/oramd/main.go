@@ -97,7 +97,7 @@ func metricsMux(srv *stringoram.Server, node *stringoram.ClusterNode, slo *obs.S
 	})
 	mux.HandleFunc("/debug/flightrec", func(rw http.ResponseWriter, _ *http.Request) {
 		rw.Header().Set("Content-Type", "application/json")
-		srv.FlightRecorder().WriteTrace(rw)
+		srv.WriteFlightTrace(rw)
 	})
 	if slo != nil {
 		mux.Handle("/healthz", slo.Handler())

@@ -106,12 +106,12 @@ func runSingle(args []string, w io.Writer) error {
 	var res *sim.Result
 	var err error
 	simOpts := sim.Options{MaxAccesses: *accesses, BalanceChannels: *balance}
-	var rec *obs.Recorder
+	var rec *obs.Recorder[obs.Event]
 	if *flightrec != "" {
 		if *flightrecCap <= 0 {
 			return fmt.Errorf("-flightrec-cap must be positive, got %d", *flightrecCap)
 		}
-		rec = obs.NewRecorder("cycles", *flightrecCap)
+		rec = obs.NewRecorder[obs.Event](*flightrecCap)
 		simOpts.FlightRecorder = rec
 	}
 	if len(trs) == 1 {
@@ -165,13 +165,13 @@ func runSingle(args []string, w io.Writer) error {
 
 // writeFlightRecording dumps the recorder as Chrome trace-event JSON via
 // a temp-then-rename write, so the output file is never a torn document.
-func writeFlightRecording(path string, rec *obs.Recorder) error {
+func writeFlightRecording(path string, rec *obs.Recorder[obs.Event]) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".flightrec-*")
 	if err != nil {
 		return fmt.Errorf("flightrec: %w", err)
 	}
-	if err := rec.WriteTrace(tmp); err != nil {
+	if err := obs.WriteTrace(tmp, "cycles", rec.Snapshot(nil)); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("flightrec: %w", err)

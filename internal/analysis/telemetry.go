@@ -17,8 +17,8 @@ import (
 // Sinks (matched by receiver type name + method, so the rule follows
 // the obs API wherever it is used):
 //
-//   - secret-telemetry: an argument of TraceBuffer.Emit or
-//     Recorder.Emit (span/event payloads), or of Counter.Add,
+//   - secret-telemetry: an argument of Recorder.Emit (the one ring
+//     behind both span and event payloads), or of Counter.Add,
 //     Gauge.Set, Gauge.Max, or Histogram.Observe (observations),
 //     derives from secret state.
 //   - secret-metric-name: the name argument of a Registry constructor
@@ -39,11 +39,10 @@ func Telemetry() *Analyzer {
 // telemetrySinks maps receiver type name -> method name -> which
 // arguments are sinks (-1: all).
 var telemetrySinks = map[string]map[string]int{
-	"TraceBuffer": {"Emit": -1},
-	"Recorder":    {"Emit": -1},
-	"Counter":     {"Add": -1},
-	"Gauge":       {"Set": -1, "Max": -1},
-	"Histogram":   {"Observe": -1},
+	"Recorder":  {"Emit": -1},
+	"Counter":   {"Add": -1},
+	"Gauge":     {"Set": -1, "Max": -1},
+	"Histogram": {"Observe": -1},
 	"Registry": {
 		"Counter": 0, "Gauge": 0, "Histogram": 0,
 		"CounterFunc": 0, "GaugeFunc": 0,

@@ -11,9 +11,14 @@ type Span struct {
 	Arg0   int64
 }
 
-type TraceBuffer struct{ spans []Span }
+type Event struct {
+	TS   int64
+	Arg0 int64
+}
 
-func (b *TraceBuffer) Emit(s Span) { b.spans = append(b.spans, s) }
+type Recorder[T any] struct{ recs []T }
+
+func (r *Recorder[T]) Emit(rec T) { r.recs = append(r.recs, rec) }
 
 type Counter struct{ v uint64 }
 
@@ -39,7 +44,8 @@ type Ctl struct {
 	block    uint64 `oramlint:"secret"`
 	accesses uint64
 	queue    int64
-	buf      *TraceBuffer
+	buf      *Recorder[Span]
+	rec      *Recorder[Event]
 	hits     *Counter
 	depth    *Gauge
 	lat      *Histogram
@@ -49,6 +55,11 @@ type Ctl struct {
 // publicSpan records public timing only.
 func (c *Ctl) publicSpan(ts, dur int64) {
 	c.buf.Emit(Span{Hi: 1, Lo: 2, TS: ts, Arg0: dur})
+}
+
+// publicEvent records public queue state.
+func (c *Ctl) publicEvent(ts int64) {
+	c.rec.Emit(Event{TS: ts, Arg0: c.queue})
 }
 
 // publicMetrics publishes public counters and shard-indexed names.

@@ -15,18 +15,15 @@ type Span struct {
 	Arg0   int64
 }
 
-type TraceBuffer struct{ spans []Span }
-
-func (b *TraceBuffer) Emit(s Span) { b.spans = append(b.spans, s) }
-
 type Event struct {
 	TS   int64
 	Arg0 int64
 }
 
-type Recorder struct{ evs []Event }
+// Recorder is the one ring both record shapes ride on, as in obs.
+type Recorder[T any] struct{ recs []T }
 
-func (r *Recorder) Emit(e Event) { r.evs = append(r.evs, e) }
+func (r *Recorder[T]) Emit(rec T) { r.recs = append(r.recs, rec) }
 
 type Counter struct{ v uint64 }
 
@@ -61,8 +58,8 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 type Ctl struct {
 	block   uint64 `oramlint:"secret"`
 	stashed int64  `oramlint:"secret"`
-	buf     *TraceBuffer
-	rec     *Recorder
+	buf     *Recorder[Span]
+	rec     *Recorder[Event]
 	hits    *Counter
 	depth   *Gauge
 	lat     *Histogram

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"stringoram/internal/obs"
 	"stringoram/internal/server"
 )
 
@@ -407,6 +408,59 @@ func TestClusterLiveHandoff(t *testing.T) {
 				t.Fatalf("post-handoff Get(%s) = %q found=%v err=%v, oracle %q found=%v",
 					key, got, found, err, want, wantFound)
 			}
+		}
+	}
+}
+
+// TestClusterFlightRecorderOneClock: the cluster layer's events share the
+// recorder — and therefore must share the clock — of the shard workers'
+// batch spans: microseconds since the embedded server started. Every
+// event a node recorded lies inside that node's uptime.
+func TestClusterFlightRecorderOneClock(t *testing.T) {
+	tc := startCluster(t, 3, 6)
+	// A plain client pinned to node-0 makes it forward; every acked put
+	// replicates.
+	c, err := server.Dial(tc.placement.Nodes[0].Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 30; i++ {
+		if err := c.PutRetry(fmt.Sprintf("clk-%d", i), []byte("v"), server.RetryPolicy{MaxAttempts: 20}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tc.nodes[0].Handoff(0, "node-2"); err != nil {
+		t.Fatalf("handoff: %v", err)
+	}
+	// Fail-stop node-1; the router's failover promotes its followers.
+	tc.kill(1)
+	r := tc.router()
+	r.Retry = server.RetryPolicy{MaxAttempts: 40, MaxDelay: 100 * time.Millisecond}
+	for i := 0; i < 30; i++ {
+		if err := r.Put(fmt.Sprintf("clk-%d", i), []byte("w")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	seen := make(map[obs.EventKind]bool)
+	for i, n := range tc.nodes {
+		if tc.dead[i] {
+			continue
+		}
+		events := n.srv.FlightRecorder().Snapshot(nil)
+		uptime := n.srv.NowMicros()
+		for _, ev := range events {
+			seen[ev.Kind] = true
+			if ev.TS < 0 || ev.Dur < 0 || ev.TS+ev.Dur > uptime {
+				t.Fatalf("node %d: %v event spans [%d, %d]µs, outside the node's uptime [0, %d]µs",
+					i, ev.Kind, ev.TS, ev.TS+ev.Dur, uptime)
+			}
+		}
+	}
+	for _, k := range []obs.EventKind{obs.EvBatch, obs.EvReplicate, obs.EvForward, obs.EvHandoff, obs.EvPromote} {
+		if !seen[k] {
+			t.Errorf("no %v event recorded; the scenario no longer covers it", k)
 		}
 	}
 }

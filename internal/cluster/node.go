@@ -69,7 +69,7 @@ type Node struct {
 	killed atomic.Bool
 
 	m   nodeMetrics
-	rec *obs.Recorder
+	rec *obs.Recorder[obs.Event]
 }
 
 // nodeMetrics is the cluster-layer instrument set (registered on the
@@ -328,12 +328,13 @@ func (n *Node) onApply(tc obs.TraceContext, shard int, seq uint64, key string, v
 			lag.acked.Store(seq)
 			n.m.replicated.Inc()
 			n.m.replicateSecs.Observe(time.Since(start).Seconds())
+			durUs := n.srv.NowMicros() - startUs
 			if span != 0 {
 				n.srv.Tracer().Emit(obs.Span{Hi: tc.Hi, Lo: tc.Lo, ID: span, Parent: tc.SpanID,
-					TS: startUs, Dur: n.srv.NowMicros() - startUs,
+					TS: startUs, Dur: durUs,
 					Kind: obs.SpanReplicate, Track: int32(shard)})
 			}
-			n.rec.Emit(obs.Event{TS: start.UnixMicro(), Dur: time.Since(start).Microseconds(),
+			n.rec.Emit(obs.Event{TS: startUs, Dur: durUs,
 				Kind: obs.EvReplicate, Track: int32(shard), Arg0: int64(shard), Arg1: int64(uint32(seq))})
 			return nil
 		}
@@ -541,7 +542,7 @@ func (n *Node) Promote(pver uint64, shard int) error {
 		return err
 	}
 	n.m.promotions.Inc()
-	n.rec.Emit(obs.Event{TS: time.Now().UnixMicro(), Kind: obs.EvPromote,
+	n.rec.Emit(obs.Event{TS: n.srv.NowMicros(), Kind: obs.EvPromote,
 		Track: int32(shard), Arg0: int64(shard), Arg1: int64(uint32(np.Epochs[shard]))})
 	n.pushPlacement(np)
 	return nil
@@ -555,7 +556,7 @@ func (n *Node) ForwardGet(tc obs.TraceContext, key string, ttl int, timeoutMilli
 		return nil, false, err
 	}
 	n.m.forwardGets.Inc()
-	n.rec.Emit(obs.Event{TS: time.Now().UnixMicro(), Kind: obs.EvForward,
+	n.rec.Emit(obs.Event{TS: n.srv.NowMicros(), Kind: obs.EvForward,
 		Track: int32(shard), Arg0: int64(shard), Arg1: int64(ttl)})
 	ftc, span, startUs := n.beginForward(tc)
 	val, found, err := c.ForwardGetCtx(ftc, key, ttl)
@@ -570,7 +571,7 @@ func (n *Node) ForwardPut(tc obs.TraceContext, key string, val []byte, ttl int, 
 		return err
 	}
 	n.m.forwardPuts.Inc()
-	n.rec.Emit(obs.Event{TS: time.Now().UnixMicro(), Kind: obs.EvForward,
+	n.rec.Emit(obs.Event{TS: n.srv.NowMicros(), Kind: obs.EvForward,
 		Track: int32(shard), Arg0: int64(shard), Arg1: int64(ttl)})
 	ftc, span, startUs := n.beginForward(tc)
 	err = c.ForwardPutCtx(ftc, key, val, ttl)
@@ -628,6 +629,7 @@ func (n *Node) ownerClient(key string) (*server.Client, int, error) {
 // then bump the shard's epoch so routers converge on the target.
 func (n *Node) Handoff(shard int, targetID string) error {
 	start := time.Now()
+	startUs := n.srv.NowMicros()
 	n.pmu.RLock()
 	p := n.placement
 	self := p.NodeIndex(n.id)
@@ -738,7 +740,7 @@ func (n *Node) Handoff(shard int, targetID string) error {
 
 	n.m.handoffs.Inc()
 	n.m.handoffSecs.Observe(time.Since(start).Seconds())
-	n.rec.Emit(obs.Event{TS: start.UnixMicro(), Dur: time.Since(start).Microseconds(),
+	n.rec.Emit(obs.Event{TS: startUs, Dur: n.srv.NowMicros() - startUs,
 		Kind: obs.EvHandoff, Track: int32(shard), Arg0: int64(shard), Arg1: int64(uint32(len(snap)))})
 	return nil
 }

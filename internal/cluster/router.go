@@ -70,7 +70,7 @@ func (r *Router) EnableObservability(reg *obs.Registry) {
 // pipeline, forward, and replicate spans downstream stitch into.
 type routerTracer struct {
 	src   *obs.TraceSource
-	buf   *obs.TraceBuffer
+	buf   *obs.Recorder[obs.Span]
 	rate  uint64
 	epoch time.Time
 }
@@ -84,7 +84,7 @@ type routerTracer struct {
 func (r *Router) EnableTracing(seed, rate uint64) {
 	r.trc = &routerTracer{
 		src:   obs.NewTraceSource(seed),
-		buf:   obs.NewTraceBuffer(routerTraceBufCap),
+		buf:   obs.NewRecorder[obs.Span](routerTraceBufCap),
 		rate:  rate,
 		epoch: time.Now(),
 	}

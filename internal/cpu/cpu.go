@@ -38,7 +38,6 @@ type Core struct {
 
 	outstanding int
 	retired     int64
-	stallTicks  int64
 }
 
 // NewCore builds a core over its trace shard.
@@ -67,9 +66,6 @@ func (c *Core) Outstanding() int { return c.outstanding }
 // Retired returns the number of instructions retired so far.
 func (c *Core) Retired() int64 { return c.retired }
 
-// StallTicks returns how many ticks the core spent fully stalled.
-func (c *Core) StallTicks() int64 { return c.stallTicks }
-
 // Complete signals that one outstanding miss returned.
 func (c *Core) Complete() {
 	if c.outstanding == 0 {
@@ -82,11 +78,7 @@ func (c *Core) Complete() {
 // accesses it emits (possibly several when gaps are shorter than the
 // per-tick retire budget, possibly none).
 func (c *Core) Tick() []Access {
-	if c.Done() {
-		return nil
-	}
-	if c.Blocked() {
-		c.stallTicks++
+	if c.Done() || c.Blocked() {
 		return nil
 	}
 	budget := c.retirePerTick

@@ -137,9 +137,9 @@ func (k EventKind) String() string {
 	return "unknown"
 }
 
-// Event is one flight-recorder record. TS and Dur are in the recorder's
-// declared time domain (DRAM cycles for simulator recorders — never wall
-// clock there); Dur == 0 renders as an instant, Dur > 0 as a complete
+// Event is one flight-recorder record. TS and Dur are in the time domain
+// of the component that emits it (DRAM cycles for simulator recorders —
+// never wall clock there); Dur == 0 renders as an instant, Dur > 0 as a complete
 // span beginning at TS. Track separates parallel lanes (bank, shard,
 // tag) into distinct Perfetto threads.
 type Event struct {
@@ -151,36 +151,35 @@ type Event struct {
 	Arg1  int64
 }
 
-// Recorder is a fixed-capacity ring buffer of Events. Emit overwrites
-// the oldest record once full and never allocates; a nil *Recorder is a
-// no-op, so components can thread one unconditionally.
-type Recorder struct {
-	mu     sync.Mutex
-	domain string
-	buf    []Event
-	next   int
-	full   bool
-	total  uint64
+// Recorder is the package's one fixed-capacity ring: a Recorder[Event]
+// is a flight recorder, a Recorder[Span] a node's distributed-trace span
+// buffer. Emit overwrites the oldest record once full and never
+// allocates; a nil *Recorder is a no-op, so components can thread one
+// unconditionally.
+type Recorder[T any] struct {
+	mu    sync.Mutex
+	buf   []T
+	next  int
+	full  bool
+	total uint64
 }
 
-// NewRecorder returns a recorder holding up to capacity events. domain
-// names the time unit of TS/Dur ("cycles", "accesses", "us") and is
-// embedded in the trace export metadata.
-func NewRecorder(domain string, capacity int) *Recorder {
+// NewRecorder returns a recorder retaining up to capacity records.
+func NewRecorder[T any](capacity int) *Recorder[T] {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("obs: invalid recorder capacity %d", capacity))
 	}
-	return &Recorder{domain: domain, buf: make([]Event, capacity)}
+	return &Recorder[T]{buf: make([]T, capacity)}
 }
 
-// Emit appends ev, overwriting the oldest event when the ring is full.
+// Emit appends rec, overwriting the oldest record when the ring is full.
 // Safe from any goroutine; no-op on a nil recorder.
-func (r *Recorder) Emit(ev Event) {
+func (r *Recorder[T]) Emit(rec T) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.buf[r.next] = ev
+	r.buf[r.next] = rec
 	r.next++
 	if r.next == len(r.buf) {
 		r.next = 0
@@ -190,8 +189,8 @@ func (r *Recorder) Emit(ev Event) {
 	r.mu.Unlock()
 }
 
-// Len reports how many events are currently retained.
-func (r *Recorder) Len() int {
+// Len reports how many records are currently retained.
+func (r *Recorder[T]) Len() int {
 	if r == nil {
 		return 0
 	}
@@ -203,8 +202,8 @@ func (r *Recorder) Len() int {
 	return r.next
 }
 
-// Total reports how many events were ever emitted (retained or evicted).
-func (r *Recorder) Total() uint64 {
+// Total reports how many records were ever emitted (retained or evicted).
+func (r *Recorder[T]) Total() uint64 {
 	if r == nil {
 		return 0
 	}
@@ -213,10 +212,10 @@ func (r *Recorder) Total() uint64 {
 	return r.total
 }
 
-// Snapshot appends the retained events, oldest first, to dst and
+// Snapshot appends the retained records, oldest first, to dst and
 // returns it. Passing a reused dst keeps the snapshot allocation-free
 // once warmed.
-func (r *Recorder) Snapshot(dst []Event) []Event {
+func (r *Recorder[T]) Snapshot(dst []T) []T {
 	if r == nil {
 		return dst
 	}
@@ -228,58 +227,58 @@ func (r *Recorder) Snapshot(dst []Event) []Event {
 	return append(dst, r.buf[:r.next]...)
 }
 
-// WriteTrace renders the retained events as Chrome trace-event JSON
-// (the {"traceEvents": [...]} object form), loadable in Perfetto and
-// chrome://tracing. Timestamps are exported 1:1 as microsecond fields;
-// in a cycle-domain recorder one trace microsecond therefore equals one
-// DRAM cycle, as noted in the embedded metadata.
-func (r *Recorder) WriteTrace(w io.Writer) error {
-	var events []Event
-	domain := "none"
-	if r != nil {
-		events = r.Snapshot(nil)
-		r.mu.Lock()
-		domain = r.domain
-		r.mu.Unlock()
-	}
+// WriteTrace renders a flight-recorder snapshot as Chrome trace-event
+// JSON (the {"traceEvents": [...]} object form), loadable in Perfetto
+// and chrome://tracing. domain names the time unit of TS/Dur ("cycles",
+// "accesses", "wall_us") and is embedded in the export metadata:
+// timestamps are exported 1:1 as microsecond fields, so in a cycle-domain
+// recording one trace microsecond equals one DRAM cycle.
+func WriteTrace(w io.Writer, domain string, events []Event) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"timeDomain\":%q},\"traceEvents\":[", domain)
 	bw.WriteString(`{"ph":"M","pid":1,"tid":1,"name":"process_name","args":{"name":"stringoram"}}`)
+	var args []byte
 	for _, ev := range events {
+		kind := ev.Kind
+		if kind >= numEventKinds {
+			kind = 0
+		}
+		args = appendIntArg(args[:0], eventArgNames[kind][0], ev.Arg0)
+		args = appendIntArg(append(args, ','), eventArgNames[kind][1], ev.Arg1)
 		bw.WriteByte(',')
-		writeTraceEvent(bw, ev)
+		writeTraceEvent(bw, eventKindNames[kind], eventKindCats[kind], 1, ev.Track, ev.TS, ev.Dur, args)
 	}
 	bw.WriteString("]}\n")
 	return bw.Flush()
 }
 
-func writeTraceEvent(w *bufio.Writer, ev Event) {
-	kind := ev.Kind
-	if kind >= numEventKinds {
-		kind = 0
-	}
+func appendIntArg(dst []byte, name string, v int64) []byte {
+	dst = append(append(append(dst, '"'), name...), '"', ':')
+	return strconv.AppendInt(dst, v, 10)
+}
+
+// writeTraceEvent is the package's one Chrome trace-event encoder, behind
+// both WriteTrace and MergeTraces: a complete ("X") event when dur > 0,
+// an instant otherwise. args is the pre-rendered body of the args object.
+func writeTraceEvent(w *bufio.Writer, name, cat string, pid int, tid int32, ts, dur int64, args []byte) {
 	w.WriteString(`{"name":"`)
-	w.WriteString(eventKindNames[kind])
+	w.WriteString(name)
 	w.WriteString(`","cat":"`)
-	w.WriteString(eventKindCats[kind])
-	w.WriteString(`","pid":1,"tid":`)
-	w.WriteString(strconv.FormatInt(int64(ev.Track), 10))
+	w.WriteString(cat)
+	w.WriteString(`","pid":`)
+	w.WriteString(strconv.Itoa(pid))
+	w.WriteString(`,"tid":`)
+	w.WriteString(strconv.FormatInt(int64(tid), 10))
 	w.WriteString(`,"ts":`)
-	w.WriteString(strconv.FormatInt(ev.TS, 10))
-	if ev.Dur > 0 {
+	w.WriteString(strconv.FormatInt(ts, 10))
+	if dur > 0 {
 		w.WriteString(`,"dur":`)
-		w.WriteString(strconv.FormatInt(ev.Dur, 10))
+		w.WriteString(strconv.FormatInt(dur, 10))
 		w.WriteString(`,"ph":"X"`)
 	} else {
 		w.WriteString(`,"ph":"i","s":"t"`)
 	}
-	w.WriteString(`,"args":{"`)
-	w.WriteString(eventArgNames[kind][0])
-	w.WriteString(`":`)
-	w.WriteString(strconv.FormatInt(ev.Arg0, 10))
-	w.WriteString(`,"`)
-	w.WriteString(eventArgNames[kind][1])
-	w.WriteString(`":`)
-	w.WriteString(strconv.FormatInt(ev.Arg1, 10))
+	w.WriteString(`,"args":{`)
+	w.Write(args)
 	w.WriteString(`}}`)
 }

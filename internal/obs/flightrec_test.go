@@ -6,8 +6,11 @@ import (
 	"testing"
 )
 
+// The ring tests run once per record shape the repo stores in a
+// Recorder: flight-recorder Events and distributed-trace Spans.
+
 func TestRecorderNilIsNoOp(t *testing.T) {
-	var r *Recorder
+	var r *Recorder[Event]
 	r.Emit(Event{TS: 1, Kind: EvAccess})
 	if r.Len() != 0 || r.Total() != 0 {
 		t.Fatal("nil recorder must report zero events")
@@ -15,38 +18,46 @@ func TestRecorderNilIsNoOp(t *testing.T) {
 	if got := r.Snapshot(nil); len(got) != 0 {
 		t.Fatalf("nil recorder snapshot = %d events, want 0", len(got))
 	}
+	var spans *Recorder[Span]
+	spans.Emit(Span{})
+	if spans.Len() != 0 || spans.Total() != 0 || len(spans.Snapshot(nil)) != 0 {
+		t.Fatal("nil span recorder must be empty")
+	}
 	var buf bytes.Buffer
-	if err := r.WriteTrace(&buf); err != nil {
+	if err := WriteTrace(&buf, "none", r.Snapshot(nil)); err != nil {
 		t.Fatal(err)
 	}
 	var doc map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("nil recorder trace must still be valid JSON: %v", err)
+		t.Fatalf("empty trace must still be valid JSON: %v", err)
 	}
 }
 
-func TestRecorderRingWraparound(t *testing.T) {
-	r := NewRecorder("cycles", 4)
-	for i := 0; i < 10; i++ {
-		r.Emit(Event{TS: int64(i), Kind: EvAccess})
+func testRingWraparound[T any](t *testing.T, mk func(i int) T, ord func(T) int) {
+	r := NewRecorder[T](4)
+	for i := 0; i < 3; i++ {
+		r.Emit(mk(i))
 	}
-	if got := r.Len(); got != 4 {
-		t.Fatalf("Len = %d, want 4", got)
+	if r.Len() != 3 || r.Total() != 3 {
+		t.Fatalf("before wrap: Len=%d Total=%d, want 3 3", r.Len(), r.Total())
 	}
-	if got := r.Total(); got != 10 {
-		t.Fatalf("Total = %d, want 10", got)
+	for i := 3; i < 10; i++ {
+		r.Emit(mk(i))
 	}
-	evs := r.Snapshot(nil)
-	if len(evs) != 4 {
-		t.Fatalf("snapshot holds %d events, want 4", len(evs))
+	if r.Len() != 4 || r.Total() != 10 {
+		t.Fatalf("after wrap: Len=%d Total=%d, want 4 10", r.Len(), r.Total())
 	}
-	for i, ev := range evs {
-		if want := int64(6 + i); ev.TS != want {
-			t.Fatalf("snapshot[%d].TS = %d, want %d (oldest-first, newest retained)", i, ev.TS, want)
+	recs := r.Snapshot(nil)
+	if len(recs) != 4 {
+		t.Fatalf("snapshot holds %d records, want 4", len(recs))
+	}
+	for i, rec := range recs {
+		if got, want := ord(rec), 6+i; got != want {
+			t.Fatalf("snapshot[%d] is record %d, want %d (oldest-first, newest retained)", i, got, want)
 		}
 	}
 	// Snapshot into a reused buffer must not allocate once warmed.
-	dst := make([]Event, 0, 8)
+	dst := make([]T, 0, 8)
 	if n := testing.AllocsPerRun(100, func() {
 		dst = r.Snapshot(dst[:0])
 	}); n != 0 {
@@ -54,13 +65,32 @@ func TestRecorderRingWraparound(t *testing.T) {
 	}
 }
 
+func TestRecorderRingWraparound(t *testing.T) {
+	t.Run("event", func(t *testing.T) {
+		testRingWraparound(t,
+			func(i int) Event { return Event{TS: int64(i), Kind: EvAccess} },
+			func(ev Event) int { return int(ev.TS) })
+	})
+	t.Run("span", func(t *testing.T) {
+		testRingWraparound(t,
+			func(i int) Span { return Span{ID: uint64(i)} },
+			func(s Span) int { return int(s.ID) })
+	})
+}
+
 func TestRecorderEmitAllocFree(t *testing.T) {
-	r := NewRecorder("cycles", 64)
+	events := NewRecorder[Event](64)
 	ev := Event{TS: 3, Dur: 2, Kind: EvTxn, Track: 1, Arg0: 0, Arg1: 8}
 	if n := testing.AllocsPerRun(200, func() {
-		r.Emit(ev)
+		events.Emit(ev)
 	}); n != 0 {
-		t.Fatalf("Emit allocates %.1f times per op, want 0", n)
+		t.Fatalf("Emit(Event) allocates %.1f times per op, want 0", n)
+	}
+	spans := NewRecorder[Span](16)
+	if n := testing.AllocsPerRun(200, func() {
+		spans.Emit(Span{Hi: 1, Lo: 2, ID: 3, TS: 4, Dur: 5, Kind: SpanExec})
+	}); n != 0 {
+		t.Fatalf("Emit(Span) allocates %.1f times per op, want 0", n)
 	}
 }
 
@@ -70,13 +100,13 @@ func TestRecorderEmitAllocFree(t *testing.T) {
 // carrying dur and instant events carrying a scope "s". This is the
 // automated stand-in for "the dump loads in Perfetto".
 func TestWriteTracePerfettoShape(t *testing.T) {
-	r := NewRecorder("cycles", 16)
+	r := NewRecorder[Event](16)
 	r.Emit(Event{TS: 100, Kind: EvAccess, Track: 0, Arg0: 12, Arg1: 3})
 	r.Emit(Event{TS: 110, Dur: 40, Kind: EvTxn, Track: 2, Arg0: 0, Arg1: 8})
 	r.Emit(Event{TS: 150, Kind: EvEarlyPRE, Track: 1, Arg0: 0, Arg1: 5})
 
 	var buf bytes.Buffer
-	if err := r.WriteTrace(&buf); err != nil {
+	if err := WriteTrace(&buf, "cycles", r.Snapshot(nil)); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

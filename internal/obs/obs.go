@@ -1,7 +1,9 @@
 // Package obs is the repo's zero-allocation telemetry layer: a named
 // instrument registry (counters, gauges, fixed-bucket histograms) with
-// Prometheus text exposition, and a cycle-domain flight recorder (see
-// flightrec.go) with Chrome trace-event export loadable in Perfetto.
+// Prometheus text exposition, and one fixed ring (Recorder, see
+// flightrec.go) that holds either flight-recorder events or
+// distributed-trace spans, with Chrome trace-event export loadable in
+// Perfetto.
 //
 // The package is stdlib-only and designed around two hard constraints
 // inherited from the data plane and the simulator:
@@ -104,13 +106,17 @@ func (g *Gauge) Value() int64 {
 
 // Histogram is a fixed-bucket histogram with atomic per-bucket counters.
 // Bucket bounds are set at registration and never change, so Observe is
-// a bounded scan plus two atomic adds — no allocation, no locks. A nil
-// *Histogram is a no-op.
+// a bounded scan, one atomic add and a CAS-accumulated sum — no
+// allocation, no locks. A nil *Histogram is a no-op.
+//
+// The bucket counters are the only record of how many observations were
+// made: every reader (Count, the exposition's _count line, SLO windows,
+// quantiles) derives the total by summing one pass over them, so a total
+// can never disagree with the buckets it was read beside.
 type Histogram struct {
 	bounds []float64       // ascending upper bounds; +Inf bucket is implicit
 	counts []atomic.Uint64 // len(bounds)+1
-	count  atomic.Uint64
-	sum    atomic.Uint64 // float64 bits, CAS-accumulated
+	sum    atomic.Uint64   // float64 bits, CAS-accumulated
 }
 
 // Observe records one observation.
@@ -123,7 +129,6 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -133,12 +138,34 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
+// AddCounts adds the per-bucket counts (one per bound plus the trailing
+// +Inf bucket), each read exactly once, into dst and returns their sum —
+// the number of observations in that read. dst must have len(bounds)+1
+// entries; passing the same dst for several histograms with equal bounds
+// merges them.
+func (h *Histogram) AddCounts(dst []uint64) uint64 {
+	if h == nil {
+		return 0
+	}
+	var total uint64
+	for i := range h.counts {
+		c := h.counts[i].Load()
+		dst[i] += c
+		total += c
+	}
+	return total
+}
+
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var total uint64
+	for i := range h.counts {
+		total += h.counts[i].Load()
+	}
+	return total
 }
 
 // Sum returns the sum of all observations.
@@ -147,6 +174,43 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sum.Load())
+}
+
+// Quantile estimates the q-quantile (0 < q <= 1) of the observations
+// counted in counts, the per-bucket counts over bounds as AddCounts fills
+// them. The estimate interpolates linearly inside the bucket holding the
+// rank-q observation (the first bucket's lower edge is 0), so it lies
+// within that bucket: off by at most the ratio of adjacent bounds, and
+// exact when the rank falls on a bucket's last observation. Observations
+// above the last bound report that bound. No observations report 0.
+func Quantile(bounds []float64, counts []uint64, q float64) float64 {
+	var total uint64
+	for _, c := range counts {
+		total += c
+	}
+	if total == 0 {
+		return 0
+	}
+	rank := q * float64(total)
+	var cum uint64
+	for i, c := range counts {
+		if c == 0 || float64(cum+c) < rank {
+			cum += c
+			continue
+		}
+		if i == len(bounds) {
+			break
+		}
+		lo := 0.0
+		if i > 0 {
+			lo = bounds[i-1]
+		}
+		return lo + (bounds[i]-lo)*(rank-float64(cum))/float64(c)
+	}
+	if len(bounds) == 0 {
+		return 0
+	}
+	return bounds[len(bounds)-1]
 }
 
 // ExpBuckets returns n log-scale bucket bounds: start, start*factor,

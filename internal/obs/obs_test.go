@@ -261,3 +261,98 @@ func TestInstrumentsConcurrencySafe(t *testing.T) {
 		t.Fatalf("histogram count = %d, want %d", got, workers*per)
 	}
 }
+
+// TestScrapeConsistentUnderObserve: readers racing Observe never see a
+// histogram contradict itself. Every exposition validates (+Inf bucket
+// == _count, buckets cumulative) and every SLO window has bad <= total,
+// because each reader derives its totals from one pass over the bucket
+// counters rather than from a second counter read at a different time.
+func TestScrapeConsistentUnderObserve(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram(`lat_seconds{shard="0"}`, "latency", ExpBuckets(1e-6, 2, 20))
+	slo := NewSLO()
+	// Every observation below is over the threshold, so a total read
+	// before the buckets would report bad > total.
+	slo.Add(reg, Objective{Name: "all_bad", Hists: []*Histogram{h}, Quantile: 0.5, Threshold: 1e-9})
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h.Observe(float64(uint64(1)<<((w+i)%20)) * 1e-6)
+			}
+		}(w)
+	}
+	var buf bytes.Buffer
+	for i := 0; i < 300; i++ {
+		buf.Reset()
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := ValidateExposition(buf.Bytes()); err != nil {
+			t.Errorf("scrape %d: torn exposition: %v", i, err)
+			break
+		}
+		if ov := slo.Evaluate().Objectives[0]; ov.BadFraction > 1 {
+			t.Errorf("scrape %d: SLO window has more bad than total observations: %+v", i, ov)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestQuantile pins the histogram-quantile estimate every latency
+// percentile in the repo is read from.
+func TestQuantile(t *testing.T) {
+	bounds := ExpBuckets(1, math.Sqrt2, 24) // 1 .. ~2896
+	h := NewRegistry().Histogram("h", "", bounds)
+	counts := make([]uint64, len(bounds)+1)
+
+	if got := Quantile(bounds, counts, 0.99); got != 0 {
+		t.Fatalf("empty histogram quantile = %v, want 0", got)
+	}
+
+	// A known sample: 1..1000. The estimate must land in the bucket of
+	// the exact quantile, i.e. within one bucket ratio of it.
+	for v := 1; v <= 1000; v++ {
+		h.Observe(float64(v))
+	}
+	if total := h.AddCounts(counts); total != 1000 || h.Count() != 1000 {
+		t.Fatalf("AddCounts total = %d, Count = %d, want 1000", total, h.Count())
+	}
+	for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1} {
+		exact := math.Ceil(q * 1000)
+		got := Quantile(bounds, counts, q)
+		if got < exact/math.Sqrt2 || got > exact*math.Sqrt2 {
+			t.Errorf("q%g = %v, exact %v: off by more than one bucket ratio", q, got, exact)
+		}
+	}
+
+	// Exact at bucket edges: when the rank is a bucket's last
+	// observation the estimate is that bucket's upper bound.
+	edges := []float64{1, 10, 100}
+	eh := NewRegistry().Histogram("e", "", edges)
+	for _, v := range []float64{0.5, 1, 5, 10, 50, 100, 5000, 5000} {
+		eh.Observe(v)
+	}
+	ec := make([]uint64, len(edges)+1)
+	eh.AddCounts(ec)
+	for _, c := range []struct{ q, want float64 }{
+		{0.25, 1}, {0.5, 10}, {0.75, 100},
+		{0.375, 5.5}, // halfway through the (1,10] bucket
+		{1, 100},     // the +Inf bucket reports the highest finite bound
+	} {
+		if got := Quantile(edges, ec, c.q); got != c.want {
+			t.Errorf("edge histogram q%g = %v, want %v", c.q, got, c.want)
+		}
+	}
+}

@@ -48,6 +48,9 @@ func writeSeries(w *bufio.Writer, f *family, s *series) {
 		case *Gauge:
 			writeSample(w, f.name, s.labels, "", float64(inst.Value()))
 		case *Histogram:
+			// Each bucket counter is read once; _count is the same running
+			// total the +Inf bucket carries, so the two cannot disagree
+			// however many Observes race the scrape.
 			cum := uint64(0)
 			for i, b := range inst.bounds {
 				cum += inst.counts[i].Load()
@@ -56,7 +59,7 @@ func writeSeries(w *bufio.Writer, f *family, s *series) {
 			cum += inst.counts[len(inst.bounds)].Load()
 			writeSample(w, f.name+"_bucket", joinLabels(s.labels, `le="+Inf"`), "", float64(cum))
 			writeSample(w, f.name+"_sum", s.labels, "", inst.Sum())
-			writeSample(w, f.name+"_count", s.labels, "", float64(inst.Count()))
+			writeSample(w, f.name+"_count", s.labels, "", float64(cum))
 		}
 	}
 }

@@ -53,16 +53,10 @@ type Verdict struct {
 	Objectives []ObjectiveVerdict `json:"objectives"`
 }
 
-// histBaseline snapshots one histogram's counters at Reset time.
-type histBaseline struct {
-	counts []uint64
-	count  uint64
-}
-
 // objectiveState pairs an objective with its Reset baseline.
 type objectiveState struct {
 	obj  Objective
-	hist []histBaseline
+	hist [][]uint64 // per-histogram bucket counts at Reset
 	bad  float64
 	tot  float64
 }
@@ -140,12 +134,9 @@ func (s *SLO) Handler() http.Handler {
 func (st *objectiveState) snapshot() {
 	st.hist = st.hist[:0]
 	for _, h := range st.obj.Hists {
-		b := histBaseline{count: h.Count()}
-		b.counts = make([]uint64, len(h.counts))
-		for i := range h.counts {
-			b.counts[i] = h.counts[i].Load()
-		}
-		st.hist = append(st.hist, b)
+		base := make([]uint64, len(h.counts))
+		h.AddCounts(base)
+		st.hist = append(st.hist, base)
 	}
 	if st.obj.Bad != nil {
 		st.bad = st.obj.Bad()
@@ -163,15 +154,17 @@ func (st *objectiveState) evaluate() ObjectiveVerdict {
 	if len(st.obj.Hists) > 0 {
 		for i, h := range st.obj.Hists {
 			base := st.hist[i]
-			total += float64(h.Count() - base.count)
-			// Observations landing in buckets whose upper bound exceeds
-			// the threshold are over-SLO; the histogram resolution
-			// rounds in the objective's favor only at the bucket edge.
+			// Each bucket is read once and feeds both sums, so bad <=
+			// total whatever races the evaluation. Observations landing
+			// in buckets whose upper bound exceeds the threshold are
+			// over-SLO; the histogram resolution rounds in the
+			// objective's favor only at the bucket edge.
 			for j := range h.counts {
-				if j < len(h.bounds) && h.bounds[j] <= st.obj.Threshold {
-					continue
+				n := float64(h.counts[j].Load() - base[j])
+				total += n
+				if j == len(h.bounds) || h.bounds[j] > st.obj.Threshold {
+					bad += n
 				}
-				bad += float64(h.counts[j].Load() - base.counts[j])
 			}
 		}
 		budget = 1 - st.obj.Quantile

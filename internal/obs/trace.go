@@ -6,15 +6,13 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"sync"
 	"sync/atomic"
 )
 
 // Distributed tracing primitives: a flat, allocation-free trace context
-// propagated request-to-request across cluster hops, a fixed-capacity
-// span ring per node, and a merger that stitches per-node span sets
-// into one Perfetto view with per-node wall clocks aligned.
+// propagated request-to-request across cluster hops, the span record a
+// node's Recorder[Span] ring holds, and a merger that stitches per-node
+// span sets into one Perfetto view with per-node wall clocks aligned.
 //
 // Like the rest of this package, nothing here reads a clock or draws
 // randomness: callers supply timestamps (each node stamps spans in its
@@ -159,7 +157,7 @@ func (k SpanKind) String() string {
 }
 
 // Span is one completed hop of a traced request: fixed-size, no
-// pointers, emitted into a TraceBuffer ring without allocating. TS and
+// pointers, emitted into a Recorder[Span] ring without allocating. TS and
 // Dur are microseconds in the emitting node's local domain (each node
 // measures from its own epoch); MergeTraces aligns the domains.
 type Span struct {
@@ -170,79 +168,6 @@ type Span struct {
 	Dur    int64  // duration, µs
 	Kind   SpanKind
 	Track  int32 // lane within the node (shard index; -1 for node-level)
-}
-
-// TraceBuffer is a fixed-capacity ring of Spans. Emit overwrites the
-// oldest span once full and never allocates; a nil *TraceBuffer is a
-// no-op, so tracing can be threaded unconditionally.
-type TraceBuffer struct {
-	mu    sync.Mutex
-	buf   []Span
-	next  int
-	full  bool
-	total uint64
-}
-
-// NewTraceBuffer returns a buffer retaining up to capacity spans.
-func NewTraceBuffer(capacity int) *TraceBuffer {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("obs: invalid trace buffer capacity %d", capacity))
-	}
-	return &TraceBuffer{buf: make([]Span, capacity)}
-}
-
-// Emit appends s, overwriting the oldest span when the ring is full.
-// Safe from any goroutine; no-op on a nil buffer.
-func (b *TraceBuffer) Emit(s Span) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.buf[b.next] = s
-	b.next++
-	if b.next == len(b.buf) {
-		b.next = 0
-		b.full = true
-	}
-	b.total++
-	b.mu.Unlock()
-}
-
-// Len reports how many spans are currently retained.
-func (b *TraceBuffer) Len() int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.full {
-		return len(b.buf)
-	}
-	return b.next
-}
-
-// Total reports how many spans were ever emitted (retained or evicted).
-func (b *TraceBuffer) Total() uint64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.total
-}
-
-// Snapshot appends the retained spans, oldest first, to dst and returns
-// it. A reused dst keeps the snapshot allocation-free once warmed.
-func (b *TraceBuffer) Snapshot(dst []Span) []Span {
-	if b == nil {
-		return dst
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.full {
-		dst = append(dst, b.buf[b.next:]...)
-	}
-	return append(dst, b.buf[:b.next]...)
 }
 
 // --- span wire codec ---
@@ -315,58 +240,34 @@ func MergeTraces(w io.Writer, nodes []NodeTrace) error {
 	offsets := alignOffsets(nodes)
 	bw := bufio.NewWriter(w)
 	bw.WriteString(`{"displayTimeUnit":"ms","otherData":{"timeDomain":"aligned_us"},"traceEvents":[`)
-	first := true
+	var args []byte
 	for i, nt := range nodes {
-		if !first {
+		if i > 0 {
 			bw.WriteByte(',')
 		}
-		first = false
 		fmt.Fprintf(bw, `{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":%q}}`, i+1, nt.Node)
 		for _, s := range nt.Spans {
+			args = appendHex64(append(args[:0], `"trace":"`...), s.Hi)
+			args = appendHex64(args, s.Lo)
+			args = appendHex64(append(args, `","span":"`...), s.ID)
+			args = appendHex64(append(args, `","parent":"`...), s.Parent)
+			args = append(args, '"')
 			bw.WriteByte(',')
-			writeSpanEvent(bw, i+1, s, offsets[i])
+			// Zero-width spans are invisible in Perfetto: render at least 1µs.
+			writeTraceEvent(bw, s.Kind.String(), "trace", i+1, s.Track, s.TS+offsets[i], max(s.Dur, 1), args)
 		}
 	}
 	bw.WriteString("]}\n")
 	return bw.Flush()
 }
 
-func writeSpanEvent(w *bufio.Writer, pid int, s Span, offset int64) {
-	w.WriteString(`{"name":"`)
-	w.WriteString(s.Kind.String())
-	w.WriteString(`","cat":"trace","pid":`)
-	w.WriteString(strconv.Itoa(pid))
-	w.WriteString(`,"tid":`)
-	w.WriteString(strconv.FormatInt(int64(s.Track), 10))
-	w.WriteString(`,"ts":`)
-	w.WriteString(strconv.FormatInt(s.TS+offset, 10))
-	w.WriteString(`,"dur":`)
-	dur := s.Dur
-	if dur < 1 {
-		dur = 1 // zero-width spans are invisible in Perfetto
-	}
-	w.WriteString(strconv.FormatInt(dur, 10))
-	w.WriteString(`,"ph":"X","args":{"trace":"`)
-	writeHex128(w, s.Hi, s.Lo)
-	w.WriteString(`","span":"`)
-	writeHex64(w, s.ID)
-	w.WriteString(`","parent":"`)
-	writeHex64(w, s.Parent)
-	w.WriteString(`"}}`)
-}
-
-func writeHex64(w *bufio.Writer, v uint64) {
-	var buf [16]byte
+// appendHex64 appends v as 16 zero-padded hex digits.
+func appendHex64(dst []byte, v uint64) []byte {
 	const hexdigits = "0123456789abcdef"
-	for i := 0; i < 16; i++ {
-		buf[i] = hexdigits[(v>>uint(60-4*i))&0xf]
+	for shift := 60; shift >= 0; shift -= 4 {
+		dst = append(dst, hexdigits[(v>>uint(shift))&0xf])
 	}
-	w.Write(buf[:])
-}
-
-func writeHex128(w *bufio.Writer, hi, lo uint64) {
-	writeHex64(w, hi)
-	writeHex64(w, lo)
+	return dst
 }
 
 // alignOffsets estimates one clock offset per node (µs to add to that

@@ -80,36 +80,6 @@ func TestTraceSourceDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
-func TestTraceBufferRingAndNil(t *testing.T) {
-	var nilBuf *TraceBuffer
-	nilBuf.Emit(Span{}) // must not panic
-	if nilBuf.Len() != 0 || nilBuf.Total() != 0 || len(nilBuf.Snapshot(nil)) != 0 {
-		t.Fatal("nil buffer must be empty")
-	}
-
-	b := NewTraceBuffer(3)
-	for i := 1; i <= 5; i++ {
-		b.Emit(Span{ID: uint64(i)})
-	}
-	if b.Len() != 3 || b.Total() != 5 {
-		t.Fatalf("Len=%d Total=%d", b.Len(), b.Total())
-	}
-	got := b.Snapshot(nil)
-	if len(got) != 3 || got[0].ID != 3 || got[1].ID != 4 || got[2].ID != 5 {
-		t.Fatalf("snapshot = %+v, want IDs 3,4,5 oldest-first", got)
-	}
-}
-
-func TestTraceBufferEmitAllocFree(t *testing.T) {
-	b := NewTraceBuffer(16)
-	allocs := testing.AllocsPerRun(200, func() {
-		b.Emit(Span{Hi: 1, Lo: 2, ID: 3, TS: 4, Dur: 5, Kind: SpanExec})
-	})
-	if allocs != 0 {
-		t.Fatalf("Emit allocates %v times per op, want 0", allocs)
-	}
-}
-
 func TestSpanCodecRoundTrip(t *testing.T) {
 	in := []Span{
 		{Hi: 0xdead, Lo: 0xbeef, ID: 7, Parent: 3, TS: 1234, Dur: 56, Kind: SpanServePut, Track: 2},

@@ -143,7 +143,7 @@ func TestAllocFreeInstrumentedAccess(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	ins := NewInstruments(reg, `ring="alloc-test"`)
-	ins.Recorder = obs.NewRecorder("accesses", 1024)
+	ins.Recorder = obs.NewRecorder[obs.Event](1024)
 	r.Instrument(ins)
 	payload := make([]byte, cfg.BlockSize)
 	const keys = 256

@@ -163,7 +163,7 @@ func BenchmarkAccessFunctionalObs(b *testing.B) {
 	b.ReportAllocs()
 	r := warmedFunctionalRing(b)
 	ins := NewInstruments(obs.NewRegistry(), "")
-	ins.Recorder = obs.NewRecorder("accesses", 4096)
+	ins.Recorder = obs.NewRecorder[obs.Event](4096)
 	r.Instrument(ins)
 	defer r.Instrument(Instruments{})
 	payload := make([]byte, r.Config().BlockSize)

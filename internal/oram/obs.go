@@ -34,7 +34,7 @@ type Instruments struct {
 	// their timestamps and must be in a deterministic domain when the
 	// ring feeds a simulator (the sim injects its cycle counter); when
 	// nil, events are stamped with the ring's logical access ordinal.
-	Recorder *obs.Recorder
+	Recorder *obs.Recorder[obs.Event]
 	Clock    func() int64
 }
 
@@ -106,7 +106,7 @@ type PipelineInstruments struct {
 	// Recorder receives EvPipeline* flight-recorder events; Clock
 	// supplies their timestamps (nil: events are stamped 0 and the
 	// stage histograms are skipped).
-	Recorder *obs.Recorder
+	Recorder *obs.Recorder[obs.Event]
 	Clock    func() int64
 
 	// Tracer receives per-stage spans for accesses submitted with a
@@ -114,7 +114,7 @@ type PipelineInstruments struct {
 	// owning lane (the server passes its shard index). Spans share
 	// Clock's time domain and are skipped when Clock is nil, exactly
 	// like the stage histograms. A nil Tracer is a no-op.
-	Tracer *obs.TraceBuffer
+	Tracer *obs.Recorder[obs.Span]
 	Track  int32
 }
 

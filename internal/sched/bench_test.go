@@ -56,7 +56,7 @@ func benchSchedTick(b *testing.B, instrumented bool) {
 	d := config.Default().DRAM
 	c := New(d, config.SchedProactiveBank)
 	if instrumented {
-		c.Instrument(obs.NewRegistry(), obs.NewRecorder("cycles", 4096))
+		c.Instrument(obs.NewRegistry(), obs.NewRecorder[obs.Event](4096))
 	}
 
 	// Pre-generate the coordinate stream and a request pool outside the

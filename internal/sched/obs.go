@@ -19,7 +19,7 @@ type schedInstruments struct {
 	// paper's key metric. See issueColumn for the estimator.
 	hiddenPre *obs.Counter
 	hiddenAct *obs.Counter
-	rec       *obs.Recorder
+	rec       *obs.Recorder[obs.Event]
 }
 
 var rowClassNames = [3]string{RowHit: "hit", RowMiss: "miss", RowConflict: "conflict"}
@@ -34,7 +34,7 @@ var rowClassNames = [3]string{RowHit: "hit", RowMiss: "miss", RowConflict: "conf
 //
 // Call before the first Tick; calling again with the same registry is
 // idempotent (series are re-resolved, not duplicated).
-func (c *Controller) Instrument(reg *obs.Registry, rec *obs.Recorder) {
+func (c *Controller) Instrument(reg *obs.Registry, rec *obs.Recorder[obs.Event]) {
 	c.ins.rec = rec
 	if reg == nil {
 		return

@@ -17,7 +17,7 @@ func cmdHash(t *testing.T, instrument bool, txns [][]*Request) [32]byte {
 	t.Helper()
 	c := New(testDRAM(), config.SchedProactiveBank)
 	if instrument {
-		c.Instrument(obs.NewRegistry(), obs.NewRecorder("cycles", 1024))
+		c.Instrument(obs.NewRegistry(), obs.NewRecorder[obs.Event](1024))
 	}
 	h := sha256.New()
 	c.OnCommand = func(ev CommandEvent) {
@@ -41,7 +41,7 @@ func TestInstrumentationDoesNotChangeSchedule(t *testing.T) {
 
 func TestSchedInstrumentCountersMatchStats(t *testing.T) {
 	reg := obs.NewRegistry()
-	rec := obs.NewRecorder("cycles", 4096)
+	rec := obs.NewRecorder[obs.Event](4096)
 	c := New(testDRAM(), config.SchedProactiveBank)
 	c.Instrument(reg, rec)
 	drain(t, c, randomTxns(11, 80, testDRAM()))

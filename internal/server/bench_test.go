@@ -117,7 +117,7 @@ func BenchmarkServerGetPutTracedSampled(b *testing.B) {
 // controller targets: the worker drains full batches and (when pipeline
 // > 1) keeps up to k accesses in flight. pipeline = 0 is the serial
 // baseline. Reported p99-ns is the request-latency 99th percentile from
-// the server's own reservoir over the timed run.
+// the server's own request-latency histogram over the timed run.
 func benchServerThroughput(b *testing.B, pipeline int) {
 	srv, err := New(Config{
 		Shards:     1,

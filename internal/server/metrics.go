@@ -2,19 +2,19 @@ package server
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"math"
 	"time"
 
 	"stringoram/internal/obs"
 	"stringoram/internal/oram"
-	"stringoram/internal/stats"
 )
 
 // Metrics is a point-in-time aggregate of the server's serving
 // counters. All fields are cumulative since start except QueueDepths
-// (instantaneous) and the latency percentiles (estimated over a
-// uniform reservoir sample of completed requests).
+// (instantaneous). The latency percentiles are read from the same
+// server_request_seconds histograms the Prometheus exposition and the
+// SLO gate use, so the three cannot disagree; their resolution is one
+// histogram bucket (see requestSecondsBounds).
 type Metrics struct {
 	Shards        int
 	UptimeSeconds float64
@@ -53,9 +53,23 @@ func (m Metrics) ThroughputPerSecond() float64 {
 	return float64(m.Gets+m.Puts) / m.UptimeSeconds
 }
 
-// requestSecondsBounds spans 100µs..~3s log-scale — wide enough for the
-// in-process fast path and a cross-node forwarded op under load.
-var requestSecondsBounds = obs.ExpBuckets(100e-6, 2, 15)
+// requestSecondsBounds spans 1µs..~2.1s with two buckets per octave
+// (adjacent bounds √2 apart): fine enough to resolve the in-process fast
+// path (tens of µs), wide enough for a cross-node forwarded op under
+// load. Every quantile and SLO verdict read from the histogram is
+// therefore accurate to a factor of √2; an -slo-p99 threshold rounds
+// down to the nearest bound.
+var requestSecondsBounds = func() []float64 {
+	b := make([]float64, requestSecondsBuckets-1)
+	for i := range b {
+		b[i] = 1e-6 * math.Exp2(float64(i)/2)
+	}
+	return b
+}()
+
+// requestSecondsBuckets counts that histogram's buckets, +Inf included;
+// a constant so Metrics can merge the shards' counts on its stack.
+const requestSecondsBuckets = 44
 
 // LatencyHistograms returns each hosted shard's request-latency
 // histogram, for wiring SLO objectives over live serving traffic.
@@ -71,9 +85,8 @@ func (s *Server) LatencyHistograms() []*obs.Histogram {
 
 // shardMetrics is one shard's counter set, held as obs instruments so a
 // single update site feeds both the Prometheus exposition and the
-// Metrics snapshot. The counters are atomic (the worker goroutine, the
-// dispatcher, and scrapes touch them concurrently); the mutex guards
-// only the latency reservoir and the protocol-stats copy.
+// Metrics snapshot. Every instrument is atomic: the worker goroutine,
+// the dispatcher, and scrapes touch them concurrently without a lock.
 type shardMetrics struct {
 	gets, puts, misses *obs.Counter
 	applies            *obs.Counter
@@ -88,20 +101,15 @@ type shardMetrics struct {
 
 	keys *obs.Gauge
 
-	// latSecs is the request-latency histogram feeding Prometheus
-	// aggregation and SLO evaluation (the reservoir below keeps serving
-	// the exact-quantile Metrics snapshot).
+	// latSecs is the request-latency histogram: the one source behind
+	// Prometheus aggregation, SLO evaluation and the Metrics quantiles.
 	latSecs *obs.Histogram
-
-	mu    sync.Mutex
-	lat   *stats.Reservoir
-	proto oram.Stats
 }
 
 // init registers shard i's instruments on reg (never nil: the Server
 // creates a private registry when the Config does not supply one, so the
-// counters always count) and seeds the latency reservoir.
-func (m *shardMetrics) init(reg *obs.Registry, shard int, seed uint64) {
+// counters always count).
+func (m *shardMetrics) init(reg *obs.Registry, shard int) {
 	l := func(fam, op string) string {
 		if op == "" {
 			return fmt.Sprintf(`%s{shard="%d"}`, fam, shard)
@@ -123,7 +131,6 @@ func (m *shardMetrics) init(reg *obs.Registry, shard int, seed uint64) {
 	m.keys = reg.Gauge(l("server_keys", ""), "Keys in the shard directory as of its last batch.")
 	m.latSecs = reg.Histogram(l("server_request_seconds", ""),
 		"Request latency (enqueue to response) in seconds.", requestSecondsBounds)
-	m.lat = stats.NewReservoir(stats.DefaultReservoirSize, shardSeed(seed, shard)^0xc0ffee)
 }
 
 func (m *shardMetrics) noteRejected() {
@@ -155,26 +162,18 @@ func (m *shardMetrics) noteDone(op opKind, res result, lat time.Duration) {
 		m.failed.Inc()
 	}
 	m.latSecs.Observe(lat.Seconds())
-	m.mu.Lock()
-	m.lat.Add(lat.Seconds())
-	m.mu.Unlock()
 }
 
-func (m *shardMetrics) noteBatch(n, keys int, proto oram.Stats) {
+func (m *shardMetrics) noteBatch(n, keys int) {
 	m.batches.Inc()
 	m.batchedReqs.Add(uint64(n))
 	m.maxBatch.Max(int64(n))
 	m.keys.Set(int64(keys))
-	m.mu.Lock()
-	m.proto = proto
-	m.mu.Unlock()
 }
 
 // Metrics aggregates the per-shard counters into one snapshot. The
-// latency merge reuses a server-owned scratch buffer (one scrape at a
-// time, serialized by scrapeMu), so a warmed call allocates only the
-// QueueDepths slice regardless of reservoir sizes — see
-// TestMetricsScrapeAllocBound.
+// shards' latency buckets merge into a fixed-size array, so a call
+// allocates only the QueueDepths slice — see TestMetricsScrapeAllocBound.
 func (s *Server) Metrics() Metrics {
 	// The read lock pins the hosted-shard set for the whole scrape (no
 	// copy, preserving the alloc bound); enqueues share the lock, only
@@ -186,9 +185,7 @@ func (s *Server) Metrics() Metrics {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		QueueDepths:   make([]int, len(s.shards)),
 	}
-	s.scrapeMu.Lock()
-	defer s.scrapeMu.Unlock()
-	s.scrapeBuf = s.scrapeBuf[:0]
+	var lat [requestSecondsBuckets]uint64
 	for i, sh := range s.shards {
 		out.Gets += sh.m.gets.Value()
 		out.Puts += sh.m.puts.Value()
@@ -205,36 +202,32 @@ func (s *Server) Metrics() Metrics {
 		out.Keys += int(sh.m.keys.Value())
 		out.ORAMAccesses += sh.m.oramAccesses.Value()
 		out.SlotAccesses += sh.m.slotAccesses.Value()
-		sh.m.mu.Lock()
-		out.LatencySamples += sh.m.lat.Count()
-		s.scrapeBuf = sh.m.lat.AppendSamples(s.scrapeBuf)
-		sh.m.mu.Unlock()
+		out.LatencySamples += int64(sh.m.latSecs.AddCounts(lat[:]))
 		out.QueueDepths[i] = len(sh.reqs)
 	}
 	if out.Batches > 0 {
 		out.AvgBatch = float64(out.BatchedRequests) / float64(out.Batches)
 	}
-	if len(s.scrapeBuf) > 0 {
-		sort.Float64s(s.scrapeBuf)
-		out.P50Seconds = stats.SortedQuantile(s.scrapeBuf, 0.5)
-		out.P95Seconds = stats.SortedQuantile(s.scrapeBuf, 0.95)
-		out.P99Seconds = stats.SortedQuantile(s.scrapeBuf, 0.99)
-	}
+	out.P50Seconds = obs.Quantile(requestSecondsBounds, lat[:], 0.5)
+	out.P95Seconds = obs.Quantile(requestSecondsBounds, lat[:], 0.95)
+	out.P99Seconds = obs.Quantile(requestSecondsBounds, lat[:], 0.99)
 	return out
 }
 
-// ShardStats returns each shard's protocol counters as of its last
-// completed batch (safe to call while the server is running; the copies
-// are taken on the worker goroutine).
-func (s *Server) ShardStats() []oram.Stats {
-	s.mu.RLock()
-	shards := append([]*shard(nil), s.shards...)
-	s.mu.RUnlock()
-	out := make([]oram.Stats, len(shards))
-	for i, sh := range shards {
-		sh.m.mu.Lock()
-		out[i] = sh.m.proto
-		sh.m.mu.Unlock()
+// ShardStats returns each hosted shard's protocol counters, copied on the
+// shard's worker goroutine by an op through its queue: the copy reflects
+// every request acknowledged before the call. Like Barrier it fails with
+// ErrClosed once the server is closing, or ErrBacklog on a full queue.
+func (s *Server) ShardStats() ([]oram.Stats, error) {
+	ids := s.HostedShards()
+	out := make([]oram.Stats, len(ids))
+	for i, id := range ids {
+		req := reqPool.Get().(*request)
+		req.op, req.stats = opStats, &out[i]
+		req.enqueued = time.Now()
+		if err := s.sendShard(id, req).err; err != nil {
+			return nil, err
+		}
 	}
-	return out
+	return out, nil
 }

@@ -3,6 +3,9 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -102,7 +105,7 @@ func TestServerFlightRecorder(t *testing.T) {
 		t.Fatalf("span batch sizes sum to %d, Metrics says %d", batched, m.BatchedRequests)
 	}
 	var trace bytes.Buffer
-	if err := rec.WriteTrace(&trace); err != nil {
+	if err := s.WriteFlightTrace(&trace); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(trace.Bytes(), []byte(`"wall_us"`)) {
@@ -110,10 +113,9 @@ func TestServerFlightRecorder(t *testing.T) {
 	}
 }
 
-// TestMetricsScrapeAllocBound pins the satellite fix for the per-scrape
-// reservoir copy: once the merge buffer is warmed, Metrics() allocates
-// only the QueueDepths slice it returns — the latency samples no longer
-// allocate per scrape, no matter how full the reservoirs are.
+// TestMetricsScrapeAllocBound: Metrics() merges the shards' latency
+// buckets into a fixed-size array, so it allocates only the QueueDepths
+// slice it returns however much traffic the histograms hold.
 func TestMetricsScrapeAllocBound(t *testing.T) {
 	s := mustNew(t, testConfig())
 	defer s.Close()
@@ -122,7 +124,6 @@ func TestMetricsScrapeAllocBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.Metrics() // warm the scrape buffer
 	if n := testing.AllocsPerRun(50, func() {
 		m := s.Metrics()
 		if m.Puts == 0 {
@@ -130,6 +131,80 @@ func TestMetricsScrapeAllocBound(t *testing.T) {
 		}
 	}); n > 2 {
 		t.Fatalf("Metrics allocates %.1f times per scrape, want <= 2 (QueueDepths only)", n)
+	}
+}
+
+// TestMetricsQuantilesMatchExposition: there is one latency-quantile
+// source. The percentiles Metrics() reports equal the quantiles
+// recomputed from the server_request_seconds_bucket lines the same
+// server exposes to Prometheus, and LatencySamples is their total.
+func TestMetricsQuantilesMatchExposition(t *testing.T) {
+	s := mustNew(t, testConfig())
+	defer s.Close()
+	for i := 0; i < 300; i++ {
+		key := fmt.Sprintf("key-%d", i%40)
+		if err := s.Put(key, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.Get(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := s.Obs().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m := s.Metrics()
+
+	// Sum the shards' cumulative buckets per le, then difference them
+	// back into per-bucket counts.
+	cum := make(map[float64]uint64)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, "server_request_seconds_bucket{")
+		if !ok {
+			continue
+		}
+		_, rest, _ = strings.Cut(rest, `le="`)
+		leText, val, _ := strings.Cut(rest, `"} `)
+		le := math.Inf(1)
+		if leText != "+Inf" {
+			var err error
+			if le, err = strconv.ParseFloat(leText, 64); err != nil {
+				t.Fatalf("bad le in %q: %v", line, err)
+			}
+		}
+		n, err := strconv.ParseUint(val, 10, 64)
+		if err != nil {
+			t.Fatalf("bad bucket count in %q: %v", line, err)
+		}
+		cum[le] += n
+	}
+	bounds := make([]float64, 0, len(cum))
+	for le := range cum {
+		bounds = append(bounds, le)
+	}
+	sort.Float64s(bounds)
+	counts := make([]uint64, len(bounds))
+	var prev uint64
+	for i, le := range bounds {
+		counts[i] = cum[le] - prev
+		prev = cum[le]
+	}
+	bounds = bounds[:len(bounds)-1] // +Inf is implicit
+	if prev != 600 || m.LatencySamples != 600 {
+		t.Fatalf("exposition counts %d requests, Metrics %d, want 600", prev, m.LatencySamples)
+	}
+	for _, c := range []struct {
+		name string
+		q    float64
+		got  float64
+	}{{"p50", 0.5, m.P50Seconds}, {"p95", 0.95, m.P95Seconds}, {"p99", 0.99, m.P99Seconds}} {
+		if want := obs.Quantile(bounds, counts, c.q); c.got != want || c.got <= 0 {
+			t.Errorf("Metrics %s = %g, exposition buckets give %g", c.name, c.got, want)
+		}
+	}
+	if m.P50Seconds > m.P95Seconds || m.P95Seconds > m.P99Seconds {
+		t.Errorf("percentiles not ordered: %g %g %g", m.P50Seconds, m.P95Seconds, m.P99Seconds)
 	}
 }
 

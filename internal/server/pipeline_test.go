@@ -62,7 +62,11 @@ func TestServerPipelineSerialEquivalence(t *testing.T) {
 			}
 		}
 		m := srv.Metrics()
-		stats = fmt.Sprintf("oram=%d slots=%d shardStats=%+v", m.ORAMAccesses, m.SlotAccesses, srv.ShardStats())
+		shardStats, err := srv.ShardStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats = fmt.Sprintf("oram=%d slots=%d shardStats=%+v", m.ORAMAccesses, m.SlotAccesses, shardStats)
 		return responses, stats, srv
 	}
 	wantResp, wantStats, serialSrv := run(0)

@@ -42,6 +42,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -267,6 +268,9 @@ const (
 	// has fully applied (pipelined shards drain first) and reports the
 	// shard's appliedSeq — the handoff cutover fence.
 	opBarrier
+	// opStats is a barrier that also copies the Ring's protocol counters
+	// into request.stats.
+	opStats
 )
 
 // request is one queued operation. key and val are the adversary-hidden
@@ -292,7 +296,9 @@ type request struct {
 	// bytes — so telemetry stays leakage-free.
 	tc   obs.TraceContext
 	span uint64
-	done chan result
+	// stats is where the worker writes an opStats request's copy.
+	stats *oram.Stats
+	done  chan result
 }
 
 // reqPool recycles request structs (and their single-slot done
@@ -318,13 +324,13 @@ type Server struct {
 	wg        sync.WaitGroup
 	start     time.Time
 
-	reg *obs.Registry // never nil after New (cfg.Obs or private)
-	rec *obs.Recorder // wall-clock batch spans (µs since start)
+	reg *obs.Registry            // never nil after New (cfg.Obs or private)
+	rec *obs.Recorder[obs.Event] // wall-clock batch spans (µs since start)
 
 	// Tracing state: the span ring, the span-ID source, and the sampling
 	// rate. All are fixed at New; tracer and tsrc are always non-nil so
 	// the scrape path needs no nil checks (rate 0 just never samples).
-	tracer    *obs.TraceBuffer
+	tracer    *obs.Recorder[obs.Span]
 	tsrc      *obs.TraceSource
 	traceRate uint64
 
@@ -332,9 +338,6 @@ type Server struct {
 	// controller feeds (nil when Pipeline <= 1: serial and inline shards
 	// run no workers).
 	pool *oram.WorkerPool
-
-	scrapeMu  sync.Mutex // serializes Metrics; guards scrapeBuf
-	scrapeBuf []float64  // reused latency-sample merge buffer
 
 	// mu guards closed and the hosted-shard set against in-flight
 	// enqueues: do/Apply resolve and enqueue under RLock, while
@@ -355,9 +358,9 @@ type shard struct {
 	done    chan struct{} // closed when the worker exits (detach/Close sync)
 	m       shardMetrics
 	onBatch func(shard, n int)
-	rec     *obs.Recorder    // server-wide batch-span recorder
-	tracer  *obs.TraceBuffer // server-wide distributed-trace span ring
-	epoch   time.Time        // server start; batch and trace spans are µs since epoch
+	rec     *obs.Recorder[obs.Event] // server-wide batch-span recorder
+	tracer  *obs.Recorder[obs.Span]  // server-wide distributed-trace span ring
+	epoch   time.Time                // server start; batch and trace spans are µs since epoch
 
 	// serving gates client ops (Get/Put): false for follower replicas
 	// and shards sealed for handoff, which answer ErrWrongShard.
@@ -394,8 +397,8 @@ func New(cfg Config) (*Server, error) {
 	if s.reg == nil {
 		s.reg = obs.NewRegistry()
 	}
-	s.rec = obs.NewRecorder("wall_us", serverFlightRecCap)
-	s.tracer = obs.NewTraceBuffer(serverTraceBufCap)
+	s.rec = obs.NewRecorder[obs.Event](serverFlightRecCap)
+	s.tracer = obs.NewRecorder[obs.Span](serverTraceBufCap)
 	s.tsrc = obs.NewTraceSource(cfg.Seed ^ 0x7472616365) // decorrelate from protocol randomness
 	s.traceRate = cfg.TraceSample
 	if cfg.Pipeline > 1 {
@@ -454,7 +457,7 @@ func (s *Server) buildShard(id int, snap []byte) (*shard, error) {
 		maxBatch:    cfg.MaxBatch,
 	}
 	sh.serving.Store(true)
-	sh.m.init(s.reg, id, cfg.Seed)
+	sh.m.init(s.reg, id)
 	if snap != nil {
 		if err := sh.restoreBytes(snap, cfg); err != nil {
 			return nil, err
@@ -622,7 +625,13 @@ func (s *Server) Obs() *obs.Registry { return s.reg }
 // FlightRecorder returns the server's batch-span recorder. Its
 // timestamps are wall-clock microseconds since server start — unlike
 // the simulator recorders, which are cycle-stamped.
-func (s *Server) FlightRecorder() *obs.Recorder { return s.rec }
+func (s *Server) FlightRecorder() *obs.Recorder[obs.Event] { return s.rec }
+
+// WriteFlightTrace dumps the flight recorder as Perfetto-loadable Chrome
+// trace-event JSON, marked with the recorder's "wall_us" time domain.
+func (s *Server) WriteFlightTrace(w io.Writer) error {
+	return obs.WriteTrace(w, "wall_us", s.rec.Snapshot(nil))
+}
 
 // serverTraceBufCap bounds the distributed-trace span ring: 4096 spans
 // of 61 wire bytes each keep a full scrape well under one wire frame.
@@ -631,7 +640,7 @@ const serverTraceBufCap = 4096
 // Tracer returns the server's distributed-trace span ring. Span
 // timestamps are microseconds since server start (the same domain as
 // the flight recorder), aligned across nodes by obs.MergeTraces.
-func (s *Server) Tracer() *obs.TraceBuffer { return s.tracer }
+func (s *Server) Tracer() *obs.Recorder[obs.Span] { return s.tracer }
 
 // TraceSource returns the server's span-ID source (shared with the
 // cluster layer so replication and forward spans join the same ID
@@ -882,6 +891,7 @@ func (s *Server) DetachShard(shardID int) ([]byte, error) {
 func releaseRequest(req *request) {
 	req.key, req.val = "", nil
 	req.tc, req.span = obs.TraceContext{}, 0
+	req.stats = nil
 	reqPool.Put(req)
 }
 
@@ -955,11 +965,11 @@ func (sh *shard) run(wg *sync.WaitGroup) {
 			// Within the batch, up to Depth accesses overlapped.
 			sh.pipe.Drain()
 		}
-		sh.m.noteBatch(len(batch), len(sh.dir), sh.ring.Stats())
+		sh.m.noteBatch(len(batch), len(sh.dir))
 		// One span per batch in the server flight recorder. The server
 		// is the one wall-clock domain in the repo: it is never part of
-		// the determinism contract, and the recorder's domain field
-		// ("wall_us") marks the traces as such.
+		// the determinism contract, and WriteFlightTrace marks the
+		// export "wall_us" to say so.
 		sh.rec.Emit(obs.Event{
 			TS:    now.Sub(sh.epoch).Microseconds(),
 			Dur:   time.Since(now).Microseconds(),
@@ -1003,9 +1013,12 @@ func (sh *shard) serve(now time.Time, r *request) {
 		data, err := sh.snapshotBytes()
 		sh.respond(r, result{val: data, seq: sh.appliedSeq, err: err})
 		return
-	case opBarrier:
+	case opBarrier, opStats:
 		if sh.pipe != nil {
 			sh.pipe.Drain()
+		}
+		if r.op == opStats {
+			*r.stats = sh.ring.Stats()
 		}
 		sh.respond(r, result{seq: sh.appliedSeq})
 		return

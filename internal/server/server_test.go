@@ -390,7 +390,10 @@ func TestDeterministicSingleWorker(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		stats := s.ShardStats()
+		stats, err := s.ShardStats()
+		if err != nil {
+			t.Fatal(err)
+		}
 		var buf bytes.Buffer
 		fmt.Fprintf(&buf, "%+v", stats)
 		s.Close()

@@ -20,7 +20,7 @@ func TestObsDoesNotPerturbSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	rec := obs.NewRecorder("cycles", 8192)
+	rec := obs.NewRecorder[obs.Event](8192)
 	inst, err := Run(sys, testTrace(t, 1500), Options{MaxAccesses: 300, Obs: reg, FlightRecorder: rec})
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestObsDoesNotPerturbSimulation(t *testing.T) {
 func TestObsEndToEnd(t *testing.T) {
 	sys := testSystem()
 	reg := obs.NewRegistry()
-	rec := obs.NewRecorder("cycles", 8192)
+	rec := obs.NewRecorder[obs.Event](8192)
 	res, err := Run(sys, testTrace(t, 1500), Options{MaxAccesses: 300, Obs: reg, FlightRecorder: rec})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestObsEndToEnd(t *testing.T) {
 	}
 
 	var trace bytes.Buffer
-	if err := rec.WriteTrace(&trace); err != nil {
+	if err := obs.WriteTrace(&trace, "cycles", rec.Snapshot(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(trace.Bytes(), []byte(`"name":"txn"`)) {

@@ -59,7 +59,7 @@ type Options struct {
 	// reshuffles, PB early commands, transaction spans) stamped with the
 	// simulator's DRAM cycle — never wall clock, so runs stay seed
 	// deterministic.
-	FlightRecorder *obs.Recorder
+	FlightRecorder *obs.Recorder[obs.Event]
 }
 
 // protocol abstracts the ORAM engine the simulator drives; both *oram.Ring
@@ -220,7 +220,7 @@ type Sim struct {
 	// now mirrors the run loop's current cycle so instrument clocks and
 	// transaction birth stamps read the simulated time, not wall clock.
 	now     int64
-	rec     *obs.Recorder
+	rec     *obs.Recorder[obs.Event]
 	txnHist [sched.NumTags]*obs.Histogram
 
 	res *Result

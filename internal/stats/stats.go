@@ -1,6 +1,6 @@
 // Package stats provides the small result-presentation toolkit used by
 // the experiment harness: fixed-width tables, CSV output, and numeric
-// series helpers (normalization, geometric mean, downsampling).
+// series helpers (mean, downsampling).
 package stats
 
 import (
@@ -141,22 +141,6 @@ func FormatFloat(v float64) string {
 // Pct renders a ratio as a percentage string.
 func Pct(v float64) string { return fmt.Sprintf("%.2f%%", v*100) }
 
-// GeoMean returns the geometric mean of positive values; zero or negative
-// inputs make the result NaN-free by being skipped.
-func GeoMean(vals []float64) float64 {
-	sum, n := 0.0, 0
-	for _, v := range vals {
-		if v > 0 {
-			sum += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}
-
 // Mean returns the arithmetic mean (0 for empty input).
 func Mean(vals []float64) float64 {
 	if len(vals) == 0 {
@@ -167,18 +151,6 @@ func Mean(vals []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(vals))
-}
-
-// Normalize divides every value by base; base 0 yields zeros.
-func Normalize(vals []float64, base float64) []float64 {
-	out := make([]float64, len(vals))
-	if base == 0 {
-		return out
-	}
-	for i, v := range vals {
-		out[i] = v / base
-	}
-	return out
 }
 
 // Downsample reduces a series to at most n points by averaging buckets,
@@ -210,15 +182,4 @@ func Downsample(vals []int, n int) (xs []int, ys []float64) {
 		ys = append(ys, float64(sum)/float64(end-start))
 	}
 	return xs, ys
-}
-
-// MaxInt returns the maximum of an int slice (0 for empty input).
-func MaxInt(vals []int) int {
-	m := 0
-	for _, v := range vals {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 )
@@ -79,37 +78,12 @@ func TestPct(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	got := GeoMean([]float64{1, 4, 16})
-	if math.Abs(got-4) > 1e-9 {
-		t.Fatalf("GeoMean = %v, want 4", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("GeoMean(nil) != 0")
-	}
-	// Zeros are skipped, not fatal.
-	if g := GeoMean([]float64{0, 4, 4}); math.Abs(g-4) > 1e-9 {
-		t.Fatalf("GeoMean with zero = %v", g)
-	}
-}
-
 func TestMean(t *testing.T) {
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Fatal("bad mean")
 	}
 	if Mean(nil) != 0 {
 		t.Fatal("Mean(nil) != 0")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{2, 4}, 2)
-	if out[0] != 1 || out[1] != 2 {
-		t.Fatalf("Normalize = %v", out)
-	}
-	z := Normalize([]float64{2}, 0)
-	if z[0] != 0 {
-		t.Fatal("Normalize by zero should zero out")
 	}
 }
 
@@ -134,14 +108,5 @@ func TestDownsample(t *testing.T) {
 	}
 	if xs, ys := Downsample(nil, 10); xs != nil || ys != nil {
 		t.Fatal("nil input must yield nil")
-	}
-}
-
-func TestMaxInt(t *testing.T) {
-	if MaxInt([]int{3, 9, 1}) != 9 {
-		t.Fatal("bad max")
-	}
-	if MaxInt(nil) != 0 {
-		t.Fatal("MaxInt(nil) != 0")
 	}
 }

@@ -57,6 +57,16 @@ echo "== obs-race gate (cluster scrapes + stitched trace under traced load, -rac
 go test -race -count=1 -run='^(TestClusterScrapeUnderLoad|TestClusterStitchedForwardTrace)$' \
     ./internal/cluster
 
+echo "== multi-core stress gate (concurrency-sensitive tests x20 at GOMAXPROCS 1, 2, 4) =="
+# These tests read telemetry or protocol state while workers race them.
+# A single core hides a torn read, so the gate pins the core counts
+# itself rather than inheriting the CI box's.
+for procs in 1 2 4; do
+	GOMAXPROCS=$procs go test -count=20 \
+	    -run='^(TestClusterScrapeUnderLoad|TestClusterStitchedForwardTrace|TestServerPipelineSerialEquivalence|TestScrapeConsistentUnderObserve)$' \
+	    ./internal/cluster ./internal/server ./internal/obs
+done
+
 echo "== pipeline race stress (64 pipelined clients x 4 shards x k=8) =="
 go test -race -count=1 -run='^(TestPipelineRaceStress|TestServerPipelineStress)$' \
     ./internal/oram ./internal/server
@@ -75,9 +85,9 @@ go test -race -count=1 -run='^TestTreetop' ./internal/oram
 echo "== alloc-regression guards (data-plane hot path) =="
 go test -run='^TestAllocFree' -count=1 ./internal/oram ./internal/cluster
 
-echo "== observability gate (alloc guards, Perfetto schema, exposition parse) =="
+echo "== observability gate (alloc guards, Perfetto schema, exposition parse, one quantile source) =="
 go test -count=1 \
-    -run='^(TestAllocFreeInstrumentedAccess|TestInstrumentUpdatesAllocFree|TestRecorderEmitAllocFree|TestWriteTracePerfettoShape|TestWritePrometheusFormatAndDeterminism|TestValidateExpositionRejectsGarbage|TestMetricsScrapeAllocBound|TestAllocFreeTracedUnsampled)$' \
+    -run='^(TestAllocFreeInstrumentedAccess|TestInstrumentUpdatesAllocFree|TestRecorderEmitAllocFree|TestWriteTracePerfettoShape|TestMergeTracesAlignsClocks|TestWritePrometheusFormatAndDeterminism|TestValidateExpositionRejectsGarbage|TestQuantile|TestMetricsScrapeAllocBound|TestMetricsQuantilesMatchExposition|TestAllocFreeTracedUnsampled)$' \
     ./internal/obs ./internal/oram ./internal/server
 
 echo "== examples/server smoke =="
