@@ -20,9 +20,8 @@
 //	-levels N            tree levels per shard (default 12)
 //	-queue N             per-shard queue depth (default 256)
 //	-batch N             max requests drained per worker wakeup (default 32)
-//	-pipeline K          in-flight ORAM accesses per shard via the
-//	                     concurrent controller; 0 or 1 serves serially
-//	                     (default 0)
+//	-treetop-cache       hold the top tree levels decrypted in
+//	                     controller memory (default off)
 //	-seed N              master seed for per-shard protocol randomness
 //	-snapshots DIR       snapshot directory: restore on boot, save on
 //	                     shutdown (empty disables persistence)
@@ -170,8 +169,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	levels := fs.Int("levels", 12, "ORAM tree levels per shard")
 	queue := fs.Int("queue", 256, "per-shard request queue depth")
 	batch := fs.Int("batch", 32, "max requests per worker batch")
-	pipeline := fs.Int("pipeline", 0, "in-flight ORAM accesses per shard (0: serial, 1: inline controller)")
-	workers := fs.Int("workers", 0, "shared data-plane worker pool size for pipelined shards (0: NumCPU)")
 	treetop := fs.Bool("treetop-cache", false, "hold the top tree levels decrypted in controller memory")
 	seed := fs.Uint64("seed", 1, "master protocol seed")
 	snapdir := fs.String("snapshots", "", "snapshot directory (restore on boot, save on shutdown)")
@@ -192,8 +189,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	cfg.ORAM = stringoram.DefaultServerORAM(*levels)
 	cfg.QueueDepth = *queue
 	cfg.MaxBatch = *batch
-	cfg.Pipeline = *pipeline
-	cfg.Workers = *workers
 	cfg.TreetopCache = *treetop
 	cfg.Seed = *seed
 	cfg.SnapshotDir = *snapdir

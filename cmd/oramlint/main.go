@@ -64,8 +64,8 @@ var obliviousPkgs = map[string]*analysis.Analyzer{
 }
 
 // taintPkgs get the interprocedural analyzers: the timing analyzer
-// (anchored on the union of the project's bus-event types plus the
-// pipeline's park call) and the scratch-ownership analyzer.
+// (anchored on the union of the project's bus-event types) and the
+// scratch-ownership analyzer.
 var taintPkgs = map[string]bool{
 	"internal/oram":    true,
 	"internal/server":  true,
@@ -79,7 +79,7 @@ var taintPkgs = map[string]bool{
 var timingAnalyzer = analysis.Timing(
 	[]string{"Access", "busOp"},
 	[]string{"Accesses"},
-	[]string{"depend"},
+	nil,
 )
 
 var ownershipAnalyzer = analysis.Ownership()

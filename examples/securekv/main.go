@@ -66,9 +66,8 @@ func (kv *kvStore) Get(key string) ([]byte, error) {
 	if int(n) > kv.blockSize-2 {
 		return nil, fmt.Errorf("corrupt record for %q", key)
 	}
-	// block aliases controller scratch — reused by the next access on a
-	// serial ring, and recycled at slot retirement under the concurrent
-	// controller — so hand the caller an owned copy.
+	// block aliases controller scratch, reused by the next access on
+	// this ring, so hand the caller an owned copy.
 	return append([]byte(nil), block[2:2+n]...), nil
 }
 

@@ -8,21 +8,22 @@ import (
 // Ownership encodes the controller's scratch-aliasing contract as
 // checkable rules. A "scratch" value is anything that aliases
 // pool-owned buffers — fields tagged `oramlint:"scratch"` (ringScratch
-// buffers, slot frames, op tables) and everything the alias-mode taint
+// buffers, stash entries, op tables) and everything the alias-mode taint
 // engine derives from them across package boundaries. Such values are
-// recycled out from under any alias the moment the access retires, so
-// they must not outlive it:
+// recycled out from under any alias by the next access, so they must
+// not outlive the one that borrowed them:
 //
 //   - scratch-store: a scratch value stored into an untagged struct
 //     field, a package-level variable, or an element of a non-local
 //     container. Tagged fields are the sanctioned resting places;
-//     anything else silently extends the alias past retirement.
+//     anything else silently extends the alias past the access.
 //   - scratch-send: a scratch value sent on a channel that is not
-//     itself a tagged field — the pipeline's own work/retirement
-//     channels are tagged; any other channel hands the alias to a
-//     goroutine with no recycling handshake.
+//     itself a tagged field — a tagged channel is a declared hand-off
+//     inside the recycling contract; any other channel hands the alias
+//     to a goroutine with no recycling handshake.
 //   - scratch-goroutine: a goroutine launched with scratch arguments or
-//     capturing scratch locals; the spawned goroutine races retirement.
+//     capturing scratch locals; the spawned goroutine races the next
+//     access's reuse.
 //   - scratch-return: an exported function returning a value that
 //     aliases its own scratch (returning a caller-supplied buffer back
 //     to the caller is fine — only directly-derived scratch counts).
@@ -30,10 +31,10 @@ import (
 //     issuing more traffic" contract must be stated; each needs an
 //     allow spelling that contract out, or a copy.
 //
-// Callbacks installed into tagged func-typed fields (the pipeline's
-// Done hook) get their reference parameters seeded as scratch, so a
-// Done callback that lets its data argument escape is caught in the
-// package that wrote the callback.
+// Callbacks installed into tagged func-typed fields (a hook in the
+// shape of server.Config.OnApply, were it handed scratch) get their
+// reference parameters seeded as scratch, so a callback that lets its
+// data argument escape is caught in the package that wrote it.
 func Ownership() *Analyzer {
 	return &Analyzer{
 		Name: "ownership",
@@ -240,9 +241,8 @@ func checkGoroutine(pass *Pass, sc *TaintScope, tinfo *types.Info, n *ast.GoStmt
 }
 
 // isTaggedChan reports whether the channel expression is a selector on
-// a field tagged scratch — the sanctioned hand-off paths (the
-// pipeline's work/retirement channels) are tagged; everything else is
-// an escape.
+// a field tagged scratch — the sanctioned hand-off paths are tagged;
+// everything else is an escape.
 func isTaggedChan(tinfo *types.Info, ch ast.Expr) bool {
 	sel, ok := ast.Unparen(ch).(*ast.SelectorExpr)
 	return ok && taggedSelection(tinfo, sel, TagScratch)

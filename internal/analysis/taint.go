@@ -399,7 +399,7 @@ func (sc *TaintScope) assign(n *ast.AssignStmt, set func(types.Object, uint64)) 
 }
 
 // seedCallbacks handles composite literals that install callbacks into
-// tagged func-typed fields (e.g. PipelineOptions{Done: func(...) {...}}):
+// tagged func-typed fields (e.g. Config{OnApply: func(...) {...}}):
 // the callback's reference-typed parameters become tainted, encoding
 // "arguments delivered through this field alias tagged state".
 func (sc *TaintScope) seedCallbacks(cl *ast.CompositeLit) bool {

@@ -11,8 +11,8 @@ type frame struct {
 type pool struct {
 	cur   frame
 	spare frame
-	// ship is the sanctioned hand-off path (the pipeline's work and
-	// retirement channels carry this tag in the real controller).
+	// ship is a sanctioned hand-off path: a tagged channel is inside
+	// the recycling contract.
 	ship  chan []byte `oramlint:"scratch"`
 	saved []byte
 }

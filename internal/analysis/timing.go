@@ -34,7 +34,7 @@ import (
 // emitTypes/emitFields anchor "address-emitting" exactly like the
 // oblivious analyzer (composite literals of the named types, appends to
 // the named fields), but matched program-wide. parkCalls names methods
-// (e.g. the pipeline's "depend") that park the caller.
+// that park the caller (beyond channel operations and sync waits).
 func Timing(emitTypes, emitFields, parkCalls []string) *Analyzer {
 	return &Analyzer{
 		Name: "timing",

@@ -48,7 +48,7 @@ func startClusterLevels(t *testing.T, nodeCount, shardCount, levels int) *testCl
 
 // startClusterWith is the fully general harness entry: mutate (may be
 // nil) adjusts each node's server config before the node starts, e.g.
-// to arm tracing or pipelining.
+// to arm tracing.
 func startClusterWith(t *testing.T, nodeCount, shardCount, levels int, mutate func(*server.Config)) *testCluster {
 	t.Helper()
 	lns := make([]net.Listener, nodeCount)

@@ -431,8 +431,8 @@ func (n *Node) pushPlacement(np *Placement) {
 // tail). Entries carrying a shard epoch older than this node's are
 // fenced off with ErrStalePlacement, deposing dead-but-unaware
 // primaries. tc is the primary's replication-hop context; threading it
-// into the local apply makes the follower's serve span (and its
-// pipeline stage spans) join the originating request's trace.
+// into the local apply makes the follower's serve span join the
+// originating request's trace.
 func (n *Node) Replicate(tc obs.TraceContext, pver uint64, shard int, seq uint64, key string, val []byte) error {
 	n.pmu.RLock()
 	epoch := n.placement.EpochOf(shard)
@@ -697,8 +697,8 @@ func (n *Node) Handoff(shard int, targetID string) error {
 		n.srv.SetShardServing(shard, true)
 		return err
 	}
-	// 4. Fence: the barrier flushes everything accepted before the seal
-	// (queue and pipeline), so appliedSeq is final.
+	// 4. Fence: the barrier flushes everything queued before the seal,
+	// so appliedSeq is final.
 	appliedSeq, err := n.srv.Barrier(shard)
 	if err != nil {
 		return unseal(err)

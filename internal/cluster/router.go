@@ -67,7 +67,7 @@ func (r *Router) EnableObservability(reg *obs.Registry) {
 
 // routerTracer mints and buffers the router's root spans. The router is
 // trace origin: every sampled operation opens the trace that the serve,
-// pipeline, forward, and replicate spans downstream stitch into.
+// forward, and replicate spans downstream stitch into.
 type routerTracer struct {
 	src   *obs.TraceSource
 	buf   *obs.Recorder[obs.Span]

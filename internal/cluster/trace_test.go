@@ -14,13 +14,12 @@ import (
 )
 
 // startClusterTraced is startCluster with tracing fully armed on every
-// node: sample-everything head sampling and pipelined shards, so traced
-// requests produce serve, stage, forward, and replicate spans.
+// node: sample-everything head sampling, so traced requests produce
+// serve, forward, and replicate spans.
 func startClusterTraced(t *testing.T, nodeCount, shardCount int) *testCluster {
 	t.Helper()
 	return startClusterWith(t, nodeCount, shardCount, 8, func(cfg *server.Config) {
 		cfg.TraceSample = 1
-		cfg.Pipeline = 2
 	})
 }
 
@@ -66,8 +65,8 @@ type perfettoEvent struct {
 // traced put entering the cluster through the wrong node must come back
 // out of ClusterTrace as a single stitched Perfetto trace whose spans
 // cover at least two nodes — the relay's forward hop, the owner's serve
-// and pipeline stage spans, the replication hop, and the follower's
-// apply — all stitched by parent links into one tree.
+// span, the replication hop, and the follower's apply — all stitched by
+// parent links into one tree.
 func TestClusterStitchedForwardTrace(t *testing.T) {
 	tc := startClusterTraced(t, 3, 6)
 
@@ -129,7 +128,7 @@ func TestClusterStitchedForwardTrace(t *testing.T) {
 	if len(nodesHit) < 2 {
 		t.Fatalf("trace %s covers nodes %v, want >= 2 (events: %+v)", traceID, nodesHit, ours)
 	}
-	for _, want := range []string{"forward", "serve_put", "stage_admit", "stage_exec", "stage_retire", "replicate", "serve_apply"} {
+	for _, want := range []string{"forward", "serve_put", "replicate", "serve_apply"} {
 		if kinds[want] == 0 {
 			t.Errorf("stitched trace missing a %s span (kinds: %v)", want, kinds)
 		}

@@ -44,18 +44,6 @@ const (
 	// EvBatch: the server drained a request batch on one shard; used as
 	// a duration span. Arg0 = shard, Arg1 = batch size.
 	EvBatch
-	// EvPipelineAdmit: the concurrent controller admitted an access into
-	// a pipeline slot. Arg0 = accesses in flight after admission, Arg1 =
-	// number of data-plane jobs recorded for the slot.
-	EvPipelineAdmit
-	// EvPipelinePark: an admitted access entered the pipeline with at
-	// least one conflict-ledger dependency and will park until its
-	// producers complete. Arg0 = slot index, Arg1 = accesses in flight.
-	EvPipelinePark
-	// EvPipelineRetire: the oldest in-flight access completed and retired
-	// in order. Arg0 = accesses in flight after retirement, Arg1 = number
-	// of tree ops the access emitted.
-	EvPipelineRetire
 	// EvReplicate: a primary shipped one op-log entry to its follower;
 	// used as a duration span. Arg0 = shard, Arg1 = sequence (mod 2^32).
 	EvReplicate
@@ -81,9 +69,6 @@ var eventKindNames = [numEventKinds]string{
 	EvEarlyPRE:           "early_pre",
 	EvEarlyACT:           "early_act",
 	EvBatch:              "batch",
-	EvPipelineAdmit:      "pipeline_admit",
-	EvPipelinePark:       "pipeline_park",
-	EvPipelineRetire:     "pipeline_retire",
 	EvReplicate:          "replicate",
 	EvHandoff:            "handoff",
 	EvForward:            "forward",
@@ -100,9 +85,6 @@ var eventKindCats = [numEventKinds]string{
 	EvEarlyPRE:           "sched",
 	EvEarlyACT:           "sched",
 	EvBatch:              "server",
-	EvPipelineAdmit:      "pipeline",
-	EvPipelinePark:       "pipeline",
-	EvPipelineRetire:     "pipeline",
 	EvReplicate:          "cluster",
 	EvHandoff:            "cluster",
 	EvForward:            "cluster",
@@ -120,9 +102,6 @@ var eventArgNames = [numEventKinds][2]string{
 	EvEarlyPRE:           {"channel", "bank"},
 	EvEarlyACT:           {"channel", "bank"},
 	EvBatch:              {"shard", "size"},
-	EvPipelineAdmit:      {"inflight", "jobs"},
-	EvPipelinePark:       {"slot", "inflight"},
-	EvPipelineRetire:     {"inflight", "ops"},
 	EvReplicate:          {"shard", "seq"},
 	EvHandoff:            {"shard", "bytes"},
 	EvForward:            {"shard", "ttl"},

@@ -88,7 +88,7 @@ func TestRecorderEmitAllocFree(t *testing.T) {
 	}
 	spans := NewRecorder[Span](16)
 	if n := testing.AllocsPerRun(200, func() {
-		spans.Emit(Span{Hi: 1, Lo: 2, ID: 3, TS: 4, Dur: 5, Kind: SpanExec})
+		spans.Emit(Span{Hi: 1, Lo: 2, ID: 3, TS: 4, Dur: 5, Kind: SpanServeGet})
 	}); n != 0 {
 		t.Fatalf("Emit(Span) allocates %.1f times per op, want 0", n)
 	}

@@ -108,7 +108,7 @@ func (s *TraceSource) NewTrace() TraceContext {
 
 // SpanKind identifies the hop a span covers. Kinds mirror the request's
 // path through the cluster: client op at the router, serve at a shard
-// worker, the four pipeline stages, and the two cross-node hops.
+// worker, and the two cross-node hops.
 type SpanKind uint8
 
 const (
@@ -121,11 +121,6 @@ const (
 	SpanServeGet
 	SpanServePut
 	SpanServeApply
-	// SpanAdmit/Wait/Exec/Retire: the pipeline stages of one access.
-	SpanAdmit
-	SpanWait
-	SpanExec
-	SpanRetire
 	// SpanForward: one node relaying a client op toward the owner.
 	SpanForward
 	// SpanReplicate: a primary shipping one op-log entry to its
@@ -140,10 +135,6 @@ var spanKindNames = [numSpanKinds]string{
 	SpanServeGet:   "serve_get",
 	SpanServePut:   "serve_put",
 	SpanServeApply: "serve_apply",
-	SpanAdmit:      "stage_admit",
-	SpanWait:       "stage_wait",
-	SpanExec:       "stage_exec",
-	SpanRetire:     "stage_retire",
 	SpanForward:    "forward",
 	SpanReplicate:  "replicate",
 }

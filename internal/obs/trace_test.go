@@ -83,7 +83,7 @@ func TestTraceSourceDeterministicAndDistinct(t *testing.T) {
 func TestSpanCodecRoundTrip(t *testing.T) {
 	in := []Span{
 		{Hi: 0xdead, Lo: 0xbeef, ID: 7, Parent: 3, TS: 1234, Dur: 56, Kind: SpanServePut, Track: 2},
-		{Hi: 1, Lo: 2, ID: 0, Parent: 7, TS: -9, Dur: 0, Kind: SpanAdmit, Track: -1},
+		{Hi: 1, Lo: 2, ID: 0, Parent: 7, TS: -9, Dur: 0, Kind: SpanForward, Track: -1},
 	}
 	var wire []byte
 	for _, s := range in {

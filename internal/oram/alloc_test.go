@@ -38,7 +38,7 @@ func TestAllocFreeOpenInto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed := c.Seal(make([]byte, 64))
+	sealed := c.SealInto(nil, make([]byte, 64))
 	out := make([]byte, 64)
 	if n := testing.AllocsPerRun(100, func() {
 		var err error

@@ -155,10 +155,9 @@ func BenchmarkAccessFunctionalCached(b *testing.B) {
 
 // BenchmarkAccessFunctionalObs is BenchmarkAccessFunctional with the
 // full instrument set and a live flight recorder attached; the pair
-// quantifies instrumentation overhead (scripts/bench.sh records the
-// delta in BENCH_obs.json, budget ≤5%). The shared warmed ring is
-// re-instrumented on entry and detached on exit so benchmark order does
-// not matter.
+// quantifies instrumentation overhead (budget ≤5%). The shared warmed
+// ring is re-instrumented on entry and detached on exit so benchmark
+// order does not matter.
 func BenchmarkAccessFunctionalObs(b *testing.B) {
 	b.ReportAllocs()
 	r := warmedFunctionalRing(b)

@@ -17,11 +17,11 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	for i := range plain {
 		plain[i] = byte(i * 7)
 	}
-	sealed := c.Seal(plain)
+	sealed := c.SealInto(nil, plain)
 	if len(sealed) != 64+SealOverhead {
 		t.Fatalf("sealed length = %d, want %d", len(sealed), 64+SealOverhead)
 	}
-	got, err := c.Open(sealed)
+	got, err := c.OpenInto(nil, sealed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestSealRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = quick.Check(func(data [32]byte) bool {
-		got, err := c.Open(c.Seal(data[:]))
+		got, err := c.OpenInto(nil, c.SealInto(nil, data[:]))
 		return err == nil && bytes.Equal(got, data[:])
 	}, nil)
 	if err != nil {
@@ -49,8 +49,8 @@ func TestSealFreshness(t *testing.T) {
 	// otherwise write-backs of unchanged blocks would leak.
 	c, _ := NewCrypt(testKey(), 64)
 	plain := make([]byte, 64)
-	a := c.Seal(plain)
-	b := c.Seal(plain)
+	a := c.SealInto(nil, plain)
+	b := c.SealInto(nil, plain)
 	if bytes.Equal(a, b) {
 		t.Fatal("two seals of the same plaintext are identical")
 	}
@@ -58,8 +58,8 @@ func TestSealFreshness(t *testing.T) {
 
 func TestSealNilIsDummy(t *testing.T) {
 	c, _ := NewCrypt(testKey(), 64)
-	sealed := c.Seal(nil)
-	got, err := c.Open(sealed)
+	sealed := c.SealInto(nil, nil)
+	got, err := c.OpenInto(nil, sealed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +70,8 @@ func TestSealNilIsDummy(t *testing.T) {
 
 func TestDummyIndistinguishableLength(t *testing.T) {
 	c, _ := NewCrypt(testKey(), 64)
-	real := c.Seal(bytes.Repeat([]byte{0xAA}, 64))
-	dummy := c.Seal(nil)
+	real := c.SealInto(nil, bytes.Repeat([]byte{0xAA}, 64))
+	dummy := c.SealInto(nil, nil)
 	if len(real) != len(dummy) {
 		t.Fatalf("real (%d) and dummy (%d) ciphertext lengths differ", len(real), len(dummy))
 	}
@@ -80,7 +80,7 @@ func TestDummyIndistinguishableLength(t *testing.T) {
 func TestSealCiphertextNotPlaintext(t *testing.T) {
 	c, _ := NewCrypt(testKey(), 64)
 	plain := bytes.Repeat([]byte{0x5A}, 64)
-	sealed := c.Seal(plain)
+	sealed := c.SealInto(nil, plain)
 	if bytes.Contains(sealed, plain[:16]) {
 		t.Fatal("ciphertext contains plaintext prefix")
 	}
@@ -88,7 +88,7 @@ func TestSealCiphertextNotPlaintext(t *testing.T) {
 
 func TestOpenRejectsBadLength(t *testing.T) {
 	c, _ := NewCrypt(testKey(), 64)
-	if _, err := c.Open(make([]byte, 10)); err == nil {
+	if _, err := c.OpenInto(nil, make([]byte, 10)); err == nil {
 		t.Fatal("Open accepted a truncated sealed block")
 	}
 }
@@ -97,10 +97,10 @@ func TestSealRejectsBadLength(t *testing.T) {
 	c, _ := NewCrypt(testKey(), 64)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Seal accepted a wrong-size plaintext")
+			t.Fatal("SealInto accepted a wrong-size plaintext")
 		}
 	}()
-	c.Seal(make([]byte, 63))
+	c.SealInto(nil, make([]byte, 63))
 }
 
 func TestNewCryptRejectsBadKey(t *testing.T) {
@@ -113,8 +113,8 @@ func TestDifferentKeysDiffer(t *testing.T) {
 	c1, _ := NewCrypt(testKey(), 64)
 	c2, _ := NewCrypt([]byte("fedcba9876543210"), 64)
 	plain := bytes.Repeat([]byte{1}, 64)
-	s := c1.Seal(plain)
-	got, err := c2.Open(s)
+	s := c1.SealInto(nil, plain)
+	got, err := c2.OpenInto(nil, s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,20 +6,20 @@ import (
 )
 
 // FuzzCryptOpen feeds arbitrary bytes to the sealed-block decoder: it
-// must reject or decode without panicking, and anything Seal produced
+// must reject or decode without panicking, and anything SealInto produced
 // must round trip.
 func FuzzCryptOpen(f *testing.F) {
 	c, err := NewCrypt(testKey(), 64)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(c.Seal(bytes.Repeat([]byte{7}, 64)))
+	f.Add(c.SealInto(nil, bytes.Repeat([]byte{7}, 64)))
 	f.Add([]byte{})
 	f.Add(make([]byte, 64+SealOverhead))
 	f.Add(make([]byte, 13))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		out, err := c.Open(data)
+		out, err := c.OpenInto(nil, data)
 		if err != nil {
 			return
 		}

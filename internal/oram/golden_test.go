@@ -24,14 +24,14 @@ func TestSealedBytesGolden(t *testing.T) {
 			plain[i] = byte(i*31 + bs)
 		}
 		for j := 0; j < 16; j++ {
-			h.Write(c.Seal(plain))
-			h.Write(c.Seal(nil))
-			h.Write(c.SealDummyAt(int64(j*17), j%5, j))
+			h.Write(c.SealInto(nil, plain))
+			h.Write(c.SealInto(nil, nil))
+			h.Write(c.SealDummyInto(nil, int64(j*17), j%5, j))
 		}
-		// Fold the decryption direction in too: Open must invert Seal
+		// Fold the decryption direction in too: OpenInto must invert SealInto
 		// bit-exactly at every size.
-		sealed := c.Seal(plain)
-		opened, err := c.Open(sealed)
+		sealed := c.SealInto(nil, plain)
+		opened, err := c.OpenInto(nil, sealed)
 		if err != nil {
 			t.Fatal(err)
 		}

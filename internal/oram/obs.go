@@ -77,87 +77,6 @@ func NewInstruments(reg *obs.Registry, labels string) Instruments {
 	}
 }
 
-// PipelineInstruments bundles the telemetry hooks a Pipeline drives.
-// Like Instruments, every field may be nil (no-ops) and the zero value
-// disables everything; the hot path stays allocation-free with all
-// instruments live.
-type PipelineInstruments struct {
-	// InFlight tracks the number of accesses currently admitted and not
-	// yet retired.
-	InFlight *obs.Gauge
-
-	// Admitted counts accesses entering the pipeline; Parked those that
-	// entered with at least one conflict-ledger dependency; Conflicts
-	// the ledger edges recorded; PendingForwards the accesses whose
-	// data was forwarded from a still-in-flight producer buffer.
-	Admitted        *obs.Counter
-	Parked          *obs.Counter
-	Conflicts       *obs.Counter
-	PendingForwards *obs.Counter
-
-	// Per-stage latency histograms, in Clock units (the server injects
-	// wall microseconds, matching its flight-recorder domain). Observed
-	// only when Clock is non-nil.
-	AdmitUs  *obs.Histogram
-	WaitUs   *obs.Histogram
-	ExecUs   *obs.Histogram
-	RetireUs *obs.Histogram
-
-	// Recorder receives EvPipeline* flight-recorder events; Clock
-	// supplies their timestamps (nil: events are stamped 0 and the
-	// stage histograms are skipped).
-	Recorder *obs.Recorder[obs.Event]
-	Clock    func() int64
-
-	// Tracer receives per-stage spans for accesses submitted with a
-	// valid trace context (SubmitTraced); Track labels them with the
-	// owning lane (the server passes its shard index). Spans share
-	// Clock's time domain and are skipped when Clock is nil, exactly
-	// like the stage histograms. A nil Tracer is a no-op.
-	Tracer *obs.Recorder[obs.Span]
-	Track  int32
-}
-
-// pipelineStageBounds is the default per-stage latency bucket layout in
-// microseconds: 1us to 5ms, roughly 2-5x steps around the ~12us serial
-// access cost.
-var pipelineStageBounds = []float64{1, 2, 5, 10, 25, 50, 100, 250, 1000, 5000}
-
-// NewPipelineInstruments registers the pipeline metric families on reg
-// and returns the bundle. labels follows the NewInstruments convention.
-// Recorder and Clock are left nil for the caller to fill. A nil registry
-// yields all-nil (no-op) instruments.
-func NewPipelineInstruments(reg *obs.Registry, labels string) PipelineInstruments {
-	n := func(fam, extra string) string {
-		lb := labels
-		if extra != "" {
-			if lb != "" {
-				lb += "," + extra
-			} else {
-				lb = extra
-			}
-		}
-		if lb == "" {
-			return fam
-		}
-		return fam + "{" + lb + "}"
-	}
-	return PipelineInstruments{
-		InFlight: reg.Gauge(n("oram_pipeline_inflight", ""), "accesses currently in flight in the pipeline"),
-		Admitted: reg.Counter(n("oram_pipeline_admitted_total", ""), "accesses admitted into the pipeline"),
-		Parked: reg.Counter(n("oram_pipeline_parked_total", ""),
-			"accesses admitted with at least one conflict-ledger dependency"),
-		Conflicts: reg.Counter(n("oram_pipeline_conflicts_total", ""),
-			"conflict-ledger dependency edges recorded between in-flight accesses"),
-		PendingForwards: reg.Counter(n("oram_pipeline_pending_forwards_total", ""),
-			"accesses whose data was forwarded from a still-in-flight producer buffer"),
-		AdmitUs:  reg.Histogram(n("oram_pipeline_stage_us", `stage="admit"`), "pipeline admission (serial protocol pass) latency", pipelineStageBounds),
-		WaitUs:   reg.Histogram(n("oram_pipeline_stage_us", `stage="wait"`), "pipeline dependency-park latency", pipelineStageBounds),
-		ExecUs:   reg.Histogram(n("oram_pipeline_stage_us", `stage="exec"`), "pipeline data-plane job execution latency", pipelineStageBounds),
-		RetireUs: reg.Histogram(n("oram_pipeline_stage_us", `stage="retire"`), "pipeline retirement latency", pipelineStageBounds),
-	}
-}
-
 // Instrument attaches the bundle to the ring. Call it before traffic;
 // re-attaching (or attaching the zero value to disable) is allowed
 // between accesses.

@@ -216,7 +216,7 @@ func (p *Path) Access(id BlockID, write bool, data []byte) ([]byte, []Op, error)
 		ids := placed[lvl]
 		blockData := p.scr.refs[:0]
 		for _, bid := range ids {
-			blockData = append(blockData, serialRef(p.stash.Remove(bid)))
+			blockData = append(blockData, p.stash.Remove(bid))
 		}
 		p.scr.refs = blockData
 		targets := b.reshuffleScratch(ids, p.permSrc, &p.scr.shuf)
@@ -235,7 +235,7 @@ func (p *Path) Access(id BlockID, write bool, data []byte) ([]byte, []Op, error)
 			}
 			for s := range b.Slots {
 				if i := owner[s]; i >= 0 {
-					p.store.WriteSlot(idx, s, p.sealedForStore(blockData[i].buf))
+					p.store.WriteSlot(idx, s, p.sealedForStore(blockData[i]))
 				} else {
 					p.store.WriteSlot(idx, s, p.sealedForStore(nil))
 				}
@@ -245,8 +245,8 @@ func (p *Path) Access(id BlockID, write bool, data []byte) ([]byte, []Op, error)
 			op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: lvl, Slot: s, Write: true})
 		}
 		for i := range blockData {
-			p.putBlockBuf(blockData[i].buf)
-			blockData[i] = blockRef{}
+			p.putBlockBuf(blockData[i])
+			blockData[i] = nil
 		}
 	}
 

@@ -2,74 +2,16 @@ package oram
 
 import "fmt"
 
-// dataPlane is the seam between the Ring protocol engine and the data
-// movement it causes. Every decision the protocol makes — which paths to
-// read, which slots to touch, how buckets reshuffle, where the RNG
-// stream advances — is metadata-only and never depends on block
-// contents, so one serial admission pass produces a bit-identical
-// protocol trace no matter how the data moves. The dataPlane receives
-// the data work that trace implies:
-//
-//   - the serial plane (the Ring itself) performs each call inline,
-//     exactly as the pre-pipeline controller did;
-//   - the pipelined plane (pipePlane) records each call as a deferred
-//     job op executed later on a worker, with bucket claims feeding the
-//     conflict ledger and seal counters reserved at admission so the
-//     sealed bytes stay bit-identical to serial execution.
-//
-// All methods run on the controller goroutine during admission.
-type dataPlane interface {
-	// fetchToStash moves one real block's plaintext from the store slot
-	// into the stash under (id, p).
-	fetchToStash(bucket int64, slot int, id BlockID, p PathID)
-	// xorReset clears the XOR accumulator for a new read path.
-	xorReset()
-	// xorFoldSlot folds one selected slot's ciphertext into the XOR
-	// accumulator, canceling deterministic dummies.
-	xorFoldSlot(bucket int64, slot int, isDummy bool, epoch int)
-	// xorFinishToStash decodes the XOR accumulator and stashes the
-	// recovered target under (id, p).
-	xorFinishToStash(id BlockID, p PathID)
-	// reshuffleFetch reads one slot's plaintext and holds it for the
-	// same operation's bucket rewrite.
-	reshuffleFetch(bucket int64, slot int) blockRef
-	// takeStash removes a block's data from the stash for placement
-	// into a bucket.
-	takeStash(id BlockID) blockRef
-	// writeReal seals src and writes it to the slot. Calls arrive in
-	// the exact slot order of the serial controller, so counter-mode
-	// sealers may bind one fresh counter per call.
-	writeReal(bucket int64, slot int, src blockRef)
-	// writeDummy writes the slot's deterministic dummy ciphertext (or a
-	// zero block without a Crypt).
-	writeDummy(bucket int64, slot int, epoch int)
-	// releaseRef recycles a ref consumed by writeReal.
-	releaseRef(ref blockRef)
-	// stashStore copies caller data into the stash under (id, p),
-	// recycling any displaced buffer.
-	stashStore(id BlockID, p PathID, data []byte)
-	// snapshotOut captures the block's current contents for the
-	// caller-visible response and returns the response buffer (the
-	// pipelined plane returns nil: its response is delivered at slot
-	// retirement instead).
-	snapshotOut(id BlockID) []byte
-}
+// Data movement of the Ring protocol engine. Every decision the protocol
+// makes — which paths to read, which slots to touch, how buckets
+// reshuffle, where the RNG stream advances — is metadata-only and never
+// depends on block contents; the methods here carry out the block
+// movement those decisions imply, between the store, the stash and the
+// treetop cache. writeReal and writeDummy are called in ascending slot
+// order, so the counter-mode sealer binds one fresh counter per call.
 
-// blockRef is a handle to one block's plaintext while it moves between
-// the stash, the store and a bucket rewrite. The serial plane uses buf
-// directly (nil means a zero block); the pipelined plane uses tok >= 0
-// for buffers produced by the same in-flight job and buf for buffers
-// owned by the stash or another job.
-type blockRef struct {
-	buf []byte `oramlint:"secret,scratch"`
-	tok int32
-}
-
-// serialRef wraps a plain buffer for the serial plane.
-func serialRef(buf []byte) blockRef { return blockRef{buf: buf, tok: -1} }
-
-// --- serial plane: the Ring performs data movement inline ---
-
+// fetchToStash moves one real block's plaintext from the store slot into
+// the stash under (id, p).
 func (r *Ring) fetchToStash(bucket int64, slot int, id BlockID, p PathID) {
 	// Treetop elision: every access's path crosses every cached level,
 	// so serving those uniform per-level operations from controller
@@ -77,7 +19,7 @@ func (r *Ring) fetchToStash(bucket int64, slot int, id BlockID, p PathID) {
 	// trace already excludes cached levels); the branch keys on the
 	// bucket index, which the emitted op list makes public.
 	if r.tt.cached(bucket) {
-		r.ttFetchSerial(bucket, slot, id, p)
+		r.ttFetch(bucket, slot, id, p)
 		return
 	}
 	data, err := r.readSlotData(bucket, slot)
@@ -86,8 +28,6 @@ func (r *Ring) fetchToStash(bucket int64, slot int, id BlockID, p PathID) {
 	}
 	r.putBlockBuf(r.stash.Put(id, p, data))
 }
-
-func (r *Ring) xorReset() { r.scr.xorAcc = r.scr.xorAcc[:0] }
 
 // xorFoldSlot folds one selected slot's ciphertext into the XOR
 // accumulator, canceling deterministic dummy ciphertexts as it goes.
@@ -110,6 +50,8 @@ func (r *Ring) xorFoldSlot(bucket int64, slot int, isDummy bool, epoch int) {
 	}
 }
 
+// xorFinishToStash decodes the XOR accumulator and stashes the recovered
+// target under (id, p).
 func (r *Ring) xorFinishToStash(id BlockID, p PathID) {
 	data, err := r.crypt.OpenInto(r.getBlockBuf(), r.scr.xorAcc)
 	if err != nil {
@@ -118,35 +60,36 @@ func (r *Ring) xorFinishToStash(id BlockID, p PathID) {
 	r.putBlockBuf(r.stash.Put(id, p, data))
 }
 
-func (r *Ring) reshuffleFetch(bucket int64, slot int) blockRef {
+// reshuffleFetch reads one slot's plaintext into a pool buffer held for
+// the same operation's bucket rewrite.
+func (r *Ring) reshuffleFetch(bucket int64, slot int) []byte {
 	r.ttAssertUncached(bucket, "reshuffleFetch") // early reshuffles start at emitFrom
 	data, err := r.readSlotData(bucket, slot)
 	if err != nil {
 		panic(err)
 	}
-	return serialRef(data)
+	return data
 }
 
-func (r *Ring) takeStash(id BlockID) blockRef {
-	return serialRef(r.stash.Remove(id))
-}
-
-func (r *Ring) writeReal(bucket int64, slot int, src blockRef) {
+// writeReal seals src (nil means a zero block) and writes it to the slot.
+func (r *Ring) writeReal(bucket int64, slot int, src []byte) {
 	// Treetop elision: the eviction rewrites every slot of every bucket
 	// on its path regardless of contents, so absorbing the cached
 	// levels' uniform writes into controller memory (flushed sealed
 	// under reserved counters at snapshot epochs) changes no
 	// bus-visible behaviour; the bucket index is public.
 	if r.tt.cached(bucket) {
-		r.ttWriteRealSerial(bucket, slot, src.buf)
+		r.ttWriteReal(bucket, slot, src)
 		return
 	}
-	r.store.WriteSlot(bucket, slot, r.sealedForStore(src.buf))
+	r.store.WriteSlot(bucket, slot, r.sealedForStore(src))
 }
 
+// writeDummy writes the slot's deterministic dummy ciphertext (or a zero
+// block without a Crypt).
 func (r *Ring) writeDummy(bucket int64, slot int, epoch int) {
 	if r.tt.cached(bucket) {
-		r.ttWriteDummySerial(bucket, slot, epoch)
+		r.ttWriteDummy(bucket, slot, epoch)
 		return
 	}
 	if r.crypt != nil {
@@ -160,8 +103,8 @@ func (r *Ring) writeDummy(bucket int64, slot int, epoch int) {
 	}
 }
 
-func (r *Ring) releaseRef(ref blockRef) { r.putBlockBuf(ref.buf) }
-
+// stashStore copies caller data into the stash under (id, p), recycling
+// any displaced buffer.
 func (r *Ring) stashStore(id BlockID, p PathID, data []byte) {
 	var stored []byte
 	if r.store != nil {
@@ -171,6 +114,8 @@ func (r *Ring) stashStore(id BlockID, p PathID, data []byte) {
 	r.putBlockBuf(r.stash.Put(id, p, stored))
 }
 
+// snapshotOut captures the block's current contents into the response
+// scratch and returns it.
 func (r *Ring) snapshotOut(id BlockID) []byte {
 	cur := r.stash.Get(id)
 	out := ensure(r.scr.outBuf, r.cfg.BlockSize)

@@ -88,7 +88,7 @@ type ringScratch struct {
 	shuf shuffleScratch
 	// res, refs, blocks and readSlots serve reshuffles and evictions.
 	res       []residentBlock `oramlint:"secret,scratch"`
-	refs      []blockRef      `oramlint:"secret,scratch"`
+	refs      [][]byte        `oramlint:"secret,scratch"`
 	blocks    []BlockID       `oramlint:"secret,scratch"`
 	readSlots []int
 	// byLevel and placed are the eviction placement tables, one slot per
@@ -138,10 +138,6 @@ type Ring struct {
 	stats Stats
 	ins   Instruments
 
-	// dp is the data-movement seam (see plane.go): the Ring itself in
-	// serial operation, a pipePlane while a Pipeline is attached.
-	dp dataPlane
-
 	// tt is the treetop data cache (nil when disabled); see treetop.go.
 	tt *treetopCache
 
@@ -184,7 +180,6 @@ func NewRing(cfg config.ORAM, seed uint64, opts *Options) (*Ring, error) {
 	r.pos = NewPositionMap(r.tree.Leaves(), root.Fork())
 	r.warmSeed = root.Uint64()
 	r.nextFiller = FillerBase
-	r.dp = r
 	if opts.TreetopCache {
 		if err := r.EnableTreetop(); err != nil {
 			return nil, err
@@ -439,11 +434,6 @@ func (r *Ring) Write(id BlockID, data []byte) (ops []Op, err error) {
 //
 // The returned data and ops alias controller-owned scratch reused by the
 // next operation on this Ring: callers that need them longer must copy.
-// When a concurrent controller is attached (AttachPipeline), results are
-// delivered through the pipeline's Done callback instead and the rule
-// tightens: returned data aliases the in-flight slot's scratch and is
-// valid only until that slot retires — i.e. for at most Depth further
-// submissions — so consume or copy it inside the callback.
 func (r *Ring) Access(id BlockID, write bool, data []byte) ([]byte, []Op, error) {
 	return r.access(id, write, data, nil, nil)
 }
@@ -489,11 +479,6 @@ func (r *Ring) access(id BlockID, write bool, data []byte, forcedPath *PathID, u
 	if r.cfg.WarmFill > 0 && id >= FillerBase {
 		//oramlint:allow secret-early-exit the filler-space boundary is a public configuration constant; the rejection depends on the caller-supplied id against that constant, not on any mapped secret
 		return nil, nil, fmt.Errorf("oram: block id %d collides with the warm-fill filler space", id)
-	}
-	if updateFn != nil {
-		if _, serial := r.dp.(*Ring); !serial {
-			return nil, nil, errors.New("oram: Update requires the serial controller (detach the Pipeline first)")
-		}
 	}
 	if write {
 		if updateFn == nil && r.store != nil && len(data) != r.cfg.BlockSize {
@@ -542,12 +527,10 @@ func (r *Ring) access(id BlockID, write bool, data []byte, forcedPath *PathID, u
 	r.stash.SetPath(id, newPath)
 
 	// Snapshot the block's pre-update contents into the out scratch.
-	// Plain writes skip it: their callers receive no data. (With a
-	// Pipeline attached the snapshot is deferred to slot retirement and
-	// out stays nil; see pipePlane.snapshotOut.)
+	// Plain writes skip it: their callers receive no data.
 	var out []byte
 	if r.store != nil && (updateFn != nil || !write) {
-		out = r.dp.snapshotOut(id)
+		out = r.snapshotOut(id)
 	}
 	switch {
 	case updateFn != nil:
@@ -572,7 +555,7 @@ func (r *Ring) access(id BlockID, write bool, data []byte, forcedPath *PathID, u
 		copy(stored, updated)
 		r.putBlockBuf(r.stash.Put(id, newPath, stored))
 	case write:
-		r.dp.stashStore(id, newPath, data)
+		r.stashStore(id, newPath, data)
 		out = nil
 	}
 
@@ -625,12 +608,9 @@ func (r *Ring) access(id BlockID, write bool, data []byte, forcedPath *PathID, u
 		r.onSample(r.stash.Len())
 	}
 	if invariant.Enabled {
-		if _, serial := r.dp.(*Ring); serial {
-			// Treetop consistency: cached plaintext must always match a
-			// fresh decrypted read of the same buckets (pipelined rings
-			// check at Drain, when the data plane is quiescent).
-			r.verifyTreetop()
-		}
+		// Treetop consistency: cached plaintext must always match a
+		// fresh decrypted read of the same buckets.
+		r.verifyTreetop()
 	}
 	occ := int64(r.stash.Len())
 	r.ins.Accesses.Inc()
@@ -710,7 +690,7 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 	// the DRAM path below is then all dummies.
 	if targetLevel >= 0 && targetLevel < emitFrom {
 		b := r.bucket(path[targetLevel])
-		r.dp.fetchToStash(path[targetLevel], targetSlot, id, p)
+		r.fetchToStash(path[targetLevel], targetSlot, id, p)
 		b.consumeReal(targetSlot)
 		targetLevel = -1
 	}
@@ -725,7 +705,7 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 	// and decrypts what remains (the target, or nothing on an all-dummy
 	// path).
 	if r.xor {
-		r.dp.xorReset()
+		r.scr.xorAcc = r.scr.xorAcc[:0]
 	}
 	xorHasTarget := false
 
@@ -738,10 +718,10 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 		}
 		if lvl == targetLevel {
 			if r.xor {
-				r.dp.xorFoldSlot(idx, targetSlot, false, b.Epoch)
+				r.xorFoldSlot(idx, targetSlot, false, b.Epoch)
 				xorHasTarget = true
 			} else {
-				r.dp.fetchToStash(idx, targetSlot, id, p)
+				r.fetchToStash(idx, targetSlot, id, p)
 			}
 			b.consumeReal(targetSlot)
 			op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: lvl, Slot: targetSlot, Write: false})
@@ -766,19 +746,19 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 			if !known {
 				panic(fmt.Sprintf("oram: green block %d resident but unmapped", green))
 			}
-			r.dp.fetchToStash(idx, slot, green, gp)
+			r.fetchToStash(idx, slot, green, gp)
 			b.consumeReal(slot)
 			r.stats.GreenFetches++
 			r.ins.GreenFetches.Inc()
 			r.ins.Recorder.Emit(obs.Event{TS: r.obsNow(), Kind: obs.EvGreenFetch,
 				Arg0: int64(lvl), Arg1: int64(slot)})
 		} else if r.xor {
-			r.dp.xorFoldSlot(idx, slot, true, b.Epoch)
+			r.xorFoldSlot(idx, slot, true, b.Epoch)
 		}
 		op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: lvl, Slot: slot, Write: false})
 	}
 	if r.xor && xorHasTarget {
-		r.dp.xorFinishToStash(id, p)
+		r.xorFinishToStash(id, p)
 		r.stats.XORDecodes++
 	}
 
@@ -806,7 +786,7 @@ func (r *Ring) earlyReshuffleOp(idx int64, level int) {
 	readSlots := r.scr.readSlots[:0]
 	for s := range b.Slots {
 		if b.Slots[s].Real && b.Slots[s].Valid { //oramlint:allow secret-branch exactly Z slots are read (padded below); which physical slots hold reals is a secret uniform permutation refreshed every epoch, so the read set leaks nothing
-			res = append(res, residentBlock{id: b.Slots[s].ID, ref: r.dp.reshuffleFetch(idx, s)})
+			res = append(res, residentBlock{id: b.Slots[s].ID, ref: r.reshuffleFetch(idx, s)})
 			readSlots = append(readSlots, s)
 		}
 	}
@@ -838,8 +818,8 @@ func (r *Ring) earlyReshuffleOp(idx int64, level int) {
 	r.writeBucket(idx, level, b, refs, targets, op)
 	// The plaintext was re-sealed into the store; recycle the buffers.
 	for i := range res {
-		r.dp.releaseRef(res[i].ref)
-		res[i].ref = blockRef{}
+		r.putBlockBuf(res[i].ref)
+		res[i].ref = nil
 	}
 
 	r.stats.EarlyReshuffles++
@@ -853,8 +833,8 @@ func (r *Ring) earlyReshuffleOp(idx int64, level int) {
 // residentBlock pairs a resident block's ID with its plaintext ref while
 // a reshuffle is in flight.
 type residentBlock struct {
-	id  BlockID  `oramlint:"secret"`
-	ref blockRef `oramlint:"scratch"` // aliases pool/pending buffers until the bucket write consumes it
+	id  BlockID `oramlint:"secret"`
+	ref []byte  `oramlint:"scratch"` // a pool buffer until the bucket write consumes it
 }
 
 // writeBucket emits the write phase of a reshuffle/eviction for one
@@ -862,7 +842,7 @@ type residentBlock struct {
 // data, the rest with fresh dummy ciphertext). targets[i] is the slot
 // chosen for refs[i]. Slots are written in ascending physical order, so
 // the data plane sees a deterministic seal sequence.
-func (r *Ring) writeBucket(idx int64, level int, b *Bucket, refs []blockRef, targets []int, op *Op) {
+func (r *Ring) writeBucket(idx int64, level int, b *Bucket, refs [][]byte, targets []int, op *Op) {
 	if r.store != nil {
 		owner := r.scr.slotOwner
 		if cap(owner) < len(b.Slots) {
@@ -878,9 +858,9 @@ func (r *Ring) writeBucket(idx int64, level int, b *Bucket, refs []blockRef, tar
 		}
 		for s := range b.Slots {
 			if i := owner[s]; i >= 0 {
-				r.dp.writeReal(idx, s, refs[i])
+				r.writeReal(idx, s, refs[i])
 			} else {
-				r.dp.writeDummy(idx, s, b.Epoch)
+				r.writeDummy(idx, s, b.Epoch)
 			}
 		}
 	}
@@ -915,7 +895,7 @@ func (r *Ring) evictPathOp() {
 				if !known {
 					panic(fmt.Sprintf("oram: resident block %d unmapped", id))
 				}
-				r.dp.fetchToStash(idx, s, id, bp)
+				r.fetchToStash(idx, s, id, bp)
 				b.consumeReal(s)
 				readSlots = append(readSlots, s)
 			}
@@ -952,14 +932,14 @@ func (r *Ring) evictPathOp() {
 		ids := placed[lvl]
 		refs := r.scr.refs[:0]
 		for _, id := range ids {
-			refs = append(refs, r.dp.takeStash(id))
+			refs = append(refs, r.stash.Remove(id))
 		}
 		r.scr.refs = refs
 		targets := b.reshuffleScratch(ids, r.permSrc, &r.scr.shuf)
 		r.writeBucket(idx, lvl, b, refs, targets, op)
 		for i := range refs {
-			r.dp.releaseRef(refs[i])
-			refs[i] = blockRef{}
+			r.putBlockBuf(refs[i])
+			refs[i] = nil
 		}
 	}
 

@@ -79,7 +79,6 @@ func (r *Ring) Save(w io.Writer) error {
 	// A treetop cache may hold dirty slots whose store bytes are stale;
 	// seal them back under their reserved counters first so the
 	// serialized store is bit-identical to an uncached controller's.
-	// (With a Pipeline attached the caller must have drained it.)
 	r.flushTreetop()
 	snap := ringSnap{
 		Version:    snapshotVersion,
@@ -203,7 +202,6 @@ func Load(rd io.Reader, key []byte) (*Ring, error) {
 		nextFiller:    snap.NextFiller,
 		stats:         snap.Stats,
 	}
-	r.dp = r
 	r.pos = &PositionMap{
 		m:      make(map[BlockID]PathID, len(snap.PosMap)),
 		leaves: r.tree.Leaves(),

@@ -201,13 +201,13 @@ func TestRNGStateRoundTrip(t *testing.T) {
 
 func TestCryptCounterRoundTrip(t *testing.T) {
 	c, _ := NewCrypt(testKey(), 32)
-	c.Seal(nil)
-	c.Seal(nil)
+	c.SealInto(nil, nil)
+	c.SealInto(nil, nil)
 	ctr := c.Counter()
 	c2, _ := NewCrypt(testKey(), 32)
 	c2.SetCounter(ctr)
-	a := c.Seal(nil)
-	b := c2.Seal(nil)
+	a := c.SealInto(nil, nil)
+	b := c2.SealInto(nil, nil)
 	if !bytes.Equal(a, b) {
 		t.Fatal("counters restored but seals differ")
 	}

@@ -40,12 +40,6 @@ type treetopCache struct {
 	state []uint8  // ttClean / ttReal / ttDummy
 	ctr   []uint64 // reserved seal counter for dirty-real slots
 	epoch []int32  // reshuffle epoch for dirty-dummy slots
-
-	// writerSeq is the admission seq of the in-flight pipelined job
-	// producing a slot's contents; a seq below the pipeline head (or 0)
-	// means the slot is settled and readable at admission. Serial
-	// operation leaves it 0.
-	writerSeq []uint64
 }
 
 const (
@@ -64,16 +58,6 @@ func (tt *treetopCache) index(bucket int64, slot int) int {
 // them), so this branch never depends on block contents.
 func (tt *treetopCache) cached(bucket int64) bool {
 	return tt != nil && bucket < tt.nBuckets
-}
-
-// resetSeqs clears all writer seqs; called when a pipeline attaches or
-// detaches so stale seqs from a previous pipeline's numbering cannot be
-// mistaken for in-flight writers.
-func (tt *treetopCache) resetSeqs() {
-	if tt == nil {
-		return
-	}
-	clear(tt.writerSeq)
 }
 
 // TreetopLevelsForBudget returns the deepest tree-top cache depth whose
@@ -95,18 +79,14 @@ func TreetopLevelsForBudget(cfg config.ORAM, budgetBytes int64) int {
 
 // EnableTreetop attaches the treetop data cache, warming it from the
 // store, and returns nil if the cache is active (or a no-op because
-// TreeTopCacheLevels is 0). It must be called before a Pipeline is
-// attached; NewRing calls it for Options.TreetopCache, and callers of
-// Load re-enable it on the restored ring.
+// TreeTopCacheLevels is 0). NewRing calls it for Options.TreetopCache,
+// and callers of Load re-enable it on the restored ring.
 func (r *Ring) EnableTreetop() error {
 	if r.tt != nil {
 		return nil
 	}
 	if r.store == nil {
 		return errors.New("oram: treetop cache requires a functional Store")
-	}
-	if _, serial := r.dp.(*Ring); !serial {
-		return errors.New("oram: enable the treetop cache before attaching a Pipeline")
 	}
 	c := r.cfg.TreeTopCacheLevels
 	if c <= 0 {
@@ -115,13 +95,12 @@ func (r *Ring) EnableTreetop() error {
 	n := (int64(1) << uint(c)) - 1
 	slots := r.cfg.SlotsPerBucket()
 	r.tt = &treetopCache{
-		nBuckets:  n,
-		slots:     slots,
-		buf:       make([][]byte, n*int64(slots)),
-		state:     make([]uint8, n*int64(slots)),
-		ctr:       make([]uint64, n*int64(slots)),
-		epoch:     make([]int32, n*int64(slots)),
-		writerSeq: make([]uint64, n*int64(slots)),
+		nBuckets: n,
+		slots:    slots,
+		buf:      make([][]byte, n*int64(slots)),
+		state:    make([]uint8, n*int64(slots)),
+		ctr:      make([]uint64, n*int64(slots)),
+		epoch:    make([]int32, n*int64(slots)),
 	}
 	r.warmTreetop()
 	return nil
@@ -168,8 +147,7 @@ func (r *Ring) warmTreetop() {
 // slots as the deterministic (bucket, slot, epoch) ciphertext — exactly
 // the bytes the uncached controller wrote when the slot was dirtied.
 // Clean slots are skipped; their store bytes are already current. Save
-// calls this before serializing the store; with a Pipeline attached the
-// caller must have drained it first.
+// calls this before serializing the store.
 func (r *Ring) flushTreetop() {
 	tt := r.tt
 	if tt == nil || r.store == nil {
@@ -205,11 +183,9 @@ func (r *Ring) flushTreetop() {
 	}
 }
 
-// --- serial-plane cache operations ---
-
-// ttFetchSerial serves a cached-level fetchToStash from controller
+// ttFetch serves a cached-level fetchToStash from controller
 // memory: a copy instead of a store read plus AES open.
-func (r *Ring) ttFetchSerial(bucket int64, slot int, id BlockID, p PathID) {
+func (r *Ring) ttFetch(bucket int64, slot int, id BlockID, p PathID) {
 	buf := r.getBlockBuf()
 	if src := r.tt.buf[r.tt.index(bucket, slot)]; src == nil {
 		clear(buf)
@@ -219,10 +195,10 @@ func (r *Ring) ttFetchSerial(bucket int64, slot int, id BlockID, p PathID) {
 	r.putBlockBuf(r.stash.Put(id, p, buf))
 }
 
-// ttWriteRealSerial applies a cached-level real write to controller
+// ttWriteReal applies a cached-level real write to controller
 // memory, reserving the seal counter the uncached controller would have
 // burned so the eventual flush produces bit-identical store bytes.
-func (r *Ring) ttWriteRealSerial(bucket int64, slot int, src []byte) {
+func (r *Ring) ttWriteReal(bucket int64, slot int, src []byte) {
 	tt := r.tt
 	i := tt.index(bucket, slot)
 	if tt.buf[i] == nil {
@@ -240,25 +216,22 @@ func (r *Ring) ttWriteRealSerial(bucket int64, slot int, src []byte) {
 	}
 	tt.ctr[i] = ctr
 	tt.state[i] = ttReal
-	tt.writerSeq[i] = 0
 }
 
-// ttWriteDummySerial applies a cached-level dummy write: pure metadata.
-func (r *Ring) ttWriteDummySerial(bucket int64, slot int, epoch int) {
+// ttWriteDummy applies a cached-level dummy write: pure metadata.
+func (r *Ring) ttWriteDummy(bucket int64, slot int, epoch int) {
 	tt := r.tt
 	i := tt.index(bucket, slot)
 	r.putBlockBuf(tt.buf[i])
 	tt.buf[i] = nil
 	tt.state[i] = ttDummy
 	tt.epoch[i] = int32(epoch)
-	tt.writerSeq[i] = 0
 }
 
 // verifyTreetop asserts (under -tags=invariants) that the cache is
 // consistent with the store and bucket metadata: clean resident slots
 // decrypt from the store to exactly the cached plaintext, dirty slots
-// carry the state their flush needs. It must run with the data plane
-// quiescent (serial operation, or a drained pipeline).
+// carry the state their flush needs.
 func (r *Ring) verifyTreetop() {
 	if !invariant.Enabled || r.tt == nil {
 		return

@@ -2,7 +2,6 @@ package oram
 
 import (
 	"bytes"
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -30,6 +29,86 @@ func newTreetopRing(t *testing.T, cfg config.ORAM, seed uint64, xor, plain bool)
 		t.Fatal("treetop cache did not enable")
 	}
 	return r
+}
+
+// traceStep is one access of a deterministic workload trace.
+type traceStep struct {
+	id    BlockID
+	write bool
+	ver   int
+}
+
+// genTrace builds a deterministic mixed read/write trace over a small id
+// space (plus a few never-written ids, which read back as zero blocks).
+func genTrace(n int, seed uint64) []traceStep {
+	x := seed | 1
+	next := func() uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
+	}
+	steps := make([]traceStep, n)
+	for i := range steps {
+		r := next()
+		id := BlockID(r % 56) // ids 48..55 are never written
+		write := id < 48 && (r>>8)%4 == 0
+		steps[i] = traceStep{id: id, write: write, ver: i}
+	}
+	return steps
+}
+
+// accessResult captures one access's observable outcome.
+type accessResult struct {
+	data []byte
+	ops  []Op
+	err  error
+}
+
+// runSerialTrace drives the trace through r, one access at a time.
+func runSerialTrace(t *testing.T, r *Ring, cfg config.ORAM, trace []traceStep) []accessResult {
+	t.Helper()
+	out := make([]accessResult, len(trace))
+	for i, st := range trace {
+		var res accessResult
+		if st.write {
+			ops, err := r.Write(st.id, blockData(cfg, st.id, st.ver))
+			res = accessResult{ops: cloneOps(ops), err: err}
+		} else {
+			data, ops, err := r.Read(st.id)
+			res = accessResult{data: bytes.Clone(data), ops: cloneOps(ops), err: err}
+		}
+		out[i] = res
+	}
+	return out
+}
+
+// saveBytes serializes the ring's complete state.
+func saveBytes(t *testing.T, r *Ring) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// opsEqual compares two op lists structurally.
+func opsEqual(a, b []Op) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Kind != b[i].Kind || a[i].Path != b[i].Path || len(a[i].Accesses) != len(b[i].Accesses) {
+			return false
+		}
+		for j := range a[i].Accesses {
+			if a[i].Accesses[j] != b[i].Accesses[j] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // treetopVariants are the protocol variants the cache must be invisible
@@ -90,101 +169,6 @@ func TestTreetopSerialEquivalence(t *testing.T) {
 				t.Fatal("cached ring's checkpoint diverged from the uncached oracle")
 			}
 		})
-	}
-}
-
-// TestTreetopPipelineEquivalence runs the cached ring under the
-// concurrent controller at several depths (including the depth-1 inline
-// fast path) and against a shared WorkerPool, comparing responses, op
-// lists and the final checkpoint to an uncached serial oracle.
-func TestTreetopPipelineEquivalence(t *testing.T) {
-	shapes := []struct {
-		depth, workers int
-		pool           bool
-	}{
-		{depth: 1, workers: 1}, // inline fast path
-		{depth: 2, workers: 2},
-		{depth: 4, workers: 2},
-		{depth: 8, workers: 4},
-		{depth: 8, workers: 4, pool: true}, // shared work-stealing pool
-	}
-	const seed = 0x7e341
-	for _, v := range treetopVariants {
-		cfg := smallCfg(v.y)
-		trace := genTrace(800, 0xbeef1+uint64(len(v.name)))
-		plainOpts := &Options{Store: NewMemStore(cfg.SlotsPerBucket()), XOR: v.xor}
-		if !v.plain {
-			crypt, err := NewCrypt(testKey(), cfg.BlockSize)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plainOpts.Crypt = crypt
-		}
-		uncached, err := NewRing(cfg, seed, plainOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := runSerialTrace(t, uncached, cfg, trace)
-		wantSave := saveBytes(t, uncached)
-		for _, sh := range shapes {
-			name := fmt.Sprintf("%s/k%dw%d", v.name, sh.depth, sh.workers)
-			if sh.pool {
-				name += "-pool"
-			}
-			t.Run(name, func(t *testing.T) {
-				cached := newTreetopRing(t, cfg, seed, v.xor, v.plain)
-				var got []accessResult
-				opt := PipelineOptions{
-					Depth: sh.depth, Workers: sh.workers,
-					Done: func(ctx any, data []byte, ops []Op, err error) {
-						got = append(got, accessResult{data: bytes.Clone(data), ops: cloneOps(ops), err: err})
-					},
-				}
-				var pool *WorkerPool
-				if sh.pool {
-					pool = NewWorkerPool(sh.workers)
-					opt.Pool = pool
-				}
-				p, err := AttachPipeline(cached, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, st := range trace {
-					var data []byte
-					if st.write {
-						data = blockData(cfg, st.id, st.ver)
-					}
-					if err := p.Submit(nil, st.id, st.write, data); err != nil {
-						t.Fatal(err)
-					}
-				}
-				p.Close()
-				if pool != nil {
-					executed, _ := pool.Stats()
-					pool.Close()
-					if executed == 0 {
-						t.Fatal("shared pool executed no slots")
-					}
-				}
-				if len(got) != len(want) {
-					t.Fatalf("pipeline delivered %d results, want %d", len(got), len(want))
-				}
-				for i := range want {
-					if (want[i].err == nil) != (got[i].err == nil) {
-						t.Fatalf("step %d: error mismatch: serial %v, pipelined %v", i, want[i].err, got[i].err)
-					}
-					if !bytes.Equal(want[i].data, got[i].data) {
-						t.Fatalf("step %d (%+v): response diverged", i, trace[i])
-					}
-					if !opsEqual(want[i].ops, got[i].ops) {
-						t.Fatalf("step %d (%+v): op list diverged", i, trace[i])
-					}
-				}
-				if !bytes.Equal(wantSave, saveBytes(t, cached)) {
-					t.Fatal("final ring state diverged from the uncached serial oracle")
-				}
-			})
-		}
 	}
 }
 
@@ -341,16 +325,8 @@ func TestTreetopEnableGuards(t *testing.T) {
 	}
 
 	r := newFunctionalRing(t, cfg, 2)
-	p, err := AttachPipeline(r, PipelineOptions{Done: func(any, []byte, []Op, error) {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.EnableTreetop(); err == nil {
-		t.Fatal("EnableTreetop accepted a ring with a pipeline attached")
-	}
-	p.Close()
 	if err := r.EnableTreetop(); err != nil {
-		t.Fatalf("EnableTreetop after pipeline detach: %v", err)
+		t.Fatalf("EnableTreetop on a functional ring: %v", err)
 	}
 	if err := r.EnableTreetop(); err != nil {
 		t.Fatalf("EnableTreetop is not idempotent: %v", err)
@@ -390,97 +366,15 @@ func TestTreetopLevelsForBudget(t *testing.T) {
 	}
 }
 
-// TestTreetopWorkerPoolSharedRings drives several cached rings, each
-// with its own pipeline, over one shared WorkerPool — the server's
-// multi-shard shape — and checks every ring's final state against its
-// serial twin. Interleaving admissions across rings exercises the
-// work-stealing scan.
-func TestTreetopWorkerPoolSharedRings(t *testing.T) {
-	const nRings = 3
-	const seed = 0xfeed0
-	cfg := smallCfg(2)
-	pool := NewWorkerPool(4)
-	defer pool.Close()
-
-	type lane struct {
-		serial *Ring
-		piped  *Ring
-		p      *Pipeline
-		trace  []traceStep
-		got    []accessResult
-		want   []accessResult
-	}
-	lanes := make([]*lane, nRings)
-	for i := range lanes {
-		l := &lane{trace: genTrace(400, 0x1111*uint64(i+1))}
-		l.serial = newTreetopRing(t, cfg, seed+uint64(i), false, false)
-		l.want = runSerialTrace(t, l.serial, cfg, l.trace)
-		l.piped = newTreetopRing(t, cfg, seed+uint64(i), false, false)
-		p, err := AttachPipeline(l.piped, PipelineOptions{
-			Depth: 8,
-			Pool:  pool,
-			Done: func(ctx any, data []byte, ops []Op, err error) {
-				l.got = append(l.got, accessResult{data: bytes.Clone(data), ops: cloneOps(ops), err: err})
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.p = p
-		lanes[i] = l
-	}
-	// Round-robin admission keeps all rings' queues live at once.
-	for step := 0; step < 400; step++ {
-		for _, l := range lanes {
-			st := l.trace[step]
-			var data []byte
-			if st.write {
-				data = blockData(cfg, st.id, st.ver)
-			}
-			if err := l.p.Submit(nil, st.id, st.write, data); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for _, l := range lanes {
-		l.p.Close()
-	}
-	executed, _ := pool.Stats()
-	if executed == 0 {
-		t.Fatal("pool executed no slots")
-	}
-	for i, l := range lanes {
-		if len(l.got) != len(l.want) {
-			t.Fatalf("ring %d: %d results, want %d", i, len(l.got), len(l.want))
-		}
-		for j := range l.want {
-			if !bytes.Equal(l.want[j].data, l.got[j].data) {
-				t.Fatalf("ring %d step %d: response diverged", i, j)
-			}
-		}
-		if !bytes.Equal(saveBytes(t, l.serial), saveBytes(t, l.piped)) {
-			t.Fatalf("ring %d: final state diverged from serial twin", i)
-		}
-	}
-}
-
 // TestTreetopAllocFree extends the zero-alloc contract to the cached
-// data plane: once the cache, slot scratch and pools are warm, cached
-// pipelined Submit+Drain cycles allocate nothing.
+// data plane: once the cache's buffers and the pools are warm, cached
+// accesses allocate nothing.
 func TestTreetopAllocFree(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariant assertions allocate; the zero-alloc guarantee binds on the default build")
 	}
 	cfg := smallCfg(2)
 	r := newTreetopRing(t, cfg, 7, false, false)
-	p, err := AttachPipeline(r, PipelineOptions{
-		Depth: 8, Workers: 4,
-		Done: func(any, []byte, []Op, error) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
 	trace := genTrace(4000, 0xa110d)
 	writeBuf := make([]byte, cfg.BlockSize)
 	run := func(steps []traceStep) {
@@ -492,13 +386,12 @@ func TestTreetopAllocFree(t *testing.T) {
 				}
 				data = writeBuf
 			}
-			if err := p.Submit(nil, st.id, st.write, data); err != nil {
+			if _, _, err := r.Access(st.id, st.write, data); err != nil {
 				t.Fatal(err)
 			}
 		}
-		p.Drain()
 	}
-	run(trace[:2000]) // warm the cache's buffer swaps, job lists, pools
+	run(trace[:2000]) // warm the cache's buffers and the pools
 
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -507,6 +400,6 @@ func TestTreetopAllocFree(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	allocs := float64(after.Mallocs-before.Mallocs) / 2000
 	if allocs > 0.05 {
-		t.Fatalf("cached pipelined access allocates %.3f objects/op in steady state, want ~0", allocs)
+		t.Fatalf("cached access allocates %.3f objects/op in steady state, want ~0", allocs)
 	}
 }

@@ -127,21 +127,21 @@ func TestXORMatchesDirectRead(t *testing.T) {
 
 func TestSealDummyAtDeterministic(t *testing.T) {
 	c, _ := NewCrypt(testKey(), 64)
-	a := c.SealDummyAt(123, 4, 5)
-	b := c.SealDummyAt(123, 4, 5)
+	a := c.SealDummyInto(nil, 123, 4, 5)
+	b := c.SealDummyInto(nil, 123, 4, 5)
 	if !bytes.Equal(a, b) {
 		t.Fatal("SealDummyAt not deterministic")
 	}
-	if bytes.Equal(a, c.SealDummyAt(123, 4, 6)) {
+	if bytes.Equal(a, c.SealDummyInto(nil, 123, 4, 6)) {
 		t.Fatal("epochs share ciphertexts")
 	}
-	if bytes.Equal(a, c.SealDummyAt(123, 5, 5)) {
+	if bytes.Equal(a, c.SealDummyInto(nil, 123, 5, 5)) {
 		t.Fatal("slots share ciphertexts")
 	}
-	if bytes.Equal(a, c.SealDummyAt(124, 4, 5)) {
+	if bytes.Equal(a, c.SealDummyInto(nil, 124, 4, 5)) {
 		t.Fatal("buckets share ciphertexts")
 	}
-	got, err := c.Open(a)
+	got, err := c.OpenInto(nil, a)
 	if err != nil {
 		t.Fatal(err)
 	}

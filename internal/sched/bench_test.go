@@ -47,8 +47,7 @@ func BenchmarkSchedTick(b *testing.B) { benchSchedTick(b, false) }
 
 // BenchmarkSchedTickObs is the same workload with a live metrics
 // registry and flight recorder attached; the pair quantifies the
-// instrumentation overhead (scripts/bench.sh records the delta in
-// BENCH_obs.json, budget ≤5%).
+// instrumentation overhead (budget ≤5%).
 func BenchmarkSchedTickObs(b *testing.B) { benchSchedTick(b, true) }
 
 func benchSchedTick(b *testing.B, instrumented bool) {

@@ -113,12 +113,11 @@ func BenchmarkServerGetPutTracedSampled(b *testing.B) {
 }
 
 // benchServerThroughput measures sustained single-shard serving
-// throughput under many concurrent clients — the shape the concurrent
-// controller targets: the worker drains full batches and (when pipeline
-// > 1) keeps up to k accesses in flight. pipeline = 0 is the serial
-// baseline. Reported p99-ns is the request-latency 99th percentile from
-// the server's own request-latency histogram over the timed run.
-func benchServerThroughput(b *testing.B, pipeline int) {
+// throughput under many concurrent clients: the worker drains full
+// batches through its serial Ring. Reported p99-ns is the
+// request-latency 99th percentile from the server's own request-latency
+// histogram over the timed run.
+func benchServerThroughput(b *testing.B) {
 	srv, err := New(Config{
 		Shards:     1,
 		MaxBatch:   32,
@@ -126,7 +125,6 @@ func benchServerThroughput(b *testing.B, pipeline int) {
 		ORAM:       DefaultORAM(10),
 		Seed:       1,
 		Key:        []byte("bench-key-16byte"),
-		Pipeline:   pipeline,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -143,7 +141,7 @@ func benchServerThroughput(b *testing.B, pipeline int) {
 		}
 	}
 	// Enough concurrent clients to keep the shard queue full even at
-	// GOMAXPROCS=1, so batches fill and the pipeline can overlap.
+	// GOMAXPROCS=1, so batches fill.
 	b.SetParallelism(64)
 	var ctr atomic.Int64
 	b.ReportAllocs()
@@ -167,76 +165,22 @@ func benchServerThroughput(b *testing.B, pipeline int) {
 	b.ReportMetric(srv.Metrics().P99Seconds*1e9, "p99-ns")
 }
 
-func BenchmarkServerThroughputSerial(b *testing.B) { benchServerThroughput(b, 0) }
-func BenchmarkServerThroughputK1(b *testing.B)     { benchServerThroughput(b, 1) }
-func BenchmarkServerThroughputK2(b *testing.B)     { benchServerThroughput(b, 2) }
-func BenchmarkServerThroughputK4(b *testing.B)     { benchServerThroughput(b, 4) }
-func BenchmarkServerThroughputK8(b *testing.B)     { benchServerThroughput(b, 8) }
+func BenchmarkServerThroughputSerial(b *testing.B) { benchServerThroughput(b) }
 
-// benchServerCores is the multi-core scaling curve: one shard served
-// either serially or through the pipelined controller (k=8) backed by
-// the shared worker pool, at an explicit GOMAXPROCS. Serial serving
-// runs all ORAM work on the one shard worker goroutine no matter how
-// many cores exist; the pipelined controller overlaps the data plane
-// across the pool, so its curve should rise with cores. Each
-// GOMAXPROCS value is its own benchmark name so bench.sh records the
-// whole curve in one run.
-func benchServerCores(b *testing.B, pipeline, cores int) {
+// benchServerCores is benchServerThroughput at an explicit GOMAXPROCS.
+// One shard runs all its ORAM work on one worker goroutine no matter
+// how many cores exist, so the curve shows what the wire-free serving
+// path around it gains from cores.
+func benchServerCores(b *testing.B, cores int) {
 	prev := runtime.GOMAXPROCS(cores)
 	defer runtime.GOMAXPROCS(prev)
-	srv, err := New(Config{
-		Shards:     1,
-		MaxBatch:   32,
-		QueueDepth: 4096,
-		ORAM:       DefaultORAM(10),
-		Seed:       1,
-		Key:        []byte("bench-key-16byte"),
-		Pipeline:   pipeline,
-		Workers:    cores,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-
-	const keys = 128
-	val := bytes.Repeat([]byte{7}, 48)
-	names := make([]string, keys)
-	for i := range names {
-		names[i] = fmt.Sprintf("key-%03d", i)
-		if err := srv.Put(names[i], val); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetParallelism(64)
-	var ctr atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			i := ctr.Add(1)
-			key := names[int(i)%keys]
-			if i%2 == 0 {
-				if err := srv.Put(key, val); err != nil {
-					b.Fatal(err)
-				}
-			} else {
-				if _, _, err := srv.Get(key); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
+	benchServerThroughput(b)
 }
 
-func BenchmarkServerCoresSerial1(b *testing.B)    { benchServerCores(b, 0, 1) }
-func BenchmarkServerCoresSerial2(b *testing.B)    { benchServerCores(b, 0, 2) }
-func BenchmarkServerCoresSerial4(b *testing.B)    { benchServerCores(b, 0, 4) }
-func BenchmarkServerCoresSerial8(b *testing.B)    { benchServerCores(b, 0, 8) }
-func BenchmarkServerCoresPipelined1(b *testing.B) { benchServerCores(b, 8, 1) }
-func BenchmarkServerCoresPipelined2(b *testing.B) { benchServerCores(b, 8, 2) }
-func BenchmarkServerCoresPipelined4(b *testing.B) { benchServerCores(b, 8, 4) }
-func BenchmarkServerCoresPipelined8(b *testing.B) { benchServerCores(b, 8, 8) }
+func BenchmarkServerCoresSerial1(b *testing.B) { benchServerCores(b, 1) }
+func BenchmarkServerCoresSerial2(b *testing.B) { benchServerCores(b, 2) }
+func BenchmarkServerCoresSerial4(b *testing.B) { benchServerCores(b, 4) }
+func BenchmarkServerCoresSerial8(b *testing.B) { benchServerCores(b, 8) }
 
 // BenchmarkWireRoundTrip measures the wire codec alone: encode one
 // request and one response frame and decode both back.

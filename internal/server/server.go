@@ -113,20 +113,12 @@ type Config struct {
 	// MaxBatch caps how many queued requests one worker wakeup drains.
 	// 1 disables batching (strict arrival-order determinism).
 	MaxBatch int
-	// Pipeline, when >=1, attaches the concurrent ORAM controller to
-	// each shard with that many in-flight access slots
-	// (oram.AttachPipeline's k): the worker admits a whole batch back to
-	// back and the accesses' data movement overlaps on worker
-	// goroutines, while the bus-visible schedule, sealed bytes and final
-	// tree state stay bit-identical to serial serving. 1 selects the
-	// pipeline's inline fast path (jobs execute on the worker goroutine,
-	// no ledger); 0 serves strictly serially without a controller.
+	// Pipeline is accepted and ignored: every shard serves through one
+	// serial Ring whatever its value (pinned by
+	// TestConfigPipelineIsInert). The field survives only so bench/,
+	// which may change only in a benchmark PR, keeps compiling; that PR
+	// removes it.
 	Pipeline int
-	// Workers sizes the shared data-plane worker pool used when Pipeline
-	// > 1. All shards' pipelines feed one work-stealing pool, so k
-	// in-flight accesses across N shards can occupy every core instead
-	// of capping at a per-shard worker count. 0 means NumCPU.
-	Workers int
 	// TreetopCache, when true, enables each shard Ring's treetop data
 	// cache: the top TreeTopCacheLevels levels are held decrypted in
 	// controller memory, so accesses touching them skip store I/O and
@@ -265,8 +257,8 @@ const (
 	// at the current point in its request stream, without stopping it.
 	opSnapshot
 	// opBarrier completes only after every previously enqueued request
-	// has fully applied (pipelined shards drain first) and reports the
-	// shard's appliedSeq — the handoff cutover fence.
+	// has fully applied and reports the shard's appliedSeq — the handoff
+	// cutover fence.
 	opBarrier
 	// opStats is a barrier that also copies the Ring's protocol counters
 	// into request.stats.
@@ -286,9 +278,8 @@ type request struct {
 	// seq is the replication sequence number of an opApply request;
 	// unused for client ops (the worker assigns Put sequence numbers).
 	seq uint64
-	// miss marks a Get routed to the shard's probe block (key absent at
-	// admission): its pipelined completion must answer found=false and
-	// discard the probe data.
+	// miss marks a Get routed to the shard's probe block (key absent):
+	// it answers found=false and discards the probe data.
 	miss bool
 	// tc is the request's sampled trace context (zero when untraced or
 	// dropped by the sampler) and span the serve span minted for it at
@@ -302,8 +293,8 @@ type request struct {
 }
 
 // reqPool recycles request structs (and their single-slot done
-// channels) across calls; do returns a request to the pool only after
-// receiving its response, when the worker no longer touches it.
+// channels) across calls; sendShard returns a request to the pool only
+// after receiving its response, when the worker no longer touches it.
 var reqPool = sync.Pool{New: func() any { return &request{done: make(chan result, 1)} }}
 
 // result is the single response every dequeued request receives.
@@ -334,13 +325,8 @@ type Server struct {
 	tsrc      *obs.TraceSource
 	traceRate uint64
 
-	// pool is the shared data-plane worker pool every pipelined shard's
-	// controller feeds (nil when Pipeline <= 1: serial and inline shards
-	// run no workers).
-	pool *oram.WorkerPool
-
 	// mu guards closed and the hosted-shard set against in-flight
-	// enqueues: do/Apply resolve and enqueue under RLock, while
+	// enqueues: sendShard resolves and enqueues under RLock, while
 	// Attach/Detach/Close mutate under Lock, so a shard's queue is
 	// never closed while an enqueue holds a reference to it.
 	mu     sync.RWMutex
@@ -369,7 +355,6 @@ type shard struct {
 	serving atomic.Bool
 
 	ring        *oram.Ring
-	pipe        *oram.Pipeline // non-nil when cfg.Pipeline >= 1
 	dir         map[string]oram.BlockID
 	nextID      oram.BlockID
 	appliedSeq  uint64 // sequence number of the last applied write (worker-owned)
@@ -401,15 +386,6 @@ func New(cfg Config) (*Server, error) {
 	s.tracer = obs.NewRecorder[obs.Span](serverTraceBufCap)
 	s.tsrc = obs.NewTraceSource(cfg.Seed ^ 0x7472616365) // decorrelate from protocol randomness
 	s.traceRate = cfg.TraceSample
-	if cfg.Pipeline > 1 {
-		s.pool = oram.NewWorkerPool(cfg.Workers)
-		s.reg.GaugeFunc(`server_pool_executed`,
-			"Data-plane slots executed by the shared worker pool.",
-			func() float64 { n, _ := s.pool.Stats(); return float64(n) })
-		s.reg.GaugeFunc(`server_pool_stolen`,
-			"Pool slots executed by a worker stealing from a non-preferred shard.",
-			func() float64 { _, n := s.pool.Stats(); return float64(n) })
-	}
 
 	restore, err := snapshotsPresent(cfg.SnapshotDir, cfg.ShardIDs)
 	if err != nil {
@@ -480,25 +456,6 @@ func (s *Server) buildShard(id int, snap []byte) (*shard, error) {
 		}(id))
 	sh.blockSize = sh.ring.Config().BlockSize
 	sh.encBuf = make([]byte, sh.blockSize)
-	if cfg.Pipeline >= 1 {
-		pins := oram.NewPipelineInstruments(s.reg, fmt.Sprintf(`shard="%d"`, id))
-		pins.Recorder = s.rec
-		pins.Clock = func() int64 { return time.Since(s.start).Microseconds() }
-		pins.Tracer = s.tracer
-		pins.Track = int32(id)
-		pipe, err := oram.AttachPipeline(sh.ring, oram.PipelineOptions{
-			Depth: cfg.Pipeline,
-			Pool:  s.pool,
-			Done: func(ctx any, data []byte, ops []oram.Op, err error) {
-				sh.finish(ctx.(*request), data, ops, err)
-			},
-			Ins: pins,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("server: shard %d pipeline: %w", id, err)
-		}
-		sh.pipe = pipe
-	}
 	return sh, nil
 }
 
@@ -563,12 +520,6 @@ func ShardOf(key string, totalShards int) int {
 	return int(h % uint64(totalShards))
 }
 
-// shardFor resolves a key to its hosted shard, or nil when the key's
-// global shard is not hosted here. Callers hold s.mu.
-func (s *Server) shardFor(key string) *shard {
-	return s.byID[ShardOf(key, s.cfg.TotalShards)]
-}
-
 // Get returns the value stored under key. found is false for keys never
 // written; a miss still costs one ORAM access, so it is indistinguishable
 // from a hit on the bus.
@@ -583,8 +534,8 @@ func (s *Server) GetDeadline(key string, deadline time.Time) ([]byte, bool, erro
 }
 
 // GetCtx is GetDeadline carrying a distributed trace context: when the
-// server's sampler keeps the trace, the request's serve span and
-// pipeline stage spans land in Tracer(), parented on tc's span.
+// server's sampler keeps the trace, the request's serve span lands in
+// Tracer(), parented on tc's span.
 func (s *Server) GetCtx(tc obs.TraceContext, key string, deadline time.Time) ([]byte, bool, error) {
 	res := s.do(tc, opGet, key, nil, deadline)
 	return res.val, res.found, res.err
@@ -661,9 +612,9 @@ func (s *Server) sampleTrace(req *request, tc obs.TraceContext) {
 	}
 }
 
-// do validates, routes and enqueues one request, then waits for its
-// single response. Validation failures and backpressure reject before
-// any ORAM state is touched.
+// do validates and stamps one keyed request and sends it to the key's
+// shard. Validation failures and backpressure reject before any ORAM
+// state is touched.
 func (s *Server) do(tc obs.TraceContext, op opKind, key string, val []byte, deadline time.Time) result {
 	if key == "" || len(key) > MaxKeyLen {
 		return result{err: fmt.Errorf("%w: %d bytes", ErrBadKey, len(key))}
@@ -678,36 +629,11 @@ func (s *Server) do(tc obs.TraceContext, op opKind, key string, val []byte, dead
 	req.op, req.key, req.val = op, key, val
 	req.deadline, req.enqueued = deadline, time.Now()
 	s.sampleTrace(req, tc)
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		releaseRequest(req)
-		return result{err: ErrClosed}
-	}
-	sh := s.shardFor(key)
-	if sh == nil {
-		gid := ShardOf(key, s.cfg.TotalShards)
-		s.mu.RUnlock()
-		releaseRequest(req)
-		return result{err: fmt.Errorf("shard %d: %w", gid, ErrWrongShard)}
-	}
-	select {
-	case sh.reqs <- req:
-		s.mu.RUnlock()
-	default:
-		s.mu.RUnlock()
-		sh.m.noteRejected()
-		releaseRequest(req)
-		return result{err: fmt.Errorf("shard %d: %w", sh.id, ErrBacklog)}
-	}
-	res := <-req.done
-	releaseRequest(req)
-	return res
+	return s.sendShard(ShardOf(key, s.cfg.TotalShards), req)
 }
 
-// sendShard enqueues req on a specific hosted shard and waits for its
-// response (the cluster-facing analogue of do for requests addressed by
-// shard ID rather than key).
+// sendShard enqueues req on a hosted shard, waits for its single
+// response and returns the request to the pool.
 func (s *Server) sendShard(gid int, req *request) result {
 	s.mu.RLock()
 	if s.closed {
@@ -776,10 +702,9 @@ func (s *Server) SnapshotShard(shardID int) ([]byte, uint64, error) {
 }
 
 // Barrier completes after every request enqueued on the shard before it
-// has fully applied (pipelined shards drain first), and returns the
-// shard's appliedSeq. Combined with SetShardServing(false) it gives the
-// handoff cutover a quiescence fence: seal, barrier, replay the final
-// op-log tail, flip placement.
+// has fully applied, and returns the shard's appliedSeq. Combined with
+// SetShardServing(false) it gives the handoff cutover a quiescence
+// fence: seal, barrier, replay the final op-log tail, flip placement.
 func (s *Server) Barrier(shardID int) (uint64, error) {
 	req := reqPool.Get().(*request)
 	req.op = opBarrier
@@ -912,11 +837,6 @@ func (s *Server) Close() error {
 		close(sh.reqs)
 	}
 	s.wg.Wait()
-	if s.pool != nil {
-		// Every shard worker has exited, so every pipeline is closed and
-		// unregistered; the pool has no queued work left.
-		s.pool.Close()
-	}
 	if s.cfg.SnapshotDir == "" {
 		return nil
 	}
@@ -959,12 +879,6 @@ func (sh *shard) run(wg *sync.WaitGroup) {
 		for _, r := range batch {
 			sh.serve(now, r)
 		}
-		if sh.pipe != nil {
-			// Batch boundary: retire everything still in flight so every
-			// dequeued request is answered before the batch is accounted.
-			// Within the batch, up to Depth accesses overlapped.
-			sh.pipe.Drain()
-		}
 		sh.m.noteBatch(len(batch), len(sh.dir))
 		// One span per batch in the server flight recorder. The server
 		// is the one wall-clock domain in the repo: it is never part of
@@ -978,11 +892,6 @@ func (sh *shard) run(wg *sync.WaitGroup) {
 			Arg0:  int64(sh.id),
 			Arg1:  int64(len(batch)),
 		})
-	}
-	if sh.pipe != nil {
-		// Shutdown: detach so the snapshot path sees a serial, fully
-		// retired Ring. Drain above answered every request already.
-		sh.pipe.Close()
 	}
 }
 
@@ -1005,18 +914,10 @@ func (sh *shard) serve(now time.Time, r *request) {
 	}
 	switch r.op {
 	case opSnapshot:
-		// Quiesce in-flight pipelined accesses so the checkpoint sees a
-		// fully retired Ring; the worker resumes serving right after.
-		if sh.pipe != nil {
-			sh.pipe.Drain()
-		}
 		data, err := sh.snapshotBytes()
 		sh.respond(r, result{val: data, seq: sh.appliedSeq, err: err})
 		return
 	case opBarrier, opStats:
-		if sh.pipe != nil {
-			sh.pipe.Drain()
-		}
 		if r.op == opStats {
 			*r.stats = sh.ring.Stats()
 		}
@@ -1025,8 +926,7 @@ func (sh *shard) serve(now time.Time, r *request) {
 	case opApply:
 		// Replication dedup: an at-or-below-appliedSeq frame is a retry
 		// of a write this replica already holds; ack without touching
-		// the Ring. (finish re-checks for pipelined shards, where this
-		// read can be stale while earlier applies are still in flight.)
+		// the Ring.
 		if r.seq <= sh.appliedSeq {
 			sh.respond(r, result{seq: sh.appliedSeq})
 			return
@@ -1077,21 +977,9 @@ type busOp struct {
 	slots int // physical slot accesses emitted by the operation
 }
 
-// access issues the single ORAM access a request maps to. Pipelined
-// shards admit it into the concurrent controller — block is copied
-// during admission, so the caller's scratch is free on return, and the
-// completion reaches finish via the Done callback in admission order.
-// Serial shards run the access inline and finish immediately.
+// access issues the single ORAM access a request maps to and finishes
+// the request.
 func (sh *shard) access(r *request, id oram.BlockID, write bool, block []byte) {
-	if sh.pipe != nil {
-		// The stage spans' parent is the request's serve span; r.tc is
-		// zero for untraced requests, making the child context invalid
-		// and the pipeline's span emission a no-op.
-		if err := sh.pipe.SubmitTraced(r, id, write, block, r.tc.Child(r.span)); err != nil {
-			sh.respond(r, result{err: fmt.Errorf("shard %d: %w", sh.id, err)})
-		}
-		return
-	}
 	var (
 		data []byte
 		ops  []oram.Op
@@ -1106,8 +994,7 @@ func (sh *shard) access(r *request, id oram.BlockID, write bool, block []byte) {
 }
 
 // finish accounts one completed access's physical traffic and answers
-// its request: inline on serial shards, from the pipeline's in-order
-// Done callback (still on the worker goroutine) on pipelined ones.
+// its request.
 func (sh *shard) finish(r *request, data []byte, ops []oram.Op, err error) {
 	slots := 0
 	for _, op := range ops {
@@ -1128,16 +1015,10 @@ func (sh *shard) finish(r *request, data []byte, ops []oram.Op, err error) {
 		return
 	}
 	// A write applied: advance the shard's sequence and run the apply
-	// hook (op-log append + replication) before acknowledging. finish
-	// runs on the worker goroutine in admission order even for
-	// pipelined shards, so sequence numbers are assigned in the order
-	// writes were applied.
+	// hook (op-log append + replication) before acknowledging. serve
+	// already answered replayed applies (seq <= appliedSeq).
 	seq := sh.appliedSeq + 1
 	if r.op == opApply {
-		if r.seq <= sh.appliedSeq {
-			sh.respond(r, result{seq: sh.appliedSeq})
-			return
-		}
 		seq = r.seq
 	}
 	sh.appliedSeq = seq

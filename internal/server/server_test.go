@@ -2,14 +2,18 @@ package server
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"stringoram/internal/oram"
 )
 
 // testConfig returns a small, fast 4-shard configuration.
@@ -471,6 +475,70 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if !reflect.DeepEqual(DefaultORAM(8), Config{ORAM: DefaultORAM(8)}.withDefaults().ORAM) {
 		t.Fatal("explicit ORAM config not preserved")
+	}
+}
+
+// TestConfigPipelineIsInert pins the one thing bench/ still relies on
+// until the benchmark PR drops Config.Pipeline: the field selects
+// nothing. Servers built with Pipeline 0 and 4 from the same seed answer
+// the same op sequence identically and end in the same state — protocol
+// counters, and every shard's snapshot (decoded, because gob writes the
+// key directory in map order; the Ring checkpoint inside is compared
+// byte for byte) — and the Pipeline 4 exposition carries no pipeline or
+// worker-pool series.
+func TestConfigPipelineIsInert(t *testing.T) {
+	run := func(pipeline int) (responses []string, stats []oram.Stats, snaps []shardSnap, exposition string) {
+		cfg := testConfig()
+		cfg.Key = []byte("inert-key-16byte")
+		cfg.Pipeline = pipeline
+		s := mustNew(t, cfg)
+		defer s.Close()
+		for i := 0; i < 400; i++ {
+			key := fmt.Sprintf("key-%03d", (i*7)%96)
+			if i%3 != 2 {
+				err := s.Put(key, []byte(fmt.Sprintf("v%04d-%s", i, key)))
+				responses = append(responses, fmt.Sprint(err))
+			} else {
+				val, found, err := s.Get(key)
+				responses = append(responses, fmt.Sprintf("%v:%s:%v", found, val, err))
+			}
+		}
+		stats, err := s.ShardStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range s.HostedShards() {
+			data, _, err := s.SnapshotShard(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap shardSnap
+			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+				t.Fatal(err)
+			}
+			snaps = append(snaps, snap)
+		}
+		var buf bytes.Buffer
+		if err := s.Obs().WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return responses, stats, snaps, buf.String()
+	}
+	resp0, stats0, snaps0, _ := run(0)
+	resp4, stats4, snaps4, expo4 := run(4)
+	if !reflect.DeepEqual(resp0, resp4) {
+		t.Fatal("Pipeline 4 changed the responses")
+	}
+	if !reflect.DeepEqual(stats0, stats4) {
+		t.Fatalf("Pipeline 4 changed ShardStats:\n 0: %+v\n 4: %+v", stats0, stats4)
+	}
+	if !reflect.DeepEqual(snaps0, snaps4) {
+		t.Fatal("Pipeline 4 changed the shard snapshots")
+	}
+	for _, series := range []string{"oram_pipeline_", "server_pool_"} {
+		if strings.Contains(expo4, series) {
+			t.Fatalf("Pipeline 4 exposition contains a %s series", series)
+		}
 	}
 }
 

@@ -63,23 +63,17 @@ echo "== multi-core stress gate (concurrency-sensitive tests x20 at GOMAXPROCS 1
 # itself rather than inheriting the CI box's.
 for procs in 1 2 4; do
 	GOMAXPROCS=$procs go test -count=20 \
-	    -run='^(TestClusterScrapeUnderLoad|TestClusterStitchedForwardTrace|TestServerPipelineSerialEquivalence|TestScrapeConsistentUnderObserve)$' \
+	    -run='^(TestClusterScrapeUnderLoad|TestClusterStitchedForwardTrace|TestConfigPipelineIsInert|TestScrapeConsistentUnderObserve)$' \
 	    ./internal/cluster ./internal/server ./internal/obs
 done
 
-echo "== pipeline race stress (64 pipelined clients x 4 shards x k=8) =="
-go test -race -count=1 -run='^(TestPipelineRaceStress|TestServerPipelineStress)$' \
-    ./internal/oram ./internal/server
+echo "== data-plane goldens (sealed bytes, treetop store trace) =="
+go test -count=1 -run='^(TestSealedBytesGolden|TestTreetopStoreTraceGolden)$' ./internal/oram
 
-echo "== pipeline golden equivalence (serial vs k in-flight) =="
-go test -count=1 \
-    -run='^(TestPipelineSerialEquivalence|TestPipelineInterleavedDrain|TestServerPipelineSerialEquivalence|TestGolden)' \
-    ./internal/oram ./internal/server
-
-echo "== treetop cache equivalence (serial + pipelined vs uncached oracle, -race) =="
-# Covers compact/XOR/plaintext x depths incl. the shared worker pool: the
-# cached controller must return identical data, op traces, and snapshot
-# bytes, and elide exactly the cached levels from the store trace.
+echo "== treetop cache equivalence (serial vs uncached oracle, -race) =="
+# Covers compact/XOR/plaintext: the cached controller must return
+# identical data, op traces, and snapshot bytes, and elide exactly the
+# cached levels from the store trace.
 go test -race -count=1 -run='^TestTreetop' ./internal/oram
 
 echo "== alloc-regression guards (data-plane hot path) =="
@@ -96,7 +90,7 @@ go run ./examples/server >/dev/null
 echo "== fuzz smoke (trace codec) =="
 go test -run='^$' -fuzz=FuzzReadCodec -fuzztime=5s ./internal/trace
 
-echo "== fuzz smoke (seal/open equivalence) =="
-go test -run='^$' -fuzz=FuzzSealIntoMatchesLegacy -fuzztime=5s ./internal/oram
+echo "== fuzz smoke (seal/open vs the cipher.NewCTR reference) =="
+go test -run='^$' -fuzz=FuzzSealIntoMatchesCTR -fuzztime=5s ./internal/oram
 
 echo "check.sh: all gates passed"
