@@ -2,6 +2,10 @@ package oram
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"stringoram/internal/rng"
@@ -131,5 +135,83 @@ func TestPathRejectsWrongSizeWrite(t *testing.T) {
 	p := newFunctionalPath(t, 4, 6, 3)
 	if _, err := p.Write(1, []byte{1}); err == nil {
 		t.Fatal("accepted wrong-size write")
+	}
+}
+
+// TestPathTraceGolden pins Path ORAM's complete observable behaviour for
+// a seeded 2k-op mixed trace in the three store modes: every op (kind,
+// path and each access's bucket, level, slot and direction), every
+// returned block and the final Stats. The hashes were captured before
+// Path became a client of the shared tree-ORAM core; one failing means
+// the refactor changed what Path emits or returns. Sealed store bytes
+// are deliberately not hashed: Path's dummies seal deterministically per
+// (bucket, slot, epoch) like Ring's, which is a byte-level difference
+// from the fresh-counter zero blocks it wrote before.
+func TestPathTraceGolden(t *testing.T) {
+	const z, levels, block = 4, 8, 32
+	want := map[string]string{
+		"timing":    "bf200f9d254b6bdb24afadf3ca50d8abd818e7498c4a7c2e4414961ae817ece2",
+		"plaintext": "3db9247c0ff68a177b92a8f26b8e991e5bcb064aeda32ba505b7ea3733e39e11",
+		"sealed":    "3db9247c0ff68a177b92a8f26b8e991e5bcb064aeda32ba505b7ea3733e39e11",
+	}
+	for _, mode := range []string{"timing", "plaintext", "sealed"} {
+		t.Run(mode, func(t *testing.T) {
+			var opts *Options
+			if mode != "timing" {
+				opts = &Options{Store: NewMemStore(z)}
+			}
+			if mode == "sealed" {
+				crypt, err := NewCrypt(testKey(), block)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Crypt = crypt
+			}
+			p, err := NewPath(z, levels, block, 300, 0x9a7400, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			word := func(vs ...int64) {
+				for _, v := range vs {
+					var b [8]byte
+					binary.LittleEndian.PutUint64(b[:], uint64(v))
+					h.Write(b[:])
+				}
+			}
+			for _, st := range genTrace(2000, 0x9a7401) {
+				var data []byte
+				if st.write {
+					data = make([]byte, block)
+					for j := range data {
+						data[j] = byte(int(st.id)*7 + st.ver + j)
+					}
+				}
+				got, ops, err := p.Access(st.id, st.write, data)
+				if err != nil {
+					t.Fatalf("step %d: %v", st.ver, err)
+				}
+				word(int64(len(ops)))
+				for i := range ops {
+					word(int64(ops[i].Kind), int64(ops[i].Path), int64(len(ops[i].Accesses)))
+					for _, a := range ops[i].Accesses {
+						w := int64(0)
+						if a.Write {
+							w = 1
+						}
+						word(a.Bucket, int64(a.Level), int64(a.Slot), w)
+					}
+				}
+				word(int64(len(got)))
+				h.Write(got)
+			}
+			fmt.Fprintf(h, "%+v", p.Stats())
+			if err := p.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != want[mode] {
+				t.Fatalf("Path %s trace golden drifted:\n got %s\nwant %s", mode, got, want[mode])
+			}
+		})
 	}
 }
