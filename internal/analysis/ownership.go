@@ -7,7 +7,7 @@ import (
 
 // Ownership encodes the controller's scratch-aliasing contract as
 // checkable rules. A "scratch" value is anything that aliases
-// pool-owned buffers — fields tagged `oramlint:"scratch"` (ringScratch
+// pool-owned buffers — fields tagged `oramlint:"scratch"` (treeScratch
 // buffers, stash entries, op tables) and everything the alias-mode taint
 // engine derives from them across package boundaries. Such values are
 // recycled out from under any alias by the next access, so they must

@@ -259,13 +259,15 @@ func TestClusterKillOneNodeChaos(t *testing.T) {
 	)
 	type ack struct{ key, val string }
 	acked := make([][]ack, workers)
-	var wg sync.WaitGroup
+	var wg, dialed sync.WaitGroup
 	start := make(chan struct{})
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
+		dialed.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			r, err := DialCluster(tc.placement.Nodes[w%3].Addr)
+			dialed.Done()
 			if err != nil {
 				t.Errorf("worker %d dial: %v", w, err)
 				return
@@ -284,6 +286,10 @@ func TestClusterKillOneNodeChaos(t *testing.T) {
 			}
 		}(w)
 	}
+	// Every router bootstraps from a live node first: on a loaded box a
+	// late dial would otherwise race the kill below and fail the test
+	// for a reason it is not about.
+	dialed.Wait()
 	close(start)
 	// Let the load ramp, then fail-stop one node.
 	time.Sleep(100 * time.Millisecond)
@@ -476,5 +482,79 @@ func TestHandoffRejectsBadTarget(t *testing.T) {
 	// Shard 1's primary is node-1; node-0 must refuse to hand it off.
 	if err := tc.nodes[0].Handoff(1, "node-1"); err == nil {
 		t.Fatal("handoff of foreign shard succeeded")
+	}
+}
+
+// TestRouterHealthyGetDuringHangingDial: a node that accepts connections
+// and never answers the handshake must delay only the operations bound
+// for it. The router used to dial while holding its one mutex, so a
+// single black-holed peer wedged every Get and Put — including those for
+// healthy nodes.
+func TestRouterHealthyGetDuringHangingDial(t *testing.T) {
+	tc := startCluster(t, 1, 2) // node-0 hosts both shards
+	ghost, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback listen unavailable: %v", err)
+	}
+	accepted := make(chan net.Conn, 16)
+	go func() {
+		for {
+			conn, err := ghost.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- conn // held open and silent
+		}
+	}()
+	// The router's view: shard 0 on node-0, shard 1 on the silent ghost.
+	p, err := Static(2, []NodeInfo{tc.placement.Nodes[0], {ID: "ghost", Addr: ghost.Addr().String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRouter(p)
+	r.Retry = server.RetryPolicy{MaxAttempts: 1}
+	defer r.Close()
+
+	var healthyKey, ghostKey string
+	for i := 0; healthyKey == "" || ghostKey == ""; i++ {
+		k := fmt.Sprintf("key-%d", i)
+		if prim, _ := p.PrimaryOf(server.ShardOf(k, 2)); prim.ID == "ghost" {
+			ghostKey = k
+		} else {
+			healthyKey = k
+		}
+	}
+
+	ghostDone := make(chan struct{})
+	go func() {
+		defer close(ghostDone)
+		r.Get(ghostKey) // parks in the ghost's handshake; any error is fine
+	}()
+	held := <-accepted // the ghost dial is now hanging
+
+	healthy := make(chan error, 1)
+	go func() {
+		_, _, err := r.Get(healthyKey)
+		healthy <- err
+	}()
+	select {
+	case err := <-healthy:
+		if err != nil {
+			t.Fatalf("Get on the healthy node: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Get on the healthy node blocked behind another node's hanging dial")
+	}
+
+	// Release the ghost's dialers so the parked Get ends with the test.
+	ghost.Close()
+	held.Close()
+	for {
+		select {
+		case conn := <-accepted:
+			conn.Close()
+		case <-ghostDone:
+			return
+		}
 	}
 }

@@ -59,8 +59,7 @@ type Node struct {
 	pmu       sync.RWMutex
 	placement *Placement
 
-	cmu     sync.Mutex
-	clients map[string]*server.Client // outgoing links by node ID
+	links *links // outgoing connections by node ID
 
 	// hmu guards in-progress handoff receives (shard → accumulated gob).
 	hmu  sync.Mutex
@@ -155,11 +154,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		id:        cfg.ID,
 		retry:     cfg.Retry,
 		placement: p.Clone(),
-		clients:   make(map[string]*server.Client),
 		hbuf:      make(map[int][]byte),
 		logs:      make([]*Log, p.Shards),
 		repl:      make([]replLag, p.Shards),
 	}
+	n.links = newLinks(n.dialPeer)
 	for s := range n.logs {
 		n.logs[s] = NewLog(cfg.LogCap)
 	}
@@ -216,7 +215,7 @@ func (n *Node) Close() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	n.tcp.Shutdown(ctx)
-	n.closeClients()
+	n.links.closeAll()
 	return n.srv.Close()
 }
 
@@ -227,33 +226,15 @@ func (n *Node) Kill() {
 	n.killed.Store(true)
 	// Outgoing links first so in-flight replication unblocks with a
 	// connection error instead of waiting out the shutdown context.
-	n.closeClients()
+	n.links.closeAll()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already expired: force-close accepted connections now
 	n.tcp.Shutdown(ctx)
 	n.srv.Close()
 }
 
-func (n *Node) closeClients() {
-	n.cmu.Lock()
-	for id, c := range n.clients {
-		c.Close()
-		delete(n.clients, id)
-	}
-	n.cmu.Unlock()
-}
-
-// clientFor returns the cached outgoing link to peer, dialing if
-// needed.
-func (n *Node) clientFor(peer NodeInfo) (*server.Client, error) {
-	n.cmu.Lock()
-	defer n.cmu.Unlock()
-	if n.killed.Load() {
-		return nil, fmt.Errorf("cluster: node %s is down: %w", n.id, server.ErrClosed)
-	}
-	if c, ok := n.clients[peer.ID]; ok {
-		return c, nil
-	}
+// dialPeer opens an outgoing link to peer for the links cache.
+func (n *Node) dialPeer(peer NodeInfo) (*server.Client, error) {
 	c, err := server.DialNode(peer.Addr, n.id)
 	if err != nil {
 		return nil, err
@@ -262,18 +243,7 @@ func (n *Node) clientFor(peer NodeInfo) (*server.Client, error) {
 	// peer answers statusBad and the link simply stays untraced — the
 	// client then never emits a traced frame toward it.
 	_, _ = c.EnableTracing()
-	n.clients[peer.ID] = c
 	return c, nil
-}
-
-// dropClient forgets a dead outgoing link.
-func (n *Node) dropClient(id string) {
-	n.cmu.Lock()
-	if c, ok := n.clients[id]; ok {
-		c.Close()
-		delete(n.clients, id)
-	}
-	n.cmu.Unlock()
 }
 
 // onApply is the shard worker's post-apply hook: append the op log,
@@ -301,7 +271,7 @@ func (n *Node) onApply(tc obs.TraceContext, shard int, seq uint64, key string, v
 		return nil
 	}
 
-	c, err := n.clientFor(follower)
+	c, err := n.links.get(follower)
 	if err == nil {
 		// Mint the replication hop's span up front so the follower's
 		// serve-apply span can parent on it.
@@ -368,7 +338,7 @@ func (n *Node) onApply(tc obs.TraceContext, shard int, seq uint64, key string, v
 		// Connection-level failure: treat the follower as dead, demote
 		// it, and fail this request retryably — the retry will succeed
 		// against the new (follower-less) placement.
-		n.dropClient(follower.ID)
+		n.links.drop(follower.ID)
 		n.demoteFollower(shard, follower.ID, epoch)
 		return fmt.Errorf("cluster: follower %s lost (%v): %w", follower.ID, err, server.ErrBacklog)
 	}
@@ -395,7 +365,7 @@ func (n *Node) demoteFollower(shard int, followerID string, epoch uint64) {
 
 // refreshPlacementFrom adopts the peer's placement when newer.
 func (n *Node) refreshPlacementFrom(peer NodeInfo) {
-	c, err := n.clientFor(peer)
+	c, err := n.links.get(peer)
 	if err != nil {
 		return
 	}
@@ -417,9 +387,9 @@ func (n *Node) pushPlacement(np *Placement) {
 		if peer.ID == n.id {
 			continue
 		}
-		if c, err := n.clientFor(peer); err == nil {
+		if c, err := n.links.get(peer); err == nil {
 			if err := c.PushPlacement(data); err != nil {
-				n.dropClient(peer.ID)
+				n.links.drop(peer.ID)
 			}
 		}
 	}
@@ -616,7 +586,7 @@ func (n *Node) ownerClient(key string) (*server.Client, int, error) {
 		// shard is mid-handoff or mid-adoption; make the client retry.
 		return nil, shard, fmt.Errorf("cluster: shard %d settling on %s: %w", shard, n.id, server.ErrBacklog)
 	}
-	c, err := n.clientFor(prim)
+	c, err := n.links.get(prim)
 	if err != nil {
 		return nil, shard, fmt.Errorf("cluster: forward to %s: %v: %w", prim.ID, err, server.ErrBacklog)
 	}
@@ -651,7 +621,7 @@ func (n *Node) Handoff(shard int, targetID string) error {
 		return fmt.Errorf("cluster: node %s is not shard %d's primary", n.id, shard)
 	}
 
-	c, err := n.clientFor(target)
+	c, err := n.links.get(target)
 	if err != nil {
 		return fmt.Errorf("cluster: handoff dial %s: %w", targetID, err)
 	}
@@ -771,13 +741,13 @@ func (n *Node) ClusterMetrics(w io.Writer) error {
 }
 
 func (n *Node) scrapePeer(peer NodeInfo) ([]byte, error) {
-	c, err := n.clientFor(peer)
+	c, err := n.links.get(peer)
 	if err != nil {
 		return nil, err
 	}
 	data, err := c.ScrapeMetrics()
 	if err != nil {
-		n.dropClient(peer.ID)
+		n.links.drop(peer.ID)
 	}
 	return data, err
 }
@@ -796,13 +766,13 @@ func (n *Node) ClusterTrace(w io.Writer) error {
 			traces = append(traces, obs.NodeTrace{Node: peer.ID, Spans: n.srv.Tracer().Snapshot(nil)})
 			continue
 		}
-		c, err := n.clientFor(peer)
+		c, err := n.links.get(peer)
 		if err != nil {
 			continue
 		}
 		spans, err := c.ScrapeSpans()
 		if err != nil {
-			n.dropClient(peer.ID)
+			n.links.drop(peer.ID)
 			continue
 		}
 		traces = append(traces, obs.NodeTrace{Node: peer.ID, Spans: spans})

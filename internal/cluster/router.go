@@ -23,10 +23,10 @@ type Router struct {
 	// request deadline.
 	Timeout time.Duration
 
-	mu        sync.Mutex
+	mu        sync.Mutex // guards placement and closed; never held across I/O
 	placement *Placement
-	clients   map[string]*server.Client // by node ID
 	closed    bool
+	links     *links // connections by node ID
 
 	// ro/trc are fixed by EnableObservability/EnableTracing before
 	// traffic and read without locking afterwards; both nil by default
@@ -121,24 +121,28 @@ func DialCluster(seedAddr string) (*Router, error) {
 		c.Close()
 		return nil, err
 	}
-	r := &Router{placement: p, clients: make(map[string]*server.Client)}
+	r := newRouter(p)
 	if id := c.ServerNodeID(); id != "" {
-		r.clients[id] = c
+		r.links.byID[id] = c
 	} else {
 		c.Close()
 	}
 	return r, nil
 }
 
+// newRouter returns a router over placement p with no connections yet.
+func newRouter(p *Placement) *Router {
+	r := &Router{placement: p}
+	r.links = newLinks(r.dial)
+	return r
+}
+
 // Close drops every connection.
 func (r *Router) Close() error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.closed = true
-	for id, c := range r.clients {
-		c.Close()
-		delete(r.clients, id)
-	}
+	r.mu.Unlock()
+	r.links.closeAll()
 	return nil
 }
 
@@ -152,48 +156,34 @@ func (r *Router) Placement() *Placement {
 // primaryClient resolves key's shard to a connection to its primary.
 func (r *Router) primaryClient(key string) (*server.Client, NodeInfo, int, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.closed {
+		r.mu.Unlock()
 		return nil, NodeInfo{}, 0, fmt.Errorf("cluster router: %w", server.ErrClosed)
 	}
 	shard := server.ShardOf(key, r.placement.Shards)
 	prim, err := r.placement.PrimaryOf(shard)
+	r.mu.Unlock()
 	if err != nil {
 		return nil, NodeInfo{}, shard, err
 	}
-	c, err := r.clientLocked(prim)
+	c, err := r.links.get(prim)
 	return c, prim, shard, err
 }
 
-// clientLocked returns the cached connection to node, dialing if
-// needed. Caller holds r.mu.
-func (r *Router) clientLocked(node NodeInfo) (*server.Client, error) {
-	if c, ok := r.clients[node.ID]; ok {
-		return c, nil
-	}
+// dial opens a connection to node for the links cache.
+func (r *Router) dial(node NodeInfo) (*server.Client, error) {
 	c, err := server.Dial(node.Addr)
 	if err != nil {
 		return nil, err
 	}
-	if c.Timeout == 0 {
-		c.Timeout = r.Timeout
-	}
+	c.Timeout = r.Timeout
 	if r.trc != nil {
 		// Negotiate the tracing capability; a pre-capability node says
 		// statusBad and the link stays untraced (no traced frames are
 		// ever sent toward it).
 		_, _ = c.EnableTracing()
 	}
-	r.clients[node.ID] = c
 	return c, nil
-}
-
-// dropLocked forgets a dead connection. Caller holds r.mu.
-func (r *Router) dropLocked(id string) {
-	if c, ok := r.clients[id]; ok {
-		c.Close()
-		delete(r.clients, id)
-	}
 }
 
 // refreshPlacement folds every live node's table into the router's
@@ -204,17 +194,13 @@ func (r *Router) refreshPlacement() {
 	nodes := append([]NodeInfo(nil), r.placement.Nodes...)
 	r.mu.Unlock()
 	for _, node := range nodes {
-		r.mu.Lock()
-		c, err := r.clientLocked(node)
-		r.mu.Unlock()
+		c, err := r.links.get(node)
 		if err != nil {
 			continue
 		}
 		data, err := c.FetchPlacement()
 		if err != nil {
-			r.mu.Lock()
-			r.dropLocked(node.ID)
-			r.mu.Unlock()
+			r.links.drop(node.ID)
 			continue
 		}
 		p, err := DecodePlacement(data)
@@ -240,9 +226,7 @@ func (r *Router) promoteFollower(shard int, observed *Placement) {
 		r.refreshPlacement()
 		return
 	}
-	r.mu.Lock()
-	c, err := r.clientLocked(fol)
-	r.mu.Unlock()
+	c, err := r.links.get(fol)
 	if err != nil {
 		return
 	}
@@ -376,8 +360,8 @@ func (r *Router) attempt(tc obs.TraceContext, kind int, key string, val []byte) 
 		// Transport-level failure: assume the primary died, drop the
 		// link, and promote its follower.
 		observed := r.Placement()
+		r.links.drop(prim.ID)
 		r.mu.Lock()
-		r.dropLocked(prim.ID)
 		closed := r.closed
 		r.mu.Unlock()
 		if closed {

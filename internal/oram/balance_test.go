@@ -9,7 +9,7 @@ import (
 func TestSelectDummyBalancedPoolOrdering(t *testing.T) {
 	src := rng.New(1)
 	b := newBucket(8)
-	b.reshuffle([]BlockID{1, 2, 3, 4}, src)
+	b.reshuffleScratch([]BlockID{1, 2, 3, 4}, src, &shuffleScratch{})
 	// With reserved dummies present the pool must be dummies only.
 	gotPool := -1
 	pick := func(cands []int) int {
@@ -17,7 +17,7 @@ func TestSelectDummyBalancedPoolOrdering(t *testing.T) {
 		return 0
 	}
 	for i := 0; i < 4; i++ {
-		_, green := b.selectDummyBalanced(pick, 4)
+		_, green := b.selectDummyBalancedScratch(pick, 4, &selectScratch{})
 		if green != InvalidBlock {
 			t.Fatalf("selection %d consumed a green with dummies available", i)
 		}
@@ -26,7 +26,7 @@ func TestSelectDummyBalancedPoolOrdering(t *testing.T) {
 		}
 	}
 	// Dummies gone: pool switches to greens.
-	_, green := b.selectDummyBalanced(pick, 4)
+	_, green := b.selectDummyBalancedScratch(pick, 4, &selectScratch{})
 	if green == InvalidBlock {
 		t.Fatal("expected a green selection after dummies exhausted")
 	}
@@ -39,26 +39,26 @@ func TestSelectDummyBalancedPanics(t *testing.T) {
 	src := rng.New(2)
 	b := newBucket(4)
 	for i := 0; i < 4; i++ {
-		b.selectDummy(src, 0, false)
+		b.selectDummyScratch(src, 0, false, &selectScratch{})
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on exhausted bucket")
 		}
 	}()
-	b.selectDummyBalanced(func([]int) int { return 0 }, 0)
+	b.selectDummyBalancedScratch(func([]int) int { return 0 }, 0, &selectScratch{})
 }
 
 func TestSelectDummyBalancedRejectsBadPick(t *testing.T) {
 	src := rng.New(3)
 	b := newBucket(6)
-	b.reshuffle(nil, src)
+	b.reshuffleScratch(nil, src, &shuffleScratch{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on out-of-range pick")
 		}
 	}()
-	b.selectDummyBalanced(func(cands []int) int { return len(cands) }, 0)
+	b.selectDummyBalancedScratch(func(cands []int) int { return len(cands) }, 0, &selectScratch{})
 }
 
 // TestRingWithBalancer runs the protocol with a balancer that always

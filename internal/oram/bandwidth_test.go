@@ -114,7 +114,7 @@ func TestMemStore(t *testing.T) {
 	if m.ReadSlot(1, 3) != nil {
 		t.Fatal("neighbor slot has data")
 	}
-	if m.TouchedBuckets() != 1 || m.WrittenSlots() != 1 {
-		t.Fatalf("counters: buckets=%d writes=%d", m.TouchedBuckets(), m.WrittenSlots())
+	if m.TouchedBuckets() != 1 {
+		t.Fatalf("touched buckets = %d, want 1", m.TouchedBuckets())
 	}
 }

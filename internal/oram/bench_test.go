@@ -90,8 +90,8 @@ func BenchmarkAccessFunctional(b *testing.B) {
 }
 
 // warmCachedRing mirrors warmFunctionalRing for the treetop-cached
-// variant: same geometry and trace, TreeTopCacheLevels sized by the
-// default few-MiB budget, cache enabled from construction.
+// variant: same geometry and trace, the deepest tree top whose plaintext
+// fits 4 MiB (4095 buckets x 768 B), cache enabled from construction.
 var warmCachedRing *Ring
 
 func warmedCachedRing(b *testing.B) *Ring {
@@ -99,7 +99,7 @@ func warmedCachedRing(b *testing.B) *Ring {
 	if warmCachedRing == nil {
 		cfg := config.Default().ORAM
 		cfg.Levels = 16
-		cfg.TreeTopCacheLevels = TreetopLevelsForBudget(cfg, 4<<20)
+		cfg.TreeTopCacheLevels = 12
 		crypt, err := NewCrypt([]byte("bench-key-16byte"), cfg.BlockSize)
 		if err != nil {
 			b.Fatal(err)

@@ -205,12 +205,6 @@ func (sc *selectScratch) split(b *Bucket) (dummies, greens []int) {
 	return sc.dummies, sc.greens
 }
 
-// selectDummy picks a slot to read as a dummy and consumes it, using a
-// fresh candidate scratch. Hot paths should prefer selectDummyScratch.
-func (b *Bucket) selectDummy(src *rng.Source, y int, uniform bool) (slot int, green BlockID) {
-	return b.selectDummyScratch(src, y, uniform, &selectScratch{})
-}
-
 // selectDummyScratch picks a slot to read as a dummy and consumes it.
 // With the dummy-first policy, reserved dummies are used before green
 // blocks so that green fetches (which grow the stash) happen only when
@@ -246,13 +240,6 @@ func (b *Bucket) selectDummyScratch(src *rng.Source, y int, uniform bool, sc *se
 	b.Slots[i].Valid = false
 	b.validMask &^= 1 << uint(i)
 	return i, InvalidBlock
-}
-
-// selectDummyBalanced is selectDummy with the choice within the eligible
-// pool delegated to pick. Hot paths should prefer
-// selectDummyBalancedScratch.
-func (b *Bucket) selectDummyBalanced(pick func(candidates []int) int, y int) (slot int, green BlockID) {
-	return b.selectDummyBalancedScratch(pick, y, &selectScratch{})
 }
 
 // selectDummyBalancedScratch is selectDummyScratch with the choice within
@@ -305,25 +292,6 @@ func (b *Bucket) consumeReal(slot int) BlockID {
 	return id
 }
 
-// residentBlocks appends the IDs of all real blocks still resident (valid)
-// in the bucket to dst. Invalid real slots no longer hold a block: reading
-// a slot moves its block to the stash.
-func (b *Bucket) residentBlocks(dst []BlockID) []BlockID {
-	if b.maskable() {
-		b.checkMasks()
-		for m := b.realMask & b.validMask; m != 0; m &= m - 1 {
-			dst = append(dst, b.Slots[bits.TrailingZeros64(m)].ID)
-		}
-		return dst
-	}
-	for i := range b.Slots {
-		if b.Slots[i].Real && b.Slots[i].Valid {
-			dst = append(dst, b.Slots[i].ID)
-		}
-	}
-	return dst
-}
-
 // shuffleScratch holds the permutation and target scratch reused across
 // bucket reshuffles. The zero value is ready to use.
 type shuffleScratch struct {
@@ -341,12 +309,6 @@ func (sc *shuffleScratch) grow(slots, nBlocks int) (perm, target []int) {
 		sc.target = make([]int, nBlocks)
 	}
 	return sc.perm[:slots], sc.target[:nBlocks]
-}
-
-// reshuffle rewrites the bucket with the given real blocks using a fresh
-// scratch. Hot paths should prefer reshuffleScratch.
-func (b *Bucket) reshuffle(blocks []BlockID, src *rng.Source) []int {
-	return b.reshuffleScratch(blocks, src, &shuffleScratch{})
 }
 
 // reshuffleScratch rewrites the bucket with the given real blocks (at

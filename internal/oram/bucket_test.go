@@ -24,7 +24,7 @@ func TestReshufflePlacesBlocks(t *testing.T) {
 	src := rng.New(1)
 	b := newBucket(12)
 	blocks := []BlockID{10, 20, 30}
-	targets := b.reshuffle(blocks, src)
+	targets := b.reshuffleScratch(blocks, src, &shuffleScratch{})
 	if len(targets) != 3 {
 		t.Fatalf("targets = %v", targets)
 	}
@@ -47,7 +47,7 @@ func TestReshuffleResetsCounters(t *testing.T) {
 	b := newBucket(8)
 	b.Count = 7
 	b.Green = 3
-	b.reshuffle(nil, src)
+	b.reshuffleScratch(nil, src, &shuffleScratch{})
 	if b.Count != 0 || b.Green != 0 {
 		t.Fatalf("counters not reset: count=%d green=%d", b.Count, b.Green)
 	}
@@ -59,7 +59,7 @@ func TestReshufflePermutationVaries(t *testing.T) {
 	const trials = 50
 	for i := 0; i < trials; i++ {
 		b := newBucket(12)
-		targets := b.reshuffle([]BlockID{1, 2, 3, 4}, src)
+		targets := b.reshuffleScratch([]BlockID{1, 2, 3, 4}, src, &shuffleScratch{})
 		if targets[0] == 0 && targets[1] == 1 && targets[2] == 2 && targets[3] == 3 {
 			same++
 		}
@@ -76,13 +76,13 @@ func TestReshuffleTooManyBlocksPanics(t *testing.T) {
 		}
 	}()
 	b := newBucket(2)
-	b.reshuffle([]BlockID{1, 2, 3}, rng.New(1))
+	b.reshuffleScratch([]BlockID{1, 2, 3}, rng.New(1), &shuffleScratch{})
 }
 
 func TestConsumeReal(t *testing.T) {
 	src := rng.New(4)
 	b := newBucket(6)
-	b.reshuffle([]BlockID{42}, src)
+	b.reshuffleScratch([]BlockID{42}, src, &shuffleScratch{})
 	s := b.findBlock(42)
 	id := b.consumeReal(s)
 	if id != 42 {
@@ -104,9 +104,9 @@ func TestSelectDummyPrefersReservedDummies(t *testing.T) {
 	// Z=4 reals, 4 reserved dummies, Y=4 budget, dummy-first policy:
 	// the first 4 selections must all be reserved dummies.
 	b := newBucket(8)
-	b.reshuffle([]BlockID{1, 2, 3, 4}, src)
+	b.reshuffleScratch([]BlockID{1, 2, 3, 4}, src, &shuffleScratch{})
 	for i := 0; i < 4; i++ {
-		_, green := b.selectDummy(src, 4, false)
+		_, green := b.selectDummyScratch(src, 4, false, &selectScratch{})
 		if green != InvalidBlock {
 			t.Fatalf("selection %d consumed a green block while reserved dummies remained", i)
 		}
@@ -116,7 +116,7 @@ func TestSelectDummyPrefersReservedDummies(t *testing.T) {
 	}
 	// Now only green blocks remain eligible.
 	for i := 0; i < 4; i++ {
-		_, green := b.selectDummy(src, 4, false)
+		_, green := b.selectDummyScratch(src, 4, false, &selectScratch{})
 		if green == InvalidBlock {
 			t.Fatalf("selection %d should have consumed a green block", i)
 		}
@@ -129,12 +129,12 @@ func TestSelectDummyPrefersReservedDummies(t *testing.T) {
 func TestSelectDummyRespectsGreenBudget(t *testing.T) {
 	src := rng.New(6)
 	b := newBucket(8)
-	b.reshuffle([]BlockID{1, 2, 3, 4}, src)
+	b.reshuffleScratch([]BlockID{1, 2, 3, 4}, src, &shuffleScratch{})
 	// Exhaust the 4 reserved dummies, then Y=1 allows one green.
 	for i := 0; i < 4; i++ {
-		b.selectDummy(src, 1, false)
+		b.selectDummyScratch(src, 1, false, &selectScratch{})
 	}
-	if _, green := b.selectDummy(src, 1, false); green == InvalidBlock {
+	if _, green := b.selectDummyScratch(src, 1, false, &selectScratch{}); green == InvalidBlock {
 		t.Fatal("expected a green selection")
 	}
 	if b.canServe(false, 100, 1) {
@@ -146,24 +146,24 @@ func TestSelectDummyPanicsWhenExhausted(t *testing.T) {
 	src := rng.New(7)
 	b := newBucket(4)
 	for i := 0; i < 4; i++ {
-		b.selectDummy(src, 0, false)
+		b.selectDummyScratch(src, 0, false, &selectScratch{})
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on exhausted bucket")
 		}
 	}()
-	b.selectDummy(src, 0, false)
+	b.selectDummyScratch(src, 0, false, &selectScratch{})
 }
 
 func TestSelectDummyNeverReusesSlot(t *testing.T) {
 	err := quick.Check(func(seed uint32) bool {
 		s := rng.New(uint64(seed))
 		b := newBucket(10)
-		b.reshuffle([]BlockID{1, 2, 3}, s)
+		b.reshuffleScratch([]BlockID{1, 2, 3}, s, &shuffleScratch{})
 		seen := make(map[int]bool)
 		for b.canServe(false, 100, 3) {
-			slot, _ := b.selectDummy(s, 3, false)
+			slot, _ := b.selectDummyScratch(s, 3, false, &selectScratch{})
 			if seen[slot] {
 				return false
 			}
@@ -183,8 +183,8 @@ func TestSelectDummyUniformUsesGreensEarly(t *testing.T) {
 	greens := 0
 	for trial := 0; trial < 200; trial++ {
 		b := newBucket(12)
-		b.reshuffle([]BlockID{1, 2, 3, 4, 5, 6, 7, 8}, src)
-		if _, g := b.selectDummy(src, 8, true); g != InvalidBlock {
+		b.reshuffleScratch([]BlockID{1, 2, 3, 4, 5, 6, 7, 8}, src, &shuffleScratch{})
+		if _, g := b.selectDummyScratch(src, 8, true, &selectScratch{}); g != InvalidBlock {
 			greens++
 		}
 	}
@@ -199,7 +199,7 @@ func TestSelectDummyUniformUsesGreensEarly(t *testing.T) {
 func TestCanServe(t *testing.T) {
 	src := rng.New(10)
 	b := newBucket(6) // Z=2 reals below, 4 dummies
-	b.reshuffle([]BlockID{1, 2}, src)
+	b.reshuffleScratch([]BlockID{1, 2}, src, &shuffleScratch{})
 
 	if !b.canServe(true, 8, 0) {
 		t.Error("bucket with target must serve")
@@ -215,7 +215,7 @@ func TestCanServe(t *testing.T) {
 
 	// Exhaust dummies.
 	for i := 0; i < 4; i++ {
-		b.selectDummy(src, 0, false)
+		b.selectDummyScratch(src, 0, false, &selectScratch{})
 	}
 	if b.canServe(false, 8, 0) {
 		t.Error("no dummies, no green budget: must not serve")
@@ -234,17 +234,12 @@ func TestCanServe(t *testing.T) {
 func TestResidentBlocks(t *testing.T) {
 	src := rng.New(11)
 	b := newBucket(8)
-	b.reshuffle([]BlockID{5, 6, 7}, src)
+	b.reshuffleScratch([]BlockID{5, 6, 7}, src, &shuffleScratch{})
 	b.consumeReal(b.findBlock(6))
-	got := b.residentBlocks(nil)
-	if len(got) != 2 {
-		t.Fatalf("residentBlocks = %v, want 2 entries", got)
+	if n := b.realBlocks(); n != 2 {
+		t.Fatalf("%d blocks resident after consuming one of three, want 2", n)
 	}
-	seen := map[BlockID]bool{}
-	for _, id := range got {
-		seen[id] = true
-	}
-	if !seen[5] || !seen[7] || seen[6] {
-		t.Fatalf("residentBlocks = %v, want {5,7}", got)
+	if b.findBlock(5) < 0 || b.findBlock(7) < 0 || b.findBlock(6) >= 0 {
+		t.Fatalf("resident set is not {5,7}: slots %+v", b.Slots)
 	}
 }

@@ -2,8 +2,8 @@ package oram
 
 import (
 	"fmt"
-	"slices"
 
+	"stringoram/internal/config"
 	"stringoram/internal/rng"
 )
 
@@ -13,34 +13,20 @@ import (
 // so the total bandwidth per access is 2*Z*(L+1) blocks, versus Ring
 // ORAM's (L+1) + 2*(Z+S)*(L+1)/A amortized.
 //
-// The implementation exists for the paper's introductory bandwidth
-// comparison (Ring ORAM's 2.3-4x overall and, with the XOR technique,
-// >60x online improvement) and as an independently tested substrate.
+// It is a client of the Ring's eviction machinery: one access is the
+// shared core's drain of the requested path, a remap, and the core's
+// refill of the same path (plane.go) — Ring ORAM's EvictPath on the
+// block's own path instead of the next reverse-lexicographic one. The
+// controller exists for the paper's introductory bandwidth comparison
+// (Ring ORAM's 2.3-4x overall and, with the XOR technique, >60x online
+// improvement) and as an independently tested substrate.
 type Path struct {
-	z      int
-	levels int
-	block  int
-
-	tree    Tree
-	pos     *PositionMap
-	stash   *Stash
-	buckets map[int64]*Bucket
-
-	store Store
-	crypt *Crypt
-
-	permSrc *rng.Source
-	stats   Stats
-
-	pathBuf []int64
-	// scr reuses the Ring controller's scratch layout; the XOR and
-	// dummy-selection fields stay unused (Path ORAM has neither).
-	scr ringScratch
+	treeCore
 }
 
 // NewPath returns a Path ORAM controller with Z-slot buckets over a tree
-// with the given number of levels. opts may be nil; XOR and
-// OnStashSample are ignored (Path ORAM has no dummy selection).
+// with the given number of levels. opts may be nil; only Store and Crypt
+// are read (Path ORAM has no dummy selection, XOR or treetop data cache).
 func NewPath(z, levels, blockSize, stashSize int, seed uint64, opts *Options) (*Path, error) {
 	switch {
 	case z <= 0:
@@ -55,70 +41,10 @@ func NewPath(z, levels, blockSize, stashSize int, seed uint64, opts *Options) (*
 	if opts == nil {
 		opts = &Options{}
 	}
+	// A Path ORAM bucket is a Ring bucket with no reserved dummies.
+	cfg := config.ORAM{Z: z, Levels: levels, BlockSize: blockSize, StashSize: stashSize}
 	root := rng.New(seed)
-	p := &Path{
-		z: z, levels: levels, block: blockSize,
-		tree:    NewTree(levels),
-		stash:   NewStash(stashSize),
-		buckets: make(map[int64]*Bucket),
-		store:   opts.Store,
-		crypt:   opts.Crypt,
-		permSrc: root.Fork(),
-	}
-	p.pos = NewPositionMap(p.tree.Leaves(), root.Fork())
-	return p, nil
-}
-
-// Stats returns a snapshot of the protocol counters.
-func (p *Path) Stats() Stats { return p.stats }
-
-// StashLen returns the current stash occupancy.
-func (p *Path) StashLen() int { return p.stash.Len() }
-
-func (p *Path) bucket(idx int64) *Bucket {
-	b, ok := p.buckets[idx]
-	if !ok {
-		b = newBucket(p.z)
-		p.buckets[idx] = b
-	}
-	return b
-}
-
-// getBlockBuf and putBlockBuf mirror Ring's plaintext-buffer recycling.
-func (p *Path) getBlockBuf() []byte {
-	if n := len(p.scr.blockPool); n > 0 {
-		buf := p.scr.blockPool[n-1]
-		p.scr.blockPool[n-1] = nil
-		p.scr.blockPool = p.scr.blockPool[:n-1]
-		return buf
-	}
-	return make([]byte, p.block)
-}
-
-func (p *Path) putBlockBuf(buf []byte) {
-	if cap(buf) < p.block {
-		return
-	}
-	p.scr.blockPool = append(p.scr.blockPool, buf[:p.block])
-}
-
-// sealedForStore seals (or copies) plaintext into the seal scratch; nil
-// means dummy. Valid until the next seal — stores copy (see Store).
-func (p *Path) sealedForStore(plaintext []byte) []byte {
-	if p.crypt != nil {
-		p.scr.sealBuf = p.crypt.SealInto(p.scr.sealBuf, plaintext)
-		return p.scr.sealBuf
-	}
-	if plaintext == nil {
-		buf := ensure(p.scr.sealBuf, p.block)
-		clear(buf)
-		p.scr.sealBuf = buf
-		return buf
-	}
-	buf := ensure(p.scr.sealBuf, len(plaintext))
-	copy(buf, plaintext)
-	p.scr.sealBuf = buf
-	return buf
+	return &Path{newTreeCore(cfg, opts.Store, opts.Crypt, root.Fork(), root.Fork())}, nil
 }
 
 // Read fetches a logical block. The returned data and ops alias
@@ -145,8 +71,8 @@ func (p *Path) Access(id BlockID, write bool, data []byte) ([]byte, []Op, error)
 		return nil, nil, fmt.Errorf("oram: negative block id %d", id)
 	}
 	if write {
-		if p.store != nil && len(data) != p.block {
-			return nil, nil, fmt.Errorf("oram: write of %d bytes, want %d", len(data), p.block)
+		if p.store != nil && len(data) != p.cfg.BlockSize {
+			return nil, nil, fmt.Errorf("oram: write of %d bytes, want %d", len(data), p.cfg.BlockSize)
 		}
 		p.stats.Writes++
 	} else {
@@ -163,92 +89,27 @@ func (p *Path) Access(id BlockID, write bool, data []byte) ([]byte, []Op, error)
 	p.scr.ops = p.scr.ops[:0]
 	op := takeOp(&p.scr.ops, OpReadPath, leaf)
 
-	// Read phase: the full path (Z slots per bucket) moves to the stash.
+	// Read phase: all Z slots of every bucket on the path are read, in
+	// ascending order, and the reals among them move to the stash.
 	for lvl, idx := range path {
-		b := p.bucket(idx)
+		b, _ := p.materialize(idx)
 		for s := range b.Slots {
 			op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: lvl, Slot: s, Write: false})
-			if b.Slots[s].Real && b.Slots[s].Valid { //oramlint:allow secret-branch the access was already emitted unconditionally one line up; the branch only moves real contents into the stash
-				bid := b.Slots[s].ID
-				bp, ok := p.pos.Lookup(bid)
-				if !ok {
-					panic(fmt.Sprintf("oram: resident block %d unmapped", bid))
-				}
-				blkData, err := p.readSlotData(idx, s)
-				if err != nil {
-					panic(err)
-				}
-				p.putBlockBuf(p.stash.Put(bid, bp, blkData))
-				b.consumeReal(s)
-			}
 		}
+		p.drainBucket(idx, b)
 	}
 
 	newLeaf := p.pos.Remap(id)
-	if !p.stash.Contains(id) { //oramlint:allow secret-branch stash bookkeeping between the fixed read and write phases; neither arm emits accesses
-		p.stash.Put(id, newLeaf, nil)
-	}
-	p.stash.SetPath(id, newLeaf)
-	if write {
-		var stored []byte
-		if p.store != nil {
-			stored = p.getBlockBuf()
-			copy(stored, data)
-		}
-		p.putBlockBuf(p.stash.Put(id, newLeaf, stored))
-	}
+	p.remapToStash(id, newLeaf)
 	var out []byte
-	if !write && p.store != nil {
-		blk := p.stash.Get(id)
-		out = ensure(p.scr.outBuf, p.block)
-		p.scr.outBuf = out
-		if blk == nil {
-			clear(out)
-		} else {
-			copy(out, blk)
-		}
+	if write {
+		p.stashStore(id, newLeaf, data)
+	} else if p.store != nil {
+		out = p.snapshotOut(id)
 	}
 
 	// Write phase: greedy deepest placement back along the same path.
-	placed := p.placeForPath(leaf, path)
-	for lvl, idx := range path {
-		b := p.bucket(idx)
-		ids := placed[lvl]
-		blockData := p.scr.refs[:0]
-		for _, bid := range ids {
-			blockData = append(blockData, p.stash.Remove(bid))
-		}
-		p.scr.refs = blockData
-		targets := b.reshuffleScratch(ids, p.permSrc, &p.scr.shuf)
-		if p.store != nil {
-			owner := p.scr.slotOwner
-			if cap(owner) < len(b.Slots) {
-				owner = make([]int, len(b.Slots))
-			}
-			owner = owner[:len(b.Slots)]
-			p.scr.slotOwner = owner
-			for s := range owner {
-				owner[s] = -1
-			}
-			for i, s := range targets {
-				owner[s] = i
-			}
-			for s := range b.Slots {
-				if i := owner[s]; i >= 0 {
-					p.store.WriteSlot(idx, s, p.sealedForStore(blockData[i]))
-				} else {
-					p.store.WriteSlot(idx, s, p.sealedForStore(nil))
-				}
-			}
-		}
-		for s := range b.Slots {
-			op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: lvl, Slot: s, Write: true})
-		}
-		for i := range blockData {
-			p.putBlockBuf(blockData[i])
-			blockData[i] = nil
-		}
-	}
+	p.refillPath(op, leaf, path)
 
 	p.stats.ReadPaths++
 	// The read phase is online; the write-back phase is accounted like
@@ -266,88 +127,5 @@ func (p *Path) Access(id BlockID, write bool, data []byte) ([]byte, []Op, error)
 	return out, p.scr.ops, nil
 }
 
-// readSlotData pulls a slot's plaintext into a pool buffer; nil store
-// yields nil. Ownership of the returned buffer transfers to the caller.
-func (p *Path) readSlotData(bucket int64, slot int) ([]byte, error) {
-	if p.store == nil {
-		return nil, nil
-	}
-	sealed := p.store.ReadSlot(bucket, slot)
-	buf := p.getBlockBuf()
-	if sealed == nil {
-		clear(buf)
-		return buf, nil
-	}
-	if p.crypt != nil {
-		return p.crypt.OpenInto(buf, sealed)
-	}
-	buf = ensure(buf, len(sealed))
-	copy(buf, sealed)
-	return buf, nil
-}
-
-// placeForPath assigns stash blocks to path buckets, deepest-first, at
-// most Z per bucket. The returned slices alias per-level scratch reused
-// by the next access.
-func (p *Path) placeForPath(leaf PathID, path []int64) [][]BlockID {
-	L := len(path) - 1
-	byLevel := p.scr.byLevel
-	if cap(byLevel) < L+1 {
-		byLevel = make([][]BlockID, L+1)
-	}
-	byLevel = byLevel[:L+1]
-	for i := range byLevel {
-		byLevel[i] = byLevel[i][:0]
-	}
-	for id, e := range p.stash.entries {
-		//oramlint:allow maprange CommonLevel is a pure function of (leaf, path) with no side effects, so call order is irrelevant
-		lvl := p.tree.CommonLevel(leaf, e.path)
-		byLevel[lvl] = append(byLevel[lvl], id) //oramlint:allow maprange entries are bucketed per level and sorted below, so placement is independent of iteration order
-	}
-	// Keep placement deterministic despite map iteration order.
-	for _, ids := range byLevel {
-		slices.Sort(ids)
-	}
-	placed := p.scr.placed
-	if cap(placed) < L+1 {
-		placed = make([][]BlockID, L+1)
-	}
-	placed = placed[:L+1]
-	var carry []BlockID
-	for lvl := L; lvl >= 0; lvl-- {
-		pool := append(byLevel[lvl], carry...)
-		byLevel[lvl] = pool // keep the grown capacity for next time
-		n := len(pool)
-		if n > p.z {
-			n = p.z
-		}
-		placed[lvl] = pool[:n]
-		carry = pool[n:]
-	}
-	p.scr.byLevel = byLevel
-	p.scr.placed = placed
-	return placed
-}
-
 // CheckInvariants verifies Path ORAM's location invariant for tests.
-func (p *Path) CheckInvariants() error {
-	var err error
-	p.pos.ForEach(func(id BlockID, leaf PathID) {
-		if err != nil {
-			return
-		}
-		locations := 0
-		if p.stash.Contains(id) {
-			locations++
-		}
-		for _, idx := range p.tree.Path(leaf, nil) {
-			if b, ok := p.buckets[idx]; ok && b.findBlock(id) >= 0 {
-				locations++
-			}
-		}
-		if locations != 1 {
-			err = fmt.Errorf("oram: path-oram block %d found in %d locations", id, locations)
-		}
-	})
-	return err
-}
+func (p *Path) CheckInvariants() error { return p.checkLocations() }

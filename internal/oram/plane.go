@@ -1,129 +1,445 @@
 package oram
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
 
-// Data movement of the Ring protocol engine. Every decision the protocol
-// makes — which paths to read, which slots to touch, how buckets
-// reshuffle, where the RNG stream advances — is metadata-only and never
-// depends on block contents; the methods here carry out the block
-// movement those decisions imply, between the store, the stash and the
-// treetop cache. writeReal and writeDummy are called in ascending slot
-// order, so the counter-mode sealer binds one fresh counter per call.
+	"stringoram/internal/config"
+	"stringoram/internal/invariant"
+	"stringoram/internal/rng"
+)
+
+// The tree-ORAM core. Ring ORAM and Path ORAM keep the same things — a
+// bucket tree, a position map, a stash, an untrusted store behind a
+// sealer — and move blocks the same way: a bucket's resident reals drain
+// into the stash, stash blocks are placed back along a path as deep as
+// their own paths allow, and a refilled bucket is rewritten whole under a
+// fresh permutation. Path ORAM's access is exactly Ring ORAM's EvictPath
+// run on the requested path, so both controllers embed treeCore and keep
+// only what differs: which slots an operation *reports* reading, the
+// Ring's read path with its dummy selection, and each one's Stats.
+//
+// Every decision the protocols make — which paths to read, which slots to
+// touch, how buckets reshuffle, where the RNG streams advance — is
+// metadata-only and never depends on block contents; the methods here
+// carry out the block movement those decisions imply, between the store,
+// the stash and the treetop cache. writeReal and writeDummy are called in
+// ascending slot order, so the counter-mode sealer binds one fresh
+// counter per call.
+
+// treeScratch groups the buffers the core reuses across accesses so the
+// steady-state data plane allocates nothing. Everything here is owned by
+// the controller's single goroutine; slices handed to the caller (the ops
+// list, the returned data) alias these fields and stay valid only until
+// the next operation on the same controller. Fields holding plaintext
+// block contents are tagged secret like the stash they mirror.
+type treeScratch struct {
+	// ops is the operation list one access builds and returns. Op entries
+	// are reused index-for-index, so each index's Accesses backing array
+	// survives across accesses.
+	ops []Op `oramlint:"scratch"`
+	// outBuf carries the plaintext handed back to the caller.
+	outBuf []byte `oramlint:"secret,scratch"`
+	// sealBuf receives sealed bytes on their way into the store; stores
+	// copy (see Store), so one buffer serves every write.
+	sealBuf []byte `oramlint:"scratch"`
+	// dummySeal receives deterministic dummy ciphertexts.
+	dummySeal []byte `oramlint:"scratch"`
+	// blockPool recycles plaintext block buffers circulating between the
+	// store, the stash and the controller.
+	blockPool [][]byte `oramlint:"secret,scratch"`
+	// shuf is the reshuffle scratch.
+	shuf shuffleScratch
+	// readSlots and blocks list the slots one bucket drain read and the
+	// blocks it moved; refs holds a refill's plaintext buffers.
+	readSlots []int
+	blocks    []BlockID `oramlint:"secret,scratch"`
+	refs      [][]byte  `oramlint:"secret,scratch"`
+	// byLevel and placed are the placement tables, one slot per tree
+	// level.
+	byLevel [][]BlockID `oramlint:"secret"`
+	placed  [][]BlockID `oramlint:"secret"`
+	// slotOwner maps physical slot -> index into a refill's block list
+	// (-1 for dummies).
+	slotOwner []int
+}
+
+// treeCore is the state and data movement shared by the Ring and Path
+// controllers (see the file comment). It is not safe for concurrent use.
+type treeCore struct {
+	// cfg is the geometry: Z, SlotsPerBucket, Levels, BlockSize,
+	// StashSize and TreeTopCacheLevels are what the core reads. A Path
+	// ORAM bucket is a Ring bucket with no reserved dummies (S = Y = 0).
+	cfg  config.ORAM
+	tree Tree
+
+	pos     *PositionMap
+	stash   *Stash
+	buckets map[int64]*Bucket
+
+	store Store
+	crypt *Crypt
+
+	permSrc *rng.Source // bucket permutations
+	stats   Stats
+
+	// tt is the treetop data cache (nil when disabled); see treetop.go.
+	tt *treetopCache
+
+	pathBuf []int64 // scratch for path walks
+	scr     treeScratch
+}
+
+// newTreeCore builds the shared controller state: the one constructor
+// behind NewRing, NewPath and Load.
+func newTreeCore(cfg config.ORAM, store Store, crypt *Crypt, permSrc, posSrc *rng.Source) treeCore {
+	tree := NewTree(cfg.Levels)
+	return treeCore{
+		cfg:     cfg,
+		tree:    tree,
+		pos:     NewPositionMap(tree.Leaves(), posSrc),
+		stash:   NewStash(cfg.StashSize),
+		buckets: make(map[int64]*Bucket),
+		store:   store,
+		crypt:   crypt,
+		permSrc: permSrc,
+	}
+}
+
+// Stats returns a snapshot of the protocol counters.
+func (c *treeCore) Stats() Stats { return c.stats }
+
+// StashLen returns the current stash occupancy in blocks.
+func (c *treeCore) StashLen() int { return c.stash.Len() }
+
+// materialize returns the bucket at the given global index, creating a
+// fresh all-dummy bucket on first touch (reported by fresh).
+func (c *treeCore) materialize(idx int64) (b *Bucket, fresh bool) {
+	b, ok := c.buckets[idx]
+	if !ok {
+		b = newBucket(c.cfg.SlotsPerBucket())
+		c.buckets[idx] = b
+	}
+	return b, !ok
+}
+
+// emitFrom returns the first tree level that generates DRAM traffic;
+// levels above it are held in the on-chip tree-top cache.
+func (c *treeCore) emitFrom() int { return c.cfg.TreeTopCacheLevels }
+
+// getBlockBuf returns a BlockSize plaintext buffer from the recycle pool,
+// allocating only when the pool is dry.
+func (c *treeCore) getBlockBuf() []byte {
+	if n := len(c.scr.blockPool); n > 0 {
+		buf := c.scr.blockPool[n-1]
+		c.scr.blockPool[n-1] = nil
+		c.scr.blockPool = c.scr.blockPool[:n-1]
+		return buf
+	}
+	return make([]byte, c.cfg.BlockSize)
+}
+
+// putBlockBuf returns a plaintext buffer to the recycle pool. nil and
+// foreign-sized buffers are dropped, so callers can pass any displaced
+// slice unconditionally.
+func (c *treeCore) putBlockBuf(buf []byte) {
+	if cap(buf) < c.cfg.BlockSize {
+		return
+	}
+	c.scr.blockPool = append(c.scr.blockPool, buf[:c.cfg.BlockSize])
+}
+
+// sealedForStore seals (or copies) plaintext for storage into the
+// controller's seal scratch; nil means dummy. The returned slice is valid
+// until the next seal — stores copy it (see Store).
+func (c *treeCore) sealedForStore(plaintext []byte) []byte {
+	if c.crypt != nil {
+		c.scr.sealBuf = c.crypt.SealInto(c.scr.sealBuf, plaintext)
+		return c.scr.sealBuf
+	}
+	if plaintext == nil {
+		buf := ensure(c.scr.sealBuf, c.cfg.BlockSize)
+		clear(buf)
+		c.scr.sealBuf = buf
+		return buf
+	}
+	buf := ensure(c.scr.sealBuf, len(plaintext))
+	copy(buf, plaintext)
+	c.scr.sealBuf = buf
+	return buf
+}
+
+// readSlotData pulls a real block's plaintext out of the store into a
+// pool buffer; nil store yields nil (timing-only mode). Ownership of the
+// returned buffer transfers to the caller (usually straight into the
+// stash).
+func (c *treeCore) readSlotData(bucket int64, slot int) ([]byte, error) {
+	if c.store == nil {
+		return nil, nil
+	}
+	sealed := c.store.ReadSlot(bucket, slot)
+	buf := c.getBlockBuf()
+	if sealed == nil {
+		clear(buf)
+		return buf, nil
+	}
+	if c.crypt != nil {
+		return c.crypt.OpenInto(buf, sealed)
+	}
+	buf = ensure(buf, len(sealed))
+	copy(buf, sealed)
+	return buf, nil
+}
 
 // fetchToStash moves one real block's plaintext from the store slot into
 // the stash under (id, p).
-func (r *Ring) fetchToStash(bucket int64, slot int, id BlockID, p PathID) {
+func (c *treeCore) fetchToStash(bucket int64, slot int, id BlockID, p PathID) {
 	// Treetop elision: every access's path crosses every cached level,
 	// so serving those uniform per-level operations from controller
 	// memory instead of the bus is invisible to the adversary (the op
 	// trace already excludes cached levels); the branch keys on the
 	// bucket index, which the emitted op list makes public.
-	if r.tt.cached(bucket) {
-		r.ttFetch(bucket, slot, id, p)
+	if c.tt.cached(bucket) {
+		c.ttFetch(bucket, slot, id, p)
 		return
 	}
-	data, err := r.readSlotData(bucket, slot)
+	data, err := c.readSlotData(bucket, slot)
 	if err != nil {
 		panic(err) // corrupt store contents; unreachable with MemStore
 	}
-	r.putBlockBuf(r.stash.Put(id, p, data))
-}
-
-// xorFoldSlot folds one selected slot's ciphertext into the XOR
-// accumulator, canceling deterministic dummy ciphertexts as it goes.
-func (r *Ring) xorFoldSlot(bucket int64, slot int, isDummy bool, epoch int) {
-	r.ttAssertUncached(bucket, "xorFoldSlot") // XOR folding starts at emitFrom
-	sealed := r.store.ReadSlot(bucket, slot)
-	if sealed == nil {
-		// A never-written slot contributes nothing, and the controller
-		// knows it (slot epochs are controller state).
-		return
-	}
-	if len(r.scr.xorAcc) == 0 {
-		r.scr.xorAcc = append(r.scr.xorAcc, sealed...)
-	} else {
-		XORBlocks(r.scr.xorAcc, sealed)
-	}
-	if isDummy {
-		r.scr.dummySeal = r.crypt.SealDummyInto(r.scr.dummySeal, bucket, slot, epoch)
-		XORBlocks(r.scr.xorAcc, r.scr.dummySeal)
-	}
-}
-
-// xorFinishToStash decodes the XOR accumulator and stashes the recovered
-// target under (id, p).
-func (r *Ring) xorFinishToStash(id BlockID, p PathID) {
-	data, err := r.crypt.OpenInto(r.getBlockBuf(), r.scr.xorAcc)
-	if err != nil {
-		panic(fmt.Sprintf("oram: XOR decode of block %d: %v", id, err))
-	}
-	r.putBlockBuf(r.stash.Put(id, p, data))
-}
-
-// reshuffleFetch reads one slot's plaintext into a pool buffer held for
-// the same operation's bucket rewrite.
-func (r *Ring) reshuffleFetch(bucket int64, slot int) []byte {
-	r.ttAssertUncached(bucket, "reshuffleFetch") // early reshuffles start at emitFrom
-	data, err := r.readSlotData(bucket, slot)
-	if err != nil {
-		panic(err)
-	}
-	return data
+	c.putBlockBuf(c.stash.Put(id, p, data))
 }
 
 // writeReal seals src (nil means a zero block) and writes it to the slot.
-func (r *Ring) writeReal(bucket int64, slot int, src []byte) {
+func (c *treeCore) writeReal(bucket int64, slot int, src []byte) {
 	// Treetop elision: the eviction rewrites every slot of every bucket
 	// on its path regardless of contents, so absorbing the cached
 	// levels' uniform writes into controller memory (flushed sealed
 	// under reserved counters at snapshot epochs) changes no
 	// bus-visible behaviour; the bucket index is public.
-	if r.tt.cached(bucket) {
-		r.ttWriteReal(bucket, slot, src)
+	if c.tt.cached(bucket) {
+		c.ttWriteReal(bucket, slot, src)
 		return
 	}
-	r.store.WriteSlot(bucket, slot, r.sealedForStore(src))
+	c.store.WriteSlot(bucket, slot, c.sealedForStore(src))
 }
 
 // writeDummy writes the slot's deterministic dummy ciphertext (or a zero
 // block without a Crypt).
-func (r *Ring) writeDummy(bucket int64, slot int, epoch int) {
-	if r.tt.cached(bucket) {
-		r.ttWriteDummy(bucket, slot, epoch)
+func (c *treeCore) writeDummy(bucket int64, slot int, epoch int) {
+	if c.tt.cached(bucket) {
+		c.ttWriteDummy(bucket, slot, epoch)
 		return
 	}
-	if r.crypt != nil {
+	if c.crypt != nil {
 		// Dummies seal deterministically per (bucket, slot, epoch) so
 		// XOR reads can cancel them; each epoch is written once, so
 		// bus-visible ciphertexts are still always fresh.
-		r.scr.dummySeal = r.crypt.SealDummyInto(r.scr.dummySeal, bucket, slot, epoch)
-		r.store.WriteSlot(bucket, slot, r.scr.dummySeal)
+		c.scr.dummySeal = c.crypt.SealDummyInto(c.scr.dummySeal, bucket, slot, epoch)
+		c.store.WriteSlot(bucket, slot, c.scr.dummySeal)
 	} else {
-		r.store.WriteSlot(bucket, slot, r.sealedForStore(nil))
+		c.store.WriteSlot(bucket, slot, c.sealedForStore(nil))
 	}
 }
 
 // stashStore copies caller data into the stash under (id, p), recycling
 // any displaced buffer.
-func (r *Ring) stashStore(id BlockID, p PathID, data []byte) {
+func (c *treeCore) stashStore(id BlockID, p PathID, data []byte) {
 	var stored []byte
-	if r.store != nil {
-		stored = r.getBlockBuf()
+	if c.store != nil {
+		stored = c.getBlockBuf()
 		copy(stored, data)
 	}
-	r.putBlockBuf(r.stash.Put(id, p, stored))
+	c.putBlockBuf(c.stash.Put(id, p, stored))
 }
 
 // snapshotOut captures the block's current contents into the response
 // scratch and returns it.
-func (r *Ring) snapshotOut(id BlockID) []byte {
-	cur := r.stash.Get(id)
-	out := ensure(r.scr.outBuf, r.cfg.BlockSize)
-	r.scr.outBuf = out
+func (c *treeCore) snapshotOut(id BlockID) []byte {
+	cur := c.stash.Get(id)
+	out := ensure(c.scr.outBuf, c.cfg.BlockSize)
+	c.scr.outBuf = out
 	if cur == nil {
 		clear(out)
 	} else {
 		copy(out, cur)
 	}
 	return out
+}
+
+// remapToStash is the remap-on-access step between an access's read and
+// write phases: the block takes newPath and logically lives in the stash
+// (materialized empty on its first-ever access) until a write phase
+// places it back into the tree.
+func (c *treeCore) remapToStash(id BlockID, newPath PathID) {
+	if !c.stash.Contains(id) {
+		c.stash.Put(id, newPath, nil)
+	}
+	c.stash.SetPath(id, newPath)
+}
+
+// drainBucket moves every resident real block of b into the stash under
+// its mapped path. It returns the slots it read and the blocks they
+// held, both in ascending slot order and both aliasing scratch that the
+// next drain reuses. Which slots hold reals is secret, so this is data
+// movement only and emits nothing: the callers report a read set whose
+// size the geometry fixes (Z per bucket), and slot positions are a secret
+// uniform permutation refreshed every epoch.
+func (c *treeCore) drainBucket(idx int64, b *Bucket) (slots []int, ids []BlockID) {
+	slots, ids = c.scr.readSlots[:0], c.scr.blocks[:0]
+	for s := range b.Slots {
+		if b.Slots[s].Real && b.Slots[s].Valid {
+			id := b.Slots[s].ID
+			p, known := c.pos.Lookup(id)
+			if !known {
+				panic(fmt.Sprintf("oram: resident block %d unmapped", id))
+			}
+			c.fetchToStash(idx, s, id, p)
+			b.consumeReal(s)
+			slots, ids = append(slots, s), append(ids, id)
+		}
+	}
+	c.scr.readSlots, c.scr.blocks = slots, ids
+	return slots, ids
+}
+
+// placeOnPath assigns stash blocks to the buckets of path p, deepest-
+// first, at most Z per bucket: a stash block with assigned path q may sit
+// at any level <= CommonLevel(p, q). It returns one ID slice per level;
+// the slices alias per-level scratch reused by the next placement.
+// Whatever still carries past the root stays in the stash.
+func (c *treeCore) placeOnPath(p PathID) [][]BlockID {
+	levels := c.tree.Levels()
+	byLevel := c.scr.byLevel
+	if cap(byLevel) < levels {
+		byLevel = make([][]BlockID, levels)
+	}
+	byLevel = byLevel[:levels]
+	for i := range byLevel {
+		byLevel[i] = byLevel[i][:0]
+	}
+	for id, e := range c.stash.entries {
+		//oramlint:allow maprange CommonLevel is a pure function of (leaf, path) with no side effects, so call order is irrelevant
+		lvl := c.tree.CommonLevel(p, e.path)
+		byLevel[lvl] = append(byLevel[lvl], id) //oramlint:allow maprange entries are bucketed per level and sorted below, so placement is independent of iteration order
+	}
+	// Map iteration order is random; sort so runs are reproducible from
+	// the seed alone.
+	for _, ids := range byLevel {
+		slices.Sort(ids)
+	}
+	placed := c.scr.placed
+	if cap(placed) < levels {
+		placed = make([][]BlockID, levels)
+	}
+	placed = placed[:levels]
+	var carry []BlockID
+	for lvl := levels - 1; lvl >= 0; lvl-- {
+		pool := append(byLevel[lvl], carry...)
+		byLevel[lvl] = pool // keep the grown capacity for next time
+		n := len(pool)
+		if n > c.cfg.Z {
+			n = c.cfg.Z
+		}
+		placed[lvl] = pool[:n]
+		carry = pool[n:]
+	}
+	c.scr.byLevel = byLevel
+	c.scr.placed = placed
+	return placed
+}
+
+// refillPath is the write phase of an eviction along p, root to leaf:
+// stash blocks are placed as deep as they can go and every bucket on the
+// path is rewritten. The read phase on the same path comes first, so
+// every bucket on it is already materialized.
+func (c *treeCore) refillPath(op *Op, p PathID, path []int64) {
+	placed := c.placeOnPath(p)
+	for lvl, idx := range path {
+		c.refillBucket(op, idx, lvl, c.buckets[idx], placed[lvl])
+	}
+}
+
+// refillBucket rewrites one bucket with the given stash blocks (at most
+// Z) under a fresh permutation and fresh metadata: every physical slot is
+// written, real slots with re-sealed data and the rest with fresh dummy
+// ciphertext, in ascending physical order so the data plane sees a
+// deterministic seal sequence. The blocks leave the stash.
+func (c *treeCore) refillBucket(op *Op, idx int64, level int, b *Bucket, ids []BlockID) {
+	if invariant.Enabled {
+		invariant.Assertf(len(ids) <= c.cfg.Z, "bucket %d refilled with %d real blocks, Z=%d", idx, len(ids), c.cfg.Z)
+	}
+	refs := c.scr.refs[:0]
+	for _, id := range ids {
+		refs = append(refs, c.stash.Remove(id))
+	}
+	c.scr.refs = refs
+	targets := b.reshuffleScratch(ids, c.permSrc, &c.scr.shuf)
+	if c.store != nil {
+		owner := c.scr.slotOwner
+		if cap(owner) < len(b.Slots) {
+			owner = make([]int, len(b.Slots))
+		}
+		owner = owner[:len(b.Slots)]
+		c.scr.slotOwner = owner
+		for s := range owner {
+			owner[s] = -1
+		}
+		for i, s := range targets {
+			owner[s] = i
+		}
+		for s := range b.Slots {
+			if i := owner[s]; i >= 0 {
+				c.writeReal(idx, s, refs[i])
+			} else {
+				c.writeDummy(idx, s, b.Epoch)
+			}
+		}
+	}
+	if level >= c.emitFrom() {
+		for s := range b.Slots {
+			op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: level, Slot: s, Write: true})
+		}
+	}
+	// The plaintext was re-sealed into the store; recycle the buffers.
+	for i := range refs {
+		c.putBlockBuf(refs[i])
+		refs[i] = nil
+	}
+}
+
+// checkLocations verifies that every mapped block is in the stash or in
+// exactly one bucket, and that the bucket lies on the block's assigned
+// path. It is O(mapped blocks x path length) and intended for tests.
+func (c *treeCore) checkLocations() error {
+	var err error
+	c.pos.ForEach(func(id BlockID, p PathID) {
+		if err != nil {
+			return
+		}
+		locations := 0
+		if c.stash.Contains(id) {
+			locations++
+		}
+		for _, idx := range c.tree.Path(p, nil) {
+			if b, ok := c.buckets[idx]; ok && b.findBlock(id) >= 0 {
+				locations++
+			}
+		}
+		if locations != 1 {
+			// Remap happens when a block enters the stash and eviction
+			// re-places it on its new path, so a block is never resident
+			// off its path. Search the whole touched tree to distinguish
+			// "lost" from "misplaced".
+			where := "nowhere"
+			for _, idx := range sortedBucketIndices(c.buckets) {
+				if c.buckets[idx].findBlock(id) >= 0 {
+					where = fmt.Sprintf("bucket %d (level %d)", idx, c.tree.BucketLevel(idx))
+					break
+				}
+			}
+			err = fmt.Errorf("oram: block %d (path %d) found in %d locations; tree search: %s", id, p, locations, where)
+		}
+	})
+	return err
 }

@@ -22,9 +22,6 @@ func NewPositionMap(leaves int64, src *rng.Source) *PositionMap {
 	return &PositionMap{m: make(map[BlockID]PathID), leaves: leaves, src: src}
 }
 
-// Len returns the number of mapped blocks.
-func (pm *PositionMap) Len() int { return len(pm.m) }
-
 // Lookup returns the block's current path. known is false when the block
 // has never been accessed.
 func (pm *PositionMap) Lookup(id BlockID) (path PathID, known bool) {

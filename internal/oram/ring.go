@@ -57,65 +57,15 @@ type Options struct {
 	TreetopCache bool
 }
 
-// ringScratch groups the buffers the controller reuses across accesses so
-// the steady-state data plane allocates nothing. Everything here is owned
-// by the Ring's single goroutine; slices handed to the caller (the ops
-// list, the returned data) alias these fields and stay valid only until
-// the next operation on the same Ring. Fields holding plaintext block
-// contents are tagged secret like the stash they mirror.
-type ringScratch struct {
-	// ops is the operation list one access builds and returns. Op entries
-	// are reused index-for-index, so each index's Accesses backing array
-	// survives across accesses.
-	ops []Op `oramlint:"scratch"`
-	// outBuf carries the plaintext handed back to the caller.
-	outBuf []byte `oramlint:"secret,scratch"`
-	// updBuf carries the plaintext copy handed to Update callbacks.
-	updBuf []byte `oramlint:"secret,scratch"`
-	// sealBuf receives sealed bytes on their way into the store; stores
-	// copy (see Store), so one buffer serves every write.
-	sealBuf []byte `oramlint:"scratch"`
-	// dummySeal receives deterministic dummy ciphertexts.
-	dummySeal []byte `oramlint:"scratch"`
-	// xorAcc accumulates the XOR-combined ciphertext of a read path.
-	// Length zero marks "nothing folded yet".
-	xorAcc []byte `oramlint:"scratch"`
-	// blockPool recycles plaintext block buffers circulating between the
-	// store, the stash and the controller.
-	blockPool [][]byte `oramlint:"secret,scratch"`
-	// sel and shuf are the dummy-selection and reshuffle scratches.
-	sel  selectScratch
-	shuf shuffleScratch
-	// res, refs, blocks and readSlots serve reshuffles and evictions.
-	res       []residentBlock `oramlint:"secret,scratch"`
-	refs      [][]byte        `oramlint:"secret,scratch"`
-	blocks    []BlockID       `oramlint:"secret,scratch"`
-	readSlots []int
-	// byLevel and placed are the eviction placement tables, one slot per
-	// tree level.
-	byLevel [][]BlockID `oramlint:"secret"`
-	placed  [][]BlockID `oramlint:"secret"`
-	// slotOwner maps physical slot -> index into a bucket write's block
-	// list (-1 for dummies) during writeBucket.
-	slotOwner []int
-}
-
 // Ring is a Ring ORAM controller with the String ORAM Compact Bucket
-// extension. It is not safe for concurrent use; the secure processor
+// extension: the shared tree-ORAM core (plane.go) plus the read path with
+// its dummy selection, the (A reads, 1 evict) schedule and early
+// reshuffles. It is not safe for concurrent use; the secure processor
 // serializes ORAM accesses by construction.
 type Ring struct {
-	cfg  config.ORAM
-	tree Tree
+	treeCore
 
-	pos     *PositionMap
-	stash   *Stash
-	buckets map[int64]*Bucket
-
-	store Store
-	crypt *Crypt
-
-	selSrc  *rng.Source // dummy-slot selection
-	permSrc *rng.Source // bucket permutations
+	selSrc *rng.Source // dummy-slot selection
 
 	evictCount int64 // evictions issued so far (selects reverse-lex path)
 	roundCount int   // read paths since the last eviction, in [0, A)
@@ -135,14 +85,16 @@ type Ring struct {
 	balBucket    int64
 	balLevel     int
 
-	stats Stats
-	ins   Instruments
+	ins Instruments
 
-	// tt is the treetop data cache (nil when disabled); see treetop.go.
-	tt *treetopCache
-
-	pathBuf []int64 // scratch for path walks
-	scr     ringScratch
+	// Read-path scratch beside the core's (same ownership rules, see
+	// treeScratch): updBuf carries the plaintext copy handed to Update
+	// callbacks, xorAcc accumulates the XOR-combined ciphertext of a read
+	// path (length zero marks "nothing folded yet"), sel is the
+	// dummy-selection scratch.
+	updBuf []byte `oramlint:"secret,scratch"`
+	xorAcc []byte `oramlint:"scratch"`
+	sel    selectScratch
 }
 
 // NewRing returns a Ring ORAM controller for the given configuration.
@@ -163,21 +115,9 @@ func NewRing(cfg config.ORAM, seed uint64, opts *Options) (*Ring, error) {
 		}
 	}
 	root := rng.New(seed)
-	r := &Ring{
-		cfg:           cfg,
-		tree:          NewTree(cfg.Levels),
-		stash:         NewStash(cfg.StashSize),
-		buckets:       make(map[int64]*Bucket),
-		store:         opts.Store,
-		crypt:         opts.Crypt,
-		selSrc:        root.Fork(),
-		permSrc:       root.Fork(),
-		uniformSelect: cfg.UniformSelect,
-		xor:           opts.XOR,
-		onSample:      opts.OnStashSample,
-		balancer:      opts.SlotBalancer,
-	}
-	r.pos = NewPositionMap(r.tree.Leaves(), root.Fork())
+	r := newRing(cfg, opts.Store, opts.Crypt, opts.XOR, root.Fork(), root.Fork(), root.Fork())
+	r.onSample = opts.OnStashSample
+	r.balancer = opts.SlotBalancer
 	r.warmSeed = root.Uint64()
 	r.nextFiller = FillerBase
 	if opts.TreetopCache {
@@ -186,6 +126,17 @@ func NewRing(cfg config.ORAM, seed uint64, opts *Options) (*Ring, error) {
 		}
 	}
 	return r, nil
+}
+
+// newRing assembles a controller around a fresh core from its three RNG
+// streams; NewRing and Load then set what each alone knows.
+func newRing(cfg config.ORAM, store Store, crypt *Crypt, xor bool, selSrc, permSrc, posSrc *rng.Source) *Ring {
+	return &Ring{
+		treeCore:      newTreeCore(cfg, store, crypt, permSrc, posSrc),
+		selSrc:        selSrc,
+		uniformSelect: cfg.UniformSelect,
+		xor:           xor,
+	}
 }
 
 // FillerBase is the first block ID of the synthetic filler space used by
@@ -302,29 +253,15 @@ func poisson(src *rng.Source, mean float64) int {
 // Config returns the controller's configuration.
 func (r *Ring) Config() config.ORAM { return r.cfg }
 
-// Stats returns a snapshot of the protocol counters.
-func (r *Ring) Stats() Stats { return r.stats }
-
-// StashLen returns the current stash occupancy in blocks.
-func (r *Ring) StashLen() int { return r.stash.Len() }
-
-// bucket returns the bucket at the given global index, materializing a
-// fresh all-dummy bucket on first touch.
+// bucket returns the bucket at the given global index, materializing it
+// (warm-filled when configured) on first touch.
 func (r *Ring) bucket(idx int64) *Bucket {
-	b, ok := r.buckets[idx]
-	if !ok {
-		b = newBucket(r.cfg.SlotsPerBucket())
-		if r.cfg.WarmFill > 0 {
-			r.warmBucket(idx, b)
-		}
-		r.buckets[idx] = b
+	b, fresh := r.materialize(idx)
+	if fresh && r.cfg.WarmFill > 0 {
+		r.warmBucket(idx, b)
 	}
 	return b
 }
-
-// emitFrom returns the first tree level that generates DRAM traffic;
-// levels above it are held in the on-chip tree-top cache.
-func (r *Ring) emitFrom() int { return r.cfg.TreeTopCacheLevels }
 
 // takeOp appends a fresh operation to ops and returns a pointer to it,
 // reusing that index's Accesses backing array from earlier accesses. The
@@ -344,70 +281,6 @@ func takeOp(ops *[]Op, kind OpKind, p PathID) *Op {
 	op.Accesses = op.Accesses[:0]
 	*ops = s
 	return op
-}
-
-// getBlockBuf returns a BlockSize plaintext buffer from the recycle pool,
-// allocating only when the pool is dry.
-func (r *Ring) getBlockBuf() []byte {
-	if n := len(r.scr.blockPool); n > 0 {
-		buf := r.scr.blockPool[n-1]
-		r.scr.blockPool[n-1] = nil
-		r.scr.blockPool = r.scr.blockPool[:n-1]
-		return buf
-	}
-	return make([]byte, r.cfg.BlockSize)
-}
-
-// putBlockBuf returns a plaintext buffer to the recycle pool. nil and
-// foreign-sized buffers are dropped, so callers can pass any displaced
-// slice unconditionally.
-func (r *Ring) putBlockBuf(buf []byte) {
-	if cap(buf) < r.cfg.BlockSize {
-		return
-	}
-	r.scr.blockPool = append(r.scr.blockPool, buf[:r.cfg.BlockSize])
-}
-
-// sealedForStore seals (or copies) plaintext for storage into the
-// controller's seal scratch; nil means dummy. The returned slice is valid
-// until the next seal — stores copy it (see Store).
-func (r *Ring) sealedForStore(plaintext []byte) []byte {
-	if r.crypt != nil {
-		r.scr.sealBuf = r.crypt.SealInto(r.scr.sealBuf, plaintext)
-		return r.scr.sealBuf
-	}
-	if plaintext == nil {
-		buf := ensure(r.scr.sealBuf, r.cfg.BlockSize)
-		clear(buf)
-		r.scr.sealBuf = buf
-		return buf
-	}
-	buf := ensure(r.scr.sealBuf, len(plaintext))
-	copy(buf, plaintext)
-	r.scr.sealBuf = buf
-	return buf
-}
-
-// readSlotData pulls a real block's plaintext out of the store into a
-// pool buffer; nil store yields nil (timing-only mode). Ownership of the
-// returned buffer transfers to the caller (usually straight into the
-// stash).
-func (r *Ring) readSlotData(bucket int64, slot int) ([]byte, error) {
-	if r.store == nil {
-		return nil, nil
-	}
-	sealed := r.store.ReadSlot(bucket, slot)
-	buf := r.getBlockBuf()
-	if sealed == nil {
-		clear(buf)
-		return buf, nil
-	}
-	if r.crypt != nil {
-		return r.crypt.OpenInto(buf, sealed)
-	}
-	buf = ensure(buf, len(sealed))
-	copy(buf, sealed)
-	return buf, nil
 }
 
 // Read fetches a logical block. The returned data is nil in timing-only
@@ -519,12 +392,7 @@ func (r *Ring) access(id BlockID, write bool, data []byte, forcedPath *PathID, u
 	} else {
 		newPath = r.pos.Remap(id)
 	}
-	if !r.stash.Contains(id) { //oramlint:allow secret-branch stash materialization only; neither arm emits accesses
-		// New block, or a protocol-internal move that did not land it
-		// in the stash (first-ever access): materialize it.
-		r.stash.Put(id, newPath, nil)
-	}
-	r.stash.SetPath(id, newPath)
+	r.remapToStash(id, newPath)
 
 	// Snapshot the block's pre-update contents into the out scratch.
 	// Plain writes skip it: their callers receive no data.
@@ -538,8 +406,8 @@ func (r *Ring) access(id BlockID, write bool, data []byte, forcedPath *PathID, u
 		if r.store == nil {
 			cur = make([]byte, 0)
 		} else {
-			cur = ensure(r.scr.updBuf, len(out))
-			r.scr.updBuf = cur
+			cur = ensure(r.updBuf, len(out))
+			r.updBuf = cur
 			copy(cur, out)
 		}
 		updated := updateFn(cur)
@@ -705,7 +573,7 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 	// and decrypts what remains (the target, or nothing on an all-dummy
 	// path).
 	if r.xor {
-		r.scr.xorAcc = r.scr.xorAcc[:0]
+		r.xorAcc = r.xorAcc[:0]
 	}
 	xorHasTarget := false
 
@@ -736,9 +604,9 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 				}
 			}
 			r.balBucket, r.balLevel = idx, lvl
-			slot, green = b.selectDummyBalancedScratch(r.balancerPick, greenBudget, &r.scr.sel)
+			slot, green = b.selectDummyBalancedScratch(r.balancerPick, greenBudget, &r.sel)
 		} else {
-			slot, green = b.selectDummyScratch(r.selSrc, greenBudget, r.uniformSelect, &r.scr.sel)
+			slot, green = b.selectDummyScratch(r.selSrc, greenBudget, r.uniformSelect, &r.sel)
 		}
 		if green != InvalidBlock {
 			// A green block: real data rides along into the stash.
@@ -772,55 +640,45 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 	r.stats.ReadPathBlocks += int64(len(op.Accesses))
 }
 
+// xorFoldSlot folds one selected slot's ciphertext into the XOR
+// accumulator, canceling deterministic dummy ciphertexts as it goes.
+func (r *Ring) xorFoldSlot(bucket int64, slot int, isDummy bool, epoch int) {
+	r.ttAssertUncached(bucket, "xorFoldSlot") // XOR folding starts at emitFrom
+	sealed := r.store.ReadSlot(bucket, slot)
+	if sealed == nil {
+		// A never-written slot contributes nothing, and the controller
+		// knows it (slot epochs are controller state).
+		return
+	}
+	if len(r.xorAcc) == 0 {
+		r.xorAcc = append(r.xorAcc, sealed...)
+	} else {
+		XORBlocks(r.xorAcc, sealed)
+	}
+	if isDummy {
+		r.scr.dummySeal = r.crypt.SealDummyInto(r.scr.dummySeal, bucket, slot, epoch)
+		XORBlocks(r.xorAcc, r.scr.dummySeal)
+	}
+}
+
+// xorFinishToStash decodes the XOR accumulator and stashes the recovered
+// target under (id, p).
+func (r *Ring) xorFinishToStash(id BlockID, p PathID) {
+	data, err := r.crypt.OpenInto(r.getBlockBuf(), r.xorAcc)
+	if err != nil {
+		panic(fmt.Sprintf("oram: XOR decode of block %d: %v", id, err))
+	}
+	r.putBlockBuf(r.stash.Put(id, p, data))
+}
+
 // earlyReshuffleOp reshuffles one bucket in place: Z reads and a full
 // bucket of writes, with fresh metadata and a fresh permutation. Resident
-// real blocks stay in the bucket (re-permuted).
+// real blocks pass through the stash and straight back into the bucket
+// (re-permuted).
 func (r *Ring) earlyReshuffleOp(idx int64, level int) {
 	b := r.bucket(idx)
 	op := takeOp(&r.scr.ops, OpEarlyReshuffle, r.tree.PathThrough(idx))
-
-	// Read phase: the controller reads exactly Z slots; which of them
-	// hold real blocks is invisible to the adversary. Collect resident
-	// reals (with data) and pad with other slots.
-	res := r.scr.res[:0]
-	readSlots := r.scr.readSlots[:0]
-	for s := range b.Slots {
-		if b.Slots[s].Real && b.Slots[s].Valid { //oramlint:allow secret-branch exactly Z slots are read (padded below); which physical slots hold reals is a secret uniform permutation refreshed every epoch, so the read set leaks nothing
-			res = append(res, residentBlock{id: b.Slots[s].ID, ref: r.reshuffleFetch(idx, s)})
-			readSlots = append(readSlots, s)
-		}
-	}
-	for s := 0; len(readSlots) < r.cfg.Z && s < len(b.Slots); s++ {
-		if !(b.Slots[s].Real && b.Slots[s].Valid) { //oramlint:allow secret-branch padding the read phase to exactly Z slots; the combined read set stays a uniform secret-permutation draw
-			readSlots = append(readSlots, s)
-		}
-	}
-	r.scr.res = res
-	r.scr.readSlots = readSlots
-	if level >= r.emitFrom() {
-		for _, s := range readSlots {
-			op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: level, Slot: s, Write: false})
-		}
-	}
-
-	blocks := r.scr.blocks[:0]
-	refs := r.scr.refs[:0]
-	for i := range res {
-		blocks = append(blocks, res[i].id)
-		refs = append(refs, res[i].ref)
-	}
-	r.scr.blocks = blocks
-	r.scr.refs = refs
-	if invariant.Enabled {
-		invariant.Assertf(len(res) <= r.cfg.Z, "bucket %d holds %d real blocks, Z=%d", idx, len(res), r.cfg.Z)
-	}
-	targets := b.reshuffleScratch(blocks, r.permSrc, &r.scr.shuf)
-	r.writeBucket(idx, level, b, refs, targets, op)
-	// The plaintext was re-sealed into the store; recycle the buffers.
-	for i := range res {
-		r.putBlockBuf(res[i].ref)
-		res[i].ref = nil
-	}
+	r.refillBucket(op, idx, level, b, r.readBucketOp(op, idx, level, b))
 
 	r.stats.EarlyReshuffles++
 	r.ins.EarlyReshuffles.Inc()
@@ -830,45 +688,31 @@ func (r *Ring) earlyReshuffleOp(idx int64, level int) {
 	r.stats.ReshuffleBlocks += int64(len(op.Accesses))
 }
 
-// residentBlock pairs a resident block's ID with its plaintext ref while
-// a reshuffle is in flight.
-type residentBlock struct {
-	id  BlockID `oramlint:"secret"`
-	ref []byte  `oramlint:"scratch"` // a pool buffer until the bucket write consumes it
-}
-
-// writeBucket emits the write phase of a reshuffle/eviction for one
-// bucket: every physical slot is rewritten (real slots with re-sealed
-// data, the rest with fresh dummy ciphertext). targets[i] is the slot
-// chosen for refs[i]. Slots are written in ascending physical order, so
-// the data plane sees a deterministic seal sequence.
-func (r *Ring) writeBucket(idx int64, level int, b *Bucket, refs [][]byte, targets []int, op *Op) {
-	if r.store != nil {
-		owner := r.scr.slotOwner
-		if cap(owner) < len(b.Slots) {
-			owner = make([]int, len(b.Slots))
-		}
-		owner = owner[:len(b.Slots)]
-		r.scr.slotOwner = owner
-		for s := range owner {
-			owner[s] = -1
-		}
-		for i, s := range targets {
-			owner[s] = i
-		}
-		for s := range b.Slots {
-			if i := owner[s]; i >= 0 {
-				r.writeReal(idx, s, refs[i])
-			} else {
-				r.writeDummy(idx, s, b.Epoch)
+// readBucketOp is the read phase of a reshuffle or eviction on one
+// bucket: its resident reals drain into the stash and, at uncached
+// levels, the op records exactly Z slot reads so the count never reveals
+// the bucket's real occupancy. It returns the drained blocks in slot
+// order (aliasing scratch reused by the next call).
+//
+// Known weakness, kept bit-identical here (DESIGN.md "Security
+// invariants", ROADMAP item 2): the reads list the slots that held reals
+// first and then pad with the lowest-index other slots, so the order and
+// the set of reported slots are a function of the occupancy the count
+// hides. Ring ORAM's ReadBucket pads with random valid dummies.
+func (r *Ring) readBucketOp(op *Op, idx int64, level int, b *Bucket) []BlockID {
+	slots, ids := r.drainBucket(idx, b)
+	if level >= r.emitFrom() {
+		for s := 0; len(slots) < r.cfg.Z && s < len(b.Slots); s++ {
+			if !slices.Contains(slots, s) {
+				slots = append(slots, s)
 			}
 		}
-	}
-	if level >= r.emitFrom() {
-		for s := range b.Slots {
-			op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: level, Slot: s, Write: true})
+		r.scr.readSlots = slots
+		for _, s := range slots {
+			op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: level, Slot: s, Write: false})
 		}
 	}
+	return ids
 }
 
 // evictPathOp performs the deterministic EvictPath: along the next
@@ -880,157 +724,23 @@ func (r *Ring) evictPathOp() {
 	r.evictCount++
 	r.pathBuf = r.tree.Path(p, r.pathBuf[:0])
 	path := r.pathBuf
-	emitFrom := r.emitFrom()
 
 	op := takeOp(&r.scr.ops, OpEvictPath, p)
-
-	// Read phase: pull every resident block on the path into the stash.
 	for lvl, idx := range path {
-		b := r.bucket(idx)
-		readSlots := r.scr.readSlots[:0]
-		for s := range b.Slots {
-			if b.Slots[s].Real && b.Slots[s].Valid { //oramlint:allow secret-branch eviction reads exactly Z slots per bucket (padded below); slot positions are a secret uniform permutation, so the read set leaks nothing
-				id := b.Slots[s].ID
-				bp, known := r.pos.Lookup(id)
-				if !known {
-					panic(fmt.Sprintf("oram: resident block %d unmapped", id))
-				}
-				r.fetchToStash(idx, s, id, bp)
-				b.consumeReal(s)
-				readSlots = append(readSlots, s)
-			}
-		}
-		if lvl >= emitFrom {
-			// Pad to exactly Z reads so the bus never reveals the
-			// bucket's real occupancy.
-			for s := 0; len(readSlots) < r.cfg.Z && s < len(b.Slots); s++ {
-				dup := false
-				for _, rs := range readSlots {
-					if rs == s {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					readSlots = append(readSlots, s)
-				}
-			}
-			for _, s := range readSlots {
-				op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: lvl, Slot: s, Write: false})
-			}
-		}
-		r.scr.readSlots = readSlots
+		r.readBucketOp(op, idx, lvl, r.bucket(idx))
 	}
-
-	// Placement: fill buckets leaf-first. A stash block with assigned
-	// path q may sit at any level <= CommonLevel(p, q) on this path.
-	placed := r.placeForEvict(p, path)
-
-	// Write phase, root to leaf: every bucket on the path is rewritten.
-	for lvl, idx := range path {
-		b := r.bucket(idx)
-		ids := placed[lvl]
-		refs := r.scr.refs[:0]
-		for _, id := range ids {
-			refs = append(refs, r.stash.Remove(id))
-		}
-		r.scr.refs = refs
-		targets := b.reshuffleScratch(ids, r.permSrc, &r.scr.shuf)
-		r.writeBucket(idx, lvl, b, refs, targets, op)
-		for i := range refs {
-			r.putBlockBuf(refs[i])
-			refs[i] = nil
-		}
-	}
+	r.refillPath(op, p, path)
 
 	r.stats.EvictPaths++
 	r.ins.EvictPaths.Inc()
 	r.stats.EvictBlocks += int64(len(op.Accesses))
 }
 
-// placeForEvict assigns stash blocks to path buckets, deepest-first, at
-// most Z per bucket. It returns one ID slice per level; the slices alias
-// per-level scratch reused by the next eviction.
-func (r *Ring) placeForEvict(p PathID, path []int64) [][]BlockID {
-	L := len(path) - 1
-	byLevel := r.scr.byLevel
-	if cap(byLevel) < L+1 {
-		byLevel = make([][]BlockID, L+1)
-	}
-	byLevel = byLevel[:L+1]
-	for i := range byLevel {
-		byLevel[i] = byLevel[i][:0]
-	}
-	for id, e := range r.stash.entries {
-		//oramlint:allow maprange CommonLevel is a pure function of (leaf, path) with no side effects, so call order is irrelevant
-		lvl := r.tree.CommonLevel(p, e.path)
-		byLevel[lvl] = append(byLevel[lvl], id) //oramlint:allow maprange entries are bucketed per level and sorted below, so placement is independent of iteration order
-	}
-	// Map iteration order is random; sort so runs are reproducible from
-	// the seed alone.
-	for _, ids := range byLevel {
-		slices.Sort(ids)
-	}
-	placed := r.scr.placed
-	if cap(placed) < L+1 {
-		placed = make([][]BlockID, L+1)
-	}
-	placed = placed[:L+1]
-	var carry []BlockID
-	for lvl := L; lvl >= 0; lvl-- {
-		pool := append(byLevel[lvl], carry...)
-		byLevel[lvl] = pool // keep the grown capacity for next time
-		n := len(pool)
-		if n > r.cfg.Z {
-			n = r.cfg.Z
-		}
-		placed[lvl] = pool[:n]
-		carry = pool[n:]
-	}
-	r.scr.byLevel = byLevel
-	r.scr.placed = placed
-	// Whatever still carries past the root stays in the stash.
-	return placed
-}
-
 // CheckInvariants verifies the protocol invariants and returns the first
 // violation found. It is O(mapped blocks x path length) and intended for
 // tests.
 func (r *Ring) CheckInvariants() error {
-	// Every mapped block is in the stash or in exactly one bucket, and
-	// that bucket lies on the block's assigned path.
-	var err error
-	r.pos.ForEach(func(id BlockID, p PathID) {
-		if err != nil {
-			return
-		}
-		locations := 0
-		if r.stash.Contains(id) {
-			locations++
-		}
-		path := r.tree.Path(p, nil)
-		for _, idx := range path {
-			if b, ok := r.buckets[idx]; ok && b.findBlock(id) >= 0 {
-				locations++
-			}
-		}
-		if locations != 1 {
-			// The block may legitimately be resident in a bucket off
-			// its current path only if... never: remap happens when
-			// the block enters the stash, and eviction re-places it
-			// on its new path. Search the whole touched tree to
-			// distinguish "lost" from "misplaced".
-			where := "nowhere"
-			for _, idx := range sortedBucketIndices(r.buckets) {
-				if r.buckets[idx].findBlock(id) >= 0 {
-					where = fmt.Sprintf("bucket %d (level %d)", idx, r.tree.BucketLevel(idx))
-					break
-				}
-			}
-			err = fmt.Errorf("oram: block %d (path %d) found in %d locations; tree search: %s", id, p, locations, where)
-		}
-	})
-	if err != nil {
+	if err := r.checkLocations(); err != nil {
 		return err
 	}
 	// Bucket budgets. Sorted order makes the first reported violation

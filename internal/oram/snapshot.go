@@ -185,30 +185,15 @@ func Load(rd io.Reader, key []byte) (*Ring, error) {
 		crypt.SetCounter(snap.CryptCtr)
 	}
 
-	r := &Ring{
-		cfg:           snap.Cfg,
-		tree:          NewTree(snap.Cfg.Levels),
-		stash:         NewStash(snap.Cfg.StashSize),
-		buckets:       make(map[int64]*Bucket, len(snap.Buckets)),
-		store:         store,
-		crypt:         crypt,
-		selSrc:        rng.Restore(snap.SelState),
-		permSrc:       rng.Restore(snap.PermState),
-		uniformSelect: snap.Cfg.UniformSelect,
-		xor:           snap.XOR,
-		evictCount:    snap.EvictCount,
-		roundCount:    snap.RoundCount,
-		warmSeed:      snap.WarmSeed,
-		nextFiller:    snap.NextFiller,
-		stats:         snap.Stats,
-	}
-	r.pos = &PositionMap{
-		m:      make(map[BlockID]PathID, len(snap.PosMap)),
-		leaves: r.tree.Leaves(),
-		src:    rng.Restore(snap.PosState),
-	}
+	r := newRing(snap.Cfg, store, crypt, snap.XOR,
+		rng.Restore(snap.SelState), rng.Restore(snap.PermState), rng.Restore(snap.PosState))
+	r.evictCount = snap.EvictCount
+	r.roundCount = snap.RoundCount
+	r.warmSeed = snap.WarmSeed
+	r.nextFiller = snap.NextFiller
+	r.stats = snap.Stats
 	for _, e := range snap.PosMap {
-		r.pos.m[e.ID] = e.Path
+		r.pos.Set(e.ID, e.Path)
 	}
 	for _, e := range snap.Stash {
 		r.stash.Put(e.ID, e.Path, e.Data)

@@ -27,9 +27,6 @@ func (s *Stash) Len() int { return len(s.entries) }
 // Cap returns the capacity in blocks.
 func (s *Stash) Cap() int { return s.cap }
 
-// Full reports whether the stash is at or beyond capacity.
-func (s *Stash) Full() bool { return len(s.entries) >= s.cap }
-
 // Contains reports whether the block is buffered.
 func (s *Stash) Contains(id BlockID) bool {
 	_, ok := s.entries[id]

@@ -8,8 +8,8 @@ import (
 
 func TestStashBasics(t *testing.T) {
 	s := NewStash(10)
-	if s.Len() != 0 || s.Cap() != 10 || s.Full() {
-		t.Fatalf("fresh stash: len=%d cap=%d full=%v", s.Len(), s.Cap(), s.Full())
+	if s.Len() != 0 || s.Cap() != 10 {
+		t.Fatalf("fresh stash: len=%d cap=%d", s.Len(), s.Cap())
 	}
 	s.Put(1, 5, []byte{0xAB})
 	if !s.Contains(1) || s.Len() != 1 {
@@ -43,18 +43,6 @@ func TestStashPutReplaces(t *testing.T) {
 	}
 	if got := s.Get(1); got[0] != 2 {
 		t.Fatalf("Get returned stale data %v", got)
-	}
-}
-
-func TestStashFull(t *testing.T) {
-	s := NewStash(2)
-	s.Put(1, 0, nil)
-	if s.Full() {
-		t.Fatal("stash full at 1/2")
-	}
-	s.Put(2, 0, nil)
-	if !s.Full() {
-		t.Fatal("stash not full at 2/2")
 	}
 }
 
@@ -102,8 +90,8 @@ func TestPositionMapLazyAssign(t *testing.T) {
 	if got, known := pm.Lookup(5); !known || got != p {
 		t.Fatalf("Lookup after Remap = %d,%v", got, known)
 	}
-	if pm.Len() != 1 {
-		t.Fatalf("Len = %d", pm.Len())
+	if len(pm.m) != 1 {
+		t.Fatalf("mapped %d blocks, want 1", len(pm.m))
 	}
 }
 
@@ -129,7 +117,7 @@ func TestPositionMapRandomPathDoesNotMap(t *testing.T) {
 			t.Fatalf("RandomPath out of range: %d", p)
 		}
 	}
-	if pm.Len() != 0 {
+	if len(pm.m) != 0 {
 		t.Fatal("RandomPath inserted mappings")
 	}
 }

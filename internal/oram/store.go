@@ -23,9 +23,8 @@ type Store interface {
 // backing buffer is allocated once and rewritten in place, so steady-state
 // writes allocate nothing.
 type MemStore struct {
-	slots   map[int64][][]byte
-	perBkt  int
-	written int64
+	slots  map[int64][][]byte
+	perBkt int
 }
 
 // NewMemStore returns an empty in-memory store for buckets with the given
@@ -57,12 +56,7 @@ func (m *MemStore) WriteSlot(bucket int64, slot int, sealed []byte) {
 	buf = buf[:len(sealed)]
 	copy(buf, sealed)
 	b[slot] = buf
-	m.written++
 }
-
-// WrittenSlots returns the total number of slot writes performed, a cheap
-// proxy for write bandwidth in functional tests.
-func (m *MemStore) WrittenSlots() int64 { return m.written }
 
 // TouchedBuckets returns how many buckets have materialized storage.
 func (m *MemStore) TouchedBuckets() int { return len(m.slots) }

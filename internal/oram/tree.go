@@ -52,12 +52,6 @@ func (t Tree) PathThrough(bucket int64) PathID {
 	return PathID(inLevel << uint(t.L-level))
 }
 
-// OnPath reports whether the bucket lies on path p.
-func (t Tree) OnPath(bucket int64, p PathID) bool {
-	level := t.BucketLevel(bucket)
-	return t.BucketIndex(p, level) == bucket
-}
-
 // Path returns the global bucket indices along path p from the root
 // (level 0) to the leaf (level L), appended to dst.
 func (t Tree) Path(p PathID, dst []int64) []int64 {

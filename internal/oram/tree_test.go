@@ -1,6 +1,7 @@
 package oram
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -70,26 +71,11 @@ func TestBucketLevelRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOnPathMatchesPath(t *testing.T) {
-	tr := NewTree(6)
-	for p := PathID(0); p < PathID(tr.Leaves()); p++ {
-		onPath := make(map[int64]bool)
-		for _, idx := range tr.Path(p, nil) {
-			onPath[idx] = true
-		}
-		for b := int64(0); b < tr.Buckets(); b++ {
-			if tr.OnPath(b, p) != onPath[b] {
-				t.Fatalf("OnPath(%d, %d) = %v, want %v", b, p, tr.OnPath(b, p), onPath[b])
-			}
-		}
-	}
-}
-
 func TestPathThroughIsOnPath(t *testing.T) {
 	tr := NewTree(8)
 	for b := int64(0); b < tr.Buckets(); b++ {
 		p := tr.PathThrough(b)
-		if !tr.OnPath(b, p) {
+		if !slices.Contains(tr.Path(p, nil), b) {
 			t.Fatalf("PathThrough(%d) = %d but bucket is not on that path", b, p)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 
-	"stringoram/internal/config"
 	"stringoram/internal/invariant"
 )
 
@@ -58,23 +57,6 @@ func (tt *treetopCache) index(bucket int64, slot int) int {
 // them), so this branch never depends on block contents.
 func (tt *treetopCache) cached(bucket int64) bool {
 	return tt != nil && bucket < tt.nBuckets
-}
-
-// TreetopLevelsForBudget returns the deepest tree-top cache depth whose
-// plaintext footprint fits budgetBytes (at most Levels-1 so at least
-// the leaf level stays store-resident). It is the sizing rule behind
-// the "a few MiB per shard" default: callers pass e.g. 4<<20.
-func TreetopLevelsForBudget(cfg config.ORAM, budgetBytes int64) int {
-	per := int64(cfg.SlotsPerBucket()) * int64(cfg.BlockSize)
-	levels := 0
-	for levels < cfg.Levels-1 {
-		buckets := (int64(1) << uint(levels+1)) - 1
-		if buckets*per > budgetBytes {
-			break
-		}
-		levels++
-	}
-	return levels
 }
 
 // EnableTreetop attaches the treetop data cache, warming it from the
@@ -185,24 +167,24 @@ func (r *Ring) flushTreetop() {
 
 // ttFetch serves a cached-level fetchToStash from controller
 // memory: a copy instead of a store read plus AES open.
-func (r *Ring) ttFetch(bucket int64, slot int, id BlockID, p PathID) {
-	buf := r.getBlockBuf()
-	if src := r.tt.buf[r.tt.index(bucket, slot)]; src == nil {
+func (c *treeCore) ttFetch(bucket int64, slot int, id BlockID, p PathID) {
+	buf := c.getBlockBuf()
+	if src := c.tt.buf[c.tt.index(bucket, slot)]; src == nil {
 		clear(buf)
 	} else {
 		copy(buf, src)
 	}
-	r.putBlockBuf(r.stash.Put(id, p, buf))
+	c.putBlockBuf(c.stash.Put(id, p, buf))
 }
 
 // ttWriteReal applies a cached-level real write to controller
 // memory, reserving the seal counter the uncached controller would have
 // burned so the eventual flush produces bit-identical store bytes.
-func (r *Ring) ttWriteReal(bucket int64, slot int, src []byte) {
-	tt := r.tt
+func (c *treeCore) ttWriteReal(bucket int64, slot int, src []byte) {
+	tt := c.tt
 	i := tt.index(bucket, slot)
 	if tt.buf[i] == nil {
-		tt.buf[i] = r.getBlockBuf()
+		tt.buf[i] = c.getBlockBuf()
 	}
 	if src == nil {
 		clear(tt.buf[i])
@@ -210,19 +192,19 @@ func (r *Ring) ttWriteReal(bucket int64, slot int, src []byte) {
 		copy(tt.buf[i], src)
 	}
 	var ctr uint64
-	if r.crypt != nil {
-		r.crypt.writeCtr++
-		ctr = r.crypt.writeCtr
+	if c.crypt != nil {
+		c.crypt.writeCtr++
+		ctr = c.crypt.writeCtr
 	}
 	tt.ctr[i] = ctr
 	tt.state[i] = ttReal
 }
 
 // ttWriteDummy applies a cached-level dummy write: pure metadata.
-func (r *Ring) ttWriteDummy(bucket int64, slot int, epoch int) {
-	tt := r.tt
+func (c *treeCore) ttWriteDummy(bucket int64, slot int, epoch int) {
+	tt := c.tt
 	i := tt.index(bucket, slot)
-	r.putBlockBuf(tt.buf[i])
+	c.putBlockBuf(tt.buf[i])
 	tt.buf[i] = nil
 	tt.state[i] = ttDummy
 	tt.epoch[i] = int32(epoch)
@@ -283,8 +265,8 @@ func isZero(b []byte) bool {
 }
 
 // ttAssertUncached panics under -tags=invariants if a data-plane call
-// that must never see a cached bucket (XOR folds, early-reshuffle
-// fetches — both start at emitFrom) receives one.
+// that must never see a cached bucket (XOR folds start at emitFrom)
+// receives one.
 func (r *Ring) ttAssertUncached(bucket int64, what string) {
 	if invariant.Enabled {
 		invariant.Assertf(!r.tt.cached(bucket), "treetop: %s on cached bucket %d", what, bucket)

@@ -344,28 +344,6 @@ func TestTreetopEnableGuards(t *testing.T) {
 	}
 }
 
-// TestTreetopLevelsForBudget pins the budget sizing rule.
-func TestTreetopLevelsForBudget(t *testing.T) {
-	cfg := smallCfg(2) // 8 slots/bucket × 32 B = 256 B per bucket
-	per := int64(cfg.SlotsPerBucket()) * int64(cfg.BlockSize)
-	cases := []struct {
-		budget int64
-		want   int
-	}{
-		{0, 0},
-		{per - 1, 0},
-		{per, 1},       // 1 bucket fits
-		{3*per - 1, 1}, // 3 buckets (levels 0..1) just misses
-		{3 * per, 2},
-		{1 << 40, cfg.Levels - 1}, // capped below the full tree
-	}
-	for _, c := range cases {
-		if got := TreetopLevelsForBudget(cfg, c.budget); got != c.want {
-			t.Fatalf("TreetopLevelsForBudget(%d) = %d, want %d", c.budget, got, c.want)
-		}
-	}
-}
-
 // TestTreetopAllocFree extends the zero-alloc contract to the cached
 // data plane: once the cache's buffers and the pools are warm, cached
 // accesses allocate nothing.

@@ -1063,14 +1063,6 @@ func (sh *shard) respond(r *request, res result) {
 // valueHeaderLen is the per-block value framing: a 2-byte length.
 const valueHeaderLen = 2
 
-// encodeValue frames val into one fixed-size block.
-func encodeValue(blockSize int, val []byte) []byte {
-	block := make([]byte, blockSize)
-	binary.BigEndian.PutUint16(block, uint16(len(val)))
-	copy(block[valueHeaderLen:], val)
-	return block
-}
-
 // encodeValueScratch frames val into the shard's reused block scratch.
 // The result is valid until the next Put on this shard; Ring.Write
 // copies it before returning, so the worker may reuse it freely.

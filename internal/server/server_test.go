@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -542,18 +543,25 @@ func TestConfigPipelineIsInert(t *testing.T) {
 	}
 }
 
-// TestEncodeValueScratchMatchesEncodeValue pins the scratch-based Put
-// framing to the allocating reference, including stale-tail clearing
-// when a shorter value follows a longer one.
-func TestEncodeValueScratchMatchesEncodeValue(t *testing.T) {
+// TestEncodeValueScratchFraming pins the scratch-based Put framing: a
+// 2-byte big-endian length, the value, and a zero tail — including
+// stale-tail clearing when a shorter value follows a longer one — and
+// that decodeValue inverts it.
+func TestEncodeValueScratchFraming(t *testing.T) {
 	sh := &shard{blockSize: 32, encBuf: make([]byte, 32)}
 	long := bytes.Repeat([]byte{0xAB}, 30)
 	short := []byte("hi")
 	for _, val := range [][]byte{long, short, nil} {
 		got := sh.encodeValueScratch(val)
-		want := encodeValue(sh.blockSize, val)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("encodeValueScratch(%q) = %x, want %x", val, got, want)
+		if len(got) != sh.blockSize || int(binary.BigEndian.Uint16(got)) != len(val) ||
+			!bytes.Equal(got[valueHeaderLen:valueHeaderLen+len(val)], val) {
+			t.Fatalf("encodeValueScratch(%q) = %x: bad length header or payload", val, got)
+		}
+		if tail := got[valueHeaderLen+len(val):]; !bytes.Equal(tail, make([]byte, len(tail))) {
+			t.Fatalf("encodeValueScratch(%q) = %x: stale tail after the value", val, got)
+		}
+		if back, err := decodeValue(got); err != nil || !bytes.Equal(back, val) {
+			t.Fatalf("decodeValue(encodeValueScratch(%q)) = %q, %v", val, back, err)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -590,8 +591,14 @@ func Dial(addr string) (*Client, error) {
 // peer turns out to be the dialer itself. An empty nodeID dials as an
 // anonymous client (no self-dial check).
 func DialNode(addr, nodeID string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
+		return nil, err
+	}
+	// The deadline covers the handshake only: it is cleared once hello
+	// has returned, and requests are bounded by Client.Timeout instead.
+	if err := conn.SetDeadline(time.Now().Add(dialTimeout)); err != nil {
+		conn.Close()
 		return nil, err
 	}
 	c := &Client{conn: conn, pending: make(map[uint64]chan wireResponse)}
@@ -600,8 +607,18 @@ func DialNode(addr, nodeID string) (*Client, error) {
 		c.Close()
 		return nil, err
 	}
+	if err := conn.SetDeadline(time.Time{}); err != nil {
+		c.Close()
+		return nil, err
+	}
 	return c, nil
 }
+
+// dialTimeout bounds the TCP connect and, separately, the hello
+// handshake of one Dial. A peer that accepts and never answers would
+// otherwise park its dialer forever — and with it whatever the dialer
+// was doing that for (a router operation, a shard worker's replication).
+const dialTimeout = 3 * time.Second
 
 // hello runs the version + node-ID handshake.
 func (c *Client) hello(nodeID string) error {
@@ -737,7 +754,10 @@ func (c *Client) roundTrip(op wireOp, key string, val []byte) (wireResponse, err
 
 	var timeoutMs uint32
 	if c.Timeout > 0 {
-		timeoutMs = uint32(c.Timeout / time.Millisecond)
+		// The wire carries whole milliseconds and 0 means "apply the
+		// server's default deadline", so a sub-millisecond timeout rounds
+		// up to 1 instead of silently becoming that default.
+		timeoutMs = uint32(min(max(c.Timeout/time.Millisecond, 1), math.MaxUint32))
 	}
 	c.wmu.Lock()
 	frame, err := appendRequest(c.wbuf[:0], wireRequest{Op: op, Seq: seq, TimeoutMillis: timeoutMs, Key: key, Val: val})

@@ -222,12 +222,6 @@ func decodeResponse(p []byte) (wireResponse, error) {
 	return r, nil
 }
 
-// readFrame reads one length-prefixed payload from br into a fresh
-// buffer. Hot paths should prefer readFrameInto.
-func readFrame(br *bufio.Reader) ([]byte, error) {
-	return readFrameInto(br, nil)
-}
-
 // --- cluster frame payload encodings ---
 //
 // Cluster frames ride inside the ordinary request frame: the sub-coded

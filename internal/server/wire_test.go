@@ -27,7 +27,7 @@ func TestWireRequestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, err := readFrame(bufio.NewReader(bytes.NewReader(frame)))
+		payload, err := readFrameInto(bufio.NewReader(bytes.NewReader(frame)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestWireResponseRoundTrip(t *testing.T) {
 		{Status: statusBacklog, Seq: 1, Body: []byte("shard 2: queue full")},
 	}
 	for _, want := range cases {
-		payload, err := readFrame(bufio.NewReader(bytes.NewReader(appendResponse(nil, want))))
+		payload, err := readFrameInto(bufio.NewReader(bytes.NewReader(appendResponse(nil, want))), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,11 +84,11 @@ func TestWireDecodeCorrupt(t *testing.T) {
 	}
 	// Zero and oversized frame lengths are rejected by the reader.
 	var zero [4]byte
-	if _, err := readFrame(bufio.NewReader(bytes.NewReader(zero[:]))); err == nil {
+	if _, err := readFrameInto(bufio.NewReader(bytes.NewReader(zero[:])), nil); err == nil {
 		t.Fatal("zero-length frame accepted")
 	}
 	huge := []byte{0xff, 0xff, 0xff, 0xff}
-	if _, err := readFrame(bufio.NewReader(bytes.NewReader(huge))); err == nil {
+	if _, err := readFrameInto(bufio.NewReader(bytes.NewReader(huge)), nil); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
@@ -247,5 +247,65 @@ func TestClientErrorMapping(t *testing.T) {
 	}
 	if !Retryable(respError(wireResponse{Status: statusBacklog})) {
 		t.Error("wire backlog error must stay retryable")
+	}
+}
+
+// TestClientSubMillisecondTimeout: the wire carries whole milliseconds
+// and 0 means "server default", so a 500µs client timeout must travel as
+// 1 ms (and expire against a stalled shard) instead of truncating to 0
+// and silently taking the server's default — here none, i.e. no deadline
+// at all. Timeout = 0 must still send 0 and ride out the same stall.
+func TestClientSubMillisecondTimeout(t *testing.T) {
+	cfg := testConfig()
+	cfg.onBatch = func(shard, n int) { time.Sleep(20 * time.Millisecond) }
+	_, _, addr := startTCP(t, cfg)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	c.Timeout = 500 * time.Microsecond
+	if err := c.Put("k", []byte("v")); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("Put with a 500µs timeout against a 20ms stall: %v, want ErrDeadline", err)
+	}
+	c.Timeout = 0
+	if err := c.Put("k", []byte("v")); err != nil {
+		t.Fatalf("Put with no timeout: %v (Timeout 0 must send 0, the server default)", err)
+	}
+}
+
+// TestDialBoundsSilentPeer: a peer that accepts the connection and never
+// answers the hello must fail the dial within dialTimeout, not park the
+// dialer forever.
+func TestDialBoundsSilentPeer(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback listen unavailable: %v", err)
+	}
+	defer ln.Close()
+	held := make(chan net.Conn, 1)
+	go func() {
+		if conn, err := ln.Accept(); err == nil {
+			held <- conn // keep it open and silent
+		}
+	}()
+	defer func() {
+		select {
+		case conn := <-held:
+			conn.Close()
+		default:
+		}
+	}()
+
+	start := time.Now()
+	c, err := Dial(ln.Addr().String())
+	if err == nil {
+		c.Close()
+		t.Fatal("Dial succeeded against a peer that never answered the hello")
+	}
+	if took := time.Since(start); took < dialTimeout || took > dialTimeout+2*time.Second {
+		t.Fatalf("Dial failed after %v (%v), want about dialTimeout = %v", took, err, dialTimeout)
 	}
 }

@@ -116,17 +116,21 @@ func Read(r io.Reader) (*Trace, error) {
 	if count > maxRecords {
 		return nil, fmt.Errorf("trace: implausible record count %d", count)
 	}
-	t := &Trace{Name: string(name), Records: make([]Record, count)}
+	// The count is input, not a fact: preallocate a bounded amount and let
+	// append follow the records actually present, so a corrupt or truncated
+	// header cannot demand gigabytes before the first short read reports it.
+	const maxPrealloc = 1 << 12
+	t := &Trace{Name: string(name), Records: make([]Record, 0, min(count, maxPrealloc))}
 	buf := make([]byte, 13)
-	for i := range t.Records {
+	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, fmt.Errorf("trace: record %d: %w", i, err)
 		}
-		t.Records[i] = Record{
+		t.Records = append(t.Records, Record{
 			Gap:   binary.LittleEndian.Uint32(buf[0:4]),
 			Addr:  binary.LittleEndian.Uint64(buf[4:12]),
 			Write: buf[12] != 0,
-		}
+		})
 	}
 	return t, nil
 }

@@ -67,8 +67,8 @@ for procs in 1 2 4; do
 	    ./internal/cluster ./internal/server ./internal/obs
 done
 
-echo "== data-plane goldens (sealed bytes, treetop store trace) =="
-go test -count=1 -run='^(TestSealedBytesGolden|TestTreetopStoreTraceGolden)$' ./internal/oram
+echo "== data-plane goldens (sealed bytes, treetop store trace, Path op trace) =="
+go test -count=1 -run='^(TestSealedBytesGolden|TestTreetopStoreTraceGolden|TestPathTraceGolden)$' ./internal/oram
 
 echo "== treetop cache equivalence (serial vs uncached oracle, -race) =="
 # Covers compact/XOR/plaintext: the cached controller must return
@@ -86,6 +86,12 @@ go test -count=1 \
 
 echo "== examples/server smoke =="
 go run ./examples/server >/dev/null
+
+echo "== bench smoke =="
+# bench/ is frozen outside benchmark PRs and builds against the program's
+# names; a change that breaks that surface must fail here, not in the
+# pipeline that runs the benchmark after merge.
+go run ./bench -smoke >/dev/null
 
 echo "== fuzz smoke (trace codec) =="
 go test -run='^$' -fuzz=FuzzReadCodec -fuzztime=5s ./internal/trace
