@@ -7,8 +7,15 @@
 // reproducibility); internal/oram and internal/server are additionally
 // checked for secret-dependent branching on address-emitting paths
 // (internal/server anchors on its busOp bus-event type); internal/oram,
-// internal/server, internal/obs and internal/cluster run the
-// interprocedural timing and scratch-ownership analyzers. Packages outside those sets are skipped.
+// internal/server, internal/obs and internal/cluster run the three
+// analyzers built on the interprocedural taint engine: timing (secret-
+// dependent sleeps, early exits, trip counts, and parks on a channel
+// operation, select or sync wait), scratch ownership (a scratch alias
+// stored outside a tagged field, sent on any channel, handed to a
+// goroutine, or returned from an exported function), and telemetry (a
+// secret reaching a span, event, metric observation or metric name).
+// Taint enters only through struct fields tagged `oramlint:"secret"` or
+// `oramlint:"scratch"`. Packages outside those sets are skipped.
 //
 // By default every package is analyzed twice — once under the default
 // build context and once with -tags=invariants — so allow directives in
@@ -79,7 +86,6 @@ var taintPkgs = map[string]bool{
 var timingAnalyzer = analysis.Timing(
 	[]string{"Access", "busOp"},
 	[]string{"Accesses"},
-	nil,
 )
 
 var ownershipAnalyzer = analysis.Ownership()

@@ -50,7 +50,6 @@ func usage(w io.Writer) {
 experiments: fig4 fig5b fig10 fig11 fig12 fig13 fig14 fig15 tablev bandwidth protocols ablations mixes timeline stashbound hardware all
              run    (single custom simulation; see stringoram run -h)
              plot   (render the figures as SVG files into -dir)
-             verify (end-to-end self-check of this build)
 flags:`)
 	flag.CommandLine.SetOutput(w)
 	flag.PrintDefaults()
@@ -76,9 +75,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	exp := args[0]
 	if exp == "run" {
 		return runSingle(args[1:], w)
-	}
-	if exp == "verify" {
-		return runVerify(w)
 	}
 
 	fs := flag.NewFlagSet("stringoram", flag.ContinueOnError)

@@ -20,9 +20,12 @@ func TestRunRequiresExperiment(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"fig99"}, &buf); err == nil {
-		t.Fatal("unknown experiment accepted")
+	// There is no "verify" subcommand: go test ./... is the self-check.
+	for _, name := range []string{"fig99", "verify"} {
+		var buf bytes.Buffer
+		if err := run(context.Background(), []string{name}, &buf); err == nil {
+			t.Fatalf("unknown experiment %q accepted", name)
+		}
 	}
 }
 
@@ -201,19 +204,6 @@ func TestRunSingleTraceFile(t *testing.T) {
 
 	if err := run(context.Background(), []string{"run", "-trace", "/nonexistent.trc"}, &buf); err == nil {
 		t.Fatal("missing trace file accepted")
-	}
-}
-
-func TestVerifySubcommand(t *testing.T) {
-	if testing.Short() {
-		t.Skip("self-check in -short mode")
-	}
-	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"verify"}, &buf); err != nil {
-		t.Fatalf("verify failed: %v\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "all checks passed") {
-		t.Fatalf("verify output:\n%s", buf.String())
 	}
 }
 

@@ -128,16 +128,12 @@ func collectAllows(pkg *Package) ([]*allowDirective, []Finding) {
 	return allows, errs
 }
 
-// RunPackage runs the given analyzers over one package, applies the
+// Run runs the given analyzers over one package, applies the
 // allow-comment contract, and returns all findings: unsuppressed ones,
 // suppressed ones (Allowed=true, with the justification), and malformed
-// or non-load-bearing allows reported as findings of rule "allow".
-func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
-	return Run(nil, pkg, analyzers)
-}
-
-// Run is RunPackage with a whole-program view attached to the pass, for
-// interprocedural analyzers. prog may be nil.
+// or non-load-bearing allows reported as findings of rule "allow". prog
+// is the whole-program view the interprocedural analyzers use; nil
+// limits them to the package itself.
 func Run(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 	pass := &Pass{Pkg: pkg, Prog: prog}
 	for _, a := range analyzers {

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"bufio"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -83,9 +82,9 @@ func scanWants(t *testing.T, pkg *Package) map[expectation]bool {
 func checkFixture(t *testing.T, name string, analyzers []*Analyzer) {
 	t.Helper()
 	pkg := fixture(t, name)
-	findings, err := RunPackage(pkg, analyzers)
+	findings, err := Run(nil, pkg, analyzers)
 	if err != nil {
-		t.Fatalf("RunPackage: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	diffFindings(t, pkg, findings)
 }
@@ -134,11 +133,11 @@ func TestAllowContract(t *testing.T) {
 }
 
 func TestTimingPositive(t *testing.T) {
-	checkFixture(t, "timingpos", []*Analyzer{Timing([]string{"Access"}, []string{"Accesses"}, []string{"depend"})})
+	checkFixture(t, "timingpos", []*Analyzer{Timing([]string{"Access"}, []string{"Accesses"})})
 }
 
 func TestTimingNegative(t *testing.T) {
-	checkFixture(t, "timingneg", []*Analyzer{Timing([]string{"Access"}, []string{"Accesses"}, []string{"depend"})})
+	checkFixture(t, "timingneg", []*Analyzer{Timing([]string{"Access"}, []string{"Accesses"})})
 }
 
 func TestTelemetryPositive(t *testing.T) {
@@ -169,7 +168,7 @@ func TestCrossPackageTaint(t *testing.T) {
 	prog := NewProgram([]*Package{app, lib})
 	findings, err := Run(prog, app, []*Analyzer{
 		Ownership(),
-		Timing(nil, nil, nil),
+		Timing(nil, nil),
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -177,47 +176,11 @@ func TestCrossPackageTaint(t *testing.T) {
 	diffFindings(t, app, findings)
 }
 
-// TestTaintAPI spot-checks the engine's summary surface.
-func TestTaintAPI(t *testing.T) {
-	app := fixture(t, "xtaint/app")
-	lib, err := loader.Load(loader.ModulePath + "/internal/analysis/testdata/xtaint/lib")
-	if err != nil {
-		t.Fatalf("loading lib fixture: %v", err)
-	}
-	prog := NewProgram([]*Package{app, lib})
-	scratch := prog.Taint(TagScratch)
-	secret := prog.Taint(TagSecret)
-	var fetch, hit *types.Func
-	for fn := range prog.funcs {
-		switch fn.Name() {
-		case "Fetch":
-			fetch = fn
-		case "Hit":
-			hit = fn
-		}
-	}
-	if fetch == nil || hit == nil {
-		t.Fatal("fixture functions not indexed")
-	}
-	if !scratch.ReturnsTagged(fetch) {
-		t.Error("Fetch should return scratch-tagged state")
-	}
-	if scratch.ReturnsTagged(hit) {
-		t.Error("Hit returns a bool; bools cannot alias scratch")
-	}
-	if !secret.ReturnsTagged(hit) {
-		t.Error("Hit should return secret-derived state")
-	}
-	if !secret.ReadsTagged(hit) {
-		t.Error("Hit reads the secret table directly")
-	}
-}
-
 func TestMalformedAllow(t *testing.T) {
 	pkg := fixture(t, "allowbad")
-	findings, err := RunPackage(pkg, []*Analyzer{Determinism})
+	findings, err := Run(nil, pkg, []*Analyzer{Determinism})
 	if err != nil {
-		t.Fatalf("RunPackage: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if len(findings) != 1 {
 		t.Fatalf("got %d findings, want exactly 1: %v", len(findings), findings)

@@ -17,10 +17,9 @@ import (
 //     field, a package-level variable, or an element of a non-local
 //     container. Tagged fields are the sanctioned resting places;
 //     anything else silently extends the alias past the access.
-//   - scratch-send: a scratch value sent on a channel that is not
-//     itself a tagged field — a tagged channel is a declared hand-off
-//     inside the recycling contract; any other channel hands the alias
-//     to a goroutine with no recycling handshake.
+//   - scratch-send: a scratch value sent on a channel. A tag marks
+//     where data rests, not a conduit: whoever receives holds the
+//     alias with no recycling handshake.
 //   - scratch-goroutine: a goroutine launched with scratch arguments or
 //     capturing scratch locals; the spawned goroutine races the next
 //     access's reuse.
@@ -30,11 +29,6 @@ import (
 //     Exported returns are the package boundary where the "copy before
 //     issuing more traffic" contract must be stated; each needs an
 //     allow spelling that contract out, or a copy.
-//
-// Callbacks installed into tagged func-typed fields (a hook in the
-// shape of server.Config.OnApply, were it handed scratch) get their
-// reference parameters seeded as scratch, so a callback that lets its
-// data argument escape is caught in the package that wrote it.
 func Ownership() *Analyzer {
 	return &Analyzer{
 		Name: "ownership",
@@ -86,9 +80,9 @@ func checkOwnership(pass *Pass, sc *TaintScope, info *FuncInfo, fn *types.Func) 
 		case *ast.CompositeLit:
 			checkCompositeStore(pass, sc, tinfo, n)
 		case *ast.SendStmt:
-			if sc.Tainted(n.Value) && !isTaggedChan(tinfo, n.Chan) {
+			if sc.Tainted(n.Value) {
 				pass.Report(n.Pos(), "scratch-send",
-					"scratch-aliasing value sent on an untagged channel; the receiver's copy of the alias outlives the access — copy first or tag the channel field as the sanctioned path")
+					"scratch-aliasing value sent on a channel; the receiver's copy of the alias outlives the access — send a copy")
 			}
 		case *ast.GoStmt:
 			checkGoroutine(pass, sc, tinfo, n)
@@ -238,12 +232,4 @@ func checkGoroutine(pass *Pass, sc *TaintScope, tinfo *types.Info, n *ast.GoStmt
 		}
 		return true
 	})
-}
-
-// isTaggedChan reports whether the channel expression is a selector on
-// a field tagged scratch — the sanctioned hand-off paths are tagged;
-// everything else is an escape.
-func isTaggedChan(tinfo *types.Info, ch ast.Expr) bool {
-	sel, ok := ast.Unparen(ch).(*ast.SelectorExpr)
-	return ok && taggedSelection(tinfo, sel, TagScratch)
 }

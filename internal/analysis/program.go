@@ -13,8 +13,6 @@ import (
 // *types.Func object as its definition in package B — cross-package
 // call edges need no name matching.
 type Program struct {
-	Pkgs []*Package
-
 	funcs   map[*types.Func]*FuncInfo
 	methods map[string][]*types.Func // concrete methods by name, for devirtualization
 	taints  map[string]*Taint        // cached engines by tag value
@@ -49,7 +47,6 @@ func NewProgram(pkgs []*Package) *Program {
 }
 
 func (prog *Program) add(pkg *Package) {
-	prog.Pkgs = append(prog.Pkgs, pkg)
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -85,10 +82,6 @@ func (prog *Program) resolveCalls(info *FuncInfo) {
 		return true
 	})
 }
-
-// Funcs returns the info for fn, or nil for functions without a body in
-// the program (std lib, interface methods, funcs of unloaded packages).
-func (prog *Program) Funcs(fn *types.Func) *FuncInfo { return prog.funcs[fn] }
 
 // concretize maps a call target onto the program functions it may reach:
 // the function itself when it has a body, or — for interface methods —

@@ -75,8 +75,6 @@ type Taint struct {
 	tag   string
 	alias bool // aliasing semantics (scratch) vs value semantics (secret)
 	fns   map[*types.Func]*TaintScope
-
-	readsTagged map[*types.Func]bool // lazily built reads-closure
 }
 
 // Taint mask layout: bit 0 is "tainted outright" (derived from a tagged
@@ -97,7 +95,6 @@ type TaintScope struct {
 	info   *FuncInfo
 	params []types.Object
 	vals   map[types.Object]uint64
-	reads  bool     // body reads a tagged field directly
 	rets   []uint64 // taint mask per result position (so an error result does not inherit the data result's taint)
 	ptaint uint64   // param bits tainted by at least one call site
 }
@@ -187,39 +184,6 @@ func (sc *TaintScope) hot(mask uint64) bool {
 	return mask&directBit != 0 || mask&sc.ptaint != 0
 }
 
-// ReturnsTagged reports whether any of fn's results carries tagged
-// state outright (with untainted arguments).
-func (t *Taint) ReturnsTagged(fn *types.Func) bool {
-	sc := t.fns[fn]
-	if sc == nil {
-		return false
-	}
-	for _, r := range sc.rets {
-		if r&directBit != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// ReadsTagged reports whether fn — or anything it transitively calls —
-// reads a field tagged with this engine's tag value.
-func (t *Taint) ReadsTagged(fn *types.Func) bool {
-	if t.readsTagged == nil {
-		t.readsTagged = t.prog.reaches(func(info *FuncInfo) bool {
-			sc := t.fns[funcOf(info)]
-			return sc != nil && sc.reads
-		})
-	}
-	return t.readsTagged[fn]
-}
-
-// funcOf maps a FuncInfo back onto its *types.Func.
-func funcOf(info *FuncInfo) *types.Func {
-	fn, _ := info.Pkg.Info.Defs[info.Decl.Name].(*types.Func)
-	return fn
-}
-
 // namedResults lists the idents of a function type's named results.
 func namedResults(ft *ast.FuncType) []*ast.Ident {
 	if ft.Results == nil {
@@ -256,15 +220,8 @@ func (sc *TaintScope) pass() bool {
 			return
 		}
 		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if !sc.reads && taggedSelection(sc.info.Pkg.Info, n, sc.t.tag) {
-				sc.reads = true
-				changed = true
-			}
 		case *ast.AssignStmt:
-			if sc.assign(n, set) {
-				changed = true
-			}
+			sc.assign(n, set)
 		case *ast.RangeStmt:
 			m := sc.exprTaint(n.X)
 			set(sc.objOf(n.Key), m)
@@ -301,10 +258,6 @@ func (sc *TaintScope) pass() bool {
 			if sc.propagateCall(n) {
 				changed = true
 			}
-		case *ast.CompositeLit:
-			if sc.seedCallbacks(n) {
-				changed = true
-			}
 		case *ast.FuncLit:
 			// Walk the body at increased literal depth so its returns do
 			// not feed the enclosing summary; locals still share sc.vals.
@@ -339,10 +292,8 @@ func (sc *TaintScope) objOf(e ast.Expr) types.Object {
 // assign propagates one assignment's right-hand taints into local
 // objects. Field stores do not taint the holder (field-sensitivity: the
 // tag on the field, not the holder, decides); element stores into local
-// slices do, because the element aliases the backing array. Installing
-// a callback into a tagged func-typed field seeds its parameters.
-func (sc *TaintScope) assign(n *ast.AssignStmt, set func(types.Object, uint64)) bool {
-	changed := false
+// slices do, because the element aliases the backing array.
+func (sc *TaintScope) assign(n *ast.AssignStmt, set func(types.Object, uint64)) {
 	masks := make([]uint64, len(n.Lhs))
 	if len(n.Rhs) == len(n.Lhs) {
 		for i, r := range n.Rhs {
@@ -379,119 +330,6 @@ func (sc *TaintScope) assign(n *ast.AssignStmt, set func(types.Object, uint64)) 
 			}
 		}
 	}
-	for i, lhs := range n.Lhs {
-		if i >= len(n.Rhs) {
-			break
-		}
-		sel, ok := lhs.(*ast.SelectorExpr)
-		if !ok || !taggedSelection(sc.info.Pkg.Info, sel, sc.t.tag) {
-			continue
-		}
-		if t := sc.info.Pkg.Info.TypeOf(sel); t != nil {
-			if _, isFunc := t.Underlying().(*types.Signature); isFunc {
-				if sc.seedCallbackExpr(n.Rhs[i]) {
-					changed = true
-				}
-			}
-		}
-	}
-	return changed
-}
-
-// seedCallbacks handles composite literals that install callbacks into
-// tagged func-typed fields (e.g. Config{OnApply: func(...) {...}}):
-// the callback's reference-typed parameters become tainted, encoding
-// "arguments delivered through this field alias tagged state".
-func (sc *TaintScope) seedCallbacks(cl *ast.CompositeLit) bool {
-	tv := sc.info.Pkg.Info.TypeOf(cl)
-	if tv == nil {
-		return false
-	}
-	st, ok := tv.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	changed := false
-	for i, el := range cl.Elts {
-		var field *types.Var
-		var tag string
-		var value ast.Expr
-		if kv, ok := el.(*ast.KeyValueExpr); ok {
-			key, ok := kv.Key.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			for j := 0; j < st.NumFields(); j++ {
-				if st.Field(j).Name() == key.Name {
-					field, tag, value = st.Field(j), st.Tag(j), kv.Value
-					break
-				}
-			}
-		} else if i < st.NumFields() {
-			field, tag, value = st.Field(i), st.Tag(i), el
-		}
-		if field == nil || !hasTagValue(tag, sc.t.tag) {
-			continue
-		}
-		if _, isFunc := field.Type().Underlying().(*types.Signature); isFunc {
-			if sc.seedCallbackExpr(value) {
-				changed = true
-			}
-		}
-	}
-	return changed
-}
-
-// seedCallbackExpr taints the parameters of a callback value being
-// installed into a tagged func field.
-func (sc *TaintScope) seedCallbackExpr(e ast.Expr) bool {
-	changed := false
-	switch v := ast.Unparen(e).(type) {
-	case *ast.FuncLit:
-		// Literal: its param objects live in this scope's val table.
-		for _, f := range v.Type.Params.List {
-			for _, name := range f.Names {
-				obj := sc.info.Pkg.Info.Defs[name]
-				if obj == nil || (sc.t.alias && !aliasable(obj.Type())) {
-					continue
-				}
-				if sc.vals[obj]&directBit == 0 {
-					sc.vals[obj] |= directBit
-					changed = true
-				}
-			}
-		}
-	case *ast.Ident, *ast.SelectorExpr:
-		if fn := identFunc(sc.info.Pkg.Info, v); fn != nil {
-			if callee := sc.t.fns[fn]; callee != nil {
-				for i, p := range callee.params {
-					if p == nil || (sc.t.alias && !aliasable(p.Type())) {
-						continue
-					}
-					bit := paramBit(i)
-					if callee.ptaint&bit == 0 {
-						callee.ptaint |= bit
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	return changed
-}
-
-// identFunc resolves an identifier or selector used as a value to the
-// function it names.
-func identFunc(info *types.Info, e ast.Expr) *types.Func {
-	switch v := e.(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[v].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[v.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }
 
 // propagateCall pushes tainted arguments into the callee's parameter

@@ -11,9 +11,6 @@ type frame struct {
 type pool struct {
 	cur   frame
 	spare frame
-	// ship is a sanctioned hand-off path: a tagged channel is inside
-	// the recycling contract.
-	ship  chan []byte `oramlint:"scratch"`
 	saved []byte
 }
 
@@ -28,12 +25,6 @@ func (p *pool) rotate() {
 func (p *pool) copyOut() {
 	c := append([]byte(nil), p.cur.buf...)
 	p.saved = c
-}
-
-// handOff uses the tagged channel: the receiver participates in the
-// recycling handshake.
-func (p *pool) handOff() {
-	p.ship <- p.cur.buf
 }
 
 // Fill returns the caller's own buffer: parameter round-trips are not

@@ -39,7 +39,7 @@ func (p *pool) wrap() envelope {
 	return envelope{data: p.cur.buf} // want scratch-store
 }
 
-// send hands the alias to another goroutine over an untagged channel.
+// send hands the alias to another goroutine over a channel.
 func (p *pool) send() {
 	p.out <- p.cur.buf // want scratch-send
 }

@@ -3,7 +3,10 @@
 // must be reported.
 package timingpos
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
 // Access is the configured emit type.
 type Access struct {
@@ -19,6 +22,7 @@ type Ctl struct {
 	Accesses []Access
 	pending  map[int]entry `oramlint:"secret"`
 	work     chan int
+	inflight sync.WaitGroup
 	n        int `oramlint:"secret"`
 }
 
@@ -71,14 +75,9 @@ func (c *Ctl) hand(id int) {
 	}
 }
 
-// depend parks the caller (configured park call).
-func (c *Ctl) depend() {
-	<-c.work
-}
-
-// maybePark parks only when the secret table holds id.
+// maybePark waits out in-flight work only when the secret table holds id.
 func (c *Ctl) maybePark(id int) {
 	if _, ok := c.pending[id]; ok {
-		c.depend() // want secret-park
+		c.inflight.Wait() // want secret-park
 	}
 }

@@ -27,20 +27,19 @@ import (
 //   - secret-trip-count: a loop whose trip count is secret-bounded
 //     (condition reads secret state, or ranges over a secret
 //     collection) and whose body does temporal work.
-//   - secret-park: a channel send/receive, select, Cond/WaitGroup wait,
-//     or configured park call executed only under a secret-dependent
-//     guard — the scheduling point's occurrence leaks the secret.
+//   - secret-park: a channel send/receive, select or Cond/WaitGroup
+//     wait executed only under a secret-dependent guard — the
+//     scheduling point's occurrence leaks the secret.
 //
 // emitTypes/emitFields anchor "address-emitting" exactly like the
 // oblivious analyzer (composite literals of the named types, appends to
-// the named fields), but matched program-wide. parkCalls names methods
-// that park the caller (beyond channel operations and sync waits).
-func Timing(emitTypes, emitFields, parkCalls []string) *Analyzer {
+// the named fields), but matched program-wide.
+func Timing(emitTypes, emitFields []string) *Analyzer {
 	return &Analyzer{
 		Name: "timing",
 		Doc:  "flags secret-dependent timing in access-emitting and serving code",
 		Run: func(pass *Pass) error {
-			runTiming(pass, emitTypes, emitFields, parkCalls)
+			runTiming(pass, emitTypes, emitFields)
 			return nil
 		},
 	}
@@ -50,10 +49,9 @@ func Timing(emitTypes, emitFields, parkCalls []string) *Analyzer {
 type timingConfig struct {
 	emitType  map[string]bool
 	emitField map[string]bool
-	parkCall  map[string]bool
 }
 
-func runTiming(pass *Pass, emitTypes, emitFields, parkCalls []string) {
+func runTiming(pass *Pass, emitTypes, emitFields []string) {
 	prog := pass.Prog
 	if prog == nil {
 		prog = NewProgram([]*Package{pass.Pkg})
@@ -61,16 +59,12 @@ func runTiming(pass *Pass, emitTypes, emitFields, parkCalls []string) {
 	cfg := &timingConfig{
 		emitType:  make(map[string]bool),
 		emitField: make(map[string]bool),
-		parkCall:  make(map[string]bool),
 	}
 	for _, t := range emitTypes {
 		cfg.emitType[t] = true
 	}
 	for _, f := range emitFields {
 		cfg.emitField[f] = true
-	}
-	for _, c := range parkCalls {
-		cfg.parkCall[c] = true
 	}
 	taint := prog.Taint(TagSecret)
 
@@ -103,7 +97,7 @@ func runTiming(pass *Pass, emitTypes, emitFields, parkCalls []string) {
 }
 
 // isWorkNode reports whether n is a temporal or emitting site: channel
-// operations, select, sleeps and waits, park calls, address-record
+// operations, select, sleeps and waits, address-record
 // construction, or (when relevant is non-nil) a call into a
 // timing-relevant function.
 func (cfg *timingConfig) isWorkNode(info *types.Info, n ast.Node, relevant map[*types.Func]bool) bool {
@@ -126,7 +120,7 @@ func (cfg *timingConfig) isWorkNode(info *types.Info, n ast.Node, relevant map[*
 		if callee == nil {
 			return false
 		}
-		if isSleep(callee) || isSyncWait(callee) || cfg.parkCall[callee.Name()] {
+		if isSleep(callee) || isSyncWait(callee) {
 			return true
 		}
 		return relevant != nil && relevant[callee]
@@ -281,7 +275,7 @@ func checkTiming(pass *Pass, cfg *timingConfig, sc *TaintScope, info *FuncInfo, 
 						pass.Report(n.Pos(), "secret-sleep",
 							"time.Sleep executed only under a secret-dependent guard")
 					}
-				case isSyncWait(callee) || cfg.parkCall[callee.Name()]:
+				case isSyncWait(callee):
 					if guarded {
 						pass.Report(n.Pos(), "secret-park",
 							callee.Name()+" parks the caller only under a secret-dependent guard; whether the access stalls leaks the secret")

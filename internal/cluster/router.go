@@ -28,41 +28,10 @@ type Router struct {
 	closed    bool
 	links     *links // connections by node ID
 
-	// ro/trc are fixed by EnableObservability/EnableTracing before
-	// traffic and read without locking afterwards; both nil by default
-	// (the plain hot path pays only nil checks).
-	ro  *routerObs
+	// trc is fixed by EnableTracing before traffic and read without
+	// locking afterwards; nil by default (the plain hot path pays only
+	// a nil check).
 	trc *routerTracer
-}
-
-// routerObs is the router-side instrument set: retry/failover pressure
-// and the ErrRemote-versus-application split of terminal failures.
-type routerObs struct {
-	retries   *obs.Counter
-	failovers *obs.Counter
-	errRemote *obs.Counter
-	errApp    *obs.Counter
-	reqSecs   *obs.Histogram
-}
-
-// EnableObservability registers the router's instruments on reg. Call
-// before traffic; a nil registry is ignored.
-func (r *Router) EnableObservability(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	r.ro = &routerObs{
-		retries: reg.Counter("router_retries_total",
-			"Attempts beyond the first across all operations (backoff pressure)."),
-		failovers: reg.Counter("router_failovers_total",
-			"Follower promotions this router initiated after suspecting a primary."),
-		errRemote: reg.Counter(`router_errors_total{kind="remote"}`,
-			"Terminal operation failures the remote node reported (ErrRemote)."),
-		errApp: reg.Counter(`router_errors_total{kind="app"}`,
-			"Terminal operation failures from local/application classification."),
-		reqSecs: reg.Histogram("router_request_seconds",
-			"End-to-end operation latency including retries and failover.", obs.ExpBuckets(100e-6, 2, 16)),
-	}
 }
 
 // routerTracer mints and buffers the router's root spans. The router is
@@ -233,9 +202,6 @@ func (r *Router) promoteFollower(shard int, observed *Placement) {
 	// Promote errors are acceptable: a concurrent router may have won
 	// the race, or the follower may already be primary.
 	_ = c.Promote(observed.EpochOf(shard), shard)
-	if r.ro != nil {
-		r.ro.failovers.Inc()
-	}
 	r.refreshPlacement()
 }
 
@@ -258,10 +224,6 @@ func (r *Router) do(kind int, key string, val []byte) (out []byte, found bool, e
 	// a pure function of its ID and every retry rides the same trace.
 	var tc obs.TraceContext
 	var t0 int64
-	var start time.Time
-	if r.ro != nil {
-		start = time.Now()
-	}
 	if r.trc != nil {
 		if t := r.trc.src.NewTrace(); t.Sampled(r.trc.rate) {
 			tc = t
@@ -279,32 +241,19 @@ func (r *Router) do(kind int, key string, val []byte) (out []byte, found bool, e
 		if d := p.Delay(i); d > 0 {
 			time.Sleep(d)
 		}
-		if i > 0 && r.ro != nil {
-			r.ro.retries.Inc()
-		}
 		out, found, err = r.attempt(tc, kind, key, val)
 		if err == nil || !server.Retryable(err) {
-			r.finish(tc, kind, t0, start, err)
+			r.finish(tc, kind, t0)
 			return out, found, err
 		}
 	}
 	err = fmt.Errorf("server: %d attempts exhausted: %w", p.MaxAttempts, err)
-	r.finish(tc, kind, t0, start, err)
+	r.finish(tc, kind, t0)
 	return out, found, err
 }
 
-// finish records the operation's root span and terminal classification.
-func (r *Router) finish(tc obs.TraceContext, kind int, t0 int64, start time.Time, err error) {
-	if r.ro != nil {
-		r.ro.reqSecs.Observe(time.Since(start).Seconds())
-		if err != nil {
-			if errors.Is(err, server.ErrRemote) {
-				r.ro.errRemote.Inc()
-			} else {
-				r.ro.errApp.Inc()
-			}
-		}
-	}
+// finish records the operation's root span.
+func (r *Router) finish(tc obs.TraceContext, kind int, t0 int64) {
 	if tc.Valid() {
 		k := obs.SpanClientGet
 		if kind == routerPut {

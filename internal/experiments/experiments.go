@@ -37,10 +37,11 @@ type Scale struct {
 	Seed uint64
 }
 
-// Quick is the default scale for benchmarks and smoke runs (~seconds).
+// Quick is the default scale for smoke runs (every experiment in ~5 s).
 func Quick() Scale { return Scale{Accesses: 800, TraceLen: 8000, Levels: 16, Seed: 7} }
 
-// Full is the larger scale used to generate EXPERIMENTS.md (~minutes).
+// Full is the larger scale used to generate EXPERIMENTS.md (every
+// experiment in ~45 s on two cores).
 func Full() Scale { return Scale{Accesses: 4000, TraceLen: 40000, Levels: 24, Seed: 7} }
 
 // system builds the paper-default system at this scale. The tree is

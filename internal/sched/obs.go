@@ -9,7 +9,7 @@ import (
 // schedInstruments holds the controller's optional telemetry hooks. All
 // fields are nil until Instrument is called, and every use is nil-safe,
 // so an uninstrumented controller pays only inlined nil checks on the
-// hot path (the BenchmarkSchedTick zero-alloc property is unaffected).
+// hot path (TestAllocFreeSchedTick pins 0 allocs per Tick either way).
 type schedInstruments struct {
 	// rowClass[tag][class] counts RD/WR issues by row-buffer outcome —
 	// the per-phase hit/miss/conflict split of Fig. 5(b).

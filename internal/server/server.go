@@ -728,14 +728,6 @@ func (s *Server) SetShardServing(shardID int, serving bool) error {
 	return nil
 }
 
-// ShardServing reports whether a hosted shard accepts client ops.
-func (s *Server) ShardServing(shardID int) bool {
-	s.mu.RLock()
-	sh := s.byID[shardID]
-	s.mu.RUnlock()
-	return sh != nil && sh.serving.Load()
-}
-
 // HostedShards returns the global IDs of the currently hosted shards,
 // in hosting order.
 func (s *Server) HostedShards() []int {

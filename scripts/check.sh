@@ -20,6 +20,18 @@ fi
 echo "== go vet =="
 go vet ./...
 
+echo "== doc identifiers =="
+# Every backticked `Test…`/`Benchmark…`/`Fuzz…` name in the docs must
+# be (a prefix of) a function some *_test.go defines, so a doc cannot
+# cite a test that was deleted or renamed.
+test_funcs=$(grep -rhoE --include='*_test.go' '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]*' . | sed 's/^func //')
+for name in $(grep -ohE '`(Test|Benchmark|Fuzz)[A-Za-z0-9_]*' README.md DESIGN.md EXPERIMENTS.md SECURITY.md | tr -d '`' | sort -u); do
+	if ! grep -q "^$name" <<<"$test_funcs"; then
+		echo "docs cite \`$name\`, which no *_test.go defines" >&2
+		exit 1
+	fi
+done
+
 echo "== go build =="
 go build ./...
 
@@ -32,7 +44,7 @@ go run ./cmd/oramlint ./...
 lint_end=$(date +%s%N)
 echo "oramlint wall time: $(( (lint_end - lint_start) / 1000000 )) ms"
 
-echo "== analyzer fixture tests (taint engine, timing, ownership, driver) =="
+echo "== analyzer fixture tests (determinism, oblivious, timing, ownership, telemetry, cross-package taint, driver) =="
 go test -count=1 ./internal/analysis ./cmd/oramlint
 
 echo "== go test =="
@@ -76,8 +88,8 @@ echo "== treetop cache equivalence (serial vs uncached oracle, -race) =="
 # cached levels from the store trace.
 go test -race -count=1 -run='^TestTreetop' ./internal/oram
 
-echo "== alloc-regression guards (data-plane hot path) =="
-go test -run='^TestAllocFree' -count=1 ./internal/oram ./internal/cluster
+echo "== alloc-regression guards (data-plane hot path, scheduler Tick) =="
+go test -run='^TestAllocFree' -count=1 ./internal/oram ./internal/cluster ./internal/sched
 
 echo "== observability gate (alloc guards, Perfetto schema, exposition parse, one quantile source) =="
 go test -count=1 \

@@ -276,10 +276,11 @@ type (
 	ExperimentScale = experiments.Scale
 )
 
-// QuickScale is the seconds-per-experiment scale.
+// QuickScale is the smoke-run scale (every experiment in ~5 s).
 func QuickScale() ExperimentScale { return experiments.Quick() }
 
-// FullScale is the minutes-per-experiment scale used for EXPERIMENTS.md.
+// FullScale is the scale used for EXPERIMENTS.md (every experiment in
+// ~45 s on two cores).
 func FullScale() ExperimentScale { return experiments.Full() }
 
 // NewExperiments returns an experiment runner at the given scale.
