@@ -194,17 +194,21 @@ func reportSecretUse(pass *Pass, info *types.Info, n ast.Node, kind string, secr
 }
 
 // calleeOf resolves the called function/method of a call expression, or
-// nil for builtins, conversions, and indirect calls.
+// nil for builtins, conversions, and indirect calls. A method of an
+// instantiated generic type resolves to its generic declaration, the
+// object the program indexes bodies and summaries by.
 func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
+	var fn *types.Func
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
+		fn, _ = info.Uses[fun].(*types.Func)
 	case *ast.SelectorExpr:
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
+		fn, _ = info.Uses[fun.Sel].(*types.Func)
 	}
-	return nil
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
 }
 
 // isSecretField reports whether the selector reads a struct field

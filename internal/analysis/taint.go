@@ -504,6 +504,14 @@ func (sc *TaintScope) callMasks(call *ast.CallExpr) []uint64 {
 		return nil
 	}
 	args := sc.callArgs(call, callee)
+	// A method on a tagged container hands out the container's state:
+	// fields do not inherit their holder's taint (field-sensitivity), so
+	// the callee's summary cannot see that its receiver *is* the tagged
+	// field, and the receiver expression's taint joins every result here.
+	var recv uint64
+	if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil && args[0] != nil {
+		recv = sc.exprTaint(args[0])
+	}
 	var out []uint64
 	for _, cand := range sc.t.prog.concretize(callee) {
 		tsc := sc.t.fns[cand]
@@ -511,7 +519,7 @@ func (sc *TaintScope) callMasks(call *ast.CallExpr) []uint64 {
 			continue
 		}
 		for len(out) < len(tsc.rets) {
-			out = append(out, 0)
+			out = append(out, recv)
 		}
 		for ri, ret := range tsc.rets {
 			if ret&directBit != 0 {

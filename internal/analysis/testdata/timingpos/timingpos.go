@@ -81,3 +81,30 @@ func (c *Ctl) maybePark(id int) {
 		c.inflight.Wait() // want secret-park
 	}
 }
+
+// table is a generic keyed index shaped like oram's; the secret tag sits
+// on the field that holds one.
+type table[V comparable] struct {
+	dense []V
+}
+
+func (t *table[V]) get(k int) V { return t.dense[k] }
+
+// PosMap keeps secret paths in a tagged table.
+type PosMap struct {
+	paths table[int] `oramlint:"secret"`
+}
+
+// path hands the secret out through the generic method: the value is
+// tainted because the receiver is the tagged field, though nothing inside
+// table is tagged.
+func (pm *PosMap) path(id int) int { return pm.paths.get(id) }
+
+// lookupPath returns early on an unmapped id, skipping the emission.
+func (c *Ctl) lookupPath(pm *PosMap, id int) {
+	p := pm.path(id)
+	if p == 0 {
+		return // want secret-early-exit
+	}
+	c.emit(uint64(id))
+}

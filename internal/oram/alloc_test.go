@@ -6,6 +6,7 @@ import (
 	"stringoram/internal/config"
 	"stringoram/internal/invariant"
 	"stringoram/internal/obs"
+	"stringoram/internal/rng"
 )
 
 // The data-plane hot path is contractually allocation-free in steady
@@ -61,21 +62,65 @@ func TestAllocFreeXORBlocks(t *testing.T) {
 	}
 }
 
+// TestAllocFreeStashCycle cycles Put/Remove at the occupancy the protocol
+// holds the stash to — just under the background-eviction threshold —
+// once the entry slice and the index have reached that working size.
 func TestAllocFreeStashCycle(t *testing.T) {
-	s := NewStash(64)
+	cfg := config.Default().ORAM
+	s := NewStash(cfg.StashSize)
 	buf := make([]byte, 64)
-	// Warm the map so steady-state Put/Remove reuses its cells.
-	for i := 0; i < 32; i++ {
+	near := cfg.EvictThreshold() - 1
+	for i := 0; i < near; i++ {
 		s.Put(BlockID(i), PathID(i), nil)
 	}
-	for i := 0; i < 32; i++ {
-		s.Remove(BlockID(i))
+	s.Put(BlockID(near), 0, nil) // reach the peak once so both slices have grown
+	s.Remove(BlockID(near))
+	const hot = BlockID(1 << 30)
+	i := near
+	if n := testing.AllocsPerRun(2000, func() {
+		// One block passes through with its buffer, a new block arrives
+		// and the oldest leaves from the middle of the slice: occupancy
+		// swings between near and near+1.
+		s.Put(hot, 9, buf)
+		buf = s.Remove(hot)
+		s.Put(BlockID(i), 3, nil)
+		s.Remove(BlockID(i - near))
+		i++
+	}); n != 0 || s.Len() != near {
+		t.Fatalf("stash Put/Remove cycle at occupancy %d (now %d) allocates %.1f times per op, want 0", near, s.Len(), n)
 	}
-	if n := testing.AllocsPerRun(200, func() {
-		s.Put(5, 9, buf)
-		buf = s.Remove(5)
+}
+
+// TestAllocFreeMemStoreWrite: rewriting a touched bucket's slots copies
+// into the bucket's one buffer.
+func TestAllocFreeMemStoreWrite(t *testing.T) {
+	m := NewMemStore(12)
+	sealed := make([]byte, 64+SealOverhead)
+	for b := int64(0); b < 255; b++ {
+		m.WriteSlot(b, 0, sealed)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(2000, func() {
+		m.WriteSlot(int64(i%255), i%12, sealed)
+		_ = m.ReadSlot(int64(i%255), (i+5)%12)
+		i++
 	}); n != 0 {
-		t.Fatalf("stash Put/Remove cycle allocates %.1f times per op, want 0", n)
+		t.Fatalf("steady-state MemStore.WriteSlot allocates %.1f times per op, want 0", n)
+	}
+}
+
+// TestAllocFreePositionMapRemap: remapping a block whose id the table has
+// already grown to cover is one store into the index.
+func TestAllocFreePositionMapRemap(t *testing.T) {
+	pm := NewPositionMap(1<<15, 4*(1<<16-1), rng.New(3))
+	const blocks = 16384
+	pm.Remap(blocks - 1) // grows the index once
+	i := 0
+	if n := testing.AllocsPerRun(2000, func() {
+		pm.Remap(BlockID(i % blocks))
+		i += 7919
+	}); n != 0 {
+		t.Fatalf("PositionMap.Remap allocates %.1f times per op, want 0", n)
 	}
 }
 

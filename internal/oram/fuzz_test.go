@@ -2,6 +2,7 @@ package oram
 
 import (
 	"bytes"
+	"io"
 	"testing"
 )
 
@@ -80,6 +81,27 @@ func FuzzRingAccessSequence(f *testing.F) {
 		}
 		if err := r.CheckInvariants(); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// FuzzLoad feeds arbitrary bytes to the checkpoint decoder, seeded from a
+// valid checkpoint: Load must return a Ring or an error, never panic on an
+// index it did not check or allocate by a number it read, and whatever it
+// accepts must checkpoint again.
+func FuzzLoad(f *testing.F) {
+	valid := checkpointForLoadTests(f)
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := Load(bytes.NewReader(data), testKey())
+		if err != nil {
+			return
+		}
+		if err := r.Save(io.Discard); err != nil {
+			t.Fatalf("a loaded checkpoint does not save: %v", err)
 		}
 	})
 }

@@ -73,9 +73,11 @@ type treeCore struct {
 	cfg  config.ORAM
 	tree Tree
 
-	pos     *PositionMap
-	stash   *Stash
-	buckets map[int64]*Bucket
+	pos   *PositionMap
+	stash *Stash
+	// buckets holds the metadata of every bucket touched so far, by
+	// heap-order index.
+	buckets table[*Bucket]
 
 	store Store
 	crypt *Crypt
@@ -97,9 +99,9 @@ func newTreeCore(cfg config.ORAM, store Store, crypt *Crypt, permSrc, posSrc *rn
 	return treeCore{
 		cfg:     cfg,
 		tree:    tree,
-		pos:     NewPositionMap(tree.Leaves(), posSrc),
+		pos:     NewPositionMap(tree.Leaves(), int64(cfg.Z)*tree.Buckets(), posSrc),
 		stash:   NewStash(cfg.StashSize),
-		buckets: make(map[int64]*Bucket),
+		buckets: newTable[*Bucket](denseBound),
 		store:   store,
 		crypt:   crypt,
 		permSrc: permSrc,
@@ -115,12 +117,13 @@ func (c *treeCore) StashLen() int { return c.stash.Len() }
 // materialize returns the bucket at the given global index, creating a
 // fresh all-dummy bucket on first touch (reported by fresh).
 func (c *treeCore) materialize(idx int64) (b *Bucket, fresh bool) {
-	b, ok := c.buckets[idx]
-	if !ok {
+	b = c.buckets.get(idx)
+	if b == nil {
 		b = newBucket(c.cfg.SlotsPerBucket())
-		c.buckets[idx] = b
+		c.buckets.set(idx, b)
+		fresh = true
 	}
-	return b, !ok
+	return b, fresh
 }
 
 // emitFrom returns the first tree level that generates DRAM traffic;
@@ -318,13 +321,14 @@ func (c *treeCore) placeOnPath(p PathID) [][]BlockID {
 	for i := range byLevel {
 		byLevel[i] = byLevel[i][:0]
 	}
-	for id, e := range c.stash.entries {
-		//oramlint:allow maprange CommonLevel is a pure function of (leaf, path) with no side effects, so call order is irrelevant
+	for i := range c.stash.entries {
+		e := &c.stash.entries[i]
 		lvl := c.tree.CommonLevel(p, e.path)
-		byLevel[lvl] = append(byLevel[lvl], id) //oramlint:allow maprange entries are bucketed per level and sorted below, so placement is independent of iteration order
+		byLevel[lvl] = append(byLevel[lvl], e.id)
 	}
-	// Map iteration order is random; sort so runs are reproducible from
-	// the seed alone.
+	// The stash's entry order depends on its insert/remove history, which
+	// a checkpoint does not carry; sort so a restored controller places
+	// exactly as the original would.
 	for _, ids := range byLevel {
 		slices.Sort(ids)
 	}
@@ -356,7 +360,7 @@ func (c *treeCore) placeOnPath(p PathID) [][]BlockID {
 func (c *treeCore) refillPath(op *Op, p PathID, path []int64) {
 	placed := c.placeOnPath(p)
 	for lvl, idx := range path {
-		c.refillBucket(op, idx, lvl, c.buckets[idx], placed[lvl])
+		c.refillBucket(op, idx, lvl, c.buckets.get(idx), placed[lvl])
 	}
 }
 
@@ -422,7 +426,7 @@ func (c *treeCore) checkLocations() error {
 			locations++
 		}
 		for _, idx := range c.tree.Path(p, nil) {
-			if b, ok := c.buckets[idx]; ok && b.findBlock(id) >= 0 {
+			if b := c.buckets.get(idx); b != nil && b.findBlock(id) >= 0 {
 				locations++
 			}
 		}
@@ -432,12 +436,11 @@ func (c *treeCore) checkLocations() error {
 			// off its path. Search the whole touched tree to distinguish
 			// "lost" from "misplaced".
 			where := "nowhere"
-			for _, idx := range sortedBucketIndices(c.buckets) {
-				if c.buckets[idx].findBlock(id) >= 0 {
+			c.buckets.ascending(func(idx int64, b *Bucket) {
+				if where == "nowhere" && b.findBlock(id) >= 0 {
 					where = fmt.Sprintf("bucket %d (level %d)", idx, c.tree.BucketLevel(idx))
-					break
 				}
-			}
+			})
 			err = fmt.Errorf("oram: block %d (path %d) found in %d locations; tree search: %s", id, p, locations, where)
 		}
 	})

@@ -76,13 +76,6 @@ func TestRandomConfigsKeepInvariants(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // TestBucketAccessBudgetNeverExceeded samples bucket counters during a
 // hostile workload (large A, small S) and confirms the S budget holds at
 // every step, not just at the end.
@@ -98,14 +91,14 @@ func TestBucketAccessBudgetNeverExceeded(t *testing.T) {
 		if _, _, err := r.Access(BlockID(i%12), false, nil); err != nil {
 			t.Fatal(err)
 		}
-		for idx, b := range r.buckets {
+		r.buckets.ascending(func(idx int64, b *Bucket) {
 			if b.Count > cfg.S {
 				t.Fatalf("step %d: bucket %d count %d exceeds S=%d", i, idx, b.Count, cfg.S)
 			}
 			if b.Green > cfg.Y {
 				t.Fatalf("step %d: bucket %d green %d exceeds Y=%d", i, idx, b.Green, cfg.Y)
 			}
-		}
+		})
 	}
 }
 

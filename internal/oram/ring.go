@@ -525,7 +525,7 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 	targetSlot := -1
 	if wantTarget {
 		for lvl, idx := range path {
-			if b, ok := r.buckets[idx]; ok {
+			if b := r.buckets.get(idx); b != nil {
 				if s := b.findBlock(id); s >= 0 { //oramlint:allow secret-branch target lookup; the emitted path still reads exactly one untouched slot per level, and slot positions are a secret uniform permutation (Ring ORAM Sec. 3.2)
 					targetLevel, targetSlot = lvl, s
 					break
@@ -743,37 +743,27 @@ func (r *Ring) CheckInvariants() error {
 	if err := r.checkLocations(); err != nil {
 		return err
 	}
-	// Bucket budgets. Sorted order makes the first reported violation
-	// deterministic run to run.
-	for _, idx := range sortedBucketIndices(r.buckets) {
-		b := r.buckets[idx]
-		if b.Count > r.cfg.S {
-			return fmt.Errorf("oram: bucket %d count %d exceeds S=%d", idx, b.Count, r.cfg.S)
+	// Bucket budgets, in ascending bucket order so the first reported
+	// violation is the same run to run.
+	var err error
+	r.buckets.ascending(func(idx int64, b *Bucket) {
+		switch {
+		case err != nil:
+		case b.Count > r.cfg.S:
+			err = fmt.Errorf("oram: bucket %d count %d exceeds S=%d", idx, b.Count, r.cfg.S)
+		case b.Green > r.cfg.Y:
+			err = fmt.Errorf("oram: bucket %d green %d exceeds Y=%d", idx, b.Green, r.cfg.Y)
+		case b.realBlocks() > r.cfg.Z:
+			err = fmt.Errorf("oram: bucket %d holds %d real blocks, Z=%d", idx, b.realBlocks(), r.cfg.Z)
+		case len(b.Slots) != r.cfg.SlotsPerBucket():
+			err = fmt.Errorf("oram: bucket %d has %d slots, want %d", idx, len(b.Slots), r.cfg.SlotsPerBucket())
 		}
-		if b.Green > r.cfg.Y {
-			return fmt.Errorf("oram: bucket %d green %d exceeds Y=%d", idx, b.Green, r.cfg.Y)
-		}
-		if n := b.realBlocks(); n > r.cfg.Z {
-			return fmt.Errorf("oram: bucket %d holds %d real blocks, Z=%d", idx, n, r.cfg.Z)
-		}
-		if len(b.Slots) != r.cfg.SlotsPerBucket() {
-			return fmt.Errorf("oram: bucket %d has %d slots, want %d", idx, len(b.Slots), r.cfg.SlotsPerBucket())
-		}
+	})
+	if err != nil {
+		return err
 	}
 	if r.stash.Len() > r.stash.Cap() {
 		return fmt.Errorf("oram: stash %d over capacity %d", r.stash.Len(), r.stash.Cap())
 	}
 	return nil
-}
-
-// sortedBucketIndices returns the touched bucket indices in ascending
-// order, for deterministic iteration over the lazily-populated bucket
-// map (checkpointing, invariant reporting).
-func sortedBucketIndices(m map[int64]*Bucket) []int64 {
-	idxs := make([]int64, 0, len(m))
-	for idx := range m {
-		idxs = append(idxs, idx)
-	}
-	slices.Sort(idxs)
-	return idxs
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 
 	"stringoram/internal/config"
@@ -13,6 +12,11 @@ import (
 
 // snapshotVersion guards the checkpoint format.
 const snapshotVersion = 1
+
+// maxCheckpointBlock bounds the block size Load accepts: the sealer
+// allocates a block-sized buffer up front, and a checkpoint is outside
+// input. It is the server's frame limit; no larger block can be served.
+const maxCheckpointBlock = 1 << 20
 
 // Snapshot structures. gob encodes the exported fields; the types stay
 // package-private so the wire format is an implementation detail.
@@ -98,8 +102,10 @@ func (r *Ring) Save(w io.Writer) error {
 	if r.crypt != nil {
 		snap.CryptCtr = r.crypt.Counter()
 	}
-	// The walks below visit maps; sort every snapshot slice so the gob
-	// stream is byte-identical across runs of the same simulation.
+	// Every snapshot slice is in ascending id or index order, so the gob
+	// stream is byte-identical across runs of the same simulation. The
+	// tables walk in that order; the stash's order is its insert/remove
+	// history, so it is sorted.
 	r.stash.ForEach(func(id BlockID, p PathID) {
 		// Copy: the snapshot must not alias stash buffers that the pool
 		// recycles on the next access (caught by oramlint's ownership
@@ -114,25 +120,18 @@ func (r *Ring) Save(w io.Writer) error {
 	r.pos.ForEach(func(id BlockID, p PathID) {
 		snap.PosMap = append(snap.PosMap, posSnap{ID: id, Path: p})
 	})
-	sort.Slice(snap.PosMap, func(i, j int) bool { return snap.PosMap[i].ID < snap.PosMap[j].ID })
-	for _, idx := range sortedBucketIndices(r.buckets) {
-		b := r.buckets[idx]
+	r.buckets.ascending(func(idx int64, b *Bucket) {
 		snap.Buckets = append(snap.Buckets, bucketSnap{
 			Index: idx, Count: b.Count, Green: b.Green, Epoch: b.Epoch, Slots: b.Slots,
 		})
-	}
+	})
 	switch st := r.store.(type) {
 	case nil:
 		// timing-only: nothing to persist
 	case *MemStore:
-		bkts := make([]int64, 0, len(st.slots))
-		for bkt := range st.slots {
-			bkts = append(bkts, bkt)
-		}
-		slices.Sort(bkts)
-		for _, bkt := range bkts {
-			snap.Store = append(snap.Store, storeSnap{Bucket: bkt, Slots: st.slots[bkt]})
-		}
+		st.eachBucket(func(bkt int64, slots [][]byte) {
+			snap.Store = append(snap.Store, storeSnap{Bucket: bkt, Slots: slots})
+		})
 	default:
 		return fmt.Errorf("oram: Save supports nil or MemStore stores, got %T", r.store)
 	}
@@ -157,6 +156,9 @@ func Load(rd io.Reader, key []byte) (*Ring, error) {
 	if err := snap.Cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("oram: checkpoint config: %w", err)
 	}
+	if snap.Cfg.BlockSize > maxCheckpointBlock {
+		return nil, fmt.Errorf("oram: checkpoint Cfg.BlockSize %d exceeds %d", snap.Cfg.BlockSize, maxCheckpointBlock)
+	}
 
 	var crypt *Crypt
 	if snap.HasCrypt {
@@ -169,15 +171,35 @@ func Load(rd io.Reader, key []byte) (*Ring, error) {
 			return nil, err
 		}
 	}
+	// The checkpoint is outside input: every index that will address a
+	// table is checked against the tree before it is used.
+	tree := NewTree(snap.Cfg.Levels)
+	perBkt := snap.Cfg.SlotsPerBucket()
 	var store Store
 	if snap.HasStore {
-		ms := NewMemStore(snap.Cfg.SlotsPerBucket())
+		sealedLen := snap.Cfg.BlockSize
+		if snap.HasCrypt {
+			sealedLen += SealOverhead
+		}
+		ms := NewMemStore(perBkt)
 		for _, s := range snap.Store {
-			if len(s.Slots) != snap.Cfg.SlotsPerBucket() {
-				return nil, fmt.Errorf("oram: checkpoint bucket %d has %d slots, want %d",
-					s.Bucket, len(s.Slots), snap.Cfg.SlotsPerBucket())
+			switch {
+			case s.Bucket < 0 || s.Bucket >= tree.Buckets():
+				return nil, fmt.Errorf("oram: checkpoint Store.Bucket %d outside the tree's %d buckets", s.Bucket, tree.Buckets())
+			case len(s.Slots) != perBkt:
+				return nil, fmt.Errorf("oram: checkpoint bucket %d has %d slots, want %d", s.Bucket, len(s.Slots), perBkt)
+			case ms.buckets.get(s.Bucket) != nil:
+				return nil, fmt.Errorf("oram: checkpoint Store.Bucket %d appears twice", s.Bucket)
 			}
-			ms.slots[s.Bucket] = s.Slots
+			for slot, sealed := range s.Slots {
+				if sealed == nil {
+					continue // never written
+				}
+				if len(sealed) != sealedLen {
+					return nil, fmt.Errorf("oram: checkpoint Store bucket %d slot %d holds %d bytes, want %d", s.Bucket, slot, len(sealed), sealedLen)
+				}
+				ms.WriteSlot(s.Bucket, slot, sealed)
+			}
 		}
 		store = ms
 	}
@@ -192,22 +214,44 @@ func Load(rd io.Reader, key []byte) (*Ring, error) {
 	r.warmSeed = snap.WarmSeed
 	r.nextFiller = snap.NextFiller
 	r.stats = snap.Stats
+	checkBlock := func(field string, id BlockID, p PathID) error {
+		if id < 0 {
+			return fmt.Errorf("oram: checkpoint %s.ID %d is negative", field, id)
+		}
+		if p < 0 || int64(p) >= tree.Leaves() {
+			return fmt.Errorf("oram: checkpoint %s.Path %d (block %d) outside the tree's %d leaves", field, p, id, tree.Leaves())
+		}
+		return nil
+	}
 	for _, e := range snap.PosMap {
+		if err := checkBlock("PosMap", e.ID, e.Path); err != nil {
+			return nil, err
+		}
 		r.pos.Set(e.ID, e.Path)
 	}
 	for _, e := range snap.Stash {
+		if err := checkBlock("Stash", e.ID, e.Path); err != nil {
+			return nil, err
+		}
+		if len(e.Data) != 0 && len(e.Data) != snap.Cfg.BlockSize {
+			return nil, fmt.Errorf("oram: checkpoint Stash block %d holds %d bytes, want %d", e.ID, len(e.Data), snap.Cfg.BlockSize)
+		}
 		r.stash.Put(e.ID, e.Path, e.Data)
 	}
 	for _, b := range snap.Buckets {
-		if len(b.Slots) != snap.Cfg.SlotsPerBucket() {
-			return nil, fmt.Errorf("oram: checkpoint bucket %d metadata has %d slots, want %d",
-				b.Index, len(b.Slots), snap.Cfg.SlotsPerBucket())
+		switch {
+		case b.Index < 0 || b.Index >= tree.Buckets():
+			return nil, fmt.Errorf("oram: checkpoint Buckets.Index %d outside the tree's %d buckets", b.Index, tree.Buckets())
+		case len(b.Slots) != perBkt:
+			return nil, fmt.Errorf("oram: checkpoint bucket %d metadata has %d slots, want %d", b.Index, len(b.Slots), perBkt)
+		case r.buckets.get(b.Index) != nil:
+			return nil, fmt.Errorf("oram: checkpoint Buckets.Index %d appears twice", b.Index)
 		}
 		rb := &Bucket{
 			Slots: b.Slots, Count: b.Count, Green: b.Green, Epoch: b.Epoch,
 		}
 		rb.reindex()
-		r.buckets[b.Index] = rb
+		r.buckets.set(b.Index, rb)
 	}
 	if r.stash.Len() > r.stash.Cap() {
 		return nil, fmt.Errorf("oram: checkpoint stash (%d) exceeds capacity (%d)", r.stash.Len(), r.stash.Cap())

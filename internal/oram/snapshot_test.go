@@ -2,6 +2,8 @@ package oram
 
 import (
 	"bytes"
+	"encoding/gob"
+	"strings"
 	"testing"
 
 	"stringoram/internal/rng"
@@ -165,6 +167,89 @@ func TestLoadRejectsSealedWithoutCrypt(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a checkpoint")), nil); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// checkpointForLoadTests returns the bytes of a valid sealed checkpoint
+// with a populated store, bucket table, position map and stash.
+func checkpointForLoadTests(t testing.TB) []byte {
+	cfg := smallCfg(2)
+	crypt, err := NewCrypt(testKey(), cfg.BlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRing(cfg, 9, &Options{Store: NewMemStore(cfg.SlotsPerBucket()), Crypt: crypt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 13; i++ { // few: the fuzzer minimizes what it is seeded with
+		if _, err := r.Write(BlockID(i%10), blockData(cfg, BlockID(i%10), i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := r.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadRejectsBadIndices: a checkpoint is outside input, and every
+// index in it addresses a table. Each case corrupts one field of a valid
+// checkpoint; Load must refuse it with an error naming the field rather
+// than store it (a map swallowed these silently), index by it or allocate
+// by it.
+func TestLoadRejectsBadIndices(t *testing.T) {
+	valid := checkpointForLoadTests(t)
+	var probe ringSnap
+	if err := gob.NewDecoder(bytes.NewReader(valid)).Decode(&probe); err != nil {
+		t.Fatal(err)
+	}
+	if len(probe.Store) == 0 || len(probe.Buckets) == 0 || len(probe.PosMap) == 0 || len(probe.Stash) == 0 {
+		t.Fatalf("checkpoint lacks a section: %d store buckets, %d buckets, %d mappings, %d stashed",
+			len(probe.Store), len(probe.Buckets), len(probe.PosMap), len(probe.Stash))
+	}
+	tree := NewTree(probe.Cfg.Levels)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(s *ringSnap)
+		want    string
+	}{
+		{"store bucket negative", func(s *ringSnap) { s.Store[0].Bucket = -1 }, "Store.Bucket"},
+		{"store bucket one past the tree", func(s *ringSnap) { s.Store[0].Bucket = tree.Buckets() }, "Store.Bucket"},
+		{"store bucket 2^60", func(s *ringSnap) { s.Store[0].Bucket = 1 << 60 }, "Store.Bucket"},
+		{"store bucket twice", func(s *ringSnap) { s.Store = append(s.Store, s.Store[0]) }, "Store.Bucket"},
+		{"store slot length", func(s *ringSnap) { s.Store[0].Slots[0] = []byte{1, 2, 3} }, "Store bucket"},
+		{"bucket index negative", func(s *ringSnap) { s.Buckets[0].Index = -7 }, "Buckets.Index"},
+		{"bucket index one past the tree", func(s *ringSnap) { s.Buckets[0].Index = tree.Buckets() }, "Buckets.Index"},
+		{"bucket index 2^60", func(s *ringSnap) { s.Buckets[0].Index = 1 << 60 }, "Buckets.Index"},
+		{"bucket index twice", func(s *ringSnap) { s.Buckets = append(s.Buckets, s.Buckets[0]) }, "Buckets.Index"},
+		{"posmap id negative", func(s *ringSnap) { s.PosMap[0].ID = -1 }, "PosMap.ID"},
+		{"posmap path negative", func(s *ringSnap) { s.PosMap[0].Path = -1 }, "PosMap.Path"},
+		{"posmap path one past the leaves", func(s *ringSnap) { s.PosMap[0].Path = PathID(tree.Leaves()) }, "PosMap.Path"},
+		{"stash id negative", func(s *ringSnap) { s.Stash[0].ID = -1 }, "Stash.ID"},
+		{"stash path 2^60", func(s *ringSnap) { s.Stash[0].Path = 1 << 60 }, "Stash.Path"},
+		{"stash data length", func(s *ringSnap) { s.Stash[0].Data = []byte{1} }, "Stash block"},
+		{"block size 2^40", func(s *ringSnap) { s.Cfg.BlockSize = 1 << 40 }, "Cfg.BlockSize"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var snap ringSnap
+			if err := gob.NewDecoder(bytes.NewReader(valid)).Decode(&snap); err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(&snap)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Load(&buf, testKey())
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Load = %v, want an error naming %q", err, tc.want)
+			}
+		})
+	}
+	if _, err := Load(bytes.NewReader(valid), testKey()); err != nil {
+		t.Fatalf("the uncorrupted checkpoint no longer loads: %v", err)
 	}
 }
 

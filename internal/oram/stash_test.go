@@ -78,8 +78,15 @@ func TestStashForEach(t *testing.T) {
 	}
 }
 
+// mappedBlocks counts the mappings ForEach visits.
+func mappedBlocks(pm *PositionMap) int {
+	n := 0
+	pm.ForEach(func(BlockID, PathID) { n++ })
+	return n
+}
+
 func TestPositionMapLazyAssign(t *testing.T) {
-	pm := NewPositionMap(256, rng.New(1))
+	pm := NewPositionMap(256, 64, rng.New(1))
 	if _, known := pm.Lookup(5); known {
 		t.Fatal("unmapped block reported known")
 	}
@@ -90,13 +97,13 @@ func TestPositionMapLazyAssign(t *testing.T) {
 	if got, known := pm.Lookup(5); !known || got != p {
 		t.Fatalf("Lookup after Remap = %d,%v", got, known)
 	}
-	if len(pm.m) != 1 {
-		t.Fatalf("mapped %d blocks, want 1", len(pm.m))
+	if n := mappedBlocks(pm); n != 1 {
+		t.Fatalf("mapped %d blocks, want 1", n)
 	}
 }
 
 func TestPositionMapRemapUniform(t *testing.T) {
-	pm := NewPositionMap(16, rng.New(2))
+	pm := NewPositionMap(16, 64, rng.New(2))
 	counts := make([]int, 16)
 	const draws = 16000
 	for i := 0; i < draws; i++ {
@@ -110,20 +117,20 @@ func TestPositionMapRemapUniform(t *testing.T) {
 }
 
 func TestPositionMapRandomPathDoesNotMap(t *testing.T) {
-	pm := NewPositionMap(64, rng.New(3))
+	pm := NewPositionMap(64, 64, rng.New(3))
 	for i := 0; i < 100; i++ {
 		p := pm.RandomPath()
 		if p < 0 || p >= 64 {
 			t.Fatalf("RandomPath out of range: %d", p)
 		}
 	}
-	if len(pm.m) != 0 {
+	if mappedBlocks(pm) != 0 {
 		t.Fatal("RandomPath inserted mappings")
 	}
 }
 
 func TestPositionMapForEach(t *testing.T) {
-	pm := NewPositionMap(8, rng.New(4))
+	pm := NewPositionMap(8, 64, rng.New(4))
 	pm.Remap(1)
 	pm.Remap(2)
 	n := 0

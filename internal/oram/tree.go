@@ -1,5 +1,7 @@
 package oram
 
+import "math/bits"
+
 // Tree geometry helpers. Buckets are numbered in heap order: the root is
 // bucket 0 at level 0; the bucket at level l with in-level index i has
 // global index 2^l - 1 + i; leaves sit at level L. A PathID p (a leaf
@@ -37,11 +39,8 @@ func (t Tree) BucketIndex(p PathID, level int) int64 {
 
 // BucketLevel returns the level of a global bucket index.
 func (t Tree) BucketLevel(bucket int64) int {
-	level := 0
-	for (int64(1)<<uint(level+1))-1 <= bucket {
-		level++
-	}
-	return level
+	// Level l holds indices [2^l - 1, 2^(l+1) - 1), so bucket+1 has l+1 bits.
+	return bits.Len64(uint64(bucket)+1) - 1
 }
 
 // PathThrough returns an arbitrary path passing through the given bucket
@@ -64,13 +63,8 @@ func (t Tree) Path(p PathID, dst []int64) []int64 {
 // CommonLevel returns the deepest level at which paths a and b share a
 // bucket (0 means they only share the root).
 func (t Tree) CommonLevel(a, b PathID) int {
-	x := uint64(a) ^ uint64(b)
-	level := t.L
-	for x != 0 {
-		x >>= 1
-		level--
-	}
-	return level
+	// The paths part ways at the highest bit their leaf indices differ in.
+	return t.L - bits.Len64(uint64(a)^uint64(b))
 }
 
 // EvictPathFor returns the eviction path for the g-th eviction, following
@@ -79,15 +73,5 @@ func (t Tree) CommonLevel(a, b PathID) int {
 // close to the root as possible, minimizing overlapped buckets.
 func (t Tree) EvictPathFor(g int64) PathID {
 	m := uint64(g) & (uint64(t.Leaves()) - 1)
-	return PathID(reverseBits(m, t.L))
-}
-
-// reverseBits reverses the low n bits of v.
-func reverseBits(v uint64, n int) uint64 {
-	var r uint64
-	for i := 0; i < n; i++ {
-		r = (r << 1) | (v & 1)
-		v >>= 1
-	}
-	return r
+	return PathID(bits.Reverse64(m) >> uint(64-t.L))
 }

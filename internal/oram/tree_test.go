@@ -175,6 +175,67 @@ func TestEvictPathConsecutiveDivergeEarly(t *testing.T) {
 	}
 }
 
+// The bit loops tree.go used before math/bits, kept as the reference the
+// one-instruction forms are proved against.
+
+func loopBucketLevel(bucket int64) int {
+	level := 0
+	for (int64(1)<<uint(level+1))-1 <= bucket {
+		level++
+	}
+	return level
+}
+
+func loopCommonLevel(t Tree, a, b PathID) int {
+	x := uint64(a) ^ uint64(b)
+	level := t.L
+	for x != 0 {
+		x >>= 1
+		level--
+	}
+	return level
+}
+
+// reverseBits reverses the low n bits of v.
+func reverseBits(v uint64, n int) uint64 {
+	var r uint64
+	for i := 0; i < n; i++ {
+		r = (r << 1) | (v & 1)
+		v >>= 1
+	}
+	return r
+}
+
+// TestTreeBitsMatchLoops proves BucketLevel, CommonLevel and EvictPathFor
+// equal the loops they replaced on every input of every tree with L <= 16.
+// CommonLevel reads only a XOR b, so pairing every path with path 0 and
+// with the last path covers every value of that XOR twice.
+func TestTreeBitsMatchLoops(t *testing.T) {
+	for L := 0; L <= 16; L++ {
+		tr := Tree{L: L}
+		for b := int64(0); b < tr.Buckets(); b++ {
+			if got, want := tr.BucketLevel(b), loopBucketLevel(b); got != want {
+				t.Fatalf("L=%d: BucketLevel(%d) = %d, want %d", L, b, got, want)
+			}
+		}
+		last := PathID(tr.Leaves() - 1)
+		for a := PathID(0); a <= last; a++ {
+			for _, b := range []PathID{0, last} {
+				if got, want := tr.CommonLevel(a, b), loopCommonLevel(tr, a, b); got != want {
+					t.Fatalf("L=%d: CommonLevel(%d, %d) = %d, want %d", L, a, b, got, want)
+				}
+			}
+			// Past one full cycle too: EvictPathFor reduces g mod 2^L.
+			for _, g := range []int64{int64(a), int64(a) + 5*tr.Leaves()} {
+				want := PathID(reverseBits(uint64(g)&uint64(last), L))
+				if got := tr.EvictPathFor(g); got != want {
+					t.Fatalf("L=%d: EvictPathFor(%d) = %d, want %d", L, g, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestReverseBits(t *testing.T) {
 	cases := []struct {
 		v    uint64

@@ -102,8 +102,8 @@ func (r *Ring) warmTreetop() {
 	// Deterministic sweep of exactly the cached range (the tree top is
 	// buckets [0, nBuckets)); unmaterialized buckets have no contents.
 	for idx := int64(0); idx < tt.nBuckets; idx++ {
-		b, ok := r.buckets[idx]
-		if !ok {
+		b := r.buckets.get(idx)
+		if b == nil {
 			continue
 		}
 		for s := range b.Slots {
@@ -220,8 +220,8 @@ func (r *Ring) verifyTreetop() {
 	}
 	tt := r.tt
 	for idx := int64(0); idx < tt.nBuckets; idx++ {
-		b, ok := r.buckets[idx]
-		if !ok {
+		b := r.buckets.get(idx)
+		if b == nil {
 			continue
 		}
 		for s := range b.Slots {

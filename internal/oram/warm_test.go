@@ -22,12 +22,12 @@ func TestWarmFillPopulatesBuckets(t *testing.T) {
 	// Leaf buckets must carry substantial occupancy on average.
 	tr := r.tree
 	var leafBlocks, leafBuckets int
-	for idx, b := range r.buckets {
+	r.buckets.ascending(func(idx int64, b *Bucket) {
 		if tr.BucketLevel(idx) == tr.L {
 			leafBuckets++
 			leafBlocks += b.realBlocks()
 		}
-	}
+	})
 	if leafBuckets == 0 {
 		t.Fatal("no leaf buckets materialized")
 	}

@@ -3,7 +3,8 @@
 # formatting, vet, the project linters (oramlint), build, the full test
 # suite in both build flavors (default and -tags=invariants), the race
 # detector over the packages with scheduler/simulator
-# concurrency-sensitive state, and a short fuzz smoke of the trace codec.
+# concurrency-sensitive state, and short fuzz smokes of the trace codec,
+# the sealer and the checkpoint loader.
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -79,8 +80,9 @@ for procs in 1 2 4; do
 	    ./internal/cluster ./internal/server ./internal/obs
 done
 
-echo "== data-plane goldens (sealed bytes, treetop store trace, Path op trace) =="
-go test -count=1 -run='^(TestSealedBytesGolden|TestTreetopStoreTraceGolden|TestPathTraceGolden)$' ./internal/oram
+echo "== data-plane goldens (sealed bytes, treetop store trace, Path op trace, checkpoint bytes, DRAM command stream) =="
+go test -count=1 -run='^(TestSealedBytesGolden|TestTreetopStoreTraceGolden|TestPathTraceGolden|TestRingSaveBytesGolden)$' ./internal/oram
+go test -count=1 -run='^TestCommandStreamGolden$' ./internal/sim
 
 echo "== treetop cache equivalence (serial vs uncached oracle, -race) =="
 # Covers compact/XOR/plaintext: the cached controller must return
@@ -110,5 +112,11 @@ go test -run='^$' -fuzz=FuzzReadCodec -fuzztime=5s ./internal/trace
 
 echo "== fuzz smoke (seal/open vs the cipher.NewCTR reference) =="
 go test -run='^$' -fuzz=FuzzSealIntoMatchesCTR -fuzztime=5s ./internal/oram
+
+echo "== fuzz smoke (checkpoint loader) =="
+# Minimizing a checkpoint-sized input eats the whole budget (about a
+# hundred executions in 5 s against tens of thousands without), and a
+# smoke wants executions.
+go test -run='^$' -fuzz='^FuzzLoad$' -fuzztime=5s -fuzzminimizetime=0 ./internal/oram
 
 echo "check.sh: all gates passed"
