@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -181,6 +182,51 @@ func TestClusterForwardThroughWrongNode(t *testing.T) {
 	// serve; the metrics counter proves the forward path ran.
 	if got := tc.nodes[0].m.forwardGets.Value() + tc.nodes[0].m.forwardPuts.Value(); got == 0 {
 		t.Fatal("node-0 forwarded no ops, want > 0")
+	}
+}
+
+// TestClusterFollowerAnswerForwards: a client op for a shard its node
+// hosts only as a follower passes that node's routing table (the shard
+// is hosted) and is refused by the shard's own worker (not serving).
+// That answer, not the table, must trigger the server-side forward to
+// the primary.
+func TestClusterFollowerAnswerForwards(t *testing.T) {
+	tc := startCluster(t, 3, 6)
+	n1 := tc.nodes[1]
+	follows := tc.placement.FollowersOwnedBy(n1.ID())
+	if len(follows) == 0 {
+		t.Fatal("node-1 follows no shard")
+	}
+	shard := follows[0]
+	if !slices.Contains(n1.Server().HostedShards(), shard) {
+		t.Fatalf("node-1 does not host its follower shard %d", shard)
+	}
+	var key string
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("follower-%d", i); server.ShardOf(k, tc.placement.Shards) == shard {
+			key = k
+		}
+	}
+	c, err := server.Dial(tc.placement.Nodes[1].Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	refused := n1.Server().Metrics().Failed // the follower's worker counts its ErrWrongShard answers
+	retry := server.RetryPolicy{MaxAttempts: 20}
+	if err := c.PutRetry(key, []byte("via-follower"), retry); err != nil {
+		t.Fatalf("Put through the follower: %v", err)
+	}
+	got, found, err := c.GetRetry(key, retry)
+	if err != nil || !found || string(got) != "via-follower" {
+		t.Fatalf("Get through the follower = %q found=%v err=%v", got, found, err)
+	}
+	if n := n1.Server().Metrics().Failed - refused; n < 2 {
+		t.Fatalf("follower worker refused %d ops, want the Put and the Get", n)
+	}
+	if gets, puts := n1.m.forwardGets.Value(), n1.m.forwardPuts.Value(); gets < 1 || puts < 1 {
+		t.Fatalf("node-1 forwarded %d gets and %d puts, want both ops relayed", gets, puts)
 	}
 }
 

@@ -289,12 +289,24 @@ type request struct {
 	span uint64
 	// stats is where the worker writes an opStats request's copy.
 	stats *oram.Stats
-	done  chan result
+	// Where the single response goes: an in-process caller waits on done;
+	// a request read off a TCP connection carries that connection instead,
+	// and respond encodes the answer straight into its output buffer (see
+	// tcpConn.submit). wseq is the frame's sequence number, wtc the trace
+	// context it arrived with (a wrong-shard forward carries it on),
+	// timeoutMs its wire timeout, and buf the request-owned copy of the
+	// frame's value, which outlives the connection's read buffer.
+	done      chan result
+	conn      *tcpConn
+	wseq      uint64
+	wtc       obs.TraceContext
+	timeoutMs uint32
+	buf       []byte `oramlint:"secret"`
 }
 
-// reqPool recycles request structs (and their single-slot done
-// channels) across calls; sendShard returns a request to the pool only
-// after receiving its response, when the worker no longer touches it.
+// reqPool recycles request structs (with their single-slot done channels
+// and value buffers) across calls; a request returns to the pool only
+// once its response is delivered, when the worker no longer touches it.
 var reqPool = sync.Pool{New: func() any { return &request{done: make(chan result, 1)} }}
 
 // result is the single response every dequeued request receives.
@@ -612,15 +624,25 @@ func (s *Server) sampleTrace(req *request, tc obs.TraceContext) {
 	}
 }
 
-// do validates and stamps one keyed request and sends it to the key's
-// shard. Validation failures and backpressure reject before any ORAM
-// state is touched.
+// do validates and stamps one keyed request, sends it to the key's
+// shard and waits for its response.
 func (s *Server) do(tc obs.TraceContext, op opKind, key string, val []byte, deadline time.Time) result {
+	req, err := s.admit(tc, op, key, val, deadline)
+	if err != nil {
+		return result{err: err}
+	}
+	return s.sendShard(ShardOf(key, s.cfg.TotalShards), req)
+}
+
+// admit validates one keyed client op and returns it as a pooled request
+// stamped with its deadline and trace context, ready to enqueue.
+// Validation failures reject before any ORAM state is touched.
+func (s *Server) admit(tc obs.TraceContext, op opKind, key string, val []byte, deadline time.Time) (*request, error) {
 	if key == "" || len(key) > MaxKeyLen {
-		return result{err: fmt.Errorf("%w: %d bytes", ErrBadKey, len(key))}
+		return nil, fmt.Errorf("%w: %d bytes", ErrBadKey, len(key))
 	}
 	if op == opPut && len(val) > s.MaxValueLen() {
-		return result{err: fmt.Errorf("%w: %d bytes, max %d", ErrValueTooLarge, len(val), s.MaxValueLen())}
+		return nil, fmt.Errorf("%w: %d bytes, max %d", ErrValueTooLarge, len(val), s.MaxValueLen())
 	}
 	if deadline.IsZero() && s.cfg.DefaultTimeout > 0 {
 		deadline = time.Now().Add(s.cfg.DefaultTimeout)
@@ -629,32 +651,38 @@ func (s *Server) do(tc obs.TraceContext, op opKind, key string, val []byte, dead
 	req.op, req.key, req.val = op, key, val
 	req.deadline, req.enqueued = deadline, time.Now()
 	s.sampleTrace(req, tc)
-	return s.sendShard(ShardOf(key, s.cfg.TotalShards), req)
+	return req, nil
+}
+
+// enqueue hands req to a hosted shard's queue without waiting: a closed
+// server, an unhosted shard and a full queue fail at once (ErrClosed,
+// ErrWrongShard, ErrBacklog), and the request then still belongs to the
+// caller.
+func (s *Server) enqueue(gid int, req *request) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return ErrClosed
+	}
+	sh := s.byID[gid]
+	if sh == nil {
+		return fmt.Errorf("shard %d: %w", gid, ErrWrongShard)
+	}
+	select {
+	case sh.reqs <- req:
+		return nil
+	default:
+		sh.m.noteRejected()
+		return fmt.Errorf("shard %d: %w", gid, ErrBacklog)
+	}
 }
 
 // sendShard enqueues req on a hosted shard, waits for its single
 // response and returns the request to the pool.
 func (s *Server) sendShard(gid int, req *request) result {
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
+	if err := s.enqueue(gid, req); err != nil {
 		releaseRequest(req)
-		return result{err: ErrClosed}
-	}
-	sh := s.byID[gid]
-	if sh == nil {
-		s.mu.RUnlock()
-		releaseRequest(req)
-		return result{err: fmt.Errorf("shard %d: %w", gid, ErrWrongShard)}
-	}
-	select {
-	case sh.reqs <- req:
-		s.mu.RUnlock()
-	default:
-		s.mu.RUnlock()
-		sh.m.noteRejected()
-		releaseRequest(req)
-		return result{err: fmt.Errorf("shard %d: %w", gid, ErrBacklog)}
+		return result{err: err}
 	}
 	res := <-req.done
 	releaseRequest(req)
@@ -803,12 +831,11 @@ func (s *Server) DetachShard(shardID int) ([]byte, error) {
 	return sh.snapshotBytes()
 }
 
-// releaseRequest clears a request's secret references and returns it to
-// the pool.
+// releaseRequest zeroes a request — its secret references included —
+// keeping only its reusable done channel and value buffer, and returns
+// it to the pool.
 func releaseRequest(req *request) {
-	req.key, req.val = "", nil
-	req.tc, req.span = obs.TraceContext{}, 0
-	req.stats = nil
+	*req = request{done: req.done, buf: req.buf[:0]}
 	reqPool.Put(req)
 }
 
@@ -1002,7 +1029,18 @@ func (sh *shard) finish(r *request, data []byte, ops []oram.Op, err error) {
 			sh.respond(r, result{found: false})
 			return
 		}
-		val, derr := decodeValue(data)
+		// The value is copied out of the Ring's scratch, valid only until
+		// its next access: into the request's own buffer when a connection
+		// will encode it from there (no allocation), into a slice of its
+		// own for an in-process caller, who keeps it.
+		var dst []byte
+		if r.conn != nil {
+			dst = r.buf[:0]
+		}
+		val, derr := decodeValue(dst, data)
+		if r.conn != nil {
+			r.buf = val
+		}
 		sh.respond(r, result{val: val, found: true, err: derr})
 		return
 	}
@@ -1024,10 +1062,11 @@ func (sh *shard) finish(r *request, data []byte, ops []oram.Op, err error) {
 	sh.respond(r, result{seq: seq})
 }
 
-// respond delivers the request's single response and records latency,
-// plus the request's serve span when it was sampled at admission. The
-// span carries only identifiers and timings — key and value never reach
-// the tracer.
+// respond delivers the request's single response — into the TCP
+// connection it arrived on, or to its in-process waiter — and records
+// latency, plus the request's serve span when it was sampled at
+// admission. The span carries only identifiers and timings — key and
+// value never reach the tracer.
 func (sh *shard) respond(r *request, res result) {
 	sh.m.noteDone(r.op, res, time.Since(r.enqueued))
 	if r.span != 0 {
@@ -1049,6 +1088,10 @@ func (sh *shard) respond(r *request, res result) {
 			Track:  int32(sh.id),
 		})
 	}
+	if r.conn != nil {
+		r.conn.deliver(r, res)
+		return
+	}
 	r.done <- res
 }
 
@@ -1066,19 +1109,18 @@ func (sh *shard) encodeValueScratch(val []byte) []byte {
 	return block
 }
 
-// decodeValue unframes a block; never-written blocks are all zero and
-// decode to an empty value.
-func decodeValue(block []byte) ([]byte, error) {
+// decodeValue unframes a block, appending the value to dst (returned
+// unchanged on error); never-written blocks are all zero and decode to an
+// empty value.
+func decodeValue(dst, block []byte) ([]byte, error) {
 	if len(block) < valueHeaderLen {
-		return nil, fmt.Errorf("server: short block (%d bytes)", len(block))
+		return dst, fmt.Errorf("server: short block (%d bytes)", len(block))
 	}
 	n := int(binary.BigEndian.Uint16(block))
 	if n > len(block)-valueHeaderLen {
-		return nil, fmt.Errorf("server: corrupt block: value length %d exceeds block", n)
+		return dst, fmt.Errorf("server: corrupt block: value length %d exceeds block", n)
 	}
-	out := make([]byte, n)
-	copy(out, block[valueHeaderLen:])
-	return out, nil
+	return append(dst, block[valueHeaderLen:valueHeaderLen+n]...), nil
 }
 
 // --- snapshots ---

@@ -560,7 +560,7 @@ func TestEncodeValueScratchFraming(t *testing.T) {
 		if tail := got[valueHeaderLen+len(val):]; !bytes.Equal(tail, make([]byte, len(tail))) {
 			t.Fatalf("encodeValueScratch(%q) = %x: stale tail after the value", val, got)
 		}
-		if back, err := decodeValue(got); err != nil || !bytes.Equal(back, val) {
+		if back, err := decodeValue(nil, got); err != nil || !bytes.Equal(back, val) {
 			t.Fatalf("decodeValue(encodeValueScratch(%q)) = %q, %v", val, back, err)
 		}
 	}

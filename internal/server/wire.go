@@ -127,9 +127,9 @@ const (
 )
 
 // wireRequest is one decoded request frame. Val aliases the decoded
-// payload buffer: it is valid for as long as the payload is (the TCP
-// server releases the payload back to its pool only after the request
-// is fully served).
+// payload buffer, which the TCP read loop reuses for the next frame:
+// whatever outlives the frame copies Val out first (a Get/Put into its
+// request, a goroutine-served frame into a pooled buffer).
 type wireRequest struct {
 	Op            wireOp
 	Seq           uint64
@@ -379,13 +379,16 @@ func decodeHelloBody(p []byte) (version uint32, nodeID string, err error) {
 }
 
 // readFrameInto reads one length-prefixed payload from br, reusing
-// buf's backing array when it is large enough.
+// buf's backing array when it is large enough. The length prefix is
+// peeked out of br's buffer: a local header array handed to io.ReadFull
+// would escape, costing an allocation per frame.
 func readFrameInto(br *bufio.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr, err := br.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(hdr))
+	br.Discard(4)
 	if n == 0 || n > maxFrame {
 		return nil, fmt.Errorf("server: frame length %d out of range (1..%d)", n, maxFrame)
 	}

@@ -96,15 +96,25 @@ func TestWireDecodeCorrupt(t *testing.T) {
 // startTCP brings up a full server + TCP front end on a loopback port.
 func startTCP(t *testing.T, cfg Config) (*Server, *TCPServer, string) {
 	t.Helper()
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := mustNew(t, cfg)
+	return serveTCP(t, srv, NewTCPServer(srv), listen(t))
+}
+
+// listen opens a loopback listener, skipping the test where there is none.
+func listen(t *testing.T) net.Listener {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Skipf("loopback listen unavailable: %v", err)
 	}
-	tcp := NewTCPServer(srv)
+	return ln
+}
+
+// serveTCP serves an already-built server + front end on ln (startTCP's
+// tail for callers that need AttachCluster, other pre-Serve setup, or a
+// wrapped listener) and shuts both down at cleanup.
+func serveTCP(t *testing.T, srv *Server, tcp *TCPServer, ln net.Listener) (*Server, *TCPServer, string) {
+	t.Helper()
 	done := make(chan error, 1)
 	go func() { done <- tcp.Serve(ln) }()
 	t.Cleanup(func() {

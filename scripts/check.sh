@@ -71,12 +71,13 @@ go test -race -count=1 -run='^(TestClusterScrapeUnderLoad|TestClusterStitchedFor
     ./internal/cluster
 
 echo "== multi-core stress gate (concurrency-sensitive tests x20 at GOMAXPROCS 1, 2, 4) =="
-# These tests read telemetry or protocol state while workers race them.
-# A single core hides a torn read, so the gate pins the core counts
-# itself rather than inheriting the CI box's.
+# These tests read telemetry or protocol state while workers race them,
+# or drive the TCP path's read loop, shard workers and writer against
+# each other. A single core hides a torn read or a lost wake, so the
+# gate pins the core counts itself rather than inheriting the CI box's.
 for procs in 1 2 4; do
 	GOMAXPROCS=$procs go test -count=20 \
-	    -run='^(TestClusterScrapeUnderLoad|TestClusterStitchedForwardTrace|TestConfigPipelineIsInert|TestScrapeConsistentUnderObserve)$' \
+	    -run='^(TestClusterScrapeUnderLoad|TestClusterStitchedForwardTrace|TestClusterFollowerAnswerForwards|TestConfigPipelineIsInert|TestScrapeConsistentUnderObserve|TestTCPStressSharedClient|TestTCPBurstSpawnsNoGoroutines|TestTCPShutdownDeliversComputedResponses|TestTCPUnreadPipelineIsBounded)$' \
 	    ./internal/cluster ./internal/server ./internal/obs
 done
 
@@ -90,8 +91,8 @@ echo "== treetop cache equivalence (serial vs uncached oracle, -race) =="
 # cached levels from the store trace.
 go test -race -count=1 -run='^TestTreetop' ./internal/oram
 
-echo "== alloc-regression guards (data-plane hot path, scheduler Tick) =="
-go test -run='^TestAllocFree' -count=1 ./internal/oram ./internal/cluster ./internal/sched
+echo "== alloc-regression guards (data-plane hot path, scheduler Tick, loopback client ops) =="
+go test -run='^TestAlloc(Free|Bound)' -count=1 ./internal/oram ./internal/cluster ./internal/sched ./internal/server
 
 echo "== observability gate (alloc guards, Perfetto schema, exposition parse, one quantile source) =="
 go test -count=1 \
