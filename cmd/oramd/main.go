@@ -11,11 +11,11 @@
 //
 //	-addr host:port      TCP listen address (default 127.0.0.1:9736)
 //	-metrics host:port   HTTP metrics address; GET /metrics returns the
-//	                     Prometheus text exposition, /metrics.json the
-//	                     JSON snapshot, /debug/flightrec a Chrome
-//	                     trace-event dump of recent batch spans (load in
-//	                     Perfetto), and /debug/pprof/ runtime profiles
-//	                     (empty disables all of them)
+//	                     Prometheus text exposition, /debug/trace this
+//	                     node's distributed-trace spans as a Chrome
+//	                     trace-event document (load in Perfetto), and
+//	                     /debug/pprof/ runtime profiles (empty disables
+//	                     all of them)
 //	-shards N            ORAM instances / worker goroutines (default 4)
 //	-levels N            tree levels per shard (default 12)
 //	-queue N             per-shard queue depth (default 256)
@@ -60,7 +60,6 @@ package main
 import (
 	"context"
 	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -82,21 +81,21 @@ import (
 var notifyListening func(addr string)
 
 // metricsMux builds the operator HTTP surface: Prometheus text on
-// /metrics, the legacy JSON snapshot on /metrics.json, a Perfetto-ready
-// trace dump of recent batch spans on /debug/flightrec, pprof, and (in
-// cluster mode) the node's placement table on /cluster/placement. It
-// rides on the -metrics listener only, so none of it is exposed unless
-// the operator opts in.
+// /metrics, this node's span ring as a Perfetto-ready trace on
+// /debug/trace, pprof, the SLO verdict on /healthz (with -slo-p99), and
+// (in cluster mode) the /cluster/ endpoints. Every path it registers is
+// named in the package doc. It rides on the -metrics listener only, so
+// none of it is exposed unless the operator opts in.
 func metricsMux(srv *stringoram.Server, node *stringoram.ClusterNode, slo *obs.SLO) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", obs.PrometheusHandler(srv.Obs()))
-	mux.HandleFunc("/metrics.json", func(rw http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("/debug/trace", func(rw http.ResponseWriter, _ *http.Request) {
+		name := "oramd"
+		if node != nil {
+			name = node.ID()
+		}
 		rw.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(rw).Encode(srv.Metrics())
-	})
-	mux.HandleFunc("/debug/flightrec", func(rw http.ResponseWriter, _ *http.Request) {
-		rw.Header().Set("Content-Type", "application/json")
-		srv.WriteFlightTrace(rw)
+		obs.MergeTraces(rw, []obs.NodeTrace{{Node: name, Spans: srv.Tracer().Snapshot(nil)}})
 	})
 	if slo != nil {
 		mux.Handle("/healthz", slo.Handler())
@@ -282,7 +281,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			srv.Close()
 			return fmt.Errorf("-metrics: %w", err)
 		}
-		fmt.Fprintf(w, "oramd: metrics on http://%s/metrics (JSON on /metrics.json, traces on /debug/flightrec, pprof on /debug/pprof/)\n", mln.Addr())
+		fmt.Fprintf(w, "oramd: metrics on http://%s/metrics (traces on /debug/trace, pprof on /debug/pprof/)\n", mln.Addr())
 		metricsSrv = &http.Server{Handler: mux}
 		go metricsSrv.Serve(mln)
 	}

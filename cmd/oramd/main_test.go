@@ -5,10 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"go/parser"
+	"go/token"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -62,6 +68,24 @@ func (w *syncWriter) Write(p []byte) (int, error) {
 	return w.buf.Write(p)
 }
 
+// sumSeries adds up the values of every exposition sample whose line
+// starts with prefix.
+func sumSeries(t *testing.T, exposition []byte, prefix string) float64 {
+	t.Helper()
+	var sum float64
+	for _, line := range strings.Split(string(exposition), "\n") {
+		if !strings.HasPrefix(line, prefix) {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("exposition line %q: %v", line, err)
+		}
+		sum += v
+	}
+	return sum
+}
+
 func waitShutdown(t *testing.T, stop context.CancelFunc, done chan error) {
 	t.Helper()
 	stop()
@@ -111,12 +135,12 @@ func TestDaemonKillRestart(t *testing.T) {
 			t.Fatalf("after restart Get(%s) = %q found=%v err=%v", key, got, found, err)
 		}
 	}
-	m, err := c.Metrics()
+	body, err := c.ScrapeMetrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Keys != n {
-		t.Fatalf("restored key count = %d, want %d", m.Keys, n)
+	if keys := sumSeries(t, body, "server_keys{"); keys != n {
+		t.Fatalf("restored key count = %v, want %d", keys, n)
 	}
 	c.Close()
 	waitShutdown(t, stop, done)
@@ -136,20 +160,25 @@ func TestDaemonBadFlags(t *testing.T) {
 
 // TestMetricsMuxEndpoints exercises the operator HTTP surface directly:
 // /metrics must speak the Prometheus text exposition (correct status,
-// content type, and a line-by-line parse), /metrics.json the legacy
-// JSON snapshot, and /debug/flightrec a Chrome trace document.
+// content type, and a line-by-line parse) and /debug/trace must be a
+// Chrome trace document holding the node's serve spans. It then holds
+// the package doc to the mux: every path the doc names answers with
+// something other than 404, and every path metricsMux registers is
+// named there (a doc path ending in "/" names its subtree).
 func TestMetricsMuxEndpoints(t *testing.T) {
 	cfg := stringoram.DefaultServerConfig()
 	cfg.Shards = 2
 	cfg.ORAM = stringoram.DefaultServerORAM(8)
 	cfg.Seed = 3
+	cfg.TraceSample = 1
 	srv, err := stringoram.NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	src := obs.NewTraceSource(5)
 	for i := 0; i < 10; i++ {
-		if err := srv.Put(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
+		if err := srv.PutCtx(src.NewTrace(), fmt.Sprintf("k%d", i), []byte("v"), time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -181,21 +210,7 @@ func TestMetricsMuxEndpoints(t *testing.T) {
 		}
 	}
 
-	resp, err = http.Get(ts.URL + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m stringoram.ServerMetrics
-	err = json.NewDecoder(resp.Body).Decode(&m)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("/metrics.json decode: %v", err)
-	}
-	if m.Puts != 10 {
-		t.Fatalf("/metrics.json Puts = %d, want 10", m.Puts)
-	}
-
-	resp, err = http.Get(ts.URL + "/debug/flightrec")
+	resp, err = http.Get(ts.URL + "/debug/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +220,71 @@ func TestMetricsMuxEndpoints(t *testing.T) {
 	err = json.NewDecoder(resp.Body).Decode(&doc)
 	resp.Body.Close()
 	if err != nil {
-		t.Fatalf("/debug/flightrec decode: %v", err)
+		t.Fatalf("/debug/trace decode: %v", err)
 	}
-	if len(doc.TraceEvents) == 0 {
-		t.Fatal("/debug/flightrec has no events after serving traffic")
+	serves := 0
+	for _, ev := range doc.TraceEvents {
+		if ev["name"] == "serve_put" {
+			serves++
+		}
+	}
+	if serves != 10 {
+		t.Fatalf("/debug/trace holds %d serve_put spans, want 10", serves)
+	}
+
+	// The doc drift check needs every optional endpoint mounted: a
+	// one-node cluster and an SLO.
+	placement, err := stringoram.StaticPlacement(2, []stringoram.ClusterNodeInfo{{ID: "a", Addr: "127.0.0.1:0"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := stringoram.NewClusterNode(stringoram.ClusterNodeConfig{ID: "a", Placement: placement, Server: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	slo := obs.NewSLO()
+	slo.Add(node.Server().Obs(), obs.Objective{Name: "p99_latency", Hists: node.Server().LatencyHistograms(), Quantile: 0.99, Threshold: 1})
+	full := httptest.NewServer(metricsMux(node.Server(), node, slo))
+	defer full.Close()
+
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "main.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var documented []string
+	for _, m := range regexp.MustCompile(`(?m)(?:^|[\s(])(/[a-z][a-z0-9_./-]*)`).FindAllStringSubmatch(f.Doc.Text(), -1) {
+		documented = append(documented, strings.TrimRight(m[1], ".,"))
+	}
+	if len(documented) == 0 {
+		t.Fatal("package doc names no HTTP path")
+	}
+	for _, path := range documented {
+		resp, err := http.Get(full.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusNotFound {
+			t.Errorf("package doc names %s, which answers 404", path)
+		}
+	}
+	source, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered := regexp.MustCompile(`mux\.Handle(?:Func)?\("([^"]+)"`).FindAllSubmatch(source, -1)
+	if len(registered) == 0 {
+		t.Fatal("found no mux.Handle calls in main.go")
+	}
+	for _, m := range registered {
+		path := string(m[1])
+		if !slices.ContainsFunc(documented, func(d string) bool {
+			return d == path || strings.HasSuffix(d, "/") && strings.HasPrefix(path, d)
+		}) {
+			t.Errorf("metricsMux registers %s, which the package doc does not name", path)
+		}
 	}
 }
 

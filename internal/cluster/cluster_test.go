@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"sync"
@@ -464,12 +466,15 @@ func TestClusterLiveHandoff(t *testing.T) {
 	}
 }
 
-// TestClusterFlightRecorderOneClock: the cluster layer's events share the
-// recorder — and therefore must share the clock — of the shard workers'
-// batch spans: microseconds since the embedded server started. Every
-// event a node recorded lies inside that node's uptime.
-func TestClusterFlightRecorderOneClock(t *testing.T) {
-	tc := startCluster(t, 3, 6)
+// TestClusterSpansOneClock: spans are the serving layer's one wall-clock
+// record, and each node stamps every span it emits — shard workers'
+// serve spans and the cluster layer's forward and replicate hops alike
+// — in one clock: microseconds since the embedded server started. The
+// scenario forwards, replicates, hands a shard off, kills a node and
+// promotes its followers, all traced; every span a live node recorded
+// lies inside that node's uptime.
+func TestClusterSpansOneClock(t *testing.T) {
+	tc := startClusterWith(t, 3, 6, 8, func(cfg *server.Config) { cfg.TraceSample = 1 })
 	// A plain client pinned to node-0 makes it forward; every acked put
 	// replicates.
 	c, err := server.Dial(tc.placement.Nodes[0].Addr)
@@ -477,8 +482,9 @@ func TestClusterFlightRecorderOneClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	src := obs.NewTraceSource(0xc10c)
 	for i := 0; i < 30; i++ {
-		if err := c.PutRetry(fmt.Sprintf("clk-%d", i), []byte("v"), server.RetryPolicy{MaxAttempts: 20}); err != nil {
+		if err := c.PutCtx(src.NewTrace(), fmt.Sprintf("clk-%d", i), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -489,31 +495,40 @@ func TestClusterFlightRecorderOneClock(t *testing.T) {
 	tc.kill(1)
 	r := tc.router()
 	r.Retry = server.RetryPolicy{MaxAttempts: 40, MaxDelay: 100 * time.Millisecond}
+	r.EnableTracing(7, 1)
 	for i := 0; i < 30; i++ {
 		if err := r.Put(fmt.Sprintf("clk-%d", i), []byte("w")); err != nil {
 			t.Fatal(err)
 		}
+		if _, _, err := r.Get(fmt.Sprintf("clk-%d", i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	seen := make(map[obs.EventKind]bool)
+	seen := make(map[obs.SpanKind]bool)
+	var promotions uint64
 	for i, n := range tc.nodes {
 		if tc.dead[i] {
 			continue
 		}
-		events := n.srv.FlightRecorder().Snapshot(nil)
+		promotions += n.m.promotions.Value()
+		spans := n.srv.Tracer().Snapshot(nil)
 		uptime := n.srv.NowMicros()
-		for _, ev := range events {
-			seen[ev.Kind] = true
-			if ev.TS < 0 || ev.Dur < 0 || ev.TS+ev.Dur > uptime {
-				t.Fatalf("node %d: %v event spans [%d, %d]µs, outside the node's uptime [0, %d]µs",
-					i, ev.Kind, ev.TS, ev.TS+ev.Dur, uptime)
+		for _, s := range spans {
+			seen[s.Kind] = true
+			if s.TS < 0 || s.Dur < 0 || s.TS+s.Dur > uptime {
+				t.Fatalf("node %d: %v span covers [%d, %d]µs, outside the node's uptime [0, %d]µs",
+					i, s.Kind, s.TS, s.TS+s.Dur, uptime)
 			}
 		}
 	}
-	for _, k := range []obs.EventKind{obs.EvBatch, obs.EvReplicate, obs.EvForward, obs.EvHandoff, obs.EvPromote} {
+	for _, k := range []obs.SpanKind{obs.SpanServeGet, obs.SpanServePut, obs.SpanServeApply, obs.SpanReplicate, obs.SpanForward} {
 		if !seen[k] {
-			t.Errorf("no %v event recorded; the scenario no longer covers it", k)
+			t.Errorf("no %v span recorded; the scenario no longer covers it", k)
 		}
+	}
+	if tc.nodes[0].m.handoffs.Value() == 0 || promotions == 0 {
+		t.Errorf("handoffs %d, promotions %d: the scenario no longer covers both", tc.nodes[0].m.handoffs.Value(), promotions)
 	}
 }
 
@@ -528,6 +543,99 @@ func TestHandoffRejectsBadTarget(t *testing.T) {
 	// Shard 1's primary is node-1; node-0 must refuse to hand it off.
 	if err := tc.nodes[0].Handoff(1, "node-1"); err == nil {
 		t.Fatal("handoff of foreign shard succeeded")
+	}
+}
+
+// silentAfterHello listens on loopback as a peer that completes the
+// hello handshake, echoing the dialer's protocol version, and then reads
+// and discards every later frame without ever answering one.
+func silentAfterHello(t *testing.T) NodeInfo {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback listen unavailable: %v", err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
+	})
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			go func() {
+				// Request frame: len:4 op:1 seq:8 timeout:4 keyLen:2 key
+				// valLen:4 val, where val is hello's version:4.
+				var hdr [4]byte
+				if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+					return
+				}
+				req := make([]byte, binary.BigEndian.Uint32(hdr[:]))
+				if _, err := io.ReadFull(conn, req); err != nil || len(req) < 4 {
+					return
+				}
+				version := req[len(req)-4:]
+				// Response frame: len:4 status:1 seq:8 bodyLen:4 body,
+				// where body is version:4 plus the node ID.
+				body := append(append([]byte(nil), version...), "silent"...)
+				resp := binary.BigEndian.AppendUint32(nil, uint32(1+8+4+len(body)))
+				resp = append(resp, 0) // statusOK
+				resp = append(resp, req[1:9]...)
+				resp = binary.BigEndian.AppendUint32(resp, uint32(len(body)))
+				conn.Write(append(resp, body...))
+				io.Copy(io.Discard, conn)
+			}()
+		}
+	}()
+	return NodeInfo{ID: "silent", Addr: ln.Addr().String()}
+}
+
+// TestDialSilentAfterHello: a peer that answers hello and then never
+// answers again must not park a dial. Router.dial (with tracing on) and
+// Node.dialPeer both return within the handshake's 3 s bound — a
+// node's dial runs on a shard worker inside onApply, so a parked dial
+// there stalls every request of that shard.
+func TestDialSilentAfterHello(t *testing.T) {
+	const bound = 3 * time.Second // the server package's dialTimeout
+	peer := silentAfterHello(t)
+	tc := startCluster(t, 1, 1)
+	r := newRouter(tc.placement)
+	r.EnableTracing(1, 1)
+	defer r.Close()
+	for _, d := range []struct {
+		name string
+		dial func(NodeInfo) (*server.Client, error)
+	}{
+		{"Router.dial", r.dial},
+		{"Node.dialPeer", tc.nodes[0].dialPeer},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			c, err := d.dial(peer)
+			if c != nil {
+				c.Close()
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", d.name, err)
+			}
+		case <-time.After(bound):
+			t.Fatalf("%s toward a peer silent after hello did not return within %v", d.name, bound)
+		}
 	}
 }
 

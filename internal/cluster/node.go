@@ -67,8 +67,7 @@ type Node struct {
 
 	killed atomic.Bool
 
-	m   nodeMetrics
-	rec *obs.Recorder[obs.Event]
+	m nodeMetrics
 }
 
 // nodeMetrics is the cluster-layer instrument set (registered on the
@@ -181,7 +180,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			return nil, err
 		}
 	}
-	n.rec = srv.FlightRecorder()
 	n.m.init(srv.Obs(), n)
 	n.tcp = server.NewTCPServer(srv)
 	n.tcp.AttachCluster(n, cfg.ID)
@@ -235,15 +233,7 @@ func (n *Node) Kill() {
 
 // dialPeer opens an outgoing link to peer for the links cache.
 func (n *Node) dialPeer(peer NodeInfo) (*server.Client, error) {
-	c, err := server.DialNode(peer.Addr, n.id)
-	if err != nil {
-		return nil, err
-	}
-	// Negotiate the tracing capability best-effort: a pre-capability
-	// peer answers statusBad and the link simply stays untraced — the
-	// client then never emits a traced frame toward it.
-	_, _ = c.EnableTracing()
-	return c, nil
+	return server.DialNode(peer.Addr, n.id)
 }
 
 // onApply is the shard worker's post-apply hook: append the op log,
@@ -277,12 +267,13 @@ func (n *Node) onApply(tc obs.TraceContext, shard int, seq uint64, key string, v
 		// serve-apply span can parent on it.
 		var rtc obs.TraceContext
 		var span uint64
+		var startUs int64
 		if tc.Valid() {
 			span = n.srv.TraceSource().SpanID()
 			rtc = tc.Child(span)
+			startUs = n.srv.NowMicros()
 		}
 		start := time.Now()
-		startUs := n.srv.NowMicros()
 		// Hand-rolled retry (RetryPolicy.Do takes a closure, and this
 		// runs once per applied write on the replication hot path).
 		rp := n.retry.WithDefaults()
@@ -298,14 +289,11 @@ func (n *Node) onApply(tc obs.TraceContext, shard int, seq uint64, key string, v
 			lag.acked.Store(seq)
 			n.m.replicated.Inc()
 			n.m.replicateSecs.Observe(time.Since(start).Seconds())
-			durUs := n.srv.NowMicros() - startUs
 			if span != 0 {
 				n.srv.Tracer().Emit(obs.Span{Hi: tc.Hi, Lo: tc.Lo, ID: span, Parent: tc.SpanID,
-					TS: startUs, Dur: durUs,
+					TS: startUs, Dur: n.srv.NowMicros() - startUs,
 					Kind: obs.SpanReplicate, Track: int32(shard)})
 			}
-			n.rec.Emit(obs.Event{TS: startUs, Dur: durUs,
-				Kind: obs.EvReplicate, Track: int32(shard), Arg0: int64(shard), Arg1: int64(uint32(seq))})
 			return nil
 		}
 	}
@@ -512,8 +500,6 @@ func (n *Node) Promote(pver uint64, shard int) error {
 		return err
 	}
 	n.m.promotions.Inc()
-	n.rec.Emit(obs.Event{TS: n.srv.NowMicros(), Kind: obs.EvPromote,
-		Track: int32(shard), Arg0: int64(shard), Arg1: int64(uint32(np.Epochs[shard]))})
 	n.pushPlacement(np)
 	return nil
 }
@@ -526,9 +512,6 @@ func (n *Node) ForwardGet(tc obs.TraceContext, key string, ttl int, timeoutMilli
 		return nil, false, err
 	}
 	n.m.forwardGets.Inc()
-	//oramlint:allow secret-telemetry the record carries the shard index ShardOf(key), which the serving layer publishes by design (DESIGN "Shard confinement"; the per-shard request counters already count it); no key or value bytes reach it, and the bus adversary sees none of this wire path
-	n.rec.Emit(obs.Event{TS: n.srv.NowMicros(), Kind: obs.EvForward,
-		Track: int32(shard), Arg0: int64(shard), Arg1: int64(ttl)})
 	ftc, span, startUs := n.beginForward(tc)
 	val, found, err := c.ForwardGetCtx(ftc, key, ttl)
 	n.endForward(tc, span, startUs, shard)
@@ -542,9 +525,6 @@ func (n *Node) ForwardPut(tc obs.TraceContext, key string, val []byte, ttl int, 
 		return err
 	}
 	n.m.forwardPuts.Inc()
-	//oramlint:allow secret-telemetry the record carries the shard index ShardOf(key), which the serving layer publishes by design (DESIGN "Shard confinement"; the per-shard request counters already count it); no key or value bytes reach it, and the bus adversary sees none of this wire path
-	n.rec.Emit(obs.Event{TS: n.srv.NowMicros(), Kind: obs.EvForward,
-		Track: int32(shard), Arg0: int64(shard), Arg1: int64(ttl)})
 	ftc, span, startUs := n.beginForward(tc)
 	err = c.ForwardPutCtx(ftc, key, val, ttl)
 	n.endForward(tc, span, startUs, shard)
@@ -602,7 +582,6 @@ func (n *Node) ownerClient(key string) (*server.Client, int, error) {
 // then bump the shard's epoch so routers converge on the target.
 func (n *Node) Handoff(shard int, targetID string) error {
 	start := time.Now()
-	startUs := n.srv.NowMicros()
 	n.pmu.RLock()
 	p := n.placement
 	self := p.NodeIndex(n.id)
@@ -713,8 +692,6 @@ func (n *Node) Handoff(shard int, targetID string) error {
 
 	n.m.handoffs.Inc()
 	n.m.handoffSecs.Observe(time.Since(start).Seconds())
-	n.rec.Emit(obs.Event{TS: startUs, Dur: n.srv.NowMicros() - startUs,
-		Kind: obs.EvHandoff, Track: int32(shard), Arg0: int64(shard), Arg1: int64(uint32(len(snap)))})
 	return nil
 }
 

@@ -48,8 +48,7 @@ type routerTracer struct {
 // operation mints a 128-bit trace ID, the power-of-two rate picks which
 // ones are recorded (1 = all, 1024 = ~1/1024, 0 = none), and sampled
 // operations ship their context to the serving node and record a root
-// span locally. Call before traffic. Existing connections stay
-// untraced; new ones negotiate the capability at dial time.
+// span locally. Call before traffic.
 func (r *Router) EnableTracing(seed, rate uint64) {
 	r.trc = &routerTracer{
 		src:   obs.NewTraceSource(seed),
@@ -146,12 +145,6 @@ func (r *Router) dial(node NodeInfo) (*server.Client, error) {
 		return nil, err
 	}
 	c.Timeout = r.Timeout
-	if r.trc != nil {
-		// Negotiate the tracing capability; a pre-capability node says
-		// statusBad and the link stays untraced (no traced frames are
-		// ever sent toward it).
-		_, _ = c.EnableTracing()
-	}
 	return c, nil
 }
 

@@ -77,9 +77,6 @@ func TestClusterStitchedForwardTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if on, err := c.EnableTracing(); err != nil || !on {
-		t.Fatalf("EnableTracing = %v, %v", on, err)
-	}
 
 	ctx := obs.NewTraceSource(0x5eed).NewTrace()
 	key := foreignKey(t, tc.placement, "node-0")

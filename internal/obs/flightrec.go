@@ -41,21 +41,6 @@ const (
 	// EvEarlyACT: Proactive Bank issued an ACT for a future transaction.
 	// Arg0 = channel, Arg1 = bank.
 	EvEarlyACT
-	// EvBatch: the server drained a request batch on one shard; used as
-	// a duration span. Arg0 = shard, Arg1 = batch size.
-	EvBatch
-	// EvReplicate: a primary shipped one op-log entry to its follower;
-	// used as a duration span. Arg0 = shard, Arg1 = sequence (mod 2^32).
-	EvReplicate
-	// EvHandoff: one shard finished migrating to another node; used as a
-	// duration span. Arg0 = shard, Arg1 = bytes streamed (mod 2^32).
-	EvHandoff
-	// EvForward: a client op was relayed node-to-node because this node
-	// does not serve the key's shard. Arg0 = shard, Arg1 = remaining TTL.
-	EvForward
-	// EvPromote: this node took over a shard as primary after a failure.
-	// Arg0 = shard, Arg1 = new placement version (mod 2^32).
-	EvPromote
 	numEventKinds
 )
 
@@ -68,11 +53,6 @@ var eventKindNames = [numEventKinds]string{
 	EvTxn:                "txn",
 	EvEarlyPRE:           "early_pre",
 	EvEarlyACT:           "early_act",
-	EvBatch:              "batch",
-	EvReplicate:          "replicate",
-	EvHandoff:            "handoff",
-	EvForward:            "forward",
-	EvPromote:            "promote",
 }
 
 var eventKindCats = [numEventKinds]string{
@@ -84,11 +64,6 @@ var eventKindCats = [numEventKinds]string{
 	EvTxn:                "sched",
 	EvEarlyPRE:           "sched",
 	EvEarlyACT:           "sched",
-	EvBatch:              "server",
-	EvReplicate:          "cluster",
-	EvHandoff:            "cluster",
-	EvForward:            "cluster",
-	EvPromote:            "cluster",
 }
 
 // argNames gives the per-kind labels for Arg0/Arg1 in the trace export.
@@ -101,11 +76,6 @@ var eventArgNames = [numEventKinds][2]string{
 	EvTxn:                {"tag", "requests"},
 	EvEarlyPRE:           {"channel", "bank"},
 	EvEarlyACT:           {"channel", "bank"},
-	EvBatch:              {"shard", "size"},
-	EvReplicate:          {"shard", "seq"},
-	EvHandoff:            {"shard", "bytes"},
-	EvForward:            {"shard", "ttl"},
-	EvPromote:            {"shard", "version"},
 }
 
 // String returns the kind's display name.
@@ -117,9 +87,10 @@ func (k EventKind) String() string {
 }
 
 // Event is one flight-recorder record. TS and Dur are in the time domain
-// of the component that emits it (DRAM cycles for simulator recorders —
-// never wall clock there); Dur == 0 renders as an instant, Dur > 0 as a complete
-// span beginning at TS. Track separates parallel lanes (bank, shard,
+// of the component that emits it (DRAM cycles in the simulator, access
+// ordinals in the protocol layer — never wall clock: serving-side
+// timings are Spans); Dur == 0 renders as an instant, Dur > 0 as a
+// complete span beginning at TS. Track separates parallel lanes (bank,
 // tag) into distinct Perfetto threads.
 type Event struct {
 	TS    int64
@@ -209,7 +180,7 @@ func (r *Recorder[T]) Snapshot(dst []T) []T {
 // WriteTrace renders a flight-recorder snapshot as Chrome trace-event
 // JSON (the {"traceEvents": [...]} object form), loadable in Perfetto
 // and chrome://tracing. domain names the time unit of TS/Dur ("cycles",
-// "accesses", "wall_us") and is embedded in the export metadata:
+// "accesses") and is embedded in the export metadata:
 // timestamps are exported 1:1 as microsecond fields, so in a cycle-domain
 // recording one trace microsecond equals one DRAM cycle.
 func WriteTrace(w io.Writer, domain string, events []Event) error {

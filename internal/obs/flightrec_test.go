@@ -159,7 +159,7 @@ func TestWriteTracePerfettoShape(t *testing.T) {
 }
 
 func TestEventKindString(t *testing.T) {
-	if EvAccess.String() != "access" || EvBatch.String() != "batch" {
+	if EvAccess.String() != "access" || EvEarlyACT.String() != "early_act" {
 		t.Fatal("EventKind names wrong")
 	}
 	if EventKind(200).String() != "unknown" {

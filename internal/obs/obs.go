@@ -16,10 +16,10 @@
 //   - Domain timestamps, never wall clock. The package itself reads no
 //     clock; flight-recorder events carry whatever int64 timestamp the
 //     caller supplies (DRAM cycles in the simulator, logical access
-//     ordinals in the protocol layer, microseconds in the server). This
-//     keeps obs compatible with the repo's seed-only determinism
-//     discipline (cmd/oramlint runs the determinism analyzer over this
-//     package).
+//     ordinals in the protocol layer), and spans the server's
+//     microseconds since start. This keeps obs compatible with the
+//     repo's seed-only determinism discipline (cmd/oramlint runs the
+//     determinism analyzer over this package).
 //
 // Concurrency: instruments are safe from any goroutine. Func instruments
 // (CounterFunc/GaugeFunc) invoke their callback at scrape time; callers

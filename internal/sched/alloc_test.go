@@ -14,7 +14,7 @@ import (
 // TestAllocFreeSchedTick pins the scheduler hot path's contract: once
 // the queues and the transaction window have reached their steady
 // capacity, Tick performs zero heap allocations, with or without a
-// live metrics registry and flight recorder attached. The controller is
+// flight recorder attached. The controller is
 // kept saturated by a synthetic ORAM-like request stream whose Request
 // objects are recycled in place, and each measured run is exactly one
 // feed + Tick under the PB scheduler (the scheme that scans the most).
@@ -26,7 +26,7 @@ func TestAllocFreeSchedTick(t *testing.T) {
 		d := config.Default().DRAM
 		c := New(d, config.SchedProactiveBank)
 		if instrumented {
-			c.Instrument(obs.NewRegistry(), obs.NewRecorder[obs.Event](4096))
+			c.Instrument(obs.NewRecorder[obs.Event](4096))
 		}
 
 		// Transaction t reuses pool slot t%poolTxns, which is safe once

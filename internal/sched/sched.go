@@ -83,10 +83,6 @@ type Request struct {
 	hadPre     bool
 	hadAct     bool
 	classified bool
-	// Cycle a PB-hoisted PRE/ACT was issued for this request, -1 when the
-	// command was not hoisted; feeds the hidden-cycle estimator.
-	earlyPreAt int64
-	earlyActAt int64
 
 	// Intrusive per-(rank, bank) FIFO links; see bankList.
 	next, prev *Request
@@ -330,7 +326,7 @@ type Controller struct {
 
 	seq   int64
 	stats Stats
-	ins   schedInstruments
+	rec   *obs.Recorder[obs.Event] // PB early-command events; see Instrument
 
 	// OnCommand, when set, observes every issued command.
 	OnCommand func(CommandEvent)
@@ -417,7 +413,6 @@ func (c *Controller) Enqueue(r *Request, now int64) bool {
 	r.Enqueued = now
 	r.Issued, r.Done = 0, 0
 	r.hadPre, r.hadAct, r.classified = false, false, false
-	r.earlyPreAt, r.earlyActAt = -1, -1
 	r.seq = c.seq
 	c.seq++
 	if r.Write {
@@ -846,17 +841,15 @@ func (c *Controller) tryProactive(ch *chanState, now int64) (int64, bool) {
 		c.stats.PREs++
 		c.stats.EarlyPREs++
 		best.hadPre = true
-		best.earlyPreAt = now
 		c.emit(ch.idx, bestCmd, best.Coord.Rank, best.Coord.Bank, 0, now, best.Txn, true)
-		c.ins.rec.Emit(obs.Event{TS: now, Kind: obs.EvEarlyPRE, Track: int32(ch.idx), Arg0: int64(ch.idx), Arg1: bank})
+		c.rec.Emit(obs.Event{TS: now, Kind: obs.EvEarlyPRE, Track: int32(ch.idx), Arg0: int64(ch.idx), Arg1: bank})
 	} else {
 		ch.dev.Issue(bestCmd, best.Coord.Rank, best.Coord.Bank, best.Coord.Row, now)
 		c.stats.ACTs++
 		c.stats.EarlyACTs++
 		best.hadAct = true
-		best.earlyActAt = now
 		c.emit(ch.idx, bestCmd, best.Coord.Rank, best.Coord.Bank, best.Coord.Row, now, best.Txn, true)
-		c.ins.rec.Emit(obs.Event{TS: now, Kind: obs.EvEarlyACT, Track: int32(ch.idx), Arg0: int64(ch.idx), Arg1: bank})
+		c.rec.Emit(obs.Event{TS: now, Kind: obs.EvEarlyACT, Track: int32(ch.idx), Arg0: int64(ch.idx), Arg1: bank})
 	}
 	return now + 1, true
 }
@@ -877,7 +870,7 @@ func (c *Controller) issueColumn(ch *chanState, r *Request, cmd dram.CmdKind, no
 	r.Done = done
 	c.emit(ch.idx, cmd, r.Coord.Rank, r.Coord.Bank, r.Coord.Row, now, r.Txn, false)
 	if !r.classified {
-		c.classify(r, now)
+		c.classify(r)
 	}
 	wait := now - r.Enqueued
 	if r.Write {

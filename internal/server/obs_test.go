@@ -74,45 +74,6 @@ func TestServerObsExposition(t *testing.T) {
 	}
 }
 
-// TestServerFlightRecorder checks every batch produces one wall-clock
-// span and the recorder exports as a valid trace document.
-func TestServerFlightRecorder(t *testing.T) {
-	s := mustNew(t, testConfig())
-	defer s.Close()
-	for i := 0; i < 20; i++ {
-		if err := s.Put(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rec := s.FlightRecorder()
-	if rec.Total() == 0 {
-		t.Fatal("no batch spans recorded")
-	}
-	var batched uint64
-	for _, ev := range rec.Snapshot(nil) {
-		if ev.Kind != obs.EvBatch {
-			t.Fatalf("unexpected event kind %v in server recorder", ev.Kind)
-		}
-		if ev.TS < 0 || ev.Dur < 0 {
-			t.Fatalf("negative span %+v", ev)
-		}
-		if int(ev.Track) != int(ev.Arg0) {
-			t.Fatalf("span track %d disagrees with shard arg %d", ev.Track, ev.Arg0)
-		}
-		batched += uint64(ev.Arg1)
-	}
-	if m := s.Metrics(); batched != m.BatchedRequests {
-		t.Fatalf("span batch sizes sum to %d, Metrics says %d", batched, m.BatchedRequests)
-	}
-	var trace bytes.Buffer
-	if err := s.WriteFlightTrace(&trace); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(trace.Bytes(), []byte(`"wall_us"`)) {
-		t.Fatal("trace should carry the wall_us time-domain marker")
-	}
-}
-
 // TestMetricsScrapeAllocBound: Metrics() merges the shards' latency
 // buckets into a fixed-size array, so it allocates only the QueueDepths
 // slice it returns however much traffic the histograms hold.

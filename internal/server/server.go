@@ -42,7 +42,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -327,8 +326,7 @@ type Server struct {
 	wg        sync.WaitGroup
 	start     time.Time
 
-	reg *obs.Registry            // never nil after New (cfg.Obs or private)
-	rec *obs.Recorder[obs.Event] // wall-clock batch spans (µs since start)
+	reg *obs.Registry // never nil after New (cfg.Obs or private)
 
 	// Tracing state: the span ring, the span-ID source, and the sampling
 	// rate. All are fixed at New; tracer and tsrc are always non-nil so
@@ -356,9 +354,8 @@ type shard struct {
 	done    chan struct{} // closed when the worker exits (detach/Close sync)
 	m       shardMetrics
 	onBatch func(shard, n int)
-	rec     *obs.Recorder[obs.Event] // server-wide batch-span recorder
-	tracer  *obs.Recorder[obs.Span]  // server-wide distributed-trace span ring
-	epoch   time.Time                // server start; batch and trace spans are µs since epoch
+	tracer  *obs.Recorder[obs.Span] // server-wide distributed-trace span ring
+	epoch   time.Time               // server start; trace spans are µs since epoch
 
 	// serving gates client ops (Get/Put): false for follower replicas
 	// and shards sealed for handoff, which answer ErrWrongShard.
@@ -394,7 +391,6 @@ func New(cfg Config) (*Server, error) {
 	if s.reg == nil {
 		s.reg = obs.NewRegistry()
 	}
-	s.rec = obs.NewRecorder[obs.Event](serverFlightRecCap)
 	s.tracer = obs.NewRecorder[obs.Span](serverTraceBufCap)
 	s.tsrc = obs.NewTraceSource(cfg.Seed ^ 0x7472616365) // decorrelate from protocol randomness
 	s.traceRate = cfg.TraceSample
@@ -436,7 +432,6 @@ func (s *Server) buildShard(id int, snap []byte) (*shard, error) {
 		reqs:        make(chan *request, cfg.QueueDepth),
 		done:        make(chan struct{}),
 		onBatch:     cfg.onBatch,
-		rec:         s.rec,
 		tracer:      s.tracer,
 		epoch:       s.start,
 		totalShards: cfg.TotalShards,
@@ -576,33 +571,17 @@ func (s *Server) MaxValueLen() int {
 	return s.blockSize - valueHeaderLen
 }
 
-// serverFlightRecCap bounds the batch-span flight recorder: 4096 spans
-// of 40 bytes each keep the ring under 200 KiB while covering minutes
-// of steady serving at typical batch rates.
-const serverFlightRecCap = 4096
-
 // Obs returns the registry holding every serving and per-shard protocol
 // instrument (the Config's registry, or the server's private one).
 func (s *Server) Obs() *obs.Registry { return s.reg }
-
-// FlightRecorder returns the server's batch-span recorder. Its
-// timestamps are wall-clock microseconds since server start — unlike
-// the simulator recorders, which are cycle-stamped.
-func (s *Server) FlightRecorder() *obs.Recorder[obs.Event] { return s.rec }
-
-// WriteFlightTrace dumps the flight recorder as Perfetto-loadable Chrome
-// trace-event JSON, marked with the recorder's "wall_us" time domain.
-func (s *Server) WriteFlightTrace(w io.Writer) error {
-	return obs.WriteTrace(w, "wall_us", s.rec.Snapshot(nil))
-}
 
 // serverTraceBufCap bounds the distributed-trace span ring: 4096 spans
 // of 61 wire bytes each keep a full scrape well under one wire frame.
 const serverTraceBufCap = 4096
 
 // Tracer returns the server's distributed-trace span ring. Span
-// timestamps are microseconds since server start (the same domain as
-// the flight recorder), aligned across nodes by obs.MergeTraces.
+// timestamps are microseconds since server start, aligned across nodes
+// by obs.MergeTraces.
 func (s *Server) Tracer() *obs.Recorder[obs.Span] { return s.tracer }
 
 // TraceSource returns the server's span-ID source (shared with the
@@ -899,18 +878,6 @@ func (sh *shard) run(wg *sync.WaitGroup) {
 			sh.serve(now, r)
 		}
 		sh.m.noteBatch(len(batch), len(sh.dir))
-		// One span per batch in the server flight recorder. The server
-		// is the one wall-clock domain in the repo: it is never part of
-		// the determinism contract, and WriteFlightTrace marks the
-		// export "wall_us" to say so.
-		sh.rec.Emit(obs.Event{
-			TS:    now.Sub(sh.epoch).Microseconds(),
-			Dur:   time.Since(now).Microseconds(),
-			Kind:  obs.EvBatch,
-			Track: int32(sh.id),
-			Arg0:  int64(sh.id),
-			Arg1:  int64(len(batch)),
-		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -83,12 +82,6 @@ type TCPServer struct {
 	conns  map[net.Conn]*tcpConn
 	closed bool
 	connWG sync.WaitGroup
-
-	// legacyWire makes this node answer every post-hello opcode (caps,
-	// traced, scrape) with statusBad, exactly like a pre-capability
-	// build. Operational rollback switch, and the mixed-version tests'
-	// old-server stand-in.
-	legacyWire atomic.Bool
 }
 
 // NewTCPServer wraps srv; call Serve to start accepting.
@@ -103,13 +96,6 @@ func (t *TCPServer) AttachCluster(cb ClusterBackend, nodeID string) {
 	t.cluster = cb
 	t.nodeID = nodeID
 }
-
-// SetLegacyWire toggles pre-capability wire emulation: when on, the
-// node rejects wireCaps (and every capability-gated frame) with
-// statusBad while serving the v2 core protocol normally — the observed
-// behavior of a build that predates the capability handshake. Used for
-// staged rollbacks and mixed-version testing.
-func (t *TCPServer) SetLegacyWire(on bool) { t.legacyWire.Store(on) }
 
 // Serve accepts connections on ln until Shutdown. It returns nil after
 // a Shutdown-initiated stop, or the accept error otherwise.
@@ -294,7 +280,7 @@ func (h *tcpConn) readLoop() {
 }
 
 // route serves one frame by the cheapest means that cannot stall the
-// read loop or a shard worker. Hello, ping and caps are answered inline
+// read loop or a shard worker. Hello and ping are answered inline
 // (a rejected hello must close the connection before any further frame
 // is interpreted under mismatched assumptions — route reports false);
 // Get and Put, traced or not, are admitted for a shard worker to answer;
@@ -304,11 +290,6 @@ func (h *tcpConn) readLoop() {
 // silently dropping the trace.
 func (h *tcpConn) route(req wireRequest) bool {
 	t := h.t
-	if req.Op >= wireCaps && t.legacyWire.Load() {
-		// Pre-capability emulation: unknown op, connection stays up.
-		h.reply(wireResponse{Status: statusBad, Seq: req.Seq, Body: []byte(fmt.Sprintf("unknown op %d", req.Op))})
-		return true
-	}
 	var tc obs.TraceContext
 	if req.Op == wireTraced {
 		var err error
@@ -328,8 +309,6 @@ func (h *tcpConn) route(req wireRequest) bool {
 		return ok
 	case wirePing:
 		h.reply(wireResponse{Status: statusOK, Seq: req.Seq})
-	case wireCaps:
-		h.reply(t.serveCaps(req))
 	case wireGet, wirePut:
 		h.submit(tc, req)
 	default:
@@ -477,12 +456,6 @@ func (t *TCPServer) dispatch(tc obs.TraceContext, r wireRequest) wireResponse {
 		deadline = time.Now().Add(time.Duration(r.TimeoutMillis) * time.Millisecond)
 	}
 	switch r.Op {
-	case wireMetrics:
-		body, err := json.Marshal(t.srv.Metrics())
-		if err != nil {
-			return errResponse(r.Seq, err)
-		}
-		return wireResponse{Status: statusOK, Seq: r.Seq, Body: body}
 	case wireReplicate:
 		return t.serveReplicate(tc, r)
 	case wireHandoff:
@@ -498,19 +471,6 @@ func (t *TCPServer) dispatch(tc obs.TraceContext, r wireRequest) wireResponse {
 	default:
 		return wireResponse{Status: statusBad, Seq: r.Seq, Body: []byte(fmt.Sprintf("unknown op %d", r.Op))}
 	}
-}
-
-// serveCaps answers the capability negotiation: the response echoes the
-// client's flags masked to what this build supports. (Old clients never
-// send it; old servers answer statusBad, which new clients treat as "no
-// capabilities".)
-func (t *TCPServer) serveCaps(r wireRequest) wireResponse {
-	flags, err := decodeCapsVal(r.Val)
-	if err != nil {
-		return wireResponse{Status: statusBad, Seq: r.Seq, Body: []byte(err.Error())}
-	}
-	var body [capsLen]byte
-	return wireResponse{Status: statusOK, Seq: r.Seq, Body: appendCapsVal(body[:0], flags&serverCaps)}
 }
 
 // serveScrape answers a telemetry fetch: the node's Prometheus
@@ -691,11 +651,6 @@ type Client struct {
 	pending map[uint64]chan wireResponse
 	err     error
 
-	// traced is set when EnableTracing negotiated the tracing capability
-	// with the peer. Trace contexts are only ever put on the wire when it
-	// is set, so no trace header can leak to a pre-capability peer.
-	traced atomic.Bool
-
 	serverNodeID string // learned in the hello handshake
 }
 
@@ -771,35 +726,12 @@ func (c *Client) hello(nodeID string) error {
 // (empty for non-cluster servers).
 func (c *Client) ServerNodeID() string { return c.serverNodeID }
 
-// EnableTracing negotiates the tracing capability. It returns false
-// (with nil error) against a peer that predates the capability
-// handshake — such peers answer the probe with "unknown op" without
-// dropping the connection, and this client then never sends them a
-// trace header. Safe to call concurrently with traffic; contexts are
-// dropped, not queued, until negotiation lands.
-func (c *Client) EnableTracing() (bool, error) {
-	var buf [capsLen]byte
-	resp, err := c.roundTrip(wireCaps, "", appendCapsVal(buf[:0], capTracing))
-	if err != nil {
-		return false, err
-	}
-	if resp.Status == statusBad {
-		return false, nil // pre-capability peer
-	}
-	if err := respError(resp); err != nil {
-		return false, err
-	}
-	flags, err := decodeCapsVal(resp.Body)
-	if err != nil {
-		return false, err
-	}
-	on := flags&capTracing != 0
-	c.traced.Store(on)
-	return on, nil
-}
-
-// TracingEnabled reports whether the tracing capability was negotiated.
-func (c *Client) TracingEnabled() bool { return c.traced.Load() }
+// EnableTracing does nothing and reports (true, nil): every peer that
+// passes hello's version check accepts traced frames, so a valid
+// TraceContext is always sent. The method survives only so bench/,
+// which may change only in a benchmark PR, keeps compiling; that PR
+// removes it.
+func (c *Client) EnableTracing() (bool, error) { return true, nil }
 
 // readLoop routes response frames to their waiters; on connection error
 // it fails every pending and future request with that error.
@@ -909,13 +841,11 @@ func (c *Client) roundTrip(op wireOp, key string, val []byte) (wireResponse, err
 }
 
 // roundTripCtx is roundTrip with an optional trace context: a valid
-// context on a tracing-negotiated connection rides a wireTraced wrapper
-// (staged in a pooled buffer — no per-request allocation); otherwise
-// the plain frame is sent and the context stays local. This is the
-// leakage gate: an old peer can never receive a trace header because
-// its connection never negotiated the capability.
+// context rides a wireTraced wrapper (staged in a pooled buffer — no
+// per-request allocation); otherwise the plain frame is sent. Hello's
+// exact version match guarantees the peer understands the wrapper.
 func (c *Client) roundTripCtx(tc obs.TraceContext, op wireOp, key string, val []byte) (wireResponse, error) {
-	if !tc.Valid() || !c.traced.Load() {
+	if !tc.Valid() {
 		return c.roundTrip(op, key, val)
 	}
 	fp := framePool.Get().(*[]byte)
@@ -959,8 +889,7 @@ func (c *Client) Get(key string) (val []byte, found bool, err error) {
 	return c.GetCtx(obs.TraceContext{}, key)
 }
 
-// GetCtx is Get carrying a distributed trace context (sent only on
-// tracing-negotiated connections).
+// GetCtx is Get carrying a distributed trace context.
 func (c *Client) GetCtx(tc obs.TraceContext, key string) (val []byte, found bool, err error) {
 	resp, err := c.roundTripCtx(tc, wireGet, key, nil)
 	if err != nil {
@@ -996,22 +925,6 @@ func (c *Client) Ping() error {
 		return err
 	}
 	return respError(resp)
-}
-
-// Metrics fetches the server's aggregate metrics.
-func (c *Client) Metrics() (Metrics, error) {
-	var m Metrics
-	resp, err := c.roundTrip(wireMetrics, "", nil)
-	if err != nil {
-		return m, err
-	}
-	if err := respError(resp); err != nil {
-		return m, err
-	}
-	if err := json.Unmarshal(resp.Body, &m); err != nil {
-		return m, fmt.Errorf("server client: metrics decode: %w", err)
-	}
-	return m, nil
 }
 
 // --- cluster frame senders ---

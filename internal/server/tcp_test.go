@@ -112,9 +112,6 @@ func TestTCPBurstSpawnsNoGoroutines(t *testing.T) {
 			srv, _, addr := startTCP(t, cfg)
 			rc := dialRaw(t, addr)
 			tc := sampledTC(1)
-			if traced {
-				rc.roundTrip(wireRequest{Op: wireCaps, Val: appendCapsVal(nil, capTracing)})
-			}
 			var frames []byte
 			keyed := 0
 			for i := 0; i < burst; i++ {
@@ -450,10 +447,9 @@ func TestTCPStressSharedClient(t *testing.T) {
 // TestTCPTracedWrapRejections: the read loop unwraps a traced frame once
 // and rejects, with statusBad and the connection left up, a malformed
 // wrapper and any inner op that cannot carry a context (hello included:
-// a wrapped hello is not a handshake). With legacy wire emulation on,
-// the wrapper itself is an unknown op.
+// a wrapped hello is not a handshake).
 func TestTCPTracedWrapRejections(t *testing.T) {
-	_, tcp, addr := startTCP(t, testConfig())
+	_, _, addr := startTCP(t, testConfig())
 	rc := dialRaw(t, addr)
 	tc := sampledTC(1)
 	expectBad := func(req wireRequest, want string) {
@@ -468,13 +464,11 @@ func TestTCPTracedWrapRejections(t *testing.T) {
 		rc.roundTrip(wireRequest{Op: wirePing, Seq: req.Seq + 1})
 	}
 	expectBad(wireRequest{Op: wireTraced, Seq: 10, Val: []byte{1, 2, 3}}, "")
-	for i, op := range []wireOp{wirePing, wireHello, wireMetrics, wireCaps, wireScrape, wireTraced} {
+	for i, op := range []wireOp{wirePing, wireHello, wireScrape, wireTraced} {
 		val := appendTracedVal(nil, tc, op, nil)
 		expectBad(wireRequest{Op: wireTraced, Seq: uint64(20 + 2*i), Val: val}, "cannot carry a trace context")
 	}
 	rc.roundTrip(wireRequest{Op: wireTraced, Seq: 40, Key: "k", Val: appendTracedVal(nil, tc, wirePut, []byte("v"))})
-	tcp.SetLegacyWire(true)
-	expectBad(wireRequest{Op: wireTraced, Seq: 50, Key: "k", Val: appendTracedVal(nil, tc, wireGet, nil)}, "unknown op")
 }
 
 // TestAllocBoundLoopbackClient pins what a warmed loopback Client op

@@ -1,8 +1,12 @@
 package server
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -22,77 +26,86 @@ func sampledTC(r uint64) obs.TraceContext {
 	}
 }
 
-// TestMixedVersionHandshake pins the capability-negotiation downgrade
-// path: against a pre-capability peer (emulated by SetLegacyWire) the
-// client must fall back to untraced operation without dropping the
-// connection, no trace header may reach the peer, and capability-gated
-// frames must keep their typed-error mapping. Flipping the emulation
-// off mid-connection then upgrades the same link.
+// TestMixedVersionHandshake pins hello's exact version match as the one
+// compatibility gate, from both ends. A dialer speaking the previous
+// protocol is refused with statusProto and disconnected before any
+// later frame is read; a server speaking it makes Dial fail with
+// ErrProtocolMismatch. Between matched peers a traced frame is accepted
+// straight after hello, with nothing negotiated.
 func TestMixedVersionHandshake(t *testing.T) {
 	cfg := testConfig()
-	cfg.TraceSample = 1 // the server would sample everything — if it ever saw a context
-	srv, tcp, addr := startTCP(t, cfg)
-	tcp.SetLegacyWire(true)
-
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatalf("hello against legacy peer: %v", err)
-	}
-	defer c.Close()
-
-	on, err := c.EnableTracing()
-	if err != nil {
-		t.Fatalf("EnableTracing against legacy peer: %v", err)
-	}
-	if on || c.TracingEnabled() {
-		t.Fatal("tracing negotiated against a pre-capability peer")
-	}
-
-	// Capability-gated frames answer statusBad; the client maps that to
-	// the ErrRemote sentinel (peer alive, no specific error), never to a
-	// connection error.
-	if _, err := c.ScrapeMetrics(); !errors.Is(err, ErrRemote) {
-		t.Fatalf("legacy scrape err = %v, want ErrRemote", err)
-	}
-	if _, err := c.ScrapeSpans(); !errors.Is(err, ErrRemote) {
-		t.Fatalf("legacy span scrape err = %v, want ErrRemote", err)
-	}
-
-	// Traffic carrying a context still works — sent as plain v2 frames,
-	// so the context stays local and the server never mints a span.
+	cfg.TraceSample = 1
+	srv, _, addr := startTCP(t, cfg)
 	tc := sampledTC(1)
-	if err := c.PutCtx(tc, "mixed-key", []byte("v1")); err != nil {
+
+	// An old dialer: hello, then a traced Put pipelined behind it.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, found, err := c.GetCtx(tc, "mixed-key")
-	if err != nil || !found || string(got) != "v1" {
-		t.Fatalf("GetCtx over legacy link = %q found=%v err=%v", got, found, err)
+	defer conn.Close()
+	frames, _ := appendRequest(nil, wireRequest{Op: wireHello, Seq: 1, Val: appendHelloVal(nil, wireProtoVersion-1)})
+	frames, _ = appendRequest(frames, wireRequest{Op: wireTraced, Seq: 2, Key: "k", Val: appendTracedVal(nil, tc, wirePut, []byte("v"))})
+	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	payload, err := readFrameInto(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, _ := decodeResponse(payload); resp.Status != statusProto {
+		t.Fatalf("old-version hello answered status %d %q, want statusProto", resp.Status, resp.Body)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := readFrameInto(br, nil); err == nil {
+		t.Fatal("server answered a frame pipelined behind a refused hello")
 	}
 	if n := srv.Tracer().Len(); n != 0 {
-		t.Fatalf("legacy link leaked %d spans to the server tracer", n)
+		t.Fatalf("a refused connection minted %d spans", n)
 	}
 
-	// Upgrade the peer in place: the same connection negotiates tracing
-	// and traced frames start producing serve spans.
-	tcp.SetLegacyWire(false)
-	on, err = c.EnableTracing()
-	if err != nil || !on {
-		t.Fatalf("EnableTracing after upgrade = %v, %v, want true", on, err)
+	// An old server: it accepts the hello but announces the previous
+	// version in its answer.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := c.PutCtx(tc, "mixed-key", []byte("v2")); err != nil {
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		p, err := readFrameInto(bufio.NewReader(c), nil)
+		if err != nil {
+			return
+		}
+		req, _ := decodeRequest(p)
+		c.Write(appendResponse(nil, wireResponse{Status: statusOK, Seq: req.Seq, Body: appendHelloVal(nil, wireProtoVersion-1)}))
+		io.Copy(io.Discard, c)
+	}()
+	if c, err := Dial(ln.Addr().String()); !errors.Is(err, ErrProtocolMismatch) {
+		if c != nil {
+			c.Close()
+		}
+		t.Fatalf("Dial against an old server: err = %v, want ErrProtocolMismatch", err)
+	}
+
+	// Matched peers: the first traced frame after hello is served and
+	// joins the client's trace.
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.PutCtx(tc, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	spans := srv.Tracer().Snapshot(nil)
-	if len(spans) == 0 {
-		t.Fatal("upgraded link produced no spans")
-	}
-	for _, s := range spans {
-		if s.Hi != tc.Hi || s.Lo != tc.Lo {
-			t.Fatalf("span %+v carries a foreign trace ID, want %x%x", s, tc.Hi, tc.Lo)
-		}
-		if s.Parent == 0 && s.Kind != obs.SpanClientGet && s.Kind != obs.SpanClientPut {
-			t.Fatalf("server span %+v has no parent; serve spans must join the client's trace", s)
-		}
+	if len(spans) != 1 || spans[0].Kind != obs.SpanServePut || spans[0].Hi != tc.Hi || spans[0].Lo != tc.Lo || spans[0].Parent != tc.SpanID {
+		t.Fatalf("traced Put after hello left spans %+v, want one serve_put parented on %x", spans, tc.SpanID)
 	}
 }
 
@@ -212,9 +225,6 @@ func TestTracedServeProducesServeSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if on, err := c.EnableTracing(); err != nil || !on {
-		t.Fatalf("EnableTracing = %v, %v", on, err)
-	}
 
 	tc := sampledTC(cfg.TraceSample)
 	if err := c.PutCtx(tc, "staged", []byte("v")); err != nil {
@@ -249,10 +259,34 @@ func TestTracedServeProducesServeSpan(t *testing.T) {
 	}
 }
 
-// TestAllocFreeTracedUnsampled pins the tentpole's zero-cost contract:
+// allocsPerOp is testing.AllocsPerRun without its floor: the mean number
+// of heap allocations per call of f over runs calls, after one warm-up
+// call, counted on every goroutine at GOMAXPROCS 1.
+func allocsPerOp(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// TestAllocFreeTracedUnsampled pins the zero-cost contract of tracing:
 // with tracing configured and a valid-but-unsampled context attached,
-// the warmed serving path allocates nothing — the sampler's drop
-// decision must keep the whole span machinery untouched.
+// the warmed serving path allocates no more than the untraced one — the
+// sampler's drop decision must keep the whole span machinery untouched —
+// and on the default build a Put allocates nothing at all.
+//
+// Under -race, sync.Pool drops one Put in four, so every pooled request
+// path allocates a fraction of a request per op (0.5–0.9 measured).
+// testing.AllocsPerRun floors its mean, which turned that fraction into
+// a whole-allocation gap between two identical paths about once in 300
+// runs. So the means here are unfloored and taken over 1000 calls, the
+// traced-minus-untraced bound is +0.5 in both builds, and only the
+// absolute Put bound (0.5) is waived under -race.
 func TestAllocFreeTracedUnsampled(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariant assertions allocate; the zero-alloc guarantee binds on the default build")
@@ -274,31 +308,28 @@ func TestAllocFreeTracedUnsampled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The shard worker runs on its own goroutine, so AllocsPerRun sees
-	// the global rate; fractional bounds absorb scheduler noise while
-	// still catching any real per-op allocation.
-	putAllocs := testing.AllocsPerRun(200, func() {
-		if err := s.PutCtx(tc, key, val, time.Time{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if putAllocs > 0.5 {
-		t.Fatalf("traced-but-unsampled Put allocates %.2f/op, want ~0", putAllocs)
+	const runs = 1000
+	measure := func(f func() error) float64 {
+		return allocsPerOp(runs, func() {
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	putTraced := measure(func() error { return s.PutCtx(tc, key, val, time.Time{}) })
+	putPlain := measure(func() error { return s.Put(key, val) })
+	if !raceEnabled && putTraced > 0.5 {
+		t.Fatalf("traced-but-unsampled Put allocates %.2f/op, want ~0", putTraced)
+	}
+	if putTraced > putPlain+0.5 {
+		t.Fatalf("traced-but-unsampled Put allocates %.2f/op vs %.2f untraced", putTraced, putPlain)
 	}
 	// Get's budget is the one value copy its API returns — identical to
 	// the untraced path's; tracing must add nothing on top.
-	getAllocs := testing.AllocsPerRun(200, func() {
-		if _, _, err := s.GetCtx(tc, key, time.Time{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	baseline := testing.AllocsPerRun(200, func() {
-		if _, _, err := s.Get(key); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if getAllocs > baseline+0.5 {
-		t.Fatalf("traced-but-unsampled Get allocates %.2f/op vs %.2f untraced", getAllocs, baseline)
+	getTraced := measure(func() error { _, _, err := s.GetCtx(tc, key, time.Time{}); return err })
+	getPlain := measure(func() error { _, _, err := s.Get(key); return err })
+	if getTraced > getPlain+0.5 {
+		t.Fatalf("traced-but-unsampled Get allocates %.2f/op vs %.2f untraced", getTraced, getPlain)
 	}
 	if n := s.Tracer().Len(); n != 0 {
 		t.Fatalf("unsampled traffic minted %d spans", n)

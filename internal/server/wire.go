@@ -20,24 +20,25 @@ import (
 //
 // seq is a client-chosen correlation id echoed verbatim, so responses
 // may be pipelined and arrive out of order. timeoutMs 0 applies the
-// server's default deadline. The response body carries the value (get),
-// JSON metrics (metrics), or an error message (statusErr/statusBad).
+// server's default deadline. The response body carries the value (get)
+// or an error message (statusErr/statusBad).
 
 // wireProtoVersion is the protocol generation carried in the hello
 // handshake. Version 2 added the handshake itself plus the cluster
-// frames (replicate, handoff, placement, promote, forward); peers whose
+// frames (replicate, handoff, placement, promote, forward); version 3
+// accepts traced and scrape frames on every connection. Peers whose
 // versions differ refuse the connection with ErrProtocolMismatch
-// instead of risking undefined framing behavior.
-const wireProtoVersion = 2
+// instead of risking undefined framing behavior, so this exact match is
+// the only compatibility gate: nothing is negotiated after hello.
+const wireProtoVersion = 3
 
 // wireOp is the request opcode.
 type wireOp uint8
 
 const (
-	wireGet     wireOp = 1
-	wirePut     wireOp = 2
-	wireMetrics wireOp = 3
-	wirePing    wireOp = 4
+	wireGet  wireOp = 1
+	wirePut  wireOp = 2
+	wirePing wireOp = 4
 	// wireHello is the connection handshake: Key carries the dialer's
 	// node ID (empty for anonymous clients), Val its 4-byte protocol
 	// version. The OK response body is version + the server's node ID.
@@ -60,29 +61,14 @@ const (
 	// node does not serve the key's shard: Key is the key, Val is
 	// op:1 ttl:1 value.
 	wireForward wireOp = 10
-	// wireCaps negotiates optional capabilities after hello: Val is an
-	// 8-byte flag word, echoed back masked to what the server supports.
-	// Pre-capability servers answer statusBad (unknown op) without
-	// closing the connection, so a new client downgrades gracefully —
-	// and never sends capability-gated frames on that connection.
-	wireCaps wireOp = 11
 	// wireTraced wraps another request frame with a distributed trace
 	// context: Val is traceHi:8 traceLo:8 spanID:8 innerOp:1 innerVal
-	// (Key and the timeout ride in the outer frame). Only valid on
-	// connections where wireCaps negotiated capTracing.
+	// (Key and the timeout ride in the outer frame).
 	wireTraced wireOp = 12
 	// wireScrape fetches node telemetry: Val is mode:1, where mode 0
 	// returns the Prometheus text exposition and mode 1 a binary span
 	// dump (obs.Span wire encoding). Used by cluster federation.
 	wireScrape wireOp = 13
-)
-
-// Capability flags negotiated by wireCaps.
-const (
-	capTracing uint64 = 1 << 0
-
-	// serverCaps is everything this build supports.
-	serverCaps = capTracing
 )
 
 // wireScrape modes.
@@ -308,22 +294,6 @@ func decodeForwardVal(p []byte) (op wireOp, ttl int, val []byte, err error) {
 		return 0, 0, nil, fmt.Errorf("server: forward frame too short (%d bytes)", len(p))
 	}
 	return wireOp(p[0]), int(p[1]), p[forwardHdrLen:], nil
-}
-
-// caps Val layout: flags:8.
-const capsLen = 8
-
-// appendCapsVal encodes a capability flag word.
-func appendCapsVal(dst []byte, flags uint64) []byte {
-	return binary.BigEndian.AppendUint64(dst, flags)
-}
-
-// decodeCapsVal parses a capability flag word.
-func decodeCapsVal(p []byte) (flags uint64, err error) {
-	if len(p) != capsLen {
-		return 0, fmt.Errorf("server: caps frame length %d, want %d", len(p), capsLen)
-	}
-	return binary.BigEndian.Uint64(p), nil
 }
 
 // traced Val layout: traceHi:8 traceLo:8 spanID:8 innerOp:1 innerVal.

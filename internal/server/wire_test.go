@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"stringoram/internal/obs"
 )
 
 func TestWireRequestRoundTrip(t *testing.T) {
@@ -19,7 +21,7 @@ func TestWireRequestRoundTrip(t *testing.T) {
 		{Op: wireGet, Seq: 1, Key: "alpha"},
 		{Op: wirePut, Seq: 1 << 60, TimeoutMillis: 250, Key: "k", Val: []byte("value")},
 		{Op: wirePing, Seq: 0},
-		{Op: wireMetrics, Seq: 7},
+		{Op: wireScrape, Seq: 7, Val: []byte{scrapeSpans}},
 		{Op: wirePut, Seq: 2, Key: strings.Repeat("x", MaxKeyLen), Val: bytes.Repeat([]byte{0xff}, 62)},
 	}
 	for _, want := range cases {
@@ -130,7 +132,7 @@ func serveTCP(t *testing.T, srv *Server, tcp *TCPServer, ln net.Listener) (*Serv
 }
 
 func TestTCPEndToEnd(t *testing.T) {
-	_, _, addr := startTCP(t, testConfig())
+	srv, _, addr := startTCP(t, testConfig())
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -150,12 +152,15 @@ func TestTCPEndToEnd(t *testing.T) {
 	if err != nil || !found || string(v) != "wire-value" {
 		t.Fatalf("Get = %q found=%v err=%v", v, found, err)
 	}
-	m, err := c.Metrics()
+	if m := srv.Metrics(); m.Puts != 1 || m.Gets != 2 {
+		t.Fatalf("metrics after wire traffic: puts=%d gets=%d, want 1/2", m.Puts, m.Gets)
+	}
+	body, err := c.ScrapeMetrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Puts != 1 || m.Gets != 2 {
-		t.Fatalf("metrics over wire: puts=%d gets=%d, want 1/2", m.Puts, m.Gets)
+	if err := obs.ValidateExposition(body); err != nil || !bytes.Contains(body, []byte(`server_requests_total{`)) {
+		t.Fatalf("scrape over wire: %v\n%s", err, body)
 	}
 }
 

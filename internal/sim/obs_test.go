@@ -2,26 +2,24 @@ package sim
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"stringoram/internal/obs"
 )
 
-// TestObsDoesNotPerturbSimulation pins that attaching the full
-// observability stack changes no simulated outcome: cycles, phase
-// attribution, and every protocol/controller counter are identical with
-// and without instruments. Together with the cmdstream goldens this
-// keeps the command-stream byte-identical under instrumentation.
+// TestObsDoesNotPerturbSimulation pins that attaching a flight recorder
+// changes no simulated outcome: cycles, phase attribution, and every
+// protocol/controller counter are identical with and without it.
+// Together with the cmdstream goldens this keeps the command stream
+// byte-identical under instrumentation.
 func TestObsDoesNotPerturbSimulation(t *testing.T) {
 	sys := testSystem()
 	base, err := Run(sys, testTrace(t, 1500), Options{MaxAccesses: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
 	rec := obs.NewRecorder[obs.Event](8192)
-	inst, err := Run(sys, testTrace(t, 1500), Options{MaxAccesses: 300, Obs: reg, FlightRecorder: rec})
+	inst, err := Run(sys, testTrace(t, 1500), Options{MaxAccesses: 300, FlightRecorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,39 +38,15 @@ func TestObsDoesNotPerturbSimulation(t *testing.T) {
 	}
 }
 
-// TestObsEndToEnd runs an instrumented simulation and checks the
-// acceptance-criteria surface: the exposition parses and carries the
-// sched/oram/sim families, and the flight recorder holds cycle-stamped
-// transaction spans that export as valid Perfetto JSON.
+// TestObsEndToEnd runs a recorded simulation and checks that the flight
+// recorder holds cycle-stamped transaction spans and access events that
+// export as valid Perfetto JSON.
 func TestObsEndToEnd(t *testing.T) {
 	sys := testSystem()
-	reg := obs.NewRegistry()
 	rec := obs.NewRecorder[obs.Event](8192)
-	res, err := Run(sys, testTrace(t, 1500), Options{MaxAccesses: 300, Obs: reg, FlightRecorder: rec})
+	res, err := Run(sys, testTrace(t, 1500), Options{MaxAccesses: 300, FlightRecorder: rec})
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.ValidateExposition(buf.Bytes()); err != nil {
-		t.Fatalf("sim exposition does not validate: %v\n%s", err, buf.String())
-	}
-	out := buf.String()
-	for _, fam := range []string{
-		`sched_pb_hidden_cycles_total{cmd="act"}`,
-		`sched_row_outcomes_total{tag="read-path",class="hit"}`,
-		"oram_stash_blocks",
-		"oram_green_fetches_total",
-		`oram_paths_total{kind="evict"}`,
-		`sim_txn_cycles_count{tag="read-path"}`,
-		"sim_cycles",
-	} {
-		if !strings.Contains(out, fam) {
-			t.Errorf("exposition missing %q", fam)
-		}
 	}
 
 	if rec.Total() == 0 {

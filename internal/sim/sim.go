@@ -49,12 +49,6 @@ type Options struct {
 	// access) so the two protocols can be compared in execution time on
 	// the same memory system. S, Y and A of the ORAM config are ignored.
 	PathORAM bool
-	// Obs, when set, receives the run's instruments: the controller's
-	// row-class and PB hidden-cycle counters, the ring's stash/CB
-	// instruments, and per-phase transaction latency histograms. The
-	// registry adds no allocations to the simulation hot path and does
-	// not perturb scheduling.
-	Obs *obs.Registry
 	// FlightRecorder, when set, captures typed events (accesses, early
 	// reshuffles, PB early commands, transaction spans) stamped with the
 	// simulator's DRAM cycle — never wall clock, so runs stay seed
@@ -217,11 +211,10 @@ type Sim struct {
 	waiters  []waiter
 	accesses int64
 
-	// now mirrors the run loop's current cycle so instrument clocks and
+	// now mirrors the run loop's current cycle so recorder clocks and
 	// transaction birth stamps read the simulated time, not wall clock.
-	now     int64
-	rec     *obs.Recorder[obs.Event]
-	txnHist [sched.NumTags]*obs.Histogram
+	now int64
+	rec *obs.Recorder[obs.Event]
 
 	res *Result
 }
@@ -352,22 +345,11 @@ func newSim(sys config.System, trs []*trace.Trace, name string, opts Options) (*
 		res:    res,
 		rec:    opts.FlightRecorder,
 	}
-	if opts.Obs != nil || opts.FlightRecorder != nil {
-		s.ctrl.Instrument(opts.Obs, opts.FlightRecorder)
+	if opts.FlightRecorder != nil {
+		s.ctrl.Instrument(opts.FlightRecorder)
 		if ring != nil {
-			ins := oram.NewInstruments(opts.Obs, "")
-			ins.Recorder = opts.FlightRecorder
-			ins.Clock = func() int64 { return s.now }
-			ring.Instrument(ins)
+			ring.Instrument(oram.Instruments{Recorder: opts.FlightRecorder, Clock: func() int64 { return s.now }})
 		}
-		for tag := sched.Tag(0); tag < sched.NumTags; tag++ {
-			s.txnHist[tag] = opts.Obs.Histogram(
-				fmt.Sprintf(`sim_txn_cycles{tag=%q}`, tag.String()),
-				"per-transaction service latency in DRAM cycles (creation to drain), by ORAM phase",
-				obs.ExpBuckets(16, 2, 16))
-		}
-		opts.Obs.GaugeFunc("sim_cycles", "current simulated cycle",
-			func() float64 { return float64(s.now) })
 	}
 	return s, nil
 }
@@ -454,7 +436,6 @@ func (s *Sim) completeWaiters(now int64) {
 	s.tags.prune(cur)
 	for s.inflHead < len(s.inflight) && s.inflight[s.inflHead].id < cur {
 		w := s.inflight[s.inflHead]
-		s.txnHist[w.tag].Observe(float64(now - w.born))
 		s.rec.Emit(obs.Event{TS: w.born, Dur: now - w.born, Kind: obs.EvTxn,
 			Track: int32(w.tag), Arg0: int64(w.tag), Arg1: int64(len(w.reqs))})
 		s.freeReq = append(s.freeReq, w.reqs...)
