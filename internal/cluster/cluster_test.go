@@ -260,11 +260,15 @@ func TestReplicateFencesStaleEpoch(t *testing.T) {
 	}
 	defer c.Close()
 	// Node-1 follows shard 0 in the 2-node static layout.
-	err = c.Replicate(tc.placement.Epochs[0], 0, 1, "k", []byte("v"))
-	if !errors.Is(err, server.ErrStalePlacement) {
+	var f server.ReplicateFrame
+	f.Reset(tc.placement.Epochs[0], 0)
+	f.Add(1, []byte("k"), []byte("v"))
+	if err := c.Replicate(obs.TraceContext{}, &f); !errors.Is(err, server.ErrStalePlacement) {
 		t.Fatalf("stale replicate err = %v, want ErrStalePlacement", err)
 	}
-	if err := c.Replicate(np.Epochs[0], 0, 1, "k", []byte("v")); err != nil {
+	f.Reset(np.Epochs[0], 0)
+	f.Add(1, []byte("k"), []byte("v"))
+	if err := c.Replicate(obs.TraceContext{}, &f); err != nil {
 		t.Fatalf("current-epoch replicate: %v", err)
 	}
 	// The bump is per shard: shard 1 (primary node-1... but node-0's
@@ -604,8 +608,8 @@ func silentAfterHello(t *testing.T) NodeInfo {
 // TestDialSilentAfterHello: a peer that answers hello and then never
 // answers again must not park a dial. Router.dial (with tracing on) and
 // Node.dialPeer both return within the handshake's 3 s bound — a
-// node's dial runs on a shard worker inside onApply, so a parked dial
-// there stalls every request of that shard.
+// node dials from a shard's replication sender, so a parked dial there
+// stalls every write of that shard.
 func TestDialSilentAfterHello(t *testing.T) {
 	const bound = 3 * time.Second // the server package's dialTimeout
 	peer := silentAfterHello(t)

@@ -4,20 +4,22 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"stringoram/internal/server"
 )
 
-// ErrLogTrimmed reports a CopyRange asking for entries the ring buffer
+// ErrLogTrimmed reports an Encode asking for entries the ring buffer
 // has already overwritten; the caller must fall back to a full snapshot
 // instead of a tail replay.
 var ErrLogTrimmed = errors.New("cluster: op log trimmed past requested sequence")
 
-// Entry is one applied write. Key and Val are copies owned by the log
-// (the ring reuses their backing arrays across generations, carving
-// first-touch buffers out of the log's arena — hence the scratch tag).
-type Entry struct {
-	Seq uint64
-	Key []byte `oramlint:"secret,scratch"`
-	Val []byte `oramlint:"secret,scratch"`
+// entry is one applied write, at slot seq%cap of its log. key and val
+// are copies owned by the log (the ring reuses their backing arrays
+// across generations, carving first-touch buffers out of the log's
+// arena — hence the scratch tag).
+type entry struct {
+	key []byte `oramlint:"secret,scratch"`
+	val []byte `oramlint:"secret,scratch"`
 }
 
 // DefaultLogCap is the per-shard ring capacity: enough tail to cover a
@@ -30,13 +32,12 @@ const DefaultLogCap = 8192
 // steady-state apply path does not allocate once the ring has warmed to
 // the workload's key/value sizes.
 //
-// Appends happen on the shard's worker goroutine; CopyRange is called
-// concurrently by replication/handoff, hence the mutex (uncontended in
-// steady state).
+// Appends happen on the shard's worker goroutine; Encode is called
+// concurrently by the replication sender and handoff, hence the mutex.
 type Log struct {
 	mu      sync.Mutex
 	cap     int
-	entries []Entry // allocated on first Append (nodes hold a Log per global shard)
+	entries []entry // allocated on first Append (nodes hold a Log per global shard)
 	first   uint64  // oldest sequence still resident, 0 when empty
 	last    uint64  // newest sequence appended, 0 when empty
 
@@ -79,18 +80,17 @@ func NewLog(capacity int) *Log {
 func (l *Log) Append(seq uint64, key string, val []byte) {
 	l.mu.Lock()
 	if l.entries == nil {
-		l.entries = make([]Entry, l.cap)
+		l.entries = make([]entry, l.cap)
 	}
 	e := &l.entries[seq%uint64(len(l.entries))]
-	e.Seq = seq
-	if cap(e.Key) < len(key) {
-		e.Key = l.alloc(len(key))
+	if cap(e.key) < len(key) {
+		e.key = l.alloc(len(key))
 	}
-	if cap(e.Val) < len(val) {
-		e.Val = l.alloc(len(val))
+	if cap(e.val) < len(val) {
+		e.val = l.alloc(len(val))
 	}
-	e.Key = append(e.Key[:0], key...)
-	e.Val = append(e.Val[:0], val...)
+	e.key = append(e.key[:0], key...)
+	e.val = append(e.val[:0], val...)
 	if l.first == 0 {
 		l.first = seq
 	} else if seq-l.first >= uint64(len(l.entries)) {
@@ -109,25 +109,29 @@ func (l *Log) Bounds() (first, last uint64) {
 	return l.first, l.last
 }
 
-// CopyRange appends copies of entries (from, to] to dst and returns it.
-// It fails with ErrLogTrimmed when entries in the range have been
-// overwritten. from == to returns dst unchanged.
-func (l *Log) CopyRange(dst []Entry, from, to uint64) ([]Entry, error) {
+// Encode adds entries (from, to] to f in sequence order, straight from
+// the ring under the log's lock, until f is full, and returns the newest
+// entry added. It fails with ErrLogTrimmed when the ring no longer holds
+// entry from+1 or does not yet hold to. from == to adds nothing.
+func (l *Log) Encode(f *server.ReplicateFrame, from, to uint64) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if from >= to {
-		return dst, nil
+		return from, nil
 	}
 	if l.first == 0 || from+1 < l.first || to > l.last {
-		return dst, fmt.Errorf("%w: want (%d,%d], have [%d,%d]", ErrLogTrimmed, from, to, l.first, l.last)
+		return from, fmt.Errorf("%w: want (%d,%d], have [%d,%d]", ErrLogTrimmed, from, to, l.first, l.last)
 	}
+	last := from
 	for seq := from + 1; seq <= to; seq++ {
 		e := &l.entries[seq%uint64(len(l.entries))]
-		dst = append(dst, Entry{
-			Seq: e.Seq,
-			Key: append([]byte(nil), e.Key...),
-			Val: append([]byte(nil), e.Val...),
-		})
+		if !f.Add(seq, e.key, e.val) {
+			break
+		}
+		last = seq
 	}
-	return dst, nil
+	if last == from {
+		return from, fmt.Errorf("cluster: op-log entry %d does not fit a replication frame", from+1)
+	}
+	return last, nil
 }

@@ -10,7 +10,7 @@ import (
 	"stringoram/internal/server"
 )
 
-func TestLogAppendAndCopyRange(t *testing.T) {
+func TestLogAppendAndEncode(t *testing.T) {
 	l := NewLog(8)
 	if first, last := l.Bounds(); first != 0 || last != 0 {
 		t.Fatalf("empty bounds = [%d,%d], want [0,0]", first, last)
@@ -21,22 +21,42 @@ func TestLogAppendAndCopyRange(t *testing.T) {
 	if first, last := l.Bounds(); first != 1 || last != 5 {
 		t.Fatalf("bounds = [%d,%d], want [1,5]", first, last)
 	}
-	got, err := l.CopyRange(nil, 2, 5)
+	var f server.ReplicateFrame
+	f.Reset(1, 0)
+	last, err := l.Encode(&f, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("CopyRange(2,5] returned %d entries, want 3", len(got))
-	}
-	for i, e := range got {
-		wantSeq := uint64(3 + i)
-		if e.Seq != wantSeq || string(e.Key) != fmt.Sprintf("k%d", wantSeq) || string(e.Val) != fmt.Sprintf("v%d", wantSeq) {
-			t.Fatalf("entry %d = {%d %q %q}", i, e.Seq, e.Key, e.Val)
-		}
+	if last != 5 || f.Len() != 3 {
+		t.Fatalf("Encode(2,5] = last %d, frame of %d; want 3 entries ending at 5", last, f.Len())
 	}
 	// Empty range is fine.
-	if got, err := l.CopyRange(nil, 4, 4); err != nil || len(got) != 0 {
-		t.Fatalf("CopyRange(4,4] = %v, %v", got, err)
+	f.Reset(1, 0)
+	if last, err := l.Encode(&f, 4, 4); err != nil || last != 4 || f.Len() != 0 {
+		t.Fatalf("Encode(4,4] = %d, %v with %d entries", last, err, f.Len())
+	}
+}
+
+// TestLogEncodeStopsAtFullFrame: a run too large for one frame is
+// encoded up to the frame's bound, and the caller ships the rest in the
+// next frame.
+func TestLogEncodeStopsAtFullFrame(t *testing.T) {
+	l := NewLog(8)
+	big := make([]byte, 400<<10)
+	for seq := uint64(1); seq <= 5; seq++ {
+		l.Append(seq, "k", big)
+	}
+	var f server.ReplicateFrame
+	for from, frames := uint64(0), 0; from < 5; frames++ {
+		f.Reset(1, 0)
+		last, err := l.Encode(&f, from, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Len() != 2 && last != 5 {
+			t.Fatalf("frame %d carries %d entries of 400 KiB, want 2 (a frame is 1 MiB)", frames, f.Len())
+		}
+		from = last
 	}
 }
 
@@ -49,16 +69,19 @@ func TestLogWrapTrimsOldEntries(t *testing.T) {
 	if first != 7 || last != 10 {
 		t.Fatalf("bounds after wrap = [%d,%d], want [7,10]", first, last)
 	}
-	if _, err := l.CopyRange(nil, 4, 10); !errors.Is(err, ErrLogTrimmed) {
-		t.Fatalf("CopyRange past trim err = %v, want ErrLogTrimmed", err)
+	var f server.ReplicateFrame
+	f.Reset(1, 0)
+	if _, err := l.Encode(&f, 4, 10); !errors.Is(err, ErrLogTrimmed) {
+		t.Fatalf("Encode past trim err = %v, want ErrLogTrimmed", err)
 	}
-	if got, err := l.CopyRange(nil, 6, 10); err != nil || len(got) != 4 {
-		t.Fatalf("CopyRange(6,10] = %d entries err=%v, want 4", len(got), err)
+	if last, err := l.Encode(&f, 6, 10); err != nil || last != 10 || f.Len() != 4 {
+		t.Fatalf("Encode(6,10] = %d err=%v with %d entries, want 4 ending at 10", last, err, f.Len())
 	}
 	// The retry fallback: beyond the resident window the caller must
 	// restream a snapshot, never read overwritten slots.
-	if _, err := l.CopyRange(nil, 0, 10); !errors.Is(err, ErrLogTrimmed) {
-		t.Fatalf("CopyRange from 0 err = %v, want ErrLogTrimmed", err)
+	f.Reset(1, 0)
+	if _, err := l.Encode(&f, 0, 10); !errors.Is(err, ErrLogTrimmed) {
+		t.Fatalf("Encode from 0 err = %v, want ErrLogTrimmed", err)
 	}
 }
 
@@ -98,9 +121,9 @@ func TestAllocFreeServerApplyWithOpLog(t *testing.T) {
 		Seed:       11,
 		QueueDepth: 128,
 		MaxBatch:   1,
-		OnApply: func(tc obs.TraceContext, shard int, seq uint64, key string, val []byte) error {
+		OnApply: func(tc obs.TraceContext, shard int, seq uint64, key string, val []byte) bool {
 			l.Append(seq, key, val)
-			return nil
+			return false
 		},
 	}
 	s, err := server.New(cfg)

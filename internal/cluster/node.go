@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -29,10 +28,13 @@ type NodeConfig struct {
 	// TotalShards are derived from the placement; OnApply is owned by
 	// the node (the op-log/replication hook).
 	Server server.Config
-	// LogCap sizes each per-shard op-log ring (0 = DefaultLogCap).
+	// LogCap sizes each per-shard op-log ring (0 = DefaultLogCap). It
+	// also bounds the entries a primary shard may owe its follower: a
+	// write that would overwrite an unacked entry waits for the ack.
 	LogCap int
-	// Retry shapes the bounded backoff applied to retryable replication
-	// rejections (follower backlog) before the primary gives up.
+	// Retry shapes the bounded backoff a replication sender applies to a
+	// frame its follower rejects retryably (backlog) before it fails the
+	// frame's writes.
 	Retry server.RetryPolicy
 }
 
@@ -51,10 +53,13 @@ type Node struct {
 	// this node never hosts stay header-only.
 	logs []*Log
 
-	// repl tracks per-shard replication lag: the newest locally applied
-	// seq versus the newest the follower has acked, and when the gap
-	// opened. Indexed like logs; read lock-free by the lag gauges.
-	repl []replLag
+	// repl is each shard's replication state, indexed like logs.
+	repl []replShard
+	// stop ends the replication senders once the embedded server has
+	// drained; senders counts the running ones.
+	stop     chan struct{}
+	stopOnce sync.Once
+	senders  sync.WaitGroup
 
 	pmu       sync.RWMutex
 	placement *Placement
@@ -74,6 +79,7 @@ type Node struct {
 // embedded server's registry so one scrape covers both layers).
 type nodeMetrics struct {
 	replicated    *obs.Counter
+	replFrames    *obs.Counter
 	replFailures  *obs.Counter
 	replicateSecs *obs.Histogram
 
@@ -90,18 +96,46 @@ type nodeMetrics struct {
 	handoffProgress *obs.Gauge
 }
 
-// replLag is one shard's replication-lag state, updated on the shard
-// worker goroutine (onApply) and read concurrently by the lag gauges.
-type replLag struct {
-	applied atomic.Uint64 // newest op-log seq applied locally
-	acked   atomic.Uint64 // newest seq acked by the follower
-	since   atomic.Int64  // NowMicros when the newest unacked entry landed
+// replShard is one shard's replication state. The shard's worker
+// appends writes to the op log and hands them off (onApply), the
+// shard's sender goroutine ships and settles them (sendLoop), and the
+// lag gauges read it at scrape time; mu guards all of it.
+type replShard struct {
+	kick chan struct{} // cap 1: writes were handed off
+	room chan struct{} // cap 1: the follower acked (wakes a worker at the bound)
+
+	mu      sync.Mutex
+	applied uint64 // newest op-log seq appended
+	handed  uint64 // newest seq handed to the sender, its answer held
+	acked   uint64 // newest seq acked by the follower; applied when nothing is owed
+	since   int64  // NowMicros at or before the oldest unacked entry's hand-off
+	traced  []tracedWrite
+	running bool // the sender goroutine has started
+
+	// fence orders the replica side against promotion: Replicate holds
+	// it shared from its epoch check until the frame is applied, Promote
+	// exclusively while it takes the shard over. A frame that passed the
+	// old epoch's check is therefore applied in full before the promoted
+	// shard serves its first write, which would otherwise reuse the
+	// frame's sequence numbers and be overwritten by its stale tail.
+	fence sync.RWMutex
+}
+
+// tracedWrite is a sampled write handed to the sender: its trace
+// context (a child of its serve span), the replicate span minted for it,
+// and the hand-off time in the node clock.
+type tracedWrite struct {
+	seq     uint64
+	tc      obs.TraceContext
+	span    uint64
+	startUs int64
 }
 
 func (m *nodeMetrics) init(reg *obs.Registry, n *Node) {
 	m.replicated = reg.Counter("cluster_replicated_entries_total", "Op-log entries shipped to the follower and acked.")
-	m.replFailures = reg.Counter("cluster_replication_failures_total", "Replication attempts that failed (including demotions).")
-	m.replicateSecs = reg.Histogram("cluster_replicate_seconds", "Per-entry replication round-trip (the replication lag of an acked write).", obs.ExpBuckets(16e-6, 2, 16))
+	m.replFrames = reg.Counter("cluster_replicated_frames_total", "Replication frames the follower acked (entries per frame = entries_total / frames_total).")
+	m.replFailures = reg.Counter("cluster_replication_failures_total", "Replication frames that failed (including demotions).")
+	m.replicateSecs = reg.Histogram("cluster_replicate_seconds", "Per-frame replication round trip, retries included.", obs.ExpBuckets(16e-6, 2, 16))
 	m.forwardGets = reg.Counter(`cluster_forwards_total{op="get"}`, "Client ops relayed node-to-node by operation.")
 	m.forwardPuts = reg.Counter(`cluster_forwards_total{op="put"}`, "Client ops relayed node-to-node by operation.")
 	m.handoffs = reg.Counter("cluster_handoffs_total", "Shards migrated away from this node.")
@@ -117,18 +151,19 @@ func (m *nodeMetrics) init(reg *obs.Registry, n *Node) {
 		return float64(n.placement.Version())
 	})
 	for s := range n.repl {
-		st := &n.repl[s]
+		rs := &n.repl[s]
 		reg.GaugeFunc(fmt.Sprintf(`cluster_replication_lag_entries{shard="%d"}`, s),
 			"Op-log entries applied locally but not yet acked by the follower.", func() float64 {
-				if a, k := st.applied.Load(), st.acked.Load(); a > k {
-					return float64(a - k)
-				}
-				return 0
+				rs.mu.Lock()
+				defer rs.mu.Unlock()
+				return float64(rs.applied - rs.acked)
 			})
 		reg.GaugeFunc(fmt.Sprintf(`cluster_replication_lag_us{shard="%d"}`, s),
-			"Microseconds the follower has been behind the primary (0 when caught up).", func() float64 {
-				if st.applied.Load() > st.acked.Load() {
-					return float64(n.srv.NowMicros() - st.since.Load())
+			"Age in microseconds of the oldest write not yet acked by the follower (0 when caught up).", func() float64 {
+				rs.mu.Lock()
+				defer rs.mu.Unlock()
+				if rs.applied > rs.acked {
+					return float64(n.srv.NowMicros() - rs.since)
 				}
 				return 0
 			})
@@ -155,11 +190,14 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		placement: p.Clone(),
 		hbuf:      make(map[int][]byte),
 		logs:      make([]*Log, p.Shards),
-		repl:      make([]replLag, p.Shards),
+		repl:      make([]replShard, p.Shards),
+		stop:      make(chan struct{}),
 	}
 	n.links = newLinks(n.dialPeer)
 	for s := range n.logs {
 		n.logs[s] = NewLog(cfg.LogCap)
+		n.repl[s].kick = make(chan struct{}, 1)
+		n.repl[s].room = make(chan struct{}, 1)
 	}
 
 	scfg := cfg.Server
@@ -207,14 +245,18 @@ func (n *Node) Placement() *Placement {
 }
 
 // Close drains the TCP front end and the embedded server (writing
-// snapshots when configured).
+// snapshots when configured), then stops the replication senders.
+// Writes still owed to a follower once the links close fail with
+// ErrClosed.
 func (n *Node) Close() error {
 	n.killed.Store(true)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	n.tcp.Shutdown(ctx)
 	n.links.closeAll()
-	return n.srv.Close()
+	err := n.srv.Close()
+	n.stopSenders()
+	return err
 }
 
 // Kill is the fail-stop path for chaos tests: outgoing links and the
@@ -229,6 +271,15 @@ func (n *Node) Kill() {
 	cancel() // already expired: force-close accepted connections now
 	n.tcp.Shutdown(ctx)
 	n.srv.Close()
+	n.stopSenders()
+}
+
+// stopSenders ends the replication senders, which fail whatever writes
+// are still owed, and waits for them. The shard workers have exited by
+// now, so nothing is handed off after.
+func (n *Node) stopSenders() {
+	n.stopOnce.Do(func() { close(n.stop) })
+	n.senders.Wait()
 }
 
 // dialPeer opens an outgoing link to peer for the links cache.
@@ -236,104 +287,10 @@ func (n *Node) dialPeer(peer NodeInfo) (*server.Client, error) {
 	return server.DialNode(peer.Addr, n.id)
 }
 
-// onApply is the shard worker's post-apply hook: append the op log,
-// then ship the entry to the follower and wait for its ack, so a
-// client-visible ack implies the write is applied on every live replica
-// at the current shard epoch. tc carries the originating request's
-// trace context (zero when the write is untraced or unsampled); a valid
-// tc makes the replication hop emit a span and propagate the trace to
-// the follower.
-func (n *Node) onApply(tc obs.TraceContext, shard int, seq uint64, key string, val []byte) error {
-	n.logs[shard].Append(seq, key, val)
-	lag := &n.repl[shard]
-	lag.applied.Store(seq)
-	lag.since.Store(n.srv.NowMicros())
-
-	n.pmu.RLock()
-	p := n.placement
-	self := p.NodeIndex(n.id)
-	isPrimary := shard < len(p.Primary) && p.Primary[shard] == self
-	follower, hasFollower := p.FollowerOf(shard)
-	epoch := p.EpochOf(shard)
-	n.pmu.RUnlock()
-	if !isPrimary || !hasFollower {
-		lag.acked.Store(seq) // nothing to ship: the gap never opens
-		return nil
-	}
-
-	c, err := n.links.get(follower)
-	if err == nil {
-		// Mint the replication hop's span up front so the follower's
-		// serve-apply span can parent on it.
-		var rtc obs.TraceContext
-		var span uint64
-		var startUs int64
-		if tc.Valid() {
-			span = n.srv.TraceSource().SpanID()
-			rtc = tc.Child(span)
-			startUs = n.srv.NowMicros()
-		}
-		start := time.Now()
-		// Hand-rolled retry (RetryPolicy.Do takes a closure, and this
-		// runs once per applied write on the replication hot path).
-		rp := n.retry.WithDefaults()
-		for i := 0; i < rp.MaxAttempts; i++ {
-			if d := rp.Delay(i); d > 0 {
-				time.Sleep(d)
-			}
-			if err = c.ReplicateCtx(rtc, epoch, shard, seq, key, val); err == nil || !server.Retryable(err) {
-				break
-			}
-		}
-		if err == nil {
-			lag.acked.Store(seq)
-			n.m.replicated.Inc()
-			n.m.replicateSecs.Observe(time.Since(start).Seconds())
-			if span != 0 {
-				n.srv.Tracer().Emit(obs.Span{Hi: tc.Hi, Lo: tc.Lo, ID: span, Parent: tc.SpanID,
-					TS: startUs, Dur: n.srv.NowMicros() - startUs,
-					Kind: obs.SpanReplicate, Track: int32(shard)})
-			}
-			return nil
-		}
-	}
-	n.m.replFailures.Inc()
-	if n.killed.Load() {
-		// The failure is our own shutdown (Kill/Close dropped the
-		// outgoing links), not the follower's: a fail-stopped node must
-		// not demote healthy replicas on its way down.
-		return fmt.Errorf("cluster: node %s stopping: %w", n.id, err)
-	}
-
-	switch {
-	case errors.Is(err, server.ErrStalePlacement):
-		// The follower is at a newer epoch for this shard. Adopt its
-		// table, then decide: still primary → transient (routers retry at
-		// the new epoch); deposed → surface the stale placement.
-		n.refreshPlacementFrom(follower)
-		n.pmu.RLock()
-		stillPrimary := n.placement.Primary[shard] == n.placement.NodeIndex(n.id)
-		n.pmu.RUnlock()
-		if stillPrimary {
-			return fmt.Errorf("cluster: follower ahead, retry: %w", server.ErrBacklog)
-		}
-		return fmt.Errorf("cluster: shard %d deposed: %w", shard, server.ErrStalePlacement)
-	case server.Retryable(err):
-		// Follower alive but saturated past the retry budget: fail the
-		// request retryably without demoting a healthy replica.
-		return err
-	default:
-		// Connection-level failure: treat the follower as dead, demote
-		// it, and fail this request retryably — the retry will succeed
-		// against the new (follower-less) placement.
-		n.links.drop(follower.ID)
-		n.demoteFollower(shard, follower.ID, epoch)
-		return fmt.Errorf("cluster: follower %s lost (%v): %w", follower.ID, err, server.ErrBacklog)
-	}
-}
-
 // demoteFollower removes a dead follower from shard's row at observed
-// epoch, bumping the shard's epoch and telling the peers.
+// epoch, bumping the shard's epoch and telling the peers. The telling
+// runs on a goroutine of its own: a dead or silent follower is among
+// the peers, and the shard's sender must not wait on it.
 func (n *Node) demoteFollower(shard int, followerID string, epoch uint64) {
 	n.pmu.Lock()
 	p := n.placement
@@ -348,7 +305,7 @@ func (n *Node) demoteFollower(shard int, followerID string, epoch uint64) {
 	n.placement = np
 	n.pmu.Unlock()
 	n.m.demotions.Inc()
-	n.pushPlacement(np)
+	go n.pushPlacement(np)
 }
 
 // refreshPlacementFrom adopts the peer's placement when newer.
@@ -385,20 +342,26 @@ func (n *Node) pushPlacement(np *Placement) {
 
 // --- server.ClusterBackend ---
 
-// Replicate applies one op-log entry shipped by a primary (or a handoff
-// tail). Entries carrying a shard epoch older than this node's are
-// fenced off with ErrStalePlacement, deposing dead-but-unaware
-// primaries. tc is the primary's replication-hop context; threading it
-// into the local apply makes the follower's serve span join the
-// originating request's trace.
-func (n *Node) Replicate(tc obs.TraceContext, pver uint64, shard int, seq uint64, key string, val []byte) error {
+// Replicate applies a frame of op-log entries shipped by a primary (or
+// a handoff tail) and returns once all are applied. A frame carrying a
+// shard epoch older than this node's is fenced off with
+// ErrStalePlacement, deposing dead-but-unaware primaries. tc is the
+// replication hop of one sampled entry; threading it into the local
+// apply makes the follower's serve span join that write's trace.
+func (n *Node) Replicate(tc obs.TraceContext, pver uint64, shard int, entries server.ReplicatedEntries) error {
+	if shard < 0 || shard >= len(n.repl) {
+		return fmt.Errorf("cluster: replicate to shard %d: %w", shard, server.ErrWrongShard)
+	}
+	fence := &n.repl[shard].fence
+	fence.RLock()
+	defer fence.RUnlock()
 	n.pmu.RLock()
 	epoch := n.placement.EpochOf(shard)
 	n.pmu.RUnlock()
 	if pver < epoch {
-		return fmt.Errorf("cluster: entry at shard %d epoch %d, node at %d: %w", shard, pver, epoch, server.ErrStalePlacement)
+		return fmt.Errorf("cluster: entries at shard %d epoch %d, node at %d: %w", shard, pver, epoch, server.ErrStalePlacement)
 	}
-	return n.srv.ApplyCtx(tc, shard, seq, key, val)
+	return n.srv.ApplyEntries(tc, shard, entries)
 }
 
 // HandoffChunk ingests one chunk of a shard snapshot stream and
@@ -469,39 +432,51 @@ func (n *Node) reconcile(p *Placement) {
 // failed; pver is the shard epoch the requester observed the failure
 // under. An observation older than the node's own epoch is fenced off —
 // the requester must refresh and re-judge before deposing anyone.
+// Replication frames the shard is still applying finish first (see
+// replShard.fence).
 func (n *Node) Promote(pver uint64, shard int) error {
-	n.pmu.Lock()
-	p := n.placement
-	self := p.NodeIndex(n.id)
-	if shard < 0 || shard >= p.Shards {
-		n.pmu.Unlock()
+	if shard < 0 || shard >= len(n.repl) {
 		return fmt.Errorf("cluster: promote of unknown shard %d", shard)
 	}
-	if p.Primary[shard] == self {
-		n.pmu.Unlock()
-		return nil // already primary (concurrent promoters race benignly)
+	fence := &n.repl[shard].fence
+	fence.Lock()
+	np, err := n.takeOver(pver, shard)
+	fence.Unlock()
+	if np == nil {
+		return err
 	}
-	if pver < p.Epochs[shard] {
-		n.pmu.Unlock()
-		return fmt.Errorf("cluster: promote observed shard %d epoch %d, node at %d: %w",
-			shard, pver, p.Epochs[shard], server.ErrStalePlacement)
-	}
-	if p.Follower[shard] != self {
-		n.pmu.Unlock()
-		return fmt.Errorf("cluster: node %s is not shard %d's follower", n.id, shard)
-	}
-	np := p.Clone()
-	np.Epochs[shard] = pver + 1
-	np.Primary[shard] = self
-	np.Follower[shard] = -1
-	n.placement = np
-	n.pmu.Unlock()
 	if err := n.srv.SetShardServing(shard, true); err != nil {
 		return err
 	}
 	n.m.promotions.Inc()
 	n.pushPlacement(np)
 	return nil
+}
+
+// takeOver makes this node shard's primary in its own table, at the
+// epoch after pver, and returns the new table. It returns none when the
+// node already is the primary (concurrent promoters race benignly) or
+// the promotion is refused.
+func (n *Node) takeOver(pver uint64, shard int) (*Placement, error) {
+	n.pmu.Lock()
+	defer n.pmu.Unlock()
+	p := n.placement
+	self := p.NodeIndex(n.id)
+	switch {
+	case p.Primary[shard] == self:
+		return nil, nil
+	case pver < p.Epochs[shard]:
+		return nil, fmt.Errorf("cluster: promote observed shard %d epoch %d, node at %d: %w",
+			shard, pver, p.Epochs[shard], server.ErrStalePlacement)
+	case p.Follower[shard] != self:
+		return nil, fmt.Errorf("cluster: node %s is not shard %d's follower", n.id, shard)
+	}
+	np := p.Clone()
+	np.Epochs[shard] = pver + 1
+	np.Primary[shard] = self
+	np.Follower[shard] = -1
+	n.placement = np
+	return np, nil
 }
 
 // ForwardGet relays a get one hop toward the shard's primary. A valid
@@ -627,13 +602,13 @@ func (n *Node) Handoff(shard int, targetID string) error {
 	// remaining gap fits one small final batch.
 	const settleGap = 64
 	from := snapSeq
-	var tail []Entry
+	f := new(server.ReplicateFrame)
 	for {
 		_, last := n.logs[shard].Bounds()
 		if last <= from || last-from <= settleGap {
 			break
 		}
-		if tail, err = n.replayTail(c, shard, epoch, from, last, tail[:0]); err != nil {
+		if err := n.replayTail(c, f, shard, epoch, from, last); err != nil {
 			return err
 		}
 		from = last
@@ -656,7 +631,7 @@ func (n *Node) Handoff(shard int, targetID string) error {
 		return unseal(err)
 	}
 	// 5. Final tail: after this the target is bit-identical.
-	if _, err := n.replayTail(c, shard, epoch, from, appliedSeq, tail[:0]); err != nil {
+	if err := n.replayTail(c, f, shard, epoch, from, appliedSeq); err != nil {
 		return unseal(err)
 	}
 
@@ -760,17 +735,19 @@ func (n *Node) ClusterTrace(w io.Writer) error {
 	return obs.MergeTraces(w, traces)
 }
 
-// replayTail ships op-log entries (from, to] to the handoff target.
-func (n *Node) replayTail(c *server.Client, shard int, epoch, from, to uint64, scratch []Entry) ([]Entry, error) {
-	entries, err := n.logs[shard].CopyRange(scratch, from, to)
-	if err != nil {
-		return entries, fmt.Errorf("cluster: handoff tail shard %d: %w", shard, err)
-	}
-	//oramlint:allow secret-trip-count the tail length is the public op-log sequence gap (to-from), already carried in cleartext frame headers; only entry contents are secret, and each is shipped in one fixed-shape Replicate frame
-	for _, e := range entries {
-		if err := c.Replicate(epoch, shard, e.Seq, string(e.Key), e.Val); err != nil {
-			return entries, fmt.Errorf("cluster: handoff replay shard %d seq %d: %w", shard, e.Seq, err)
+// replayTail ships op-log entries (from, to] to the handoff target, one
+// round trip per frame the entries fill.
+func (n *Node) replayTail(c *server.Client, f *server.ReplicateFrame, shard int, epoch, from, to uint64) error {
+	for from < to {
+		f.Reset(epoch, shard)
+		last, err := n.logs[shard].Encode(f, from, to)
+		if err != nil {
+			return fmt.Errorf("cluster: handoff tail shard %d: %w", shard, err)
 		}
+		if err := c.Replicate(obs.TraceContext{}, f); err != nil {
+			return fmt.Errorf("cluster: handoff replay shard %d seqs (%d,%d]: %w", shard, from, last, err)
+		}
+		from = last
 	}
-	return entries, nil
+	return nil
 }

@@ -151,16 +151,22 @@ type Config struct {
 	// [0, TotalShards).
 	ShardIDs []int
 	// OnApply, when non-nil, runs on the shard worker goroutine after
-	// every applied write (Put or replica Apply), before the request is
-	// acknowledged: (global shard, the write's sequence number, key,
-	// raw value). Returning an error fails the request — the write is
-	// applied locally but reported unacknowledged, which is how a
-	// cluster primary refuses to ack a write it could not replicate.
-	// The hook is on the steady-state apply path and must not allocate
-	// (the cluster op log appends into reused buffers). tc is the write's
-	// distributed trace context (zero when the request is untraced or
-	// unsampled); implementations propagate it into replication frames.
-	OnApply func(tc obs.TraceContext, shard int, seq uint64, key string, val []byte) error
+	// every applied write (Put or replicated apply), before the write is
+	// answered: (global shard, the write's sequence number, key, raw
+	// value). It hands the write off and returns; it may wait only
+	// while its own hand-off buffer is full. Returning true holds the
+	// write's answer until Release settles a sequence number at or
+	// above seq — how a cluster primary acks a write only once its
+	// follower holds it. While any held write is unsettled, every later
+	// answer of the shard (Gets, Barrier and SnapshotShard included)
+	// waits behind it and leaves in order, so a Get admitted after a
+	// held Put is answered only after that Put settles. Returning false
+	// answers the write as a shard without a hook would. The hook is on
+	// the steady-state apply path and must not allocate. tc is the
+	// write's distributed trace context (zero when the request is
+	// untraced or unsampled); implementations propagate it into
+	// replication frames.
+	OnApply func(tc obs.TraceContext, shard int, seq uint64, key string, val []byte) (hold bool)
 	// TraceSample enables distributed tracing: requests arriving with a
 	// trace context are kept when the power-of-two sampler on the trace
 	// ID fires (1 keeps every trace, 1024 keeps ~1/1024; see
@@ -363,16 +369,52 @@ type shard struct {
 	// cluster role changes while the worker runs, hence atomic.
 	serving atomic.Bool
 
+	// waiters counts enqueueWait callers routed to the shard and not yet
+	// through their send; the queue closes only once they are.
+	waiters sync.WaitGroup
+
 	ring        *oram.Ring
 	dir         map[string]oram.BlockID
 	nextID      oram.BlockID
 	appliedSeq  uint64 // sequence number of the last applied write (worker-owned)
 	totalShards int    // global shard count stamped into snapshots
-	onApply     func(tc obs.TraceContext, shard int, seq uint64, key string, val []byte) error
+	onApply     func(tc obs.TraceContext, shard int, seq uint64, key string, val []byte) bool
 	maxKeys     int
 	maxBatch    int
 	blockSize   int
 	encBuf      []byte `oramlint:"secret,scratch"` // reused Put-block framing scratch
+
+	rq releaseQueue // answers held behind unsettled writes (see Config.OnApply)
+}
+
+// heldAnswer is an answer waiting in a shard's release queue: the
+// request, the result the worker computed for it, and the held write
+// sequence number it waits for.
+type heldAnswer struct {
+	r   *request
+	res result
+	tag uint64
+}
+
+// releaseQueue holds a shard's answers behind its unsettled writes, in
+// the order the worker produced them. The worker appends; Release pops
+// a settled prefix and delivers it. A shard whose hook never holds
+// keeps held == settled and answers directly, without the lock.
+type releaseQueue struct {
+	mu sync.Mutex
+	q  []heldAnswer // tags non-decreasing
+	// held is the newest write sequence number held (written by the
+	// worker under mu, read by it without), settled the newest one a
+	// settling Release covered (written under mu). Every answer tagged
+	// at or below settled has left the queue.
+	held    uint64
+	settled atomic.Uint64
+	// lastW and lastR are the outcome of the newest settling Release,
+	// for a held write whose answer reaches the queue after it.
+	lastW, lastR error
+
+	relMu sync.Mutex   // serializes releasers, so answers leave in order
+	out   []heldAnswer // a releaser's scratch (under relMu)
 }
 
 // New builds a server, restoring every shard from cfg.SnapshotDir when
@@ -463,6 +505,8 @@ func (s *Server) buildShard(id int, snap []byte) (*shard, error) {
 		}(id))
 	sh.blockSize = sh.ring.Config().BlockSize
 	sh.encBuf = make([]byte, sh.blockSize)
+	sh.rq.held = sh.appliedSeq
+	sh.rq.settled.Store(sh.appliedSeq)
 	return sh, nil
 }
 
@@ -668,30 +712,95 @@ func (s *Server) sendShard(gid int, req *request) result {
 	return res
 }
 
-// Apply applies one replicated write to a hosted shard: an opApply
-// request carrying the primary's sequence number, deduplicated against
-// the shard's appliedSeq (a retried frame acks without re-applying).
-// Unlike Put, Apply ignores the shard's serving flag — follower
-// replicas and sealed shards accept replication while refusing client
-// traffic.
-func (s *Server) Apply(shardID int, seq uint64, key string, val []byte) error {
-	return s.ApplyCtx(obs.TraceContext{}, shardID, seq, key, val)
+// ApplyEntries applies a run of replicated writes to a hosted shard and
+// returns once every one is applied (or the first error). Each entry is
+// an opApply request carrying the primary's sequence number,
+// deduplicated against the shard's appliedSeq, so a retried frame acks
+// without re-applying. Unlike Put, it ignores the shard's serving flag —
+// follower replicas and sealed shards accept replication while refusing
+// client traffic — and it waits for queue room instead of failing with
+// ErrBacklog: its sender keeps at most one run per shard in flight. A
+// sampled tc stamps the run's last entry, whose apply span then joins
+// the sender's trace.
+func (s *Server) ApplyEntries(tc obs.TraceContext, shardID int, es ReplicatedEntries) error {
+	reqs := make([]*request, 0, es.count)
+	var err error
+	rest := es.data
+	for i := 0; i < es.count; i++ {
+		var (
+			seq      uint64
+			key, val []byte
+		)
+		if seq, key, val, rest, err = nextReplicateEntry(rest); err != nil {
+			break
+		}
+		if len(key) == 0 || len(key) > MaxKeyLen {
+			err = fmt.Errorf("%w: %d bytes", ErrBadKey, len(key))
+			break
+		}
+		if len(val) > s.MaxValueLen() {
+			err = fmt.Errorf("%w: %d bytes, max %d", ErrValueTooLarge, len(val), s.MaxValueLen())
+			break
+		}
+		req := reqPool.Get().(*request)
+		req.op, req.key, req.val, req.seq = opApply, string(key), val, seq
+		req.enqueued = time.Now()
+		if i == es.count-1 {
+			s.sampleTrace(req, tc)
+		}
+		if err = s.enqueueWait(shardID, req); err != nil {
+			releaseRequest(req)
+			break
+		}
+		reqs = append(reqs, req)
+	}
+	for _, req := range reqs {
+		if res := <-req.done; res.err != nil && err == nil {
+			err = res.err
+		}
+		releaseRequest(req)
+	}
+	return err
 }
 
-// ApplyCtx is Apply carrying the primary's trace context, so a
-// replicated write's follower-side apply span joins the same trace.
-func (s *Server) ApplyCtx(tc obs.TraceContext, shardID int, seq uint64, key string, val []byte) error {
-	if key == "" || len(key) > MaxKeyLen {
-		return fmt.Errorf("%w: %d bytes", ErrBadKey, len(key))
+// enqueueWait is enqueue waiting for queue room instead of failing with
+// ErrBacklog. It waits without holding mu; Close and DetachShard close
+// the queue only once every waiter routed before them has sent.
+func (s *Server) enqueueWait(gid int, req *request) error {
+	s.mu.RLock()
+	if s.closed {
+		s.mu.RUnlock()
+		return ErrClosed
 	}
-	if len(val) > s.MaxValueLen() {
-		return fmt.Errorf("%w: %d bytes, max %d", ErrValueTooLarge, len(val), s.MaxValueLen())
+	sh := s.byID[gid]
+	if sh == nil {
+		s.mu.RUnlock()
+		return fmt.Errorf("shard %d: %w", gid, ErrWrongShard)
 	}
-	req := reqPool.Get().(*request)
-	req.op, req.key, req.val, req.seq = opApply, key, val, seq
-	req.enqueued = time.Now()
-	s.sampleTrace(req, tc)
-	return s.sendShard(shardID, req).err
+	sh.waiters.Add(1)
+	s.mu.RUnlock()
+	sh.reqs <- req
+	sh.waiters.Done()
+	return nil
+}
+
+// Release settles a hosted shard's held writes up to sequence number
+// upTo and delivers, in order, every answer held behind them (see
+// Config.OnApply). werr, when non-nil, replaces the success answer of
+// each released write, and rerr that of each released Get; every other
+// answer leaves as computed. A retryable rerr releases the answers but
+// leaves the writes unsettled — they are still owed to the follower — so
+// answers produced later keep waiting for the next Release. A caller
+// settling writes by failing them for good (its node deposed or
+// stopping) stops the shard serving first: a Get answered after that
+// fails with ErrWrongShard rather than return a failed write.
+func (s *Server) Release(shardID int, upTo uint64, werr, rerr error) {
+	s.mu.RLock()
+	sh := s.byID[shardID]
+	s.mu.RUnlock()
+	if sh != nil {
+		sh.release(upTo, werr, rerr)
+	}
 }
 
 // SnapshotShard returns a consistent snapshot of one hosted shard —
@@ -804,7 +913,9 @@ func (s *Server) DetachShard(shardID int) ([]byte, error) {
 	}
 	s.mu.Unlock()
 	// No enqueue can reach the shard now (routing happens under mu), so
-	// closing the queue is race-free; the worker drains and exits.
+	// once the waiters routed before have sent, closing the queue is
+	// race-free; the worker drains and exits.
+	sh.waiters.Wait()
 	close(sh.reqs)
 	<-sh.done
 	return sh.snapshotBytes()
@@ -832,6 +943,7 @@ func (s *Server) Close() error {
 	shards := append([]*shard(nil), s.shards...)
 	s.mu.Unlock()
 	for _, sh := range shards {
+		sh.waiters.Wait()
 		close(sh.reqs)
 	}
 	s.wg.Wait()
@@ -887,7 +999,7 @@ func (sh *shard) run(wg *sync.WaitGroup) {
 // traffic), so the bus-visible sequence does not depend on the secret.
 func (sh *shard) serve(now time.Time, r *request) {
 	if !r.deadline.IsZero() && now.After(r.deadline) {
-		sh.respond(r, result{err: fmt.Errorf("shard %d: %w", sh.id, ErrDeadline)})
+		sh.answer(r, result{err: fmt.Errorf("shard %d: %w", sh.id, ErrDeadline)})
 		return
 	}
 	// Client ops are refused while the shard is a non-serving replica
@@ -895,26 +1007,26 @@ func (sh *shard) serve(now time.Time, r *request) {
 	// below pass regardless. The flag is public operational state, so
 	// the branch leaks nothing about request contents.
 	if (r.op == opGet || r.op == opPut) && !sh.serving.Load() {
-		sh.respond(r, result{err: fmt.Errorf("shard %d: %w", sh.id, ErrWrongShard)})
+		sh.answer(r, result{err: fmt.Errorf("shard %d: %w", sh.id, ErrWrongShard)})
 		return
 	}
 	switch r.op {
 	case opSnapshot:
 		data, err := sh.snapshotBytes()
-		sh.respond(r, result{val: data, seq: sh.appliedSeq, err: err})
+		sh.answer(r, result{val: data, seq: sh.appliedSeq, err: err})
 		return
 	case opBarrier, opStats:
 		if r.op == opStats {
 			*r.stats = sh.ring.Stats()
 		}
-		sh.respond(r, result{seq: sh.appliedSeq})
+		sh.answer(r, result{seq: sh.appliedSeq})
 		return
 	case opApply:
 		// Replication dedup: an at-or-below-appliedSeq frame is a retry
 		// of a write this replica already holds; ack without touching
 		// the Ring.
 		if r.seq <= sh.appliedSeq {
-			sh.respond(r, result{seq: sh.appliedSeq})
+			sh.answer(r, result{seq: sh.appliedSeq})
 			return
 		}
 	}
@@ -940,7 +1052,7 @@ func (sh *shard) serve(now time.Time, r *request) {
 		id, ok := sh.dir[r.key]
 		if !ok {
 			if len(sh.dir) >= sh.maxKeys {
-				sh.respond(r, result{err: fmt.Errorf("shard %d (%d keys): %w", sh.id, len(sh.dir), ErrFull)})
+				sh.answer(r, result{err: fmt.Errorf("shard %d (%d keys): %w", sh.id, len(sh.dir), ErrFull)})
 				//oramlint:allow secret-early-exit capacity rejection is public operational state: it reveals only that an unmapped key arrived while the shard was full, which the ErrFull API contract already declares to callers
 				return
 			}
@@ -950,7 +1062,7 @@ func (sh *shard) serve(now time.Time, r *request) {
 		}
 		sh.access(r, id, true, sh.encodeValueScratch(r.val))
 	default:
-		sh.respond(r, result{err: fmt.Errorf("server: unknown op %d", r.op)})
+		sh.answer(r, result{err: fmt.Errorf("server: unknown op %d", r.op)})
 	}
 }
 
@@ -988,12 +1100,12 @@ func (sh *shard) finish(r *request, data []byte, ops []oram.Op, err error) {
 	}
 	sh.m.noteBus(busOp{shard: sh.id, slots: slots})
 	if err != nil {
-		sh.respond(r, result{err: fmt.Errorf("shard %d: %w", sh.id, err)})
+		sh.answer(r, result{err: fmt.Errorf("shard %d: %w", sh.id, err)})
 		return
 	}
 	if r.op == opGet {
 		if r.miss {
-			sh.respond(r, result{found: false})
+			sh.answer(r, result{found: false})
 			return
 		}
 		// The value is copied out of the Ring's scratch, valid only until
@@ -1008,25 +1120,113 @@ func (sh *shard) finish(r *request, data []byte, ops []oram.Op, err error) {
 		if r.conn != nil {
 			r.buf = val
 		}
-		sh.respond(r, result{val: val, found: true, err: derr})
+		sh.answer(r, result{val: val, found: true, err: derr})
 		return
 	}
-	// A write applied: advance the shard's sequence and run the apply
-	// hook (op-log append + replication) before acknowledging. serve
+	// A write applied: advance the shard's sequence and hand it to the
+	// apply hook (op-log append + replication) before answering. serve
 	// already answered replayed applies (seq <= appliedSeq).
 	seq := sh.appliedSeq + 1
 	if r.op == opApply {
 		seq = r.seq
 	}
 	sh.appliedSeq = seq
-	if sh.onApply != nil {
-		//oramlint:allow secret-branch the hook's error is operational replication state (dead peer, stale epoch), independent of key contents; the ORAM access for this write was already emitted before finish ran
-		if aerr := sh.onApply(r.tc.Child(r.span), sh.id, seq, r.key, r.val); aerr != nil {
-			sh.respond(r, result{err: fmt.Errorf("shard %d apply hook: %w", sh.id, aerr)})
+	//oramlint:allow secret-branch the hook's hold decision is operational replication state (whether the shard has a follower), independent of key contents; the ORAM access for this write was already emitted before finish ran
+	if sh.onApply != nil && sh.onApply(r.tc.Child(r.span), sh.id, seq, r.key, r.val) {
+		sh.hold(r, result{seq: seq}, seq)
+		return
+	}
+	sh.answer(r, result{seq: seq})
+}
+
+// answer delivers a result the worker computed: at once when no held
+// write is unsettled, otherwise into the release queue behind the
+// newest held write. A replicating shard that stopped serving since it
+// served a Get answers the Get ErrWrongShard instead: its writes may
+// have been settled by failing them, when the node was deposed or is
+// stopping, and the Get may have read them.
+func (sh *shard) answer(r *request, res result) {
+	rq := &sh.rq
+	if rq.settled.Load() < rq.held {
+		rq.mu.Lock()
+		if rq.settled.Load() < rq.held {
+			rq.q = append(rq.q, heldAnswer{r: r, res: res, tag: rq.held})
+			rq.mu.Unlock()
 			return
 		}
+		rq.mu.Unlock()
 	}
-	sh.respond(r, result{seq: seq})
+	if r.op == opGet && res.err == nil && sh.onApply != nil && !sh.serving.Load() {
+		res = result{err: fmt.Errorf("shard %d: %w", sh.id, ErrWrongShard)}
+	}
+	sh.respond(r, res)
+}
+
+// hold queues the answer of write seq, which the apply hook handed off,
+// until a Release settles it. The hook's hand-off may already have been
+// settled by the time the answer gets here; it then leaves at once with
+// that Release's outcome.
+func (sh *shard) hold(r *request, res result, seq uint64) {
+	rq := &sh.rq
+	rq.mu.Lock()
+	rq.held = seq
+	if rq.settled.Load() >= seq {
+		h := heldAnswer{r: r, res: res}
+		werr, rerr := rq.lastW, rq.lastR
+		rq.mu.Unlock()
+		sh.respond(r, sh.outcome(&h, werr, rerr))
+		return
+	}
+	rq.q = append(rq.q, heldAnswer{r: r, res: res, tag: seq})
+	rq.mu.Unlock()
+}
+
+// release pops the answers tagged at or below upTo and delivers them in
+// order with the outcome (werr, rerr); see Server.Release.
+func (sh *shard) release(upTo uint64, werr, rerr error) {
+	rq := &sh.rq
+	rq.relMu.Lock()
+	defer rq.relMu.Unlock()
+	rq.mu.Lock()
+	if !Retryable(rerr) && upTo > rq.settled.Load() {
+		rq.settled.Store(upTo)
+		rq.lastW, rq.lastR = werr, rerr
+	}
+	k := 0
+	for k < len(rq.q) && rq.q[k].tag <= upTo {
+		k++
+	}
+	out := append(rq.out[:0], rq.q[:k]...)
+	n := copy(rq.q, rq.q[k:])
+	clear(rq.q[n:])
+	rq.q = rq.q[:n]
+	rq.mu.Unlock()
+	for i := range out {
+		sh.respond(out[i].r, sh.outcome(&out[i], werr, rerr))
+		out[i] = heldAnswer{}
+	}
+	rq.out = out[:0]
+}
+
+// outcome is the answer a released request gets: its own result, unless
+// that was a success the Release's outcome overrides (werr for a write,
+// rerr for a Get).
+func (sh *shard) outcome(h *heldAnswer, werr, rerr error) result {
+	if h.res.err != nil {
+		return h.res
+	}
+	err := rerr
+	switch h.r.op {
+	case opPut, opApply:
+		err = werr
+	case opGet:
+	default:
+		return h.res
+	}
+	if err != nil {
+		return result{err: fmt.Errorf("shard %d replication: %w", sh.id, err)}
+	}
+	return h.res
 }
 
 // respond delivers the request's single response — into the TCP

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"stringoram/internal/obs"
 	"stringoram/internal/oram"
 )
 
@@ -563,5 +564,106 @@ func TestEncodeValueScratchFraming(t *testing.T) {
 		if back, err := decodeValue(nil, got); err != nil || !bytes.Equal(back, val) {
 			t.Fatalf("decodeValue(encodeValueScratch(%q)) = %q, %v", val, back, err)
 		}
+	}
+}
+
+// TestReleaseAnswersInOrder pins the OnApply hold contract. A held Put
+// and every answer behind it — a Get of the same key, a Barrier — wait
+// until Release settles the Put. A retryable read error fails them
+// without settling, so a Get after it still waits; a settling Release
+// answers that Get with the held write, and later answers go out
+// directly.
+func TestReleaseAnswersInOrder(t *testing.T) {
+	cfg := testConfig()
+	cfg.Shards = 1
+	handed := make(chan uint64, 8)
+	cfg.OnApply = func(tc obs.TraceContext, shard int, seq uint64, key string, val []byte) bool {
+		handed <- seq
+		return true
+	}
+	s := mustNew(t, cfg)
+	defer s.Close()
+	async := func(f func() error) chan error {
+		ch := make(chan error, 1)
+		go func() { ch <- f() }()
+		return ch
+	}
+	getV1 := func() error {
+		v, found, err := s.Get("k")
+		if err == nil && (!found || string(v) != "v1") {
+			err = fmt.Errorf("Get = %q found=%v, want v1", v, found)
+		}
+		return err
+	}
+	pending := func(what string, ch chan error) {
+		t.Helper()
+		select {
+		case err := <-ch:
+			t.Fatalf("%s answered (%v) before its Release", what, err)
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+
+	put := async(func() error { return s.Put("k", []byte("v1")) })
+	seq := <-handed
+	get := async(getV1)
+	barrier := async(func() error { _, err := s.Barrier(0); return err })
+	pending("held Put", put)
+	pending("Get behind the held Put", get)
+	pending("Barrier behind the held Put", barrier)
+
+	s.Release(0, seq, ErrBacklog, ErrBacklog)
+	if err := <-put; !Retryable(err) {
+		t.Fatalf("Put released with a retryable outcome: err = %v", err)
+	}
+	if err := <-get; !Retryable(err) {
+		t.Fatalf("Get released with a retryable outcome: err = %v", err)
+	}
+	if err := <-barrier; err != nil {
+		t.Fatalf("Barrier answers as computed, got %v", err)
+	}
+	get = async(getV1)
+	pending("Get behind an unsettled Put", get)
+
+	s.Release(0, seq, nil, nil)
+	if err := <-get; err != nil {
+		t.Fatal(err)
+	}
+	if err := getV1(); err != nil {
+		t.Fatalf("Get after the settling Release: %v", err)
+	}
+}
+
+// TestGetReadBeforeFailedSettleRefused stages the race the serving check
+// in shard.answer closes: the worker reads a key for a Get while the
+// write it returns is held, and the releaser fails that write for good
+// before the Get's answer is given. The releaser stops the shard serving
+// first, so the Get fails ErrWrongShard instead of returning a write
+// that may be lost.
+func TestGetReadBeforeFailedSettleRefused(t *testing.T) {
+	cfg := testConfig()
+	cfg.Shards = 1
+	handed := make(chan uint64, 1)
+	cfg.OnApply = func(tc obs.TraceContext, shard int, seq uint64, key string, val []byte) bool {
+		handed <- seq
+		return true
+	}
+	s := mustNew(t, cfg)
+	defer s.Close()
+	put := make(chan error, 1)
+	go func() { put <- s.Put("k", []byte("v1")) }()
+	seq := <-handed
+
+	if err := s.SetShardServing(0, false); err != nil {
+		t.Fatal(err)
+	}
+	s.Release(0, seq, ErrClosed, ErrClosed)
+	if err := <-put; !errors.Is(err, ErrClosed) {
+		t.Fatalf("Put failed for good: err = %v, want ErrClosed", err)
+	}
+	get := &request{op: opGet, key: "k", done: make(chan result, 1)}
+	s.byID[0].answer(get, result{val: []byte("v1"), found: true})
+	if res := <-get.done; !errors.Is(res.err, ErrWrongShard) {
+		t.Fatalf("Get read before the failing Release = %q, %v; want ErrWrongShard", res.val, res.err)
 	}
 }

@@ -38,11 +38,12 @@ const forwardTTL = 3
 // run on the node that got the frame. Implementations must be safe for
 // concurrent use (the TCP server dispatches requests concurrently).
 type ClusterBackend interface {
-	// Replicate applies one op-log entry shipped by a primary. It must
-	// reject entries carrying a placement version older than the node's
+	// Replicate applies a run of op-log entries shipped by a primary (or
+	// a handoff tail) and returns once every one is applied. It must
+	// reject a run carrying a placement version older than the node's
 	// with ErrStalePlacement (fencing for deposed primaries). tc is the
-	// write's distributed trace context (zero when untraced).
-	Replicate(tc obs.TraceContext, pver uint64, shard int, seq uint64, key string, val []byte) error
+	// trace context of one sampled entry of the run (zero when none is).
+	Replicate(tc obs.TraceContext, pver uint64, shard int, entries ReplicatedEntries) error
 	// HandoffChunk ingests one chunk of a shard snapshot stream; the
 	// implementation installs the shard when last is set.
 	HandoffChunk(shard int, first, last bool, data []byte) error
@@ -532,11 +533,11 @@ func (t *TCPServer) serveReplicate(tc obs.TraceContext, r wireRequest) wireRespo
 	if resp, ok := t.clusterOnly(r.Seq); !ok {
 		return resp
 	}
-	pver, shard, seq, val, err := decodeReplicateVal(r.Val)
+	pver, shard, entries, err := decodeReplicateVal(r.Val)
 	if err != nil {
 		return wireResponse{Status: statusBad, Seq: r.Seq, Body: []byte(err.Error())}
 	}
-	if err := t.cluster.Replicate(tc, pver, shard, seq, r.Key, val); err != nil {
+	if err := t.cluster.Replicate(tc, pver, shard, entries); err != nil {
 		return errResponse(r.Seq, err)
 	}
 	return wireResponse{Status: statusOK, Seq: r.Seq}
@@ -690,7 +691,7 @@ func DialNode(addr, nodeID string) (*Client, error) {
 // dialTimeout bounds the TCP connect and, separately, the hello
 // handshake of one Dial. A peer that accepts and never answers would
 // otherwise park its dialer forever — and with it whatever the dialer
-// was doing that for (a router operation, a shard worker's replication).
+// was doing that for (a router operation, a shard's replication sender).
 const dialTimeout = 3 * time.Second
 
 // hello runs the version + node-ID handshake.
@@ -787,8 +788,22 @@ func (c *Client) Close() error {
 // dropped on the floor instead.
 var respChanPool = sync.Pool{New: func() any { return make(chan wireResponse, 1) }}
 
+// expiry bounds a round trip's wait: the timer is armed to fire at at.
+// The zero expiry waits for as long as the connection lives.
+type expiry struct {
+	t  *time.Timer
+	at time.Time
+}
+
 // roundTrip sends one request and waits for its response.
 func (c *Client) roundTrip(op wireOp, key string, val []byte) (wireResponse, error) {
+	return c.roundTripUntil(op, key, val, expiry{})
+}
+
+// roundTripUntil is roundTrip whose wait ends at ex, when ex is set. A
+// tick the timer left from an earlier wait arrives early, so it is told
+// apart by the clock and the timer re-armed.
+func (c *Client) roundTripUntil(op wireOp, key string, val []byte, ex expiry) (wireResponse, error) {
 	ch := respChanPool.Get().(chan wireResponse)
 	c.mu.Lock()
 	if c.err != nil {
@@ -828,7 +843,35 @@ func (c *Client) roundTrip(op wireOp, key string, val []byte) (wireResponse, err
 		}
 		return wireResponse{}, err
 	}
-	resp, ok := <-ch
+	var (
+		resp wireResponse
+		ok   bool
+	)
+	if ex.t == nil {
+		resp, ok = <-ch
+	} else {
+	wait:
+		for {
+			select {
+			case resp, ok = <-ch:
+				ex.t.Stop()
+				break wait
+			case <-ex.t.C:
+				if d := time.Until(ex.at); d > 0 {
+					ex.t.Reset(d)
+					continue
+				}
+				c.mu.Lock()
+				_, mine := c.pending[seq]
+				delete(c.pending, seq)
+				c.mu.Unlock()
+				if mine {
+					respChanPool.Put(ch)
+				}
+				return wireResponse{}, fmt.Errorf("server client: op %d unanswered at its deadline", op)
+			}
+		}
+	}
 	if !ok {
 		// fail closed the channel; it is poisoned, never pooled again.
 		c.mu.Lock()
@@ -845,12 +888,17 @@ func (c *Client) roundTrip(op wireOp, key string, val []byte) (wireResponse, err
 // per-request allocation); otherwise the plain frame is sent. Hello's
 // exact version match guarantees the peer understands the wrapper.
 func (c *Client) roundTripCtx(tc obs.TraceContext, op wireOp, key string, val []byte) (wireResponse, error) {
+	return c.roundTripCtxUntil(tc, op, key, val, expiry{})
+}
+
+// roundTripCtxUntil is roundTripCtx whose wait ends at ex.
+func (c *Client) roundTripCtxUntil(tc obs.TraceContext, op wireOp, key string, val []byte, ex expiry) (wireResponse, error) {
 	if !tc.Valid() {
-		return c.roundTrip(op, key, val)
+		return c.roundTripUntil(op, key, val, ex)
 	}
 	fp := framePool.Get().(*[]byte)
 	*fp = appendTracedVal((*fp)[:0], tc, op, val)
-	resp, err := c.roundTrip(wireTraced, key, *fp)
+	resp, err := c.roundTripUntil(wireTraced, key, *fp, ex)
 	framePool.Put(fp)
 	return resp, err
 }
@@ -929,22 +977,29 @@ func (c *Client) Ping() error {
 
 // --- cluster frame senders ---
 //
-// Composite payloads are staged in framePool buffers (appendRequest
-// copies them into the write buffer under wmu), so a warmed replication
-// link sends without per-entry allocations.
+// Composite payloads are staged in framePool buffers or, for
+// replication, in the sender's reused ReplicateFrame (appendRequest
+// copies them into the write buffer under wmu), so a warmed link sends
+// without allocating.
 
-// Replicate ships one op-log entry to a follower and waits for its ack.
-func (c *Client) Replicate(pver uint64, shard int, seq uint64, key string, val []byte) error {
-	return c.ReplicateCtx(obs.TraceContext{}, pver, shard, seq, key, val)
-}
+// replicateTimeout bounds the wait for one replication frame's ack. A
+// follower that completes hello and then never answers would otherwise
+// park its primary's replication sender, and with it every write of the
+// shard.
+const replicateTimeout = dialTimeout
 
-// ReplicateCtx is Replicate carrying the write's trace context, so the
-// follower's apply span joins the primary's trace.
-func (c *Client) ReplicateCtx(tc obs.TraceContext, pver uint64, shard int, seq uint64, key string, val []byte) error {
-	fp := framePool.Get().(*[]byte)
-	*fp = appendReplicateVal((*fp)[:0], pver, shard, seq, val)
-	resp, err := c.roundTripCtx(tc, wireReplicate, key, *fp)
-	framePool.Put(fp)
+// Replicate ships the frame to a follower (or a handoff target) and
+// waits for its one ack, for at most replicateTimeout; an unanswered
+// frame fails with an untyped error, as a lost connection does. tc,
+// when valid, is the context of one sampled entry of the frame, so the
+// receiver's apply span joins that entry's trace.
+func (c *Client) Replicate(tc obs.TraceContext, f *ReplicateFrame) error {
+	if f.timer == nil {
+		f.timer = time.NewTimer(replicateTimeout)
+	} else {
+		f.timer.Reset(replicateTimeout)
+	}
+	resp, err := c.roundTripCtxUntil(tc, wireReplicate, "", f.buf, expiry{t: f.timer, at: time.Now().Add(replicateTimeout)})
 	if err != nil {
 		return err
 	}

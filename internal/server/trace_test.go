@@ -121,7 +121,7 @@ type fakeCluster struct {
 
 func newFakeCluster() *fakeCluster { return &fakeCluster{data: make(map[string][]byte)} }
 
-func (f *fakeCluster) Replicate(tc obs.TraceContext, pver uint64, shard int, seq uint64, key string, val []byte) error {
+func (f *fakeCluster) Replicate(tc obs.TraceContext, pver uint64, shard int, entries ReplicatedEntries) error {
 	return nil
 }
 func (f *fakeCluster) HandoffChunk(shard int, first, last bool, data []byte) error { return nil }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"time"
 
 	"stringoram/internal/obs"
 )
@@ -26,11 +27,12 @@ import (
 // wireProtoVersion is the protocol generation carried in the hello
 // handshake. Version 2 added the handshake itself plus the cluster
 // frames (replicate, handoff, placement, promote, forward); version 3
-// accepts traced and scrape frames on every connection. Peers whose
+// accepts traced and scrape frames on every connection; version 4
+// carries N ≥ 1 op-log entries per replicate frame. Peers whose
 // versions differ refuse the connection with ErrProtocolMismatch
 // instead of risking undefined framing behavior, so this exact match is
 // the only compatibility gate: nothing is negotiated after hello.
-const wireProtoVersion = 3
+const wireProtoVersion = 4
 
 // wireOp is the request opcode.
 type wireOp uint8
@@ -43,8 +45,9 @@ const (
 	// node ID (empty for anonymous clients), Val its 4-byte protocol
 	// version. The OK response body is version + the server's node ID.
 	wireHello wireOp = 5
-	// wireReplicate streams one op-log entry primary->follower: Key is
-	// the written key, Val is pver:8 shard:4 seq:8 value.
+	// wireReplicate ships a run of op-log entries primary->follower, one
+	// ack for all of them: Key is empty, Val is pver:8 shard:4 count:4
+	// followed by count × (seq:8 keyLen:2 key valLen:4 value).
 	wireReplicate wireOp = 6
 	// wireHandoff carries one chunk of a shard snapshot during live
 	// handoff: Val is shard:4 flags:1 data (flags bit0 = first chunk,
@@ -215,28 +218,106 @@ func decodeResponse(p []byte) (wireResponse, error) {
 // present, in Key), so the framing, pooling, and pipelining machinery
 // is shared with client traffic.
 
-// replicate Val layout: pver:8 shard:4 seq:8 value.
-const replicateHdrLen = 8 + 4 + 8
+// replicate Val layout: pver:8 shard:4 count:4, then count entries of
+// seq:8 keyLen:2 key valLen:4 value.
+const (
+	replicateHdrLen      = 8 + 4 + 4
+	replicateEntryHdrLen = 8 + 2 + 4
+	// replicateMaxVal bounds a replicate Val so that the request frame
+	// around it, traced or not, stays within maxFrame.
+	replicateMaxVal = maxFrame - reqFixedLen - tracedHdrLen
+)
 
-// appendReplicateVal encodes a replicate payload into dst (reused by
-// the primary across entries, so steady-state replication does not
-// allocate).
-func appendReplicateVal(dst []byte, pver uint64, shard int, seq uint64, val []byte) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, pver)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(shard))
-	dst = binary.BigEndian.AppendUint64(dst, seq)
-	return append(dst, val...)
+// ReplicateFrame is one wireReplicate payload under construction: the
+// shard and the sender's epoch for it, then a run of op-log entries in
+// sequence order, as many as one frame carries. A sender reuses one
+// frame, with its deadline timer, across frames, so steady-state
+// replication does not allocate.
+type ReplicateFrame struct {
+	buf   []byte `oramlint:"secret"`
+	count int
+	timer *time.Timer // bounds the wait for the frame's ack; see Client.Replicate
 }
 
-// decodeReplicateVal parses a replicate payload; val aliases p.
-func decodeReplicateVal(p []byte) (pver uint64, shard int, seq uint64, val []byte, err error) {
+// Reset empties the frame for shard at epoch pver.
+func (f *ReplicateFrame) Reset(pver uint64, shard int) {
+	f.buf = binary.BigEndian.AppendUint64(f.buf[:0], pver)
+	f.buf = binary.BigEndian.AppendUint32(f.buf, uint32(shard))
+	f.buf = binary.BigEndian.AppendUint32(f.buf, 0)
+	f.count = 0
+}
+
+// Add appends the entry seq. It appends nothing and reports false when
+// the entry would carry the frame past its size bound.
+func (f *ReplicateFrame) Add(seq uint64, key, val []byte) bool {
+	if len(key) > MaxKeyLen || len(f.buf)+replicateEntryHdrLen+len(key)+len(val) > replicateMaxVal {
+		return false
+	}
+	f.buf = binary.BigEndian.AppendUint64(f.buf, seq)
+	f.buf = binary.BigEndian.AppendUint16(f.buf, uint16(len(key)))
+	f.buf = append(f.buf, key...)
+	f.buf = binary.BigEndian.AppendUint32(f.buf, uint32(len(val)))
+	f.buf = append(f.buf, val...)
+	f.count++
+	binary.BigEndian.PutUint32(f.buf[12:], uint32(f.count))
+	return true
+}
+
+// Len reports how many entries the frame carries.
+func (f *ReplicateFrame) Len() int { return f.count }
+
+// ReplicatedEntries is the entry run of a received wireReplicate frame.
+// It aliases the frame's buffer, so it is valid only while the frame is
+// being served.
+type ReplicatedEntries struct {
+	count int
+	data  []byte `oramlint:"secret"`
+}
+
+// decodeReplicateVal parses a replicate payload, checking every entry's
+// framing up front so that a malformed frame applies nothing; the
+// entries alias p.
+func decodeReplicateVal(p []byte) (pver uint64, shard int, es ReplicatedEntries, err error) {
 	if len(p) < replicateHdrLen {
-		return 0, 0, 0, nil, fmt.Errorf("server: replicate frame too short (%d bytes)", len(p))
+		return 0, 0, es, fmt.Errorf("server: replicate frame too short (%d bytes)", len(p))
 	}
 	pver = binary.BigEndian.Uint64(p)
 	shard = int(binary.BigEndian.Uint32(p[8:]))
-	seq = binary.BigEndian.Uint64(p[12:])
-	return pver, shard, seq, p[replicateHdrLen:], nil
+	es = ReplicatedEntries{count: int(binary.BigEndian.Uint32(p[12:])), data: p[replicateHdrLen:]}
+	if es.count == 0 {
+		return 0, 0, es, fmt.Errorf("server: replicate frame carries no entries")
+	}
+	rest := es.data
+	for i := 0; i < es.count; i++ {
+		if _, _, _, rest, err = nextReplicateEntry(rest); err != nil {
+			return 0, 0, es, err
+		}
+	}
+	if len(rest) != 0 {
+		return 0, 0, es, fmt.Errorf("server: replicate frame has %d bytes past its %d entries", len(rest), es.count)
+	}
+	return pver, shard, es, nil
+}
+
+// nextReplicateEntry parses the entry at the head of p; key and val
+// alias p.
+func nextReplicateEntry(p []byte) (seq uint64, key, val, rest []byte, err error) {
+	if len(p) < replicateEntryHdrLen {
+		return 0, nil, nil, nil, fmt.Errorf("server: replicate entry truncated (%d bytes)", len(p))
+	}
+	seq = binary.BigEndian.Uint64(p)
+	keyLen := int(binary.BigEndian.Uint16(p[8:]))
+	p = p[10:]
+	if len(p) < keyLen+4 {
+		return 0, nil, nil, nil, fmt.Errorf("server: replicate entry truncated in key")
+	}
+	key, p = p[:keyLen], p[keyLen:]
+	valLen := int(binary.BigEndian.Uint32(p))
+	p = p[4:]
+	if len(p) < valLen {
+		return 0, nil, nil, nil, fmt.Errorf("server: replicate entry value length %d, %d bytes remain", valLen, len(p))
+	}
+	return seq, key, p[:valLen], p[valLen:], nil
 }
 
 // handoff Val layout: shard:4 flags:1 data.

@@ -95,6 +95,63 @@ func TestWireDecodeCorrupt(t *testing.T) {
 	}
 }
 
+// TestWireReplicateFrame round-trips a multi-entry replicate frame,
+// holds a full frame, traced wrapper included, within maxFrame, and
+// rejects every truncation and a frame with no entries before anything
+// would be applied.
+func TestWireReplicateFrame(t *testing.T) {
+	type entry struct {
+		seq      uint64
+		key, val string
+	}
+	want := []entry{{7, "a", "one"}, {8, strings.Repeat("k", MaxKeyLen), ""}, {9, "c", strings.Repeat("v", 62)}}
+	var f ReplicateFrame
+	f.Reset(42, 3)
+	for _, e := range want {
+		if !f.Add(e.seq, []byte(e.key), []byte(e.val)) {
+			t.Fatalf("entry %d refused by a nearly empty frame", e.seq)
+		}
+	}
+	if f.Len() != len(want) {
+		t.Fatalf("frame holds %d entries, want %d", f.Len(), len(want))
+	}
+	pver, shard, es, err := decodeReplicateVal(f.buf)
+	if err != nil || pver != 42 || shard != 3 || es.count != len(want) {
+		t.Fatalf("decode = pver %d shard %d, %d entries, err %v", pver, shard, es.count, err)
+	}
+	rest := es.data
+	for _, e := range want {
+		var (
+			seq      uint64
+			key, val []byte
+		)
+		if seq, key, val, rest, err = nextReplicateEntry(rest); err != nil || seq != e.seq || string(key) != e.key || string(val) != e.val {
+			t.Fatalf("entry = %d %q %q, %v; want %+v", seq, key, val, err, e)
+		}
+	}
+	for cut := 0; cut < len(f.buf); cut++ {
+		if _, _, _, err := decodeReplicateVal(f.buf[:cut]); err == nil {
+			t.Fatalf("truncated replicate payload (%d bytes) decoded", cut)
+		}
+	}
+	f.Reset(1, 0)
+	if _, _, _, err := decodeReplicateVal(f.buf); err == nil {
+		t.Fatal("replicate frame with no entries decoded")
+	}
+
+	// Fill a frame to its bound; the traced request around it fits.
+	val := make([]byte, 60<<10)
+	for seq := uint64(1); f.Add(seq, []byte("k"), val); seq++ {
+	}
+	if f.Len() == 0 {
+		t.Fatal("empty frame refused an entry")
+	}
+	tc := obs.TraceContext{Hi: 1, Lo: 2, SpanID: 3}
+	if _, err := appendRequest(nil, wireRequest{Op: wireTraced, Val: appendTracedVal(nil, tc, wireReplicate, f.buf)}); err != nil {
+		t.Fatalf("full traced replicate frame: %v", err)
+	}
+}
+
 // startTCP brings up a full server + TCP front end on a loopback port.
 func startTCP(t *testing.T, cfg Config) (*Server, *TCPServer, string) {
 	t.Helper()

@@ -66,6 +66,12 @@ go test -race -count=1 -run='^TestClusterKillOneNodeChaos$' ./internal/cluster
 echo "== SLO chaos gate (post-kill p99 objective on the survivors, -race) =="
 go test -race -count=1 -run='^TestClusterChaosSLO$' ./internal/cluster
 
+echo "== replication gate (group-commit sender, in-order release, promotion fence, silent follower, lag gauge, -race) =="
+go test -race -count=3 \
+    -run='^(TestClusterPipelinedReplicationHistory|TestPromoteWaitsForReplicatedFrame|TestReplicationSilentFollowerDemoted|TestReplicationLagMeasuresOldestUnacked|TestAllocFreeReplicatedPut)$' \
+    ./internal/cluster
+go test -race -count=3 -run='^(TestReleaseAnswersInOrder|TestGetReadBeforeFailedSettleRefused)$' ./internal/server
+
 echo "== obs-race gate (cluster scrapes + stitched trace under traced load, -race) =="
 go test -race -count=1 -run='^(TestClusterScrapeUnderLoad|TestClusterStitchedForwardTrace)$' \
     ./internal/cluster
@@ -77,7 +83,7 @@ echo "== multi-core stress gate (concurrency-sensitive tests x20 at GOMAXPROCS 1
 # gate pins the core counts itself rather than inheriting the CI box's.
 for procs in 1 2 4; do
 	GOMAXPROCS=$procs go test -count=20 \
-	    -run='^(TestClusterScrapeUnderLoad|TestClusterStitchedForwardTrace|TestClusterFollowerAnswerForwards|TestConfigPipelineIsInert|TestScrapeConsistentUnderObserve|TestTCPStressSharedClient|TestTCPBurstSpawnsNoGoroutines|TestTCPShutdownDeliversComputedResponses|TestTCPUnreadPipelineIsBounded)$' \
+	    -run='^(TestClusterScrapeUnderLoad|TestClusterStitchedForwardTrace|TestClusterFollowerAnswerForwards|TestConfigPipelineIsInert|TestScrapeConsistentUnderObserve|TestTCPStressSharedClient|TestTCPBurstSpawnsNoGoroutines|TestTCPShutdownDeliversComputedResponses|TestTCPUnreadPipelineIsBounded|TestClusterPipelinedReplicationHistory|TestPromoteWaitsForReplicatedFrame|TestReplicationSilentFollowerDemoted|TestReplicationLagMeasuresOldestUnacked|TestAllocFreeReplicatedPut|TestReleaseAnswersInOrder|TestGetReadBeforeFailedSettleRefused)$' \
 	    ./internal/cluster ./internal/server ./internal/obs
 done
 
