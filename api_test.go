@@ -51,6 +51,18 @@ func TestPublicFunctionalRingRejectsBadKey(t *testing.T) {
 	}
 }
 
+// A non-positive block size is a configuration error, reported before the
+// sealer sizes any buffer by it.
+func TestPublicFunctionalRingRejectsBadBlockSize(t *testing.T) {
+	for _, size := range []int{0, -1} {
+		cfg := stringoram.ScaledConfig(10).ORAM
+		cfg.BlockSize = size
+		if _, err := stringoram.NewFunctionalRing(cfg, 1, []byte("0123456789abcdef")); err == nil {
+			t.Fatalf("BlockSize %d accepted", size)
+		}
+	}
+}
+
 func TestPublicTimingRing(t *testing.T) {
 	ring, err := stringoram.NewRing(stringoram.ScaledConfig(10).ORAM, 2)
 	if err != nil {

@@ -3,8 +3,11 @@ package oram
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
+
+	"stringoram/internal/invariant"
 )
 
 // Crypt is the controller's encryption/decryption logic (the "E/D Logic"
@@ -16,25 +19,22 @@ import (
 // The sealed layout is: 8-byte write counter (the IV seed) followed by the
 // ciphertext, so sealed blocks are BlockSize+8 bytes.
 //
-// The keystream is generated by hand (counter-block scratch plus
-// block.Encrypt) instead of through cipher.NewCTR, which allocates a
-// stream object per call; the bytes produced are bit-identical (see
-// xorKeyStream). Like Ring, a Crypt is confined to one controller
-// goroutine: the scratch fields below are reused across calls without
-// synchronization.
+// Every AES call goes through one kernel, cryptSlots, which takes a batch
+// of slots: it lays out all their counter blocks in the output, encrypts
+// them in place back to back, then XORs the plaintexts in. A refill seals
+// a whole bucket in one call (sealSlots); SealInto, SealDummyInto and
+// OpenInto are one-slot calls. The bytes are bit-identical to
+// cipher.NewCTR's, which is not used because it allocates a stream object
+// per call. Like Ring, a Crypt is confined to one controller goroutine:
+// the tail scratch is reused across calls without synchronization.
 type Crypt struct {
 	block     cipher.Block
 	blockSize int
 	writeCtr  uint64
 
-	// ctrBlock is the 16-byte counter block fed to AES: the high half
-	// holds the per-write counter, the low half the block index.
-	ctrBlock [aes.BlockSize]byte
-	// keystream receives one encrypted counter block at a time.
-	keystream [aes.BlockSize]byte
-	// zero is the reusable zero block sealed for dummies; it is never
-	// written to after construction.
-	zero []byte
+	// tail receives the one keystream block a slot's output cannot hold:
+	// the last, partial one when BlockSize is not a multiple of 16.
+	tail [aes.BlockSize]byte
 }
 
 // SealOverhead is the number of bytes SealInto adds to a plaintext block.
@@ -46,41 +46,83 @@ func NewCrypt(key []byte, blockSize int) (*Crypt, error) {
 	if len(key) != 16 {
 		return nil, fmt.Errorf("oram: key must be 16 bytes, got %d", len(key))
 	}
+	if blockSize <= 0 {
+		return nil, fmt.Errorf("oram: block size must be positive, got %d", blockSize)
+	}
 	b, err := aes.NewCipher(key)
 	if err != nil {
 		return nil, err
 	}
-	return &Crypt{block: b, blockSize: blockSize, zero: make([]byte, blockSize)}, nil
+	return &Crypt{block: b, blockSize: blockSize}, nil
 }
 
-// xorKeyStream writes dst[i] = src[i] ^ KS[i], where KS is the AES-CTR
-// keystream for the 16-byte IV [ctr_be || 0^8]. This is bit-identical to
-// cipher.NewCTR with that IV: CTR mode encrypts successive counter
-// blocks, incrementing the IV as one 128-bit big-endian integer, and
-// because the low half starts at zero and a block never spans 2^64
-// AES blocks, block j's counter is exactly [ctr_be || j_be]. dst and src
-// must have equal length and may alias each other exactly.
-func (c *Crypt) xorKeyStream(ctr uint64, dst, src []byte) {
-	binary.BigEndian.PutUint64(c.ctrBlock[:8], ctr)
-	for off := 0; off < len(src); off += aes.BlockSize {
-		binary.BigEndian.PutUint64(c.ctrBlock[8:], uint64(off/aes.BlockSize))
-		c.block.Encrypt(c.keystream[:], c.ctrBlock[:])
-		n := len(src) - off
-		if n >= aes.BlockSize {
-			d, s := dst[off:off+aes.BlockSize], src[off:off+aes.BlockSize]
-			binary.LittleEndian.PutUint64(d[0:8], binary.LittleEndian.Uint64(s[0:8])^binary.LittleEndian.Uint64(c.keystream[0:8]))
-			binary.LittleEndian.PutUint64(d[8:16], binary.LittleEndian.Uint64(s[8:16])^binary.LittleEndian.Uint64(c.keystream[8:16]))
-			continue
+// cryptSlot is one slot of a kernel batch: its IV counter and the bytes
+// XORed into its keystream, nil for none (the zero block's seal).
+type cryptSlot struct {
+	ctr uint64
+	src []byte `oramlint:"secret,scratch"`
+}
+
+// cryptSlots is the one AES kernel. out holds len(slots) records of
+// stride bytes; the last BlockSize bytes of record k receive slots[k].src
+// XOR the AES-CTR keystream for the IV [ctr_be || 0^8]. This is
+// bit-identical to cipher.NewCTR with that IV: CTR mode encrypts
+// successive counter blocks, incrementing the IV as one 128-bit
+// big-endian integer, and because the low half starts at zero and a block
+// never spans 2^64 AES blocks, block j's counter is exactly
+// [ctr_be || j_be]. A src must be BlockSize bytes and must not alias out.
+func (c *Crypt) cryptSlots(out []byte, stride int, slots []cryptSlot) {
+	bs := c.blockSize
+	full := bs &^ (aes.BlockSize - 1)
+	// Counter blocks go straight into the output, where their keystream
+	// lands; the encryptions then run back to back with no XOR between.
+	// Writing every counter first also matters on its own: AES loads each
+	// block as one 16-byte load, which cannot be forwarded from the two
+	// 8-byte stores that just wrote it, so encrypting each block right
+	// after writing it stalls (about 1.8x the time per slot on an x86-64
+	// Xeon, BenchmarkSeal/bucket).
+	for k, s := range slots {
+		body := out[(k+1)*stride-bs : (k+1)*stride]
+		for j := 0; j < full; j += aes.BlockSize {
+			binary.BigEndian.PutUint64(body[j:], s.ctr)
+			binary.BigEndian.PutUint64(body[j+8:], uint64(j/aes.BlockSize))
 		}
-		for i := 0; i < n; i++ {
-			dst[off+i] = src[off+i] ^ c.keystream[i]
+	}
+	for k := range slots {
+		body := out[(k+1)*stride-bs : (k+1)*stride]
+		for j := 0; j < full; j += aes.BlockSize {
+			c.block.Encrypt(body[j:j+aes.BlockSize], body[j:j+aes.BlockSize])
+		}
+	}
+	for k, s := range slots {
+		body := out[(k+1)*stride-bs : (k+1)*stride]
+		if full < bs {
+			binary.BigEndian.PutUint64(c.tail[:8], s.ctr)
+			binary.BigEndian.PutUint64(c.tail[8:], uint64(full/aes.BlockSize))
+			c.block.Encrypt(c.tail[:], c.tail[:])
+			copy(body[full:], c.tail[:])
+		}
+		if s.src != nil {
+			subtle.XORBytes(body, body, s.src)
 		}
 	}
 }
 
+// sealSlots seals every slot of the batch into dst, which must hold
+// len(slots) sealed blocks back to back: the counter header, then the
+// ciphertext.
+func (c *Crypt) sealSlots(dst []byte, slots []cryptSlot) {
+	n := c.sealedLen()
+	for k, s := range slots {
+		binary.BigEndian.PutUint64(dst[k*n:], s.ctr)
+	}
+	c.cryptSlots(dst, n, slots)
+}
+
 // dummyDomain marks the IV-counter subspace reserved for deterministic
 // dummy sealing. Sequential write counters stay far below 2^56, so the
-// two domains cannot collide.
+// two domains cannot collide; nextCounter asserts it and Load rejects a
+// checkpoint that would cross it.
 const dummyDomain = uint64(0xDD) << 56
 
 // dummyCounter derives the deterministic IV counter for the dummy block
@@ -96,6 +138,16 @@ func dummyCounter(bucket int64, slot, epoch int) uint64 {
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 32
 	return dummyDomain | (h & ((1 << 56) - 1))
+}
+
+// nextCounter reserves the fresh counter of one real write. Every real
+// seal's counter comes from here, in write order.
+func (c *Crypt) nextCounter() uint64 {
+	c.writeCtr++
+	if invariant.Enabled {
+		invariant.Assertf(c.writeCtr < dummyDomain, "real write counter %#x reached the dummy domain", c.writeCtr)
+	}
+	return c.writeCtr
 }
 
 // Counter exports the write counter for checkpointing.
@@ -125,19 +177,14 @@ func (c *Crypt) SealInto(dst, plaintext []byte) []byte {
 	if plaintext != nil && len(plaintext) != c.blockSize {
 		panic(fmt.Sprintf("oram: SealInto with %d-byte plaintext, want %d", len(plaintext), c.blockSize))
 	}
-	c.writeCtr++
-	return c.sealWith(dst, c.writeCtr, plaintext)
+	return c.sealWith(dst, c.nextCounter(), plaintext)
 }
 
 // sealWith seals plaintext (nil for the zero block) under an explicit
 // counter into dst.
 func (c *Crypt) sealWith(dst []byte, ctr uint64, plaintext []byte) []byte {
 	dst = ensure(dst, c.sealedLen())
-	binary.BigEndian.PutUint64(dst[:8], ctr)
-	if plaintext == nil {
-		plaintext = c.zero
-	}
-	c.xorKeyStream(ctr, dst[8:], plaintext)
+	c.sealSlots(dst, []cryptSlot{{ctr: ctr, src: plaintext}})
 	return dst
 }
 
@@ -172,8 +219,7 @@ func (c *Crypt) OpenInto(dst, sealed []byte) ([]byte, error) {
 	if len(sealed) != c.sealedLen() {
 		return nil, fmt.Errorf("oram: sealed block is %d bytes, want %d", len(sealed), c.sealedLen())
 	}
-	ctr := binary.BigEndian.Uint64(sealed[:8])
 	dst = ensure(dst, c.blockSize)
-	c.xorKeyStream(ctr, dst, sealed[8:])
+	c.cryptSlots(dst, c.blockSize, []cryptSlot{{ctr: binary.BigEndian.Uint64(sealed[:8]), src: sealed[SealOverhead:]}})
 	return dst, nil
 }

@@ -23,9 +23,10 @@ import (
 // touch, how buckets reshuffle, where the RNG streams advance — is
 // metadata-only and never depends on block contents; the methods here
 // carry out the block movement those decisions imply, between the store,
-// the stash and the treetop cache. writeReal and writeDummy are called in
-// ascending slot order, so the counter-mode sealer binds one fresh
-// counter per call.
+// the stash and the treetop cache. A refill takes real-write counters in
+// ascending slot order, whether it seals the bucket at once (writeBucket)
+// or defers to the treetop cache, so the counter-mode sealer sees the same
+// counter sequence either way.
 
 // treeScratch groups the buffers the core reuses across accesses so the
 // steady-state data plane allocates nothing. Everything here is owned by
@@ -40,11 +41,12 @@ type treeScratch struct {
 	ops []Op `oramlint:"scratch"`
 	// outBuf carries the plaintext handed back to the caller.
 	outBuf []byte `oramlint:"secret,scratch"`
-	// sealBuf receives sealed bytes on their way into the store; stores
-	// copy (see Store), so one buffer serves every write.
+	// sealBuf receives sealed bytes on their way into the store (a whole
+	// bucket's for a refill) or into an XOR fold; stores copy (see
+	// Store), so one buffer serves every write.
 	sealBuf []byte `oramlint:"scratch"`
-	// dummySeal receives deterministic dummy ciphertexts.
-	dummySeal []byte `oramlint:"scratch"`
+	// sealBatch is a refill's kernel batch, one entry per physical slot.
+	sealBatch []cryptSlot `oramlint:"secret,scratch"`
 	// blockPool recycles plaintext block buffers circulating between the
 	// store, the stash and the controller.
 	blockPool [][]byte `oramlint:"secret,scratch"`
@@ -152,26 +154,6 @@ func (c *treeCore) putBlockBuf(buf []byte) {
 	c.scr.blockPool = append(c.scr.blockPool, buf[:c.cfg.BlockSize])
 }
 
-// sealedForStore seals (or copies) plaintext for storage into the
-// controller's seal scratch; nil means dummy. The returned slice is valid
-// until the next seal — stores copy it (see Store).
-func (c *treeCore) sealedForStore(plaintext []byte) []byte {
-	if c.crypt != nil {
-		c.scr.sealBuf = c.crypt.SealInto(c.scr.sealBuf, plaintext)
-		return c.scr.sealBuf
-	}
-	if plaintext == nil {
-		buf := ensure(c.scr.sealBuf, c.cfg.BlockSize)
-		clear(buf)
-		c.scr.sealBuf = buf
-		return buf
-	}
-	buf := ensure(c.scr.sealBuf, len(plaintext))
-	copy(buf, plaintext)
-	c.scr.sealBuf = buf
-	return buf
-}
-
 // readSlotData pulls a real block's plaintext out of the store into a
 // pool buffer; nil store yields nil (timing-only mode). Ownership of the
 // returned buffer transfers to the caller (usually straight into the
@@ -213,36 +195,43 @@ func (c *treeCore) fetchToStash(bucket int64, slot int, id BlockID, p PathID) {
 	c.putBlockBuf(c.stash.Put(id, p, data))
 }
 
-// writeReal seals src (nil means a zero block) and writes it to the slot.
-func (c *treeCore) writeReal(bucket int64, slot int, src []byte) {
-	// Treetop elision: the eviction rewrites every slot of every bucket
-	// on its path regardless of contents, so absorbing the cached
-	// levels' uniform writes into controller memory (flushed sealed
-	// under reserved counters at snapshot epochs) changes no
-	// bus-visible behaviour; the bucket index is public.
-	if c.tt.cached(bucket) {
-		c.ttWriteReal(bucket, slot, src)
+// writeBucket rewrites every slot of an uncached bucket in the store:
+// owner[s] indexes refs for a real slot and is -1 for a dummy. With a
+// Crypt the whole bucket is sealed in one kernel pass into the seal
+// scratch: reals under fresh counters taken in ascending slot order,
+// dummies deterministically per (bucket, slot, epoch) so XOR reads can
+// cancel them (each epoch is written once, so bus-visible ciphertexts are
+// still always fresh). Without one, slots hold the raw block (the zero
+// block for dummies and nil-data reals).
+func (c *treeCore) writeBucket(idx int64, epoch int, owner []int, refs [][]byte) {
+	if c.crypt == nil {
+		buf := ensure(c.scr.sealBuf, c.cfg.BlockSize)
+		c.scr.sealBuf = buf
+		for s, i := range owner {
+			if i >= 0 && refs[i] != nil {
+				copy(buf, refs[i])
+			} else {
+				clear(buf)
+			}
+			c.store.WriteSlot(idx, s, buf)
+		}
 		return
 	}
-	c.store.WriteSlot(bucket, slot, c.sealedForStore(src))
-}
-
-// writeDummy writes the slot's deterministic dummy ciphertext (or a zero
-// block without a Crypt).
-func (c *treeCore) writeDummy(bucket int64, slot int, epoch int) {
-	if c.tt.cached(bucket) {
-		c.ttWriteDummy(bucket, slot, epoch)
-		return
+	slots := c.scr.sealBatch[:0]
+	for s, i := range owner {
+		if i >= 0 {
+			slots = append(slots, cryptSlot{ctr: c.crypt.nextCounter(), src: refs[i]})
+		} else {
+			slots = append(slots, cryptSlot{ctr: dummyCounter(idx, s, epoch)})
+		}
 	}
-	if c.crypt != nil {
-		// Dummies seal deterministically per (bucket, slot, epoch) so
-		// XOR reads can cancel them; each epoch is written once, so
-		// bus-visible ciphertexts are still always fresh.
-		c.scr.dummySeal = c.crypt.SealDummyInto(c.scr.dummySeal, bucket, slot, epoch)
-		c.store.WriteSlot(bucket, slot, c.scr.dummySeal)
-	} else {
-		c.store.WriteSlot(bucket, slot, c.sealedForStore(nil))
+	n := c.crypt.sealedLen()
+	buf := ensure(c.scr.sealBuf, len(slots)*n)
+	c.crypt.sealSlots(buf, slots)
+	for s := range slots {
+		c.store.WriteSlot(idx, s, buf[s*n:(s+1)*n])
 	}
+	c.scr.sealBuf, c.scr.sealBatch = buf, slots
 }
 
 // stashStore copies caller data into the stash under (id, p), recycling
@@ -392,12 +381,21 @@ func (c *treeCore) refillBucket(op *Op, idx int64, level int, b *Bucket, ids []B
 		for i, s := range targets {
 			owner[s] = i
 		}
-		for s := range b.Slots {
-			if i := owner[s]; i >= 0 {
-				c.writeReal(idx, s, refs[i])
-			} else {
-				c.writeDummy(idx, s, b.Epoch)
+		// Treetop elision: the eviction rewrites every slot of every
+		// bucket on its path regardless of contents, so absorbing the
+		// cached levels' uniform writes into controller memory (flushed
+		// sealed under reserved counters at snapshot epochs) changes no
+		// bus-visible behaviour; the bucket index is public.
+		if c.tt.cached(idx) {
+			for s, i := range owner {
+				if i >= 0 {
+					c.ttWriteReal(idx, s, refs[i])
+				} else {
+					c.ttWriteDummy(idx, s, b.Epoch)
+				}
 			}
+		} else {
+			c.writeBucket(idx, b.Epoch, owner, refs)
 		}
 	}
 	if level >= c.emitFrom() {

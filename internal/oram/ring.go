@@ -656,8 +656,8 @@ func (r *Ring) xorFoldSlot(bucket int64, slot int, isDummy bool, epoch int) {
 		XORBlocks(r.xorAcc, sealed)
 	}
 	if isDummy {
-		r.scr.dummySeal = r.crypt.SealDummyInto(r.scr.dummySeal, bucket, slot, epoch)
-		XORBlocks(r.xorAcc, r.scr.dummySeal)
+		r.scr.sealBuf = r.crypt.SealDummyInto(r.scr.sealBuf, bucket, slot, epoch)
+		XORBlocks(r.xorAcc, r.scr.sealBuf)
 	}
 }
 

@@ -1,6 +1,7 @@
 package oram
 
 import (
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -176,6 +177,10 @@ func Load(rd io.Reader, key []byte) (*Ring, error) {
 	tree := NewTree(snap.Cfg.Levels)
 	perBkt := snap.Cfg.SlotsPerBucket()
 	var store Store
+	// maxCtr is the largest real write counter among the stored seals; the
+	// restored sealer must continue above it, or its next seal would reuse
+	// a keystream the memory already holds.
+	var maxCtr uint64
 	if snap.HasStore {
 		sealedLen := snap.Cfg.BlockSize
 		if snap.HasCrypt {
@@ -198,12 +203,23 @@ func Load(rd io.Reader, key []byte) (*Ring, error) {
 				if len(sealed) != sealedLen {
 					return nil, fmt.Errorf("oram: checkpoint Store bucket %d slot %d holds %d bytes, want %d", s.Bucket, slot, len(sealed), sealedLen)
 				}
+				if snap.HasCrypt {
+					if ctr := binary.BigEndian.Uint64(sealed); ctr < dummyDomain {
+						maxCtr = max(maxCtr, ctr)
+					}
+				}
 				ms.WriteSlot(s.Bucket, slot, sealed)
 			}
 		}
 		store = ms
 	}
 	if crypt != nil {
+		switch {
+		case snap.CryptCtr >= dummyDomain:
+			return nil, fmt.Errorf("oram: checkpoint CryptCtr %#x reaches the dummy counter domain %#x", snap.CryptCtr, dummyDomain)
+		case snap.CryptCtr < maxCtr:
+			return nil, fmt.Errorf("oram: checkpoint CryptCtr %d is below stored write counter %d", snap.CryptCtr, maxCtr)
+		}
 		crypt.SetCounter(snap.CryptCtr)
 	}
 

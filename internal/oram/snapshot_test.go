@@ -3,6 +3,7 @@ package oram
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"strings"
 	"testing"
 
@@ -194,6 +195,20 @@ func checkpointForLoadTests(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// corruptCheckpoint re-encodes checkpoint bytes after corrupt edits them.
+func corruptCheckpoint(t testing.TB, valid []byte, corrupt func(s *ringSnap)) []byte {
+	var snap ringSnap
+	if err := gob.NewDecoder(bytes.NewReader(valid)).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	corrupt(&snap)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestLoadRejectsBadIndices: a checkpoint is outside input, and every
 // index in it addresses a table. Each case corrupts one field of a valid
 // checkpoint; Load must refuse it with an error naming the field rather
@@ -231,18 +246,15 @@ func TestLoadRejectsBadIndices(t *testing.T) {
 		{"stash path 2^60", func(s *ringSnap) { s.Stash[0].Path = 1 << 60 }, "Stash.Path"},
 		{"stash data length", func(s *ringSnap) { s.Stash[0].Data = []byte{1} }, "Stash block"},
 		{"block size 2^40", func(s *ringSnap) { s.Cfg.BlockSize = 1 << 40 }, "Cfg.BlockSize"},
+		// The restored sealer continues from CryptCtr: below a stored real
+		// seal's counter it reuses that seal's keystream, and at or above
+		// the dummy domain it wraps or collides with dummy counters.
+		{"crypt counter below the stored seals", func(s *ringSnap) { s.CryptCtr = 0 }, "CryptCtr"},
+		{"crypt counter 2^64-1", func(s *ringSnap) { s.CryptCtr = math.MaxUint64 }, "CryptCtr"},
+		{"crypt counter in the dummy domain", func(s *ringSnap) { s.CryptCtr = dummyDomain }, "CryptCtr"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var snap ringSnap
-			if err := gob.NewDecoder(bytes.NewReader(valid)).Decode(&snap); err != nil {
-				t.Fatal(err)
-			}
-			tc.corrupt(&snap)
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-				t.Fatal(err)
-			}
-			_, err := Load(&buf, testKey())
+			_, err := Load(bytes.NewReader(corruptCheckpoint(t, valid, tc.corrupt)), testKey())
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Load = %v, want an error naming %q", err, tc.want)
 			}

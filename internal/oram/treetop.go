@@ -146,12 +146,12 @@ func (r *Ring) flushTreetop() {
 			r.scr.sealBuf = r.crypt.sealWith(r.scr.sealBuf, tt.ctr[i], tt.buf[i])
 			r.store.WriteSlot(bucket, slot, r.scr.sealBuf)
 		case st == ttDummy && r.crypt != nil:
-			r.scr.dummySeal = r.crypt.SealDummyInto(r.scr.dummySeal, bucket, slot, int(tt.epoch[i]))
-			r.store.WriteSlot(bucket, slot, r.scr.dummySeal)
+			r.scr.sealBuf = r.crypt.SealDummyInto(r.scr.sealBuf, bucket, slot, int(tt.epoch[i]))
+			r.store.WriteSlot(bucket, slot, r.scr.sealBuf)
 		default:
 			// Plaintext mode stores the raw block; nil (dummy or
 			// never-materialized real) stores the zero block, matching
-			// sealedForStore(nil).
+			// writeBucket.
 			buf := ensure(r.scr.sealBuf, r.cfg.BlockSize)
 			r.scr.sealBuf = buf
 			if tt.buf[i] == nil {
@@ -193,8 +193,7 @@ func (c *treeCore) ttWriteReal(bucket int64, slot int, src []byte) {
 	}
 	var ctr uint64
 	if c.crypt != nil {
-		c.crypt.writeCtr++
-		ctr = c.crypt.writeCtr
+		ctr = c.crypt.nextCounter()
 	}
 	tt.ctr[i] = ctr
 	tt.state[i] = ttReal

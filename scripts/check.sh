@@ -100,6 +100,11 @@ go test -race -count=1 -run='^TestTreetop' ./internal/oram
 echo "== alloc-regression guards (data-plane hot path, scheduler Tick, loopback client ops) =="
 go test -run='^TestAlloc(Free|Bound)' -count=1 ./internal/oram ./internal/cluster ./internal/sched ./internal/server
 
+echo "== profiling entry points (every internal/oram benchmark, one iteration) =="
+# README's profiling commands run these; one iteration each keeps them
+# running, not just compiling.
+go test -run='^$' -bench=. -benchtime=1x ./internal/oram
+
 echo "== observability gate (alloc guards, Perfetto schema, exposition parse, one quantile source) =="
 go test -count=1 \
     -run='^(TestAllocFreeInstrumentedAccess|TestInstrumentUpdatesAllocFree|TestRecorderEmitAllocFree|TestWriteTracePerfettoShape|TestMergeTracesAlignsClocks|TestWritePrometheusFormatAndDeterminism|TestValidateExpositionRejectsGarbage|TestQuantile|TestMetricsScrapeAllocBound|TestMetricsQuantilesMatchExposition|TestAllocFreeTracedUnsampled)$' \
@@ -117,7 +122,7 @@ go run ./bench -smoke >/dev/null
 echo "== fuzz smoke (trace codec) =="
 go test -run='^$' -fuzz=FuzzReadCodec -fuzztime=5s ./internal/trace
 
-echo "== fuzz smoke (seal/open vs the cipher.NewCTR reference) =="
+echo "== fuzz smoke (slot and bucket seals, opens vs the cipher.NewCTR reference) =="
 go test -run='^$' -fuzz=FuzzSealIntoMatchesCTR -fuzztime=5s ./internal/oram
 
 echo "== fuzz smoke (checkpoint loader) =="
