@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,7 +100,9 @@ func (t *TCPServer) AttachCluster(cb ClusterBackend, nodeID string) {
 }
 
 // Serve accepts connections on ln until Shutdown. It returns nil after
-// a Shutdown-initiated stop, or the accept error otherwise.
+// a Shutdown-initiated stop, or a permanent accept error; a temporary one
+// (EMFILE under a connection burst) is retried after a pause doubling
+// from 5 ms to 1 s, as net/http does.
 func (t *TCPServer) Serve(ln net.Listener) error {
 	t.mu.Lock()
 	if t.closed {
@@ -109,6 +112,7 @@ func (t *TCPServer) Serve(ln net.Listener) error {
 	}
 	t.ln = ln
 	t.mu.Unlock()
+	var pause time.Duration
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -118,8 +122,15 @@ func (t *TCPServer) Serve(ln net.Listener) error {
 			if closed {
 				return nil
 			}
+			var te interface{ Temporary() bool }
+			if errors.As(err, &te) && te.Temporary() {
+				pause = min(max(2*pause, 5*time.Millisecond), time.Second)
+				time.Sleep(pause)
+				continue
+			}
 			return err
 		}
+		pause = 0
 		t.mu.Lock()
 		if t.closed {
 			t.mu.Unlock()
@@ -637,15 +648,18 @@ func errResponse(seq uint64, err error) wireResponse {
 
 // Client is a stdlib-only client for the wire protocol. It is safe for
 // concurrent use; requests are pipelined over one connection and
-// correlated by sequence number.
+// correlated by sequence number. Requests that become ready together
+// leave in one conn.Write: see send.
 type Client struct {
 	// Timeout, when positive, is sent with every request and enforced
 	// by the server as a per-request deadline.
 	Timeout time.Duration
 
-	conn net.Conn
-	wmu  sync.Mutex // serializes frame writes; guards wbuf
-	wbuf []byte     // reused request-frame scratch
+	conn     net.Conn
+	wmu      sync.Mutex // guards wbuf, spare, flushing; never held across a conn.Write
+	wbuf     []byte     // request frames appended and not yet taken by the flusher
+	spare    []byte     // the flusher's last written buffer, swapped in for wbuf
+	flushing bool       // a caller is writing; set for good once a write fails
 
 	mu      sync.Mutex // guards seq, pending, err
 	seq     uint64
@@ -669,6 +683,11 @@ func DialNode(addr, nodeID string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(conn, nodeID)
+}
+
+// newClient runs DialNode's handshake over conn, closing it on failure.
+func newClient(conn net.Conn, nodeID string) (*Client, error) {
 	// The deadline covers the handshake only: it is cleared once hello
 	// has returned, and requests are bounded by Client.Timeout instead.
 	if err := conn.SetDeadline(time.Now().Add(dialTimeout)); err != nil {
@@ -815,6 +834,7 @@ func (c *Client) roundTripUntil(op wireOp, key string, val []byte, ex expiry) (w
 	c.seq++
 	seq := c.seq
 	c.pending[seq] = ch
+	others := len(c.pending) > 1
 	c.mu.Unlock()
 
 	var timeoutMs uint32
@@ -824,14 +844,7 @@ func (c *Client) roundTripUntil(op wireOp, key string, val []byte, ex expiry) (w
 		// up to 1 instead of silently becoming that default.
 		timeoutMs = uint32(min(max(c.Timeout/time.Millisecond, 1), math.MaxUint32))
 	}
-	c.wmu.Lock()
-	frame, err := appendRequest(c.wbuf[:0], wireRequest{Op: op, Seq: seq, TimeoutMillis: timeoutMs, Key: key, Val: val})
-	if err == nil {
-		c.wbuf = frame
-		_, err = c.conn.Write(frame)
-	}
-	c.wmu.Unlock()
-	if err != nil {
+	if err := c.send(wireRequest{Op: op, Seq: seq, TimeoutMillis: timeoutMs, Key: key, Val: val}, others); err != nil {
 		c.mu.Lock()
 		_, mine := c.pending[seq]
 		delete(c.pending, seq)
@@ -881,6 +894,53 @@ func (c *Client) roundTripUntil(op wireOp, key string, val []byte, ex expiry) (w
 	}
 	respChanPool.Put(ch)
 	return resp, nil
+}
+
+// send appends r's frame to the write buffer; appendRequest copies key
+// and val, so the caller may reuse them on return. If a flush is running,
+// its flusher writes the frame. Otherwise the caller becomes the flusher:
+// it yields once when others (requests in flight besides r) may be about
+// to send, so callers woken by the same read append to this write instead
+// of each making their own, then swaps wbuf for spare and writes until
+// wbuf is empty. A failed write lost other callers' frames and cut the
+// stream mid-frame, so it closes the connection, fails the client, and
+// leaves flushing set: nothing is written again.
+func (c *Client) send(r wireRequest, others bool) error {
+	c.wmu.Lock()
+	frame, err := appendRequest(c.wbuf, r)
+	if err != nil {
+		c.wmu.Unlock()
+		return err
+	}
+	c.wbuf = frame
+	if c.flushing {
+		c.wmu.Unlock()
+		return nil
+	}
+	c.flushing = true
+	c.wmu.Unlock()
+	if others {
+		runtime.Gosched()
+	}
+	for {
+		c.wmu.Lock()
+		buf := c.wbuf
+		if len(buf) == 0 {
+			c.flushing = false
+			c.wmu.Unlock()
+			return nil
+		}
+		c.wbuf = c.spare[:0]
+		if c.spare = buf; cap(buf) > maxKeptBuf {
+			c.spare = nil
+		}
+		c.wmu.Unlock()
+		if _, err := c.conn.Write(buf); err != nil {
+			c.conn.Close()
+			c.fail(fmt.Errorf("server client: write: %w", err))
+			return err
+		}
+	}
 }
 
 // roundTripCtx is roundTrip with an optional trace context: a valid

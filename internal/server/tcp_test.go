@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -510,6 +511,203 @@ func TestAllocBoundLoopbackClient(t *testing.T) {
 			}
 		}); n > op.bound+0.5 {
 			t.Errorf("warmed loopback %s allocates %.2f/op, want <= %v", op.name, n, op.bound)
+		}
+	}
+}
+
+// flakyListener fails its first fails Accepts with EMFILE, what a
+// connection burst past the descriptor limit gives, then accepts for real.
+type flakyListener struct {
+	net.Listener
+	fails atomic.Int32
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.fails.Add(-1) >= 0 {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Addr: l.Addr(), Err: os.NewSyscallError("accept", syscall.EMFILE)}
+	}
+	return l.Listener.Accept()
+}
+
+// TestTCPServeRetriesTemporaryAcceptError: an accept error that reports
+// itself temporary must not stop the server. After two EMFILE failures
+// Serve keeps accepting, a client connects and round-trips, and Serve
+// returns nil at Shutdown (serveTCP's cleanup checks that).
+func TestTCPServeRetriesTemporaryAcceptError(t *testing.T) {
+	ln := &flakyListener{Listener: listen(t)}
+	ln.fails.Store(2)
+	srv := mustNew(t, testConfig())
+	_, _, addr := serveTCP(t, srv, NewTCPServer(srv), ln)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial after temporary accept errors: %v", err)
+	}
+	defer c.Close()
+	if err := c.Put("emfile", []byte("survived")); err != nil {
+		t.Fatal(err)
+	}
+	if v, found, err := c.Get("emfile"); err != nil || !found || string(v) != "survived" {
+		t.Fatalf("Get = %q found=%v err=%v", v, found, err)
+	}
+	if ln.fails.Load() >= 0 {
+		t.Fatal("the listener's injected errors were never returned")
+	}
+}
+
+// countingConn counts the Writes made on it.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestClientCombinesConcurrentRequests: requests that become ready
+// together leave in shared writes. 32 goroutines pipelining 300 Gets
+// each through one Client make at most one conn.Write per two requests
+// at GOMAXPROCS 1, 2 and 4; a lone caller is never held back to wait
+// for company, so it makes exactly one Write per request.
+func TestClientCombinesConcurrentRequests(t *testing.T) {
+	_, _, addr := startTCP(t, testConfig())
+	for _, procs := range []int{1, 2, 4} {
+		for _, callers := range []int{1, 32} {
+			t.Run(fmt.Sprintf("procs=%d/callers=%d", procs, callers), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				raw, err := net.Dial("tcp", addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cc := &countingConn{Conn: raw}
+				c, err := newClient(cc, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				cc.writes.Store(0) // the handshake's
+				const each = 300
+				var wg sync.WaitGroup
+				for g := 0; g < callers; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						for i := 0; i < each; i++ {
+							if _, _, err := c.Get(fmt.Sprintf("combine-%d", (g+i)%64)); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}(g)
+				}
+				wg.Wait()
+				perReq := float64(cc.writes.Load()) / float64(callers*each)
+				t.Logf("%.3f conn.Writes per request", perReq)
+				if callers == 1 && perReq != 1 {
+					t.Fatalf("a lone caller made %.3f Writes per request, want exactly 1", perReq)
+				}
+				if callers > 1 && perReq > 0.5 {
+					t.Fatalf("%d concurrent callers made %.3f Writes per request, want <= 0.5", callers, perReq)
+				}
+			})
+		}
+	}
+}
+
+// failingConn passes Writes through until armed. An armed Write counts
+// itself, announces itself on entered, waits for release, and fails.
+type failingConn struct {
+	net.Conn
+	armed   atomic.Bool
+	writes  atomic.Int64
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (c *failingConn) Write(p []byte) (int, error) {
+	if !c.armed.Load() {
+		return c.Conn.Write(p)
+	}
+	c.writes.Add(1)
+	c.entered <- struct{}{}
+	<-c.release
+	return 0, errors.New("injected write failure")
+}
+
+// TestClientFailedFlushFailsEveryCaller: a flusher writes other callers'
+// frames, so its failed write must fail them all. One Get blocks in a
+// Write that then fails, with 8 more Gets buffered behind it: all 9
+// return an error within a second, the next Get fails with the client's
+// error without touching the connection (a stream cut mid-frame is never
+// written again), and no reply channel closed by the failure is pooled.
+func TestClientFailedFlushFailsEveryCaller(t *testing.T) {
+	const k = 8
+	_, _, addr := startTCP(t, testConfig())
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// entered holds one signal per caller, so a stray later Write (which
+	// the writes count catches) cannot block the test.
+	fc := &failingConn{Conn: raw, entered: make(chan struct{}, k+2), release: make(chan struct{})}
+	c, err := newClient(fc, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fc.armed.Store(true)
+	errs := make(chan error, k+1)
+	get := func() {
+		_, _, err := c.Get("k")
+		errs <- err
+	}
+	go get()
+	<-fc.entered
+	for i := 0; i < k; i++ {
+		go get()
+	}
+	frame, err := appendRequest(nil, wireRequest{Op: wireGet, Key: "k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		c.wmu.Lock()
+		buffered := len(c.wbuf)
+		c.wmu.Unlock()
+		if buffered == k*len(frame) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d bytes buffered behind the blocked flusher, want %d frames of %d", buffered, k, len(frame))
+		}
+	}
+	close(fc.release)
+	timeout := time.After(time.Second)
+	for i := 0; i <= k; i++ {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Fatal("a Get succeeded although its frame was lost with the failed write")
+			}
+		case <-timeout:
+			t.Fatalf("%d of %d calls returned within 1 s of the failed write", i, k+1)
+		}
+	}
+	c.mu.Lock()
+	cerr := c.err
+	c.mu.Unlock()
+	if _, _, err := c.Get("k"); cerr == nil || !errors.Is(err, cerr) {
+		t.Fatalf("Get after the failure = %v, want the client's error %v", err, cerr)
+	}
+	if n := fc.writes.Load(); n != 1 {
+		t.Fatalf("%d Writes after arming, want only the one that failed", n)
+	}
+	for i := 0; i < 4*k; i++ {
+		select {
+		case v, ok := <-respChanPool.Get().(chan wireResponse):
+			t.Fatalf("pooled reply channel not empty and open: %+v ok=%v", v, ok)
+		default:
 		}
 	}
 }

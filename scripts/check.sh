@@ -66,11 +66,11 @@ go test -race -count=1 -run='^TestClusterKillOneNodeChaos$' ./internal/cluster
 echo "== SLO chaos gate (post-kill p99 objective on the survivors, -race) =="
 go test -race -count=1 -run='^TestClusterChaosSLO$' ./internal/cluster
 
-echo "== replication gate (group-commit sender, in-order release, promotion fence, silent follower, lag gauge, -race) =="
+echo "== replication and client-send gate (group-commit sender, in-order release, promotion fence, silent follower, lag gauge, combining flusher, failed flush, accept retry, -race) =="
 go test -race -count=3 \
     -run='^(TestClusterPipelinedReplicationHistory|TestPromoteWaitsForReplicatedFrame|TestReplicationSilentFollowerDemoted|TestReplicationLagMeasuresOldestUnacked|TestAllocFreeReplicatedPut)$' \
     ./internal/cluster
-go test -race -count=3 -run='^(TestReleaseAnswersInOrder|TestGetReadBeforeFailedSettleRefused)$' ./internal/server
+go test -race -count=3 -run='^(TestReleaseAnswersInOrder|TestGetReadBeforeFailedSettleRefused|TestTCPServeRetriesTemporaryAcceptError|TestClientCombinesConcurrentRequests|TestClientFailedFlushFailsEveryCaller)$' ./internal/server
 
 echo "== obs-race gate (cluster scrapes + stitched trace under traced load, -race) =="
 go test -race -count=1 -run='^(TestClusterScrapeUnderLoad|TestClusterStitchedForwardTrace)$' \
@@ -78,12 +78,12 @@ go test -race -count=1 -run='^(TestClusterScrapeUnderLoad|TestClusterStitchedFor
 
 echo "== multi-core stress gate (concurrency-sensitive tests x20 at GOMAXPROCS 1, 2, 4) =="
 # These tests read telemetry or protocol state while workers race them,
-# or drive the TCP path's read loop, shard workers and writer against
-# each other. A single core hides a torn read or a lost wake, so the
+# or drive the TCP path's read loop, shard workers and writer, or the
+# client's combining flusher, against each other. A single core hides a torn read or a lost wake, so the
 # gate pins the core counts itself rather than inheriting the CI box's.
 for procs in 1 2 4; do
 	GOMAXPROCS=$procs go test -count=20 \
-	    -run='^(TestClusterScrapeUnderLoad|TestClusterStitchedForwardTrace|TestClusterFollowerAnswerForwards|TestConfigPipelineIsInert|TestScrapeConsistentUnderObserve|TestTCPStressSharedClient|TestTCPBurstSpawnsNoGoroutines|TestTCPShutdownDeliversComputedResponses|TestTCPUnreadPipelineIsBounded|TestClusterPipelinedReplicationHistory|TestPromoteWaitsForReplicatedFrame|TestReplicationSilentFollowerDemoted|TestReplicationLagMeasuresOldestUnacked|TestAllocFreeReplicatedPut|TestReleaseAnswersInOrder|TestGetReadBeforeFailedSettleRefused)$' \
+	    -run='^(TestClusterScrapeUnderLoad|TestClusterStitchedForwardTrace|TestClusterFollowerAnswerForwards|TestConfigPipelineIsInert|TestScrapeConsistentUnderObserve|TestTCPStressSharedClient|TestTCPBurstSpawnsNoGoroutines|TestTCPShutdownDeliversComputedResponses|TestTCPUnreadPipelineIsBounded|TestClusterPipelinedReplicationHistory|TestPromoteWaitsForReplicatedFrame|TestReplicationSilentFollowerDemoted|TestReplicationLagMeasuresOldestUnacked|TestAllocFreeReplicatedPut|TestReleaseAnswersInOrder|TestGetReadBeforeFailedSettleRefused|TestTCPServeRetriesTemporaryAcceptError|TestClientCombinesConcurrentRequests|TestClientFailedFlushFailsEveryCaller)$' \
 	    ./internal/cluster ./internal/server ./internal/obs
 done
 
