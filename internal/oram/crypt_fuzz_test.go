@@ -5,37 +5,38 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"encoding/binary"
+	"math/bits"
 	"testing"
 
 	"stringoram/internal/config"
 )
 
-// FuzzSealIntoMatchesCTR cross-checks the contracts the alloc-free data
-// plane rests on, across arbitrary keys, counters, and block sizes:
+// FuzzWriteBucketMatchesCTR cross-checks the contracts the alloc-free data
+// plane rests on, across arbitrary keys, block sizes, buckets and epochs:
 //
-//  1. the hand-rolled keystream matches crypto/cipher's CTR stream for
-//     the IV [ctr_be || 0^8], for real and deterministic dummy seals;
-//  2. sealing into a reused buffer produces the same bytes as sealing
-//     into a fresh one;
-//  3. OpenInto(SealInto(x)) round-trips back to x;
-//  4. a refill's one-pass bucket seal (writeBucket) writes every slot
-//     exactly as the per-slot reference would, over a fuzzed mix of up to
-//     32 real, nil-data real and dummy slots, consuming real counters in
-//     ascending slot order.
-func FuzzSealIntoMatchesCTR(f *testing.F) {
-	f.Add([]byte("0123456789abcdef"), []byte("hello ring oram padding to size!"), uint64(1), uint8(11), uint64(0x0000_0001_0000_0a5a))
-	f.Add([]byte("another-16b-key!"), make([]byte, 61), uint64(1<<40), uint8(31), uint64(0xffff_0000_ffff_ffff))
-	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"), []byte{0xff}, uint64(0), uint8(0), uint64(1))
-	f.Fuzz(func(t *testing.T, keySeed, plaintext []byte, ctr uint64, nSlots uint8, mask uint64) {
+//  1. a refill's one-pass bucket seal (writeBucket) writes every slot, over
+//     a fuzzed mix of up to 32 plaintext and nil (zero-block) slots, as the
+//     8-byte IV ((epoch << Levels) | bucket) << slotBits | slot followed by
+//     crypto/cipher's CTR stream for [iv_be || 0^8] over the plaintext;
+//  2. sealing one slot into a reused buffer produces the same bytes as
+//     sealing into a fresh one;
+//  3. OpenInto round-trips every slot back to its plaintext.
+func FuzzWriteBucketMatchesCTR(f *testing.F) {
+	f.Add([]byte("0123456789abcdef"), []byte("hello ring oram padding to size!"), uint64(1), uint64(11), uint8(11), uint64(0x0000_0001_0000_0a5a))
+	f.Add([]byte("another-16b-key!"), make([]byte, 61), uint64(1<<40), uint64(1<<40-1), uint8(31), uint64(0xffff_0000_ffff_ffff))
+	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"), []byte{0xff}, uint64(0), uint64(0), uint8(0), uint64(1))
+	f.Fuzz(func(t *testing.T, keySeed, plaintext []byte, bucket, epoch uint64, nSlots uint8, mask uint64) {
 		if len(plaintext) == 0 || len(plaintext) > 1024 {
 			t.Skip()
 		}
-		// Real write counters live below the dummy domain (Load and
-		// nextCounter enforce it); keep room for a bucket of them.
-		ctr %= dummyDomain - 64
 		var key [16]byte
 		copy(key[:], keySeed)
 		size := len(plaintext)
+		n := int(nSlots)%32 + 1
+		cfg := config.ORAM{Z: n, Levels: 20, BlockSize: size}
+		slotBits, epochBits := ivBits(cfg)
+		b := int64(bucket % uint64(NewTree(cfg.Levels).Buckets()))
+		e := int(epoch % (1 << epochBits))
 
 		c, err := NewCrypt(key[:], size)
 		if err != nil {
@@ -45,97 +46,60 @@ func FuzzSealIntoMatchesCTR(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// ctrRef is the reference: the 8-byte counter header followed by
-		// crypto/cipher's CTR stream over [ctr_be || 0^8]; nil plain is
-		// the zero block.
-		ctrRef := func(ctr uint64, plain []byte) []byte {
+		// ctrRef is the reference: the 8-byte IV header followed by
+		// crypto/cipher's CTR stream over [iv_be || 0^8]; nil plain is the
+		// zero block.
+		ctrRef := func(iv uint64, plain []byte) []byte {
 			if plain == nil {
 				plain = make([]byte, size)
 			}
-			var iv [aes.BlockSize]byte
-			binary.BigEndian.PutUint64(iv[:8], ctr)
+			var ctr [aes.BlockSize]byte
+			binary.BigEndian.PutUint64(ctr[:8], iv)
 			ref := make([]byte, SealOverhead+size)
-			copy(ref, iv[:8])
-			cipher.NewCTR(blk, iv[:]).XORKeyStream(ref[SealOverhead:], plain)
+			copy(ref, ctr[:8])
+			cipher.NewCTR(blk, ctr[:]).XORKeyStream(ref[SealOverhead:], plain)
 			return ref
 		}
 
-		// Start the write counter at the fuzzed value so high counter
-		// bits exercise the IV layout, not just small sequential ones.
-		c.SetCounter(ctr)
-		fresh := c.SealInto(nil, plaintext)
-		if want := ctrRef(ctr+1, plaintext); !bytes.Equal(fresh, want) {
-			t.Fatalf("SealInto diverges from cipher.NewCTR:\n  got:  %x\n  want: %x", fresh, want)
-		}
-		c.SetCounter(ctr)
-		reused := c.SealInto(make([]byte, 0, SealOverhead+size), plaintext)
-		if !bytes.Equal(fresh, reused) {
-			t.Fatalf("SealInto into a reused buffer diverges:\n  fresh:  %x\n  reused: %x", fresh, reused)
-		}
-
-		// Round trips, through both the allocating and reusing paths.
-		open1, err := c.OpenInto(nil, fresh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		open2, err := c.OpenInto(make([]byte, size), fresh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(open1, plaintext) || !bytes.Equal(open2, plaintext) {
-			t.Fatalf("round trip corrupted plaintext: fresh=%x reused=%x want=%x", open1, open2, plaintext)
-		}
-
-		// Deterministic dummy sealing: the zero block under dummyCounter.
-		bucket, slot, epoch := int64(ctr%1024), int(ctr%7), int(ctr%5)
-		d1 := c.SealDummyInto(nil, bucket, slot, epoch)
-		if want := ctrRef(dummyCounter(bucket, slot, epoch), nil); !bytes.Equal(d1, want) {
-			t.Fatalf("SealDummyInto diverges from cipher.NewCTR:\n  got:  %x\n  want: %x", d1, want)
-		}
-		d2 := c.SealDummyInto(reused, bucket, slot, epoch)
-		if !bytes.Equal(d1, d2) {
-			t.Fatalf("SealDummyInto into a reused buffer diverges")
-		}
-
-		// The bucket seal: slot s is real when bit s of mask is set, and a
-		// real slot carries nil data when bit 32+s is set too.
-		n := int(nSlots)%32 + 1
-		owner := make([]int, n)
-		var refs [][]byte
-		for s := range owner {
-			owner[s] = -1
+		// Slot s carries a plaintext when bit s of mask is set and the zero
+		// block (nil) otherwise.
+		srcs := make([][]byte, n)
+		for s := range srcs {
 			if mask>>s&1 == 0 {
 				continue
 			}
-			owner[s] = len(refs)
-			var data []byte
-			if mask>>(32+s)&1 == 0 {
-				data = make([]byte, size)
-				for i := range data {
-					data[i] = plaintext[(i+s)%size] ^ byte(s)
-				}
-			}
-			refs = append(refs, data)
-		}
-		core := &treeCore{cfg: config.ORAM{BlockSize: size}, store: NewMemStore(n), crypt: c}
-		c.SetCounter(ctr)
-		core.writeBucket(bucket, epoch, owner, refs)
-		next := ctr
-		for s, i := range owner {
-			var want []byte
-			if i >= 0 {
-				next++
-				want = ctrRef(next, refs[i])
-			} else {
-				want = ctrRef(dummyCounter(bucket, s, epoch), nil)
-			}
-			got := core.store.ReadSlot(bucket, s)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("bucket slot %d of %d (owner %d) diverges from the per-slot reference:\n  got:  %x\n  want: %x", s, n, i, got, want)
+			srcs[s] = make([]byte, size)
+			for i := range srcs[s] {
+				srcs[s][i] = plaintext[(i+s)%size] ^ byte(s)
 			}
 		}
-		if c.Counter() != next {
-			t.Fatalf("bucket seal left the counter at %d, want %d (%d reals from %d)", c.Counter(), next, len(refs), ctr)
+		core := &treeCore{cfg: cfg, store: NewMemStore(n), crypt: c}
+		core.writeBucket(b, e, srcs)
+		if slotBits != bits.Len(uint(n-1)) {
+			t.Fatalf("slot field is %d bits for %d slots", slotBits, n)
+		}
+		for s, src := range srcs {
+			iv := (uint64(e)<<cfg.Levels|uint64(b))<<slotBits | uint64(s)
+			got := core.store.ReadSlot(b, s)
+			if want := ctrRef(iv, src); !bytes.Equal(got, want) {
+				t.Fatalf("bucket %d slot %d of %d, epoch %d, diverges from cipher.NewCTR:\n  got:  %x\n  want: %x", b, s, n, e, got, want)
+			}
+			open, err := c.OpenInto(make([]byte, size), got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if src == nil {
+				src = make([]byte, size)
+			}
+			if !bytes.Equal(open, src) {
+				t.Fatalf("slot %d round trip corrupted plaintext: got %x want %x", s, open, src)
+			}
+		}
+
+		iv := core.slotIV(b, 0, e)
+		fresh := c.sealWith(nil, iv, plaintext)
+		if reused := c.sealWith(make([]byte, 0, SealOverhead+size), iv, plaintext); !bytes.Equal(fresh, reused) {
+			t.Fatalf("sealing into a reused buffer diverges:\n  fresh:  %x\n  reused: %x", fresh, reused)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package oram
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -44,15 +45,23 @@ func TestSealRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestSealFreshness: the same plaintext sealed at another bucket, slot or
+// epoch must produce a different ciphertext; otherwise write-backs of
+// unchanged blocks would leak.
 func TestSealFreshness(t *testing.T) {
-	// Sealing the same plaintext twice must produce different bytes;
-	// otherwise write-backs of unchanged blocks would leak.
 	c, _ := NewCrypt(testKey(), 64)
+	core := treeCore{cfg: smallCfg(0)}
 	plain := make([]byte, 64)
-	a := c.SealInto(nil, plain)
-	b := c.SealInto(nil, plain)
-	if bytes.Equal(a, b) {
-		t.Fatal("two seals of the same plaintext are identical")
+	a := c.sealWith(nil, core.slotIV(123, 4, 5), plain)
+	for _, p := range []struct {
+		what        string
+		bucket      int64
+		slot, epoch int
+	}{{"buckets", 124, 4, 5}, {"slots", 123, 5, 5}, {"epochs", 123, 4, 6}} {
+		b := c.sealWith(nil, core.slotIV(p.bucket, p.slot, p.epoch), plain)
+		if bytes.Equal(a[SealOverhead:], b[SealOverhead:]) {
+			t.Fatalf("two %s share a ciphertext", p.what)
+		}
 	}
 }
 
@@ -120,5 +129,53 @@ func TestDifferentKeysDiffer(t *testing.T) {
 	}
 	if bytes.Equal(got, plain) {
 		t.Fatal("decryption under the wrong key returned the plaintext")
+	}
+}
+
+// TestStoredHeadersArePublic: a slot's cleartext header must tell an
+// observer nothing the op trace does not. After a seeded run, every slot
+// the store holds, real or dummy, must carry the IV of its position
+// (bucket, slot, the bucket's reshuffle epoch), in Compact Bucket, XOR,
+// and treetop modes (the last after Save has flushed the cache).
+func TestStoredHeadersArePublic(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		y            int
+		xor, treetop bool
+	}{
+		{name: "compact", y: 2},
+		{name: "xor", xor: true},
+		{name: "treetop", y: 2, treetop: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallCfg(tc.y)
+			crypt, err := NewCrypt(testKey(), cfg.BlockSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			store := NewMemStore(cfg.SlotsPerBucket())
+			r, err := NewRing(cfg, 0x4ead, &Options{Store: store, Crypt: crypt, XOR: tc.xor, TreetopCache: tc.treetop})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runSerialTrace(t, r, cfg, genTrace(1500, 0x9b1c))
+			saveBytes(t, r)
+			stored, private := 0, 0
+			store.eachBucket(func(idx int64, slots [][]byte) {
+				b := r.buckets.get(idx)
+				for s, sealed := range slots {
+					if sealed == nil {
+						continue
+					}
+					stored++
+					if binary.BigEndian.Uint64(sealed) != r.slotIV(idx, s, b.Epoch) {
+						private++
+					}
+				}
+			})
+			if private != 0 || stored == 0 {
+				t.Fatalf("%d of %d stored slots carry a header that is not the IV of their position", private, stored)
+			}
+		})
 	}
 }

@@ -93,7 +93,7 @@ func FuzzLoad(f *testing.F) {
 	valid := checkpointForLoadTests(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add(corruptCheckpoint(f, valid, func(s *ringSnap) { s.CryptCtr = 0 }))
+	f.Add(corruptCheckpoint(f, valid, func(s *ringSnap) { s.Buckets[0].Epoch = -1 }))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

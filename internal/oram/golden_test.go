@@ -7,12 +7,15 @@ import (
 )
 
 // TestSealedBytesGolden pins the exact ciphertext bytes the sealing layer
-// produces for a deterministic seal sequence. The hash was recorded before
-// the hand-rolled CTR keystream replaced cipher.NewCTR; it failing means
-// sealed bytes changed, which would break snapshot compatibility and the
-// XOR technique's dummy cancellation.
+// produces for a deterministic seal sequence. It failing means sealed
+// bytes changed, which would break snapshot compatibility and the XOR
+// technique's dummy cancellation. The hash was re-captured once, when
+// every slot moved from a write-counter or dummy-hash IV to the IV of its
+// position (slotIV); the kernel's keystream for a given IV is unchanged
+// (FuzzWriteBucketMatchesCTR checks it against cipher.NewCTR).
 func TestSealedBytesGolden(t *testing.T) {
 	h := sha256.New()
+	core := treeCore{cfg: smallCfg(0)}
 	for _, bs := range []int{16, 24, 32, 64, 100, 256} {
 		key := []byte("golden-key-0123!")
 		c, err := NewCrypt(key, bs)
@@ -24,9 +27,8 @@ func TestSealedBytesGolden(t *testing.T) {
 			plain[i] = byte(i*31 + bs)
 		}
 		for j := 0; j < 16; j++ {
-			h.Write(c.SealInto(nil, plain))
-			h.Write(c.SealInto(nil, nil))
-			h.Write(c.SealDummyInto(nil, int64(j*17), j%5, j))
+			h.Write(c.sealWith(nil, core.slotIV(int64(j*13), j%5, j), plain))
+			h.Write(c.sealWith(nil, core.slotIV(int64(j*13), j%5+5, j), nil))
 		}
 		// Fold the decryption direction in too: OpenInto must invert SealInto
 		// bit-exactly at every size.
@@ -39,7 +41,7 @@ func TestSealedBytesGolden(t *testing.T) {
 		h.Write(opened)
 	}
 	got := hex.EncodeToString(h.Sum(nil))
-	const want = "cd3a57d1c6807b6147330710938ce8263de457102170b5cba1f97d971a84adba"
+	const want = "1ac6102d95b8076a237c8be863b634ea78ef68579bac7d77cd5dc57cf9f91dba"
 	if got != want {
 		t.Fatalf("sealed-bytes golden drifted:\n got %s\nwant %s", got, want)
 	}
@@ -51,7 +53,10 @@ func TestSealedBytesGolden(t *testing.T) {
 // The server's snapshot files and shard handoff are these bytes, so the
 // hashes — captured before the bucket table, store, position map and stash
 // moved from maps to indexed tables — are what "an upgraded oramd loads its
-// predecessor's checkpoint" rests on. Save must keep emitting one [][]byte
+// predecessor's checkpoint" rests on. They were re-captured once, when
+// seals moved to position IVs and the checkpoint to version 2 without a
+// write counter: every sealed slot changed, and Load refuses version 1.
+// Save must keep emitting one [][]byte
 // per touched store bucket with nil for never-written slots, in ascending
 // bucket order, and every snapshot slice sorted by id. The treetop hash
 // equals the compact one by construction: the cache flushes to the bytes an
@@ -64,9 +69,9 @@ func TestRingSaveBytesGolden(t *testing.T) {
 		treetop bool
 		want    string
 	}{
-		{name: "compact", y: 2, want: "48dffdc5b4a1219cb3936eaff9bf823fe9e7985fe57ffaf591a9688919527112"},
-		{name: "xor", xor: true, want: "befdaf8415046094232ec70e19cfd905c62458971fefd2a2209c6e55962667ac"},
-		{name: "treetop", y: 2, treetop: true, want: "48dffdc5b4a1219cb3936eaff9bf823fe9e7985fe57ffaf591a9688919527112"},
+		{name: "compact", y: 2, want: "5a2827cb1e5c507652461949b16528eaa37ae881b6c3029fd820b6afc5e7ad5f"},
+		{name: "xor", xor: true, want: "47ad7daeaee15ffe6a1caed6ad4d4552660b265c8cbd56b36dbde1156efbb266"},
+		{name: "treetop", y: 2, treetop: true, want: "5a2827cb1e5c507652461949b16528eaa37ae881b6c3029fd820b6afc5e7ad5f"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallCfg(tc.y)

@@ -23,10 +23,10 @@ import (
 // touch, how buckets reshuffle, where the RNG streams advance — is
 // metadata-only and never depends on block contents; the methods here
 // carry out the block movement those decisions imply, between the store,
-// the stash and the treetop cache. A refill takes real-write counters in
-// ascending slot order, whether it seals the bucket at once (writeBucket)
-// or defers to the treetop cache, so the counter-mode sealer sees the same
-// counter sequence either way.
+// the stash and the treetop cache. A refill seals every slot under the IV
+// of its position (slotIV), whether it seals the bucket at once
+// (writeBucket) or defers to the treetop cache, so the sealed bytes are
+// the same either way.
 
 // treeScratch groups the buffers the core reuses across accesses so the
 // steady-state data plane allocates nothing. Everything here is owned by
@@ -47,6 +47,9 @@ type treeScratch struct {
 	sealBuf []byte `oramlint:"scratch"`
 	// sealBatch is a refill's kernel batch, one entry per physical slot.
 	sealBatch []cryptSlot `oramlint:"secret,scratch"`
+	// srcs is a refill's plaintext per physical slot, nil for the zero
+	// block.
+	srcs [][]byte `oramlint:"secret,scratch"`
 	// blockPool recycles plaintext block buffers circulating between the
 	// store, the stash and the controller.
 	blockPool [][]byte `oramlint:"secret,scratch"`
@@ -61,9 +64,6 @@ type treeScratch struct {
 	// level.
 	byLevel [][]BlockID `oramlint:"secret"`
 	placed  [][]BlockID `oramlint:"secret"`
-	// slotOwner maps physical slot -> index into a refill's block list
-	// (-1 for dummies).
-	slotOwner []int
 }
 
 // treeCore is the state and data movement shared by the Ring and Path
@@ -195,21 +195,29 @@ func (c *treeCore) fetchToStash(bucket int64, slot int, id BlockID, p PathID) {
 	c.putBlockBuf(c.stash.Put(id, p, data))
 }
 
-// writeBucket rewrites every slot of an uncached bucket in the store:
-// owner[s] indexes refs for a real slot and is -1 for a dummy. With a
-// Crypt the whole bucket is sealed in one kernel pass into the seal
-// scratch: reals under fresh counters taken in ascending slot order,
-// dummies deterministically per (bucket, slot, epoch) so XOR reads can
-// cancel them (each epoch is written once, so bus-visible ciphertexts are
-// still always fresh). Without one, slots hold the raw block (the zero
-// block for dummies and nil-data reals).
-func (c *treeCore) writeBucket(idx int64, epoch int, owner []int, refs [][]byte) {
+// slotIV is the IV counter of slot (bucket, slot) in the given reshuffle
+// epoch: ((epoch << Levels) | bucket) << slotBits | slot. Every field is
+// public (the op trace names the bucket and slot, and the epoch counts the
+// bucket's reshuffles), and a bucket is rewritten only after a reshuffle
+// advances its epoch, so each IV seals one plaintext under a key.
+func (c *treeCore) slotIV(bucket int64, slot, epoch int) uint64 {
+	slotBits, _ := ivBits(c.cfg)
+	return (uint64(epoch)<<c.cfg.Levels|uint64(bucket))<<slotBits | uint64(slot)
+}
+
+// writeBucket rewrites every slot of bucket idx in the store: srcs holds
+// one plaintext per physical slot, nil for the zero block. With a Crypt
+// the whole bucket is sealed in one kernel pass into the seal scratch,
+// real and dummy slots alike under slotIV(idx, s, epoch), so XOR reads
+// can re-derive any dummy's ciphertext and cancel it. Without one, slots
+// hold the raw block.
+func (c *treeCore) writeBucket(idx int64, epoch int, srcs [][]byte) {
 	if c.crypt == nil {
 		buf := ensure(c.scr.sealBuf, c.cfg.BlockSize)
 		c.scr.sealBuf = buf
-		for s, i := range owner {
-			if i >= 0 && refs[i] != nil {
-				copy(buf, refs[i])
+		for s, src := range srcs {
+			if src != nil {
+				copy(buf, src)
 			} else {
 				clear(buf)
 			}
@@ -217,13 +225,13 @@ func (c *treeCore) writeBucket(idx int64, epoch int, owner []int, refs [][]byte)
 		}
 		return
 	}
+	if invariant.Enabled {
+		_, eb := ivBits(c.cfg)
+		invariant.Assertf(uint64(epoch) < 1<<eb, "bucket %d epoch %d overflows the %d-bit IV epoch field", idx, epoch, eb)
+	}
 	slots := c.scr.sealBatch[:0]
-	for s, i := range owner {
-		if i >= 0 {
-			slots = append(slots, cryptSlot{ctr: c.crypt.nextCounter(), src: refs[i]})
-		} else {
-			slots = append(slots, cryptSlot{ctr: dummyCounter(idx, s, epoch)})
-		}
+	for s, src := range srcs {
+		slots = append(slots, cryptSlot{ctr: c.slotIV(idx, s, epoch), src: src})
 	}
 	n := c.crypt.sealedLen()
 	buf := ensure(c.scr.sealBuf, len(slots)*n)
@@ -369,33 +377,25 @@ func (c *treeCore) refillBucket(op *Op, idx int64, level int, b *Bucket, ids []B
 	c.scr.refs = refs
 	targets := b.reshuffleScratch(ids, c.permSrc, &c.scr.shuf)
 	if c.store != nil {
-		owner := c.scr.slotOwner
-		if cap(owner) < len(b.Slots) {
-			owner = make([]int, len(b.Slots))
+		srcs := c.scr.srcs
+		if cap(srcs) < len(b.Slots) {
+			srcs = make([][]byte, len(b.Slots))
 		}
-		owner = owner[:len(b.Slots)]
-		c.scr.slotOwner = owner
-		for s := range owner {
-			owner[s] = -1
-		}
+		srcs = srcs[:len(b.Slots)]
+		clear(srcs)
 		for i, s := range targets {
-			owner[s] = i
+			srcs[s] = refs[i]
 		}
+		c.scr.srcs = srcs
 		// Treetop elision: the eviction rewrites every slot of every
 		// bucket on its path regardless of contents, so absorbing the
 		// cached levels' uniform writes into controller memory (flushed
-		// sealed under reserved counters at snapshot epochs) changes no
+		// at snapshot time as the same bucket write) changes no
 		// bus-visible behaviour; the bucket index is public.
 		if c.tt.cached(idx) {
-			for s, i := range owner {
-				if i >= 0 {
-					c.ttWriteReal(idx, s, refs[i])
-				} else {
-					c.ttWriteDummy(idx, s, b.Epoch)
-				}
-			}
+			c.ttWriteBucket(idx, srcs)
 		} else {
-			c.writeBucket(idx, b.Epoch, owner, refs)
+			c.writeBucket(idx, b.Epoch, srcs)
 		}
 	}
 	if level >= c.emitFrom() {

@@ -70,7 +70,9 @@ func TestRecursiveRejectsOutOfRangeID(t *testing.T) {
 
 // TestRecursiveFunctionalRoundTrip drives the whole hierarchy — data ring
 // plus two map levels — with random reads and writes and checks data
-// integrity and every ring's invariants.
+// integrity, every ring's invariants, and that the map levels seal under
+// keys of their own: seal IVs are tree positions, so under one key the
+// levels' slots at equal positions would share a keystream.
 func TestRecursiveFunctionalRoundTrip(t *testing.T) {
 	const capacity = 4096
 	rr := newRecursive(t, capacity, 64, true, 3)
@@ -111,6 +113,21 @@ func TestRecursiveFunctionalRoundTrip(t *testing.T) {
 	}
 	if err := rr.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	level := make(map[string]int) // slot body -> map level holding it
+	for k, m := range rr.maps {
+		m.store.(*MemStore).eachBucket(func(bucket int64, slots [][]byte) {
+			for s, sealed := range slots {
+				if sealed == nil {
+					continue
+				}
+				body := string(sealed[SealOverhead:])
+				if other, ok := level[body]; ok && other != k {
+					t.Fatalf("map levels %d and %d hold an identical slot body (bucket %d slot %d)", other+1, k+1, bucket, s)
+				}
+				level[body] = k
+			}
+		})
 	}
 }
 

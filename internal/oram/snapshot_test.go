@@ -3,7 +3,6 @@ package oram
 import (
 	"bytes"
 	"encoding/gob"
-	"math"
 	"strings"
 	"testing"
 
@@ -225,6 +224,7 @@ func TestLoadRejectsBadIndices(t *testing.T) {
 			len(probe.Store), len(probe.Buckets), len(probe.PosMap), len(probe.Stash))
 	}
 	tree := NewTree(probe.Cfg.Levels)
+	_, epochBits := ivBits(probe.Cfg)
 	for _, tc := range []struct {
 		name    string
 		corrupt func(s *ringSnap)
@@ -246,12 +246,12 @@ func TestLoadRejectsBadIndices(t *testing.T) {
 		{"stash path 2^60", func(s *ringSnap) { s.Stash[0].Path = 1 << 60 }, "Stash.Path"},
 		{"stash data length", func(s *ringSnap) { s.Stash[0].Data = []byte{1} }, "Stash block"},
 		{"block size 2^40", func(s *ringSnap) { s.Cfg.BlockSize = 1 << 40 }, "Cfg.BlockSize"},
-		// The restored sealer continues from CryptCtr: below a stored real
-		// seal's counter it reuses that seal's keystream, and at or above
-		// the dummy domain it wraps or collides with dummy counters.
-		{"crypt counter below the stored seals", func(s *ringSnap) { s.CryptCtr = 0 }, "CryptCtr"},
-		{"crypt counter 2^64-1", func(s *ringSnap) { s.CryptCtr = math.MaxUint64 }, "CryptCtr"},
-		{"crypt counter in the dummy domain", func(s *ringSnap) { s.CryptCtr = dummyDomain }, "CryptCtr"},
+		// A bucket's epoch is a field of its slots' seal IVs: outside the
+		// field it would alias another position's IV.
+		{"bucket epoch negative", func(s *ringSnap) { s.Buckets[0].Epoch = -1 }, "Epoch"},
+		{"bucket epoch 2^epochBits", func(s *ringSnap) { s.Buckets[0].Epoch = 1 << epochBits }, "Epoch"},
+		// Version 1 sealed under write counters a position IV can repeat.
+		{"version 1", func(s *ringSnap) { s.Version = 1 }, "version 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Load(bytes.NewReader(corruptCheckpoint(t, valid, tc.corrupt)), testKey())
@@ -293,19 +293,5 @@ func TestRNGStateRoundTrip(t *testing.T) {
 		if a.Uint64() != b.Uint64() {
 			t.Fatalf("restored stream diverged at draw %d", i)
 		}
-	}
-}
-
-func TestCryptCounterRoundTrip(t *testing.T) {
-	c, _ := NewCrypt(testKey(), 32)
-	c.SealInto(nil, nil)
-	c.SealInto(nil, nil)
-	ctr := c.Counter()
-	c2, _ := NewCrypt(testKey(), 32)
-	c2.SetCounter(ctr)
-	a := c.SealInto(nil, nil)
-	b := c2.SealInto(nil, nil)
-	if !bytes.Equal(a, b) {
-		t.Fatal("counters restored but seals differ")
 	}
 }

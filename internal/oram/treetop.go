@@ -18,34 +18,25 @@ import (
 // writes land in controller memory, so cached buckets cost neither
 // store I/O nor AES until the cache flushes.
 //
-// Flush discipline: every real write still reserves its AES-CTR write
-// counter at the moment the uncached controller would have sealed, and
-// every dummy write records its (bucket, slot, epoch) triple. Flushing
-// re-seals under those remembered counters, so the flushed store bytes
-// are bit-identical to the store of an uncached controller that ran
-// the same access sequence — the property the snapshot round-trip and
-// equivalence oracles pin.
+// Flush discipline: a refill rewrites a whole bucket, and its seal is a
+// function of the plaintexts and the bucket's public position and epoch
+// alone. A cached refill keeps the plaintexts in buf and marks the bucket
+// dirty; a flush seals each dirty bucket in the one writeBucket the
+// uncached controller made at the bucket's last refill, so the flushed
+// store bytes are bit-identical to the store of an uncached controller
+// that ran the same access sequence — the property the snapshot
+// round-trip and equivalence oracles pin.
 //
-// Slot states: a clean slot's store bytes are current (warmed or
-// flushed); a dirty-real slot holds plaintext in buf awaiting a
-// counter-bound seal; a dirty-dummy slot (buf nil) awaits its
-// deterministic dummy ciphertext. A nil buf read as real decodes to
-// the zero block, mirroring readSlotData on a never-written slot.
+// A clean bucket's store bytes are current (warmed or flushed). A nil buf
+// slot is the zero block (a dummy, or a real never written with data),
+// mirroring readSlotData on a never-written slot.
 type treetopCache struct {
 	nBuckets int64 // heap-order buckets [0, nBuckets) are cached
 	slots    int   // physical slots per bucket
 
-	buf   [][]byte `oramlint:"secret,scratch"` // plaintext per slot; nil = zero/dummy
-	state []uint8  // ttClean / ttReal / ttDummy
-	ctr   []uint64 // reserved seal counter for dirty-real slots
-	epoch []int32  // reshuffle epoch for dirty-dummy slots
+	buf   [][]byte `oramlint:"secret,scratch"` // plaintext per slot; nil = zero block
+	dirty []bool   // per bucket: refilled since its store bytes were written
 }
-
-const (
-	ttClean uint8 = iota
-	ttReal
-	ttDummy
-)
 
 // index maps (bucket, slot) to the flat cache index.
 func (tt *treetopCache) index(bucket int64, slot int) int {
@@ -80,9 +71,7 @@ func (r *Ring) EnableTreetop() error {
 		nBuckets: n,
 		slots:    slots,
 		buf:      make([][]byte, n*int64(slots)),
-		state:    make([]uint8, n*int64(slots)),
-		ctr:      make([]uint64, n*int64(slots)),
-		epoch:    make([]int32, n*int64(slots)),
+		dirty:    make([]bool, n),
 	}
 	r.warmTreetop()
 	return nil
@@ -119,49 +108,25 @@ func (r *Ring) warmTreetop() {
 			i := tt.index(idx, s)
 			r.putBlockBuf(tt.buf[i])
 			tt.buf[i] = data
-			tt.state[i] = ttClean
 		}
 	}
 }
 
-// flushTreetop seals every dirty cached slot back into the store:
-// dirty-real slots under their reserved write counters, dirty-dummy
-// slots as the deterministic (bucket, slot, epoch) ciphertext — exactly
-// the bytes the uncached controller wrote when the slot was dirtied.
-// Clean slots are skipped; their store bytes are already current. Save
-// calls this before serializing the store.
+// flushTreetop seals every dirty cached bucket back into the store as the
+// writeBucket its last refill would have made uncached. Clean buckets are
+// skipped; their store bytes are already current. Save calls this before
+// serializing the store.
 func (r *Ring) flushTreetop() {
 	tt := r.tt
-	if tt == nil || r.store == nil {
+	if tt == nil {
 		return
 	}
-	for i, st := range tt.state {
-		if st == ttClean {
-			continue
+	for idx, dirty := range tt.dirty {
+		if dirty {
+			i := tt.index(int64(idx), 0)
+			r.writeBucket(int64(idx), r.buckets.get(int64(idx)).Epoch, tt.buf[i:i+tt.slots])
+			tt.dirty[idx] = false
 		}
-		bucket := int64(i / tt.slots)
-		slot := i % tt.slots
-		switch {
-		case st == ttReal && r.crypt != nil:
-			r.scr.sealBuf = r.crypt.sealWith(r.scr.sealBuf, tt.ctr[i], tt.buf[i])
-			r.store.WriteSlot(bucket, slot, r.scr.sealBuf)
-		case st == ttDummy && r.crypt != nil:
-			r.scr.sealBuf = r.crypt.SealDummyInto(r.scr.sealBuf, bucket, slot, int(tt.epoch[i]))
-			r.store.WriteSlot(bucket, slot, r.scr.sealBuf)
-		default:
-			// Plaintext mode stores the raw block; nil (dummy or
-			// never-materialized real) stores the zero block, matching
-			// writeBucket.
-			buf := ensure(r.scr.sealBuf, r.cfg.BlockSize)
-			r.scr.sealBuf = buf
-			if tt.buf[i] == nil {
-				clear(buf)
-			} else {
-				copy(buf, tt.buf[i])
-			}
-			r.store.WriteSlot(bucket, slot, buf)
-		}
-		tt.state[i] = ttClean
 	}
 }
 
@@ -177,42 +142,29 @@ func (c *treeCore) ttFetch(bucket int64, slot int, id BlockID, p PathID) {
 	c.putBlockBuf(c.stash.Put(id, p, buf))
 }
 
-// ttWriteReal applies a cached-level real write to controller
-// memory, reserving the seal counter the uncached controller would have
-// burned so the eventual flush produces bit-identical store bytes.
-func (c *treeCore) ttWriteReal(bucket int64, slot int, src []byte) {
+// ttWriteBucket applies a cached-level refill to controller memory: srcs
+// holds one plaintext per physical slot, nil for the zero block.
+func (c *treeCore) ttWriteBucket(bucket int64, srcs [][]byte) {
 	tt := c.tt
-	i := tt.index(bucket, slot)
-	if tt.buf[i] == nil {
-		tt.buf[i] = c.getBlockBuf()
-	}
-	if src == nil {
-		clear(tt.buf[i])
-	} else {
+	for s, src := range srcs {
+		i := tt.index(bucket, s)
+		if src == nil {
+			c.putBlockBuf(tt.buf[i])
+			tt.buf[i] = nil
+			continue
+		}
+		if tt.buf[i] == nil {
+			tt.buf[i] = c.getBlockBuf()
+		}
 		copy(tt.buf[i], src)
 	}
-	var ctr uint64
-	if c.crypt != nil {
-		ctr = c.crypt.nextCounter()
-	}
-	tt.ctr[i] = ctr
-	tt.state[i] = ttReal
-}
-
-// ttWriteDummy applies a cached-level dummy write: pure metadata.
-func (c *treeCore) ttWriteDummy(bucket int64, slot int, epoch int) {
-	tt := c.tt
-	i := tt.index(bucket, slot)
-	c.putBlockBuf(tt.buf[i])
-	tt.buf[i] = nil
-	tt.state[i] = ttDummy
-	tt.epoch[i] = int32(epoch)
+	tt.dirty[bucket] = true
 }
 
 // verifyTreetop asserts (under -tags=invariants) that the cache is
-// consistent with the store and bucket metadata: clean resident slots
-// decrypt from the store to exactly the cached plaintext, dirty slots
-// carry the state their flush needs.
+// consistent with the store and bucket metadata: every resident real slot
+// of a clean bucket decrypts from the store to exactly the cached
+// plaintext.
 func (r *Ring) verifyTreetop() {
 	if !invariant.Enabled || r.tt == nil {
 		return
@@ -220,47 +172,23 @@ func (r *Ring) verifyTreetop() {
 	tt := r.tt
 	for idx := int64(0); idx < tt.nBuckets; idx++ {
 		b := r.buckets.get(idx)
-		if b == nil {
+		if b == nil || tt.dirty[idx] {
 			continue
 		}
 		for s := range b.Slots {
-			i := tt.index(idx, s)
-			switch tt.state[i] {
-			case ttClean:
-				if !b.Slots[s].Real || !b.Slots[s].Valid {
-					continue
-				}
-				data, err := r.readSlotData(idx, s)
-				if err != nil {
-					panic(err)
-				}
-				want := data
-				if want == nil {
-					continue // timing-only: nothing to compare
-				}
-				got := tt.buf[i]
-				ok := (got == nil && isZero(want)) || (got != nil && bytes.Equal(got, want))
-				r.putBlockBuf(data)
-				invariant.Assertf(ok, "treetop bucket %d slot %d: clean cache diverges from a fresh store read", idx, s)
-			case ttReal:
-				invariant.Assertf(r.crypt == nil || tt.ctr[i] != 0,
-					"treetop bucket %d slot %d: dirty-real slot with no reserved counter", idx, s)
-			case ttDummy:
-				invariant.Assertf(tt.buf[i] == nil,
-					"treetop bucket %d slot %d: dirty-dummy slot holds plaintext", idx, s)
+			if !b.Slots[s].Real || !b.Slots[s].Valid {
+				continue
 			}
+			data, err := r.readSlotData(idx, s)
+			if err != nil {
+				panic(err)
+			}
+			got := tt.buf[tt.index(idx, s)]
+			ok := bytes.Equal(got, data) || got == nil && bytes.Count(data, []byte{0}) == len(data)
+			r.putBlockBuf(data)
+			invariant.Assertf(ok, "treetop bucket %d slot %d: clean cache diverges from a fresh store read", idx, s)
 		}
 	}
-}
-
-// isZero reports whether every byte of b is zero.
-func isZero(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // ttAssertUncached panics under -tags=invariants if a data-plane call

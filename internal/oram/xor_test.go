@@ -2,6 +2,7 @@ package oram
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"stringoram/internal/config"
@@ -125,21 +126,20 @@ func TestXORMatchesDirectRead(t *testing.T) {
 	}
 }
 
+// TestSealDummyAtDeterministic: the XOR fold re-derives a dummy's
+// ciphertext from its position alone, so sealing the zero block at one
+// (bucket, slot, epoch) twice must give identical bytes, headed by that
+// position's IV, that open to zeros.
 func TestSealDummyAtDeterministic(t *testing.T) {
 	c, _ := NewCrypt(testKey(), 64)
-	a := c.SealDummyInto(nil, 123, 4, 5)
-	b := c.SealDummyInto(nil, 123, 4, 5)
-	if !bytes.Equal(a, b) {
-		t.Fatal("SealDummyAt not deterministic")
+	core := treeCore{cfg: smallCfg(0)}
+	iv := core.slotIV(123, 4, 5)
+	a := c.sealWith(nil, iv, nil)
+	if !bytes.Equal(a, c.sealWith(nil, iv, nil)) {
+		t.Fatal("the position seal is not deterministic")
 	}
-	if bytes.Equal(a, c.SealDummyInto(nil, 123, 4, 6)) {
-		t.Fatal("epochs share ciphertexts")
-	}
-	if bytes.Equal(a, c.SealDummyInto(nil, 123, 5, 5)) {
-		t.Fatal("slots share ciphertexts")
-	}
-	if bytes.Equal(a, c.SealDummyInto(nil, 124, 4, 5)) {
-		t.Fatal("buckets share ciphertexts")
+	if binary.BigEndian.Uint64(a) != iv {
+		t.Fatalf("header %#x, want the position IV %#x", binary.BigEndian.Uint64(a), iv)
 	}
 	got, err := c.OpenInto(nil, a)
 	if err != nil {
@@ -150,13 +150,48 @@ func TestSealDummyAtDeterministic(t *testing.T) {
 	}
 }
 
-func TestDummyDomainSeparation(t *testing.T) {
-	// Deterministic dummy counters live in the 0xDD-prefixed subspace;
-	// sequential write counters start at 1.
-	for _, args := range [][3]int64{{0, 0, 0}, {1, 2, 3}, {1 << 40, 11, 99}} {
-		ctr := dummyCounter(args[0], int(args[1]), int(args[2]))
-		if ctr>>56 != 0xDD {
-			t.Fatalf("dummy counter %x escaped its domain", ctr)
+// TestSlotIVInjective: slotIV packs (epoch, bucket, slot) into disjoint
+// fields, so no two positions share an IV. Every combination of the
+// fields' smallest and largest values must decode back to itself, in a
+// small tree and in the deepest geometry the sealed-tree check admits
+// (an epoch field of exactly minEpochBits), which one more level fails.
+func TestSlotIVInjective(t *testing.T) {
+	deepest := smallCfg(0)
+	slotBits, _ := ivBits(deepest)
+	deepest.Levels = 64 - minEpochBits - slotBits
+	crypt, _ := NewCrypt(testKey(), deepest.BlockSize)
+	if err := checkSealGeometry(deepest, crypt); err != nil {
+		t.Fatal(err)
+	}
+	tooDeep := deepest
+	tooDeep.Levels++
+	if checkSealGeometry(tooDeep, crypt) == nil {
+		t.Fatalf("a %d-level tree leaves a %d-bit epoch, yet passed the check", tooDeep.Levels, minEpochBits-1)
+	}
+	if _, err := NewRing(tooDeep, 1, &Options{Store: NewMemStore(tooDeep.SlotsPerBucket()), Crypt: crypt}); err == nil {
+		t.Fatal("NewRing sealed a tree whose IVs leave the epoch under 32 bits")
+	}
+	if _, err := NewPath(4, 33, deepest.BlockSize, 100, 1, &Options{Crypt: crypt}); err == nil {
+		t.Fatal("NewPath sealed a tree whose IVs leave the epoch under 32 bits")
+	}
+	for _, cfg := range []config.ORAM{smallCfg(0), smallCfg(2), deepest} {
+		core := treeCore{cfg: cfg}
+		slotBits, epochBits := ivBits(cfg)
+		seen := make(map[uint64]bool)
+		for _, bucket := range []int64{0, 1, NewTree(cfg.Levels).Buckets() - 1} {
+			for _, slot := range []int{0, 1, cfg.SlotsPerBucket() - 1} {
+				for _, epoch := range []int{0, 1, 1<<epochBits - 1} {
+					iv := core.slotIV(bucket, slot, epoch)
+					gotSlot := int(iv & (1<<slotBits - 1))
+					gotBucket := int64(iv >> slotBits & (1<<cfg.Levels - 1))
+					gotEpoch := int(iv >> (slotBits + cfg.Levels))
+					if gotSlot != slot || gotBucket != bucket || gotEpoch != epoch || seen[iv] {
+						t.Fatalf("%d levels: slotIV(%d, %d, %d) = %#x decodes to (%d, %d, %d), repeated %v",
+							cfg.Levels, bucket, slot, epoch, iv, gotBucket, gotSlot, gotEpoch, seen[iv])
+					}
+					seen[iv] = true
+				}
+			}
 		}
 	}
 }
