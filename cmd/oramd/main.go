@@ -172,7 +172,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	seed := fs.Uint64("seed", 1, "master protocol seed")
 	snapdir := fs.String("snapshots", "", "snapshot directory (restore on boot, save on shutdown)")
 	timeout := fs.Duration("timeout", 2*time.Second, "default per-request deadline (0 disables)")
-	keyHex := fs.String("key", "", "16-byte AES key in hex for sealed block storage")
+	keyHex := fs.String("key", "", "16-byte AES master key in hex for sealed block storage (each shard derives its own)")
 	traceSample := fs.Uint64("trace-sample", 0, "distributed-tracing sample rate: keep ~1/N traced requests (power of two; 1: all, 0: off)")
 	sloP99 := fs.Duration("slo-p99", 0, "p99 request-latency objective served on /healthz (0 disables)")
 	clusterMode := fs.Bool("cluster", false, "serve as one member of a multi-node cluster")

@@ -112,6 +112,8 @@ func NewRing(cfg ORAMConfig, seed uint64) (*Ring, error) {
 
 // NewFunctionalRing returns a Ring ORAM controller that moves real data
 // through an encrypted in-memory store under the given 16-byte AES key.
+// Seal IVs are tree positions, so the key must seal no other Ring:
+// two Rings under one key expose each other's plaintexts.
 func NewFunctionalRing(cfg ORAMConfig, seed uint64, key []byte) (*Ring, error) {
 	crypt, err := oram.NewCrypt(key, cfg.BlockSize)
 	if err != nil {
@@ -131,7 +133,8 @@ func NewPathORAM(z, levels, blockSize, stashSize int, seed uint64, opts *RingOpt
 
 // LoadRing restores a Ring from a checkpoint written by Ring.Save. For
 // encrypted checkpoints, key must be the original 16-byte AES key; pass
-// nil for timing-only checkpoints.
+// nil for timing-only checkpoints. Rekey the restored Ring before it
+// serves unless it is the only copy of the checkpoint ever to serve on.
 func LoadRing(r io.Reader, key []byte) (*Ring, error) {
 	return oram.Load(r, key)
 }
