@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // Telemetry flags secret-tagged values flowing into the observability
@@ -20,7 +21,10 @@ import (
 //   - secret-telemetry: an argument of Recorder.Emit (the one ring
 //     behind both span and event payloads), or of Counter.Add,
 //     Gauge.Set, Gauge.Max, or Histogram.Observe (observations),
-//     derives from secret state.
+//     derives from secret state; so does the callback of a Registry
+//     CounterFunc or GaugeFunc, a func literal that reads secret state
+//     or a declared function whose result derives from it — the scrape
+//     publishes what it returns.
 //   - secret-metric-name: the name argument of a Registry constructor
 //     (Counter, Gauge, Histogram, CounterFunc, GaugeFunc) derives from
 //     secret state — a secret-shaped series name is published by every
@@ -36,16 +40,21 @@ func Telemetry() *Analyzer {
 	}
 }
 
-// telemetrySinks maps receiver type name -> method name -> which
-// arguments are sinks (-1: all).
-var telemetrySinks = map[string]map[string]int{
-	"Recorder":  {"Emit": -1},
-	"Counter":   {"Add": -1},
-	"Gauge":     {"Set": -1, "Max": -1},
-	"Histogram": {"Observe": -1},
+// sinkArgs says which arguments of a sink method are checked: name is
+// the series-name argument's index and values the index from which
+// every argument is a payload (-1: none).
+type sinkArgs struct{ name, values int }
+
+// telemetrySinks maps receiver type name -> method name -> its sink
+// arguments.
+var telemetrySinks = map[string]map[string]sinkArgs{
+	"Recorder":  {"Emit": {-1, 0}},
+	"Counter":   {"Add": {-1, 0}},
+	"Gauge":     {"Set": {-1, 0}, "Max": {-1, 0}},
+	"Histogram": {"Observe": {-1, 0}},
 	"Registry": {
-		"Counter": 0, "Gauge": 0, "Histogram": 0,
-		"CounterFunc": 0, "GaugeFunc": 0,
+		"Counter": {0, -1}, "Gauge": {0, -1}, "Histogram": {0, -1},
+		"CounterFunc": {0, 2}, "GaugeFunc": {0, 2},
 	},
 }
 
@@ -77,29 +86,44 @@ func runTelemetry(pass *Pass) {
 			if !ok {
 				return true
 			}
-			argSel, ok := methods[callee.Name()]
+			sink, ok := methods[callee.Name()]
 			if !ok {
 				return true
 			}
-			for i, arg := range call.Args {
-				if argSel >= 0 && i != argSel {
-					continue
-				}
-				if !subexprTainted(sc, arg) {
-					continue
-				}
-				if argSel >= 0 {
-					pass.Report(call.Pos(), "secret-metric-name",
-						"metric name passed to Registry."+callee.Name()+" derives from secret state; series names are published by every scrape")
-				} else {
+			if n := sink.name; n >= 0 && n < len(call.Args) && subexprTainted(sc, call.Args[n]) {
+				pass.Report(call.Pos(), "secret-metric-name",
+					"metric name passed to Registry."+callee.Name()+" derives from secret state; series names are published by every scrape")
+			}
+			if sink.values < 0 {
+				return true
+			}
+			for _, arg := range call.Args[min(sink.values, len(call.Args)):] {
+				if subexprTainted(sc, arg) || funcValueSecret(taint, tinfo, arg) {
 					pass.Report(call.Pos(), "secret-telemetry",
 						recvTypeName(callee)+"."+callee.Name()+" argument derives from secret state; telemetry payloads leave the box on scrapes and trace dumps")
+					break
 				}
-				break
 			}
 			return true
 		})
 	}
+}
+
+// funcValueSecret reports whether e names a declared function or method
+// (a func value, not a call) whose result derives from secret state. A
+// func literal needs no such check: its body is part of the enclosing
+// scope, so subexprTainted already sees what it reads.
+func funcValueSecret(taint *Taint, info *types.Info, e ast.Expr) bool {
+	id, _ := ast.Unparen(e).(*ast.Ident)
+	if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+		id = sel.Sel
+	}
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok {
+		return false
+	}
+	sc := taint.Scope(fn.Origin())
+	return sc != nil && slices.ContainsFunc(sc.rets, func(m uint64) bool { return m&directBit != 0 })
 }
 
 // recvTypeName returns the name of fn's receiver's named type ("" for

@@ -39,6 +39,10 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return &Counter{}
 }
 
+func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+	r.names = append(r.names, name)
+}
+
 // Ctl mixes secret state (never exported below) with public counters.
 type Ctl struct {
 	block    uint64 `oramlint:"secret"`
@@ -73,4 +77,15 @@ func (c *Ctl) publicMetrics(shard int, lat float64) {
 // touchSecret uses the secret for protocol work without exporting it.
 func (c *Ctl) touchSecret() uint64 {
 	return c.block % 7
+}
+
+// queueDepth reads public queue state.
+func (c *Ctl) queueDepth() float64 { return float64(c.queue) }
+
+// scrapeCallbacks publishes public state from scrape-time callbacks, as
+// a func literal and as a method value.
+func (c *Ctl) scrapeCallbacks() {
+	c.reg.GaugeFunc("queue_depth", "public", func() float64 { return float64(c.queue) })
+	c.reg.GaugeFunc("queue_depth_method", "public", c.queueDepth)
+	c.reg.GaugeFunc("accesses", "public", func() float64 { return float64(c.accesses) })
 }

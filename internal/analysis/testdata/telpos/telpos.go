@@ -54,6 +54,14 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return &Gauge{}
 }
 
+func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	r.names = append(r.names, name)
+}
+
+func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+	r.names = append(r.names, name)
+}
+
 // Ctl holds secret-tagged state feeding the sinks below.
 type Ctl struct {
 	block   uint64 `oramlint:"secret"`
@@ -104,3 +112,20 @@ func (c *Ctl) derived(ts int64) {
 	id := c.block * 2
 	c.buf.Emit(Span{Lo: id, TS: ts}) // want secret-telemetry
 }
+
+// stashLen hands out the secret stash occupancy.
+func (c *Ctl) stashLen() int64 { return c.stashed }
+
+// scrapeCallback publishes secret stash occupancy from scrape-time
+// callbacks: func literals reading it directly or through a call, and a
+// method value returning it.
+func (c *Ctl) scrapeCallback() {
+	c.reg.GaugeFunc("stash_blocks", "leaky", func() float64 { return float64(c.stashed) }) // want secret-telemetry
+	c.reg.CounterFunc("stash_total", "leaky", func() float64 {                             // want secret-telemetry
+		n := c.stashLen()
+		return float64(n)
+	})
+	c.reg.GaugeFunc("stash_frac", "leaky", c.stashFrac) // want secret-telemetry
+}
+
+func (c *Ctl) stashFrac() float64 { return float64(c.stashed) / 8 }

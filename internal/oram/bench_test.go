@@ -154,18 +154,16 @@ func BenchmarkAccessFunctionalCached(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessFunctionalObs is BenchmarkAccessFunctional with the
-// full instrument set and a live flight recorder attached; the pair
-// quantifies instrumentation overhead (budget ≤5%). The shared warmed
-// ring is re-instrumented on entry and detached on exit so benchmark
-// order does not matter.
+// BenchmarkAccessFunctionalObs is BenchmarkAccessFunctional with a live
+// flight recorder attached by Record, the ring's only telemetry hook;
+// the pair quantifies its overhead (budget ≤5%). The shared warmed ring
+// gets the recorder on entry and drops it on exit so benchmark order
+// does not matter.
 func BenchmarkAccessFunctionalObs(b *testing.B) {
 	b.ReportAllocs()
 	r := warmedFunctionalRing(b)
-	ins := NewInstruments(obs.NewRegistry(), "")
-	ins.Recorder = obs.NewRecorder[obs.Event](4096)
-	r.Instrument(ins)
-	defer r.Instrument(Instruments{})
+	r.Record(obs.NewRecorder[obs.Event](4096), nil)
+	defer r.Record(nil, nil)
 	payload := make([]byte, r.Config().BlockSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -31,9 +31,6 @@ type Options struct {
 	// IVs are tree positions, so its key must seal no other Ring nor any
 	// earlier Ring of this store: derive one per Ring with RingKey.
 	Crypt *Crypt
-	// OnStashSample, when set, is invoked with the stash occupancy after
-	// every operation, enabling the Fig. 15 occupancy traces.
-	OnStashSample func(occupancy int)
 	// SlotBalancer, when set, chooses which eligible dummy slot a read
 	// path consumes (imbalance-aware retrieval, Che et al. ICCD'19):
 	// it receives the bucket, its level and the candidate slot indices
@@ -77,7 +74,6 @@ type Ring struct {
 
 	uniformSelect bool
 	xor           bool
-	onSample      func(int)
 	balancer      func(bucket int64, level int, candidates []int) int
 
 	// balancerPick adapts balancer to the per-bucket candidate callback;
@@ -87,7 +83,10 @@ type Ring struct {
 	balBucket    int64
 	balLevel     int
 
-	ins Instruments
+	// rec receives the ring's flight-recorder events, stamped by clock
+	// (nil: the logical access ordinal); see Record.
+	rec   *obs.Recorder[obs.Event]
+	clock func() int64
 
 	// Read-path scratch beside the core's (same ownership rules, see
 	// treeScratch): updBuf carries the plaintext copy handed to Update
@@ -121,7 +120,6 @@ func NewRing(cfg config.ORAM, seed uint64, opts *Options) (*Ring, error) {
 	}
 	root := rng.New(seed)
 	r := newRing(cfg, opts.Store, opts.Crypt, opts.XOR, root.Fork(), root.Fork(), root.Fork())
-	r.onSample = opts.OnStashSample
 	r.balancer = opts.SlotBalancer
 	r.warmSeed = root.Uint64()
 	r.nextFiller = FillerBase
@@ -258,6 +256,23 @@ func poisson(src *rng.Source, mean float64) int {
 // Config returns the controller's configuration.
 func (r *Ring) Config() config.ORAM { return r.cfg }
 
+// Record attaches a flight recorder that receives the ring's typed
+// events (nil detaches it). clock stamps them and must be in a
+// deterministic domain when the ring feeds a simulator (the sim injects
+// its cycle counter); nil stamps them with the logical access ordinal.
+// The ring's counters are its Stats and StashLen; it keeps no other.
+func (r *Ring) Record(rec *obs.Recorder[obs.Event], clock func() int64) {
+	r.rec, r.clock = rec, clock
+}
+
+// obsNow returns the timestamp for the ring's flight-recorder events.
+func (r *Ring) obsNow() int64 {
+	if r.clock != nil {
+		return r.clock()
+	}
+	return r.stats.Reads + r.stats.Writes
+}
+
 // bucket returns the bucket at the given global index, materializing it
 // (warm-filled when configured) on first touch.
 func (r *Ring) bucket(idx int64) *Bucket {
@@ -378,7 +393,6 @@ func (r *Ring) access(id BlockID, write bool, data []byte, forcedPath *PathID, u
 	readPath, haveTarget := r.pos.Lookup(id)
 	if r.stash.Contains(id) { //oramlint:allow secret-branch both arms issue one full read path; a stash hit only redirects it to a fresh random path, indistinguishable on the bus
 		r.stats.StashHits++
-		r.ins.StashHits.Inc()
 		haveTarget = false
 	}
 	if !haveTarget {
@@ -450,17 +464,15 @@ func (r *Ring) access(id BlockID, write bool, data []byte, forcedPath *PathID, u
 		before := r.stash.Len()
 		r.readPathOp(OpDummyReadPath, p, InvalidBlock, false)
 		r.stats.BackgroundDummyReads++
-		r.ins.BackgroundDummyReads.Inc()
-		//oramlint:allow secret-telemetry stash occupancy is the deliberately exported capacity signal: an aggregate over every resident block that the deployment sizes dashboards and alerts on, published since the first scrape (same contract as the oram_stash_blocks gauge below)
-		r.ins.Recorder.Emit(obs.Event{TS: r.obsNow(), Kind: obs.EvBackgroundDummy,
+		//oramlint:allow secret-telemetry stash occupancy is the deliberately exported capacity signal: an aggregate over every resident block that the deployment sizes dashboards and alerts on, published since the first scrape (same contract as the servers' oram_stash_blocks gauge)
+		r.rec.Emit(obs.Event{TS: r.obsNow(), Kind: obs.EvBackgroundDummy,
 			Arg0: int64(r.stash.Len()), Arg1: int64(rounds)})
 		wasBoundary := r.roundCount == r.cfg.A-1
 		r.bumpRound()
 		if wasBoundary {
 			r.stats.BackgroundEvictions++
-			r.ins.BackgroundEvictions.Inc()
 			//oramlint:allow secret-telemetry before/after stash occupancy of a background eviction is the same deliberately exported capacity aggregate as the oram_stash_blocks gauge
-			r.ins.Recorder.Emit(obs.Event{TS: r.obsNow(), Kind: obs.EvBackgroundEviction,
+			r.rec.Emit(obs.Event{TS: r.obsNow(), Kind: obs.EvBackgroundEviction,
 				Arg0: int64(before), Arg1: int64(r.stash.Len())})
 		}
 	}
@@ -477,23 +489,14 @@ func (r *Ring) access(id BlockID, write bool, data []byte, forcedPath *PathID, u
 	if n := int64(r.stash.Len()); n > r.stats.StashPeak { //oramlint:allow secret-branch statistics only, after all ops are emitted
 		r.stats.StashPeak = n
 	}
-	if r.onSample != nil {
-		r.onSample(r.stash.Len())
-	}
 	if invariant.Enabled {
 		// Treetop consistency: cached plaintext must always match a
 		// fresh decrypted read of the same buckets.
 		r.verifyTreetop()
 	}
-	occ := int64(r.stash.Len())
-	r.ins.Accesses.Inc()
-	//oramlint:allow secret-telemetry oram_stash_blocks is the published capacity gauge: aggregate occupancy, not any per-block identity
-	r.ins.Stash.Set(occ)
-	//oramlint:allow secret-telemetry oram_stash_peak_blocks is the published high-water mark of the same aggregate occupancy signal
-	r.ins.StashPeak.Max(occ)
-	//oramlint:allow secret-telemetry the per-access event carries aggregate stash occupancy and op count, the same capacity signal the stash gauges publish
-	r.ins.Recorder.Emit(obs.Event{TS: r.obsNow(), Kind: obs.EvAccess,
-		Arg0: occ, Arg1: int64(len(r.scr.ops))})
+	//oramlint:allow secret-telemetry the per-access event carries aggregate stash occupancy and op count, the same capacity signal the servers' stash gauges publish
+	r.rec.Emit(obs.Event{TS: r.obsNow(), Kind: obs.EvAccess,
+		Arg0: int64(r.stash.Len()), Arg1: int64(len(r.scr.ops))})
 	return out, r.scr.ops, nil
 }
 
@@ -622,8 +625,7 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 			r.fetchToStash(idx, slot, green, gp)
 			b.consumeReal(slot)
 			r.stats.GreenFetches++
-			r.ins.GreenFetches.Inc()
-			r.ins.Recorder.Emit(obs.Event{TS: r.obsNow(), Kind: obs.EvGreenFetch,
+			r.rec.Emit(obs.Event{TS: r.obsNow(), Kind: obs.EvGreenFetch,
 				Arg0: int64(lvl), Arg1: int64(slot)})
 		} else if r.xor {
 			r.xorFoldSlot(idx, slot, true, b.Epoch)
@@ -637,10 +639,8 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 
 	if kind == OpReadPath {
 		r.stats.ReadPaths++
-		r.ins.ReadPaths.Inc()
 	} else {
 		r.stats.DummyReadPaths++
-		r.ins.DummyReadPaths.Inc()
 	}
 	r.stats.ReadPathBlocks += int64(len(op.Accesses))
 }
@@ -687,8 +687,7 @@ func (r *Ring) earlyReshuffleOp(idx int64, level int) {
 	r.refillBucket(op, idx, level, b, r.readBucketOp(op, idx, level, b))
 
 	r.stats.EarlyReshuffles++
-	r.ins.EarlyReshuffles.Inc()
-	r.ins.Recorder.Emit(obs.Event{TS: r.obsNow(), Kind: obs.EvEarlyReshuffle,
+	r.rec.Emit(obs.Event{TS: r.obsNow(), Kind: obs.EvEarlyReshuffle,
 		Arg0: int64(level), Arg1: idx})
 	r.stats.ReshuffledBuckets++
 	r.stats.ReshuffleBlocks += int64(len(op.Accesses))
@@ -738,7 +737,6 @@ func (r *Ring) evictPathOp() {
 	r.refillPath(op, p, path)
 
 	r.stats.EvictPaths++
-	r.ins.EvictPaths.Inc()
 	r.stats.EvictBlocks += int64(len(op.Accesses))
 }
 

@@ -406,23 +406,24 @@ func TestRingOverflowOnOverfullTree(t *testing.T) {
 	}
 }
 
+// TestRingStashSampler: StashLen after each access is the Fig. 15
+// occupancy sample, and the Stats high-water mark is the largest sample.
 func TestRingStashSampler(t *testing.T) {
 	cfg := smallCfg(2)
-	var samples []int
-	r, _ := NewRing(cfg, 41, &Options{OnStashSample: func(n int) { samples = append(samples, n) }})
-	const accesses = 200
-	for i := 0; i < accesses; i++ {
+	r, _ := NewRing(cfg, 41, nil)
+	peak := 0
+	for i := 0; i < 200; i++ {
 		if _, _, err := r.Access(BlockID(i%32), false, nil); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if len(samples) != accesses {
-		t.Fatalf("sampler saw %d samples, want %d", len(samples), accesses)
-	}
-	for _, s := range samples {
+		s := r.StashLen()
 		if s < 0 || s > cfg.StashSize {
 			t.Fatalf("sample %d out of range", s)
 		}
+		peak = max(peak, s)
+	}
+	if st := r.Stats(); st.StashPeak != int64(peak) {
+		t.Fatalf("StashPeak = %d, largest sample %d", st.StashPeak, peak)
 	}
 }
 

@@ -11,7 +11,10 @@ import (
 
 // Metrics is a point-in-time aggregate of the server's serving
 // counters. All fields are cumulative since start except QueueDepths
-// (instantaneous). The latency percentiles are read from the same
+// (instantaneous) and the two access counts, which sum the hosted
+// shards' Ring records: cumulative over each shard's life, carried
+// through snapshots, and the same values the oram_* series and
+// ShardStats report. The latency percentiles are read from the same
 // server_request_seconds histograms the Prometheus exposition and the
 // SLO gate use, so the three cannot disagree; their resolution is one
 // histogram bucket (see requestSecondsBounds).
@@ -36,8 +39,8 @@ type Metrics struct {
 
 	QueueDepths []int // current per-shard queue occupancy
 
-	ORAMAccesses uint64 // logical ORAM accesses issued
-	SlotAccesses uint64 // physical slot accesses emitted
+	ORAMAccesses uint64 // logical ORAM accesses (Stats Reads+Writes)
+	SlotAccesses uint64 // physical slot accesses (Stats ReadPathBlocks+EvictBlocks+ReshuffleBlocks)
 
 	LatencySamples int64 // observations behind the percentiles
 	P50Seconds     float64
@@ -96,9 +99,6 @@ type shardMetrics struct {
 	batches, batchedReqs *obs.Counter
 	maxBatch             *obs.Gauge
 
-	oramAccesses *obs.Counter
-	slotAccesses *obs.Counter
-
 	keys *obs.Gauge
 
 	// latSecs is the request-latency histogram: the one source behind
@@ -126,8 +126,6 @@ func (m *shardMetrics) init(reg *obs.Registry, shard int) {
 	m.batches = reg.Counter(l("server_batches_total", ""), "Worker wakeups.")
 	m.batchedReqs = reg.Counter(l("server_batched_requests_total", ""), "Requests served across all batches.")
 	m.maxBatch = reg.Gauge(l("server_max_batch", ""), "Largest batch observed.")
-	m.oramAccesses = reg.Counter(l("server_oram_accesses_total", ""), "Logical ORAM accesses issued.")
-	m.slotAccesses = reg.Counter(l("server_slot_accesses_total", ""), "Physical slot accesses emitted.")
 	m.keys = reg.Gauge(l("server_keys", ""), "Keys in the shard directory as of its last batch.")
 	m.latSecs = reg.Histogram(l("server_request_seconds", ""),
 		"Request latency (enqueue to response) in seconds.", requestSecondsBounds)
@@ -135,11 +133,6 @@ func (m *shardMetrics) init(reg *obs.Registry, shard int) {
 
 func (m *shardMetrics) noteRejected() {
 	m.rejected.Inc()
-}
-
-func (m *shardMetrics) noteBus(op busOp) {
-	m.oramAccesses.Inc()
-	m.slotAccesses.Add(uint64(op.slots))
 }
 
 func (m *shardMetrics) noteDone(op opKind, res result, lat time.Duration) {
@@ -200,8 +193,9 @@ func (s *Server) Metrics() Metrics {
 			out.MaxBatch = mb
 		}
 		out.Keys += int(sh.m.keys.Value())
-		out.ORAMAccesses += sh.m.oramAccesses.Value()
-		out.SlotAccesses += sh.m.slotAccesses.Value()
+		st := sh.record().stats
+		out.ORAMAccesses += uint64(st.Reads + st.Writes)
+		out.SlotAccesses += uint64(slotAccesses(&st))
 		out.LatencySamples += int64(sh.m.latSecs.AddCounts(lat[:]))
 		out.QueueDepths[i] = len(sh.reqs)
 	}
@@ -214,20 +208,69 @@ func (s *Server) Metrics() Metrics {
 	return out
 }
 
-// ShardStats returns each hosted shard's protocol counters, copied on the
-// shard's worker goroutine by an op through its queue: the copy reflects
-// every request acknowledged before the call. Like Barrier it fails with
-// ErrClosed once the server is closing, or ErrBacklog on a full queue.
-func (s *Server) ShardStats() ([]oram.Stats, error) {
-	ids := s.HostedShards()
-	out := make([]oram.Stats, len(ids))
-	for i, id := range ids {
-		req := reqPool.Get().(*request)
-		req.op, req.stats = opStats, &out[i]
-		req.enqueued = time.Now()
-		if err := s.sendShard(id, req).err; err != nil {
-			return nil, err
-		}
+// ShardStats returns each hosted shard's Ring counters, in hosting
+// order: the record the shard's worker published after its last access,
+// so it reflects every request acknowledged before the call.
+func (s *Server) ShardStats() []oram.Stats {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]oram.Stats, len(s.shards))
+	for i, sh := range s.shards {
+		out[i] = sh.record().stats
 	}
-	return out, nil
+	return out
+}
+
+// slotAccesses counts the physical slot accesses behind st.
+func slotAccesses(st *oram.Stats) int64 {
+	return st.ReadPathBlocks + st.EvictBlocks + st.ReshuffleBlocks
+}
+
+// ringRecord returns hosted shard id's published record, the zero record
+// when the shard is not hosted.
+func (s *Server) ringRecord(id int) (rec busOp) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if sh := s.byID[id]; sh != nil {
+		rec = sh.record()
+	}
+	return rec
+}
+
+// ringSeries registers shard id's Ring series. Each reads the shard's
+// published record at scrape time, so the exposition, Metrics and
+// ShardStats cannot disagree: cumulative over the shard's life, carried
+// through snapshots, 0 while the shard is not hosted.
+func (s *Server) ringSeries(id int) {
+	name := func(fam, kind string) string {
+		if kind == "" {
+			return fmt.Sprintf(`%s{shard="%d"}`, fam, id)
+		}
+		return fmt.Sprintf(`%s{shard="%d",kind=%q}`, fam, id, kind)
+	}
+	for _, c := range []struct {
+		fam, kind, help string
+		v               func(st *oram.Stats) int64
+	}{
+		{"server_slot_accesses_total", "", "Physical slot accesses emitted.", slotAccesses},
+		{"oram_accesses_total", "", "ORAM accesses completed (reads and writes)", func(st *oram.Stats) int64 { return st.Reads + st.Writes }},
+		{"oram_stash_hits_total", "", "accesses served while the block sat in the stash", func(st *oram.Stats) int64 { return st.StashHits }},
+		{"oram_green_fetches_total", "", "Compact Bucket green blocks pulled into the stash in place of dummies", func(st *oram.Stats) int64 { return st.GreenFetches }},
+		{"oram_early_reshuffles_total", "", "buckets reshuffled after exhausting their S dummy budget", func(st *oram.Stats) int64 { return st.EarlyReshuffles }},
+		{"oram_background_evictions_total", "", "scheduled evictions issued by the background stash-drain loop", func(st *oram.Stats) int64 { return st.BackgroundEvictions }},
+		{"oram_background_dummy_reads_total", "", "dummy read paths issued by the background stash-drain loop", func(st *oram.Stats) int64 { return st.BackgroundDummyReads }},
+		{"oram_paths_total", "read", "read-path and eviction operations by kind", func(st *oram.Stats) int64 { return st.ReadPaths }},
+		{"oram_paths_total", "dummy", "read-path and eviction operations by kind", func(st *oram.Stats) int64 { return st.DummyReadPaths }},
+		{"oram_paths_total", "evict", "read-path and eviction operations by kind", func(st *oram.Stats) int64 { return st.EvictPaths }},
+	} {
+		s.reg.CounterFunc(name(c.fam, c.kind), c.help, func() float64 {
+			st := s.ringRecord(id).stats
+			return float64(c.v(&st))
+		})
+	}
+	s.reg.GaugeFunc(name("oram_stash_peak_blocks", ""), "highest stash occupancy observed",
+		func() float64 { return float64(s.ringRecord(id).stats.StashPeak) })
+	//oramlint:allow secret-telemetry stash occupancy is the deliberately exported capacity signal: an aggregate over every resident block, not any per-block identity, that the deployment sizes dashboards and alerts on
+	s.reg.GaugeFunc(name("oram_stash_blocks", ""), "current stash occupancy in blocks",
+		func() float64 { return float64(s.ringRecord(id).stash) })
 }

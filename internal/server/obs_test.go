@@ -3,13 +3,16 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
 	"stringoram/internal/obs"
+	"stringoram/internal/oram"
 )
 
 // TestServerObsExposition drives traffic through a server built on a
@@ -50,7 +53,7 @@ func TestServerObsExposition(t *testing.T) {
 		`server_requests_total{shard="0",op="put"}`,
 		`server_batches_total{shard="1"}`,
 		`server_queue_depth{shard="2"}`,
-		`server_oram_accesses_total{shard="3"}`,
+		`server_slot_accesses_total{shard="3"}`,
 		`oram_stash_blocks{shard="0"}`,
 		`oram_accesses_total{shard="0"}`,
 	} {
@@ -72,6 +75,136 @@ func TestServerObsExposition(t *testing.T) {
 	if m.P50Seconds <= 0 || m.P99Seconds < m.P50Seconds {
 		t.Fatalf("implausible latency percentiles: p50=%v p99=%v", m.P50Seconds, m.P99Seconds)
 	}
+}
+
+// TestRingSeriesMatchStats: a shard's Ring counters are one record.
+// After traffic, a restart from snapshots onto a fresh registry (as a
+// restarted process scrapes), more traffic, and a detach and re-attach,
+// every oram_*{shard} series and server_slot_accesses_total equals its
+// field in ShardStats, and Metrics sums the same fields: the counters
+// carry across the restart and the handoff, and read 0 while the shard
+// is not hosted.
+func TestRingSeriesMatchStats(t *testing.T) {
+	cfg := testConfig()
+	cfg.SnapshotDir = t.TempDir()
+	// traffic serves Puts and Gets while a scraper reads the records
+	// the workers publish.
+	traffic := func(s *Server, round int) {
+		t.Helper()
+		stop, scraped := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(scraped)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					s.Obs().WritePrometheus(io.Discard)
+					s.Metrics()
+				}
+			}
+		}()
+		defer func() { close(stop); <-scraped }()
+		for i := 0; i < 60; i++ {
+			key := fmt.Sprintf("key-%d", (i*7+round)%40)
+			if err := s.Put(key, []byte(key)); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.Get(key); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// check compares the exposition and Metrics with ShardStats and
+	// returns the stats by shard ID.
+	check := func(step string, s *Server) map[int]oram.Stats {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := s.Obs().WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := obs.ValidateExposition(buf.Bytes()); err != nil {
+			t.Fatalf("%s: exposition does not validate: %v", step, err)
+		}
+		got := make(map[string]float64)
+		for _, line := range strings.Split(buf.String(), "\n") {
+			name, val, ok := strings.Cut(line, " ")
+			if !ok || strings.HasPrefix(name, "#") {
+				continue
+			}
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				t.Fatalf("%s: bad sample %q: %v", step, line, err)
+			}
+			got[name] = v
+		}
+		hosted := make(map[int]oram.Stats)
+		var accesses, slots int64
+		ids := s.HostedShards()
+		for i, st := range s.ShardStats() {
+			hosted[ids[i]] = st
+			accesses += st.Reads + st.Writes
+			slots += st.ReadPathBlocks + st.EvictBlocks + st.ReshuffleBlocks
+		}
+		if m := s.Metrics(); m.ORAMAccesses != uint64(accesses) || m.SlotAccesses != uint64(slots) {
+			t.Errorf("%s: Metrics accesses %d/%d, ShardStats %d/%d", step, m.ORAMAccesses, m.SlotAccesses, accesses, slots)
+		}
+		for id := 0; id < cfg.Shards; id++ {
+			st := hosted[id] // zero while the shard is not hosted
+			l := fmt.Sprintf(`{shard="%d"}`, id)
+			kind := func(k string) string { return fmt.Sprintf(`{shard="%d",kind=%q}`, id, k) }
+			for name, want := range map[string]int64{
+				"oram_accesses_total" + l:               st.Reads + st.Writes,
+				"oram_stash_hits_total" + l:             st.StashHits,
+				"oram_green_fetches_total" + l:          st.GreenFetches,
+				"oram_early_reshuffles_total" + l:       st.EarlyReshuffles,
+				"oram_background_evictions_total" + l:   st.BackgroundEvictions,
+				"oram_background_dummy_reads_total" + l: st.BackgroundDummyReads,
+				"oram_paths_total" + kind("read"):       st.ReadPaths,
+				"oram_paths_total" + kind("dummy"):      st.DummyReadPaths,
+				"oram_paths_total" + kind("evict"):      st.EvictPaths,
+				"oram_stash_peak_blocks" + l:            st.StashPeak,
+				"server_slot_accesses_total" + l:        st.ReadPathBlocks + st.EvictBlocks + st.ReshuffleBlocks,
+			} {
+				if v, ok := got[name]; !ok || v != float64(want) {
+					t.Errorf("%s: %s = %v (exposed: %v), ShardStats field %d", step, name, v, ok, want)
+				}
+			}
+			if v, ok := got["oram_stash_blocks"+l]; !ok || v < 0 || v > float64(st.StashPeak) {
+				t.Errorf("%s: oram_stash_blocks%s = %v (exposed: %v), peak %d", step, l, v, ok, st.StashPeak)
+			}
+		}
+		return hosted
+	}
+
+	cfg.Obs = obs.NewRegistry()
+	s := mustNew(t, cfg)
+	traffic(s, 0)
+	before := check("traffic", s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Obs = obs.NewRegistry()
+	s = mustNew(t, cfg)
+	defer s.Close()
+	if after := check("restart", s); !reflect.DeepEqual(after, before) {
+		t.Fatalf("restart changed ShardStats:\n before %+v\n after  %+v", before, after)
+	}
+	traffic(s, 1)
+	served := check("traffic after restart", s)
+	snap, err := s.DetachShard(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("detach", s)
+	if err := s.AttachShard(2, snap, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := check("attach", s)[2]; got != served[2] {
+		t.Fatalf("handoff changed shard 2's stats:\n before %+v\n after  %+v", served[2], got)
+	}
+	traffic(s, 2)
+	check("traffic after attach", s)
 }
 
 // TestMetricsScrapeAllocBound: Metrics() merges the shards' latency

@@ -267,9 +267,6 @@ const (
 	// has fully applied and reports the shard's appliedSeq — the handoff
 	// cutover fence.
 	opBarrier
-	// opStats is a barrier that also copies the Ring's protocol counters
-	// into request.stats.
-	opStats
 )
 
 // request is one queued operation. key and val are the adversary-hidden
@@ -294,8 +291,6 @@ type request struct {
 	// bytes — so telemetry stays leakage-free.
 	tc   obs.TraceContext
 	span uint64
-	// stats is where the worker writes an opStats request's copy.
-	stats *oram.Stats
 	// Where the single response goes: an in-process caller waits on done;
 	// a request read off a TCP connection carries that connection instead,
 	// and respond encodes the answer straight into its output buffer (see
@@ -388,6 +383,12 @@ type shard struct {
 	encBuf      []byte `oramlint:"secret,scratch"` // reused Put-block framing scratch
 
 	rq releaseQueue // answers held behind unsettled writes (see Config.OnApply)
+
+	// rec is the Ring's record as of its last access, published by the
+	// worker (see publish) and read under recMu by scrapes, Metrics and
+	// ShardStats.
+	recMu sync.Mutex
+	rec   busOp
 }
 
 // heldAnswer is an answer waiting in a shard's release queue: the
@@ -498,12 +499,10 @@ func (s *Server) buildShard(id int, snap []byte) (*shard, error) {
 			return nil, err
 		}
 	}
-	// The Ring's protocol instruments (stash occupancy, green fetches,
-	// reshuffles, ...) land on the same registry under a shard label;
-	// updates stay atomic, so live scrapes are safe while the worker
-	// goroutine serves. Registration is idempotent, so a re-attached
-	// shard resolves to the same series.
-	sh.ring.Instrument(oram.NewInstruments(s.reg, fmt.Sprintf(`shard="%d"`, id)))
+	// Registration is idempotent and the series look the shard up by
+	// ID, so a re-attached shard resolves to the same series.
+	sh.publish()
+	s.ringSeries(id)
 	s.reg.GaugeFunc(fmt.Sprintf(`server_queue_depth{shard="%d"}`, id),
 		"Current shard queue occupancy.",
 		func(gid int) func() float64 {
@@ -1036,10 +1035,7 @@ func (sh *shard) serve(now time.Time, r *request) {
 		data, err := sh.snapshotBytes()
 		sh.answer(r, result{val: data, seq: sh.appliedSeq, err: err})
 		return
-	case opBarrier, opStats:
-		if r.op == opStats {
-			*r.stats = sh.ring.Stats()
-		}
+	case opBarrier:
 		sh.answer(r, result{seq: sh.appliedSeq})
 		return
 	case opApply:
@@ -1087,39 +1083,44 @@ func (sh *shard) serve(now time.Time, r *request) {
 	}
 }
 
-// busOp is the package's address-emitting marker: every bus-visible
-// ORAM access is accounted through exactly one busOp record, so
-// oramlint's oblivious analyzer treats busOp construction sites as the
-// anchor when checking internal/server for secret-dependent branching.
+// busOp is the package's address-emitting marker and the record a shard
+// publishes of its Ring: after every bus-visible ORAM access (and once
+// when the shard is built) the worker copies the Ring's counters into
+// exactly one busOp, so oramlint's oblivious analyzer treats busOp
+// construction sites as the anchor when checking internal/server for
+// secret-dependent branching.
 type busOp struct {
-	shard int
-	slots int // physical slot accesses emitted by the operation
+	stats oram.Stats
+	stash int `oramlint:"secret"` // stash occupancy in blocks
+}
+
+// publish copies the Ring's counters into the shard's record. Only the
+// worker calls it (or buildShard, before the worker starts).
+func (sh *shard) publish() {
+	rec := busOp{stats: sh.ring.Stats(), stash: sh.ring.StashLen()}
+	sh.recMu.Lock()
+	sh.rec = rec
+	sh.recMu.Unlock()
+}
+
+// record returns the shard's last published record.
+func (sh *shard) record() busOp {
+	sh.recMu.Lock()
+	defer sh.recMu.Unlock()
+	return sh.rec
 }
 
 // access issues the single ORAM access a request maps to and finishes
 // the request.
 func (sh *shard) access(r *request, id oram.BlockID, write bool, block []byte) {
-	var (
-		data []byte
-		ops  []oram.Op
-		err  error
-	)
-	if write {
-		ops, err = sh.ring.Write(id, block)
-	} else {
-		data, ops, err = sh.ring.Read(id)
-	}
-	sh.finish(r, data, ops, err)
+	data, _, err := sh.ring.Access(id, write, block)
+	sh.finish(r, data, err)
 }
 
-// finish accounts one completed access's physical traffic and answers
-// its request.
-func (sh *shard) finish(r *request, data []byte, ops []oram.Op, err error) {
-	slots := 0
-	for _, op := range ops {
-		slots += len(op.Accesses)
-	}
-	sh.m.noteBus(busOp{shard: sh.id, slots: slots})
+// finish publishes one completed access's Ring record and answers its
+// request.
+func (sh *shard) finish(r *request, data []byte, err error) {
+	sh.publish()
 	if err != nil {
 		sh.answer(r, result{err: fmt.Errorf("shard %d: %w", sh.id, err)})
 		return

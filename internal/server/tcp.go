@@ -834,7 +834,9 @@ func (c *Client) roundTripUntil(op wireOp, key string, val []byte, ex expiry) (w
 	c.seq++
 	seq := c.seq
 	c.pending[seq] = ch
-	others := len(c.pending) > 1
+	// A bounded wait is a Replicate, whose senders already group-commit
+	// entries into one frame: it sends without yielding for others.
+	others := ex.t == nil && len(c.pending) > 1
 	c.mu.Unlock()
 
 	var timeoutMs uint32

@@ -210,6 +210,9 @@ type Sim struct {
 	nextTxn  int64
 	waiters  []waiter
 	accesses int64
+	// stash appends the Ring's occupancy after each access to
+	// res.StashSamples (Options.CollectStash).
+	stash bool
 
 	// now mirrors the run loop's current cycle so recorder clocks and
 	// transaction birth stamps read the simulated time, not wall clock.
@@ -277,9 +280,6 @@ func newSim(sys config.System, trs []*trace.Trace, name string, opts Options) (*
 	}
 	var ringOpts oram.Options
 	res := &Result{Workload: name, Scheduler: sys.Scheduler, CBRate: sys.ORAM.Y}
-	if opts.CollectStash {
-		ringOpts.OnStashSample = func(n int) { res.StashSamples = append(res.StashSamples, n) }
-	}
 	if opts.FunctionalStore {
 		crypt, err := oram.NewCrypt([]byte("stringoram-key16")[:16], sys.ORAM.BlockSize)
 		if err != nil {
@@ -344,11 +344,12 @@ func newSim(sys config.System, trs []*trace.Trace, name string, opts Options) (*
 		tags:   newTagWindow(),
 		res:    res,
 		rec:    opts.FlightRecorder,
+		stash:  opts.CollectStash,
 	}
 	if opts.FlightRecorder != nil {
 		s.ctrl.Instrument(opts.FlightRecorder)
 		if ring != nil {
-			ring.Instrument(oram.Instruments{Recorder: opts.FlightRecorder, Clock: func() int64 { return s.now }})
+			ring.Record(opts.FlightRecorder, func() int64 { return s.now })
 		}
 	}
 	return s, nil
@@ -363,6 +364,9 @@ func (s *Sim) oramAccess(blockID oram.BlockID, write bool) (int64, error) {
 		return 0, fmt.Errorf("sim: oram access of block %d: %w", blockID, err)
 	}
 	s.accesses++
+	if s.stash && s.ring != nil {
+		s.res.StashSamples = append(s.res.StashSamples, s.ring.StashLen())
+	}
 	dataTxn := int64(-1)
 	for _, op := range ops {
 		id := s.nextTxn

@@ -83,7 +83,7 @@ echo "== multi-core stress gate (concurrency-sensitive tests x20 at GOMAXPROCS 1
 # gate pins the core counts itself rather than inheriting the CI box's.
 for procs in 1 2 4; do
 	GOMAXPROCS=$procs go test -count=20 \
-	    -run='^(TestClusterScrapeUnderLoad|TestClusterStitchedForwardTrace|TestClusterFollowerAnswerForwards|TestConfigPipelineIsInert|TestScrapeConsistentUnderObserve|TestTCPStressSharedClient|TestTCPBurstSpawnsNoGoroutines|TestTCPShutdownDeliversComputedResponses|TestTCPUnreadPipelineIsBounded|TestClusterPipelinedReplicationHistory|TestPromoteWaitsForReplicatedFrame|TestReplicationSilentFollowerDemoted|TestReplicationLagMeasuresOldestUnacked|TestAllocFreeReplicatedPut|TestReleaseAnswersInOrder|TestGetReadBeforeFailedSettleRefused|TestTCPServeRetriesTemporaryAcceptError|TestClientCombinesConcurrentRequests|TestClientFailedFlushFailsEveryCaller)$' \
+	    -run='^(TestClusterScrapeUnderLoad|TestClusterStitchedForwardTrace|TestClusterFollowerAnswerForwards|TestConfigPipelineIsInert|TestScrapeConsistentUnderObserve|TestTCPStressSharedClient|TestTCPBurstSpawnsNoGoroutines|TestTCPShutdownDeliversComputedResponses|TestTCPUnreadPipelineIsBounded|TestClusterPipelinedReplicationHistory|TestPromoteWaitsForReplicatedFrame|TestReplicationSilentFollowerDemoted|TestReplicationLagMeasuresOldestUnacked|TestAllocFreeReplicatedPut|TestReleaseAnswersInOrder|TestGetReadBeforeFailedSettleRefused|TestTCPServeRetriesTemporaryAcceptError|TestClientCombinesConcurrentRequests|TestClientFailedFlushFailsEveryCaller|TestRingSeriesMatchStats)$' \
 	    ./internal/cluster ./internal/server ./internal/obs
 done
 
@@ -105,9 +105,9 @@ echo "== profiling entry points (every internal/oram benchmark, one iteration) =
 # running, not just compiling.
 go test -run='^$' -bench=. -benchtime=1x ./internal/oram
 
-echo "== observability gate (alloc guards, Perfetto schema, exposition parse, one quantile source) =="
+echo "== observability gate (alloc guards, Perfetto schema, exposition parse, one quantile source, one ring record) =="
 go test -count=1 \
-    -run='^(TestAllocFreeInstrumentedAccess|TestInstrumentUpdatesAllocFree|TestRecorderEmitAllocFree|TestWriteTracePerfettoShape|TestMergeTracesAlignsClocks|TestWritePrometheusFormatAndDeterminism|TestValidateExpositionRejectsGarbage|TestQuantile|TestMetricsScrapeAllocBound|TestMetricsQuantilesMatchExposition|TestAllocFreeTracedUnsampled)$' \
+    -run='^(TestAllocFreeInstrumentedAccess|TestInstrumentUpdatesAllocFree|TestRecorderEmitAllocFree|TestWriteTracePerfettoShape|TestMergeTracesAlignsClocks|TestWritePrometheusFormatAndDeterminism|TestValidateExpositionRejectsGarbage|TestQuantile|TestMetricsScrapeAllocBound|TestMetricsQuantilesMatchExposition|TestRingSeriesMatchStats|TestAllocFreeTracedUnsampled)$' \
     ./internal/obs ./internal/oram ./internal/server
 
 echo "== examples/server smoke =="
