@@ -232,6 +232,34 @@ func TestClusterFollowerAnswerForwards(t *testing.T) {
 	}
 }
 
+// TestForwardKeepsClientDeadline: a relayed op reaches the shard's owner
+// under the client's timeout, not the node link's. node-0 only follows
+// the one shard, whose primary is a fake peer recording the frames it
+// gets; a Get sent to node-0 by a client with a 50 ms Timeout must
+// arrive there as a first-hop Get frame carrying 50 ms.
+func TestForwardKeepsClientDeadline(t *testing.T) {
+	frames := make(chan []byte, 1)
+	n := startNode0(t, fakeFollower(t, nil, frames), false, testServerConfig(13, 8), 0)
+	p := n.Placement()
+	c, err := server.Dial(p.Nodes[p.NodeIndex("node-0")].Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Timeout = 50 * time.Millisecond
+	if _, _, err := c.Get("k"); err != nil {
+		t.Fatalf("Get through the follower: %v", err)
+	}
+	// Request payload: op:1 seq:8 timeout:4 trace:24 hops:1 ...
+	frame := <-frames
+	if ms := binary.BigEndian.Uint32(frame[9:]); ms != 50 {
+		t.Fatalf("relayed Get reached the owner carrying %d ms, want the client's 50", ms)
+	}
+	if op, hops := frame[0], frame[37]; op != 1 || hops != 1 {
+		t.Fatalf("owner got op %d after %d hops, want a Get (op 1) after 1 hop", op, hops)
+	}
+}
+
 func TestClusterSelfDialRejected(t *testing.T) {
 	tc := startCluster(t, 2, 4)
 	_, err := server.DialNode(tc.placement.Nodes[0].Addr, "node-0")
@@ -579,8 +607,9 @@ func silentAfterHello(t *testing.T) NodeInfo {
 			conns = append(conns, conn)
 			mu.Unlock()
 			go func() {
-				// Request frame: len:4 op:1 seq:8 timeout:4 keyLen:2 key
-				// valLen:4 val, where val is hello's version:4.
+				// Request frame: len:4 op:1 seq:8 timeout:4 trace:24
+				// hops:1 keyLen:2 key valLen:4 val, where val is hello's
+				// version:4.
 				var hdr [4]byte
 				if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 					return

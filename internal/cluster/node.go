@@ -479,29 +479,30 @@ func (n *Node) takeOver(pver uint64, shard int) (*Placement, error) {
 	return np, nil
 }
 
-// ForwardGet relays a get one hop toward the shard's primary. A valid
-// tc makes the hop emit a forward span and carry the trace along.
-func (n *Node) ForwardGet(tc obs.TraceContext, key string, ttl int, timeoutMillis uint32) ([]byte, bool, error) {
+// ForwardGet relays a get one hop toward the shard's primary, under the
+// client's timeout (see server.ClusterBackend). A valid tc makes the hop
+// emit a forward span and carry the trace along.
+func (n *Node) ForwardGet(tc obs.TraceContext, key string, hops uint8, timeoutMillis uint32) ([]byte, bool, error) {
 	c, shard, err := n.ownerClient(key)
 	if err != nil {
 		return nil, false, err
 	}
 	n.m.forwardGets.Inc()
 	ftc, span, startUs := n.beginForward(tc)
-	val, found, err := c.ForwardGetCtx(ftc, key, ttl)
+	val, found, err := c.ForwardGet(ftc, key, hops, timeoutMillis)
 	n.endForward(tc, span, startUs, shard)
 	return val, found, err
 }
 
 // ForwardPut relays a put one hop toward the shard's primary.
-func (n *Node) ForwardPut(tc obs.TraceContext, key string, val []byte, ttl int, timeoutMillis uint32) error {
+func (n *Node) ForwardPut(tc obs.TraceContext, key string, val []byte, hops uint8, timeoutMillis uint32) error {
 	c, shard, err := n.ownerClient(key)
 	if err != nil {
 		return err
 	}
 	n.m.forwardPuts.Inc()
 	ftc, span, startUs := n.beginForward(tc)
-	err = c.ForwardPutCtx(ftc, key, val, ttl)
+	err = c.ForwardPut(ftc, key, val, hops, timeoutMillis)
 	n.endForward(tc, span, startUs, shard)
 	return err
 }

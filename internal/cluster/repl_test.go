@@ -25,11 +25,22 @@ import (
 // follower is peer, and returns it serving on loopback.
 func startPrimaryOf(t *testing.T, peer NodeInfo, cfg server.Config, logCap int) *Node {
 	t.Helper()
+	return startNode0(t, peer, true, cfg, logCap)
+}
+
+// startNode0 brings up node-0 serving on loopback in a one-shard
+// placement shared with peer, as the shard's primary or its follower.
+func startNode0(t *testing.T, peer NodeInfo, primary bool, cfg server.Config, logCap int) *Node {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Skipf("loopback listen unavailable: %v", err)
 	}
-	p, err := Static(1, []NodeInfo{{ID: "node-0", Addr: ln.Addr().String()}, peer})
+	nodes := []NodeInfo{{ID: "node-0", Addr: ln.Addr().String()}, peer}
+	if !primary {
+		nodes[0], nodes[1] = nodes[1], nodes[0]
+	}
+	p, err := Static(1, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +96,10 @@ func TestReplicationSilentFollowerDemoted(t *testing.T) {
 
 // fakeFollower listens on loopback as a follower that answers hello,
 // echoing the dialer's protocol version, and acks every later frame.
-// Before each ack it reports the frame on frames (when non-nil) and
-// waits for gate to yield (when non-nil). It reuses its buffers, so a
-// warmed link allocates nothing on its side.
-func fakeFollower(t *testing.T, gate <-chan struct{}, frames chan<- struct{}) NodeInfo {
+// Before each ack it sends a copy of the frame's payload on frames (when
+// non-nil) and waits for gate to yield (when non-nil). Without frames it
+// reuses its buffers, so a warmed link allocates nothing on its side.
+func fakeFollower(t *testing.T, gate <-chan struct{}, frames chan<- []byte) NodeInfo {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -114,9 +125,9 @@ func fakeFollower(t *testing.T, gate <-chan struct{}, frames chan<- struct{}) No
 			conns = append(conns, conn)
 			mu.Unlock()
 			go func() {
-				// Request frame: len:4 op:1 seq:8 timeout:4 keyLen:2 key
-				// valLen:4 val. Response frame: len:4 status:1 seq:8
-				// bodyLen:4 body.
+				// Request frame: len:4 op:1 seq:8 timeout:4 trace:24
+				// hops:1 keyLen:2 key valLen:4 val. Response frame: len:4
+				// status:1 seq:8 bodyLen:4 body.
 				br := bufio.NewReader(conn)
 				buf := make([]byte, 64<<10)
 				var out []byte
@@ -137,7 +148,7 @@ func fakeFollower(t *testing.T, gate <-chan struct{}, frames chan<- struct{}) No
 						body = append(append([]byte(nil), req[n-4:]...), "fake"...)
 					} else {
 						if frames != nil {
-							frames <- struct{}{}
+							frames <- append([]byte(nil), req...)
 						}
 						if gate != nil {
 							<-gate
@@ -183,7 +194,7 @@ func gaugeValue(t *testing.T, n *Node, series string) float64 {
 // follower answers, every write is acked in order and the lag closes.
 func TestReplicationLagMeasuresOldestUnacked(t *testing.T) {
 	gate := make(chan struct{})
-	frames := make(chan struct{}, 16)
+	frames := make(chan []byte, 16)
 	n := startPrimaryOf(t, fakeFollower(t, gate, frames), testServerConfig(9, 8), 0)
 
 	const writes = 3

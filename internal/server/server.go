@@ -294,15 +294,17 @@ type request struct {
 	// Where the single response goes: an in-process caller waits on done;
 	// a request read off a TCP connection carries that connection instead,
 	// and respond encodes the answer straight into its output buffer (see
-	// tcpConn.submit). wseq is the frame's sequence number, wtc the trace
-	// context it arrived with (a wrong-shard forward carries it on),
-	// timeoutMs its wire timeout, and buf the request-owned copy of the
-	// frame's value, which outlives the connection's read buffer.
+	// tcpConn.submit). wseq is the frame's sequence number; wtc the trace
+	// context, timeoutMs the wire timeout and hops the relays it arrived
+	// with, which a wrong-shard forward carries on; and buf the
+	// request-owned copy of the frame's value, which outlives the
+	// connection's read buffer.
 	done      chan result
 	conn      *tcpConn
 	wseq      uint64
 	wtc       obs.TraceContext
 	timeoutMs uint32
+	hops      uint8
 	buf       []byte `oramlint:"secret"`
 }
 
@@ -595,16 +597,11 @@ func ShardOf(key string, totalShards int) int {
 // written; a miss still costs one ORAM access, so it is indistinguishable
 // from a hit on the bus.
 func (s *Server) Get(key string) ([]byte, bool, error) {
-	return s.GetDeadline(key, time.Time{})
+	return s.GetCtx(obs.TraceContext{}, key, time.Time{})
 }
 
-// GetDeadline is Get with an explicit deadline (zero applies the
-// configured default timeout).
-func (s *Server) GetDeadline(key string, deadline time.Time) ([]byte, bool, error) {
-	return s.GetCtx(obs.TraceContext{}, key, deadline)
-}
-
-// GetCtx is GetDeadline carrying a distributed trace context: when the
+// GetCtx is Get with an explicit deadline (zero applies the configured
+// default timeout) carrying a distributed trace context: when the
 // server's sampler keeps the trace, the request's serve span lands in
 // Tracer(), parented on tc's span.
 func (s *Server) GetCtx(tc obs.TraceContext, key string, deadline time.Time) ([]byte, bool, error) {
@@ -615,17 +612,11 @@ func (s *Server) GetCtx(tc obs.TraceContext, key string, deadline time.Time) ([]
 // Put stores val under key. Values must fit in one block alongside a
 // 2-byte length header.
 func (s *Server) Put(key string, val []byte) error {
-	return s.PutDeadline(key, val, time.Time{})
+	return s.PutCtx(obs.TraceContext{}, key, val, time.Time{})
 }
 
-// PutDeadline is Put with an explicit deadline (zero applies the
-// configured default timeout).
-func (s *Server) PutDeadline(key string, val []byte, deadline time.Time) error {
-	return s.PutCtx(obs.TraceContext{}, key, val, deadline)
-}
-
-// PutCtx is PutDeadline carrying a distributed trace context (see
-// GetCtx).
+// PutCtx is Put with an explicit deadline carrying a distributed trace
+// context (see GetCtx).
 func (s *Server) PutCtx(tc obs.TraceContext, key string, val []byte, deadline time.Time) error {
 	return s.do(tc, opPut, key, val, deadline).err
 }

@@ -528,7 +528,7 @@ func TestDeadlineExpiry(t *testing.T) {
 	s := mustNew(t, cfg)
 	defer s.Close()
 
-	err := s.PutDeadline("k", []byte("v"), time.Now().Add(-time.Millisecond))
+	err := s.PutCtx(obs.TraceContext{}, "k", []byte("v"), time.Now().Add(-time.Millisecond))
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("expired put: %v, want ErrDeadline", err)
 	}

@@ -29,9 +29,10 @@ var ErrSelfDial = errors.New("server: node dialed itself")
 // and answering — failover logic must not treat it as a dead node.
 var ErrRemote = errors.New("server: remote error")
 
-// forwardTTL bounds node-to-node hops for a forwarded client op; the
-// chain get→forward→forward dies here rather than looping while two
-// nodes disagree about placement.
+// forwardTTL bounds node-to-node relays of a client op: a Get or Put
+// whose frame arrived with this many hops is answered ErrWrongShard
+// rather than relayed again, so the chain dies here instead of looping
+// while two nodes disagree about placement.
 const forwardTTL = 3
 
 // ClusterBackend is what a TCPServer needs from the cluster layer to
@@ -56,11 +57,12 @@ type ClusterBackend interface {
 	// Promote asks this node to take over shard as primary, where pver
 	// is the placement version the requester observed the failure under.
 	Promote(pver uint64, shard int) error
-	// ForwardGet relays a get one hop toward the shard's owner with the
-	// given remaining TTL.
-	ForwardGet(tc obs.TraceContext, key string, ttl int, timeoutMillis uint32) (val []byte, found bool, err error)
-	// ForwardPut relays a put one hop toward the shard's owner.
-	ForwardPut(tc obs.TraceContext, key string, val []byte, ttl int, timeoutMillis uint32) error
+	// ForwardGet relays a wrong-shard Get one hop toward the shard's
+	// owner as an ordinary Get frame carrying tc, hops (the relays made,
+	// this one included) and the client's timeoutMillis.
+	ForwardGet(tc obs.TraceContext, key string, hops uint8, timeoutMillis uint32) (val []byte, found bool, err error)
+	// ForwardPut is ForwardGet for a Put.
+	ForwardPut(tc obs.TraceContext, key string, val []byte, hops uint8, timeoutMillis uint32) error
 }
 
 // TCPServer exposes a Server over the length-prefixed wire protocol.
@@ -92,8 +94,9 @@ func NewTCPServer(srv *Server) *TCPServer {
 }
 
 // AttachCluster registers the cluster layer serving replicate, handoff,
-// placement, promote, and forward frames, and the node ID announced in
-// hello handshakes. Must be called before Serve.
+// placement and promote frames and relaying wrong-shard Gets and Puts,
+// and the node ID announced in hello handshakes. Must be called before
+// Serve.
 func (t *TCPServer) AttachCluster(cb ClusterBackend, nodeID string) {
 	t.cluster = cb
 	t.nodeID = nodeID
@@ -202,7 +205,7 @@ func (t *TCPServer) closeIdle() {
 }
 
 // framePool recycles the payload buffers of frames served on their own
-// goroutine and the client's staged composite payloads. Entries are
+// goroutine and the client's staged handoff payloads. Entries are
 // *[]byte so Put does not allocate; the slice inside keeps its grown
 // capacity.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
@@ -295,39 +298,24 @@ func (h *tcpConn) readLoop() {
 // read loop or a shard worker. Hello and ping are answered inline
 // (a rejected hello must close the connection before any further frame
 // is interpreted under mismatched assumptions — route reports false);
-// Get and Put, traced or not, are admitted for a shard worker to answer;
-// everything else blocks on I/O or on another shard and runs on its own
-// goroutine. A traced frame is unwrapped here, once, and only ops that
-// accept a context may be wrapped; anything else is rejected rather than
-// silently dropping the trace.
+// Get and Put, relayed or not, are admitted for a shard worker to
+// answer; everything else blocks on I/O or on another shard and runs on
+// its own goroutine.
 func (h *tcpConn) route(req wireRequest) bool {
-	t := h.t
-	var tc obs.TraceContext
-	if req.Op == wireTraced {
-		var err error
-		if tc, req.Op, req.Val, err = decodeTracedVal(req.Val); err != nil {
-			h.reply(wireResponse{Status: statusBad, Seq: req.Seq, Body: []byte(err.Error())})
-			return true
-		}
-		if req.Op != wireGet && req.Op != wirePut && req.Op != wireReplicate && req.Op != wireForward {
-			h.reply(wireResponse{Status: statusBad, Seq: req.Seq, Body: []byte(fmt.Sprintf("op %d cannot carry a trace context", req.Op))})
-			return true
-		}
-	}
 	switch req.Op {
 	case wireHello:
-		resp, ok := t.hello(req)
+		resp, ok := h.t.hello(req)
 		h.reply(resp)
 		return ok
 	case wirePing:
 		h.reply(wireResponse{Status: statusOK, Seq: req.Seq})
 	case wireGet, wirePut:
-		h.submit(tc, req)
+		h.submit(req)
 	default:
 		pp := framePool.Get().(*[]byte)
 		*pp = append((*pp)[:0], req.Val...)
 		req.Val = *pp
-		go h.serveReq(tc, req, pp)
+		go h.serveReq(req, pp)
 	}
 	return true
 }
@@ -336,7 +324,7 @@ func (h *tcpConn) route(req wireRequest) bool {
 // connection, with the admission rules of Server.Get/Put: the same
 // validation, default deadline, and immediate ErrBacklog, ErrWrongShard
 // or ErrClosed — answered here, or forwarded (see deliver).
-func (h *tcpConn) submit(tc obs.TraceContext, w wireRequest) {
+func (h *tcpConn) submit(w wireRequest) {
 	var deadline time.Time
 	if w.TimeoutMillis > 0 {
 		deadline = time.Now().Add(time.Duration(w.TimeoutMillis) * time.Millisecond)
@@ -346,12 +334,12 @@ func (h *tcpConn) submit(tc obs.TraceContext, w wireRequest) {
 		kind = opPut
 	}
 	s := h.t.srv
-	req, err := s.admit(tc, kind, w.Key, w.Val, deadline)
+	req, err := s.admit(w.Trace, kind, w.Key, w.Val, deadline)
 	if err != nil {
 		h.reply(errResponse(w.Seq, err))
 		return
 	}
-	req.conn, req.wseq, req.wtc, req.timeoutMs = h, w.Seq, tc, w.TimeoutMillis
+	req.conn, req.wseq, req.wtc, req.timeoutMs, req.hops = h, w.Seq, w.Trace, w.TimeoutMillis, w.Hops
 	req.buf = append(req.buf[:0], w.Val...)
 	req.val = req.buf
 	if err := s.enqueue(ShardOf(w.Key, s.cfg.TotalShards), req); err != nil {
@@ -363,10 +351,11 @@ func (h *tcpConn) submit(tc obs.TraceContext, w wireRequest) {
 // runs on the shard worker (or the read loop, when admission failed), so
 // it never blocks: the answer is encoded into the output buffer, except
 // that a cluster node relays a wrong-shard answer — whether the routing
-// table or the shard's worker gave it — by a forward on a goroutine of
-// its own, since the hop waits on another node.
+// table or the shard's worker gave it — while the frame's hops are
+// below forwardTTL, on a goroutine of its own, since the hop waits on
+// another node.
 func (h *tcpConn) deliver(r *request, res result) {
-	if res.err != nil && h.t.cluster != nil && errors.Is(res.err, ErrWrongShard) {
+	if res.err != nil && h.t.cluster != nil && r.hops < forwardTTL && errors.Is(res.err, ErrWrongShard) {
 		go h.forward(r)
 		return
 	}
@@ -375,18 +364,24 @@ func (h *tcpConn) deliver(r *request, res result) {
 }
 
 // forward relays a wrong-shard Get or Put one hop toward the shard's
-// owner and answers it; it owns r.
+// owner, with the trace context and timeout it arrived with, and answers
+// it; it owns r.
 func (h *tcpConn) forward(r *request) {
-	res := h.t.forwardOnce(r.wtc, r.op, r.key, r.val, forwardTTL, r.timeoutMs)
+	var res result
+	if r.op == opGet {
+		res.val, res.found, res.err = h.t.cluster.ForwardGet(r.wtc, r.key, r.hops+1, r.timeoutMs)
+	} else {
+		res.err = h.t.cluster.ForwardPut(r.wtc, r.key, r.val, r.hops+1, r.timeoutMs)
+	}
 	h.reply(wireResult(r.op, r.wseq, res))
 	releaseRequest(r)
 }
 
-// serveReq serves one blocking frame on its own goroutine, with the trace
-// context route unwrapped from it; pp holds the frame's value and goes
-// back to the pool once the response is built (no response aliases it).
-func (h *tcpConn) serveReq(tc obs.TraceContext, req wireRequest, pp *[]byte) {
-	resp := h.t.dispatch(tc, req)
+// serveReq serves one blocking frame on its own goroutine; pp holds the
+// frame's value and goes back to the pool once the response is built
+// (no response aliases it).
+func (h *tcpConn) serveReq(req wireRequest, pp *[]byte) {
+	resp := h.t.dispatch(req)
 	framePool.Put(pp)
 	h.reply(resp)
 }
@@ -460,24 +455,17 @@ func (t *TCPServer) hello(r wireRequest) (resp wireResponse, ok bool) {
 }
 
 // dispatch executes one frame the read loop handed to a goroutine (see
-// tcpConn.route for the frames it answers itself); tc is the context of
-// a traced replicate or forward, zero otherwise.
-func (t *TCPServer) dispatch(tc obs.TraceContext, r wireRequest) wireResponse {
-	var deadline time.Time
-	if r.TimeoutMillis > 0 {
-		deadline = time.Now().Add(time.Duration(r.TimeoutMillis) * time.Millisecond)
-	}
+// tcpConn.route for the frames it answers itself).
+func (t *TCPServer) dispatch(r wireRequest) wireResponse {
 	switch r.Op {
 	case wireReplicate:
-		return t.serveReplicate(tc, r)
+		return t.serveReplicate(r)
 	case wireHandoff:
 		return t.serveHandoff(r)
 	case wirePlacement:
 		return t.servePlacement(r)
 	case wirePromote:
 		return t.servePromote(r)
-	case wireForward:
-		return t.serveForward(tc, r, deadline)
 	case wireScrape:
 		return t.serveScrape(r)
 	default:
@@ -521,17 +509,6 @@ func wireResult(op opKind, seq uint64, res result) wireResponse {
 	return wireResponse{Status: statusOK, Seq: seq, Body: res.val}
 }
 
-// forwardOnce relays a Get or Put one hop toward the shard's owner, ttl
-// being the hops left before this one.
-func (t *TCPServer) forwardOnce(tc obs.TraceContext, op opKind, key string, val []byte, ttl int, timeoutMillis uint32) (res result) {
-	if op == opGet {
-		res.val, res.found, res.err = t.cluster.ForwardGet(tc, key, ttl-1, timeoutMillis)
-	} else {
-		res.err = t.cluster.ForwardPut(tc, key, val, ttl-1, timeoutMillis)
-	}
-	return res
-}
-
 // clusterOnly rejects cluster frames on a node with no cluster layer.
 func (t *TCPServer) clusterOnly(seq uint64) (wireResponse, bool) {
 	if t.cluster == nil {
@@ -540,7 +517,7 @@ func (t *TCPServer) clusterOnly(seq uint64) (wireResponse, bool) {
 	return wireResponse{}, true
 }
 
-func (t *TCPServer) serveReplicate(tc obs.TraceContext, r wireRequest) wireResponse {
+func (t *TCPServer) serveReplicate(r wireRequest) wireResponse {
 	if resp, ok := t.clusterOnly(r.Seq); !ok {
 		return resp
 	}
@@ -548,7 +525,7 @@ func (t *TCPServer) serveReplicate(tc obs.TraceContext, r wireRequest) wireRespo
 	if err != nil {
 		return wireResponse{Status: statusBad, Seq: r.Seq, Body: []byte(err.Error())}
 	}
-	if err := t.cluster.Replicate(tc, pver, shard, entries); err != nil {
+	if err := t.cluster.Replicate(r.Trace, pver, shard, entries); err != nil {
 		return errResponse(r.Seq, err)
 	}
 	return wireResponse{Status: statusOK, Seq: r.Seq}
@@ -599,31 +576,6 @@ func (t *TCPServer) servePromote(r wireRequest) wireResponse {
 	return wireResponse{Status: statusOK, Seq: r.Seq}
 }
 
-// serveForward answers a forwarded Get or Put locally, forwarding one
-// more hop when this node does not serve the key's shard either.
-func (t *TCPServer) serveForward(tc obs.TraceContext, r wireRequest, deadline time.Time) wireResponse {
-	wop, ttl, val, err := decodeForwardVal(r.Val)
-	if err != nil {
-		return wireResponse{Status: statusBad, Seq: r.Seq, Body: []byte(err.Error())}
-	}
-	var op opKind
-	var res result
-	switch wop {
-	case wireGet:
-		op = opGet
-		res.val, res.found, res.err = t.srv.GetCtx(tc, r.Key, deadline)
-	case wirePut:
-		op = opPut
-		res.err = t.srv.PutCtx(tc, r.Key, val, deadline)
-	default:
-		return wireResponse{Status: statusBad, Seq: r.Seq, Body: []byte(fmt.Sprintf("forward of op %d not allowed", wop))}
-	}
-	if errors.Is(res.err, ErrWrongShard) && t.cluster != nil && ttl > 0 {
-		res = t.forwardOnce(tc, op, r.Key, val, ttl, r.TimeoutMillis)
-	}
-	return wireResult(op, r.Seq, res)
-}
-
 // errResponse maps a serving error to its wire status.
 func errResponse(seq uint64, err error) wireResponse {
 	status := statusErr
@@ -651,8 +603,9 @@ func errResponse(seq uint64, err error) wireResponse {
 // correlated by sequence number. Requests that become ready together
 // leave in one conn.Write: see send.
 type Client struct {
-	// Timeout, when positive, is sent with every request and enforced
-	// by the server as a per-request deadline.
+	// Timeout, when positive, is sent with every request but a relay
+	// (which carries its client's) and enforced by the server as a
+	// per-request deadline.
 	Timeout time.Duration
 
 	conn     net.Conn
@@ -746,11 +699,10 @@ func (c *Client) hello(nodeID string) error {
 // (empty for non-cluster servers).
 func (c *Client) ServerNodeID() string { return c.serverNodeID }
 
-// EnableTracing does nothing and reports (true, nil): every peer that
-// passes hello's version check accepts traced frames, so a valid
-// TraceContext is always sent. The method survives only so bench/,
-// which may change only in a benchmark PR, keeps compiling; that PR
-// removes it.
+// EnableTracing does nothing and reports (true, nil): every request
+// header carries the trace context, so a valid TraceContext is always
+// sent. The method survives only so bench/, which may change only in a
+// benchmark PR, keeps compiling; that PR removes it.
 func (c *Client) EnableTracing() (bool, error) { return true, nil }
 
 // readLoop routes response frames to their waiters; on connection error
@@ -814,15 +766,29 @@ type expiry struct {
 	at time.Time
 }
 
-// roundTrip sends one request and waits for its response.
+// roundTrip sends one untraced request of c's own and waits for its
+// response.
 func (c *Client) roundTrip(op wireOp, key string, val []byte) (wireResponse, error) {
-	return c.roundTripUntil(op, key, val, expiry{})
+	return c.roundTripUntil(c.ownRequest(op, obs.TraceContext{}, key, val), expiry{})
 }
 
-// roundTripUntil is roundTrip whose wait ends at ex, when ex is set. A
-// tick the timer left from an earlier wait arrives early, so it is told
-// apart by the clock and the timer re-armed.
-func (c *Client) roundTripUntil(op wireOp, key string, val []byte, ex expiry) (wireResponse, error) {
+// ownRequest is a frame of c's own: no hops made, and Timeout as its
+// deadline. The wire carries whole milliseconds and 0 means "apply the
+// server's default deadline", so a sub-millisecond timeout rounds up to
+// 1 instead of silently becoming that default.
+func (c *Client) ownRequest(op wireOp, tc obs.TraceContext, key string, val []byte) wireRequest {
+	r := wireRequest{Op: op, Trace: tc, Key: key, Val: val}
+	if c.Timeout > 0 {
+		r.TimeoutMillis = uint32(min(max(c.Timeout/time.Millisecond, 1), math.MaxUint32))
+	}
+	return r
+}
+
+// roundTripUntil sends r under a fresh sequence number and waits for
+// its response, until ex when ex is set. A tick the timer left from an
+// earlier wait arrives early, so it is told apart by the clock and the
+// timer re-armed.
+func (c *Client) roundTripUntil(r wireRequest, ex expiry) (wireResponse, error) {
 	ch := respChanPool.Get().(chan wireResponse)
 	c.mu.Lock()
 	if c.err != nil {
@@ -833,20 +799,14 @@ func (c *Client) roundTripUntil(op wireOp, key string, val []byte, ex expiry) (w
 	}
 	c.seq++
 	seq := c.seq
+	r.Seq = seq
 	c.pending[seq] = ch
 	// A bounded wait is a Replicate, whose senders already group-commit
 	// entries into one frame: it sends without yielding for others.
 	others := ex.t == nil && len(c.pending) > 1
 	c.mu.Unlock()
 
-	var timeoutMs uint32
-	if c.Timeout > 0 {
-		// The wire carries whole milliseconds and 0 means "apply the
-		// server's default deadline", so a sub-millisecond timeout rounds
-		// up to 1 instead of silently becoming that default.
-		timeoutMs = uint32(min(max(c.Timeout/time.Millisecond, 1), math.MaxUint32))
-	}
-	if err := c.send(wireRequest{Op: op, Seq: seq, TimeoutMillis: timeoutMs, Key: key, Val: val}, others); err != nil {
+	if err := c.send(r, others); err != nil {
 		c.mu.Lock()
 		_, mine := c.pending[seq]
 		delete(c.pending, seq)
@@ -883,7 +843,7 @@ func (c *Client) roundTripUntil(op wireOp, key string, val []byte, ex expiry) (w
 				if mine {
 					respChanPool.Put(ch)
 				}
-				return wireResponse{}, fmt.Errorf("server client: op %d unanswered at its deadline", op)
+				return wireResponse{}, fmt.Errorf("server client: op %d unanswered at its deadline", r.Op)
 			}
 		}
 	}
@@ -945,26 +905,6 @@ func (c *Client) send(r wireRequest, others bool) error {
 	}
 }
 
-// roundTripCtx is roundTrip with an optional trace context: a valid
-// context rides a wireTraced wrapper (staged in a pooled buffer — no
-// per-request allocation); otherwise the plain frame is sent. Hello's
-// exact version match guarantees the peer understands the wrapper.
-func (c *Client) roundTripCtx(tc obs.TraceContext, op wireOp, key string, val []byte) (wireResponse, error) {
-	return c.roundTripCtxUntil(tc, op, key, val, expiry{})
-}
-
-// roundTripCtxUntil is roundTripCtx whose wait ends at ex.
-func (c *Client) roundTripCtxUntil(tc obs.TraceContext, op wireOp, key string, val []byte, ex expiry) (wireResponse, error) {
-	if !tc.Valid() {
-		return c.roundTripUntil(op, key, val, ex)
-	}
-	fp := framePool.Get().(*[]byte)
-	*fp = appendTracedVal((*fp)[:0], tc, op, val)
-	resp, err := c.roundTripUntil(wireTraced, key, *fp, ex)
-	framePool.Put(fp)
-	return resp, err
-}
-
 // respError maps a non-OK response to the typed serving errors, so
 // Retryable works identically on both sides of the wire. Statuses with
 // no specific sentinel wrap ErrRemote: the server answered, so failover
@@ -994,6 +934,23 @@ func respError(resp wireResponse) error {
 	}
 }
 
+// ack is respError of a round trip that reached the server, or the
+// round trip's own error.
+func ack(resp wireResponse, err error) error {
+	if err != nil {
+		return err
+	}
+	return respError(resp)
+}
+
+// getResult decodes a Get's round trip.
+func getResult(resp wireResponse, err error) (val []byte, found bool, _ error) {
+	if err := ack(resp, err); err != nil || resp.Status == statusNotFound {
+		return nil, false, err
+	}
+	return resp.Body, true, nil
+}
+
 // Get fetches a value; found is false for keys never written.
 func (c *Client) Get(key string) (val []byte, found bool, err error) {
 	return c.GetCtx(obs.TraceContext{}, key)
@@ -1001,17 +958,7 @@ func (c *Client) Get(key string) (val []byte, found bool, err error) {
 
 // GetCtx is Get carrying a distributed trace context.
 func (c *Client) GetCtx(tc obs.TraceContext, key string) (val []byte, found bool, err error) {
-	resp, err := c.roundTripCtx(tc, wireGet, key, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := respError(resp); err != nil {
-		return nil, false, err
-	}
-	if resp.Status == statusNotFound {
-		return nil, false, nil
-	}
-	return resp.Body, true, nil
+	return getResult(c.roundTripUntil(c.ownRequest(wireGet, tc, key, nil), expiry{}))
 }
 
 // Put stores a value.
@@ -1021,11 +968,7 @@ func (c *Client) Put(key string, val []byte) error {
 
 // PutCtx is Put carrying a distributed trace context.
 func (c *Client) PutCtx(tc obs.TraceContext, key string, val []byte) error {
-	resp, err := c.roundTripCtx(tc, wirePut, key, val)
-	if err != nil {
-		return err
-	}
-	return respError(resp)
+	return ack(c.roundTripUntil(c.ownRequest(wirePut, tc, key, val), expiry{}))
 }
 
 // Ping round-trips an empty frame (liveness check).
@@ -1061,11 +1004,7 @@ func (c *Client) Replicate(tc obs.TraceContext, f *ReplicateFrame) error {
 	} else {
 		f.timer.Reset(replicateTimeout)
 	}
-	resp, err := c.roundTripCtxUntil(tc, wireReplicate, "", f.buf, expiry{t: f.timer, at: time.Now().Add(replicateTimeout)})
-	if err != nil {
-		return err
-	}
-	return respError(resp)
+	return ack(c.roundTripUntil(c.ownRequest(wireReplicate, tc, "", f.buf), expiry{t: f.timer, at: time.Now().Add(replicateTimeout)}))
 }
 
 // HandoffChunk ships one chunk of a shard snapshot stream.
@@ -1120,42 +1059,16 @@ func (c *Client) Promote(pver uint64, shard int) error {
 	return respError(resp)
 }
 
-// ForwardGet relays a get to the peer with the given remaining TTL.
-func (c *Client) ForwardGet(key string, ttl int) (val []byte, found bool, err error) {
-	return c.ForwardGetCtx(obs.TraceContext{}, key, ttl)
+// ForwardGet relays a wrong-shard Get to the peer as an ordinary Get
+// frame carrying tc, hops (the relays made, this one included) and the
+// client's timeoutMillis, rather than this link's Timeout.
+func (c *Client) ForwardGet(tc obs.TraceContext, key string, hops uint8, timeoutMillis uint32) (val []byte, found bool, err error) {
+	return getResult(c.roundTripUntil(wireRequest{Op: wireGet, TimeoutMillis: timeoutMillis, Trace: tc, Hops: hops, Key: key}, expiry{}))
 }
 
-// ForwardGetCtx is ForwardGet carrying a distributed trace context.
-func (c *Client) ForwardGetCtx(tc obs.TraceContext, key string, ttl int) (val []byte, found bool, err error) {
-	var buf [forwardHdrLen]byte
-	resp, err := c.roundTripCtx(tc, wireForward, key, appendForwardVal(buf[:0], wireGet, ttl, nil))
-	if err != nil {
-		return nil, false, err
-	}
-	if err := respError(resp); err != nil {
-		return nil, false, err
-	}
-	if resp.Status == statusNotFound {
-		return nil, false, nil
-	}
-	return resp.Body, true, nil
-}
-
-// ForwardPut relays a put to the peer with the given remaining TTL.
-func (c *Client) ForwardPut(key string, val []byte, ttl int) error {
-	return c.ForwardPutCtx(obs.TraceContext{}, key, val, ttl)
-}
-
-// ForwardPutCtx is ForwardPut carrying a distributed trace context.
-func (c *Client) ForwardPutCtx(tc obs.TraceContext, key string, val []byte, ttl int) error {
-	fp := framePool.Get().(*[]byte)
-	*fp = appendForwardVal((*fp)[:0], wirePut, ttl, val)
-	resp, err := c.roundTripCtx(tc, wireForward, key, *fp)
-	framePool.Put(fp)
-	if err != nil {
-		return err
-	}
-	return respError(resp)
+// ForwardPut is ForwardGet for a Put.
+func (c *Client) ForwardPut(tc obs.TraceContext, key string, val []byte, hops uint8, timeoutMillis uint32) error {
+	return ack(c.roundTripUntil(wireRequest{Op: wirePut, TimeoutMillis: timeoutMillis, Trace: tc, Hops: hops, Key: key, Val: val}, expiry{}))
 }
 
 // ScrapeMetrics fetches the peer's Prometheus text exposition (the

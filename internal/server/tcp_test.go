@@ -128,7 +128,7 @@ func TestTCPBurstSpawnsNoGoroutines(t *testing.T) {
 				if req.Op != wirePing {
 					keyed++
 					if traced {
-						req.Op, req.Val = wireTraced, appendTracedVal(nil, tc, req.Op, req.Val)
+						req.Trace = tc
 					}
 				}
 				frames = rc.frame(frames, req)
@@ -445,38 +445,13 @@ func TestTCPStressSharedClient(t *testing.T) {
 	}
 }
 
-// TestTCPTracedWrapRejections: the read loop unwraps a traced frame once
-// and rejects, with statusBad and the connection left up, a malformed
-// wrapper and any inner op that cannot carry a context (hello included:
-// a wrapped hello is not a handshake).
-func TestTCPTracedWrapRejections(t *testing.T) {
-	_, _, addr := startTCP(t, testConfig())
-	rc := dialRaw(t, addr)
-	tc := sampledTC(1)
-	expectBad := func(req wireRequest, want string) {
-		t.Helper()
-		if _, err := rc.c.Write(rc.frame(nil, req)); err != nil {
-			t.Fatal(err)
-		}
-		resp := rc.read()
-		if resp.Status != statusBad || !bytes.Contains(resp.Body, []byte(want)) {
-			t.Fatalf("answered status %d %q, want statusBad containing %q", resp.Status, resp.Body, want)
-		}
-		rc.roundTrip(wireRequest{Op: wirePing, Seq: req.Seq + 1})
-	}
-	expectBad(wireRequest{Op: wireTraced, Seq: 10, Val: []byte{1, 2, 3}}, "")
-	for i, op := range []wireOp{wirePing, wireHello, wireScrape, wireTraced} {
-		val := appendTracedVal(nil, tc, op, nil)
-		expectBad(wireRequest{Op: wireTraced, Seq: uint64(20 + 2*i), Val: val}, "cannot carry a trace context")
-	}
-	rc.roundTrip(wireRequest{Op: wireTraced, Seq: 40, Key: "k", Val: appendTracedVal(nil, tc, wirePut, []byte("v"))})
-}
-
 // TestAllocBoundLoopbackClient pins what a warmed loopback Client op
 // allocates, both ends together: a Put one object (the server's copy of
 // the key), a Get two (that, and the value handed to the caller), a Ping
-// none. AllocsPerRun counts every goroutine, so the bounds carry the
-// same half-allocation slack as the other serving guards.
+// none. A trace context rides in every request header, so a traced Put
+// or Get has the same bound as an untraced one. AllocsPerRun counts
+// every goroutine, so the bounds carry the same half-allocation slack as
+// the other serving guards.
 func TestAllocBoundLoopbackClient(t *testing.T) {
 	if invariant.Enabled || raceEnabled {
 		t.Skip("invariant assertions and the race detector's pools allocate; the bound binds on the default build")
@@ -488,6 +463,7 @@ func TestAllocBoundLoopbackClient(t *testing.T) {
 	}
 	defer c.Close()
 	key, val := "alloc-key", []byte("alloc-value-0123456789-0123456789")
+	tc := sampledTC(1)
 	for i := 0; i < 2000; i++ {
 		if err := c.Put(key, val); err != nil {
 			t.Fatal(err)
@@ -503,6 +479,8 @@ func TestAllocBoundLoopbackClient(t *testing.T) {
 	}{
 		{"Put", 1, func() error { return c.Put(key, val) }},
 		{"Get", 2, func() error { _, _, err := c.Get(key); return err }},
+		{"traced Put", 1, func() error { return c.PutCtx(tc, key, val) }},
+		{"traced Get", 2, func() error { _, _, err := c.GetCtx(tc, key); return err }},
 		{"Ping", 0, c.Ping},
 	} {
 		if n := testing.AllocsPerRun(1000, func() {

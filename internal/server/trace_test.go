@@ -30,8 +30,8 @@ func sampledTC(r uint64) obs.TraceContext {
 // compatibility gate, from both ends. A dialer speaking the previous
 // protocol is refused with statusProto and disconnected before any
 // later frame is read; a server speaking it makes Dial fail with
-// ErrProtocolMismatch. Between matched peers a traced frame is accepted
-// straight after hello, with nothing negotiated.
+// ErrProtocolMismatch. Between matched peers a frame carrying a trace
+// context is accepted straight after hello, with nothing negotiated.
 func TestMixedVersionHandshake(t *testing.T) {
 	cfg := testConfig()
 	cfg.TraceSample = 1
@@ -45,7 +45,7 @@ func TestMixedVersionHandshake(t *testing.T) {
 	}
 	defer conn.Close()
 	frames, _ := appendRequest(nil, wireRequest{Op: wireHello, Seq: 1, Val: appendHelloVal(nil, wireProtoVersion-1)})
-	frames, _ = appendRequest(frames, wireRequest{Op: wireTraced, Seq: 2, Key: "k", Val: appendTracedVal(nil, tc, wirePut, []byte("v"))})
+	frames, _ = appendRequest(frames, wireRequest{Op: wirePut, Seq: 2, Trace: tc, Key: "k", Val: []byte("v")})
 	if _, err := conn.Write(frames); err != nil {
 		t.Fatal(err)
 	}
@@ -109,17 +109,24 @@ func TestMixedVersionHandshake(t *testing.T) {
 	}
 }
 
-// fakeCluster is an in-memory ClusterBackend recording the TTLs the
-// TCP front end hands to the forward path.
+// fakeCluster is an in-memory ClusterBackend recording the hop counts
+// the TCP front end hands to the forward path.
 type fakeCluster struct {
-	mu      sync.Mutex
-	data    map[string][]byte
-	lastTTL int
-	gets    int
-	puts    int
+	mu       sync.Mutex
+	data     map[string][]byte
+	lastHops uint8
+	gets     int
+	puts     int
 }
 
 func newFakeCluster() *fakeCluster { return &fakeCluster{data: make(map[string][]byte)} }
+
+// relays reports the forward calls so far and the last one's hops.
+func (f *fakeCluster) relays() (gets, puts int, lastHops uint8) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.gets, f.puts, f.lastHops
+}
 
 func (f *fakeCluster) Replicate(tc obs.TraceContext, pver uint64, shard int, entries ReplicatedEntries) error {
 	return nil
@@ -129,29 +136,29 @@ func (f *fakeCluster) PlacementJSON() ([]byte, error)                           
 func (f *fakeCluster) AdoptPlacement(data []byte) error                            { return nil }
 func (f *fakeCluster) Promote(pver uint64, shard int) error                        { return nil }
 
-func (f *fakeCluster) ForwardGet(tc obs.TraceContext, key string, ttl int, timeoutMillis uint32) ([]byte, bool, error) {
+func (f *fakeCluster) ForwardGet(tc obs.TraceContext, key string, hops uint8, timeoutMillis uint32) ([]byte, bool, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.gets++
-	f.lastTTL = ttl
+	f.lastHops = hops
 	v, ok := f.data[key]
 	return v, ok, nil
 }
 
-func (f *fakeCluster) ForwardPut(tc obs.TraceContext, key string, val []byte, ttl int, timeoutMillis uint32) error {
+func (f *fakeCluster) ForwardPut(tc obs.TraceContext, key string, val []byte, hops uint8, timeoutMillis uint32) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.puts++
-	f.lastTTL = ttl
+	f.lastHops = hops
 	f.data[key] = append([]byte(nil), val...)
 	return nil
 }
 
-// TestForwardTTLExhaustion pins the forward hop budget: a wireForward
-// frame arriving with TTL 0 for a foreign shard must surface the typed
-// ErrWrongShard instead of relaying (the loop-breaker when nodes
-// disagree about placement), while TTL 1 relays exactly once with a
-// decremented budget.
+// TestForwardTTLExhaustion pins the forward hop budget: a Get or Put
+// frame for a foreign shard arriving with forwardTTL hops must surface
+// the typed ErrWrongShard instead of relaying (the loop-breaker when
+// nodes disagree about placement), one hop fewer relays exactly once
+// with the count raised by one, and a plain client op relays with 1.
 func TestForwardTTLExhaustion(t *testing.T) {
 	cfg := testConfig()
 	cfg.TotalShards = 2 * cfg.Shards // host only the bottom half of the shard space
@@ -179,37 +186,37 @@ func TestForwardTTLExhaustion(t *testing.T) {
 		}
 	}
 
-	if _, _, err := c.ForwardGet(foreign, 0); !errors.Is(err, ErrWrongShard) {
-		t.Fatalf("TTL-0 forward get err = %v, want ErrWrongShard", err)
+	var none obs.TraceContext
+	if _, _, err := c.ForwardGet(none, foreign, forwardTTL, 0); !errors.Is(err, ErrWrongShard) {
+		t.Fatalf("exhausted forward get err = %v, want ErrWrongShard", err)
 	}
-	if err := c.ForwardPut(foreign, []byte("v"), 0); !errors.Is(err, ErrWrongShard) {
-		t.Fatalf("TTL-0 forward put err = %v, want ErrWrongShard", err)
+	if err := c.ForwardPut(none, foreign, []byte("v"), forwardTTL, 0); !errors.Is(err, ErrWrongShard) {
+		t.Fatalf("exhausted forward put err = %v, want ErrWrongShard", err)
 	}
-	if fake.gets != 0 || fake.puts != 0 {
-		t.Fatalf("exhausted forwards still reached the cluster layer (gets=%d puts=%d)", fake.gets, fake.puts)
+	if gets, puts, _ := fake.relays(); gets != 0 || puts != 0 {
+		t.Fatalf("exhausted forwards still reached the cluster layer (gets=%d puts=%d)", gets, puts)
 	}
 
-	if err := c.ForwardPut(foreign, []byte("relayed"), 1); err != nil {
-		t.Fatalf("TTL-1 forward put: %v", err)
+	if err := c.ForwardPut(none, foreign, []byte("relayed"), forwardTTL-1, 0); err != nil {
+		t.Fatalf("forward put one hop short: %v", err)
 	}
-	if fake.puts != 1 || fake.lastTTL != 0 {
-		t.Fatalf("TTL-1 put: puts=%d lastTTL=%d, want 1 relay with TTL 0", fake.puts, fake.lastTTL)
+	if _, puts, hops := fake.relays(); puts != 1 || hops != forwardTTL {
+		t.Fatalf("put one hop short: puts=%d lastHops=%d, want 1 relay with %d hops", puts, hops, forwardTTL)
 	}
-	got, found, err := c.ForwardGet(foreign, 1)
+	got, found, err := c.ForwardGet(none, foreign, forwardTTL-1, 0)
 	if err != nil || !found || string(got) != "relayed" {
-		t.Fatalf("TTL-1 forward get = %q found=%v err=%v", got, found, err)
+		t.Fatalf("forward get one hop short = %q found=%v err=%v", got, found, err)
 	}
-	if fake.gets != 1 || fake.lastTTL != 0 {
-		t.Fatalf("TTL-1 get: gets=%d lastTTL=%d, want 1 relay with TTL 0", fake.gets, fake.lastTTL)
+	if gets, _, hops := fake.relays(); gets != 1 || hops != forwardTTL {
+		t.Fatalf("get one hop short: gets=%d lastHops=%d, want 1 relay with %d hops", gets, hops, forwardTTL)
 	}
 
-	// A plain client op for the foreign shard enters the relay with the
-	// full budget minus the local hop.
+	// A plain client op for the foreign shard relays as the first hop.
 	if _, _, err := c.Get(foreign); err != nil {
 		t.Fatal(err)
 	}
-	if fake.lastTTL != forwardTTL-1 {
-		t.Fatalf("client get relayed with TTL %d, want %d", fake.lastTTL, forwardTTL-1)
+	if gets, _, hops := fake.relays(); gets != 2 || hops != 1 {
+		t.Fatalf("client get: gets=%d lastHops=%d, want a relay with 1 hop", gets, hops)
 	}
 }
 

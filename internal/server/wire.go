@@ -14,6 +14,7 @@ import (
 //
 //	frame    := len:uint32 payload:[len]byte          (big-endian)
 //	request  := op:uint8 seq:uint64 timeoutMs:uint32
+//	            traceHi:uint64 traceLo:uint64 spanID:uint64 hops:uint8
 //	            keyLen:uint16 key:[keyLen]byte
 //	            valLen:uint32 val:[valLen]byte
 //	response := status:uint8 seq:uint64
@@ -21,18 +22,25 @@ import (
 //
 // seq is a client-chosen correlation id echoed verbatim, so responses
 // may be pipelined and arrive out of order. timeoutMs 0 applies the
-// server's default deadline. The response body carries the value (get)
-// or an error message (statusErr/statusBad).
+// server's default deadline. The trace fields carry the sender's
+// distributed trace context (all zero when untraced): only identifiers
+// cross the wire, span timestamps stay in each node's local ring and
+// obs.MergeTraces re-aligns the clocks offline. hops counts the
+// node-to-node relays a Get or Put has made so far; clients send 0. The
+// response body carries the value (get) or an error message
+// (statusErr/statusBad).
 
 // wireProtoVersion is the protocol generation carried in the hello
 // handshake. Version 2 added the handshake itself plus the cluster
 // frames (replicate, handoff, placement, promote, forward); version 3
 // accepts traced and scrape frames on every connection; version 4
-// carries N ≥ 1 op-log entries per replicate frame. Peers whose
-// versions differ refuse the connection with ErrProtocolMismatch
-// instead of risking undefined framing behavior, so this exact match is
-// the only compatibility gate: nothing is negotiated after hello.
-const wireProtoVersion = 4
+// carries N ≥ 1 op-log entries per replicate frame; version 5 puts the
+// trace context and hop count in every request header, replacing the
+// traced and forward wrappers. Peers whose versions differ refuse the
+// connection with ErrProtocolMismatch instead of risking undefined
+// framing behavior, so this exact match is the only compatibility gate:
+// nothing is negotiated after hello.
+const wireProtoVersion = 5
 
 // wireOp is the request opcode.
 type wireOp uint8
@@ -60,14 +68,6 @@ const (
 	// failed: Val is pver:8 shard:4, where pver is the placement
 	// version the requester observed the failure under.
 	wirePromote wireOp = 9
-	// wireForward is a client op relayed node-to-node when the first
-	// node does not serve the key's shard: Key is the key, Val is
-	// op:1 ttl:1 value.
-	wireForward wireOp = 10
-	// wireTraced wraps another request frame with a distributed trace
-	// context: Val is traceHi:8 traceLo:8 spanID:8 innerOp:1 innerVal
-	// (Key and the timeout ride in the outer frame).
-	wireTraced wireOp = 12
 	// wireScrape fetches node telemetry: Val is mode:1, where mode 0
 	// returns the Prometheus text exposition and mode 1 a binary span
 	// dump (obs.Span wire encoding). Used by cluster federation.
@@ -111,8 +111,8 @@ const maxFrame = 1 << 20
 
 // request header sizes.
 const (
-	reqFixedLen  = 1 + 8 + 4 + 2 + 4 // op seq timeout keyLen valLen
-	respFixedLen = 1 + 8 + 4         // status seq bodyLen
+	reqFixedLen  = 1 + 8 + 4 + 3*8 + 1 + 2 + 4 // op seq timeout trace hops keyLen valLen
+	respFixedLen = 1 + 8 + 4                   // status seq bodyLen
 )
 
 // wireRequest is one decoded request frame. Val aliases the decoded
@@ -123,8 +123,12 @@ type wireRequest struct {
 	Op            wireOp
 	Seq           uint64
 	TimeoutMillis uint32
-	Key           string
-	Val           []byte
+	// Trace is the sender's context; its SpanID is the sender's span,
+	// which the receiver parents its own spans on. Parent is not sent.
+	Trace obs.TraceContext
+	Hops  uint8
+	Key   string
+	Val   []byte
 }
 
 // wireResponse is one decoded response frame.
@@ -147,6 +151,10 @@ func appendRequest(dst []byte, r wireRequest) ([]byte, error) {
 	dst = append(dst, byte(r.Op))
 	dst = binary.BigEndian.AppendUint64(dst, r.Seq)
 	dst = binary.BigEndian.AppendUint32(dst, r.TimeoutMillis)
+	dst = binary.BigEndian.AppendUint64(dst, r.Trace.Hi)
+	dst = binary.BigEndian.AppendUint64(dst, r.Trace.Lo)
+	dst = binary.BigEndian.AppendUint64(dst, r.Trace.SpanID)
+	dst = append(dst, r.Hops)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(r.Key)))
 	dst = append(dst, r.Key...)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Val)))
@@ -163,8 +171,12 @@ func decodeRequest(p []byte) (wireRequest, error) {
 	r.Op = wireOp(p[0])
 	r.Seq = binary.BigEndian.Uint64(p[1:])
 	r.TimeoutMillis = binary.BigEndian.Uint32(p[9:])
-	keyLen := int(binary.BigEndian.Uint16(p[13:]))
-	rest := p[15:]
+	r.Trace.Hi = binary.BigEndian.Uint64(p[13:])
+	r.Trace.Lo = binary.BigEndian.Uint64(p[21:])
+	r.Trace.SpanID = binary.BigEndian.Uint64(p[29:])
+	r.Hops = p[37]
+	keyLen := int(binary.BigEndian.Uint16(p[38:]))
+	rest := p[40:]
 	if len(rest) < keyLen+4 {
 		return r, fmt.Errorf("server: request frame truncated in key")
 	}
@@ -224,8 +236,8 @@ const (
 	replicateHdrLen      = 8 + 4 + 4
 	replicateEntryHdrLen = 8 + 2 + 4
 	// replicateMaxVal bounds a replicate Val so that the request frame
-	// around it, traced or not, stays within maxFrame.
-	replicateMaxVal = maxFrame - reqFixedLen - tracedHdrLen
+	// around it stays within maxFrame.
+	replicateMaxVal = maxFrame - reqFixedLen
 )
 
 // ReplicateFrame is one wireReplicate payload under construction: the
@@ -357,51 +369,6 @@ func decodePromoteVal(p []byte) (pver uint64, shard int, err error) {
 		return 0, 0, fmt.Errorf("server: promote frame length %d, want %d", len(p), promoteLen)
 	}
 	return binary.BigEndian.Uint64(p), int(binary.BigEndian.Uint32(p[8:])), nil
-}
-
-// forward Val layout: op:1 ttl:1 value.
-const forwardHdrLen = 2
-
-// appendForwardVal encodes a forward payload wrapping a Get (val nil)
-// or Put (val = value to write).
-func appendForwardVal(dst []byte, op wireOp, ttl int, val []byte) []byte {
-	dst = append(dst, byte(op), byte(ttl))
-	return append(dst, val...)
-}
-
-// decodeForwardVal parses a forward payload; val aliases p.
-func decodeForwardVal(p []byte) (op wireOp, ttl int, val []byte, err error) {
-	if len(p) < forwardHdrLen {
-		return 0, 0, nil, fmt.Errorf("server: forward frame too short (%d bytes)", len(p))
-	}
-	return wireOp(p[0]), int(p[1]), p[forwardHdrLen:], nil
-}
-
-// traced Val layout: traceHi:8 traceLo:8 spanID:8 innerOp:1 innerVal.
-// Only the identifiers cross the wire — span timestamps stay in each
-// node's local ring; obs.MergeTraces re-aligns the clocks offline.
-const tracedHdrLen = 8 + 8 + 8 + 1
-
-// appendTracedVal wraps an inner request payload with a trace context.
-func appendTracedVal(dst []byte, tc obs.TraceContext, op wireOp, val []byte) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, tc.Hi)
-	dst = binary.BigEndian.AppendUint64(dst, tc.Lo)
-	dst = binary.BigEndian.AppendUint64(dst, tc.SpanID)
-	dst = append(dst, byte(op))
-	return append(dst, val...)
-}
-
-// decodeTracedVal parses a traced wrapper; val aliases p. The decoded
-// context's SpanID is the sender's span — the receiver parents its own
-// spans on it.
-func decodeTracedVal(p []byte) (tc obs.TraceContext, op wireOp, val []byte, err error) {
-	if len(p) < tracedHdrLen {
-		return tc, 0, nil, fmt.Errorf("server: traced frame too short (%d bytes)", len(p))
-	}
-	tc.Hi = binary.BigEndian.Uint64(p)
-	tc.Lo = binary.BigEndian.Uint64(p[8:])
-	tc.SpanID = binary.BigEndian.Uint64(p[16:])
-	return tc, wireOp(p[24]), p[tracedHdrLen:], nil
 }
 
 // hello Val layout: version:4. The OK response body mirrors it:

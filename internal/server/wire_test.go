@@ -20,6 +20,7 @@ func TestWireRequestRoundTrip(t *testing.T) {
 	cases := []wireRequest{
 		{Op: wireGet, Seq: 1, Key: "alpha"},
 		{Op: wirePut, Seq: 1 << 60, TimeoutMillis: 250, Key: "k", Val: []byte("value")},
+		{Op: wireGet, Seq: 3, TimeoutMillis: 50, Trace: obs.TraceContext{Hi: 1 << 63, Lo: 2, SpanID: 3}, Hops: 2, Key: "relayed"},
 		{Op: wirePing, Seq: 0},
 		{Op: wireScrape, Seq: 7, Val: []byte{scrapeSpans}},
 		{Op: wirePut, Seq: 2, Key: strings.Repeat("x", MaxKeyLen), Val: bytes.Repeat([]byte{0xff}, 62)},
@@ -67,9 +68,13 @@ func TestWireResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// corruptBase is the request whose truncations TestWireDecodeCorrupt
+// and FuzzDecodeRequest start from.
+var corruptBase = wireRequest{Op: wirePut, Seq: 5, Trace: obs.TraceContext{Hi: 6, Lo: 7, SpanID: 8}, Hops: 1, Key: "kk", Val: []byte("vv")}
+
 func TestWireDecodeCorrupt(t *testing.T) {
 	// Truncations and bad lengths must error, never panic or over-read.
-	good, err := appendRequest(nil, wireRequest{Op: wirePut, Seq: 5, Key: "kk", Val: []byte("vv")})
+	good, err := appendRequest(nil, corruptBase)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +100,35 @@ func TestWireDecodeCorrupt(t *testing.T) {
 	}
 }
 
+// FuzzDecodeRequest: decodeRequest never panics, and a payload it
+// decodes re-encodes byte for byte, trace context and hop count
+// included, whenever appendRequest accepts the result (keys up to
+// MaxKeyLen).
+func FuzzDecodeRequest(f *testing.F) {
+	good, err := appendRequest(nil, corruptBase)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for cut := 0; cut <= len(good)-4; cut++ {
+		f.Add(good[4 : 4+cut])
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		r, err := decodeRequest(p)
+		if err != nil || len(r.Key) > MaxKeyLen {
+			return
+		}
+		frame, err := appendRequest(nil, r)
+		if err != nil {
+			t.Fatalf("decoded request %+v does not re-encode: %v", r, err)
+		}
+		if !bytes.Equal(frame[4:], p) {
+			t.Fatalf("re-encoded payload %x, decoded from %x", frame[4:], p)
+		}
+	})
+}
+
 // TestWireReplicateFrame round-trips a multi-entry replicate frame,
-// holds a full frame, traced wrapper included, within maxFrame, and
+// holds a full frame, request header included, within maxFrame, and
 // rejects every truncation and a frame with no entries before anything
 // would be applied.
 func TestWireReplicateFrame(t *testing.T) {
@@ -139,7 +171,7 @@ func TestWireReplicateFrame(t *testing.T) {
 		t.Fatal("replicate frame with no entries decoded")
 	}
 
-	// Fill a frame to its bound; the traced request around it fits.
+	// Fill a frame to its bound; the request around it fits.
 	val := make([]byte, 60<<10)
 	for seq := uint64(1); f.Add(seq, []byte("k"), val); seq++ {
 	}
@@ -147,8 +179,8 @@ func TestWireReplicateFrame(t *testing.T) {
 		t.Fatal("empty frame refused an entry")
 	}
 	tc := obs.TraceContext{Hi: 1, Lo: 2, SpanID: 3}
-	if _, err := appendRequest(nil, wireRequest{Op: wireTraced, Val: appendTracedVal(nil, tc, wireReplicate, f.buf)}); err != nil {
-		t.Fatalf("full traced replicate frame: %v", err)
+	if _, err := appendRequest(nil, wireRequest{Op: wireReplicate, Trace: tc, Val: f.buf}); err != nil {
+		t.Fatalf("full replicate frame: %v", err)
 	}
 }
 

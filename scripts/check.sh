@@ -4,7 +4,7 @@
 # suite in both build flavors (default and -tags=invariants), the race
 # detector over the packages with scheduler/simulator
 # concurrency-sensitive state, and short fuzz smokes of the trace codec,
-# the sealer and the checkpoint loader.
+# the sealer, the checkpoint loader and the wire request decoder.
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -66,11 +66,11 @@ go test -race -count=1 -run='^TestClusterKillOneNodeChaos$' ./internal/cluster
 echo "== SLO chaos gate (post-kill p99 objective on the survivors, -race) =="
 go test -race -count=1 -run='^TestClusterChaosSLO$' ./internal/cluster
 
-echo "== replication and client-send gate (group-commit sender, in-order release, promotion fence, silent follower, lag gauge, combining flusher, failed flush, accept retry, per-shard and per-replica seal keys, -race) =="
+echo "== replication, forwarding and client-send gate (group-commit sender, in-order release, promotion fence, silent follower, lag gauge, relayed deadline, hop budget, combining flusher, failed flush, accept retry, per-shard and per-replica seal keys, -race) =="
 go test -race -count=3 \
-    -run='^(TestClusterPipelinedReplicationHistory|TestPromoteWaitsForReplicatedFrame|TestReplicationSilentFollowerDemoted|TestReplicationLagMeasuresOldestUnacked|TestAllocFreeReplicatedPut)$' \
+    -run='^(TestClusterPipelinedReplicationHistory|TestPromoteWaitsForReplicatedFrame|TestReplicationSilentFollowerDemoted|TestReplicationLagMeasuresOldestUnacked|TestAllocFreeReplicatedPut|TestForwardKeepsClientDeadline)$' \
     ./internal/cluster
-go test -race -count=3 -run='^(TestReleaseAnswersInOrder|TestGetReadBeforeFailedSettleRefused|TestTCPServeRetriesTemporaryAcceptError|TestClientCombinesConcurrentRequests|TestClientFailedFlushFailsEveryCaller|TestShardsNeverShareKeystream|TestReplicasNeverShareKeystream)$' ./internal/server
+go test -race -count=3 -run='^(TestReleaseAnswersInOrder|TestGetReadBeforeFailedSettleRefused|TestTCPServeRetriesTemporaryAcceptError|TestClientCombinesConcurrentRequests|TestClientFailedFlushFailsEveryCaller|TestShardsNeverShareKeystream|TestReplicasNeverShareKeystream|TestForwardTTLExhaustion)$' ./internal/server
 
 echo "== obs-race gate (cluster scrapes + stitched trace under traced load, -race) =="
 go test -race -count=1 -run='^(TestClusterScrapeUnderLoad|TestClusterStitchedForwardTrace)$' \
@@ -130,5 +130,8 @@ echo "== fuzz smoke (checkpoint loader) =="
 # hundred executions in 5 s against tens of thousands without), and a
 # smoke wants executions.
 go test -run='^$' -fuzz='^FuzzLoad$' -fuzztime=5s -fuzzminimizetime=0 ./internal/oram
+
+echo "== fuzz smoke (wire request decoder: no panic, exact re-encoding) =="
+go test -run='^$' -fuzz='^FuzzDecodeRequest$' -fuzztime=5s ./internal/server
 
 echo "check.sh: all gates passed"
