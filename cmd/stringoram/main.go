@@ -6,28 +6,8 @@
 //
 //	stringoram <experiment> [flags]
 //
-// Experiments:
-//
-//	fig4       Ring ORAM memory space utilization (analytic)
-//	fig5b      row-buffer conflict rate, read path vs eviction
-//	fig10      normalized execution time (Baseline/CB/PB/ALL)
-//	fig11      normalized request queuing time
-//	fig12      bank idle time and early-command proportions
-//	fig13      CB rate sensitivity sweep
-//	fig14      stash size vs background evictions
-//	fig15      run-time stash occupancy traces
-//	tablev     CB configurations and space saving (analytic)
-//	bandwidth  Ring vs Path ORAM bandwidth comparison
-//	all        every experiment above, in order
-//
-// Flags:
-//
-//	-scale quick|full   simulation scale (default quick)
-//	-accesses N         override ORAM accesses per run
-//	-levels N           override tree levels
-//	-seed N             override random seed
-//	-csv                emit CSV instead of aligned tables
-//	-stash N            stash size for fig15 (default 200)
+// Run it without arguments for the experiments and flags: usage prints
+// them from the subcommands list, which also drives dispatch and "all".
 package main
 
 import (
@@ -44,15 +24,106 @@ import (
 	"stringoram/internal/stats"
 )
 
-func usage(w io.Writer) {
-	fmt.Fprintln(w, `usage: stringoram <experiment> [flags]
+// subcommand is one experiment the CLI runs by name.
+type subcommand struct {
+	name, desc string
+	inAll      bool // "all" runs it
+	run        func(c *cli) error
+}
 
-experiments: fig4 fig5b fig10 fig11 fig12 fig13 fig14 fig15 tablev bandwidth protocols ablations mixes timeline stashbound hardware all
-             run    (single custom simulation; see stringoram run -h)
-             plot   (render the figures as SVG files into -dir)
-flags:`)
-	flag.CommandLine.SetOutput(w)
-	flag.PrintDefaults()
+// cli is what a subcommand runs against: the runner at the parsed scale,
+// the parsed flags and the output.
+type cli struct {
+	r     *experiments.Runner
+	csv   bool
+	stash int
+	dir   string
+	w     io.Writer
+}
+
+// show renders t, or returns err if it is set, and ends with a blank line.
+func (c *cli) show(t *stats.Table, err error) error {
+	if err != nil {
+		return err
+	}
+	if c.csv {
+		err = t.RenderCSV(c.w)
+	} else {
+		err = t.Render(c.w)
+	}
+	if err == nil {
+		_, err = fmt.Fprintln(c.w)
+	}
+	return err
+}
+
+// subcommands lists every experiment in the order "all" runs them.
+var subcommands = []subcommand{
+	{"fig4", "Ring ORAM memory space utilization (analytic)", true,
+		func(c *cli) error { return c.show(experiments.Fig4(), nil) }},
+	{"tablev", "CB configurations and space saving (analytic)", true,
+		func(c *cli) error { return c.show(experiments.TableV(), nil) }},
+	{"fig5b", "row-buffer conflict rate, read path vs eviction", true,
+		func(c *cli) error { return c.show(c.r.Fig5b()) }},
+	{"fig10", "normalized execution time (Baseline/CB/PB/ALL)", true,
+		func(c *cli) error { return c.show(c.r.Fig10()) }},
+	{"fig11", "normalized request queuing time", true,
+		func(c *cli) error { return c.show(c.r.Fig11()) }},
+	{"fig12", "bank idle time and early-command proportions", true, func(c *cli) error {
+		a, b, err := c.r.Fig12()
+		if err = c.show(a, err); err != nil {
+			return err
+		}
+		return c.show(b, nil)
+	}},
+	{"fig13", "CB rate sensitivity sweep", true,
+		func(c *cli) error { return c.show(c.r.Fig13()) }},
+	{"fig14", "stash size vs background evictions", true,
+		func(c *cli) error { return c.show(c.r.Fig14()) }},
+	{"fig15", "run-time stash occupancy traces at -stash", true,
+		func(c *cli) error { return c.show(c.r.Fig15(c.stash, experiments.Fig15Points)) }},
+	{"bandwidth", "Ring vs Path ORAM bandwidth comparison", true,
+		func(c *cli) error { return c.show(experiments.Bandwidth(2000, c.r.Scale.Seed)) }},
+	{"protocols", "Path vs Ring vs String ORAM execution time", true,
+		func(c *cli) error { return c.show(c.r.Protocols()) }},
+	{"ablations", "layout, page policy and slot-selection ablations", true,
+		func(c *cli) error { return c.show(c.r.Ablations()) }},
+	{"mixes", "heterogeneous 4-core mixes: speedup and fairness", true,
+		func(c *cli) error { return c.show(c.r.Mixes()) }},
+	{"timeline", "per-bank command timelines (Fig. 6 vs Fig. 8)", true, func(c *cli) error {
+		s, err := c.r.Timeline(120)
+		if err == nil {
+			_, err = fmt.Fprintln(c.w, s)
+		}
+		return err
+	}},
+	{"stashbound", "Monte Carlo tail of peak stash occupancy", false,
+		func(c *cli) error { return c.show(c.r.StashBound(40, c.r.Scale.Accesses, nil)) }},
+	{"hardware", "controller SRAM and DRAM-metadata budget (analytic)", false,
+		func(c *cli) error { return c.show(experiments.Hardware(c.r.Scale.System()), nil) }},
+	{"plot", "render the charted figures as SVG files into -dir", false, func(c *cli) error {
+		paths, err := c.r.RenderFigures(c.dir, c.stash)
+		for _, p := range paths {
+			fmt.Fprintln(c.w, "wrote", p)
+		}
+		return err
+	}},
+}
+
+func usage(w io.Writer, fs *flag.FlagSet) {
+	fmt.Fprintln(w, "usage: stringoram <experiment> [flags]\n\nexperiments:")
+	all := ""
+	for _, s := range subcommands {
+		fmt.Fprintf(w, "  %-11s %s\n", s.name, s.desc)
+		if s.inAll {
+			all += " " + s.name
+		}
+	}
+	fmt.Fprintf(w, "  %-11s %s\n", "all", "in order:"+all)
+	fmt.Fprintf(w, "  %-11s %s\n", "run", "one custom simulation; see stringoram run -h")
+	fmt.Fprintln(w, "flags:")
+	fs.SetOutput(w)
+	fs.PrintDefaults()
 }
 
 func main() {
@@ -68,23 +139,22 @@ func main() {
 }
 
 func run(ctx context.Context, args []string, w io.Writer) error {
-	if len(args) == 0 {
-		usage(os.Stderr)
-		return fmt.Errorf("missing experiment name")
-	}
-	exp := args[0]
-	if exp == "run" {
-		return runSingle(args[1:], w)
-	}
-
 	fs := flag.NewFlagSet("stringoram", flag.ContinueOnError)
 	scaleName := fs.String("scale", "quick", "simulation scale: quick or full")
 	accesses := fs.Int("accesses", 0, "override ORAM accesses per run")
 	levels := fs.Int("levels", 0, "override ORAM tree levels")
 	seed := fs.Uint64("seed", 0, "override random seed")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
-	stash := fs.Int("stash", 200, "stash size for fig15")
+	stash := fs.Int("stash", 200, "stash size of Fig. 15, for fig15 and plot")
 	dir := fs.String("dir", "figures", "output directory for plot")
+	if len(args) == 0 {
+		usage(os.Stderr, fs)
+		return fmt.Errorf("missing experiment name")
+	}
+	exp := args[0]
+	if exp == "run" {
+		return runSingle(args[1:], w)
+	}
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
@@ -107,153 +177,30 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if *seed != 0 {
 		scale.Seed = *seed
 	}
+	c := &cli{r: experiments.NewRunner(scale), csv: *csv, stash: *stash, dir: *dir, w: w}
 
-	render := func(t *stats.Table) error {
-		var err error
-		if *csv {
-			err = t.RenderCSV(w)
-		} else {
-			err = t.Render(w)
-		}
-		if err == nil {
-			_, err = fmt.Fprintln(w)
-		}
-		return err
-	}
-
-	r := experiments.NewRunner(scale)
-	dispatch := map[string]func() error{
-		"fig4":   func() error { return render(experiments.Fig4()) },
-		"tablev": func() error { return render(experiments.TableV()) },
-		"fig5b": func() error {
-			t, err := r.Fig5b()
-			if err != nil {
-				return err
-			}
-			return render(t)
-		},
-		"fig10": func() error {
-			t, err := r.Fig10()
-			if err != nil {
-				return err
-			}
-			return render(t)
-		},
-		"fig11": func() error {
-			t, err := r.Fig11()
-			if err != nil {
-				return err
-			}
-			return render(t)
-		},
-		"fig12": func() error {
-			a, b, err := r.Fig12()
-			if err != nil {
-				return err
-			}
-			if err := render(a); err != nil {
-				return err
-			}
-			return render(b)
-		},
-		"fig13": func() error {
-			t, err := r.Fig13()
-			if err != nil {
-				return err
-			}
-			return render(t)
-		},
-		"fig14": func() error {
-			t, err := r.Fig14()
-			if err != nil {
-				return err
-			}
-			return render(t)
-		},
-		"fig15": func() error {
-			t, err := r.Fig15(*stash, 40)
-			if err != nil {
-				return err
-			}
-			return render(t)
-		},
-		"bandwidth": func() error {
-			t, err := experiments.Bandwidth(2000, scale.Seed)
-			if err != nil {
-				return err
-			}
-			return render(t)
-		},
-		"ablations": func() error {
-			t, err := r.Ablations()
-			if err != nil {
-				return err
-			}
-			return render(t)
-		},
-		"timeline": func() error {
-			s, err := r.Timeline(120)
-			if err != nil {
-				return err
-			}
-			_, err = fmt.Fprintln(w, s)
-			return err
-		},
-		"mixes": func() error {
-			t, err := r.Mixes()
-			if err != nil {
-				return err
-			}
-			return render(t)
-		},
-		"protocols": func() error {
-			t, err := r.Protocols()
-			if err != nil {
-				return err
-			}
-			return render(t)
-		},
-		"hardware": func() error {
-			return render(experiments.Hardware(scale.System()))
-		},
-		"stashbound": func() error {
-			t, err := r.StashBound(40, scale.Accesses, nil)
-			if err != nil {
-				return err
-			}
-			return render(t)
-		},
-		"plot": func() error {
-			paths, err := r.RenderFigures(*dir)
-			if err != nil {
-				return err
-			}
-			for _, p := range paths {
-				fmt.Fprintln(w, "wrote", p)
-			}
-			return nil
-		},
-	}
-
-	order := []string{"fig4", "tablev", "fig5b", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "bandwidth", "protocols", "ablations", "mixes", "timeline"}
 	if exp == "all" {
 		start := time.Now()
-		for _, name := range order {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("interrupted before %s: %w", name, err)
+		for _, s := range subcommands {
+			if !s.inAll {
+				continue
 			}
-			if err := dispatch[name](); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("interrupted before %s: %w", s.name, err)
+			}
+			if err := s.run(c); err != nil {
+				return fmt.Errorf("%s: %w", s.name, err)
 			}
 		}
 		fmt.Fprintf(w, "all experiments completed in %v (scale=%s, accesses=%d, levels=%d)\n",
 			time.Since(start).Round(time.Millisecond), *scaleName, scale.Accesses, scale.Levels)
 		return nil
 	}
-	fn, ok := dispatch[exp]
-	if !ok {
-		usage(os.Stderr)
-		return fmt.Errorf("unknown experiment %q", exp)
+	for _, s := range subcommands {
+		if s.name == exp {
+			return s.run(c)
+		}
 	}
-	return fn()
+	usage(os.Stderr, fs)
+	return fmt.Errorf("unknown experiment %q", exp)
 }

@@ -140,6 +140,28 @@ func TestRunFig12BothTables(t *testing.T) {
 	}
 }
 
+// TestPlotHonoursStash checks that plot draws Fig. 15 from the same
+// table fig15 prints, at the -stash it was given.
+func TestPlotHonoursStash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulations in -short mode")
+	}
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	if err := run(context.Background(), append(tinyArgs("plot"), "-stash", "300", "-dir", dir), &buf); err != nil {
+		t.Fatal(err)
+	}
+	svg, err := os.ReadFile(filepath.Join(dir, "fig15_stash.svg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, title, _ := strings.Cut(string(svg), `font-weight="bold">`)
+	title, _, _ = strings.Cut(title, "</text>")
+	if !strings.Contains(title, "stash size 300") {
+		t.Fatalf("Fig. 15 chart title %q does not name stash 300", title)
+	}
+}
+
 func TestRunSingleSubcommand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")

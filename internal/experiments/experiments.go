@@ -44,12 +44,12 @@ func Quick() Scale { return Scale{Accesses: 800, TraceLen: 8000, Levels: 16, See
 // experiment in ~45 s on two cores).
 func Full() Scale { return Scale{Accesses: 4000, TraceLen: 40000, Levels: 24, Seed: 7} }
 
-// system builds the paper-default system at this scale. The tree is
-// warmed to steady-state occupancy: the paper's setting is a memory full
-// of real data (that is what Compact Bucket borrows for obfuscation), so
-// an empty tree would understate green-block availability and stash
-// pressure alike.
-func (s Scale) system() config.System {
+// System builds the paper-default system at this scale's tree height.
+// The tree is warmed to steady-state occupancy (0.5): the paper's
+// setting is a memory full of real data (that is what Compact Bucket
+// borrows for obfuscation), so an empty tree would understate
+// green-block availability and stash pressure alike.
+func (s Scale) System() config.System {
 	sys := config.Default()
 	if s.Levels > 0 {
 		sys.ORAM.Levels = s.Levels
@@ -60,10 +60,6 @@ func (s Scale) system() config.System {
 	sys.ORAM.WarmFill = 0.5
 	return sys
 }
-
-// System exposes the scale's configured system (the paper defaults at
-// this scale's tree height, warm tree at 0.5).
-func (s Scale) System() config.System { return s.system() }
 
 // Scheme enumerates the four evaluated configurations of Fig. 10-12.
 type Scheme int
@@ -126,26 +122,30 @@ type Runner struct {
 // NewRunner returns a runner at the given scale.
 func NewRunner(s Scale) *Runner { return &Runner{Scale: s} }
 
-// workloadTrace generates the synthetic trace for one suite profile.
-func (r *Runner) workloadTrace(p trace.Profile) (*trace.Trace, error) {
+// suiteTrace generates the named suite workload's trace at the runner's
+// scale.
+func (r *Runner) suiteTrace(name string) (*trace.Trace, error) {
+	p, err := trace.ByName(name)
+	if err != nil {
+		return nil, err
+	}
 	return trace.Generate(p, r.Scale.TraceLen, trace.SeedFor(r.Scale.Seed, p.Name))
 }
 
 // runJob is one (workload, scheme) simulation.
 type runJob struct {
-	profile trace.Profile
-	scheme  Scheme
+	name   string
+	scheme Scheme
 }
 
 // Matrix runs (or returns the cached) full workload x scheme simulation
 // grid used by Fig. 10-12.
 func (r *Runner) Matrix() (map[string][numSchemes]*sim.Result, error) {
 	r.matrixOnce.Do(func() {
-		suite := trace.Suite()
 		var jobs []runJob
-		for _, p := range suite {
+		for _, name := range trace.Names() {
 			for s := SchemeBaseline; s < numSchemes; s++ {
-				jobs = append(jobs, runJob{profile: p, scheme: s})
+				jobs = append(jobs, runJob{name: name, scheme: s})
 			}
 		}
 		results := make([]*sim.Result, len(jobs))
@@ -159,15 +159,15 @@ func (r *Runner) Matrix() (map[string][numSchemes]*sim.Result, error) {
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				tr, err := r.workloadTrace(job.profile)
+				tr, err := r.suiteTrace(job.name)
 				if err != nil {
 					errs[i] = err
 					return
 				}
-				sys := job.scheme.Apply(r.Scale.system(), config.Default().ORAM.Y)
+				sys := job.scheme.Apply(r.Scale.System(), config.Default().ORAM.Y)
 				res, err := sim.Run(sys, tr, sim.Options{MaxAccesses: r.Scale.Accesses})
 				if err != nil {
-					errs[i] = fmt.Errorf("%s/%v: %w", job.profile.Name, job.scheme, err)
+					errs[i] = fmt.Errorf("%s/%v: %w", job.name, job.scheme, err)
 					return
 				}
 				results[i] = res
@@ -182,9 +182,9 @@ func (r *Runner) Matrix() (map[string][numSchemes]*sim.Result, error) {
 		}
 		m := make(map[string][numSchemes]*sim.Result)
 		for i, job := range jobs {
-			row := m[job.profile.Name]
+			row := m[job.name]
 			row[job.scheme] = results[i]
-			m[job.profile.Name] = row
+			m[job.name] = row
 		}
 		r.matrix = m
 	})
@@ -241,7 +241,7 @@ func (r *Runner) Fig5b() (*stats.Table, error) {
 		evicts = append(evicts, ev)
 		t.AddRowf(name, rd, ev)
 	}
-	t.AddRowf("MEAN", stats.Mean(reads), stats.Mean(evicts))
+	t.AddSummaryRowf("MEAN", stats.Mean(reads), stats.Mean(evicts))
 	return t, nil
 }
 
@@ -272,7 +272,7 @@ func (r *Runner) Fig10() (*stats.Table, error) {
 			float64(ar.PhaseCycles[sched.TagReshuffle])/at*all,
 			float64(ar.OtherCycles)/at*all)
 	}
-	t.AddRowf("AVG", 1.0, stats.Mean(cbs), stats.Mean(pbs), stats.Mean(alls), "", "", "", "")
+	t.AddSummaryRowf("AVG", 1.0, stats.Mean(cbs), stats.Mean(pbs), stats.Mean(alls), "", "", "", "")
 	return t, nil
 }
 
@@ -304,7 +304,7 @@ func (r *Runner) Fig11() (*stats.Table, error) {
 		}
 		t.AddRowf(name, vals[0], vals[1], vals[2], vals[3], vals[4], vals[5])
 	}
-	t.AddRowf("AVG", stats.Mean(acc[0]), stats.Mean(acc[1]), stats.Mean(acc[2]),
+	t.AddSummaryRowf("AVG", stats.Mean(acc[0]), stats.Mean(acc[1]), stats.Mean(acc[2]),
 		stats.Mean(acc[3]), stats.Mean(acc[4]), stats.Mean(acc[5]))
 	return t, nil
 }
@@ -334,65 +334,53 @@ func (r *Runner) Fig12() (*stats.Table, *stats.Table, error) {
 		ep, ea = append(ep, pre), append(ea, act)
 		b.AddRowf(name, pre, act)
 	}
-	a.AddRowf("AVG", stats.Mean(bi), stats.Mean(pi))
-	b.AddRowf("AVG", stats.Mean(ep), stats.Mean(ea))
+	a.AddSummaryRowf("AVG", stats.Mean(bi), stats.Mean(pi))
+	b.AddSummaryRowf("AVG", stats.Mean(ep), stats.Mean(ea))
 	return a, b, nil
 }
 
 // Fig13 reproduces Fig. 13: execution time (CB alone and CB+PB) and
 // green blocks fetched per read path as the CB rate Y sweeps over the
 // Table V configurations, averaged over a representative workload subset.
+// The Y=0 configuration is the normalization base, not a row.
 func (r *Runner) Fig13() (*stats.Table, error) {
 	subset := []string{"black", "libq", "mummer", "stream"}
 	t := stats.NewTable(
 		"Fig. 13 — CB rate sensitivity (paper: CB 0.98..0.88, ALL 0.79..0.70; green/read 0.167..3.255)",
 		"config", "Y", "CB-exec", "ALL-exec", "green/read")
-	type point struct{ cb, all, green float64 }
-	var baseCycles map[string]float64
-
-	run := func(y int, kind config.SchedulerKind, name string) (*sim.Result, error) {
-		p, err := trace.ByName(name)
+	opts := sim.Options{MaxAccesses: r.Scale.Accesses}
+	traces := make([]*trace.Trace, len(subset))
+	base := make([]float64, len(subset))
+	for i, name := range subset {
+		tr, err := r.suiteTrace(name)
 		if err != nil {
 			return nil, err
 		}
-		tr, err := r.workloadTrace(p)
+		res, err := sim.Run(SchemeBaseline.Apply(r.Scale.System(), 0), tr, opts)
 		if err != nil {
 			return nil, err
 		}
-		sys := r.Scale.system().WithCBRate(y).WithScheduler(kind)
-		return sim.Run(sys, tr, sim.Options{MaxAccesses: r.Scale.Accesses})
-	}
-
-	baseCycles = make(map[string]float64)
-	for _, name := range subset {
-		res, err := run(0, config.SchedTransaction, name)
-		if err != nil {
-			return nil, err
-		}
-		baseCycles[name] = float64(res.Cycles)
+		traces[i], base[i] = tr, float64(res.Cycles)
 	}
 	for _, cb := range config.TableVConfigs() {
 		if cb.Y == 0 {
-			t.AddRowf(cb.Name, 0, 1.0, "", 0.0)
 			continue
 		}
-		var pt point
 		var cbv, allv, greens []float64
-		for _, name := range subset {
-			resCB, err := run(cb.Y, config.SchedTransaction, name)
+		for i, tr := range traces {
+			resCB, err := sim.Run(SchemeCB.Apply(r.Scale.System(), cb.Y), tr, opts)
 			if err != nil {
 				return nil, err
 			}
-			resAll, err := run(cb.Y, config.SchedProactiveBank, name)
+			resAll, err := sim.Run(SchemeAll.Apply(r.Scale.System(), cb.Y), tr, opts)
 			if err != nil {
 				return nil, err
 			}
-			cbv = append(cbv, float64(resCB.Cycles)/baseCycles[name])
-			allv = append(allv, float64(resAll.Cycles)/baseCycles[name])
+			cbv = append(cbv, float64(resCB.Cycles)/base[i])
+			allv = append(allv, float64(resAll.Cycles)/base[i])
 			greens = append(greens, resCB.ORAM.GreenPerReadPath())
 		}
-		pt = point{stats.Mean(cbv), stats.Mean(allv), stats.Mean(greens)}
-		t.AddRowf(cb.Name, cb.Y, pt.cb, pt.all, pt.green)
+		t.AddRowf(cb.Name, cb.Y, stats.Mean(cbv), stats.Mean(allv), stats.Mean(greens))
 	}
 	return t, nil
 }
@@ -409,7 +397,7 @@ func (r *Runner) Fig14() (*stats.Table, error) {
 		return nil, err
 	}
 	// Normalize against the paper's default point (stash 500, Y=0).
-	baseRes, err := sim.Run(r.Scale.system().WithCBRate(0).WithStashSize(500), tr,
+	baseRes, err := sim.Run(r.Scale.System().WithCBRate(0).WithStashSize(500), tr,
 		sim.Options{MaxAccesses: r.Scale.Accesses})
 	if err != nil {
 		return nil, err
@@ -417,7 +405,7 @@ func (r *Runner) Fig14() (*stats.Table, error) {
 	base := float64(baseRes.Cycles)
 	for _, stash := range []int{20, 40, 200, 500} {
 		for _, cb := range config.TableVConfigs() {
-			sys := r.Scale.system().WithCBRate(cb.Y).WithStashSize(stash)
+			sys := r.Scale.System().WithCBRate(cb.Y).WithStashSize(stash)
 			res, err := sim.Run(sys, tr, sim.Options{MaxAccesses: r.Scale.Accesses})
 			if err != nil {
 				return nil, err
@@ -439,6 +427,9 @@ func (r *Runner) mixTrace() (*trace.Trace, error) {
 	return trace.Generate(p, r.Scale.TraceLen, trace.SeedFor(r.Scale.Seed, p.Name))
 }
 
+// Fig15Points is how many points each Fig. 15 curve is downsampled to.
+const Fig15Points = 40
+
 // Fig15 reproduces Fig. 15: run-time stash occupancy for each CB rate at
 // the given stash size, downsampled to at most points entries per curve.
 func (r *Runner) Fig15(stashSize, points int) (*stats.Table, error) {
@@ -452,7 +443,7 @@ func (r *Runner) Fig15(stashSize, points int) (*stats.Table, error) {
 	curves := make(map[int][]float64)
 	var xs []int
 	for _, cb := range config.TableVConfigs() {
-		sys := r.Scale.system().WithCBRate(cb.Y).WithStashSize(stashSize)
+		sys := r.Scale.System().WithCBRate(cb.Y).WithStashSize(stashSize)
 		res, err := sim.Run(sys, tr, sim.Options{MaxAccesses: r.Scale.Accesses, CollectStash: true})
 		if err != nil {
 			return nil, err
@@ -484,11 +475,7 @@ func (r *Runner) Fig15(stashSize, points int) (*stats.Table, error) {
 //   - dummy-first vs uniform read-path slot selection (green-block
 //     aggressiveness vs stash pressure).
 func (r *Runner) Ablations() (*stats.Table, error) {
-	p, err := trace.ByName("ferret")
-	if err != nil {
-		return nil, err
-	}
-	tr, err := r.workloadTrace(p)
+	tr, err := r.suiteTrace("ferret")
 	if err != nil {
 		return nil, err
 	}
@@ -499,7 +486,7 @@ func (r *Runner) Ablations() (*stats.Table, error) {
 	run := func(sys config.System) (*sim.Result, error) {
 		return sim.Run(sys, tr, sim.Options{MaxAccesses: r.Scale.Accesses})
 	}
-	def := r.Scale.system()
+	def := r.Scale.System()
 	baseRes, err := run(def)
 	if err != nil {
 		return nil, err
@@ -581,22 +568,18 @@ func (r *Runner) Mixes() (*stats.Table, error) {
 	for _, names := range mixes {
 		var trs []*trace.Trace
 		for _, n := range names {
-			p, err := trace.ByName(n)
-			if err != nil {
-				return nil, err
-			}
-			tr, err := r.workloadTrace(p)
+			tr, err := r.suiteTrace(n)
 			if err != nil {
 				return nil, err
 			}
 			trs = append(trs, tr)
 		}
 		opts := sim.Options{MaxAccesses: r.Scale.Accesses}
-		base, err := sim.RunMulti(SchemeBaseline.Apply(r.Scale.system(), 8), trs, opts)
+		base, err := sim.RunMulti(SchemeBaseline.Apply(r.Scale.System(), 8), trs, opts)
 		if err != nil {
 			return nil, err
 		}
-		all, err := sim.RunMulti(SchemeAll.Apply(r.Scale.system(), 8), trs, opts)
+		all, err := sim.RunMulti(SchemeAll.Apply(r.Scale.System(), 8), trs, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -612,11 +595,7 @@ func (r *Runner) Mixes() (*stats.Table, error) {
 // Path ORAM (Z=4), baseline Ring ORAM and full String ORAM, on identical
 // DRAM. This is the end-to-end justification for building on Ring ORAM.
 func (r *Runner) Protocols() (*stats.Table, error) {
-	p, err := trace.ByName("ferret")
-	if err != nil {
-		return nil, err
-	}
-	tr, err := r.workloadTrace(p)
+	tr, err := r.suiteTrace("ferret")
 	if err != nil {
 		return nil, err
 	}
@@ -624,17 +603,17 @@ func (r *Runner) Protocols() (*stats.Table, error) {
 		"Protocols — execution time on identical DRAM (paper intro: Ring cuts overall bandwidth 2.3-4x vs Path)",
 		"protocol", "cycles", "norm", "blocks/access")
 
-	pathSys := r.Scale.system().WithCBRate(0)
+	pathSys := r.Scale.System().WithCBRate(0)
 	pathSys.ORAM.Z = 4 // the canonical Path ORAM bucket size
 	pathRes, err := sim.Run(pathSys, tr, sim.Options{MaxAccesses: r.Scale.Accesses, PathORAM: true})
 	if err != nil {
 		return nil, err
 	}
-	ringRes, err := sim.Run(r.Scale.system().WithCBRate(0), tr, sim.Options{MaxAccesses: r.Scale.Accesses})
+	ringRes, err := sim.Run(r.Scale.System().WithCBRate(0), tr, sim.Options{MaxAccesses: r.Scale.Accesses})
 	if err != nil {
 		return nil, err
 	}
-	allRes, err := sim.Run(SchemeAll.Apply(r.Scale.system(), config.Default().ORAM.Y), tr,
+	allRes, err := sim.Run(SchemeAll.Apply(r.Scale.System(), config.Default().ORAM.Y), tr,
 		sim.Options{MaxAccesses: r.Scale.Accesses})
 	if err != nil {
 		return nil, err

@@ -56,7 +56,7 @@ func TestTableVAnalytic(t *testing.T) {
 
 func TestSchemeApply(t *testing.T) {
 	r := NewRunner(tinyScale())
-	sys := r.Scale.system()
+	sys := r.Scale.System()
 	if got := SchemeBaseline.Apply(sys, 8); got.ORAM.Y != 0 {
 		t.Error("baseline has CB")
 	}
@@ -237,8 +237,25 @@ func TestFig13Sweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Rows() != 5 {
-		t.Fatalf("Fig13 rows = %d, want 5", tb.Rows())
+	// Every cell past the config name is measured: Y=0 is only the
+	// normalization base, so it is no row.
+	var buf bytes.Buffer
+	if err := tb.RenderCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs[1:] {
+		for i, cell := range rec[1:] {
+			if _, err := strconv.ParseFloat(cell, 64); err != nil {
+				t.Errorf("Fig13 row %s, column %s = %q, not a number", rec[0], recs[0][i+1], cell)
+			}
+		}
+	}
+	if tb.Rows() != 4 {
+		t.Fatalf("Fig13 rows = %d, want 4 (Y = 2, 4, 6, 8)", tb.Rows())
 	}
 }
 
@@ -317,12 +334,12 @@ func TestRenderFigures(t *testing.T) {
 	}
 	dir := t.TempDir()
 	r := NewRunner(tinyScale())
-	paths, err := r.RenderFigures(dir)
+	paths, err := r.RenderFigures(dir, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) != 7 {
-		t.Fatalf("rendered %d figures, want 7", len(paths))
+	if len(paths) != 8 {
+		t.Fatalf("rendered %d figures, want 8", len(paths))
 	}
 	for _, p := range paths {
 		data, err := os.ReadFile(p)
@@ -401,7 +418,7 @@ func TestScales(t *testing.T) {
 		if s.Accesses <= 0 || s.TraceLen <= 0 {
 			t.Fatalf("bad scale %+v", s)
 		}
-		if err := s.system().Validate(); err != nil {
+		if err := s.System().Validate(); err != nil {
 			t.Fatalf("scale system invalid: %v", err)
 		}
 	}

@@ -4,251 +4,71 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
-	"stringoram/internal/config"
 	"stringoram/internal/plot"
-	"stringoram/internal/sched"
-	"stringoram/internal/sim"
 	"stringoram/internal/stats"
-	"stringoram/internal/trace"
 )
 
-// RenderFigures writes the paper's evaluation figures as standalone SVG
-// files into dir (created if absent) and returns the written paths. The
-// charts are built from the same simulation data as the text tables
-// (sharing the cached run matrix).
-func (r *Runner) RenderFigures(dir string) ([]string, error) {
+// RenderFigures writes the paper's charted figures as standalone SVG
+// files into dir (created if absent) and returns the written paths. Each
+// chart plots columns of the table its subcommand prints, leaving out
+// the summary rows; stash is Fig. 15's stash size.
+func (r *Runner) RenderFigures(dir string, stash int) ([]string, error) {
+	fig4 := func() (*stats.Table, error) { return Fig4(), nil }
+	fig12a := func() (*stats.Table, error) { a, _, err := r.Fig12(); return a, err }
+	fig12b := func() (*stats.Table, error) { _, b, err := r.Fig12(); return b, err }
+	fig15 := func() (*stats.Table, error) { return r.Fig15(stash, Fig15Points) }
+	charts := []struct {
+		file   string
+		kind   plot.Kind
+		yLabel string
+		yMax   float64 // 0 auto-scales
+		table  func() (*stats.Table, error)
+		cols   string
+	}{
+		{"fig4_space.svg", plot.Bars, "capacity (GB)", 0, fig4, "real-GB dummy-GB"},
+		{"fig5b_conflicts.svg", plot.Bars, "conflict rate", 1, r.Fig5b, "read-path eviction"},
+		{"fig10_exectime.svg", plot.Bars, "normalized time", 1.1, r.Fig10, "baseline CB PB ALL"},
+		{"fig11_queuing.svg", plot.Bars, "normalized queued cycles", 1.1, r.Fig11,
+			"read-CB read-PB read-ALL write-CB write-PB write-ALL"},
+		{"fig12a_idle.svg", plot.Bars, "bank idle proportion", 1, fig12a, "baseline PB"},
+		{"fig12b_early.svg", plot.Bars, "proportion issued early", 1, fig12b, "early-PRE early-ACT"},
+		{"fig13_cb_sensitivity.svg", plot.Lines, "normalized time / greens per read", 0, r.Fig13,
+			"CB-exec ALL-exec green/read"},
+		{"fig15_stash.svg", plot.Lines, "stash blocks", 0, fig15, "Y=0 Y=2 Y=4 Y=6 Y=8"},
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	var written []string
-	save := func(name string, c *plot.Chart) error {
+	for _, ch := range charts {
+		t, err := ch.table()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", ch.file, err)
+		}
+		// The chart carries the table's title without the paper's
+		// quoted numbers, which would not fit the canvas.
+		title, _, _ := strings.Cut(t.Title, " (paper")
+		c := &plot.Chart{Title: title, YLabel: ch.yLabel, XTicks: t.Labels(), Kind: ch.kind, YMax: ch.yMax}
+		for _, col := range strings.Fields(ch.cols) {
+			vals, err := t.Column(col)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", ch.file, err)
+			}
+			c.Series = append(c.Series, plot.Series{Name: col, Values: vals})
+		}
 		svg, err := c.SVG()
 		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return nil, fmt.Errorf("%s: %w", ch.file, err)
 		}
-		path := filepath.Join(dir, name)
+		path := filepath.Join(dir, ch.file)
 		if err := writeFileAtomic(path, svg); err != nil {
-			return err
+			return nil, err
 		}
 		written = append(written, path)
-		return nil
 	}
-
-	// Fig. 4 — analytic capacity bars.
-	{
-		c := &plot.Chart{
-			Title:  "Fig. 4 — Ring ORAM memory space (L=23, 64B blocks)",
-			YLabel: "capacity (GB)",
-			Kind:   plot.Bars,
-		}
-		var real, dummy []float64
-		for _, rc := range config.Fig4Configs() {
-			o := config.ORAMForRing(rc)
-			c.XTicks = append(c.XTicks, rc.Name)
-			real = append(real, float64(o.RealCapacityBytes())/(1<<30))
-			dummy = append(dummy, float64(o.DummyCapacityBytes())/(1<<30))
-		}
-		c.Series = []plot.Series{{Name: "real blocks", Values: real}, {Name: "dummy blocks", Values: dummy}}
-		if err := save("fig4_space.svg", c); err != nil {
-			return nil, err
-		}
-	}
-
-	// Matrix-derived figures.
-	m, err := r.Matrix()
-	if err != nil {
-		return nil, err
-	}
-	names := trace.Names()
-
-	// Fig. 5(b) — conflict rates.
-	{
-		c := &plot.Chart{
-			Title:  "Fig. 5(b) — Row-buffer conflict rate (subtree layout)",
-			YLabel: "conflict rate",
-			XTicks: names, Kind: plot.Bars, YMax: 1,
-		}
-		var rd, ev []float64
-		for _, n := range names {
-			rd = append(rd, m[n][SchemeBaseline].Sched.ConflictRate(sched.TagReadPath))
-			ev = append(ev, m[n][SchemeBaseline].Sched.ConflictRate(sched.TagEvict))
-		}
-		c.Series = []plot.Series{{Name: "read path", Values: rd}, {Name: "eviction", Values: ev}}
-		if err := save("fig5b_conflicts.svg", c); err != nil {
-			return nil, err
-		}
-	}
-
-	// Fig. 10 — normalized execution time.
-	{
-		c := &plot.Chart{
-			Title:  "Fig. 10 — Normalized execution time",
-			YLabel: "normalized time",
-			XTicks: names, Kind: plot.Bars, YMax: 1.1,
-		}
-		series := make([]plot.Series, numSchemes)
-		for s := SchemeBaseline; s < numSchemes; s++ {
-			series[s].Name = s.String()
-		}
-		for _, n := range names {
-			base := float64(m[n][SchemeBaseline].Cycles)
-			for s := SchemeBaseline; s < numSchemes; s++ {
-				series[s].Values = append(series[s].Values, float64(m[n][s].Cycles)/base)
-			}
-		}
-		c.Series = series
-		if err := save("fig10_exectime.svg", c); err != nil {
-			return nil, err
-		}
-	}
-
-	// Fig. 11 — normalized total queuing time (read queue).
-	{
-		c := &plot.Chart{
-			Title:  "Fig. 11 — Normalized read-queue queuing time",
-			YLabel: "normalized queued cycles",
-			XTicks: names, Kind: plot.Bars, YMax: 1.1,
-		}
-		var cb, pb, all []float64
-		for _, n := range names {
-			base := float64(m[n][SchemeBaseline].Sched.ReadQueueWait)
-			cb = append(cb, float64(m[n][SchemeCB].Sched.ReadQueueWait)/base)
-			pb = append(pb, float64(m[n][SchemePB].Sched.ReadQueueWait)/base)
-			all = append(all, float64(m[n][SchemeAll].Sched.ReadQueueWait)/base)
-		}
-		c.Series = []plot.Series{{Name: "CB", Values: cb}, {Name: "PB", Values: pb}, {Name: "ALL", Values: all}}
-		if err := save("fig11_queuing.svg", c); err != nil {
-			return nil, err
-		}
-	}
-
-	// Fig. 12 — bank idle and early-command proportions.
-	{
-		c := &plot.Chart{
-			Title:  "Fig. 12 — Bank idle time and PB early commands",
-			YLabel: "proportion",
-			XTicks: names, Kind: plot.Bars, YMax: 1,
-		}
-		var bi, pi, ep, ea []float64
-		for _, n := range names {
-			bi = append(bi, m[n][SchemeBaseline].BankIdle)
-			pi = append(pi, m[n][SchemePB].BankIdle)
-			ep = append(ep, m[n][SchemePB].Sched.EarlyPREFrac())
-			ea = append(ea, m[n][SchemePB].Sched.EarlyACTFrac())
-		}
-		c.Series = []plot.Series{
-			{Name: "idle baseline", Values: bi}, {Name: "idle PB", Values: pi},
-			{Name: "early PRE", Values: ep}, {Name: "early ACT", Values: ea},
-		}
-		if err := save("fig12_idle_early.svg", c); err != nil {
-			return nil, err
-		}
-	}
-
-	// Fig. 13 — CB sensitivity lines over Y.
-	{
-		subset := []string{"black", "libq", "mummer", "stream"}
-		var ticks []string
-		var cbv, allv, green []float64
-		baseCycles := make(map[string]float64)
-		for _, n := range subset {
-			res, err := r.runOne(n, 0, config.SchedTransaction)
-			if err != nil {
-				return nil, err
-			}
-			baseCycles[n] = float64(res.Cycles)
-		}
-		for _, cbc := range config.TableVConfigs() {
-			ticks = append(ticks, fmt.Sprintf("Y=%d", cbc.Y))
-			if cbc.Y == 0 {
-				cbv, allv, green = append(cbv, 1), append(allv, 1), append(green, 0)
-				continue
-			}
-			var cAcc, aAcc, gAcc []float64
-			for _, n := range subset {
-				resCB, err := r.runOne(n, cbc.Y, config.SchedTransaction)
-				if err != nil {
-					return nil, err
-				}
-				resAll, err := r.runOne(n, cbc.Y, config.SchedProactiveBank)
-				if err != nil {
-					return nil, err
-				}
-				cAcc = append(cAcc, float64(resCB.Cycles)/baseCycles[n])
-				aAcc = append(aAcc, float64(resAll.Cycles)/baseCycles[n])
-				gAcc = append(gAcc, resCB.ORAM.GreenPerReadPath())
-			}
-			cbv = append(cbv, stats.Mean(cAcc))
-			allv = append(allv, stats.Mean(aAcc))
-			green = append(green, stats.Mean(gAcc))
-		}
-		c := &plot.Chart{
-			Title:  "Fig. 13 — CB rate sensitivity (exec time, left; green/read overlaid)",
-			YLabel: "normalized time / greens per read",
-			XTicks: ticks, Kind: plot.Lines,
-			Series: []plot.Series{
-				{Name: "CB exec", Values: cbv},
-				{Name: "CB+PB exec", Values: allv},
-				{Name: "green/read", Values: green},
-			},
-		}
-		if err := save("fig13_cb_sensitivity.svg", c); err != nil {
-			return nil, err
-		}
-	}
-
-	// Fig. 15 — stash occupancy lines.
-	{
-		tr, err := r.mixTrace()
-		if err != nil {
-			return nil, err
-		}
-		c := &plot.Chart{
-			Title:  "Fig. 15 — Run-time stash occupancy (stash 200)",
-			YLabel: "stash blocks",
-			Kind:   plot.Lines,
-		}
-		for _, cbc := range config.TableVConfigs() {
-			sys := r.Scale.system().WithCBRate(cbc.Y).WithStashSize(200)
-			res, err := sim.Run(sys, tr, sim.Options{MaxAccesses: r.Scale.Accesses, CollectStash: true})
-			if err != nil {
-				return nil, err
-			}
-			xs, ys := stats.Downsample(res.StashSamples, 30)
-			if c.XTicks == nil {
-				for _, x := range xs {
-					c.XTicks = append(c.XTicks, fmt.Sprint(x))
-				}
-			}
-			for len(ys) < len(c.XTicks) {
-				ys = append(ys, ys[len(ys)-1])
-			}
-			c.Series = append(c.Series, plot.Series{
-				Name: fmt.Sprintf("Y=%d", cbc.Y), Values: ys[:len(c.XTicks)],
-			})
-		}
-		if err := save("fig15_stash.svg", c); err != nil {
-			return nil, err
-		}
-	}
-
 	return written, nil
-}
-
-// runOne runs a single (workload, Y, scheduler) simulation at the
-// runner's scale.
-func (r *Runner) runOne(name string, y int, kind config.SchedulerKind) (*sim.Result, error) {
-	p, err := trace.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := r.workloadTrace(p)
-	if err != nil {
-		return nil, err
-	}
-	sys := r.Scale.system().WithCBRate(y).WithScheduler(kind)
-	return sim.Run(sys, tr, sim.Options{MaxAccesses: r.Scale.Accesses})
 }
 
 // writeFileAtomic writes data to path via a temp file and rename, so an

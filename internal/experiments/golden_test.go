@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"stringoram/internal/sim"
 )
 
 // TestAnalyticTablesGolden pins the exact text of the two analytic
@@ -66,7 +68,11 @@ func TestSimulationDeterminismGolden(t *testing.T) {
 	}
 	run := func() int64 {
 		r := NewRunner(Scale{Accesses: 120, TraceLen: 1500, Levels: 10, Seed: 12345})
-		res, err := r.runOne("black", 8, 0)
+		tr, err := r.suiteTrace("black")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(SchemeCB.Apply(r.Scale.System(), 8), tr, sim.Options{MaxAccesses: r.Scale.Accesses})
 		if err != nil {
 			t.Fatal(err)
 		}

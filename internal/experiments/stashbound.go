@@ -48,7 +48,7 @@ func (r *Runner) StashBound(trials, accesses int, rates []int) (*stats.Table, er
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			cfg := r.Scale.system().WithCBRate(j.rate).ORAM
+			cfg := r.Scale.System().WithCBRate(j.rate).ORAM
 			// A generous stash so peaks are observed, not clipped.
 			cfg.StashSize = 100000
 			ring, err := oram.NewRing(cfg, r.Scale.Seed+uint64(i)*7919+1, nil)

@@ -8,7 +8,6 @@ import (
 	"stringoram/internal/dram"
 	"stringoram/internal/sched"
 	"stringoram/internal/sim"
-	"stringoram/internal/trace"
 )
 
 // Timeline renders the paper's illustrative Fig. 6 (transaction-based
@@ -20,18 +19,14 @@ import (
 // commands; '|' marks cycles where the current transaction number
 // advances; '.' is idle.
 func (r *Runner) Timeline(window int) (string, error) {
-	p, err := trace.ByName("ferret")
-	if err != nil {
-		return "", err
-	}
-	tr, err := r.workloadTrace(p)
+	tr, err := r.suiteTrace("ferret")
 	if err != nil {
 		return "", err
 	}
 
 	render := func(kind config.SchedulerKind) (string, error) {
 		var events []sched.CommandEvent
-		sys := r.Scale.system().WithCBRate(0).WithScheduler(kind)
+		sys := r.Scale.System().WithCBRate(0).WithScheduler(kind)
 		_, err := sim.Run(sys, tr, sim.Options{
 			MaxAccesses: 40,
 			OnCommand:   func(e sched.CommandEvent) { events = append(events, e) },
@@ -47,7 +42,7 @@ func (r *Runner) Timeline(window int) (string, error) {
 		start := events[len(events)/4].Cycle
 		end := start + int64(window)
 
-		banks := r.Scale.system().DRAM.Banks
+		banks := r.Scale.System().DRAM.Banks
 		rows := make([][]byte, banks)
 		for b := range rows {
 			rows[b] = []byte(strings.Repeat(".", window))

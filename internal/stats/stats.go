@@ -7,14 +7,25 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 )
 
-// Table is a simple column-oriented results table.
+// Table is a simple column-oriented results table. Every numeric cell
+// keeps the number it was formatted from, so a chart plots a column of
+// the table instead of computing the figure a second time.
 type Table struct {
 	Title   string
 	Headers []string
-	rows    [][]string
+	rows    []row
+}
+
+// row is one table row: its cells, the number behind each numeric cell
+// (NaN elsewhere), and whether it summarizes the rows above it.
+type row struct {
+	cells   []string
+	nums    []float64
+	summary bool
 }
 
 // NewTable returns a table with the given title and column headers.
@@ -22,41 +33,87 @@ func NewTable(title string, headers ...string) *Table {
 	return &Table{Title: title, Headers: headers}
 }
 
-// AddRow appends a row; cells beyond the header count are dropped and
-// missing cells are blank.
-func (t *Table) AddRow(cells ...string) {
-	row := make([]string, len(t.Headers))
-	for i := range row {
-		if i < len(cells) {
-			row[i] = cells[i]
-		}
-	}
-	t.rows = append(t.rows, row)
-}
+// AddRow appends a row of text cells; cells beyond the header count are
+// dropped and missing cells are blank.
+func (t *Table) AddRow(cells ...string) { t.add(cells, nil, false) }
 
 // AddRowf appends a row of formatted values: strings pass through,
 // float64 render with 4 significant digits, ints as integers.
-func (t *Table) AddRowf(cells ...interface{}) {
+func (t *Table) AddRowf(cells ...interface{}) { t.addf(cells, false) }
+
+// AddSummaryRowf appends a row like AddRowf that summarizes the rows
+// above it (an AVG or MEAN row); Labels and Column leave it out.
+func (t *Table) AddSummaryRowf(cells ...interface{}) { t.addf(cells, true) }
+
+func (t *Table) addf(cells []interface{}, summary bool) {
 	out := make([]string, len(cells))
+	nums := make([]float64, len(cells))
 	for i, c := range cells {
+		nums[i] = math.NaN()
 		switch v := c.(type) {
 		case string:
 			out[i] = v
 		case float64:
-			out[i] = FormatFloat(v)
+			out[i], nums[i] = FormatFloat(v), v
 		case int:
-			out[i] = fmt.Sprintf("%d", v)
+			out[i], nums[i] = fmt.Sprintf("%d", v), float64(v)
 		case int64:
-			out[i] = fmt.Sprintf("%d", v)
+			out[i], nums[i] = fmt.Sprintf("%d", v), float64(v)
 		default:
 			out[i] = fmt.Sprint(v)
 		}
 	}
-	t.AddRow(out...)
+	t.add(out, nums, summary)
+}
+
+func (t *Table) add(cells []string, nums []float64, summary bool) {
+	r := row{cells: make([]string, len(t.Headers)), nums: make([]float64, len(t.Headers)), summary: summary}
+	for i := range r.cells {
+		r.nums[i] = math.NaN()
+		if i < len(cells) {
+			r.cells[i] = cells[i]
+		}
+		if i < len(nums) {
+			r.nums[i] = nums[i]
+		}
+	}
+	t.rows = append(t.rows, r)
 }
 
 // Rows returns the number of data rows.
 func (t *Table) Rows() int { return len(t.rows) }
+
+// Labels returns the first cell of every row but the summary rows.
+func (t *Table) Labels() []string {
+	var out []string
+	for _, r := range t.rows {
+		if !r.summary {
+			out = append(out, r.cells[0])
+		}
+	}
+	return out
+}
+
+// Column returns the numbers of the named column in every row but the
+// summary rows. It fails if there is no such column or a cell in it is
+// not a number.
+func (t *Table) Column(name string) ([]float64, error) {
+	col := slices.Index(t.Headers, name)
+	if col < 0 {
+		return nil, fmt.Errorf("stats: table %q has no column %q", t.Title, name)
+	}
+	var out []float64
+	for _, r := range t.rows {
+		if r.summary {
+			continue
+		}
+		if math.IsNaN(r.nums[col]) {
+			return nil, fmt.Errorf("stats: column %q holds %q, not a number, in row %q", name, r.cells[col], r.cells[0])
+		}
+		out = append(out, r.nums[col])
+	}
+	return out, nil
+}
 
 // Render writes the table as aligned fixed-width text.
 func (t *Table) Render(w io.Writer) error {
@@ -64,8 +121,8 @@ func (t *Table) Render(w io.Writer) error {
 	for i, h := range t.Headers {
 		widths[i] = len(h)
 	}
-	for _, row := range t.rows {
-		for i, c := range row {
+	for _, r := range t.rows {
+		for i, c := range r.cells {
 			if len(c) > widths[i] {
 				widths[i] = len(c)
 			}
@@ -92,8 +149,8 @@ func (t *Table) Render(w io.Writer) error {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
 	line(sep)
-	for _, row := range t.rows {
-		line(row)
+	for _, r := range t.rows {
+		line(r.cells)
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err
@@ -111,8 +168,8 @@ func (t *Table) RenderCSV(w io.Writer) error {
 		sb.WriteString(clean(h))
 	}
 	sb.WriteByte('\n')
-	for _, row := range t.rows {
-		for i, c := range row {
+	for _, r := range t.rows {
+		for i, c := range r.cells {
 			if i > 0 {
 				sb.WriteByte(',')
 			}

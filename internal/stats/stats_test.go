@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -36,6 +37,32 @@ func TestTableRowPadding(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), "4") {
 		t.Fatal("overflow cell not dropped")
+	}
+}
+
+func TestTableColumns(t *testing.T) {
+	tb := NewTable("t", "name", "x", "note")
+	tb.AddRowf("a", 0.5, "text")
+	tb.AddRowf("b", int64(3), "")
+	tb.AddSummaryRowf("AVG", 1.75, "")
+	if got := tb.Labels(); !slices.Equal(got, []string{"a", "b"}) {
+		t.Fatalf("Labels = %q, want the non-summary rows' first cells", got)
+	}
+	if got, err := tb.Column("x"); err != nil || !slices.Equal(got, []float64{0.5, 3}) {
+		t.Fatalf("Column(x) = %v, %v; want [0.5 3]", got, err)
+	}
+	if _, err := tb.Column("note"); err == nil {
+		t.Fatal("Column of text cells returned numbers")
+	}
+	if _, err := tb.Column("missing"); err == nil {
+		t.Fatal("Column of an absent header succeeded")
+	}
+	var buf bytes.Buffer
+	if err := tb.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "AVG   1.7500") {
+		t.Fatalf("summary row not rendered:\n%s", buf.String())
 	}
 }
 

@@ -32,6 +32,17 @@ for name in $(grep -ohE '`(Test|Benchmark|Fuzz)[A-Za-z0-9_]*' README.md DESIGN.m
 		exit 1
 	fi
 done
+# Every subcommand the docs cite as `stringoram <sub>` or
+# cmd/stringoram <sub> must be one stringoram's usage lists, so a doc
+# cannot cite a subcommand that was renamed or removed. Without
+# arguments stringoram prints its usage and exits 1.
+usage_out=$(go run ./cmd/stringoram 2>&1 || true)
+for sub in $(grep -ohE '(`stringoram|cmd/stringoram) [a-z0-9]+' README.md DESIGN.md EXPERIMENTS.md | awk '{print $2}' | sort -u); do
+	if ! grep -qE "^  $sub( |$)" <<<"$usage_out"; then
+		echo "docs cite \`stringoram $sub\`, which stringoram's usage does not list" >&2
+		exit 1
+	fi
+done
 
 echo "== go build =="
 go build ./...
