@@ -10,10 +10,9 @@ import (
 )
 
 // The data-plane hot path is contractually allocation-free in steady
-// state: seal/open run through caller buffers, XOR folding reuses the
-// accumulator, and the controller recycles block buffers and op lists.
-// These guards pin that property so a regression shows up as a test
-// failure, not a silent benchmark drift.
+// state: seal/open run through caller buffers, and the controller
+// recycles block buffers and op lists. These guards pin that property so
+// a regression shows up as a test failure, not a silent benchmark drift.
 
 func TestAllocFreeSealInto(t *testing.T) {
 	c, err := NewCrypt([]byte("0123456789abcdef"), 64)
@@ -50,16 +49,6 @@ func TestAllocFreeOpenInto(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("OpenInto allocates %.1f times per op, want 0", n)
-	}
-}
-
-func TestAllocFreeXORBlocks(t *testing.T) {
-	dst := make([]byte, 72)
-	src := make([]byte, 72)
-	if n := testing.AllocsPerRun(100, func() {
-		XORBlocks(dst, src)
-	}); n != 0 {
-		t.Fatalf("XORBlocks allocates %.1f times per op, want 0", n)
 	}
 }
 
@@ -126,10 +115,10 @@ func TestAllocFreePositionMapRemap(t *testing.T) {
 }
 
 // TestAllocFreeFunctionalAccess drives a warmed functional ring (store +
-// AES sealing + XOR decode) and asserts the steady-state access loop
-// performs zero heap allocations. The warmup spans several full
-// reverse-lexicographic eviction cycles so every bucket, pool buffer,
-// and scratch slice reaches its steady capacity first.
+// AES sealing) and asserts the steady-state access loop performs zero
+// heap allocations. The warmup spans several full reverse-lexicographic
+// eviction cycles so every bucket, pool buffer, and scratch slice
+// reaches its steady capacity first.
 func TestAllocFreeFunctionalAccess(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariant assertions allocate; the zero-alloc guarantee binds on the default build")

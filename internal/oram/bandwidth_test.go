@@ -118,3 +118,18 @@ func TestMemStore(t *testing.T) {
 		t.Fatalf("touched buckets = %d, want 1", m.TouchedBuckets())
 	}
 }
+
+// TestXOROnlineBandwidth: in the analytic model the XOR technique's
+// online transfer per read path is a single block, independent of the
+// configuration and the tree height.
+func TestXOROnlineBandwidth(t *testing.T) {
+	for _, rc := range config.Fig4Configs() {
+		o := config.ORAMForRing(rc)
+		for _, levels := range []int{8, 16, 24} {
+			o.Levels = levels
+			if bw := RingBandwidth(o, true); bw.Online != 1 {
+				t.Fatalf("%s, %d levels: XOR online bandwidth = %v blocks, want 1", rc.Name, levels, bw.Online)
+			}
+		}
+	}
+}

@@ -200,23 +200,6 @@ func checkSealGeometry(cfg config.ORAM, crypt *Crypt) error {
 	return nil
 }
 
-// XORBlocks accumulates src into dst in place (dst ^= src). Both slices
-// must have equal length; it panics otherwise, since mismatched sealed
-// blocks indicate a protocol bug. The bulk runs on 8-byte words with a
-// byte tail.
-func XORBlocks(dst, src []byte) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("oram: XOR of %d-byte and %d-byte blocks", len(dst), len(src)))
-	}
-	n := len(dst) &^ 7
-	for i := 0; i < n; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])^binary.LittleEndian.Uint64(src[i:]))
-	}
-	for i := n; i < len(dst); i++ {
-		dst[i] ^= src[i]
-	}
-}
-
 // OpenInto decrypts a sealed block into dst's backing array (grown only
 // when too small) and returns the plaintext slice. It returns an error
 // when the sealed bytes have the wrong length. dst must not alias sealed.

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"testing"
 	"testing/quick"
+
+	"stringoram/internal/config"
 )
 
 func testKey() []byte { return []byte("0123456789abcdef") }
@@ -135,16 +137,17 @@ func TestDifferentKeysDiffer(t *testing.T) {
 // TestStoredHeadersArePublic: a slot's cleartext header must tell an
 // observer nothing the op trace does not. After a seeded run, every slot
 // the store holds, real or dummy, must carry the IV of its position
-// (bucket, slot, the bucket's reshuffle epoch), in Compact Bucket, XOR,
-// and treetop modes (the last after Save has flushed the cache).
+// (bucket, slot, the bucket's reshuffle epoch), with Compact Bucket,
+// without it (Y = 0), and with the treetop cache (after Save has flushed
+// it).
 func TestStoredHeadersArePublic(t *testing.T) {
 	for _, tc := range []struct {
-		name         string
-		y            int
-		xor, treetop bool
+		name    string
+		y       int
+		treetop bool
 	}{
 		{name: "compact", y: 2},
-		{name: "xor", xor: true},
+		{name: "sealed-y0", y: 0},
 		{name: "treetop", y: 2, treetop: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -154,7 +157,7 @@ func TestStoredHeadersArePublic(t *testing.T) {
 				t.Fatal(err)
 			}
 			store := NewMemStore(cfg.SlotsPerBucket())
-			r, err := NewRing(cfg, 0x4ead, &Options{Store: store, Crypt: crypt, XOR: tc.xor, TreetopCache: tc.treetop})
+			r, err := NewRing(cfg, 0x4ead, &Options{Store: store, Crypt: crypt, TreetopCache: tc.treetop})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,5 +180,74 @@ func TestStoredHeadersArePublic(t *testing.T) {
 				t.Fatalf("%d of %d stored slots carry a header that is not the IV of their position", private, stored)
 			}
 		})
+	}
+}
+
+// TestSealDummyAtDeterministic: a dummy is the zero block sealed at its
+// position, so sealing it at one (bucket, slot, epoch) twice must give
+// identical bytes, headed by that position's IV, that open to zeros.
+func TestSealDummyAtDeterministic(t *testing.T) {
+	c, _ := NewCrypt(testKey(), 64)
+	core := treeCore{cfg: smallCfg(0)}
+	iv := core.slotIV(123, 4, 5)
+	a := c.sealWith(nil, iv, nil)
+	if !bytes.Equal(a, c.sealWith(nil, iv, nil)) {
+		t.Fatal("the position seal is not deterministic")
+	}
+	if binary.BigEndian.Uint64(a) != iv {
+		t.Fatalf("header %#x, want the position IV %#x", binary.BigEndian.Uint64(a), iv)
+	}
+	got, err := c.OpenInto(nil, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, 64)) {
+		t.Fatal("dummy does not decrypt to zeros")
+	}
+}
+
+// TestSlotIVInjective: slotIV packs (epoch, bucket, slot) into disjoint
+// fields, so no two positions share an IV. Every combination of the
+// fields' smallest and largest values must decode back to itself, in a
+// small tree and in the deepest geometry the sealed-tree check admits
+// (an epoch field of exactly minEpochBits), which one more level fails.
+func TestSlotIVInjective(t *testing.T) {
+	deepest := smallCfg(0)
+	slotBits, _ := ivBits(deepest)
+	deepest.Levels = 64 - minEpochBits - slotBits
+	crypt, _ := NewCrypt(testKey(), deepest.BlockSize)
+	if err := checkSealGeometry(deepest, crypt); err != nil {
+		t.Fatal(err)
+	}
+	tooDeep := deepest
+	tooDeep.Levels++
+	if checkSealGeometry(tooDeep, crypt) == nil {
+		t.Fatalf("a %d-level tree leaves a %d-bit epoch, yet passed the check", tooDeep.Levels, minEpochBits-1)
+	}
+	if _, err := NewRing(tooDeep, 1, &Options{Store: NewMemStore(tooDeep.SlotsPerBucket()), Crypt: crypt}); err == nil {
+		t.Fatal("NewRing sealed a tree whose IVs leave the epoch under 32 bits")
+	}
+	if _, err := NewPath(4, 33, deepest.BlockSize, 100, 1, &Options{Crypt: crypt}); err == nil {
+		t.Fatal("NewPath sealed a tree whose IVs leave the epoch under 32 bits")
+	}
+	for _, cfg := range []config.ORAM{smallCfg(0), smallCfg(2), deepest} {
+		core := treeCore{cfg: cfg}
+		slotBits, epochBits := ivBits(cfg)
+		seen := make(map[uint64]bool)
+		for _, bucket := range []int64{0, 1, NewTree(cfg.Levels).Buckets() - 1} {
+			for _, slot := range []int{0, 1, cfg.SlotsPerBucket() - 1} {
+				for _, epoch := range []int{0, 1, 1<<epochBits - 1} {
+					iv := core.slotIV(bucket, slot, epoch)
+					gotSlot := int(iv & (1<<slotBits - 1))
+					gotBucket := int64(iv >> slotBits & (1<<cfg.Levels - 1))
+					gotEpoch := int(iv >> (slotBits + cfg.Levels))
+					if gotSlot != slot || gotBucket != bucket || gotEpoch != epoch || seen[iv] {
+						t.Fatalf("%d levels: slotIV(%d, %d, %d) = %#x decodes to (%d, %d, %d), repeated %v",
+							cfg.Levels, bucket, slot, epoch, iv, gotBucket, gotSlot, gotEpoch, seen[iv])
+					}
+					seen[iv] = true
+				}
+			}
+		}
 	}
 }

@@ -86,20 +86,27 @@ func FuzzRingAccessSequence(f *testing.F) {
 }
 
 // FuzzLoad feeds arbitrary bytes to the checkpoint decoder, seeded from a
-// valid checkpoint: Load must return a Ring or an error, never panic on an
-// index it did not check or allocate by a number it read, and whatever it
-// accepts must checkpoint again.
+// valid checkpoint and from corruptions of it: Load must return a Ring or
+// an error, never panic on an index it did not check or allocate by a
+// number it read, and whatever it accepts must satisfy the protocol
+// invariants and checkpoint again.
 func FuzzLoad(f *testing.F) {
 	valid := checkpointForLoadTests(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(corruptCheckpoint(f, valid, func(s *ringSnap) { s.Buckets[0].Epoch = -1 }))
+	for _, tc := range inconsistentCheckpoints(f, valid) {
+		f.Add(corruptCheckpoint(f, valid, tc.corrupt))
+	}
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := Load(bytes.NewReader(data), testKey())
 		if err != nil {
 			return
+		}
+		if err := r.CheckInvariants(); err != nil {
+			t.Fatalf("Load accepted a checkpoint that breaks an invariant: %v", err)
 		}
 		if err := r.Save(io.Discard); err != nil {
 			t.Fatalf("a loaded checkpoint does not save: %v", err)

@@ -8,11 +8,11 @@ import (
 
 // TestSealedBytesGolden pins the exact ciphertext bytes the sealing layer
 // produces for a deterministic seal sequence. It failing means sealed
-// bytes changed, which would break snapshot compatibility and the XOR
-// technique's dummy cancellation. The hash was re-captured once, when
-// every slot moved from a write-counter or dummy-hash IV to the IV of its
-// position (slotIV); the kernel's keystream for a given IV is unchanged
-// (FuzzWriteBucketMatchesCTR checks it against cipher.NewCTR).
+// bytes changed, which would break snapshot compatibility. The hash was
+// re-captured once, when every slot moved from a write-counter or
+// dummy-hash IV to the IV of its position (slotIV); the kernel's
+// keystream for a given IV is unchanged (FuzzWriteBucketMatchesCTR checks
+// it against cipher.NewCTR).
 func TestSealedBytesGolden(t *testing.T) {
 	h := sha256.New()
 	core := treeCore{cfg: smallCfg(0)}
@@ -48,30 +48,34 @@ func TestSealedBytesGolden(t *testing.T) {
 }
 
 // TestRingSaveBytesGolden pins the exact checkpoint bytes Ring.Save emits
-// after a fixed seeded run, in the three modes the server runs (sealed
-// Compact Bucket, sealed XOR with Y = 0, sealed with the treetop cache).
-// The server's snapshot files and shard handoff are these bytes, so the
-// hashes — captured before the bucket table, store, position map and stash
-// moved from maps to indexed tables — are what "an upgraded oramd loads its
-// predecessor's checkpoint" rests on. They were re-captured once, when
-// seals moved to position IVs and the checkpoint to version 2 without a
-// write counter: every sealed slot changed, and Load refuses version 1.
-// Save must keep emitting one [][]byte
-// per touched store bucket with nil for never-written slots, in ascending
-// bucket order, and every snapshot slice sorted by id. The treetop hash
-// equals the compact one by construction: the cache flushes to the bytes an
-// uncached controller wrote (TestTreetopSerialEquivalence).
+// after a fixed seeded run, in three sealed configurations a server shard
+// can run: Compact Bucket (Y = 2), no Compact Bucket (Y = 0), and Y = 2
+// with the treetop cache. The server's snapshot files and shard handoff
+// are these bytes. Save must keep emitting one [][]byte per touched store
+// bucket with nil for never-written slots, in ascending bucket order, and
+// every snapshot slice sorted by id. The treetop hash equals the compact
+// one by construction: the cache flushes to the bytes an uncached
+// controller wrote (TestTreetopSerialEquivalence).
+//
+// The hashes were re-captured twice. Once when seals moved to position
+// IVs and the checkpoint to version 2 without a write counter: every
+// sealed slot changed, and Load refuses version 1. And once when the
+// functional XOR read mode was deleted: gob's type descriptor lists field
+// names, and ringSnap lost XOR and Stats lost XORDecodes, while every
+// value the checkpoint carries stayed the same. A changed hash alone does
+// not break loading older checkpoints (gob skips fields it does not
+// know); TestLoadCheckpointCompat loads checkpoints an earlier version
+// saved and checks that they continue bit-identically.
 func TestRingSaveBytesGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		y       int
-		xor     bool
 		treetop bool
 		want    string
 	}{
-		{name: "compact", y: 2, want: "5a2827cb1e5c507652461949b16528eaa37ae881b6c3029fd820b6afc5e7ad5f"},
-		{name: "xor", xor: true, want: "47ad7daeaee15ffe6a1caed6ad4d4552660b265c8cbd56b36dbde1156efbb266"},
-		{name: "treetop", y: 2, treetop: true, want: "5a2827cb1e5c507652461949b16528eaa37ae881b6c3029fd820b6afc5e7ad5f"},
+		{name: "compact", y: 2, want: "9a4db336cc417280a6f7d32b80c42d50e6cc1b6ed424151f355fda34fc74bfc7"},
+		{name: "sealed-y0", y: 0, want: "887df02f54977a4edcc6b7624c404b20e0e304367279c8c1cf213db5ef83676d"},
+		{name: "treetop", y: 2, treetop: true, want: "9a4db336cc417280a6f7d32b80c42d50e6cc1b6ed424151f355fda34fc74bfc7"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallCfg(tc.y)
@@ -81,7 +85,7 @@ func TestRingSaveBytesGolden(t *testing.T) {
 			}
 			r, err := NewRing(cfg, 2024, &Options{
 				Store: NewMemStore(cfg.SlotsPerBucket()), Crypt: crypt,
-				XOR: tc.xor, TreetopCache: tc.treetop,
+				TreetopCache: tc.treetop,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -18,15 +18,15 @@ import (
 // refill of the same path (plane.go) — Ring ORAM's EvictPath on the
 // block's own path instead of the next reverse-lexicographic one. The
 // controller exists for the paper's introductory bandwidth comparison
-// (Ring ORAM's 2.3-4x overall and, with the XOR technique, >60x online
-// improvement) and as an independently tested substrate.
+// (Ring ORAM's 2.3-4x overall improvement) and as an independently
+// tested substrate.
 type Path struct {
 	treeCore
 }
 
 // NewPath returns a Path ORAM controller with Z-slot buckets over a tree
 // with the given number of levels. opts may be nil; only Store and Crypt
-// are read (Path ORAM has no dummy selection, XOR or treetop data cache).
+// are read (Path ORAM has no dummy selection or treetop data cache).
 func NewPath(z, levels, blockSize, stashSize int, seed uint64, opts *Options) (*Path, error) {
 	switch {
 	case z <= 0:

@@ -42,8 +42,8 @@ type treeScratch struct {
 	// outBuf carries the plaintext handed back to the caller.
 	outBuf []byte `oramlint:"secret,scratch"`
 	// sealBuf receives sealed bytes on their way into the store (a whole
-	// bucket's for a refill) or into an XOR fold; stores copy (see
-	// Store), so one buffer serves every write.
+	// bucket's for a refill); stores copy (see Store), so one buffer
+	// serves every write.
 	sealBuf []byte `oramlint:"scratch"`
 	// sealBatch is a refill's kernel batch, one entry per physical slot.
 	sealBatch []cryptSlot `oramlint:"secret,scratch"`
@@ -208,9 +208,9 @@ func (c *treeCore) slotIV(bucket int64, slot, epoch int) uint64 {
 // writeBucket rewrites every slot of bucket idx in the store: srcs holds
 // one plaintext per physical slot, nil for the zero block. With a Crypt
 // the whole bucket is sealed in one kernel pass into the seal scratch,
-// real and dummy slots alike under slotIV(idx, s, epoch), so XOR reads
-// can re-derive any dummy's ciphertext and cancel it. Without one, slots
-// hold the raw block.
+// real and dummy slots alike under slotIV(idx, s, epoch), so every
+// stored header is a public function of the slot's position. Without
+// one, slots hold the raw block.
 func (c *treeCore) writeBucket(idx int64, epoch int, srcs [][]byte) {
 	if c.crypt == nil {
 		buf := ensure(c.scr.sealBuf, c.cfg.BlockSize)
@@ -410,36 +410,41 @@ func (c *treeCore) refillBucket(op *Op, idx int64, level int, b *Bucket, ids []B
 	}
 }
 
-// checkLocations verifies that every mapped block is in the stash or in
-// exactly one bucket, and that the bucket lies on the block's assigned
-// path. It is O(mapped blocks x path length) and intended for tests.
+// checkLocations verifies that every valid real slot holds a mapped block
+// on a path through that bucket and resident nowhere else, that every
+// stashed block is stashed under its mapped path, and that every mapped
+// block is resident somewhere.
 func (c *treeCore) checkLocations() error {
 	var err error
-	c.pos.ForEach(func(id BlockID, p PathID) {
-		if err != nil {
-			return
-		}
-		locations := 0
-		if c.stash.Contains(id) {
-			locations++
-		}
-		for _, idx := range c.tree.Path(p, nil) {
-			if b := c.buckets.get(idx); b != nil && b.findBlock(id) >= 0 {
-				locations++
+	resident := make(map[BlockID]int64) // block -> the bucket holding it
+	c.buckets.ascending(func(idx int64, b *Bucket) {
+		for s, sl := range b.Slots {
+			if err != nil || !sl.Real || !sl.Valid {
+				continue
 			}
+			p, mapped := c.pos.Lookup(sl.ID)
+			prev, twice := resident[sl.ID]
+			switch {
+			case !mapped:
+				err = fmt.Errorf("oram: bucket %d slot %d holds block %d, which is unmapped", idx, s, sl.ID)
+			case c.tree.BucketIndex(p, c.tree.BucketLevel(idx)) != idx:
+				err = fmt.Errorf("oram: block %d (path %d) resident in bucket %d (level %d), off its path", sl.ID, p, idx, c.tree.BucketLevel(idx))
+			case twice:
+				err = fmt.Errorf("oram: block %d resident in buckets %d and %d", sl.ID, prev, idx)
+			case c.stash.Contains(sl.ID):
+				err = fmt.Errorf("oram: block %d resident in bucket %d and in the stash", sl.ID, idx)
+			}
+			resident[sl.ID] = idx
 		}
-		if locations != 1 {
-			// Remap happens when a block enters the stash and eviction
-			// re-places it on its new path, so a block is never resident
-			// off its path. Search the whole touched tree to distinguish
-			// "lost" from "misplaced".
-			where := "nowhere"
-			c.buckets.ascending(func(idx int64, b *Bucket) {
-				if where == "nowhere" && b.findBlock(id) >= 0 {
-					where = fmt.Sprintf("bucket %d (level %d)", idx, c.tree.BucketLevel(idx))
-				}
-			})
-			err = fmt.Errorf("oram: block %d (path %d) found in %d locations; tree search: %s", id, p, locations, where)
+	})
+	c.stash.ForEach(func(id BlockID, sp PathID) {
+		if p, mapped := c.pos.Lookup(id); err == nil && (!mapped || p != sp) {
+			err = fmt.Errorf("oram: block %d stashed under path %d, mapped to %d (mapped: %v)", id, sp, p, mapped)
+		}
+	})
+	c.pos.ForEach(func(id BlockID, p PathID) {
+		if _, ok := resident[id]; err == nil && !ok && !c.stash.Contains(id) {
+			err = fmt.Errorf("oram: block %d (path %d) is mapped but resident nowhere", id, p)
 		}
 	})
 	return err

@@ -70,7 +70,7 @@ type RecursiveConfig struct {
 }
 
 // NewRecursiveRing builds a recursive controller. opts configures the
-// data ring (store, crypt, XOR, sampling); map rings always run
+// data ring (store, crypt, sampling); map rings always run
 // functionally (they must round-trip label bytes) with their own stores.
 func NewRecursiveRing(rc RecursiveConfig, seed uint64, opts *Options) (*RecursiveRing, error) {
 	if rc.Capacity <= 0 {

@@ -39,14 +39,6 @@ type Options struct {
 	// physical placement (e.g. channel balance) without weakening
 	// obliviousness. Overrides UniformSelect.
 	SlotBalancer func(bucket int64, level int, candidates []int) int
-	// XOR enables the Ring ORAM XOR technique (Ren et al., USENIX
-	// Security'15): the read path's L+1 selected ciphertexts are
-	// XOR-combined into a single block and the controller cancels the
-	// deterministically sealed dummies to recover the target, cutting
-	// online bandwidth to one block. Requires Store and Crypt, and is
-	// incompatible with Compact Bucket (Y must be 0: a green block is a
-	// second real block in the combination, which cannot be separated).
-	XOR bool
 	// TreetopCache holds the top TreeTopCacheLevels levels' block
 	// contents decrypted in controller memory (see treetop.go): cached
 	// levels cost neither store I/O nor AES, and refilled buckets flush
@@ -73,7 +65,6 @@ type Ring struct {
 	nextFiller BlockID // next synthetic filler block ID
 
 	uniformSelect bool
-	xor           bool
 	balancer      func(bucket int64, level int, candidates []int) int
 
 	// balancerPick adapts balancer to the per-bucket candidate callback;
@@ -90,11 +81,8 @@ type Ring struct {
 
 	// Read-path scratch beside the core's (same ownership rules, see
 	// treeScratch): updBuf carries the plaintext copy handed to Update
-	// callbacks, xorAcc accumulates the XOR-combined ciphertext of a read
-	// path (length zero marks "nothing folded yet"), sel is the
-	// dummy-selection scratch.
+	// callbacks, sel is the dummy-selection scratch.
 	updBuf []byte `oramlint:"secret,scratch"`
-	xorAcc []byte `oramlint:"scratch"`
 	sel    selectScratch
 }
 
@@ -110,16 +98,8 @@ func NewRing(cfg config.ORAM, seed uint64, opts *Options) (*Ring, error) {
 	if err := checkSealGeometry(cfg, opts.Crypt); err != nil {
 		return nil, err
 	}
-	if opts.XOR {
-		if opts.Store == nil || opts.Crypt == nil {
-			return nil, errors.New("oram: XOR mode requires a Store and a Crypt")
-		}
-		if cfg.Y != 0 {
-			return nil, fmt.Errorf("oram: XOR mode is incompatible with Compact Bucket (Y=%d)", cfg.Y)
-		}
-	}
 	root := rng.New(seed)
-	r := newRing(cfg, opts.Store, opts.Crypt, opts.XOR, root.Fork(), root.Fork(), root.Fork())
+	r := newRing(cfg, opts.Store, opts.Crypt, root.Fork(), root.Fork(), root.Fork())
 	r.balancer = opts.SlotBalancer
 	r.warmSeed = root.Uint64()
 	r.nextFiller = FillerBase
@@ -133,12 +113,11 @@ func NewRing(cfg config.ORAM, seed uint64, opts *Options) (*Ring, error) {
 
 // newRing assembles a controller around a fresh core from its three RNG
 // streams; NewRing and Load then set what each alone knows.
-func newRing(cfg config.ORAM, store Store, crypt *Crypt, xor bool, selSrc, permSrc, posSrc *rng.Source) *Ring {
+func newRing(cfg config.ORAM, store Store, crypt *Crypt, selSrc, permSrc, posSrc *rng.Source) *Ring {
 	return &Ring{
 		treeCore:      newTreeCore(cfg, store, crypt, permSrc, posSrc),
 		selSrc:        selSrc,
 		uniformSelect: cfg.UniformSelect,
-		xor:           xor,
 	}
 }
 
@@ -576,15 +555,6 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 	// the list growth).
 	op := takeOp(&r.scr.ops, kind, p)
 
-	// XOR technique: the memory returns one combined block per read
-	// path; the controller cancels the deterministically sealed dummies
-	// and decrypts what remains (the target, or nothing on an all-dummy
-	// path).
-	if r.xor {
-		r.xorAcc = r.xorAcc[:0]
-	}
-	xorHasTarget := false
-
 	for lvl := emitFrom; lvl < len(path); lvl++ {
 		idx := path[lvl]
 		b := r.bucket(idx)
@@ -593,12 +563,7 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 			invariant.Assertf(b.Count <= r.cfg.S, "bucket %d count %d exceeds access budget S=%d", idx, b.Count, r.cfg.S)
 		}
 		if lvl == targetLevel {
-			if r.xor {
-				r.xorFoldSlot(idx, targetSlot, false, b.Epoch)
-				xorHasTarget = true
-			} else {
-				r.fetchToStash(idx, targetSlot, id, p)
-			}
+			r.fetchToStash(idx, targetSlot, id, p)
 			b.consumeReal(targetSlot)
 			op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: lvl, Slot: targetSlot, Write: false})
 			continue
@@ -627,54 +592,15 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 			r.stats.GreenFetches++
 			r.rec.Emit(obs.Event{TS: r.obsNow(), Kind: obs.EvGreenFetch,
 				Arg0: int64(lvl), Arg1: int64(slot)})
-		} else if r.xor {
-			r.xorFoldSlot(idx, slot, true, b.Epoch)
 		}
 		op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: lvl, Slot: slot, Write: false})
 	}
-	if r.xor && xorHasTarget {
-		r.xorFinishToStash(id, p)
-		r.stats.XORDecodes++
-	}
-
 	if kind == OpReadPath {
 		r.stats.ReadPaths++
 	} else {
 		r.stats.DummyReadPaths++
 	}
 	r.stats.ReadPathBlocks += int64(len(op.Accesses))
-}
-
-// xorFoldSlot folds one selected slot's ciphertext into the XOR
-// accumulator, canceling each dummy by re-sealing the zero block at its
-// position.
-func (r *Ring) xorFoldSlot(bucket int64, slot int, isDummy bool, epoch int) {
-	r.ttAssertUncached(bucket, "xorFoldSlot") // XOR folding starts at emitFrom
-	sealed := r.store.ReadSlot(bucket, slot)
-	if sealed == nil {
-		// A never-written slot contributes nothing, and the controller
-		// knows it (slot epochs are controller state).
-		return
-	}
-	if len(r.xorAcc) == 0 {
-		r.xorAcc = append(r.xorAcc, sealed...)
-	} else {
-		XORBlocks(r.xorAcc, sealed)
-	}
-	if isDummy {
-		r.scr.sealBuf = r.crypt.sealWith(r.scr.sealBuf, r.slotIV(bucket, slot, epoch), nil)
-		XORBlocks(r.xorAcc, r.scr.sealBuf)
-	}
-}
-
-// xorFinishToStash decodes the XOR accumulator and stashes the recovered
-// target under (id, p).
-func (r *Ring) xorFinishToStash(id BlockID, p PathID) {
-	data, err := r.crypt.OpenInto(r.getBlockBuf(), r.xorAcc)
-	if err != nil {
-		panic(fmt.Sprintf("oram: XOR decode of block %d: %v", id, err))
-	}
-	r.putBlockBuf(r.stash.Put(id, p, data))
 }
 
 // earlyReshuffleOp reshuffles one bucket in place: Z reads and a full
@@ -741,8 +667,8 @@ func (r *Ring) evictPathOp() {
 }
 
 // CheckInvariants verifies the protocol invariants and returns the first
-// violation found. It is O(mapped blocks x path length) and intended for
-// tests.
+// violation found. It is O(touched slots + mapped blocks); Load runs it on
+// every checkpoint, since a state that breaks one panics a later access.
 func (r *Ring) CheckInvariants() error {
 	if err := r.checkLocations(); err != nil {
 		return err

@@ -54,7 +54,6 @@ type ringSnap struct {
 
 	HasStore bool
 	HasCrypt bool
-	XOR      bool
 
 	EvictCount int64
 	RoundCount int
@@ -91,7 +90,6 @@ func (r *Ring) Save(w io.Writer) error {
 		Cfg:        r.cfg,
 		HasStore:   r.store != nil,
 		HasCrypt:   r.crypt != nil,
-		XOR:        r.xor,
 		EvictCount: r.evictCount,
 		RoundCount: r.roundCount,
 		NextFiller: r.nextFiller,
@@ -213,7 +211,7 @@ func Load(rd io.Reader, key []byte) (*Ring, error) {
 		store = ms
 	}
 
-	r := newRing(snap.Cfg, store, crypt, snap.XOR,
+	r := newRing(snap.Cfg, store, crypt,
 		rng.Restore(snap.SelState), rng.Restore(snap.PermState), rng.Restore(snap.PosState))
 	r.evictCount = snap.EvictCount
 	r.roundCount = snap.RoundCount
@@ -262,8 +260,8 @@ func Load(rd io.Reader, key []byte) (*Ring, error) {
 		rb.reindex()
 		r.buckets.set(b.Index, rb)
 	}
-	if r.stash.Len() > r.stash.Cap() {
-		return nil, fmt.Errorf("oram: checkpoint stash (%d) exceeds capacity (%d)", r.stash.Len(), r.stash.Cap())
+	if err := r.CheckInvariants(); err != nil {
+		return nil, err
 	}
 	return r, nil
 }

@@ -2,7 +2,14 @@ package oram
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -69,6 +76,59 @@ func TestSaveLoadContinuation(t *testing.T) {
 	}
 	if err := r2.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoadCheckpointCompat loads checkpoints an earlier version of this
+// package saved and checks that each continues exactly as the saving
+// version continued it. Both are 5-level sealed rings (seed 4242) after
+// genTrace(300, 31): ring-y2.ckpt with Compact Bucket (Y = 2), and
+// ring-xor.ckpt with Y = 0 under the since-deleted XOR read mode, which
+// read the same slots and sealed the same bytes as a direct read. The
+// hashes cover the responses and op lists of genTrace(400, 2025) and then
+// every stored slot, and were captured by the saving version from the
+// ring it saved.
+func TestLoadCheckpointCompat(t *testing.T) {
+	for _, tc := range []struct{ file, want string }{
+		{"ring-y2.ckpt", "5bba86f41fdc8c72dc086c73f6397a4a1964b1e50810ea655bde1c85526cc437"},
+		{"ring-xor.ckpt", "3187a5167d2afd7aa9562480ae98b408977490fe780b416de59c7d3e0e959e8f"},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := Load(bytes.NewReader(data), testKey())
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			for i, res := range runSerialTrace(t, r, r.cfg, genTrace(400, 2025)) {
+				if res.err != nil {
+					t.Fatalf("step %d: %v", i, res.err)
+				}
+				h.Write(res.data)
+				for _, op := range res.ops {
+					fmt.Fprintf(h, "%d %d %d|", op.Kind, op.Path, len(op.Accesses))
+					for _, a := range op.Accesses {
+						fmt.Fprintf(h, "%d %d %d %v;", a.Bucket, a.Level, a.Slot, a.Write)
+					}
+				}
+			}
+			r.store.(*MemStore).eachBucket(func(bkt int64, slots [][]byte) {
+				binary.Write(h, binary.BigEndian, bkt)
+				for _, s := range slots {
+					binary.Write(h, binary.BigEndian, int64(len(s)))
+					h.Write(s)
+				}
+			})
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Fatalf("continuation of %s diverged:\n got %s\nwant %s", tc.file, got, tc.want)
+			}
+			if err := r.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -262,6 +322,80 @@ func TestLoadRejectsBadIndices(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(valid), testKey()); err != nil {
 		t.Fatalf("the uncorrupted checkpoint no longer loads: %v", err)
+	}
+}
+
+// inconsistentCheckpoints lists corruptions of a valid checkpoint whose
+// every index is in range but whose bucket metadata, stash and position
+// map disagree: state the controller cannot run on (an unmapped resident
+// block panics the next eviction that drains it). want names the
+// violation CheckInvariants reports.
+func inconsistentCheckpoints(t testing.TB, valid []byte) []struct {
+	name    string
+	corrupt func(s *ringSnap)
+	want    string
+} {
+	var probe ringSnap
+	if err := gob.NewDecoder(bytes.NewReader(valid)).Decode(&probe); err != nil {
+		t.Fatal(err)
+	}
+	tree := NewTree(probe.Cfg.Levels)
+	// slot finds the first valid slot, real or dummy, in a bucket below
+	// the root (every path passes through the root).
+	slot := func(real bool) (b, s int) {
+		for b, bk := range probe.Buckets {
+			for s, sl := range bk.Slots {
+				if bk.Index > 0 && sl.Valid && sl.Real == real {
+					return b, s
+				}
+			}
+		}
+		t.Fatalf("checkpoint has no valid real=%v slot below the root", real)
+		return 0, 0
+	}
+	rb, rs := slot(true)
+	db, ds := slot(false)
+	resident := probe.Buckets[rb].Slots[rs].ID
+	pm := slices.IndexFunc(probe.PosMap, func(e posSnap) bool { return e.ID == resident })
+	// offPath is a leaf whose path misses the resident block's bucket.
+	idx := probe.Buckets[rb].Index
+	offPath := tree.PathThrough(idx) ^ PathID(tree.Leaves()>>tree.BucketLevel(idx))
+	return []struct {
+		name    string
+		corrupt func(s *ringSnap)
+		want    string
+	}{
+		{"slot names an unmapped block", func(s *ringSnap) {
+			s.Buckets[db].Slots[ds] = Slot{Real: true, Valid: true, ID: 777777}
+		}, "unmapped"},
+		{"block off its path", func(s *ringSnap) { s.PosMap[pm].Path = offPath }, "off its path"},
+		{"block in two slots", func(s *ringSnap) {
+			s.Buckets[db].Slots[ds] = s.Buckets[rb].Slots[rs]
+		}, "resident in buckets"},
+		{"block in a slot and the stash", func(s *ringSnap) {
+			s.Stash = append(s.Stash, stashSnap{ID: resident, Path: s.PosMap[pm].Path})
+		}, "in the stash"},
+		{"stashed off its mapped path", func(s *ringSnap) {
+			s.Stash[0].Path = (s.Stash[0].Path + 1) % PathID(tree.Leaves())
+		}, "stashed under path"},
+		{"mapped block resident nowhere", func(s *ringSnap) { s.Stash = s.Stash[1:] }, "resident nowhere"},
+		{"count over S", func(s *ringSnap) { s.Buckets[0].Count = 1000 }, "exceeds S"},
+		{"green over Y", func(s *ringSnap) { s.Buckets[0].Green = s.Cfg.Y + 1 }, "exceeds Y"},
+	}
+}
+
+// TestLoadRejectsInconsistentBuckets: Load refuses a checkpoint whose
+// indices are all in range but whose state breaks a protocol invariant,
+// rather than hand back a Ring that panics on a later access.
+func TestLoadRejectsInconsistentBuckets(t *testing.T) {
+	valid := checkpointForLoadTests(t)
+	for _, tc := range inconsistentCheckpoints(t, valid) {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Load(bytes.NewReader(corruptCheckpoint(t, valid, tc.corrupt)), testKey())
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Load = %v, want an error naming %q", err, tc.want)
+			}
+		})
 	}
 }
 

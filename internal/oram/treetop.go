@@ -190,12 +190,3 @@ func (r *Ring) verifyTreetop() {
 		}
 	}
 }
-
-// ttAssertUncached panics under -tags=invariants if a data-plane call
-// that must never see a cached bucket (XOR folds start at emitFrom)
-// receives one.
-func (r *Ring) ttAssertUncached(bucket int64, what string) {
-	if invariant.Enabled {
-		invariant.Assertf(!r.tt.cached(bucket), "treetop: %s on cached bucket %d", what, bucket)
-	}
-}

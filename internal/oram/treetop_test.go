@@ -11,9 +11,9 @@ import (
 
 // newTreetopRing builds a functional ring with the treetop data cache
 // enabled for one of the protocol variants the equivalence tests cover.
-func newTreetopRing(t *testing.T, cfg config.ORAM, seed uint64, xor, plain bool) *Ring {
+func newTreetopRing(t *testing.T, cfg config.ORAM, seed uint64, plain bool) *Ring {
 	t.Helper()
-	opts := &Options{Store: NewMemStore(cfg.SlotsPerBucket()), XOR: xor, TreetopCache: true}
+	opts := &Options{Store: NewMemStore(cfg.SlotsPerBucket()), TreetopCache: true}
 	if !plain {
 		crypt, err := NewCrypt(testKey(), cfg.BlockSize)
 		if err != nil {
@@ -112,16 +112,15 @@ func opsEqual(a, b []Op) bool {
 }
 
 // treetopVariants are the protocol variants the cache must be invisible
-// to: Compact Bucket with greens, the XOR technique, and a plaintext
-// store.
+// to: Compact Bucket with greens, a sealed store without them (Y = 0),
+// and a plaintext store.
 var treetopVariants = []struct {
 	name  string
-	xor   bool
 	plain bool
 	y     int
 }{
 	{name: "compact", y: 2},
-	{name: "xor", xor: true, y: 0},
+	{name: "sealed-y0", y: 0},
 	{name: "plaintext", plain: true, y: 0},
 }
 
@@ -137,7 +136,7 @@ func TestTreetopSerialEquivalence(t *testing.T) {
 			cfg := smallCfg(v.y)
 			trace := genTrace(800, 0xcac4e+uint64(len(v.name)))
 
-			plainOpts := &Options{Store: NewMemStore(cfg.SlotsPerBucket()), XOR: v.xor}
+			plainOpts := &Options{Store: NewMemStore(cfg.SlotsPerBucket())}
 			if !v.plain {
 				crypt, err := NewCrypt(testKey(), cfg.BlockSize)
 				if err != nil {
@@ -151,7 +150,7 @@ func TestTreetopSerialEquivalence(t *testing.T) {
 			}
 			want := runSerialTrace(t, uncached, cfg, trace)
 
-			cached := newTreetopRing(t, cfg, seed, v.xor, v.plain)
+			cached := newTreetopRing(t, cfg, seed, v.plain)
 			got := runSerialTrace(t, cached, cfg, trace)
 
 			for i := range want {
@@ -274,7 +273,7 @@ func TestTreetopSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached := newTreetopRing(t, cfg, seed, false, false)
+	cached := newTreetopRing(t, cfg, seed, false)
 
 	runSerialTrace(t, uncached, cfg, trace[:300])
 	runSerialTrace(t, cached, cfg, trace[:300])
@@ -314,19 +313,16 @@ func TestTreetopSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestRekeyReseals pins Ring.Rekey, taken mid-trace with dirty cached
-// buckets, in the Compact Bucket (Y = 2) and XOR protocols: the rekeyed
+// buckets, with Compact Bucket (Y = 2) and without it (Y = 0): the rekeyed
 // ring serves the rest of the trace exactly as its twin without Rekey
 // does, every stored slot keeps its header (the public position IV) under
 // a new body, and the checkpoint opens under the new key.
 func TestRekeyReseals(t *testing.T) {
 	trace := genTrace(600, 0x4e4b)
 	key := RingKey(testKey(), 1, NewSalt())
-	for _, xor := range []bool{false, true} {
-		cfg := smallCfg(2)
-		if xor {
-			cfg = smallCfg(0)
-		}
-		twin, r := newTreetopRing(t, cfg, 9, xor, false), newTreetopRing(t, cfg, 9, xor, false)
+	for _, y := range []int{2, 0} {
+		cfg := smallCfg(y)
+		twin, r := newTreetopRing(t, cfg, 9, false), newTreetopRing(t, cfg, 9, false)
 		runSerialTrace(t, twin, cfg, trace[:300])
 		runSerialTrace(t, r, cfg, trace[:300])
 		if err := r.Rekey(key); err != nil {
@@ -335,7 +331,7 @@ func TestRekeyReseals(t *testing.T) {
 		want, got := runSerialTrace(t, twin, cfg, trace[300:]), runSerialTrace(t, r, cfg, trace[300:])
 		for i := range want {
 			if !bytes.Equal(want[i].data, got[i].data) || !opsEqual(want[i].ops, got[i].ops) {
-				t.Fatalf("xor=%v: step %d after Rekey diverged from the twin", xor, 300+i)
+				t.Fatalf("y=%d: step %d after Rekey diverged from the twin", y, 300+i)
 			}
 		}
 		twin.flushTreetop()
@@ -346,22 +342,22 @@ func TestRekeyReseals(t *testing.T) {
 				cur := r.store.ReadSlot(bkt, s)
 				if old == nil || cur == nil || !bytes.Equal(old[:SealOverhead], cur[:SealOverhead]) ||
 					bytes.Equal(old[SealOverhead:], cur[SealOverhead:]) {
-					t.Fatalf("xor=%v: bucket %d slot %d: header kept and body resealed expected, got %x vs %x", xor, bkt, s, old, cur)
+					t.Fatalf("y=%d: bucket %d slot %d: header kept and body resealed expected, got %x vs %x", y, bkt, s, old, cur)
 				}
 				stored++
 			}
 		})
 		if stored == 0 {
-			t.Fatalf("xor=%v: nothing stored", xor)
+			t.Fatalf("y=%d: nothing stored", y)
 		}
 		if _, err := Load(bytes.NewReader(saveBytes(t, r)), key); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := newTreetopRing(t, smallCfg(2), 9, false, true).Rekey(key); err == nil {
+	if err := newTreetopRing(t, smallCfg(2), 9, true).Rekey(key); err == nil {
 		t.Fatal("Rekey accepted a plaintext ring")
 	}
-	if err := newTreetopRing(t, smallCfg(2), 9, false, false).Rekey(key[:5]); err == nil {
+	if err := newTreetopRing(t, smallCfg(2), 9, false).Rekey(key[:5]); err == nil {
 		t.Fatal("Rekey accepted a 5-byte key")
 	}
 }
@@ -405,7 +401,7 @@ func TestTreetopAllocFree(t *testing.T) {
 		t.Skip("invariant assertions allocate; the zero-alloc guarantee binds on the default build")
 	}
 	cfg := smallCfg(2)
-	r := newTreetopRing(t, cfg, 7, false, false)
+	r := newTreetopRing(t, cfg, 7, false)
 	trace := genTrace(4000, 0xa110d)
 	writeBuf := make([]byte, cfg.BlockSize)
 	run := func(steps []traceStep) {

@@ -126,10 +126,6 @@ type Stats struct {
 	// Stash telemetry.
 	StashPeak int64 // maximum occupancy observed
 	StashHits int64 // requests served while the block sat in the stash
-
-	// XORDecodes counts read paths whose target was recovered from an
-	// XOR-combined block (XOR mode only).
-	XORDecodes int64
 }
 
 // GreenPerReadPath returns the average number of green blocks fetched per

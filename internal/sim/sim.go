@@ -60,6 +60,8 @@ type Options struct {
 // and *oram.Path satisfy it.
 type protocol interface {
 	Access(id oram.BlockID, write bool, data []byte) ([]byte, []oram.Op, error)
+	Stats() oram.Stats
+	StashLen() int
 }
 
 // Result carries everything the experiment harness reads off one run.
@@ -187,8 +189,6 @@ func (w *tagWindow) prune(cur int64) {
 // Sim is one configured simulation instance.
 type Sim struct {
 	sys    config.System
-	ring   *oram.Ring // nil in Path ORAM mode
-	path   *oram.Path // nil in Ring ORAM mode
 	proto  protocol
 	mapper *addrmap.Mapper
 	ctrl   *sched.Controller
@@ -301,22 +301,15 @@ func newSim(sys config.System, trs []*trace.Trace, name string, opts Options) (*
 			return best
 		}
 	}
-	var ring *oram.Ring
-	var path *oram.Path
 	var proto protocol
 	if opts.PathORAM {
-		path, err = oram.NewPath(sys.ORAM.Z, sys.ORAM.Levels, sys.ORAM.BlockSize,
+		proto, err = oram.NewPath(sys.ORAM.Z, sys.ORAM.Levels, sys.ORAM.BlockSize,
 			sys.ORAM.StashSize, sys.Seed, &ringOpts)
-		if err != nil {
-			return nil, err
-		}
-		proto = path
 	} else {
-		ring, err = oram.NewRing(sys.ORAM, sys.Seed, &ringOpts)
-		if err != nil {
-			return nil, err
-		}
-		proto = ring
+		proto, err = oram.NewRing(sys.ORAM, sys.Seed, &ringOpts)
+	}
+	if err != nil {
+		return nil, err
 	}
 	llc, err := cache.New(sys.Cache)
 	if err != nil {
@@ -334,8 +327,6 @@ func newSim(sys config.System, trs []*trace.Trace, name string, opts Options) (*
 	}
 	s := &Sim{
 		sys:    sys,
-		ring:   ring,
-		path:   path,
 		proto:  proto,
 		mapper: mapper,
 		ctrl:   ctrl,
@@ -348,7 +339,7 @@ func newSim(sys config.System, trs []*trace.Trace, name string, opts Options) (*
 	}
 	if opts.FlightRecorder != nil {
 		s.ctrl.Instrument(opts.FlightRecorder)
-		if ring != nil {
+		if ring, ok := proto.(*oram.Ring); ok {
 			ring.Record(opts.FlightRecorder, func() int64 { return s.now })
 		}
 	}
@@ -364,8 +355,8 @@ func (s *Sim) oramAccess(blockID oram.BlockID, write bool) (int64, error) {
 		return 0, fmt.Errorf("sim: oram access of block %d: %w", blockID, err)
 	}
 	s.accesses++
-	if s.stash && s.ring != nil {
-		s.res.StashSamples = append(s.res.StashSamples, s.ring.StashLen())
+	if s.stash {
+		s.res.StashSamples = append(s.res.StashSamples, s.proto.StashLen())
 	}
 	dataTxn := int64(-1)
 	for _, op := range ops {
@@ -586,11 +577,7 @@ func (s *Sim) finalize(cycles int64) *Result {
 	}
 	r.ORAMAccesses = s.accesses
 	r.LLCHitRate = s.llc.HitRate()
-	if s.ring != nil {
-		r.ORAM = s.ring.Stats()
-	} else {
-		r.ORAM = s.path.Stats()
-	}
+	r.ORAM = s.proto.Stats()
 	r.Sched = *s.ctrl.Stats()
 
 	var busy int64

@@ -186,6 +186,25 @@ func TestStashSamplesCollected(t *testing.T) {
 	}
 }
 
+// TestPathORAMStashSamplesCollected: CollectStash samples whichever
+// protocol runs, one sample per ORAM access.
+func TestPathORAMStashSamplesCollected(t *testing.T) {
+	sys := testSystem().WithCBRate(0)
+	sys.ORAM.Z = 4
+	res, err := Run(sys, testTrace(t, 1000), Options{MaxAccesses: 100, PathORAM: true, CollectStash: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.StashSamples) == 0 || int64(len(res.StashSamples)) != res.ORAMAccesses {
+		t.Fatalf("%d stash samples over %d Path ORAM accesses, want one per access", len(res.StashSamples), res.ORAMAccesses)
+	}
+	for _, s := range res.StashSamples {
+		if s < 0 || s > sys.ORAM.StashSize {
+			t.Fatalf("sample %d out of range", s)
+		}
+	}
+}
+
 func TestMaxAccessesRespected(t *testing.T) {
 	res := runOne(t, testSystem(), 5000, 100)
 	// The cut happens between core ticks, so slight overshoot from one

@@ -32,6 +32,27 @@ for name in $(grep -ohE '`(Test|Benchmark|Fuzz)[A-Za-z0-9_]*' README.md DESIGN.m
 		exit 1
 	fi
 done
+# Every other backticked Go identifier in those docs — `Name`,
+# `pkg.Name` or `Name()` — must appear, each dotted part, as a word in
+# some .go file, so a doc cannot cite a type, function or field that was
+# deleted or renamed. A backticked `file.go` must name an existing file.
+go_words=$(grep -rhoE --include='*.go' '[A-Za-z_][A-Za-z0-9_]*' . | sort -u)
+go_files=$(find . -name '*.go' -printf '%f\n' | sort -u)
+for name in $(grep -ohE '`[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)?(\(\))?`' README.md DESIGN.md EXPERIMENTS.md SECURITY.md | tr -d '`' | sed 's/()$//' | sort -u); do
+	if [[ $name == *.go ]]; then
+		if ! grep -qxF "$name" <<<"$go_files"; then
+			echo "docs cite \`$name\`, which is no .go file" >&2
+			exit 1
+		fi
+		continue
+	fi
+	for part in ${name//./ }; do
+		if ! grep -qxF "$part" <<<"$go_words"; then
+			echo "docs cite \`$name\`, but no .go file has the word $part" >&2
+			exit 1
+		fi
+	done
+done
 # Every subcommand the docs cite as `stringoram <sub>` or
 # cmd/stringoram <sub> must be one stringoram's usage lists, so a doc
 # cannot cite a subcommand that was renamed or removed. Without
@@ -98,14 +119,14 @@ for procs in 1 2 4; do
 	    ./internal/cluster ./internal/server ./internal/obs
 done
 
-echo "== data-plane goldens (sealed bytes, public seal headers, treetop store trace, Path op trace, checkpoint bytes, DRAM command stream) =="
-go test -count=1 -run='^(TestSealedBytesGolden|TestStoredHeadersArePublic|TestTreetopStoreTraceGolden|TestPathTraceGolden|TestRingSaveBytesGolden)$' ./internal/oram
-go test -count=1 -run='^TestCommandStreamGolden$' ./internal/sim
+echo "== data-plane goldens (sealed bytes, public seal headers, treetop store trace, Path op trace, checkpoint bytes, earlier checkpoints, inconsistent checkpoints, DRAM command stream, Path ORAM stash samples) =="
+go test -count=1 -run='^(TestSealedBytesGolden|TestStoredHeadersArePublic|TestTreetopStoreTraceGolden|TestPathTraceGolden|TestRingSaveBytesGolden|TestLoadCheckpointCompat|TestLoadRejectsInconsistentBuckets)$' ./internal/oram
+go test -count=1 -run='^(TestCommandStreamGolden|TestPathORAMStashSamplesCollected)$' ./internal/sim
 
 echo "== treetop cache equivalence (serial vs uncached oracle, -race) =="
-# Covers compact/XOR/plaintext: the cached controller must return
-# identical data, op traces, and snapshot bytes, and elide exactly the
-# cached levels from the store trace.
+# Covers Compact Bucket, sealed Y = 0 and plaintext stores: the cached
+# controller must return identical data, op traces, and snapshot bytes,
+# and elide exactly the cached levels from the store trace.
 go test -race -count=1 -run='^TestTreetop' ./internal/oram
 
 echo "== alloc-regression guards (data-plane hot path, scheduler Tick, loopback client ops) =="

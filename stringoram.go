@@ -75,7 +75,7 @@ type (
 	// PathORAM is the Path ORAM baseline controller.
 	PathORAM = oram.Path
 	// RingOptions configures optional Ring/Path behaviour (functional
-	// store, sealing, selection policy, XOR, treetop cache).
+	// store, sealing, selection policy, treetop cache).
 	RingOptions = oram.Options
 	// BlockID identifies a logical data block.
 	BlockID = oram.BlockID
