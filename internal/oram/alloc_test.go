@@ -26,11 +26,11 @@ func TestAllocFreeSealInto(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("SealInto allocates %.1f times per op, want 0", n)
 	}
-	core := treeCore{cfg: smallCfg(0)}
+	body := make([]byte, 12*64, 12*64+gcmTagSize)
 	if n := testing.AllocsPerRun(100, func() {
-		buf = c.sealWith(buf, core.slotIV(7, 3, 9), nil)
+		c.sealBucket(body, 7, 9)
 	}); n != 0 {
-		t.Fatalf("a position seal allocates %.1f times per op, want 0", n)
+		t.Fatalf("a bucket seal allocates %.1f times per op, want 0", n)
 	}
 }
 
@@ -85,7 +85,7 @@ func TestAllocFreeStashCycle(t *testing.T) {
 // into the bucket's one buffer.
 func TestAllocFreeMemStoreWrite(t *testing.T) {
 	m := NewMemStore(12)
-	sealed := make([]byte, 64+SealOverhead)
+	sealed := make([]byte, 64)
 	for b := int64(0); b < 255; b++ {
 		m.WriteSlot(b, 0, sealed)
 	}

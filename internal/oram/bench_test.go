@@ -180,10 +180,11 @@ func BenchmarkAccessFunctionalObs(b *testing.B) {
 }
 
 // BenchmarkSeal measures the sealing layer alone on 64-byte blocks: the
-// kernel on one slot (SealInto, the caller-buffer path) and on a whole
-// default-geometry bucket (a refill's one pass, reported per slot), and
-// stdlib AES-GCM sealing and opening one slot per call, the per-slot cost
-// an authenticated seal format would pay.
+// kernel sealing one slot (SealInto, the caller-buffer path) and opening
+// one slot of a sealed bucket (a read's one-slot open), a refill's one GCM
+// pass over a default-geometry bucket (reported per slot), and stdlib
+// AES-GCM sealing and opening one slot per call, the per-slot cost an
+// authenticated seal format would pay.
 func BenchmarkSeal(b *testing.B) {
 	payload := make([]byte, 64)
 	c, err := NewCrypt([]byte("bench-key-16byte"), len(payload))
@@ -196,15 +197,14 @@ func BenchmarkSeal(b *testing.B) {
 	}
 	nonce := make([]byte, aead.NonceSize())
 	sealed := aead.Seal(nil, nonce, payload, nil)
-	// Every real slot of the bucket seals the payload; the rest are
-	// dummies. buf is big enough for every case, so no run allocates.
-	slots := make([]cryptSlot, config.Default().ORAM.SlotsPerBucket())
-	for s := range slots {
-		if s%2 == 0 {
-			slots[s].src = payload
-		}
+	// Every other slot of the bucket holds the payload; the rest are
+	// dummies. body has room for the tag, so no run allocates.
+	slots := config.Default().ORAM.SlotsPerBucket()
+	body := make([]byte, slots*len(payload), slots*len(payload)+gcmTagSize)
+	for s := 0; s < slots; s += 2 {
+		copy(body[s*len(payload):], payload)
 	}
-	buf := make([]byte, len(slots)*c.sealedLen())
+	buf := make([]byte, len(body))
 
 	b.Run("slot", func(b *testing.B) {
 		b.ReportAllocs()
@@ -212,15 +212,18 @@ func BenchmarkSeal(b *testing.B) {
 			c.SealInto(buf, payload)
 		}
 	})
+	b.Run("open", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.cryptAt(buf[:len(payload)], body[len(payload):2*len(payload)], 7, i, 1)
+		}
+	})
 	b.Run("bucket", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			for s := range slots {
-				slots[s].ctr = uint64(i*len(slots) + s + 1)
-			}
-			c.sealSlots(buf, slots)
+			c.sealBucket(body, 7, i)
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(slots)), "ns/slot")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slots), "ns/slot")
 	})
 	b.Run("gcm-seal", func(b *testing.B) {
 		b.ReportAllocs()

@@ -33,9 +33,9 @@ type Bucket struct {
 	// last reshuffle; must never exceed Y. Secret: it is a function of
 	// real-vs-dummy identity, which the bus must not learn.
 	Green int `oramlint:"secret"`
-	// Epoch counts reshuffles of this bucket. It is a field of every
-	// slot's seal IV (slotIV), so each reshuffle reseals the bucket at
-	// fresh IVs.
+	// Epoch counts reshuffles of this bucket. It is a field of the
+	// bucket's seal nonce (Crypt), so each reshuffle reseals the bucket
+	// under a fresh nonce.
 	Epoch int
 
 	// realMask/validMask mirror the Slots' Real and Valid flags as bit

@@ -9,42 +9,53 @@ import (
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
-	"math/bits"
-
-	"stringoram/internal/config"
 )
 
 // Crypt is the controller's encryption/decryption logic (the "E/D Logic"
-// box of Fig. 1). Every block written to memory is encrypted under
-// AES-128-CTR with an IV fresh per (slot, epoch): the controller seals
-// real and dummy slots alike under the IV of the slot's public position
-// (treeCore.slotIV), and a bucket is rewritten only after a reshuffle
-// advances its epoch, so no IV repeats under one key and real blocks are
-// indistinguishable from dummies on the bus.
+// box of Fig. 1). A refill seals a whole bucket body — its slots back to
+// back, BlockSize bytes each, with no header — in one AES-GCM pass under
+// the nonce of the bucket's position (bucketNonce), real and dummy slots
+// alike, and drops the tag: Ring ORAM opens single slots, never a whole
+// bucket, so nothing would check it. The nonce is trusted controller
+// metadata, never read from the store, and public: the op trace names the
+// bucket, and the epoch counts its reshuffles. A bucket is rewritten only
+// after a reshuffle advances its epoch, so no nonce repeats under one key
+// and real blocks are indistinguishable from dummies on the bus.
 //
-// The sealed layout is: the 8-byte IV counter followed by the ciphertext,
-// so sealed blocks are BlockSize+8 bytes. The header is a public value:
-// anyone who sees the op trace can compute it.
-//
-// Every AES call goes through one kernel, cryptSlots, which takes a batch
-// of slots: it lays out all their counter blocks in the output, encrypts
-// them in place back to back, then XORs the plaintexts in. A refill seals
-// a whole bucket in one call (sealSlots); sealWith and OpenInto are
-// one-slot calls. The bytes are bit-identical to cipher.NewCTR's, which
-// is not used because it allocates a stream object per call. Like Ring, a
-// Crypt is confined to one controller goroutine: the tail scratch is
+// GCM encrypts the body in CTR mode starting at the counter block
+// nonce ‖ be32(2), so body byte o is XORed with byte o%16 of the keystream
+// block for nonce ‖ be32(2 + o/16). A one-slot open recomputes exactly
+// that keystream (cryptAt), one AES call per counter block, so its bytes
+// match the GCM pass (FuzzSealBucketMatchesGCM). Like Ring, a Crypt is
+// confined to one controller goroutine: the nonce and tail scratch are
 // reused across calls without synchronization.
 type Crypt struct {
 	block     cipher.Block
+	aead      cipher.AEAD
 	blockSize int
 
-	// tail receives the one keystream block a slot's output cannot hold:
-	// the last, partial one when BlockSize is not a multiple of 16.
+	// nonce is the current call's bucket nonce. It lives here, not on the
+	// stack, so passing it through the AEAD interface does not allocate.
+	nonce [12]byte
+	// tail receives a keystream block that only partly overlaps a slot.
 	tail [aes.BlockSize]byte
 }
 
-// SealOverhead is the number of bytes SealInto adds to a plaintext block.
-const SealOverhead = 8
+// SealOverhead is the number of bytes SealInto adds to a plaintext block:
+// none, since the nonce comes from the slot's position.
+const SealOverhead = 0
+
+// gcmTagSize is the tag GCM appends to a sealed bucket body, which the
+// seal buffer must have room for although the tag is dropped.
+const gcmTagSize = 16
+
+// The nonce is the 96-bit big-endian integer epoch<<nonceBucketBits |
+// bucket. Levels ≤ 40 keeps every bucket index under 2^nonceBucketBits,
+// which writeBucket asserts; the epoch takes the remaining 56 bits.
+const (
+	nonceBucketBits = 40
+	nonceEpochBits  = 96 - nonceBucketBits
+)
 
 // NewCrypt returns encryption logic for plaintext blocks of blockSize
 // bytes under the given 16-byte key.
@@ -59,14 +70,18 @@ func NewCrypt(key []byte, blockSize int) (*Crypt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Crypt{block: b, blockSize: blockSize}, nil
+	aead, err := cipher.NewGCM(b)
+	if err != nil {
+		return nil, err
+	}
+	return &Crypt{block: b, aead: aead, blockSize: blockSize}, nil
 }
 
 // RingKey derives the sealing key of one Ring incarnation from a master
-// key: HMAC-SHA256(master, ring || salt) truncated to 16 bytes. Seal IVs
-// are tree positions, so two trees under one key whose contents differ
-// (two Rings, or diverging copies of one) reuse keystreams: each Ring
-// takes its own ring number, each incarnation its own salt (NewSalt).
+// key: HMAC-SHA256(master, ring || salt) truncated to 16 bytes. Seal
+// nonces are tree positions, so two trees under one key whose contents
+// differ (two Rings, or diverging copies of one) reuse keystreams: each
+// Ring takes its own ring number, each incarnation its own salt (NewSalt).
 func RingKey(master []byte, ring uint64, salt []byte) []byte {
 	m := hmac.New(sha256.New, master)
 	m.Write(binary.BigEndian.AppendUint64(nil, ring))
@@ -81,71 +96,65 @@ func NewSalt() []byte {
 	return salt
 }
 
-// cryptSlot is one slot of a kernel batch: its IV counter and the bytes
-// XORed into its keystream, nil for none (the zero block's seal).
-type cryptSlot struct {
-	ctr uint64
-	src []byte `oramlint:"secret,scratch"`
+// bucketNonce sets c.nonce to the nonce of bucket in the given reshuffle
+// epoch: epoch in the high nonceEpochBits bits, bucket in the low
+// nonceBucketBits.
+func (c *Crypt) bucketNonce(bucket int64, epoch int) {
+	binary.BigEndian.PutUint64(c.nonce[:8], uint64(epoch)<<(nonceBucketBits-32)|uint64(bucket)>>32)
+	binary.BigEndian.PutUint32(c.nonce[8:], uint32(bucket))
 }
 
-// cryptSlots is the one AES kernel. out holds len(slots) records of
-// stride bytes; the last BlockSize bytes of record k receive slots[k].src
-// XOR the AES-CTR keystream for the IV [ctr_be || 0^8]. This is
-// bit-identical to cipher.NewCTR with that IV: CTR mode encrypts
-// successive counter blocks, incrementing the IV as one 128-bit
-// big-endian integer, and because the low half starts at zero and a block
-// never spans 2^64 AES blocks, block j's counter is exactly
-// [ctr_be || j_be]. A src must be BlockSize bytes and must not alias out.
-func (c *Crypt) cryptSlots(out []byte, stride int, slots []cryptSlot) {
-	bs := c.blockSize
-	full := bs &^ (aes.BlockSize - 1)
-	// Counter blocks go straight into the output, where their keystream
-	// lands; the encryptions then run back to back with no XOR between.
-	// Writing every counter first also matters on its own: AES loads each
-	// block as one 16-byte load, which cannot be forwarded from the two
-	// 8-byte stores that just wrote it, so encrypting each block right
-	// after writing it stalls (about 1.8x the time per slot on an x86-64
-	// Xeon, BenchmarkSeal/bucket).
-	for k, s := range slots {
-		body := out[(k+1)*stride-bs : (k+1)*stride]
-		for j := 0; j < full; j += aes.BlockSize {
-			binary.BigEndian.PutUint64(body[j:], s.ctr)
-			binary.BigEndian.PutUint64(body[j+8:], uint64(j/aes.BlockSize))
-		}
-	}
-	for k := range slots {
-		body := out[(k+1)*stride-bs : (k+1)*stride]
-		for j := 0; j < full; j += aes.BlockSize {
-			c.block.Encrypt(body[j:j+aes.BlockSize], body[j:j+aes.BlockSize])
-		}
-	}
-	for k, s := range slots {
-		body := out[(k+1)*stride-bs : (k+1)*stride]
-		if full < bs {
-			binary.BigEndian.PutUint64(c.tail[:8], s.ctr)
-			binary.BigEndian.PutUint64(c.tail[8:], uint64(full/aes.BlockSize))
-			c.block.Encrypt(c.tail[:], c.tail[:])
-			copy(body[full:], c.tail[:])
-		}
-		if s.src != nil {
-			subtle.XORBytes(body, body, s.src)
-		}
-	}
+// sealBucket encrypts a bucket body in place under the nonce of (bucket,
+// epoch) in one GCM pass. The tag lands past the body, so cap(body) must
+// leave gcmTagSize spare bytes.
+func (c *Crypt) sealBucket(body []byte, bucket int64, epoch int) {
+	c.bucketNonce(bucket, epoch)
+	c.aead.Seal(body[:0], c.nonce[:], body, nil)
 }
 
-// sealSlots seals every slot of the batch into dst, which must hold
-// len(slots) sealed blocks back to back: the counter header, then the
-// ciphertext.
-func (c *Crypt) sealSlots(dst []byte, slots []cryptSlot) {
-	n := c.sealedLen()
-	for k, s := range slots {
-		binary.BigEndian.PutUint64(dst[k*n:], s.ctr)
-	}
-	c.cryptSlots(dst, n, slots)
+// counterBlock writes the counter block of body AES block i into b.
+func (c *Crypt) counterBlock(b []byte, i int) {
+	copy(b, c.nonce[:])
+	binary.BigEndian.PutUint32(b[12:], uint32(2+i))
 }
 
-// sealedLen is the length of one sealed block.
-func (c *Crypt) sealedLen() int { return SealOverhead + c.blockSize }
+// cryptAt XORs src (nil for the zero block) with the keystream of slot
+// `slot` of the body sealed at (bucket, epoch) into dst, which must be
+// BlockSize bytes and must not alias src. CTR is its own inverse, so this
+// both opens a stored slot and seals a lone one.
+func (c *Crypt) cryptAt(dst, src []byte, bucket int64, epoch, slot int) {
+	c.bucketNonce(bucket, epoch)
+	off, n := slot*c.blockSize, len(dst)
+	// Keystream blocks wholly inside the slot span [lead, full); the
+	// bytes before and after come from blocks the slot shares with its
+	// neighbours, which only a BlockSize that is no multiple of 16 has.
+	lead := min(n, -off&(aes.BlockSize-1))
+	full := lead + (n-lead)&^(aes.BlockSize-1)
+	// Counter blocks go straight into dst, where their keystream lands;
+	// the encryptions then run back to back. Writing every counter first
+	// matters: AES loads each block as one 16-byte load, which cannot be
+	// forwarded from the narrower stores that just wrote it, so
+	// encrypting each block right after writing it stalls.
+	for j := lead; j < full; j += aes.BlockSize {
+		c.counterBlock(dst[j:], (off+j)/aes.BlockSize)
+	}
+	for j := lead; j < full; j += aes.BlockSize {
+		c.block.Encrypt(dst[j:j+aes.BlockSize], dst[j:j+aes.BlockSize])
+	}
+	if lead > 0 {
+		c.counterBlock(c.tail[:], off/aes.BlockSize)
+		c.block.Encrypt(c.tail[:], c.tail[:])
+		copy(dst[:lead], c.tail[off%aes.BlockSize:])
+	}
+	if full < n {
+		c.counterBlock(c.tail[:], (off+full)/aes.BlockSize)
+		c.block.Encrypt(c.tail[:], c.tail[:])
+		copy(dst[full:], c.tail[:])
+	}
+	if src != nil {
+		subtle.XORBytes(dst, dst, src)
+	}
+}
 
 // ensure returns buf resized to n bytes, reusing its backing array when
 // the capacity suffices and allocating otherwise.
@@ -158,56 +167,28 @@ func ensure(buf []byte, n int) []byte {
 
 // SealInto encrypts a plaintext block (nil seals the zero block) into
 // dst's backing array, growing it only when the capacity is short of
-// SealOverhead+BlockSize bytes (nil allocates), and returns the sealed
-// slice. It seals at IV 0, so two calls under one key share a keystream.
-// No controller calls it: they seal every slot at the IV of its position
-// (treeCore.writeBucket).
+// BlockSize bytes (nil allocates), and returns the sealed slice. It seals
+// as slot 0 of bucket 0 in epoch 0, so two calls under one key share a
+// keystream. No controller calls it: they seal whole buckets at their
+// positions (treeCore.writeBucket).
 func (c *Crypt) SealInto(dst, plaintext []byte) []byte {
 	if plaintext != nil && len(plaintext) != c.blockSize {
 		panic(fmt.Sprintf("oram: SealInto with %d-byte plaintext, want %d", len(plaintext), c.blockSize))
 	}
-	return c.sealWith(dst, 0, plaintext)
-}
-
-// sealWith seals plaintext (nil for the zero block) under an explicit
-// counter into dst.
-func (c *Crypt) sealWith(dst []byte, ctr uint64, plaintext []byte) []byte {
-	dst = ensure(dst, c.sealedLen())
-	c.sealSlots(dst, []cryptSlot{{ctr: ctr, src: plaintext}})
+	dst = ensure(dst, c.blockSize)
+	c.cryptAt(dst, plaintext, 0, 0, 0)
 	return dst
 }
 
-// minEpochBits is the narrowest epoch field a sealed geometry may leave in
-// a slot's IV: 2^32 reshuffles of one bucket before an IV could repeat.
-const minEpochBits = 32
-
-// ivBits returns the widths of a slot IV's slot field (enough for
-// SlotsPerBucket-1) and of its epoch field, which takes what the bucket
-// field (Levels bits: a tree has 2^Levels-1 buckets) and the slot field
-// leave of 64 bits.
-func ivBits(cfg config.ORAM) (slotBits, epochBits int) {
-	slotBits = bits.Len(uint(cfg.SlotsPerBucket() - 1))
-	return slotBits, 64 - cfg.Levels - slotBits
-}
-
-// checkSealGeometry rejects a tree sealed by crypt (nil for none) whose
-// slot IVs leave the epoch fewer than minEpochBits bits.
-func checkSealGeometry(cfg config.ORAM, crypt *Crypt) error {
-	if _, eb := ivBits(cfg); crypt != nil && eb < minEpochBits {
-		return fmt.Errorf("oram: %d levels of %d-slot buckets leave a %d-bit epoch in the seal IV, want at least %d",
-			cfg.Levels, cfg.SlotsPerBucket(), eb, minEpochBits)
-	}
-	return nil
-}
-
-// OpenInto decrypts a sealed block into dst's backing array (grown only
-// when too small) and returns the plaintext slice. It returns an error
-// when the sealed bytes have the wrong length. dst must not alias sealed.
+// OpenInto decrypts a block SealInto sealed into dst's backing array
+// (grown only when too small) and returns the plaintext slice. It returns
+// an error when the sealed bytes have the wrong length. dst must not
+// alias sealed.
 func (c *Crypt) OpenInto(dst, sealed []byte) ([]byte, error) {
-	if len(sealed) != c.sealedLen() {
-		return nil, fmt.Errorf("oram: sealed block is %d bytes, want %d", len(sealed), c.sealedLen())
+	if len(sealed) != c.blockSize {
+		return nil, fmt.Errorf("oram: sealed block is %d bytes, want %d", len(sealed), c.blockSize)
 	}
 	dst = ensure(dst, c.blockSize)
-	c.cryptSlots(dst, c.blockSize, []cryptSlot{{ctr: binary.BigEndian.Uint64(sealed[:8]), src: sealed[SealOverhead:]}})
+	c.cryptAt(dst, sealed, 0, 0, 0)
 	return dst, nil
 }

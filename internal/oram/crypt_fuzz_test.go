@@ -4,39 +4,43 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
-	"encoding/binary"
-	"math/bits"
+	"math/big"
 	"testing"
 
 	"stringoram/internal/config"
 )
 
-// FuzzWriteBucketMatchesCTR cross-checks the contracts the alloc-free data
-// plane rests on, across arbitrary keys, block sizes, buckets and epochs:
+// FuzzSealBucketMatchesGCM cross-checks the sealed layout against the
+// standard library, across arbitrary keys, every block size from 1 to
+// 1024 bytes, buckets of a 40-level tree, epochs, and mixes of up to 32
+// plaintext and nil (zero-block) slots:
 //
-//  1. a refill's one-pass bucket seal (writeBucket) writes every slot, over
-//     a fuzzed mix of up to 32 plaintext and nil (zero-block) slots, as the
-//     8-byte IV ((epoch << Levels) | bucket) << slotBits | slot followed by
-//     crypto/cipher's CTR stream for [iv_be || 0^8] over the plaintext;
-//  2. sealing one slot into a reused buffer produces the same bytes as
-//     sealing into a fresh one;
-//  3. OpenInto round-trips every slot back to its plaintext.
-func FuzzWriteBucketMatchesCTR(f *testing.F) {
-	f.Add([]byte("0123456789abcdef"), []byte("hello ring oram padding to size!"), uint64(1), uint64(11), uint8(11), uint64(0x0000_0001_0000_0a5a))
-	f.Add([]byte("another-16b-key!"), make([]byte, 61), uint64(1<<40), uint64(1<<40-1), uint8(31), uint64(0xffff_0000_ffff_ffff))
-	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"), []byte{0xff}, uint64(0), uint64(0), uint8(0), uint64(1))
-	f.Fuzz(func(t *testing.T, keySeed, plaintext []byte, bucket, epoch uint64, nSlots uint8, mask uint64) {
-		if len(plaintext) == 0 || len(plaintext) > 1024 {
+//  1. a refill (writeBucket) stores slot s as bytes [s*BlockSize,
+//     (s+1)*BlockSize) of crypto/cipher's AES-GCM seal of the bucket body
+//     (the slots back to back) under the 96-bit big-endian nonce
+//     epoch<<40 | bucket, with the tag removed;
+//  2. every slot opens back to its plaintext at its position, also when
+//     one AES block spans several slots (BlockSize < 16) and when a slot
+//     starts and ends inside AES blocks it shares with its neighbours
+//     (BlockSize no multiple of 16, such as 61);
+//  3. SealInto seals as slot 0 of bucket 0 in epoch 0.
+func FuzzSealBucketMatchesGCM(f *testing.F) {
+	f.Add([]byte("0123456789abcdef"), []byte("hello ring oram"), uint16(63), uint64(11), uint64(1), uint8(11), uint64(0x0a5a))
+	f.Add([]byte("another-16b-key!"), []byte{0xff, 0}, uint16(60), uint64(1<<40-2), uint64(1<<56-1), uint8(31), uint64(0xffff_0000_ffff_ffff))
+	f.Add([]byte{}, []byte{7}, uint16(0), uint64(1<<32), uint64(1<<32), uint8(0), uint64(1))
+	f.Add([]byte("k"), []byte{1, 2, 3}, uint16(1023), uint64(5), uint64(7), uint8(3), uint64(0b1011))
+	f.Add([]byte("three-byte-slots"), []byte{9, 8}, uint16(2), uint64(3), uint64(2), uint8(20), uint64(0x5555_5555))
+	f.Fuzz(func(t *testing.T, keySeed, fill []byte, sizeSeed uint16, bucket, epoch uint64, nSlots uint8, mask uint64) {
+		if len(fill) == 0 {
 			t.Skip()
 		}
 		var key [16]byte
 		copy(key[:], keySeed)
-		size := len(plaintext)
+		size := int(sizeSeed)%1024 + 1
 		n := int(nSlots)%32 + 1
-		cfg := config.ORAM{Z: n, Levels: 20, BlockSize: size}
-		slotBits, epochBits := ivBits(cfg)
+		cfg := config.ORAM{Z: n, Levels: 40, BlockSize: size}
 		b := int64(bucket % uint64(NewTree(cfg.Levels).Buckets()))
-		e := int(epoch % (1 << epochBits))
+		e := int(epoch % (1 << nonceEpochBits))
 
 		c, err := NewCrypt(key[:], size)
 		if err != nil {
@@ -46,60 +50,46 @@ func FuzzWriteBucketMatchesCTR(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// ctrRef is the reference: the 8-byte IV header followed by
-		// crypto/cipher's CTR stream over [iv_be || 0^8]; nil plain is the
-		// zero block.
-		ctrRef := func(iv uint64, plain []byte) []byte {
-			if plain == nil {
-				plain = make([]byte, size)
-			}
-			var ctr [aes.BlockSize]byte
-			binary.BigEndian.PutUint64(ctr[:8], iv)
-			ref := make([]byte, SealOverhead+size)
-			copy(ref, ctr[:8])
-			cipher.NewCTR(blk, ctr[:]).XORKeyStream(ref[SealOverhead:], plain)
-			return ref
+		aead, err := cipher.NewGCM(blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// gcmRef is the reference: the stdlib GCM seal of body under the
+		// nonce epoch<<40 | bucket, tag removed.
+		gcmRef := func(bucket int64, epoch int, body []byte) []byte {
+			nonce := new(big.Int).Lsh(big.NewInt(int64(epoch)), 40)
+			nonce.Or(nonce, big.NewInt(bucket))
+			return aead.Seal(nil, nonce.FillBytes(make([]byte, aead.NonceSize())), body, nil)[:len(body)]
 		}
 
 		// Slot s carries a plaintext when bit s of mask is set and the zero
 		// block (nil) otherwise.
 		srcs := make([][]byte, n)
+		body := make([]byte, n*size)
 		for s := range srcs {
 			if mask>>s&1 == 0 {
 				continue
 			}
-			srcs[s] = make([]byte, size)
+			srcs[s] = body[s*size : (s+1)*size]
 			for i := range srcs[s] {
-				srcs[s][i] = plaintext[(i+s)%size] ^ byte(s)
+				srcs[s][i] = fill[(i+s)%len(fill)] ^ byte(s)
 			}
 		}
 		core := &treeCore{cfg: cfg, store: NewMemStore(n), crypt: c}
 		core.writeBucket(b, e, srcs)
-		if slotBits != bits.Len(uint(n-1)) {
-			t.Fatalf("slot field is %d bits for %d slots", slotBits, n)
-		}
-		for s, src := range srcs {
-			iv := (uint64(e)<<cfg.Levels|uint64(b))<<slotBits | uint64(s)
+		want := gcmRef(b, e, body)
+		for s := range srcs {
 			got := core.store.ReadSlot(b, s)
-			if want := ctrRef(iv, src); !bytes.Equal(got, want) {
-				t.Fatalf("bucket %d slot %d of %d, epoch %d, diverges from cipher.NewCTR:\n  got:  %x\n  want: %x", b, s, n, e, got, want)
+			if !bytes.Equal(got, want[s*size:(s+1)*size]) {
+				t.Fatalf("bucket %d slot %d of %d, epoch %d, diverges from cipher.NewGCM:\n  got:  %x\n  want: %x", b, s, n, e, got, want[s*size:(s+1)*size])
 			}
-			open, err := c.OpenInto(make([]byte, size), got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if src == nil {
-				src = make([]byte, size)
-			}
-			if !bytes.Equal(open, src) {
-				t.Fatalf("slot %d round trip corrupted plaintext: got %x want %x", s, open, src)
+			if open := core.readSlotData(b, e, s); !bytes.Equal(open, body[s*size:(s+1)*size]) {
+				t.Fatalf("slot %d round trip corrupted plaintext: got %x want %x", s, open, body[s*size:(s+1)*size])
 			}
 		}
 
-		iv := core.slotIV(b, 0, e)
-		fresh := c.sealWith(nil, iv, plaintext)
-		if reused := c.sealWith(make([]byte, 0, SealOverhead+size), iv, plaintext); !bytes.Equal(fresh, reused) {
-			t.Fatalf("sealing into a reused buffer diverges:\n  fresh:  %x\n  reused: %x", fresh, reused)
+		if got, want := c.SealInto(nil, body[:size]), gcmRef(0, 0, body[:size]); !bytes.Equal(got, want) {
+			t.Fatalf("SealInto diverges from slot 0 of bucket 0 in epoch 0:\n  got:  %x\n  want: %x", got, want)
 		}
 	})
 }

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"testing"
 	"testing/quick"
-
-	"stringoram/internal/config"
 )
 
 func testKey() []byte { return []byte("0123456789abcdef") }
@@ -21,8 +19,8 @@ func TestSealOpenRoundTrip(t *testing.T) {
 		plain[i] = byte(i * 7)
 	}
 	sealed := c.SealInto(nil, plain)
-	if len(sealed) != 64+SealOverhead {
-		t.Fatalf("sealed length = %d, want %d", len(sealed), 64+SealOverhead)
+	if len(sealed) != 64 {
+		t.Fatalf("sealed length = %d, want 64", len(sealed))
 	}
 	got, err := c.OpenInto(nil, sealed)
 	if err != nil {
@@ -52,16 +50,19 @@ func TestSealRoundTripProperty(t *testing.T) {
 // unchanged blocks would leak.
 func TestSealFreshness(t *testing.T) {
 	c, _ := NewCrypt(testKey(), 64)
-	core := treeCore{cfg: smallCfg(0)}
 	plain := make([]byte, 64)
-	a := c.sealWith(nil, core.slotIV(123, 4, 5), plain)
+	seal := func(bucket int64, epoch, slot int) []byte {
+		out := make([]byte, 64)
+		c.cryptAt(out, plain, bucket, epoch, slot)
+		return out
+	}
+	a := seal(123, 5, 4)
 	for _, p := range []struct {
 		what        string
 		bucket      int64
-		slot, epoch int
-	}{{"buckets", 124, 4, 5}, {"slots", 123, 5, 5}, {"epochs", 123, 4, 6}} {
-		b := c.sealWith(nil, core.slotIV(p.bucket, p.slot, p.epoch), plain)
-		if bytes.Equal(a[SealOverhead:], b[SealOverhead:]) {
+		epoch, slot int
+	}{{"buckets", 124, 5, 4}, {"slots", 123, 5, 5}, {"epochs", 123, 6, 4}} {
+		if bytes.Equal(a, seal(p.bucket, p.epoch, p.slot)) {
 			t.Fatalf("two %s share a ciphertext", p.what)
 		}
 	}
@@ -134,13 +135,14 @@ func TestDifferentKeysDiffer(t *testing.T) {
 	}
 }
 
-// TestStoredHeadersArePublic: a slot's cleartext header must tell an
-// observer nothing the op trace does not. After a seeded run, every slot
-// the store holds, real or dummy, must carry the IV of its position
-// (bucket, slot, the bucket's reshuffle epoch), with Compact Bucket,
-// without it (Y = 0), and with the treetop cache (after Save has flushed
-// it).
-func TestStoredHeadersArePublic(t *testing.T) {
+// TestStoredSlotsOpenAtPosition: a stored slot carries no header, so it
+// tells an observer nothing beyond its ciphertext. After a seeded run,
+// every slot the store holds, real or dummy, must be exactly BlockSize
+// bytes and must open at its position (bucket, slot, the bucket's
+// reshuffle epoch): a dummy to the zero block and a resident real to the
+// block's last written contents. It runs with Compact Bucket, without it
+// (Y = 0), and with the treetop cache (after Save has flushed it).
+func TestStoredSlotsOpenAtPosition(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		y       int
@@ -161,92 +163,106 @@ func TestStoredHeadersArePublic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runSerialTrace(t, r, cfg, genTrace(1500, 0x9b1c))
+			trace := genTrace(1500, 0x9b1c)
+			runSerialTrace(t, r, cfg, trace)
 			saveBytes(t, r)
-			stored, private := 0, 0
+			latest := make(map[BlockID][]byte) // block -> last written contents
+			for _, st := range trace {
+				if st.write {
+					latest[st.id] = blockData(cfg, st.id, st.ver)
+				}
+			}
+			zero := make([]byte, cfg.BlockSize)
+			dummies, reals := 0, 0
 			store.eachBucket(func(idx int64, slots [][]byte) {
 				b := r.buckets.get(idx)
 				for s, sealed := range slots {
 					if sealed == nil {
 						continue
 					}
-					stored++
-					if binary.BigEndian.Uint64(sealed) != r.slotIV(idx, s, b.Epoch) {
-						private++
+					if len(sealed) != cfg.BlockSize {
+						t.Fatalf("bucket %d slot %d stores %d bytes, want %d", idx, s, len(sealed), cfg.BlockSize)
+					}
+					sl := b.Slots[s]
+					if !sl.Valid {
+						continue // consumed: may hold a copy of a block since moved
+					}
+					want := zero
+					if sl.Real {
+						want, reals = latest[sl.ID], reals+1
+						if want == nil {
+							want = zero
+						}
+					} else {
+						dummies++
+					}
+					got := make([]byte, cfg.BlockSize)
+					crypt.cryptAt(got, sealed, idx, b.Epoch, s)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("bucket %d slot %d (real %v) opens at its position to %x, want %x", idx, s, sl.Real, got, want)
 					}
 				}
 			})
-			if private != 0 || stored == 0 {
-				t.Fatalf("%d of %d stored slots carry a header that is not the IV of their position", private, stored)
+			if dummies == 0 || reals == 0 {
+				t.Fatalf("checked %d dummy and %d real slots, want both", dummies, reals)
 			}
 		})
 	}
 }
 
 // TestSealDummyAtDeterministic: a dummy is the zero block sealed at its
-// position, so sealing it at one (bucket, slot, epoch) twice must give
-// identical bytes, headed by that position's IV, that open to zeros.
+// position, so sealing it at one (bucket, epoch, slot) twice must give
+// identical bytes, the bucket seal's bytes for that slot, which open to
+// zeros.
 func TestSealDummyAtDeterministic(t *testing.T) {
 	c, _ := NewCrypt(testKey(), 64)
-	core := treeCore{cfg: smallCfg(0)}
-	iv := core.slotIV(123, 4, 5)
-	a := c.sealWith(nil, iv, nil)
-	if !bytes.Equal(a, c.sealWith(nil, iv, nil)) {
+	a, b := make([]byte, 64), make([]byte, 64)
+	c.cryptAt(a, nil, 123, 5, 4)
+	c.cryptAt(b, nil, 123, 5, 4)
+	if !bytes.Equal(a, b) {
 		t.Fatal("the position seal is not deterministic")
 	}
-	if binary.BigEndian.Uint64(a) != iv {
-		t.Fatalf("header %#x, want the position IV %#x", binary.BigEndian.Uint64(a), iv)
+	body := make([]byte, 6*64, 6*64+gcmTagSize)
+	c.sealBucket(body, 123, 5)
+	if !bytes.Equal(a, body[4*64:5*64]) {
+		t.Fatal("a lone slot seal differs from the bucket seal's slot")
 	}
-	got, err := c.OpenInto(nil, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, make([]byte, 64)) {
+	c.cryptAt(b, a, 123, 5, 4)
+	if !bytes.Equal(b, make([]byte, 64)) {
 		t.Fatal("dummy does not decrypt to zeros")
 	}
 }
 
-// TestSlotIVInjective: slotIV packs (epoch, bucket, slot) into disjoint
-// fields, so no two positions share an IV. Every combination of the
-// fields' smallest and largest values must decode back to itself, in a
-// small tree and in the deepest geometry the sealed-tree check admits
-// (an epoch field of exactly minEpochBits), which one more level fails.
-func TestSlotIVInjective(t *testing.T) {
-	deepest := smallCfg(0)
-	slotBits, _ := ivBits(deepest)
-	deepest.Levels = 64 - minEpochBits - slotBits
-	crypt, _ := NewCrypt(testKey(), deepest.BlockSize)
-	if err := checkSealGeometry(deepest, crypt); err != nil {
-		t.Fatal(err)
+// TestBucketNonceInjective: bucketNonce packs (epoch, bucket) into
+// disjoint fields of the 96-bit nonce, so no two positions share a nonce.
+// Every combination of the fields' smallest and largest values, in trees
+// up to the deepest config.ORAM admits (40 levels, whose buckets must fit
+// the nonceBucketBits field), must decode back to itself and be the only
+// position with its nonce.
+func TestBucketNonceInjective(t *testing.T) {
+	type pos struct {
+		bucket int64
+		epoch  int
 	}
-	tooDeep := deepest
-	tooDeep.Levels++
-	if checkSealGeometry(tooDeep, crypt) == nil {
-		t.Fatalf("a %d-level tree leaves a %d-bit epoch, yet passed the check", tooDeep.Levels, minEpochBits-1)
-	}
-	if _, err := NewRing(tooDeep, 1, &Options{Store: NewMemStore(tooDeep.SlotsPerBucket()), Crypt: crypt}); err == nil {
-		t.Fatal("NewRing sealed a tree whose IVs leave the epoch under 32 bits")
-	}
-	if _, err := NewPath(4, 33, deepest.BlockSize, 100, 1, &Options{Crypt: crypt}); err == nil {
-		t.Fatal("NewPath sealed a tree whose IVs leave the epoch under 32 bits")
-	}
-	for _, cfg := range []config.ORAM{smallCfg(0), smallCfg(2), deepest} {
-		core := treeCore{cfg: cfg}
-		slotBits, epochBits := ivBits(cfg)
-		seen := make(map[uint64]bool)
-		for _, bucket := range []int64{0, 1, NewTree(cfg.Levels).Buckets() - 1} {
-			for _, slot := range []int{0, 1, cfg.SlotsPerBucket() - 1} {
-				for _, epoch := range []int{0, 1, 1<<epochBits - 1} {
-					iv := core.slotIV(bucket, slot, epoch)
-					gotSlot := int(iv & (1<<slotBits - 1))
-					gotBucket := int64(iv >> slotBits & (1<<cfg.Levels - 1))
-					gotEpoch := int(iv >> (slotBits + cfg.Levels))
-					if gotSlot != slot || gotBucket != bucket || gotEpoch != epoch || seen[iv] {
-						t.Fatalf("%d levels: slotIV(%d, %d, %d) = %#x decodes to (%d, %d, %d), repeated %v",
-							cfg.Levels, bucket, slot, epoch, iv, gotBucket, gotSlot, gotEpoch, seen[iv])
-					}
-					seen[iv] = true
+	c, _ := NewCrypt(testKey(), 32)
+	seen := make(map[[12]byte]pos)
+	for _, levels := range []int{2, 8, 40} {
+		last := NewTree(levels).Buckets() - 1
+		if last >= 1<<nonceBucketBits {
+			t.Fatalf("a %d-level tree's last bucket %d overflows the %d-bit nonce bucket field", levels, last, nonceBucketBits)
+		}
+		for _, bucket := range []int64{0, 1, 1<<32 - 1, 1 << 32, last} {
+			for _, epoch := range []int{0, 1, 1<<32 - 1, 1 << 32, 1<<nonceEpochBits - 1} {
+				if bucket > last {
+					continue
 				}
+				c.bucketNonce(bucket, epoch)
+				hi, lo := binary.BigEndian.Uint64(c.nonce[:8]), binary.BigEndian.Uint32(c.nonce[8:])
+				got := pos{bucket: int64(hi&(1<<(nonceBucketBits-32)-1))<<32 | int64(lo), epoch: int(hi >> (nonceBucketBits - 32))}
+				if prev, dup := seen[c.nonce]; got != (pos{bucket, epoch}) || dup && prev != got {
+					t.Fatalf("bucketNonce(%d, %d) = %x decodes to %+v, also the nonce of %+v", bucket, epoch, c.nonce, got, prev)
+				}
+				seen[c.nonce] = got
 			}
 		}
 	}

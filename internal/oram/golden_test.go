@@ -4,21 +4,24 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
+
+	"stringoram/internal/config"
 )
 
 // TestSealedBytesGolden pins the exact ciphertext bytes the sealing layer
-// produces for a deterministic seal sequence. It failing means sealed
-// bytes changed, which would break snapshot compatibility. The hash was
-// re-captured once, when every slot moved from a write-counter or
-// dummy-hash IV to the IV of its position (slotIV); the kernel's
-// keystream for a given IV is unchanged (FuzzWriteBucketMatchesCTR checks
-// it against cipher.NewCTR).
+// produces for a deterministic sequence of bucket refills (writeBucket).
+// It failing means sealed bytes changed, which would break snapshot
+// compatibility. The hash was re-captured twice: when every slot moved
+// from a write-counter or dummy-hash IV to the IV of its position, and
+// when a refill began to seal the whole bucket in one AES-GCM pass under
+// the bucket's position nonce, with no slot header
+// (FuzzSealBucketMatchesGCM checks those bytes against cipher.NewGCM).
+// Sizes 1 and 4 pack several slots into one AES block; at 24 and 100 a
+// slot starts or ends inside an AES block it shares with a neighbour.
 func TestSealedBytesGolden(t *testing.T) {
 	h := sha256.New()
-	core := treeCore{cfg: smallCfg(0)}
-	for _, bs := range []int{16, 24, 32, 64, 100, 256} {
-		key := []byte("golden-key-0123!")
-		c, err := NewCrypt(key, bs)
+	for _, bs := range []int{1, 4, 16, 24, 32, 64, 100, 256} {
+		c, err := NewCrypt([]byte("golden-key-0123!"), bs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -26,9 +29,19 @@ func TestSealedBytesGolden(t *testing.T) {
 		for i := range plain {
 			plain[i] = byte(i*31 + bs)
 		}
+		core := treeCore{cfg: config.ORAM{Z: 10, Levels: 8, BlockSize: bs}, store: NewMemStore(10), crypt: c}
+		srcs := make([][]byte, 10)
 		for j := 0; j < 16; j++ {
-			h.Write(c.sealWith(nil, core.slotIV(int64(j*13), j%5, j), plain))
-			h.Write(c.sealWith(nil, core.slotIV(int64(j*13), j%5+5, j), nil))
+			for s := range srcs {
+				srcs[s] = nil
+				if (s+j)%3 == 0 {
+					srcs[s] = plain
+				}
+			}
+			core.writeBucket(int64(j*13), j, srcs)
+			for s := range srcs {
+				h.Write(core.store.ReadSlot(int64(j*13), s))
+			}
 		}
 		// Fold the decryption direction in too: OpenInto must invert SealInto
 		// bit-exactly at every size.
@@ -41,7 +54,7 @@ func TestSealedBytesGolden(t *testing.T) {
 		h.Write(opened)
 	}
 	got := hex.EncodeToString(h.Sum(nil))
-	const want = "1ac6102d95b8076a237c8be863b634ea78ef68579bac7d77cd5dc57cf9f91dba"
+	const want = "8303a9163fe9305de7e53a6f5ec93006a7e3cfd40b6bab1832b85a92c3a91dd7"
 	if got != want {
 		t.Fatalf("sealed-bytes golden drifted:\n got %s\nwant %s", got, want)
 	}
@@ -57,15 +70,19 @@ func TestSealedBytesGolden(t *testing.T) {
 // one by construction: the cache flushes to the bytes an uncached
 // controller wrote (TestTreetopSerialEquivalence).
 //
-// The hashes were re-captured twice. Once when seals moved to position
-// IVs and the checkpoint to version 2 without a write counter: every
-// sealed slot changed, and Load refuses version 1. And once when the
+// The hashes were re-captured three times. Once when seals moved to
+// position IVs and the checkpoint to version 2 without a write counter:
+// every sealed slot changed, and Load refuses version 1. Once when the
 // functional XOR read mode was deleted: gob's type descriptor lists field
 // names, and ringSnap lost XOR and Stats lost XORDecodes, while every
-// value the checkpoint carries stayed the same. A changed hash alone does
-// not break loading older checkpoints (gob skips fields it does not
-// know); TestLoadCheckpointCompat loads checkpoints an earlier version
-// saved and checks that they continue bit-identically.
+// value the checkpoint carries stayed the same. And once when a refill
+// began to seal its bucket in one AES-GCM pass under the bucket's
+// position nonce, with no slot header: every stored slot changed and
+// shrank to BlockSize bytes, and the checkpoint moved to version 3. A
+// changed hash alone does not break loading older checkpoints (gob skips
+// fields it does not know); TestLoadCheckpointCompat loads checkpoints an
+// earlier version saved and checks that they continue bit-identically,
+// or that Load refuses them by version.
 func TestRingSaveBytesGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -73,9 +90,9 @@ func TestRingSaveBytesGolden(t *testing.T) {
 		treetop bool
 		want    string
 	}{
-		{name: "compact", y: 2, want: "9a4db336cc417280a6f7d32b80c42d50e6cc1b6ed424151f355fda34fc74bfc7"},
-		{name: "sealed-y0", y: 0, want: "887df02f54977a4edcc6b7624c404b20e0e304367279c8c1cf213db5ef83676d"},
-		{name: "treetop", y: 2, treetop: true, want: "9a4db336cc417280a6f7d32b80c42d50e6cc1b6ed424151f355fda34fc74bfc7"},
+		{name: "compact", y: 2, want: "55e42b12626638985eb35ca9a56f0343279d148a086ddfa16fdc7804a344a11d"},
+		{name: "sealed-y0", y: 0, want: "75e8e769a51aafbd077b73322a3b5ab7dc21f549f6dda3d3d2c0907e9c264e4b"},
+		{name: "treetop", y: 2, treetop: true, want: "55e42b12626638985eb35ca9a56f0343279d148a086ddfa16fdc7804a344a11d"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallCfg(tc.y)

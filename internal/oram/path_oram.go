@@ -43,9 +43,6 @@ func NewPath(z, levels, blockSize, stashSize int, seed uint64, opts *Options) (*
 	}
 	// A Path ORAM bucket is a Ring bucket with no reserved dummies.
 	cfg := config.ORAM{Z: z, Levels: levels, BlockSize: blockSize, StashSize: stashSize}
-	if err := checkSealGeometry(cfg, opts.Crypt); err != nil {
-		return nil, err
-	}
 	root := rng.New(seed)
 	return &Path{newTreeCore(cfg, opts.Store, opts.Crypt, root.Fork(), root.Fork())}, nil
 }

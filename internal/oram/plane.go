@@ -23,8 +23,8 @@ import (
 // touch, how buckets reshuffle, where the RNG streams advance — is
 // metadata-only and never depends on block contents; the methods here
 // carry out the block movement those decisions imply, between the store,
-// the stash and the treetop cache. A refill seals every slot under the IV
-// of its position (slotIV), whether it seals the bucket at once
+// the stash and the treetop cache. A refill seals a whole bucket under the
+// nonce of its position (Crypt), whether it seals the bucket at once
 // (writeBucket) or defers to the treetop cache, so the sealed bytes are
 // the same either way.
 
@@ -41,12 +41,10 @@ type treeScratch struct {
 	ops []Op `oramlint:"scratch"`
 	// outBuf carries the plaintext handed back to the caller.
 	outBuf []byte `oramlint:"secret,scratch"`
-	// sealBuf receives sealed bytes on their way into the store (a whole
-	// bucket's for a refill); stores copy (see Store), so one buffer
-	// serves every write.
+	// sealBuf receives a refilled bucket's body, sealed in place on its
+	// way into the store; stores copy (see Store), so one buffer serves
+	// every write.
 	sealBuf []byte `oramlint:"scratch"`
-	// sealBatch is a refill's kernel batch, one entry per physical slot.
-	sealBatch []cryptSlot `oramlint:"secret,scratch"`
 	// srcs is a refill's plaintext per physical slot, nil for the zero
 	// block.
 	srcs [][]byte `oramlint:"secret,scratch"`
@@ -154,31 +152,32 @@ func (c *treeCore) putBlockBuf(buf []byte) {
 	c.scr.blockPool = append(c.scr.blockPool, buf[:c.cfg.BlockSize])
 }
 
-// readSlotData pulls a real block's plaintext out of the store into a
-// pool buffer; nil store yields nil (timing-only mode). Ownership of the
-// returned buffer transfers to the caller (usually straight into the
-// stash).
-func (c *treeCore) readSlotData(bucket int64, slot int) ([]byte, error) {
+// readSlotData pulls a real block's plaintext out of slot (bucket, slot),
+// last written in the bucket's reshuffle epoch, into a pool buffer; nil
+// store yields nil (timing-only mode). Ownership of the returned buffer
+// transfers to the caller (usually straight into the stash).
+func (c *treeCore) readSlotData(bucket int64, epoch, slot int) []byte {
 	if c.store == nil {
-		return nil, nil
+		return nil
 	}
 	sealed := c.store.ReadSlot(bucket, slot)
 	buf := c.getBlockBuf()
-	if sealed == nil {
+	switch {
+	case sealed == nil:
 		clear(buf)
-		return buf, nil
+	case len(sealed) != len(buf):
+		panic(fmt.Sprintf("oram: bucket %d slot %d holds %d bytes, want %d", bucket, slot, len(sealed), len(buf))) // corrupt store contents; unreachable with MemStore
+	case c.crypt != nil:
+		c.crypt.cryptAt(buf, sealed, bucket, epoch, slot)
+	default:
+		copy(buf, sealed)
 	}
-	if c.crypt != nil {
-		return c.crypt.OpenInto(buf, sealed)
-	}
-	buf = ensure(buf, len(sealed))
-	copy(buf, sealed)
-	return buf, nil
+	return buf
 }
 
 // fetchToStash moves one real block's plaintext from the store slot into
-// the stash under (id, p).
-func (c *treeCore) fetchToStash(bucket int64, slot int, id BlockID, p PathID) {
+// the stash under (id, p); epoch is the bucket's.
+func (c *treeCore) fetchToStash(bucket int64, epoch, slot int, id BlockID, p PathID) {
 	// Treetop elision: every access's path crosses every cached level,
 	// so serving those uniform per-level operations from controller
 	// memory instead of the bus is invisible to the adversary (the op
@@ -188,58 +187,36 @@ func (c *treeCore) fetchToStash(bucket int64, slot int, id BlockID, p PathID) {
 		c.ttFetch(bucket, slot, id, p)
 		return
 	}
-	data, err := c.readSlotData(bucket, slot)
-	if err != nil {
-		panic(err) // corrupt store contents; unreachable with MemStore
-	}
-	c.putBlockBuf(c.stash.Put(id, p, data))
-}
-
-// slotIV is the IV counter of slot (bucket, slot) in the given reshuffle
-// epoch: ((epoch << Levels) | bucket) << slotBits | slot. Every field is
-// public (the op trace names the bucket and slot, and the epoch counts the
-// bucket's reshuffles), and a bucket is rewritten only after a reshuffle
-// advances its epoch, so each IV seals one plaintext under a key.
-func (c *treeCore) slotIV(bucket int64, slot, epoch int) uint64 {
-	slotBits, _ := ivBits(c.cfg)
-	return (uint64(epoch)<<c.cfg.Levels|uint64(bucket))<<slotBits | uint64(slot)
+	c.putBlockBuf(c.stash.Put(id, p, c.readSlotData(bucket, epoch, slot)))
 }
 
 // writeBucket rewrites every slot of bucket idx in the store: srcs holds
-// one plaintext per physical slot, nil for the zero block. With a Crypt
-// the whole bucket is sealed in one kernel pass into the seal scratch,
-// real and dummy slots alike under slotIV(idx, s, epoch), so every
-// stored header is a public function of the slot's position. Without
-// one, slots hold the raw block.
+// one plaintext per physical slot, nil for the zero block. The slots are
+// laid out back to back in the seal scratch and, with a Crypt, sealed
+// there in one pass under the nonce of (idx, epoch), real and dummy slots
+// alike, so no stored byte depends on anything but the plaintexts and
+// the bucket's public position. Without one, slots hold the raw block.
 func (c *treeCore) writeBucket(idx int64, epoch int, srcs [][]byte) {
-	if c.crypt == nil {
-		buf := ensure(c.scr.sealBuf, c.cfg.BlockSize)
-		c.scr.sealBuf = buf
-		for s, src := range srcs {
-			if src != nil {
-				copy(buf, src)
-			} else {
-				clear(buf)
-			}
-			c.store.WriteSlot(idx, s, buf)
-		}
-		return
-	}
-	if invariant.Enabled {
-		_, eb := ivBits(c.cfg)
-		invariant.Assertf(uint64(epoch) < 1<<eb, "bucket %d epoch %d overflows the %d-bit IV epoch field", idx, epoch, eb)
-	}
-	slots := c.scr.sealBatch[:0]
+	bs, n := c.cfg.BlockSize, len(srcs)*c.cfg.BlockSize
+	buf := ensure(c.scr.sealBuf, n+gcmTagSize)[:n]
+	c.scr.sealBuf = buf
 	for s, src := range srcs {
-		slots = append(slots, cryptSlot{ctr: c.slotIV(idx, s, epoch), src: src})
+		if src != nil {
+			copy(buf[s*bs:], src)
+		} else {
+			clear(buf[s*bs : (s+1)*bs])
+		}
 	}
-	n := c.crypt.sealedLen()
-	buf := ensure(c.scr.sealBuf, len(slots)*n)
-	c.crypt.sealSlots(buf, slots)
-	for s := range slots {
-		c.store.WriteSlot(idx, s, buf[s*n:(s+1)*n])
+	if c.crypt != nil {
+		if invariant.Enabled {
+			invariant.Assertf(uint64(idx) < 1<<nonceBucketBits && uint64(epoch) < 1<<nonceEpochBits,
+				"bucket %d epoch %d overflows the %d-bit nonce bucket or %d-bit epoch field", idx, epoch, nonceBucketBits, nonceEpochBits)
+		}
+		c.crypt.sealBucket(buf, idx, epoch)
 	}
-	c.scr.sealBuf, c.scr.sealBatch = buf, slots
+	for s := range srcs {
+		c.store.WriteSlot(idx, s, buf[s*bs:(s+1)*bs])
+	}
 }
 
 // stashStore copies caller data into the stash under (id, p), recycling
@@ -294,7 +271,7 @@ func (c *treeCore) drainBucket(idx int64, b *Bucket) (slots []int, ids []BlockID
 			if !known {
 				panic(fmt.Sprintf("oram: resident block %d unmapped", id))
 			}
-			c.fetchToStash(idx, s, id, p)
+			c.fetchToStash(idx, b.Epoch, s, id, p)
 			b.consumeReal(s)
 			slots, ids = append(slots, s), append(ids, id)
 		}

@@ -71,7 +71,7 @@ func TestRecursiveRejectsOutOfRangeID(t *testing.T) {
 // TestRecursiveFunctionalRoundTrip drives the whole hierarchy — data ring
 // plus two map levels — with random reads and writes and checks data
 // integrity, every ring's invariants, and that the map levels seal under
-// keys of their own: seal IVs are tree positions, so under one key the
+// keys of their own: seal nonces are tree positions, so under one key the
 // levels' slots at equal positions would share a keystream.
 func TestRecursiveFunctionalRoundTrip(t *testing.T) {
 	const capacity = 4096

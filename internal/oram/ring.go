@@ -28,7 +28,7 @@ type Options struct {
 	Store Store
 	// Crypt seals/opens block data moving through Store. nil with a
 	// non-nil Store stores plaintext (useful for layered tests). Seal
-	// IVs are tree positions, so its key must seal no other Ring nor any
+	// nonces are tree positions, so its key must seal no other Ring nor any
 	// earlier Ring of this store: derive one per Ring with RingKey.
 	Crypt *Crypt
 	// SlotBalancer, when set, chooses which eligible dummy slot a read
@@ -94,9 +94,6 @@ func NewRing(cfg config.ORAM, seed uint64, opts *Options) (*Ring, error) {
 	}
 	if opts == nil {
 		opts = &Options{}
-	}
-	if err := checkSealGeometry(cfg, opts.Crypt); err != nil {
-		return nil, err
 	}
 	root := rng.New(seed)
 	r := newRing(cfg, opts.Store, opts.Crypt, root.Fork(), root.Fork(), root.Fork())
@@ -545,7 +542,7 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 	// the DRAM path below is then all dummies.
 	if targetLevel >= 0 && targetLevel < emitFrom {
 		b := r.bucket(path[targetLevel])
-		r.fetchToStash(path[targetLevel], targetSlot, id, p)
+		r.fetchToStash(path[targetLevel], b.Epoch, targetSlot, id, p)
 		b.consumeReal(targetSlot)
 		targetLevel = -1
 	}
@@ -563,7 +560,7 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 			invariant.Assertf(b.Count <= r.cfg.S, "bucket %d count %d exceeds access budget S=%d", idx, b.Count, r.cfg.S)
 		}
 		if lvl == targetLevel {
-			r.fetchToStash(idx, targetSlot, id, p)
+			r.fetchToStash(idx, b.Epoch, targetSlot, id, p)
 			b.consumeReal(targetSlot)
 			op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: lvl, Slot: targetSlot, Write: false})
 			continue
@@ -587,7 +584,7 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 			if !known {
 				panic(fmt.Sprintf("oram: green block %d resident but unmapped", green))
 			}
-			r.fetchToStash(idx, slot, green, gp)
+			r.fetchToStash(idx, b.Epoch, slot, green, gp)
 			b.consumeReal(slot)
 			r.stats.GreenFetches++
 			r.rec.Emit(obs.Event{TS: r.obsNow(), Kind: obs.EvGreenFetch,

@@ -1,7 +1,6 @@
 package oram
 
 import (
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -12,9 +11,10 @@ import (
 )
 
 // snapshotVersion guards the checkpoint format. Version 1 sealed real
-// slots under a sequential write counter, which a version-2 position IV
-// could repeat, so Load refuses it.
-const snapshotVersion = 2
+// slots under a sequential write counter, and version 2 stored an 8-byte
+// IV header with each slot; version 3 slots are bare BlockSize bytes
+// sealed under their bucket's position nonce, so Load refuses both.
+const snapshotVersion = 3
 
 // maxCheckpointBlock bounds the block size Load accepts: the sealer
 // allocates a block-sized buffer up front, and a checkpoint is outside
@@ -149,11 +149,7 @@ func Load(rd io.Reader, key []byte) (*Ring, error) {
 	if err := gob.NewDecoder(rd).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("oram: decoding checkpoint: %w", err)
 	}
-	switch snap.Version {
-	case snapshotVersion:
-	case 1:
-		return nil, fmt.Errorf("oram: checkpoint version 1 seals under write counters that position IVs could reuse; want version %d", snapshotVersion)
-	default:
+	if snap.Version != snapshotVersion {
 		return nil, fmt.Errorf("oram: checkpoint version %d, want %d", snap.Version, snapshotVersion)
 	}
 	if err := snap.Cfg.Validate(); err != nil {
@@ -174,20 +170,12 @@ func Load(rd io.Reader, key []byte) (*Ring, error) {
 			return nil, err
 		}
 	}
-	if err := checkSealGeometry(snap.Cfg, crypt); err != nil {
-		return nil, fmt.Errorf("oram: checkpoint config: %w", err)
-	}
 	// The checkpoint is outside input: every index that will address a
 	// table is checked against the tree before it is used.
 	tree := NewTree(snap.Cfg.Levels)
 	perBkt := snap.Cfg.SlotsPerBucket()
-	_, epochBits := ivBits(snap.Cfg)
 	var store Store
 	if snap.HasStore {
-		sealedLen := snap.Cfg.BlockSize
-		if snap.HasCrypt {
-			sealedLen += SealOverhead
-		}
 		ms := NewMemStore(perBkt)
 		for _, s := range snap.Store {
 			switch {
@@ -202,8 +190,8 @@ func Load(rd io.Reader, key []byte) (*Ring, error) {
 				if sealed == nil {
 					continue // never written
 				}
-				if len(sealed) != sealedLen {
-					return nil, fmt.Errorf("oram: checkpoint Store bucket %d slot %d holds %d bytes, want %d", s.Bucket, slot, len(sealed), sealedLen)
+				if len(sealed) != snap.Cfg.BlockSize {
+					return nil, fmt.Errorf("oram: checkpoint Store bucket %d slot %d holds %d bytes, want %d", s.Bucket, slot, len(sealed), snap.Cfg.BlockSize)
 				}
 				ms.WriteSlot(s.Bucket, slot, sealed)
 			}
@@ -250,9 +238,9 @@ func Load(rd io.Reader, key []byte) (*Ring, error) {
 			return nil, fmt.Errorf("oram: checkpoint bucket %d metadata has %d slots, want %d", b.Index, len(b.Slots), perBkt)
 		case r.buckets.get(b.Index) != nil:
 			return nil, fmt.Errorf("oram: checkpoint Buckets.Index %d appears twice", b.Index)
-		case b.Epoch < 0 || crypt != nil && uint64(b.Epoch) >= 1<<epochBits:
-			// A sealed epoch past its IV field would alias another slot's IV.
-			return nil, fmt.Errorf("oram: checkpoint bucket %d Epoch %d outside [0, 2^%d)", b.Index, b.Epoch, epochBits)
+		case b.Epoch < 0 || uint64(b.Epoch) >= 1<<nonceEpochBits:
+			// An epoch past its nonce field would alias another bucket's nonce.
+			return nil, fmt.Errorf("oram: checkpoint bucket %d Epoch %d outside [0, 2^%d)", b.Index, b.Epoch, nonceEpochBits)
 		}
 		rb := &Bucket{
 			Slots: b.Slots, Count: b.Count, Green: b.Green, Epoch: b.Epoch,
@@ -266,9 +254,13 @@ func Load(rd io.Reader, key []byte) (*Ring, error) {
 	return r, nil
 }
 
-// Rekey re-seals every stored slot under key at the IV it holds, and
-// seals under key from then on: a restored Ring diverges from the other
-// copies of its checkpoint, so it must not share their key.
+// Rekey re-seals every stored bucket under key and seals under key from
+// then on: a restored Ring diverges from the other copies of its
+// checkpoint, so it must not share their key. Each bucket takes one pass
+// under the old key, which opens it (CTR is its own inverse), and one
+// under the new key, both at the nonce of the bucket's position in its
+// current epoch: the nonce comes from trusted metadata, never from the
+// stored bytes, which a checkpoint read from disk could have forged.
 func (r *Ring) Rekey(key []byte) error {
 	ms, ok := r.store.(*MemStore)
 	if r.crypt == nil || !ok {
@@ -278,13 +270,25 @@ func (r *Ring) Rekey(key []byte) error {
 	if err != nil {
 		return err
 	}
-	var plain, sealed []byte
+	bs := r.cfg.BlockSize
+	var body []byte
 	ms.eachBucket(func(bkt int64, slots [][]byte) {
+		if r.tt.cached(bkt) && r.tt.dirty[bkt] {
+			return // stale bytes, never read: the flush seals the bucket under key
+		}
+		var epoch int // a stored bucket without metadata is never read
+		if b := r.buckets.get(bkt); b != nil {
+			epoch = b.Epoch
+		}
+		body = ensure(body, len(slots)*bs+gcmTagSize)[:len(slots)*bs]
+		for s, old := range slots {
+			copy(body[s*bs:(s+1)*bs], old) // a never-written slot stays unwritten
+		}
+		r.crypt.sealBucket(body, bkt, epoch)
+		next.sealBucket(body, bkt, epoch)
 		for s, old := range slots {
 			if old != nil {
-				plain, _ = r.crypt.OpenInto(plain, old) // the store holds sealed-length slots
-				sealed = next.sealWith(sealed, binary.BigEndian.Uint64(old), plain)
-				ms.WriteSlot(bkt, s, sealed)
+				ms.WriteSlot(bkt, s, body[s*bs:(s+1)*bs])
 			}
 		}
 	})

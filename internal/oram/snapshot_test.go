@@ -80,18 +80,21 @@ func TestSaveLoadContinuation(t *testing.T) {
 }
 
 // TestLoadCheckpointCompat loads checkpoints an earlier version of this
-// package saved and checks that each continues exactly as the saving
-// version continued it. Both are 5-level sealed rings (seed 4242) after
-// genTrace(300, 31): ring-y2.ckpt with Compact Bucket (Y = 2), and
-// ring-xor.ckpt with Y = 0 under the since-deleted XOR read mode, which
-// read the same slots and sealed the same bytes as a direct read. The
-// hashes cover the responses and op lists of genTrace(400, 2025) and then
-// every stored slot, and were captured by the saving version from the
-// ring it saved.
+// package saved. All four are 5-level sealed rings (seed 4242) after
+// genTrace(300, 31). The version-3 ones, ring-v3-y2.ckpt with Compact
+// Bucket (Y = 2) and ring-v3-y0.ckpt without it, must continue exactly as
+// the saving version continued them: the hashes cover the responses and
+// op lists of genTrace(400, 2025) and then every stored slot, and were
+// captured by the saving version from the ring it saved. The version-2
+// ones, ring-y2.ckpt (Y = 2) and ring-xor.ckpt (Y = 0, under the
+// since-deleted XOR read mode), store an 8-byte IV header with every slot
+// and must be refused by version.
 func TestLoadCheckpointCompat(t *testing.T) {
 	for _, tc := range []struct{ file, want string }{
-		{"ring-y2.ckpt", "5bba86f41fdc8c72dc086c73f6397a4a1964b1e50810ea655bde1c85526cc437"},
-		{"ring-xor.ckpt", "3187a5167d2afd7aa9562480ae98b408977490fe780b416de59c7d3e0e959e8f"},
+		{"ring-v3-y2.ckpt", "a7cdebdf36ee9fd5ccacc296633e9ac2b8aa7a22a7df8d5546235197b998872e"},
+		{"ring-v3-y0.ckpt", "2150ae11949d88b0665bcdb1890cbf1a2a36643984e5a3f9b9aa942f615724a9"},
+		{"ring-y2.ckpt", ""},
+		{"ring-xor.ckpt", ""},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			data, err := os.ReadFile(filepath.Join("testdata", tc.file))
@@ -99,6 +102,12 @@ func TestLoadCheckpointCompat(t *testing.T) {
 				t.Fatal(err)
 			}
 			r, err := Load(bytes.NewReader(data), testKey())
+			if tc.want == "" {
+				if err == nil || !strings.Contains(err.Error(), "checkpoint version 2, want 3") {
+					t.Fatalf("Load = %v, want a version error", err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,7 +293,6 @@ func TestLoadRejectsBadIndices(t *testing.T) {
 			len(probe.Store), len(probe.Buckets), len(probe.PosMap), len(probe.Stash))
 	}
 	tree := NewTree(probe.Cfg.Levels)
-	_, epochBits := ivBits(probe.Cfg)
 	for _, tc := range []struct {
 		name    string
 		corrupt func(s *ringSnap)
@@ -306,11 +314,11 @@ func TestLoadRejectsBadIndices(t *testing.T) {
 		{"stash path 2^60", func(s *ringSnap) { s.Stash[0].Path = 1 << 60 }, "Stash.Path"},
 		{"stash data length", func(s *ringSnap) { s.Stash[0].Data = []byte{1} }, "Stash block"},
 		{"block size 2^40", func(s *ringSnap) { s.Cfg.BlockSize = 1 << 40 }, "Cfg.BlockSize"},
-		// A bucket's epoch is a field of its slots' seal IVs: outside the
-		// field it would alias another position's IV.
+		// A bucket's epoch is a field of its seal nonce: outside the
+		// field it would alias another position's nonce.
 		{"bucket epoch negative", func(s *ringSnap) { s.Buckets[0].Epoch = -1 }, "Epoch"},
-		{"bucket epoch 2^epochBits", func(s *ringSnap) { s.Buckets[0].Epoch = 1 << epochBits }, "Epoch"},
-		// Version 1 sealed under write counters a position IV can repeat.
+		{"bucket epoch 2^epochBits", func(s *ringSnap) { s.Buckets[0].Epoch = 1 << nonceEpochBits }, "Epoch"},
+		// Version 1 sealed under write counters a position nonce can repeat.
 		{"version 1", func(s *ringSnap) { s.Version = 1 }, "version 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -18,10 +18,10 @@ import (
 // writes land in controller memory, so cached buckets cost neither
 // store I/O nor AES until the cache flushes.
 //
-// Flush discipline: a refill rewrites a whole bucket, and its seal is a
-// function of the plaintexts and the bucket's public position and epoch
-// alone. A cached refill keeps the plaintexts in buf and marks the bucket
-// dirty; a flush seals each dirty bucket in the one writeBucket the
+// Flush discipline: a refill rewrites a whole bucket, and its seal is one
+// pass over the plaintexts under the nonce of the bucket's public
+// position and epoch alone. A cached refill keeps the plaintexts in buf
+// and marks the bucket dirty; a flush seals each dirty bucket in the one writeBucket the
 // uncached controller made at the bucket's last refill, so the flushed
 // store bytes are bit-identical to the store of an uncached controller
 // that ran the same access sequence — the property the snapshot
@@ -101,13 +101,9 @@ func (r *Ring) warmTreetop() {
 			if !b.Slots[s].Real || !b.Slots[s].Valid {
 				continue
 			}
-			data, err := r.readSlotData(idx, s)
-			if err != nil {
-				panic(err) // corrupt store contents; unreachable with MemStore
-			}
 			i := tt.index(idx, s)
 			r.putBlockBuf(tt.buf[i])
-			tt.buf[i] = data
+			tt.buf[i] = r.readSlotData(idx, b.Epoch, s)
 		}
 	}
 }
@@ -179,10 +175,7 @@ func (r *Ring) verifyTreetop() {
 			if !b.Slots[s].Real || !b.Slots[s].Valid {
 				continue
 			}
-			data, err := r.readSlotData(idx, s)
-			if err != nil {
-				panic(err)
-			}
+			data := r.readSlotData(idx, b.Epoch, s)
 			got := tt.buf[tt.index(idx, s)]
 			ok := bytes.Equal(got, data) || got == nil && bytes.Count(data, []byte{0}) == len(data)
 			r.putBlockBuf(data)

@@ -2,6 +2,7 @@ package oram
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"runtime"
 	"testing"
 
@@ -313,20 +314,46 @@ func TestTreetopSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestRekeyReseals pins Ring.Rekey, taken mid-trace with dirty cached
-// buckets, with Compact Bucket (Y = 2) and without it (Y = 0): the rekeyed
-// ring serves the rest of the trace exactly as its twin without Rekey
-// does, every stored slot keeps its header (the public position IV) under
-// a new body, and the checkpoint opens under the new key.
+// buckets (which it leaves to their flush), with Compact Bucket (Y = 2)
+// and without it (Y = 0): the rekeyed ring serves the rest of the trace
+// exactly as its twin without Rekey does, every stored slot is resealed
+// (it differs from the twin's at the same position), and the checkpoint
+// opens under the new key.
 func TestRekeyReseals(t *testing.T) {
 	trace := genTrace(600, 0x4e4b)
 	key := RingKey(testKey(), 1, NewSalt())
 	for _, y := range []int{2, 0} {
 		cfg := smallCfg(y)
 		twin, r := newTreetopRing(t, cfg, 9, false), newTreetopRing(t, cfg, 9, false)
-		runSerialTrace(t, twin, cfg, trace[:300])
-		runSerialTrace(t, r, cfg, trace[:300])
+		// A flush halfway leaves the cached buckets refilled since then
+		// dirty over stored bytes that are stale. Rekey must leave those
+		// to the flush, which seals the bucket under the new key;
+		// resealing them too would seal two bodies under one nonce.
+		for _, ring := range []*Ring{twin, r} {
+			runSerialTrace(t, ring, cfg, trace[:150])
+			ring.flushTreetop()
+			runSerialTrace(t, ring, cfg, trace[150:300])
+		}
+		stale := make(map[int64][]byte)
+		for idx, dirty := range r.tt.dirty {
+			for s := 0; dirty && s < r.tt.slots; s++ {
+				stale[int64(idx)] = append(stale[int64(idx)], r.store.ReadSlot(int64(idx), s)...)
+			}
+		}
 		if err := r.Rekey(key); err != nil {
 			t.Fatal(err)
+		}
+		for idx, old := range stale {
+			var cur []byte
+			for s := 0; s < r.tt.slots; s++ {
+				cur = append(cur, r.store.ReadSlot(idx, s)...)
+			}
+			if !bytes.Equal(old, cur) {
+				t.Fatalf("y=%d: Rekey resealed dirty cached bucket %d", y, idx)
+			}
+		}
+		if len(stale) == 0 || len(stale[0]) == 0 {
+			t.Fatalf("y=%d: the root is not dirty over stored bytes at Rekey", y)
 		}
 		want, got := runSerialTrace(t, twin, cfg, trace[300:]), runSerialTrace(t, r, cfg, trace[300:])
 		for i := range want {
@@ -340,9 +367,8 @@ func TestRekeyReseals(t *testing.T) {
 		twin.store.(*MemStore).eachBucket(func(bkt int64, slots [][]byte) {
 			for s, old := range slots {
 				cur := r.store.ReadSlot(bkt, s)
-				if old == nil || cur == nil || !bytes.Equal(old[:SealOverhead], cur[:SealOverhead]) ||
-					bytes.Equal(old[SealOverhead:], cur[SealOverhead:]) {
-					t.Fatalf("y=%d: bucket %d slot %d: header kept and body resealed expected, got %x vs %x", y, bkt, s, old, cur)
+				if old == nil || cur == nil || bytes.Equal(old, cur) {
+					t.Fatalf("y=%d: bucket %d slot %d: resealed bytes expected, got %x vs %x", y, bkt, s, old, cur)
 				}
 				stored++
 			}
@@ -359,6 +385,56 @@ func TestRekeyReseals(t *testing.T) {
 	}
 	if err := newTreetopRing(t, smallCfg(2), 9, false).Rekey(key[:5]); err == nil {
 		t.Fatal("Rekey accepted a 5-byte key")
+	}
+}
+
+// TestRekeyIgnoresStoredBytes: Rekey must seal at nonces derived from
+// trusted bucket metadata, never from the stored bytes, which a
+// checkpoint read from disk could have forged. It copies the first 8
+// bytes of one stored slot onto another in a saved checkpoint (a layout
+// that kept each slot's IV in a stored header would make the second slot
+// reuse the first one's IV), loads it, and rekeys. The two slots must
+// then be sealed under different keystreams: the XOR of their stored
+// bytes must differ from the XOR of the plaintexts the Ring opens.
+func TestRekeyIgnoresStoredBytes(t *testing.T) {
+	const forged = 8
+	cfg := smallCfg(2)
+	r := newFunctionalRing(t, cfg, 9)
+	runSerialTrace(t, r, cfg, genTrace(300, 0xf0)) // every block written
+	var a, b struct {
+		bucket int64
+		slot   int
+	}
+	data := corruptCheckpoint(t, saveBytes(t, r), func(snap *ringSnap) {
+		// The forged pair is the first two written slots of the deepest
+		// stored bucket, whose metadata names them.
+		s := snap.Store[len(snap.Store)-1]
+		var written []int
+		for slot, sealed := range s.Slots {
+			if sealed != nil {
+				written = append(written, slot)
+			}
+		}
+		if len(written) < 2 {
+			t.Fatalf("bucket %d has %d written slots", s.Bucket, len(written))
+		}
+		a.bucket, a.slot, b.bucket, b.slot = s.Bucket, written[0], s.Bucket, written[1]
+		copy(s.Slots[b.slot][:forged], s.Slots[a.slot][:forged])
+	})
+	restored, err := Load(bytes.NewReader(data), testKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Rekey(RingKey(testKey(), 1, NewSalt())); err != nil {
+		t.Fatal(err)
+	}
+	epoch := restored.buckets.get(a.bucket).Epoch
+	storedXOR := make([]byte, cfg.BlockSize)
+	subtle.XORBytes(storedXOR, restored.store.ReadSlot(a.bucket, a.slot), restored.store.ReadSlot(b.bucket, b.slot))
+	plainXOR := make([]byte, cfg.BlockSize)
+	subtle.XORBytes(plainXOR, restored.readSlotData(a.bucket, epoch, a.slot), restored.readSlotData(b.bucket, epoch, b.slot))
+	if bytes.Equal(storedXOR, plainXOR) {
+		t.Fatalf("bucket %d slots %d and %d share a keystream after Rekey: their stored XOR is their plaintext XOR %x", a.bucket, a.slot, b.slot, plainXOR)
 	}
 }
 

@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -105,6 +107,44 @@ func TestRestoreCorruptSnapshot(t *testing.T) {
 	}
 	if _, err := New(cfg); err == nil {
 		t.Fatal("New over corrupt snapshot succeeded, want error")
+	}
+}
+
+// TestRestoreOldCheckpointVersion: a shard snapshot whose embedded ring
+// checkpoint is from an older seal format (ring-y2.ckpt, version 2, whose
+// slots carry an IV header) must make New fail closed instead of serving
+// from bytes it would open under the wrong keystream.
+func TestRestoreOldCheckpointVersion(t *testing.T) {
+	dir := t.TempDir()
+	cfg := writeSnapshots(t, dir)
+	old, err := os.ReadFile(filepath.Join("..", "oram", "testdata", "ring-y2.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := snapshotPath(dir, 2)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap shardSnap
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.Ring = old
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(cfg)
+	if err == nil {
+		s.Close()
+		t.Fatal("New restored a shard from a version-2 ring checkpoint")
+	}
+	if !strings.Contains(err.Error(), "checkpoint version 2") {
+		t.Fatalf("New over a version-2 ring checkpoint err = %v, want a version error", err)
 	}
 }
 

@@ -119,8 +119,8 @@ for procs in 1 2 4; do
 	    ./internal/cluster ./internal/server ./internal/obs
 done
 
-echo "== data-plane goldens (sealed bytes, public seal headers, treetop store trace, Path op trace, checkpoint bytes, earlier checkpoints, inconsistent checkpoints, DRAM command stream, Path ORAM stash samples) =="
-go test -count=1 -run='^(TestSealedBytesGolden|TestStoredHeadersArePublic|TestTreetopStoreTraceGolden|TestPathTraceGolden|TestRingSaveBytesGolden|TestLoadCheckpointCompat|TestLoadRejectsInconsistentBuckets)$' ./internal/oram
+echo "== data-plane goldens (sealed bytes, stored slots open at their position, treetop store trace, Path op trace, checkpoint bytes, earlier checkpoints, inconsistent checkpoints, DRAM command stream, Path ORAM stash samples) =="
+go test -count=1 -run='^(TestSealedBytesGolden|TestStoredSlotsOpenAtPosition|TestTreetopStoreTraceGolden|TestPathTraceGolden|TestRingSaveBytesGolden|TestLoadCheckpointCompat|TestLoadRejectsInconsistentBuckets)$' ./internal/oram
 go test -count=1 -run='^(TestCommandStreamGolden|TestPathORAMStashSamplesCollected)$' ./internal/sim
 
 echo "== treetop cache equivalence (serial vs uncached oracle, -race) =="
@@ -154,8 +154,8 @@ go run ./bench -smoke >/dev/null
 echo "== fuzz smoke (trace codec) =="
 go test -run='^$' -fuzz=FuzzReadCodec -fuzztime=5s ./internal/trace
 
-echo "== fuzz smoke (bucket seals at position IVs, opens vs the cipher.NewCTR reference) =="
-go test -run='^$' -fuzz=FuzzWriteBucketMatchesCTR -fuzztime=5s ./internal/oram
+echo "== fuzz smoke (bucket seals under position nonces vs the cipher.NewGCM reference, one-slot opens) =="
+go test -run='^$' -fuzz=FuzzSealBucketMatchesGCM -fuzztime=5s ./internal/oram
 
 echo "== fuzz smoke (checkpoint loader) =="
 # Minimizing a checkpoint-sized input eats the whole budget (about a

@@ -112,7 +112,7 @@ func NewRing(cfg ORAMConfig, seed uint64) (*Ring, error) {
 
 // NewFunctionalRing returns a Ring ORAM controller that moves real data
 // through an encrypted in-memory store under the given 16-byte AES key.
-// Seal IVs are tree positions, so the key must seal no other Ring:
+// Seal nonces are tree positions, so the key must seal no other Ring:
 // two Rings under one key expose each other's plaintexts.
 func NewFunctionalRing(cfg ORAMConfig, seed uint64, key []byte) (*Ring, error) {
 	crypt, err := oram.NewCrypt(key, cfg.BlockSize)
