@@ -4,18 +4,17 @@
 //	go run ./cmd/oramlint ./...
 //
 // Simulation packages are checked for determinism (seed-only
-// reproducibility); internal/oram and internal/server are additionally
-// checked for secret-dependent branching on address-emitting paths
-// (internal/server anchors on its busOp bus-event type); internal/oram,
-// internal/server, internal/obs and internal/cluster run the three
-// analyzers built on the interprocedural taint engine: timing (secret-
-// dependent sleeps, early exits, trip counts, and parks on a channel
-// operation, select or sync wait), scratch ownership (a scratch alias
-// stored outside a tagged field, sent on any channel, handed to a
-// goroutine, or returned from an exported function), and telemetry (a
-// secret reaching a span, event, metric observation or metric name).
-// Taint enters only through struct fields tagged `oramlint:"secret"` or
-// `oramlint:"scratch"`. Packages outside those sets are skipped.
+// reproducibility); internal/oram, internal/server, internal/obs and
+// internal/cluster run the three analyzers built on the interprocedural
+// taint engine: oblivious (secret-dependent branches on paths that reach
+// an Access or busOp emit site, and secret-dependent sleeps, early
+// exits, trip counts, and parks on a channel operation, select or sync
+// wait), scratch ownership (a scratch alias stored outside a tagged
+// field, sent on any channel, handed to a goroutine, or returned from
+// an exported function), and telemetry (a secret reaching a span,
+// event, metric observation or metric name). Taint enters only through
+// struct fields tagged `oramlint:"secret"` or `oramlint:"scratch"`.
+// Packages outside those sets are skipped.
 //
 // By default every package is analyzed twice — once under the default
 // build context and once with -tags=invariants — so allow directives in
@@ -27,8 +26,9 @@
 //
 //	-json         emit findings as a JSON array (includes allow-
 //	              suppressed findings with their justifications)
-//	-rules a,b    run only the named analyzers
-//	              (determinism, oblivious, timing, ownership, telemetry)
+//	-rules a,b    run only the named analyzers (determinism, oblivious,
+//	              ownership, telemetry); allows for the rules of the
+//	              others go unchecked, and an unknown name exits 2
 //	-tags t1,t2   lint a single build configuration with these tags
 //
 // Exit status: 0 clean, 1 findings, 2 operational error (parse/
@@ -42,6 +42,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -62,28 +63,14 @@ var determinismPkgs = map[string]bool{
 	"internal/trace":       true,
 }
 
-// obliviousPkgs maps each package whose address-emitting paths must not
-// branch on secrets to its analyzer instantiation: the emit types are
-// package-local, so each package anchors on its own bus-event type.
-var obliviousPkgs = map[string]*analysis.Analyzer{
-	"internal/oram":   analysis.DefaultOblivious,
-	"internal/server": analysis.Oblivious([]string{"busOp"}, nil),
-}
+// taintPkgs get the analyzers built on the interprocedural taint
+// engine: oblivious, ownership and telemetry.
+var taintPkgs = []string{"internal/cluster", "internal/obs", "internal/oram", "internal/server"}
 
-// taintPkgs get the interprocedural analyzers: the timing analyzer
-// (anchored on the union of the project's bus-event types) and the
-// scratch-ownership analyzer.
-var taintPkgs = map[string]bool{
-	"internal/oram":    true,
-	"internal/server":  true,
-	"internal/obs":     true,
-	"internal/cluster": true,
-}
-
-// timingAnalyzer is shared across packages: emission anchors are
-// matched program-wide, so one instance sees oram's Access records and
-// server's busOp events no matter which package is being reported on.
-var timingAnalyzer = analysis.Timing(
+// obliviousAnalyzer is shared across packages. Its emit sites are the
+// project's bus-event types: oram's Access records (and appends to
+// .Accesses) and server's busOp events.
+var obliviousAnalyzer = analysis.SecretFlow(
 	[]string{"Access", "busOp"},
 	[]string{"Accesses"},
 )
@@ -95,6 +82,9 @@ var ownershipAnalyzer = analysis.Ownership()
 // or metric name — telemetry leaves the box on every scrape.
 var telemetryAnalyzer = analysis.Telemetry()
 
+// allAnalyzers is every analyzer -rules can name, in report order.
+var allAnalyzers = []*analysis.Analyzer{analysis.Determinism, obliviousAnalyzer, ownershipAnalyzer, telemetryAnalyzer}
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -104,21 +94,14 @@ func main() {
 // an empty slice means the package is not checked.
 func analyzersFor(rel string, rules map[string]bool) []*analysis.Analyzer {
 	var as []*analysis.Analyzer
-	add := func(a *analysis.Analyzer) {
-		if rules == nil || rules[a.Name] {
+	for _, a := range allAnalyzers {
+		applies := slices.Contains(taintPkgs, rel)
+		if a == analysis.Determinism {
+			applies = determinismPkgs[rel]
+		}
+		if applies && (rules == nil || rules[a.Name]) {
 			as = append(as, a)
 		}
-	}
-	if determinismPkgs[rel] {
-		add(analysis.Determinism)
-	}
-	if a := obliviousPkgs[rel]; a != nil {
-		add(a)
-	}
-	if taintPkgs[rel] {
-		add(timingAnalyzer)
-		add(ownershipAnalyzer)
-		add(telemetryAnalyzer)
 	}
 	return as
 }
@@ -161,8 +144,16 @@ func run(args []string, out, errOut io.Writer) int {
 	var rules map[string]bool
 	if *rulesFlag != "" {
 		rules = make(map[string]bool)
+		var names []string
+		for _, a := range allAnalyzers {
+			names = append(names, a.Name)
+		}
 		for _, r := range strings.Split(*rulesFlag, ",") {
-			rules[strings.TrimSpace(r)] = true
+			if r = strings.TrimSpace(r); !slices.Contains(names, r) {
+				fmt.Fprintf(errOut, "oramlint: unknown analyzer %q in -rules (valid: %s)\n", r, strings.Join(names, ", "))
+				return 2
+			}
+			rules[r] = true
 		}
 	}
 	configs := [][]string{nil, {"invariants"}}
@@ -281,16 +272,18 @@ func runConfig(cwd string, dirs []string, rules map[string]bool, tags []string) 
 	loader.SetBuildTags(tags)
 
 	type target struct {
-		pkg       *analysis.Package
-		analyzers []*analysis.Analyzer
+		pkg             *analysis.Package
+		analyzers, idle []*analysis.Analyzer
 	}
 	var targets []target
+	taintTarget := false
 	for _, dir := range dirs {
 		rel, err := filepath.Rel(loader.ModuleDir, dir)
 		if err != nil {
 			return nil, nil, err
 		}
-		analyzers := analyzersFor(filepath.ToSlash(rel), rules)
+		rel = filepath.ToSlash(rel)
+		analyzers := analyzersFor(rel, rules)
 		if len(analyzers) == 0 {
 			continue
 		}
@@ -298,7 +291,21 @@ func runConfig(cwd string, dirs []string, rules map[string]bool, tags []string) 
 		if err != nil {
 			return nil, nil, err
 		}
-		targets = append(targets, target{pkg: pkg, analyzers: analyzers})
+		// Applicable analyzers left out by -rules: their allows go unchecked.
+		idle := slices.DeleteFunc(analyzersFor(rel, nil), func(a *analysis.Analyzer) bool { return slices.Contains(analyzers, a) })
+		targets = append(targets, target{pkg: pkg, analyzers: analyzers, idle: idle})
+		taintTarget = taintTarget || slices.ContainsFunc(analyzers, func(a *analysis.Analyzer) bool { return a != analysis.Determinism })
+	}
+	// The taint engine pushes argument taint down from every call site,
+	// so a target a taint analyzer runs on brings in every taint
+	// package: its findings must not depend on which of them the
+	// patterns named. Callers outside taintPkgs join only when named.
+	if taintTarget {
+		for _, rel := range taintPkgs {
+			if _, err := loader.LoadDir(filepath.Join(loader.ModuleDir, rel)); err != nil {
+				return nil, nil, err
+			}
+		}
 	}
 
 	prog := analysis.NewProgram(loader.Packages())
@@ -308,7 +315,7 @@ func runConfig(cwd string, dirs []string, rules map[string]bool, tags []string) 
 		for _, f := range t.pkg.Files {
 			files[t.pkg.Fset.Position(f.Pos()).Filename] = true
 		}
-		findings, err := analysis.Run(prog, t.pkg, t.analyzers)
+		findings, err := analysis.Run(prog, t.pkg, t.analyzers, t.idle)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -11,9 +12,10 @@ func TestAnalyzersFor(t *testing.T) {
 		rel  string
 		want []string
 	}{
-		{"internal/oram", []string{"determinism", "oblivious", "timing", "ownership", "telemetry"}},
-		{"internal/server", []string{"oblivious", "timing", "ownership", "telemetry"}},
-		{"internal/obs", []string{"determinism", "timing", "ownership", "telemetry"}},
+		{"internal/oram", []string{"determinism", "oblivious", "ownership", "telemetry"}},
+		{"internal/server", []string{"oblivious", "ownership", "telemetry"}},
+		{"internal/obs", []string{"determinism", "oblivious", "ownership", "telemetry"}},
+		{"internal/cluster", []string{"oblivious", "ownership", "telemetry"}},
 		{"internal/sched", []string{"determinism"}},
 		{"internal/sim", []string{"determinism"}},
 		{"internal/dram", []string{"determinism"}},
@@ -42,12 +44,37 @@ func TestAnalyzersFor(t *testing.T) {
 
 // TestAnalyzersForRules: the -rules selection filters the analyzer set.
 func TestAnalyzersForRules(t *testing.T) {
-	got := analyzersFor("internal/oram", map[string]bool{"timing": true})
-	if len(got) != 1 || got[0].Name != "timing" {
-		t.Fatalf("rules filter: got %d analyzers, want exactly [timing]", len(got))
+	got := analyzersFor("internal/oram", map[string]bool{"oblivious": true})
+	if len(got) != 1 || got[0].Name != "oblivious" {
+		t.Fatalf("rules filter: got %d analyzers, want exactly [oblivious]", len(got))
 	}
-	if got := analyzersFor("internal/rng", map[string]bool{"timing": true}); len(got) != 0 {
-		t.Fatalf("rules filter: internal/rng should have no timing analyzer, got %d", len(got))
+	if got := analyzersFor("internal/rng", map[string]bool{"oblivious": true}); len(got) != 0 {
+		t.Fatalf("rules filter: internal/rng should have no oblivious analyzer, got %d", len(got))
+	}
+}
+
+// TestRunRulesSubset runs the README's -rules example: allows for the
+// rules of the analyzers left out are not stale, so a clean package
+// stays clean under any selection.
+func TestRunRulesSubset(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-rules", "oblivious", "../../internal/oram"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
+	}
+}
+
+// TestRunUnknownRules: a -rules name that is no analyzer (including the
+// retired "timing") is an operational error naming the valid ones, not
+// a silent clean run.
+func TestRunUnknownRules(t *testing.T) {
+	for _, name := range []string{"nosuchrule", "timing", "determinism,timing"} {
+		var out, errOut bytes.Buffer
+		if code := run([]string{"-rules", name, "../../internal/rng"}, &out, &errOut); code != 2 {
+			t.Errorf("-rules %s: exit %d, want 2", name, code)
+		}
+		if !strings.Contains(errOut.String(), "determinism, oblivious, ownership, telemetry") {
+			t.Errorf("-rules %s: stderr %q does not list the valid analyzers", name, errOut.String())
+		}
 	}
 }
 

@@ -6,10 +6,15 @@
 //     the seed alone — no wall-clock reads, no global math/rand, no
 //     goroutines, no select-with-default, and no order-sensitive
 //     iteration over maps (the classic silent-golden-drift source).
-//   - oblivious: inside internal/oram, control flow in functions that
-//     can reach an address-emitting site must not branch on secret
-//     state (real-vs-dummy identity, stash contents, position-map
-//     values) without an explicit, justified escape comment.
+//   - oblivious: control flow and timing in functions that can reach an
+//     address-emitting site must not depend on secret state (real-vs-
+//     dummy identity, stash contents, position-map values) without an
+//     explicit, justified escape comment. Secrets are followed through
+//     locals and across packages by the interprocedural taint engine.
+//   - ownership: scratch-aliasing values must not outlive the access
+//     that borrowed them.
+//   - telemetry: secret-derived values must not reach spans, events or
+//     metrics.
 //
 // Escape hatch: a finding can be silenced with
 //
@@ -24,6 +29,7 @@ package analysis
 import (
 	"fmt"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -53,6 +59,15 @@ type Pass struct {
 	findings []Finding
 }
 
+// program returns the whole-module view, building a one-package view on
+// first use when the pass was given none.
+func (p *Pass) program() *Program {
+	if p.Prog == nil {
+		p.Prog = NewProgram([]*Package{p.Pkg})
+	}
+	return p.Prog
+}
+
 // Report records a finding at pos.
 func (p *Pass) Report(pos token.Pos, rule, msg string) {
 	p.findings = append(p.findings, Finding{
@@ -63,11 +78,12 @@ func (p *Pass) Report(pos token.Pos, rule, msg string) {
 }
 
 // Analyzer is one checker. Run inspects the package and reports
-// findings through the pass.
+// findings through the pass; Rules lists every rule id it can report.
 type Analyzer struct {
-	Name string
-	Doc  string
-	Run  func(*Pass) error
+	Name  string
+	Doc   string
+	Rules []string
+	Run   func(*Pass) error
 }
 
 // allowDirective is one parsed //oramlint:allow comment.
@@ -133,8 +149,10 @@ func collectAllows(pkg *Package) ([]*allowDirective, []Finding) {
 // suppressed ones (Allowed=true, with the justification), and malformed
 // or non-load-bearing allows reported as findings of rule "allow". prog
 // is the whole-program view the interprocedural analyzers use; nil
-// limits them to the package itself.
-func Run(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
+// limits them to the package itself. idle lists analyzers that apply to
+// the package but were not selected: no run vouches for the allows of
+// their rules, so those are not reported stale.
+func Run(prog *Program, pkg *Package, analyzers, idle []*Analyzer) ([]Finding, error) {
 	pass := &Pass{Pkg: pkg, Prog: prog}
 	for _, a := range analyzers {
 		if err := a.Run(pass); err != nil {
@@ -158,7 +176,7 @@ func Run(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Finding, error) 
 		kept = append(kept, f)
 	}
 	for _, d := range allows {
-		if !d.used {
+		if !d.used && !slices.ContainsFunc(idle, func(a *Analyzer) bool { return slices.Contains(a.Rules, d.rule) }) {
 			kept = append(kept, Finding{Pos: d.pos, Rule: "allow",
 				Msg: fmt.Sprintf("allow for rule %q matches no finding on line %d (stale escape; remove it)", d.rule, d.target)})
 		}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -78,13 +79,19 @@ func scanWants(t *testing.T, pkg *Package) map[expectation]bool {
 }
 
 // checkFixture runs the analyzers over a fixture package and diffs the
-// findings against the package's want markers.
+// findings against the package's want markers. Every finding's rule must
+// be listed in its analyzer's Rules, which the allow contract relies on.
 func checkFixture(t *testing.T, name string, analyzers []*Analyzer) {
 	t.Helper()
 	pkg := fixture(t, name)
-	findings, err := Run(nil, pkg, analyzers)
+	findings, err := Run(nil, pkg, analyzers, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+	for _, f := range findings {
+		if f.Rule != "allow" && !slices.ContainsFunc(analyzers, func(a *Analyzer) bool { return slices.Contains(a.Rules, f.Rule) }) {
+			t.Errorf("rule %s is in no analyzer's Rules: %s", f.Rule, f)
+		}
 	}
 	diffFindings(t, pkg, findings)
 }
@@ -121,11 +128,47 @@ func TestDeterminismNegative(t *testing.T) {
 }
 
 func TestObliviousPositive(t *testing.T) {
-	checkFixture(t, "oblpos", []*Analyzer{DefaultOblivious})
+	checkFixture(t, "oblpos", []*Analyzer{SecretFlow([]string{"Access"}, []string{"Accesses"})})
+}
+
+// TestSecretBranchNamesSecret pins that a secret-branch finding names
+// what it found: the secret field, the secret-reading callee, or else
+// the tainted value.
+func TestSecretBranchNamesSecret(t *testing.T) {
+	pkg := fixture(t, "oblpos")
+	findings, err := Run(nil, pkg, []*Analyzer{SecretFlow([]string{"Access"}, []string{"Accesses"})}, nil)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	// Keyed by the source text of the flagged line.
+	cases := map[string]string{
+		"if b.Slots[i].Real {": "if condition reads secret field Real ",
+		"if r.isReal(b, i) {":  "if condition calls isReal, which reads secret state ",
+		"if real {":            "if condition depends on secret state ",
+	}
+	lines := map[string][]string{}
+	for _, f := range findings {
+		if f.Rule != "secret-branch" {
+			continue
+		}
+		src, err := os.ReadFile(f.Pos.Filename)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := strings.TrimSpace(strings.Split(string(src), "\n")[f.Pos.Line-1])
+		text, _, _ = strings.Cut(text, " //")
+		lines[text] = append(lines[text], f.Msg)
+	}
+	for text, want := range cases {
+		msgs := lines[text]
+		if len(msgs) != 1 || !strings.HasPrefix(msgs[0], want) {
+			t.Errorf("%q: messages %q, want one starting %q", text, msgs, want)
+		}
+	}
 }
 
 func TestObliviousNegative(t *testing.T) {
-	checkFixture(t, "oblneg", []*Analyzer{DefaultOblivious})
+	checkFixture(t, "oblneg", []*Analyzer{SecretFlow([]string{"Access"}, []string{"Accesses"})})
 }
 
 func TestAllowContract(t *testing.T) {
@@ -133,11 +176,11 @@ func TestAllowContract(t *testing.T) {
 }
 
 func TestTimingPositive(t *testing.T) {
-	checkFixture(t, "timingpos", []*Analyzer{Timing([]string{"Access"}, []string{"Accesses"})})
+	checkFixture(t, "timingpos", []*Analyzer{SecretFlow([]string{"Access"}, []string{"Accesses"})})
 }
 
 func TestTimingNegative(t *testing.T) {
-	checkFixture(t, "timingneg", []*Analyzer{Timing([]string{"Access"}, []string{"Accesses"})})
+	checkFixture(t, "timingneg", []*Analyzer{SecretFlow([]string{"Access"}, []string{"Accesses"})})
 }
 
 func TestTelemetryPositive(t *testing.T) {
@@ -168,8 +211,8 @@ func TestCrossPackageTaint(t *testing.T) {
 	prog := NewProgram([]*Package{app, lib})
 	findings, err := Run(prog, app, []*Analyzer{
 		Ownership(),
-		Timing(nil, nil),
-	})
+		SecretFlow(nil, nil),
+	}, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -178,7 +221,7 @@ func TestCrossPackageTaint(t *testing.T) {
 
 func TestMalformedAllow(t *testing.T) {
 	pkg := fixture(t, "allowbad")
-	findings, err := Run(nil, pkg, []*Analyzer{Determinism})
+	findings, err := Run(nil, pkg, []*Analyzer{Determinism}, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

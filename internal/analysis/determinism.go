@@ -26,9 +26,10 @@ var globalRandFns = map[string]bool{
 // order-sensitive bodies under map iteration. Rules: time, globalrand,
 // gostmt, selectdefault, maprange.
 var Determinism = &Analyzer{
-	Name: "determinism",
-	Doc:  "flags nondeterminism sources in simulation packages (seed-only reproducibility)",
-	Run:  runDeterminism,
+	Name:  "determinism",
+	Doc:   "flags nondeterminism sources in simulation packages (seed-only reproducibility)",
+	Rules: []string{"time", "globalrand", "gostmt", "selectdefault", "maprange"},
+	Run:   runDeterminism,
 }
 
 // isMethod reports whether fn has a receiver: methods on a seeded

@@ -31,8 +31,9 @@ import (
 //     allow spelling that contract out, or a copy.
 func Ownership() *Analyzer {
 	return &Analyzer{
-		Name: "ownership",
-		Doc:  "flags scratch-aliasing values escaping the access lifetime",
+		Name:  "ownership",
+		Doc:   "flags scratch-aliasing values escaping the access lifetime",
+		Rules: []string{"scratch-store", "scratch-send", "scratch-goroutine", "scratch-return"},
 		Run: func(pass *Pass) error {
 			runOwnership(pass)
 			return nil
@@ -41,10 +42,7 @@ func Ownership() *Analyzer {
 }
 
 func runOwnership(pass *Pass) {
-	prog := pass.Prog
-	if prog == nil {
-		prog = NewProgram([]*Package{pass.Pkg})
-	}
+	prog := pass.program()
 	taint := prog.Taint(TagScratch)
 	for fn, info := range prog.funcs {
 		if info.Pkg != pass.Pkg {

@@ -109,20 +109,21 @@ func (prog *Program) concretize(callee *types.Func) []*types.Func {
 	return out
 }
 
-// reaches computes the transitive closure of seed over the program call
-// graph: every function for which seed holds, or that can reach one
-// through resolvable calls.
-func (prog *Program) reaches(seed func(*FuncInfo) bool) map[*types.Func]bool {
+// reaches computes the transitive closure of seed over the call graph:
+// every function for which seed holds, or that can reach one through
+// resolvable calls. A non-nil pkg confines the graph to that package's
+// functions and the calls between them.
+func (prog *Program) reaches(pkg *Package, seed func(*FuncInfo) bool) map[*types.Func]bool {
 	in := make(map[*types.Func]bool)
 	for fn, info := range prog.funcs {
-		if seed(info) {
+		if (pkg == nil || info.Pkg == pkg) && seed(info) {
 			in[fn] = true
 		}
 	}
 	for changed := true; changed; {
 		changed = false
 		for fn, info := range prog.funcs {
-			if in[fn] {
+			if in[fn] || (pkg != nil && info.Pkg != pkg) {
 				continue
 			}
 			for callee := range info.Callees {
@@ -135,4 +136,22 @@ func (prog *Program) reaches(seed func(*FuncInfo) bool) map[*types.Func]bool {
 		}
 	}
 	return in
+}
+
+// calleeOf resolves the called function/method of a call expression, or
+// nil for builtins, conversions, and indirect calls. A method of an
+// instantiated generic type resolves to its generic declaration, the
+// object the program indexes bodies and summaries by.
+func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
+	var fn *types.Func
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ = info.Uses[fun].(*types.Func)
+	case *ast.SelectorExpr:
+		fn, _ = info.Uses[fun.Sel].(*types.Func)
+	}
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
 }

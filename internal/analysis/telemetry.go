@@ -11,7 +11,7 @@ import (
 // metric names. Telemetry is exported off the box by design — scrapes,
 // federation, trace dumps — so a secret reaching any of these sinks is
 // an exfiltration path, not a side channel. It runs on the same
-// interprocedural taint engine as the timing analyzer: secrets are
+// interprocedural taint engine as the oblivious analyzer: secrets are
 // fields tagged `oramlint:"secret"` plus everything derived from them
 // across package boundaries.
 //
@@ -31,8 +31,9 @@ import (
 //     scrape.
 func Telemetry() *Analyzer {
 	return &Analyzer{
-		Name: "telemetry",
-		Doc:  "flags secret-derived values reaching spans, metrics, or recorder events",
+		Name:  "telemetry",
+		Doc:   "flags secret-derived values reaching spans, metrics, or recorder events",
+		Rules: []string{"secret-telemetry", "secret-metric-name"},
 		Run: func(pass *Pass) error {
 			runTelemetry(pass)
 			return nil
@@ -59,10 +60,7 @@ var telemetrySinks = map[string]map[string]sinkArgs{
 }
 
 func runTelemetry(pass *Pass) {
-	prog := pass.Prog
-	if prog == nil {
-		prog = NewProgram([]*Package{pass.Pkg})
-	}
+	prog := pass.program()
 	taint := prog.Taint(TagSecret)
 	for fn, info := range prog.funcs {
 		if info.Pkg != pass.Pkg {

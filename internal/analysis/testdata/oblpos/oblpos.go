@@ -87,7 +87,7 @@ type Stash struct {
 // drain iterates the secret stash, emitting once per entry: the trip
 // count leaks the occupancy.
 func (r *Ring) drain(s *Stash, base uint64) {
-	for range s.entries { // want secret-branch
+	for range s.entries { // want secret-branch secret-trip-count
 		r.emit(base)
 	}
 }
@@ -113,6 +113,38 @@ func (r *Ring) viaTable(pm *PosMap, id int64, base uint64) {
 		r.emit(base)
 	}
 	if pm.paths.dense[id] > 0 { // want secret-branch
+		r.emit(base)
+	}
+}
+
+// The shapes below keep the secret in a local between the read and the
+// branch; the taint engine follows it there.
+
+// viaLookupOk branches on the ok bit of a secret-map lookup made in an
+// earlier statement.
+func (r *Ring) viaLookupOk(s *Stash, id int, base uint64) {
+	_, ok := s.entries[id]
+	if ok { // want secret-branch
+		r.emit(base)
+	}
+}
+
+// viaLocalCopy branches on a local copied out of a secret field.
+func (r *Ring) viaLocalCopy(b *Bucket, base uint64) {
+	real := b.Slots[0].Real
+	if real { // want secret-branch
+		r.emit(base)
+	}
+}
+
+// viaDerivedSlice ranges over a local slice built from secret ids: the
+// trip count is the secret occupancy.
+func (r *Ring) viaDerivedSlice(b *Bucket, base uint64) {
+	var ids []int
+	for _, s := range b.Slots {
+		ids = append(ids, s.ID)
+	}
+	for range ids { // want secret-branch secret-trip-count
 		r.emit(base)
 	}
 }

@@ -1,6 +1,7 @@
-// Package timingpos exercises the timing analyzer: secret-dependent
-// sleeps, early exits, trip counts, and parks in timing-relevant code
-// must be reported.
+// Package timingpos exercises the oblivious analyzer's timing rules:
+// secret-dependent sleeps, early exits, trip counts, and parks in
+// timing-relevant code must be reported. A secret guard in a function
+// that reaches an emit is a secret-branch finding as well.
 package timingpos
 
 import (
@@ -38,7 +39,7 @@ func (c *Ctl) padSleep() {
 
 // guardSleep sleeps only when the secret counter is positive.
 func (c *Ctl) guardSleep() {
-	if c.n > 0 {
+	if c.n > 0 { // want secret-branch
 		time.Sleep(time.Millisecond) // want secret-sleep
 	}
 	c.emit(2)
@@ -47,7 +48,7 @@ func (c *Ctl) guardSleep() {
 // lookup returns early on a miss in the secret pending table, skipping
 // the emission below: response latency now says whether id was pending.
 func (c *Ctl) lookup(id int) bool {
-	if _, ok := c.pending[id]; !ok {
+	if _, ok := c.pending[id]; !ok { // want secret-branch
 		return false // want secret-early-exit
 	}
 	c.emit(3)
@@ -56,14 +57,14 @@ func (c *Ctl) lookup(id int) bool {
 
 // flush iterates the secret pending table, emitting per entry.
 func (c *Ctl) flush() {
-	for id := range c.pending { // want secret-trip-count
+	for id := range c.pending { // want secret-trip-count secret-branch
 		c.emit(uint64(id))
 	}
 }
 
 // pad loops a secret number of times around emission.
 func (c *Ctl) pad() {
-	for i := 0; i < c.n; i++ { // want secret-trip-count
+	for i := 0; i < c.n; i++ { // want secret-trip-count secret-branch
 		c.emit(uint64(i))
 	}
 }
@@ -103,7 +104,7 @@ func (pm *PosMap) path(id int) int { return pm.paths.get(id) }
 // lookupPath returns early on an unmapped id, skipping the emission.
 func (c *Ctl) lookupPath(pm *PosMap, id int) {
 	p := pm.path(id)
-	if p == 0 {
+	if p == 0 { // want secret-branch
 		return // want secret-early-exit
 	}
 	c.emit(uint64(id))

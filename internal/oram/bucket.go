@@ -13,7 +13,8 @@ import (
 // never reads the same slot twice between reshuffles.
 // Real and ID are secret: which slots hold real blocks — and which
 // blocks — must never steer the bus-visible access sequence (enforced
-// by oramlint's oblivious analyzer). Valid is public: the adversary
+// by oramlint's oblivious analyzer, which follows them through locals
+// and calls into every branch condition). Valid is public: the adversary
 // sees which slots have been touched since the last reshuffle.
 type Slot struct {
 	Real  bool `oramlint:"secret"`

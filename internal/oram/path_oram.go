@@ -80,6 +80,7 @@ func (p *Path) Access(id BlockID, write bool, data []byte) ([]byte, []Op, error)
 	}
 
 	leaf, known := p.pos.Lookup(id)
+	//oramlint:allow secret-branch both arms read one full path: an unmapped block reads a fresh uniform leaf, a mapped one its uniform assigned leaf, indistinguishable on the bus
 	if !known {
 		leaf = p.pos.RandomPath()
 	}

@@ -46,7 +46,8 @@ type treeScratch struct {
 	// every write.
 	sealBuf []byte `oramlint:"scratch"`
 	// srcs is a refill's plaintext per physical slot, nil for the zero
-	// block.
+	// block; sized once to the geometry's slots per bucket, and all nil
+	// between refills.
 	srcs [][]byte `oramlint:"secret,scratch"`
 	// blockPool recycles plaintext block buffers circulating between the
 	// store, the stash and the controller.
@@ -54,10 +55,9 @@ type treeScratch struct {
 	// shuf is the reshuffle scratch.
 	shuf shuffleScratch
 	// readSlots and blocks list the slots one bucket drain read and the
-	// blocks it moved; refs holds a refill's plaintext buffers.
+	// blocks it moved.
 	readSlots []int
 	blocks    []BlockID `oramlint:"secret,scratch"`
-	refs      [][]byte  `oramlint:"secret,scratch"`
 	// byLevel and placed are the placement tables, one slot per tree
 	// level.
 	byLevel [][]BlockID `oramlint:"secret"`
@@ -105,6 +105,7 @@ func newTreeCore(cfg config.ORAM, store Store, crypt *Crypt, permSrc, posSrc *rn
 		store:   store,
 		crypt:   crypt,
 		permSrc: permSrc,
+		scr:     treeScratch{srcs: make([][]byte, cfg.SlotsPerBucket())},
 	}
 }
 
@@ -347,23 +348,13 @@ func (c *treeCore) refillBucket(op *Op, idx int64, level int, b *Bucket, ids []B
 	if invariant.Enabled {
 		invariant.Assertf(len(ids) <= c.cfg.Z, "bucket %d refilled with %d real blocks, Z=%d", idx, len(ids), c.cfg.Z)
 	}
-	refs := c.scr.refs[:0]
-	for _, id := range ids {
-		refs = append(refs, c.stash.Remove(id))
-	}
-	c.scr.refs = refs
 	targets := b.reshuffleScratch(ids, c.permSrc, &c.scr.shuf)
+	srcs := c.scr.srcs
+	//oramlint:allow secret-branch moves each placed block's plaintext into its slot's source and emits nothing; the bucket write and the accesses below cover every slot whatever the count
+	for i, id := range ids {
+		srcs[targets[i]] = c.stash.Remove(id)
+	}
 	if c.store != nil {
-		srcs := c.scr.srcs
-		if cap(srcs) < len(b.Slots) {
-			srcs = make([][]byte, len(b.Slots))
-		}
-		srcs = srcs[:len(b.Slots)]
-		clear(srcs)
-		for i, s := range targets {
-			srcs[s] = refs[i]
-		}
-		c.scr.srcs = srcs
 		// Treetop elision: the eviction rewrites every slot of every
 		// bucket on its path regardless of contents, so absorbing the
 		// cached levels' uniform writes into controller memory (flushed
@@ -381,9 +372,10 @@ func (c *treeCore) refillBucket(op *Op, idx int64, level int, b *Bucket, ids []B
 		}
 	}
 	// The plaintext was re-sealed into the store; recycle the buffers.
-	for i := range refs {
-		c.putBlockBuf(refs[i])
-		refs[i] = nil
+	//oramlint:allow secret-branch recycles each placed block's buffer after the bucket write and emits nothing; the accesses above already covered every slot
+	for _, s := range targets {
+		c.putBlockBuf(srcs[s])
+		srcs[s] = nil
 	}
 }
 

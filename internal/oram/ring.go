@@ -341,15 +341,18 @@ func (r *Ring) PositionOf(id BlockID) (PathID, bool) {
 }
 
 func (r *Ring) access(id BlockID, write bool, data []byte, forcedPath *PathID, updateFn func([]byte) []byte) ([]byte, []Op, error) {
+	//oramlint:allow secret-branch argument validation on the public API: the id comes from a public allocation counter, and a rejection issues no access at all
 	if id < 0 {
 		//oramlint:allow secret-early-exit argument validation on the public API: block ids are allocated by a public counter, so rejecting a negative id reveals only argument well-formedness, never mapped state
 		return nil, nil, fmt.Errorf("oram: negative block id %d", id)
 	}
+	//oramlint:allow secret-branch the caller's id is compared only against the public filler-space constant, before any access is issued
 	if r.cfg.WarmFill > 0 && id >= FillerBase {
 		//oramlint:allow secret-early-exit the filler-space boundary is a public configuration constant; the rejection depends on the caller-supplied id against that constant, not on any mapped secret
 		return nil, nil, fmt.Errorf("oram: block id %d collides with the warm-fill filler space", id)
 	}
 	if write {
+		//oramlint:allow secret-branch the payload length is caller framing checked against the public BlockSize, before any access is issued; the contents are never read
 		if updateFn == nil && r.store != nil && len(data) != r.cfg.BlockSize {
 			//oramlint:allow secret-early-exit the size check is the public API contract (BlockSize is configuration); server encoders normalize every value to exactly BlockSize before calling, so the rejection depends only on caller framing, not content
 			return nil, nil, fmt.Errorf("oram: write of %d bytes, want %d", len(data), r.cfg.BlockSize)
@@ -371,6 +374,7 @@ func (r *Ring) access(id BlockID, write bool, data []byte, forcedPath *PathID, u
 		r.stats.StashHits++
 		haveTarget = false
 	}
+	//oramlint:allow secret-branch both arms issue one full read path: an unmapped or stashed block reads a fresh uniform path, a mapped one its uniform assigned path, indistinguishable on the bus
 	if !haveTarget {
 		readPath = r.pos.RandomPath()
 	}
@@ -507,6 +511,7 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 	// Locate the target along the path, including cached top levels.
 	targetLevel := -1
 	targetSlot := -1
+	//oramlint:allow secret-branch target search only; with or without a target the emitted path reads exactly one slot per level
 	if wantTarget {
 		for lvl, idx := range path {
 			if b := r.buckets.get(idx); b != nil {
@@ -578,9 +583,11 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 		} else {
 			slot, green = b.selectDummyScratch(r.selSrc, greenBudget, r.uniformSelect, &r.sel)
 		}
+		//oramlint:allow secret-branch the slot was already chosen and is emitted the same either way; a green block only rides along into the stash (CB, paper Sec. IV)
 		if green != InvalidBlock {
 			// A green block: real data rides along into the stash.
 			gp, known := r.pos.Lookup(green)
+			//oramlint:allow secret-branch consistency check; an unmapped resident block panics the simulation rather than emitting anything
 			if !known {
 				panic(fmt.Sprintf("oram: green block %d resident but unmapped", green))
 			}

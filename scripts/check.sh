@@ -77,7 +77,7 @@ go run ./cmd/oramlint ./...
 lint_end=$(date +%s%N)
 echo "oramlint wall time: $(( (lint_end - lint_start) / 1000000 )) ms"
 
-echo "== analyzer fixture tests (determinism, oblivious, timing, ownership, telemetry, cross-package taint, driver) =="
+echo "== analyzer fixture tests (determinism, oblivious, ownership, telemetry, cross-package taint, driver) =="
 go test -count=1 ./internal/analysis ./cmd/oramlint
 
 echo "== go test =="
