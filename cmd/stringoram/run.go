@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
+	"stringoram/internal/atomicfile"
 	"stringoram/internal/config"
 	"stringoram/internal/obs"
 	"stringoram/internal/sched"
@@ -163,25 +163,12 @@ func runSingle(args []string, w io.Writer) error {
 	return t.Render(w)
 }
 
-// writeFlightRecording dumps the recorder as Chrome trace-event JSON via
-// a temp-then-rename write, so the output file is never a torn document.
+// writeFlightRecording dumps the recorder as Chrome trace-event JSON
+// with atomicfile.Write, so the output file is never a torn document.
 func writeFlightRecording(path string, rec *obs.Recorder[obs.Event]) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".flightrec-*")
-	if err != nil {
-		return fmt.Errorf("flightrec: %w", err)
-	}
-	if err := obs.WriteTrace(tmp, "cycles", rec.Snapshot(nil)); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("flightrec: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("flightrec: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := atomicfile.Write(path, ".flightrec-*", 0o600, func(w io.Writer) error {
+		return obs.WriteTrace(w, "cycles", rec.Snapshot(nil))
+	}); err != nil {
 		return fmt.Errorf("flightrec: %w", err)
 	}
 	return nil

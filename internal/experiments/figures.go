@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"stringoram/internal/atomicfile"
 	"stringoram/internal/plot"
 	"stringoram/internal/stats"
 )
@@ -71,32 +73,12 @@ func (r *Runner) RenderFigures(dir string, stash int) ([]string, error) {
 	return written, nil
 }
 
-// writeFileAtomic writes data to path via a temp file and rename, so an
+// writeFileAtomic writes data to path with atomicfile.Write, so an
 // interrupted render (e.g. SIGINT during plot) leaves either the
 // previous file or the complete new one, never a truncated SVG.
 func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
+	return atomicfile.Write(path, filepath.Base(path)+".tmp-*", 0o644, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	})
 }

@@ -2,11 +2,9 @@ package obs
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -26,13 +24,6 @@ type NodeExposition struct {
 	Err  error
 }
 
-// fedSample is one parsed sample line.
-type fedSample struct {
-	name   string // full sample name, including _bucket/_sum/_count suffix
-	labels string // raw label block without braces ("" when unlabelled)
-	value  float64
-}
-
 // fedFamily accumulates one metric family across nodes.
 type fedFamily struct {
 	name string
@@ -47,7 +38,7 @@ type fedFamily struct {
 
 type fedNodeSample struct {
 	node string
-	fedSample
+	expoSample
 }
 
 // MergeExpositions writes the merged cluster exposition. Per family the
@@ -108,49 +99,17 @@ func escapeLabelValue(s string) string {
 
 // mergeNode folds one node's exposition into fams.
 func mergeNode(fams map[string]*fedFamily, order *[]string, n NodeExposition) error {
-	help := make(map[string]string)
-	typed := make(map[string]string)
-	lineNo := 0
-	for _, raw := range bytes.Split(n.Data, []byte("\n")) {
-		lineNo++
-		line := string(raw)
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line)
-			if len(fields) >= 4 && fields[1] == "TYPE" {
-				typed[fields[2]] = fields[3]
-			} else if len(fields) >= 3 && fields[1] == "HELP" {
-				help[fields[2]] = strings.Join(fields[3:], " ")
-			}
-			continue
-		}
-		s, err := parseFedSample(line)
-		if err != nil {
-			return fmt.Errorf("line %d: %w", lineNo, err)
-		}
-		base := s.name
-		for _, sfx := range []string{"_bucket", "_sum", "_count"} {
-			if b, ok := strings.CutSuffix(s.name, sfx); ok && typed[b] != "" {
-				base = b
-				break
-			}
-		}
-		kind := typed[base]
-		if kind == "" {
-			return fmt.Errorf("line %d: sample %s has no preceding # TYPE", lineNo, s.name)
-		}
-		f := fams[base]
+	return scanExposition(n.Data, func(s expoSample) error {
+		f := fams[s.base]
 		if f == nil {
 			f = &fedFamily{
-				name: base,
-				help: help[base],
-				kind: kind,
+				name: s.base,
+				help: s.help,
+				kind: s.kind,
 				agg:  make(map[string]float64),
 			}
-			fams[base] = f
-			*order = append(*order, base)
+			fams[s.base] = f
+			*order = append(*order, s.base)
 		}
 		key := s.name
 		if s.labels != "" {
@@ -167,31 +126,7 @@ func mergeNode(fams map[string]*fedFamily, order *[]string, n NodeExposition) er
 		} else {
 			f.agg[key] = cur + s.value
 		}
-		f.perNode = append(f.perNode, fedNodeSample{node: n.Node, fedSample: s})
-	}
-	return nil
-}
-
-// parseFedSample splits a sample line into name, raw label block, and
-// value, reusing the validating scanner from ValidateExposition.
-func parseFedSample(line string) (fedSample, error) {
-	name, rest, err := parseSampleName(line)
-	if err != nil {
-		return fedSample{}, err
-	}
-	// line = name [ "{" labels "}" ] " " rest
-	body := line[len(name) : len(line)-len(rest)-1]
-	var labels string
-	if body != "" {
-		labels = body[1 : len(body)-1]
-	}
-	val := strings.TrimSpace(rest)
-	if i := strings.IndexByte(val, ' '); i >= 0 {
-		val = val[:i] // drop optional timestamp
-	}
-	v, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return fedSample{}, fmt.Errorf("bad value %q", val)
-	}
-	return fedSample{name: name, labels: labels, value: v}, nil
+		f.perNode = append(f.perNode, fedNodeSample{node: n.Node, expoSample: s})
+		return nil
+	})
 }

@@ -124,113 +124,47 @@ type histBucket struct {
 }
 
 // ValidateExposition checks that data parses line-by-line as Prometheus
-// text exposition format 0.0.4: every line is a comment (# HELP/# TYPE
-// with a known type keyword), blank, or a `name{labels} value` sample
-// with a valid metric name, balanced quoted label values, and a
-// float-parseable value. It also enforces that every sample's base
-// family appeared in a preceding # TYPE line, and — for histogram
-// families — the histogram contract per series: every `_bucket` sample
-// carries a parseable `le` label, bucket counts are cumulative
-// (non-decreasing in `le` order), a terminal `le="+Inf"` bucket exists,
-// and the series' `_count` equals the +Inf bucket. Used by tests and by
-// the oramd handler test as a format gate.
+// text exposition format 0.0.4 (see scanExposition: comments, names,
+// labels, values and the preceding # TYPE of every sample's family) and
+// — for histogram families — the histogram contract per series: every
+// `_bucket` sample carries a parseable `le` label, bucket counts are
+// cumulative (non-decreasing in `le` order), a terminal `le="+Inf"`
+// bucket exists, and the series' `_count` equals the +Inf bucket. Used
+// by tests and by the oramd handler test as a format gate.
 func ValidateExposition(data []byte) error {
-	typed := make(map[string]string)
 	hists := make(map[string]*histGroup)
-	lineNo := 0
-	for _, raw := range bytes.Split(data, []byte("\n")) {
-		lineNo++
-		line := string(raw)
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line)
-			if len(fields) < 3 || (fields[1] != "HELP" && fields[1] != "TYPE") {
-				return fmt.Errorf("line %d: malformed comment %q", lineNo, line)
-			}
-			if fields[1] == "TYPE" {
-				if len(fields) != 4 {
-					return fmt.Errorf("line %d: malformed TYPE comment %q", lineNo, line)
-				}
-				switch fields[3] {
-				case "counter", "gauge", "histogram", "summary", "untyped":
-				default:
-					return fmt.Errorf("line %d: unknown metric type %q", lineNo, fields[3])
-				}
-				typed[fields[2]] = fields[3]
-			}
-			continue
-		}
-		name, rest, err := parseSampleName(line)
-		if err != nil {
-			return fmt.Errorf("line %d: %v", lineNo, err)
-		}
-		base, suffix := name, ""
-		for _, sfx := range []string{"_bucket", "_sum", "_count"} {
-			if b, ok := strings.CutSuffix(name, sfx); ok && typed[b] != "" {
-				base, suffix = b, sfx
-				break
-			}
-		}
-		if typed[base] == "" {
-			return fmt.Errorf("line %d: sample %s has no preceding # TYPE", lineNo, name)
-		}
-		val := strings.TrimSpace(rest)
-		if i := strings.IndexByte(val, ' '); i >= 0 {
-			// optional timestamp
-			ts := strings.TrimSpace(val[i+1:])
-			if _, err := strconv.ParseInt(ts, 10, 64); err != nil {
-				return fmt.Errorf("line %d: bad timestamp %q", lineNo, ts)
-			}
-			val = val[:i]
-		}
-		var fv float64
-		switch val {
-		case "+Inf":
-			fv = math.Inf(1)
-		case "-Inf":
-			fv = math.Inf(-1)
-		case "NaN":
-			fv = math.NaN()
-		default:
-			fv, err = strconv.ParseFloat(val, 64)
-			if err != nil {
-				return fmt.Errorf("line %d: bad value %q", lineNo, val)
-			}
-		}
-		if typed[base] != "histogram" {
-			continue
+	err := scanExposition(data, func(s expoSample) error {
+		if s.kind != "histogram" {
+			return nil
 		}
 		// Histogram semantics: group buckets and counts by the series'
 		// labels minus `le`.
-		labels := ""
-		if n := len(name); n < len(line) && line[n] == '{' {
-			end := len(line) - len(rest) - 1 // index of the space
-			labels = line[n+1 : end-1]
-		}
-		switch suffix {
+		switch s.suffix {
 		case "_bucket":
-			le, others, ok, err := extractLe(labels)
+			le, others, ok, err := extractLe(s.labels)
 			if err != nil {
-				return fmt.Errorf("line %d: %v", lineNo, err)
+				return err
 			}
 			if !ok {
-				return fmt.Errorf("line %d: histogram bucket %s has no le label", lineNo, name)
+				return fmt.Errorf("histogram bucket %s has no le label", s.name)
 			}
 			leV := math.Inf(1)
 			if le != "+Inf" {
 				leV, err = strconv.ParseFloat(le, 64)
 				if err != nil {
-					return fmt.Errorf("line %d: bad le value %q", lineNo, le)
+					return fmt.Errorf("bad le value %q", le)
 				}
 			}
-			g := histGroupFor(hists, base, others, lineNo)
-			g.buckets = append(g.buckets, histBucket{le: leV, val: fv})
+			g := histGroupFor(hists, s.base, others, s.line)
+			g.buckets = append(g.buckets, histBucket{le: leV, val: s.value})
 		case "_count":
-			g := histGroupFor(hists, base, labels, lineNo)
-			g.count, g.hasCnt = fv, true
+			g := histGroupFor(hists, s.base, s.labels, s.line)
+			g.count, g.hasCnt = s.value, true
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	keys := make([]string, 0, len(hists))
 	for key := range hists {
@@ -243,6 +177,108 @@ func ValidateExposition(data []byte) error {
 		}
 	}
 	return nil
+}
+
+// expoSample is one sample line of a text exposition, resolved to its
+// metric family.
+type expoSample struct {
+	line   int    // 1-based line number
+	name   string // sample name, including any _bucket/_sum/_count suffix
+	base   string // family name
+	suffix string // "_bucket", "_sum", "_count", or "" for the family's own name
+	kind   string // the family's # TYPE
+	help   string // the family's # HELP text, "" when none preceded
+	labels string // raw label block without braces, "" when unlabelled
+	value  float64
+}
+
+// scanExposition parses data as Prometheus text exposition format 0.0.4
+// and calls fn on every sample, in order. Every line must be blank, a
+// # HELP or # TYPE comment (TYPE with a known type keyword), or a
+// `name{labels} value [timestamp]` sample with a valid metric name,
+// balanced quoted label values, a float value and an integer timestamp,
+// whose family appeared in a preceding # TYPE line. A `_bucket`, `_sum`
+// or `_count` sample belongs to the family its suffix names when that
+// family is typed. The first error, the scanner's or fn's, is returned
+// prefixed with its line number.
+func scanExposition(data []byte, fn func(expoSample) error) error {
+	typed := make(map[string]string) // family -> # TYPE
+	help := make(map[string]string)  // family -> # HELP text
+	for i, raw := range bytes.Split(data, []byte("\n")) {
+		line := string(raw)
+		if strings.TrimSpace(line) == "" {
+			continue
+		}
+		var err error
+		if strings.HasPrefix(line, "#") {
+			err = scanComment(line, typed, help)
+		} else {
+			var s expoSample
+			if s, err = scanSample(line, typed); err == nil {
+				s.line, s.help = i+1, help[s.base]
+				err = fn(s)
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("line %d: %w", i+1, err)
+		}
+	}
+	return nil
+}
+
+// scanComment records a # HELP or # TYPE line.
+func scanComment(line string, typed, help map[string]string) error {
+	fields := strings.Fields(line)
+	switch {
+	case len(fields) < 3 || fields[1] != "HELP" && fields[1] != "TYPE":
+		return fmt.Errorf("malformed comment %q", line)
+	case fields[1] == "HELP":
+		help[fields[2]] = strings.Join(fields[3:], " ")
+		return nil
+	case len(fields) != 4:
+		return fmt.Errorf("malformed TYPE comment %q", line)
+	}
+	switch fields[3] {
+	case "counter", "gauge", "histogram", "summary", "untyped":
+		typed[fields[2]] = fields[3]
+		return nil
+	}
+	return fmt.Errorf("unknown metric type %q", fields[3])
+}
+
+// scanSample parses one sample line against the families typed so far.
+func scanSample(line string, typed map[string]string) (expoSample, error) {
+	name, rest, err := parseSampleName(line)
+	if err != nil {
+		return expoSample{}, err
+	}
+	s := expoSample{name: name, base: name}
+	for _, sfx := range []string{"_bucket", "_sum", "_count"} {
+		if b, ok := strings.CutSuffix(name, sfx); ok && typed[b] != "" {
+			s.base, s.suffix = b, sfx
+			break
+		}
+	}
+	if s.kind = typed[s.base]; s.kind == "" {
+		return expoSample{}, fmt.Errorf("sample %s has no preceding # TYPE", name)
+	}
+	// line = name [ "{" labels "}" ] " " rest
+	if body := line[len(name) : len(line)-len(rest)-1]; body != "" {
+		s.labels = body[1 : len(body)-1]
+	}
+	val := strings.TrimSpace(rest)
+	if i := strings.IndexByte(val, ' '); i >= 0 {
+		ts := strings.TrimSpace(val[i+1:])
+		if _, err := strconv.ParseInt(ts, 10, 64); err != nil {
+			return expoSample{}, fmt.Errorf("bad timestamp %q", ts)
+		}
+		val = val[:i]
+	}
+	// ParseFloat also reads the format's +Inf, -Inf and NaN.
+	if s.value, err = strconv.ParseFloat(val, 64); err != nil {
+		return expoSample{}, fmt.Errorf("bad value %q", val)
+	}
+	return s, nil
 }
 
 func histGroupFor(hists map[string]*histGroup, base, labels string, lineNo int) *histGroup {

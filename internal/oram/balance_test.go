@@ -12,12 +12,12 @@ func TestSelectDummyBalancedPoolOrdering(t *testing.T) {
 	b.reshuffleScratch([]BlockID{1, 2, 3, 4}, src, &shuffleScratch{})
 	// With reserved dummies present the pool must be dummies only.
 	gotPool := -1
-	pick := func(cands []int) int {
+	sel := &selector{balance: func(_ int64, _ int, cands []int) int {
 		gotPool = len(cands)
 		return 0
-	}
+	}}
 	for i := 0; i < 4; i++ {
-		_, green := b.selectDummyBalancedScratch(pick, 4, &selectScratch{})
+		_, green := sel.selectDummy(b, 0, 0, 4)
 		if green != InvalidBlock {
 			t.Fatalf("selection %d consumed a green with dummies available", i)
 		}
@@ -26,7 +26,7 @@ func TestSelectDummyBalancedPoolOrdering(t *testing.T) {
 		}
 	}
 	// Dummies gone: pool switches to greens.
-	_, green := b.selectDummyBalancedScratch(pick, 4, &selectScratch{})
+	_, green := sel.selectDummy(b, 0, 0, 4)
 	if green == InvalidBlock {
 		t.Fatal("expected a green selection after dummies exhausted")
 	}
@@ -39,14 +39,14 @@ func TestSelectDummyBalancedPanics(t *testing.T) {
 	src := rng.New(2)
 	b := newBucket(4)
 	for i := 0; i < 4; i++ {
-		b.selectDummyScratch(src, 0, false, &selectScratch{})
+		(&selector{src: src}).selectDummy(b, 0, 0, 0)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on exhausted bucket")
 		}
 	}()
-	b.selectDummyBalancedScratch(func([]int) int { return 0 }, 0, &selectScratch{})
+	(&selector{balance: func(int64, int, []int) int { return 0 }}).selectDummy(b, 0, 0, 0)
 }
 
 func TestSelectDummyBalancedRejectsBadPick(t *testing.T) {
@@ -58,7 +58,7 @@ func TestSelectDummyBalancedRejectsBadPick(t *testing.T) {
 			t.Fatal("expected panic on out-of-range pick")
 		}
 	}()
-	b.selectDummyBalancedScratch(func(cands []int) int { return len(cands) }, 0, &selectScratch{})
+	(&selector{balance: func(_ int64, _ int, cands []int) int { return len(cands) }}).selectDummy(b, 0, 0, 0)
 }
 
 // TestRingWithBalancer runs the protocol with a balancer that always

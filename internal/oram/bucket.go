@@ -1,21 +1,33 @@
 package oram
 
 import (
+	"fmt"
 	"math/bits"
 
 	"stringoram/internal/invariant"
 	"stringoram/internal/rng"
 )
 
-// Slot is one physical block slot in a bucket. A slot is either real
-// (holding the block identified by ID) or a reserved dummy. Valid means the
-// slot has not been touched since the bucket's last reshuffle; Ring ORAM
-// never reads the same slot twice between reshuffles.
-// Real and ID are secret: which slots hold real blocks — and which
-// blocks — must never steer the bus-visible access sequence (enforced
-// by oramlint's oblivious analyzer, which follows them through locals
-// and calls into every branch condition). Valid is public: the adversary
-// sees which slots have been touched since the last reshuffle.
+// maxSlotsPerBucket is the widest bucket the controllers run: a bucket's
+// real and valid flags are one 64-bit mask each. NewRing, NewPath and
+// Load reject a geometry with more physical slots per bucket (the
+// paper's is Z+S-Y = 12; the analytic bandwidth model has no limit).
+const maxSlotsPerBucket = 64
+
+// checkSlotsPerBucket rejects a geometry whose buckets the masks cannot
+// hold.
+func checkSlotsPerBucket(slots int) error {
+	if slots > maxSlotsPerBucket {
+		return fmt.Errorf("oram: %d slots per bucket exceeds the limit of %d", slots, maxSlotsPerBucket)
+	}
+	return nil
+}
+
+// Slot is one physical slot's metadata as a checkpoint records it: real
+// (holding the block identified by ID) or a reserved dummy, and valid
+// (untouched since the bucket's last reshuffle). Bucket keeps the same
+// state as masks and an ID array; Save and Load convert. Real and ID
+// are secret for the same reason as Bucket's real and IDs.
 type Slot struct {
 	Real  bool `oramlint:"secret"`
 	Valid bool
@@ -23,10 +35,24 @@ type Slot struct {
 }
 
 // Bucket is one tree node: Z real slots plus S-Y reserved dummy slots,
-// and the metadata of Fig. 2 / Fig. 7(b): the per-bucket access counter,
-// and the green-block counter of the Compact Bucket scheme.
+// and the metadata of Fig. 2 / Fig. 7(b): which slots are real, which are
+// untouched, the per-bucket access counter, and the green-block counter
+// of the Compact Bucket scheme.
+//
+// Bit i of real and valid describes physical slot i, so a bucket holds
+// at most maxSlotsPerBucket slots. A slot is valid until it is read;
+// Ring ORAM never reads the same slot twice between reshuffles. IDs,
+// real and Green are secret: which slots hold real blocks — and which
+// blocks — must never steer the bus-visible access sequence (enforced
+// by oramlint's oblivious analyzer, which follows them through locals
+// and calls into every branch condition). valid is public: the
+// adversary sees which slots have been touched since the last reshuffle.
 type Bucket struct {
-	Slots []Slot
+	// IDs names the block in each physical slot; an entry is meaningful
+	// only where real is set.
+	IDs   []BlockID `oramlint:"secret"`
+	real  uint64    `oramlint:"secret"`
+	valid uint64
 	// Count is the number of accesses since the last reshuffle; must
 	// never exceed S.
 	Count int
@@ -38,82 +64,47 @@ type Bucket struct {
 	// bucket's seal nonce (Crypt), so each reshuffle reseals the bucket
 	// under a fresh nonce.
 	Epoch int
-
-	// realMask/validMask mirror the Slots' Real and Valid flags as bit
-	// sets for buckets of at most 64 slots (every practical geometry:
-	// the paper's is Z+S-Y = 12), replacing the per-access linear scans
-	// of the metadata hot path with popcounts and bit iteration. They
-	// are maintained incrementally by every mutation below and rebuilt
-	// by reindex after a snapshot restore; wider buckets fall back to
-	// the scans. realMask is secret for the same reason Real is.
-	realMask  uint64 `oramlint:"secret"`
-	validMask uint64
 }
 
-// maskable reports whether the bucket's slot count fits the bit masks.
-func (b *Bucket) maskable() bool { return len(b.Slots) <= 64 }
-
-// onesMask returns a mask of the low n bits (n capped at 64).
-func onesMask(n int) uint64 {
-	if n >= 64 {
-		return ^uint64(0)
-	}
-	return uint64(1)<<n - 1
-}
-
-// reindex rebuilds the masks from the Slots. Callers that construct a
-// Bucket directly (snapshot restore) must invoke it before use.
-func (b *Bucket) reindex() {
-	b.realMask, b.validMask = 0, 0
-	for i := range b.Slots {
-		if b.Slots[i].Real {
-			b.realMask |= 1 << uint(i)
-		}
-		if b.Slots[i].Valid {
-			b.validMask |= 1 << uint(i)
-		}
-	}
-}
-
-// checkMasks asserts (under -tags=invariants) that the incremental masks
-// agree with the Slots they mirror.
-func (b *Bucket) checkMasks() {
-	if !invariant.Enabled || !b.maskable() {
-		return
-	}
-	real, valid := b.realMask, b.validMask
-	b.reindex()
-	invariant.Assertf(real == b.realMask && valid == b.validMask,
-		"bucket masks drifted from slots: real %#x/%#x, valid %#x/%#x", real, b.realMask, valid, b.validMask)
-}
+// onesMask returns a mask of the low n bits, n in [0, 64].
+func onesMask(n int) uint64 { return ^uint64(0) >> uint(64-n) }
 
 // newBucket returns a freshly reshuffled bucket with no real blocks: all
 // slots slots are valid reserved dummies. This is also the state of a
 // never-written bucket (encrypted garbage is indistinguishable from a
 // dummy block).
 func newBucket(slots int) *Bucket {
-	b := &Bucket{Slots: make([]Slot, slots)}
-	for i := range b.Slots {
-		b.Slots[i] = Slot{Real: false, Valid: true}
+	return &Bucket{IDs: make([]BlockID, slots), valid: onesMask(slots)}
+}
+
+// slot returns slot s's metadata as a checkpoint record.
+func (b *Bucket) slot(s int) Slot {
+	return Slot{Real: b.real>>uint(s)&1 != 0, Valid: b.valid>>uint(s)&1 != 0, ID: b.IDs[s]}
+}
+
+// bucketFromSlots builds a bucket's metadata from its checkpoint records.
+func bucketFromSlots(slots []Slot) *Bucket {
+	b := &Bucket{IDs: make([]BlockID, len(slots))}
+	for s, sl := range slots {
+		b.IDs[s] = sl.ID
+		if sl.Real {
+			b.real |= 1 << uint(s)
+		}
+		if sl.Valid {
+			b.valid |= 1 << uint(s)
+		}
 	}
-	b.validMask = onesMask(slots)
 	return b
 }
 
+// residents returns the mask of valid real slots: the blocks resident in
+// the bucket.
+func (b *Bucket) residents() uint64 { return b.real & b.valid }
+
 // findBlock returns the slot index holding the given block, or -1.
 func (b *Bucket) findBlock(id BlockID) int {
-	if b.maskable() {
-		b.checkMasks()
-		for m := b.realMask & b.validMask; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			if b.Slots[i].ID == id {
-				return i
-			}
-		}
-		return -1
-	}
-	for i := range b.Slots {
-		if b.Slots[i].Real && b.Slots[i].Valid && b.Slots[i].ID == id {
+	for m := b.residents(); m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros64(m); b.IDs[i] == id {
 			return i
 		}
 	}
@@ -121,32 +112,10 @@ func (b *Bucket) findBlock(id BlockID) int {
 }
 
 // realBlocks returns the number of valid real blocks resident.
-func (b *Bucket) realBlocks() int {
-	if b.maskable() {
-		return bits.OnesCount64(b.realMask & b.validMask)
-	}
-	n := 0
-	for i := range b.Slots {
-		if b.Slots[i].Real && b.Slots[i].Valid {
-			n++
-		}
-	}
-	return n
-}
+func (b *Bucket) realBlocks() int { return bits.OnesCount64(b.residents()) }
 
 // validDummies returns the number of untouched reserved dummy slots.
-func (b *Bucket) validDummies() int {
-	if b.maskable() {
-		return bits.OnesCount64(b.validMask &^ b.realMask)
-	}
-	n := 0
-	for i := range b.Slots {
-		if !b.Slots[i].Real && b.Slots[i].Valid {
-			n++
-		}
-	}
-	return n
-}
+func (b *Bucket) validDummies() int { return bits.OnesCount64(b.valid &^ b.real) }
 
 // canServe reports whether the bucket can absorb one more read-path access
 // without a reshuffle. hasTarget indicates the access will read a real
@@ -167,129 +136,84 @@ func (b *Bucket) canServe(hasTarget bool, s, y int) bool {
 	return b.Green < y && b.realBlocks() > 0
 }
 
-// selectScratch holds the candidate-slot scratch reused by dummy
-// selection so the per-level hot path allocates nothing. The zero value
-// is ready to use; capacity grows to the bucket's slot count and stays.
-type selectScratch struct {
-	dummies []int
-	greens  []int
+// selector is the read path's dummy-selection policy with the candidate
+// scratch it reuses, so the per-level hot path allocates nothing. The
+// zero scratch is ready to use; its capacity grows to the bucket's slot
+// count and stays.
+type selector struct {
+	// src draws the uniform policy's coin and, without balance, the slot
+	// within the chosen pool.
+	src *rng.Source
+	// uniform picks uniformly among all eligible slots instead of
+	// reserved dummies first (config.ORAM.UniformSelect).
+	uniform bool
+	// balance, when set, chooses the slot within the pool instead of src
+	// and overrides uniform (Options.SlotBalancer).
+	balance func(bucket int64, level int, candidates []int) int
+
+	dummies, greens []int
 }
 
-// split partitions the bucket's valid slots into reserved dummies and
-// green candidates using the scratch's backing arrays.
-func (sc *selectScratch) split(b *Bucket) (dummies, greens []int) {
-	sc.dummies = sc.dummies[:0]
-	sc.greens = sc.greens[:0]
-	if b.maskable() {
-		// Set-bit iteration visits slots in ascending index order, the
-		// same order as the scan it replaces, so the RNG-indexed picks
-		// downstream are unchanged.
-		b.checkMasks()
-		for m := b.validMask &^ b.realMask; m != 0; m &= m - 1 {
-			sc.dummies = append(sc.dummies, bits.TrailingZeros64(m))
-		}
-		for m := b.validMask & b.realMask; m != 0; m &= m - 1 {
-			sc.greens = append(sc.greens, bits.TrailingZeros64(m))
-		}
-		return sc.dummies, sc.greens
-	}
-	for i := range b.Slots {
-		if !b.Slots[i].Valid {
-			continue
-		}
-		if b.Slots[i].Real {
-			sc.greens = append(sc.greens, i)
-		} else {
-			sc.dummies = append(sc.dummies, i)
-		}
-	}
-	return sc.dummies, sc.greens
-}
-
-// selectDummyScratch picks a slot to read as a dummy and consumes it.
-// With the dummy-first policy, reserved dummies are used before green
-// blocks so that green fetches (which grow the stash) happen only when
-// necessary; the uniform policy picks uniformly among all eligible slots.
+// selectDummy picks a slot of bucket b (global index idx, tree level
+// level) to read as a dummy and consumes it. With the dummy-first policy,
+// reserved dummies are used before green blocks so that green fetches
+// (which grow the stash) happen only when necessary; the uniform policy
+// picks uniformly among all eligible slots. y is the green budget.
 //
 // It returns the slot index and, when a green block was consumed, the
 // evicted real block's ID (the caller must move it to the stash);
 // otherwise InvalidBlock. The caller must have checked canServe.
-func (b *Bucket) selectDummyScratch(src *rng.Source, y int, uniform bool, sc *selectScratch) (slot int, green BlockID) {
-	dummies, greens := sc.split(b)
+func (sel *selector) selectDummy(b *Bucket, idx int64, level, y int) (slot int, green BlockID) {
+	// Set-bit iteration lists candidates in ascending slot order.
+	sel.dummies, sel.greens = sel.dummies[:0], sel.greens[:0]
+	for m := b.valid &^ b.real; m != 0; m &= m - 1 {
+		sel.dummies = append(sel.dummies, bits.TrailingZeros64(m))
+	}
+	for m := b.residents(); m != 0; m &= m - 1 {
+		sel.greens = append(sel.greens, bits.TrailingZeros64(m))
+	}
+	dummies, greens := sel.dummies, sel.greens
 	greenOK := b.Green < y && len(greens) > 0
-	pickGreen := false
-	switch {
-	case uniform && greenOK && len(dummies) > 0:
-		pickGreen = src.Intn(len(dummies)+len(greens)) >= len(dummies)
-	case len(dummies) == 0 && greenOK:
-		pickGreen = true
-	case len(dummies) == 0:
+	// Reserved dummies first; the uniform policy, unless a balancer
+	// overrides it, tosses a coin weighted by the two pools' sizes.
+	pickGreen := len(dummies) == 0 ||
+		sel.balance == nil && sel.uniform && greenOK && sel.src.Intn(len(dummies)+len(greens)) >= len(dummies)
+	if pickGreen && !greenOK {
 		panic("oram: selectDummy called on a bucket that cannot serve")
 	}
-	if pickGreen {
-		i := greens[src.Intn(len(greens))]
-		id := b.Slots[i].ID
-		b.Slots[i].Valid = false
-		b.validMask &^= 1 << uint(i)
-		b.Green++
-		if invariant.Enabled {
-			invariant.Assertf(b.Green <= y, "bucket green counter %d exceeds CB budget Y=%d", b.Green, y)
-		}
-		return i, id
-	}
-	i := dummies[src.Intn(len(dummies))]
-	b.Slots[i].Valid = false
-	b.validMask &^= 1 << uint(i)
-	return i, InvalidBlock
-}
-
-// selectDummyBalancedScratch is selectDummyScratch with the choice within
-// the eligible pool delegated to pick (used by imbalance-aware retrieval,
-// Che et al. ICCD'19: any valid dummy is equally safe, so the controller
-// may choose the one whose physical address balances channel load). The
-// dummy-first pool ordering is preserved: reserved dummies are offered
-// before green blocks.
-func (b *Bucket) selectDummyBalancedScratch(pick func(candidates []int) int, y int, sc *selectScratch) (slot int, green BlockID) {
-	dummies, greens := sc.split(b)
 	pool := dummies
-	pickGreen := false
-	if len(dummies) == 0 {
-		if b.Green >= y || len(greens) == 0 {
-			panic("oram: selectDummyBalanced called on a bucket that cannot serve")
-		}
+	if pickGreen {
 		pool = greens
-		pickGreen = true
 	}
-	choice := pick(pool)
-	if choice < 0 || choice >= len(pool) {
-		panic("oram: slot balancer returned an out-of-range candidate index")
+	var choice int
+	if sel.balance != nil {
+		choice = sel.balance(idx, level, pool)
+		if choice < 0 || choice >= len(pool) {
+			panic("oram: slot balancer returned an out-of-range candidate index")
+		}
+	} else {
+		choice = sel.src.Intn(len(pool))
 	}
 	i := pool[choice]
-	if pickGreen {
-		id := b.Slots[i].ID
-		b.Slots[i].Valid = false
-		b.validMask &^= 1 << uint(i)
-		b.Green++
-		if invariant.Enabled {
-			invariant.Assertf(b.Green <= y, "bucket green counter %d exceeds CB budget Y=%d", b.Green, y)
-		}
-		return i, id
+	b.valid &^= 1 << uint(i)
+	if !pickGreen {
+		return i, InvalidBlock
 	}
-	b.Slots[i].Valid = false
-	b.validMask &^= 1 << uint(i)
-	return i, InvalidBlock
+	b.Green++
+	if invariant.Enabled {
+		invariant.Assertf(b.Green <= y, "bucket green counter %d exceeds CB budget Y=%d", b.Green, y)
+	}
+	return i, b.IDs[i]
 }
 
 // consumeReal reads the target block out of the given slot: the slot is
 // invalidated and the block leaves the bucket (its data now lives in the
 // stash).
 func (b *Bucket) consumeReal(slot int) BlockID {
-	id := b.Slots[slot].ID
-	b.Slots[slot].Real = false
-	b.Slots[slot].Valid = false
-	b.Slots[slot].ID = InvalidBlock
-	b.realMask &^= 1 << uint(slot)
-	b.validMask &^= 1 << uint(slot)
+	id := b.IDs[slot]
+	b.IDs[slot] = InvalidBlock
+	b.real &^= 1 << uint(slot)
+	b.valid &^= 1 << uint(slot)
 	return id
 }
 
@@ -319,22 +243,20 @@ func (sc *shuffleScratch) grow(slots, nBlocks int) (perm, target []int) {
 // can place data. The returned slice aliases sc.target and is valid until
 // the next reshuffle through the same scratch.
 func (b *Bucket) reshuffleScratch(blocks []BlockID, src *rng.Source, sc *shuffleScratch) []int {
-	if len(blocks) > len(b.Slots) {
+	if len(blocks) > len(b.IDs) {
 		panic("oram: reshuffle with more blocks than slots")
 	}
-	perm, target := sc.grow(len(b.Slots), len(blocks))
+	perm, target := sc.grow(len(b.IDs), len(blocks))
 	src.PermInto(perm)
-	for i := range b.Slots {
-		b.Slots[i] = Slot{Real: false, Valid: true, ID: InvalidBlock}
+	for i := range b.IDs {
+		b.IDs[i] = InvalidBlock
 	}
-	b.realMask = 0
-	b.validMask = onesMask(len(b.Slots))
+	b.real = 0
+	b.valid = onesMask(len(b.IDs))
 	for i, id := range blocks {
 		s := perm[i]
-		b.Slots[s] = Slot{Real: true, Valid: true, ID: id}
-		if s < 64 {
-			b.realMask |= 1 << uint(s)
-		}
+		b.IDs[s] = id
+		b.real |= 1 << uint(s)
 		target[i] = s
 	}
 	b.Count = 0

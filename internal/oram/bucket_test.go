@@ -9,8 +9,8 @@ import (
 
 func TestNewBucketAllDummyValid(t *testing.T) {
 	b := newBucket(12)
-	if len(b.Slots) != 12 {
-		t.Fatalf("slots = %d, want 12", len(b.Slots))
+	if len(b.IDs) != 12 {
+		t.Fatalf("slots = %d, want 12", len(b.IDs))
 	}
 	if b.validDummies() != 12 || b.realBlocks() != 0 {
 		t.Fatalf("fresh bucket: dummies=%d reals=%d", b.validDummies(), b.realBlocks())
@@ -30,8 +30,8 @@ func TestReshufflePlacesBlocks(t *testing.T) {
 	}
 	for i, id := range blocks {
 		s := targets[i]
-		if !b.Slots[s].Real || !b.Slots[s].Valid || b.Slots[s].ID != id {
-			t.Errorf("block %d not at slot %d: %+v", id, s, b.Slots[s])
+		if sl := b.slot(s); !sl.Real || !sl.Valid || sl.ID != id {
+			t.Errorf("block %d not at slot %d: %+v", id, s, sl)
 		}
 		if b.findBlock(id) != s {
 			t.Errorf("findBlock(%d) = %d, want %d", id, b.findBlock(id), s)
@@ -91,7 +91,7 @@ func TestConsumeReal(t *testing.T) {
 	if b.findBlock(42) >= 0 {
 		t.Fatal("block still resident after consume")
 	}
-	if b.Slots[s].Valid {
+	if b.slot(s).Valid {
 		t.Fatal("consumed slot still valid")
 	}
 	if b.realBlocks() != 0 {
@@ -106,7 +106,7 @@ func TestSelectDummyPrefersReservedDummies(t *testing.T) {
 	b := newBucket(8)
 	b.reshuffleScratch([]BlockID{1, 2, 3, 4}, src, &shuffleScratch{})
 	for i := 0; i < 4; i++ {
-		_, green := b.selectDummyScratch(src, 4, false, &selectScratch{})
+		_, green := (&selector{src: src}).selectDummy(b, 0, 0, 4)
 		if green != InvalidBlock {
 			t.Fatalf("selection %d consumed a green block while reserved dummies remained", i)
 		}
@@ -116,7 +116,7 @@ func TestSelectDummyPrefersReservedDummies(t *testing.T) {
 	}
 	// Now only green blocks remain eligible.
 	for i := 0; i < 4; i++ {
-		_, green := b.selectDummyScratch(src, 4, false, &selectScratch{})
+		_, green := (&selector{src: src}).selectDummy(b, 0, 0, 4)
 		if green == InvalidBlock {
 			t.Fatalf("selection %d should have consumed a green block", i)
 		}
@@ -132,9 +132,9 @@ func TestSelectDummyRespectsGreenBudget(t *testing.T) {
 	b.reshuffleScratch([]BlockID{1, 2, 3, 4}, src, &shuffleScratch{})
 	// Exhaust the 4 reserved dummies, then Y=1 allows one green.
 	for i := 0; i < 4; i++ {
-		b.selectDummyScratch(src, 1, false, &selectScratch{})
+		(&selector{src: src}).selectDummy(b, 0, 0, 1)
 	}
-	if _, green := b.selectDummyScratch(src, 1, false, &selectScratch{}); green == InvalidBlock {
+	if _, green := (&selector{src: src}).selectDummy(b, 0, 0, 1); green == InvalidBlock {
 		t.Fatal("expected a green selection")
 	}
 	if b.canServe(false, 100, 1) {
@@ -146,14 +146,14 @@ func TestSelectDummyPanicsWhenExhausted(t *testing.T) {
 	src := rng.New(7)
 	b := newBucket(4)
 	for i := 0; i < 4; i++ {
-		b.selectDummyScratch(src, 0, false, &selectScratch{})
+		(&selector{src: src}).selectDummy(b, 0, 0, 0)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on exhausted bucket")
 		}
 	}()
-	b.selectDummyScratch(src, 0, false, &selectScratch{})
+	(&selector{src: src}).selectDummy(b, 0, 0, 0)
 }
 
 func TestSelectDummyNeverReusesSlot(t *testing.T) {
@@ -163,7 +163,7 @@ func TestSelectDummyNeverReusesSlot(t *testing.T) {
 		b.reshuffleScratch([]BlockID{1, 2, 3}, s, &shuffleScratch{})
 		seen := make(map[int]bool)
 		for b.canServe(false, 100, 3) {
-			slot, _ := b.selectDummyScratch(s, 3, false, &selectScratch{})
+			slot, _ := (&selector{src: s}).selectDummy(b, 0, 0, 3)
 			if seen[slot] {
 				return false
 			}
@@ -184,7 +184,7 @@ func TestSelectDummyUniformUsesGreensEarly(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		b := newBucket(12)
 		b.reshuffleScratch([]BlockID{1, 2, 3, 4, 5, 6, 7, 8}, src, &shuffleScratch{})
-		if _, g := b.selectDummyScratch(src, 8, true, &selectScratch{}); g != InvalidBlock {
+		if _, g := (&selector{src: src, uniform: true}).selectDummy(b, 0, 0, 8); g != InvalidBlock {
 			greens++
 		}
 	}
@@ -215,7 +215,7 @@ func TestCanServe(t *testing.T) {
 
 	// Exhaust dummies.
 	for i := 0; i < 4; i++ {
-		b.selectDummyScratch(src, 0, false, &selectScratch{})
+		(&selector{src: src}).selectDummy(b, 0, 0, 0)
 	}
 	if b.canServe(false, 8, 0) {
 		t.Error("no dummies, no green budget: must not serve")
@@ -240,6 +240,6 @@ func TestResidentBlocks(t *testing.T) {
 		t.Fatalf("%d blocks resident after consuming one of three, want 2", n)
 	}
 	if b.findBlock(5) < 0 || b.findBlock(7) < 0 || b.findBlock(6) >= 0 {
-		t.Fatalf("resident set is not {5,7}: slots %+v", b.Slots)
+		t.Fatalf("resident set is not {5,7}: slots %+v", b)
 	}
 }

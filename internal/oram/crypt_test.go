@@ -183,7 +183,7 @@ func TestStoredSlotsOpenAtPosition(t *testing.T) {
 					if len(sealed) != cfg.BlockSize {
 						t.Fatalf("bucket %d slot %d stores %d bytes, want %d", idx, s, len(sealed), cfg.BlockSize)
 					}
-					sl := b.Slots[s]
+					sl := b.slot(s)
 					if !sl.Valid {
 						continue // consumed: may hold a copy of a block since moved
 					}

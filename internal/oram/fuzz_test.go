@@ -95,6 +95,7 @@ func FuzzLoad(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(corruptCheckpoint(f, valid, func(s *ringSnap) { s.Buckets[0].Epoch = -1 }))
+	f.Add(corruptCheckpoint(f, valid, func(s *ringSnap) { s.Cfg = wideCfg() }))
 	for _, tc := range inconsistentCheckpoints(f, valid) {
 		f.Add(corruptCheckpoint(f, valid, tc.corrupt))
 	}

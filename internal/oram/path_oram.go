@@ -43,6 +43,9 @@ func NewPath(z, levels, blockSize, stashSize int, seed uint64, opts *Options) (*
 	}
 	// A Path ORAM bucket is a Ring bucket with no reserved dummies.
 	cfg := config.ORAM{Z: z, Levels: levels, BlockSize: blockSize, StashSize: stashSize}
+	if err := checkSlotsPerBucket(cfg.SlotsPerBucket()); err != nil {
+		return nil, err
+	}
 	root := rng.New(seed)
 	return &Path{newTreeCore(cfg, opts.Store, opts.Crypt, root.Fork(), root.Fork())}, nil
 }
@@ -94,7 +97,7 @@ func (p *Path) Access(id BlockID, write bool, data []byte) ([]byte, []Op, error)
 	// ascending order, and the reals among them move to the stash.
 	for lvl, idx := range path {
 		b, _ := p.materialize(idx)
-		for s := range b.Slots {
+		for s := range p.cfg.SlotsPerBucket() {
 			op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: lvl, Slot: s, Write: false})
 		}
 		p.drainBucket(idx, b)

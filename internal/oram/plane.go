@@ -2,6 +2,7 @@ package oram
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"stringoram/internal/config"
@@ -265,17 +266,16 @@ func (c *treeCore) remapToStash(id BlockID, newPath PathID) {
 // uniform permutation refreshed every epoch.
 func (c *treeCore) drainBucket(idx int64, b *Bucket) (slots []int, ids []BlockID) {
 	slots, ids = c.scr.readSlots[:0], c.scr.blocks[:0]
-	for s := range b.Slots {
-		if b.Slots[s].Real && b.Slots[s].Valid {
-			id := b.Slots[s].ID
-			p, known := c.pos.Lookup(id)
-			if !known {
-				panic(fmt.Sprintf("oram: resident block %d unmapped", id))
-			}
-			c.fetchToStash(idx, b.Epoch, s, id, p)
-			b.consumeReal(s)
-			slots, ids = append(slots, s), append(ids, id)
+	for m := b.residents(); m != 0; m &= m - 1 {
+		s := bits.TrailingZeros64(m)
+		id := b.IDs[s]
+		p, known := c.pos.Lookup(id)
+		if !known {
+			panic(fmt.Sprintf("oram: resident block %d unmapped", id))
 		}
+		c.fetchToStash(idx, b.Epoch, s, id, p)
+		b.consumeReal(s)
+		slots, ids = append(slots, s), append(ids, id)
 	}
 	c.scr.readSlots, c.scr.blocks = slots, ids
 	return slots, ids
@@ -367,7 +367,7 @@ func (c *treeCore) refillBucket(op *Op, idx int64, level int, b *Bucket, ids []B
 		}
 	}
 	if level >= c.emitFrom() {
-		for s := range b.Slots {
+		for s := range c.cfg.SlotsPerBucket() {
 			op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: level, Slot: s, Write: true})
 		}
 	}
@@ -387,23 +387,22 @@ func (c *treeCore) checkLocations() error {
 	var err error
 	resident := make(map[BlockID]int64) // block -> the bucket holding it
 	c.buckets.ascending(func(idx int64, b *Bucket) {
-		for s, sl := range b.Slots {
-			if err != nil || !sl.Real || !sl.Valid {
-				continue
-			}
-			p, mapped := c.pos.Lookup(sl.ID)
-			prev, twice := resident[sl.ID]
+		for m := b.residents(); m != 0 && err == nil; m &= m - 1 {
+			s := bits.TrailingZeros64(m)
+			id := b.IDs[s]
+			p, mapped := c.pos.Lookup(id)
+			prev, twice := resident[id]
 			switch {
 			case !mapped:
-				err = fmt.Errorf("oram: bucket %d slot %d holds block %d, which is unmapped", idx, s, sl.ID)
+				err = fmt.Errorf("oram: bucket %d slot %d holds block %d, which is unmapped", idx, s, id)
 			case c.tree.BucketIndex(p, c.tree.BucketLevel(idx)) != idx:
-				err = fmt.Errorf("oram: block %d (path %d) resident in bucket %d (level %d), off its path", sl.ID, p, idx, c.tree.BucketLevel(idx))
+				err = fmt.Errorf("oram: block %d (path %d) resident in bucket %d (level %d), off its path", id, p, idx, c.tree.BucketLevel(idx))
 			case twice:
-				err = fmt.Errorf("oram: block %d resident in buckets %d and %d", sl.ID, prev, idx)
-			case c.stash.Contains(sl.ID):
-				err = fmt.Errorf("oram: block %d resident in bucket %d and in the stash", sl.ID, idx)
+				err = fmt.Errorf("oram: block %d resident in buckets %d and %d", id, prev, idx)
+			case c.stash.Contains(id):
+				err = fmt.Errorf("oram: block %d resident in bucket %d and in the stash", id, idx)
 			}
-			resident[sl.ID] = idx
+			resident[id] = idx
 		}
 	})
 	c.stash.ForEach(func(id BlockID, sp PathID) {

@@ -33,11 +33,13 @@ type Options struct {
 	Crypt *Crypt
 	// SlotBalancer, when set, chooses which eligible dummy slot a read
 	// path consumes (imbalance-aware retrieval, Che et al. ICCD'19):
-	// it receives the bucket, its level and the candidate slot indices
-	// and returns the index *into candidates* to use. All candidates
-	// are equally valid protocol-wise, so the choice may optimize
-	// physical placement (e.g. channel balance) without weakening
-	// obliviousness. Overrides UniformSelect.
+	// it receives the bucket's global index, its level and the candidate
+	// slot indices, in ascending order, and returns the index *into
+	// candidates* to use. The pool is the reserved dummies while any
+	// remain, else the green candidates. All candidates are equally
+	// valid protocol-wise, so the choice may optimize physical placement
+	// (e.g. channel balance) without weakening obliviousness. It takes
+	// the place of selection's RNG draws and overrides UniformSelect.
 	SlotBalancer func(bucket int64, level int, candidates []int) int
 	// TreetopCache holds the top TreeTopCacheLevels levels' block
 	// contents decrypted in controller memory (see treetop.go): cached
@@ -56,23 +58,14 @@ type Options struct {
 type Ring struct {
 	treeCore
 
-	selSrc *rng.Source // dummy-slot selection
-
 	evictCount int64 // evictions issued so far (selects reverse-lex path)
 	roundCount int   // read paths since the last eviction, in [0, A)
 
 	warmSeed   uint64  // per-bucket warm-fill derivation seed
 	nextFiller BlockID // next synthetic filler block ID
 
-	uniformSelect bool
-	balancer      func(bucket int64, level int, candidates []int) int
-
-	// balancerPick adapts balancer to the per-bucket candidate callback;
-	// it is built once and rebinds through balBucket/balLevel so the hot
-	// path creates no closure per level.
-	balancerPick func(candidates []int) int
-	balBucket    int64
-	balLevel     int
+	// sel is the dummy-selection policy and its scratch.
+	sel selector
 
 	// rec receives the ring's flight-recorder events, stamped by clock
 	// (nil: the logical access ordinal); see Record.
@@ -81,9 +74,8 @@ type Ring struct {
 
 	// Read-path scratch beside the core's (same ownership rules, see
 	// treeScratch): updBuf carries the plaintext copy handed to Update
-	// callbacks, sel is the dummy-selection scratch.
+	// callbacks.
 	updBuf []byte `oramlint:"secret,scratch"`
-	sel    selectScratch
 }
 
 // NewRing returns a Ring ORAM controller for the given configuration.
@@ -92,12 +84,15 @@ func NewRing(cfg config.ORAM, seed uint64, opts *Options) (*Ring, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkSlotsPerBucket(cfg.SlotsPerBucket()); err != nil {
+		return nil, err
+	}
 	if opts == nil {
 		opts = &Options{}
 	}
 	root := rng.New(seed)
 	r := newRing(cfg, opts.Store, opts.Crypt, root.Fork(), root.Fork(), root.Fork())
-	r.balancer = opts.SlotBalancer
+	r.sel.balance = opts.SlotBalancer
 	r.warmSeed = root.Uint64()
 	r.nextFiller = FillerBase
 	if opts.TreetopCache {
@@ -112,9 +107,8 @@ func NewRing(cfg config.ORAM, seed uint64, opts *Options) (*Ring, error) {
 // streams; NewRing and Load then set what each alone knows.
 func newRing(cfg config.ORAM, store Store, crypt *Crypt, selSrc, permSrc, posSrc *rng.Source) *Ring {
 	return &Ring{
-		treeCore:      newTreeCore(cfg, store, crypt, permSrc, posSrc),
-		selSrc:        selSrc,
-		uniformSelect: cfg.UniformSelect,
+		treeCore: newTreeCore(cfg, store, crypt, permSrc, posSrc),
+		sel:      selector{src: selSrc, uniform: cfg.UniformSelect},
 	}
 }
 
@@ -156,7 +150,7 @@ func (r *Ring) warmBucket(idx int64, b *Bucket) {
 			n++
 		}
 	}
-	perm := src.Perm(len(b.Slots))
+	perm := src.Perm(len(b.IDs))
 
 	// Phase: k accesses absorbed since the (synthetic) last reshuffle.
 	// In steady state a bucket at level l is reshuffled every A*2^l
@@ -175,7 +169,7 @@ func (r *Ring) warmBucket(idx int64, b *Bucket) {
 			k = r.cfg.S - 1
 		}
 	}
-	reserved := len(b.Slots) - n
+	reserved := len(b.IDs) - n
 	dc := k
 	if dc > reserved {
 		dc = reserved
@@ -194,21 +188,19 @@ func (r *Ring) warmBucket(idx int64, b *Bucket) {
 	for i := 0; i < n-gc; i++ {
 		id := r.nextFiller
 		r.nextFiller++
-		b.Slots[perm[i]] = Slot{Real: true, Valid: true, ID: id}
+		b.IDs[perm[i]] = id
+		b.real |= 1 << uint(perm[i])
 		leaf := PathID(uint64(inLevel)*span + src.Uint64n(span))
 		r.pos.Set(id, leaf)
 	}
 	// Consumed green slots (their blocks live elsewhere by now) and
-	// consumed dummies are invalid until the next reshuffle.
-	for i := n - gc; i < n; i++ {
-		b.Slots[perm[i]] = Slot{Valid: false}
-	}
-	for i := n; i < n+dc; i++ {
-		b.Slots[perm[i]] = Slot{Valid: false}
+	// consumed dummies, perm[n-gc : n+dc], are invalid until the next
+	// reshuffle.
+	for i := n - gc; i < n+dc; i++ {
+		b.valid &^= 1 << uint(perm[i])
 	}
 	b.Count = dc + gc
 	b.Green = gc
-	b.reindex()
 }
 
 // poisson draws a Poisson(mean) variate (Knuth's method; mean is small —
@@ -570,19 +562,7 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 			op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: lvl, Slot: targetSlot, Write: false})
 			continue
 		}
-		var slot int
-		var green BlockID
-		if r.balancer != nil {
-			if r.balancerPick == nil {
-				r.balancerPick = func(cands []int) int {
-					return r.balancer(r.balBucket, r.balLevel, cands)
-				}
-			}
-			r.balBucket, r.balLevel = idx, lvl
-			slot, green = b.selectDummyBalancedScratch(r.balancerPick, greenBudget, &r.sel)
-		} else {
-			slot, green = b.selectDummyScratch(r.selSrc, greenBudget, r.uniformSelect, &r.sel)
-		}
+		slot, green := r.sel.selectDummy(b, idx, lvl, greenBudget)
 		//oramlint:allow secret-branch the slot was already chosen and is emitted the same either way; a green block only rides along into the stash (CB, paper Sec. IV)
 		if green != InvalidBlock {
 			// A green block: real data rides along into the stash.
@@ -637,7 +617,7 @@ func (r *Ring) earlyReshuffleOp(idx int64, level int) {
 func (r *Ring) readBucketOp(op *Op, idx int64, level int, b *Bucket) []BlockID {
 	slots, ids := r.drainBucket(idx, b)
 	if level >= r.emitFrom() {
-		for s := 0; len(slots) < r.cfg.Z && s < len(b.Slots); s++ {
+		for s := 0; len(slots) < r.cfg.Z && s < r.cfg.SlotsPerBucket(); s++ {
 			if !slices.Contains(slots, s) {
 				slots = append(slots, s)
 			}
@@ -689,8 +669,8 @@ func (r *Ring) CheckInvariants() error {
 			err = fmt.Errorf("oram: bucket %d green %d exceeds Y=%d", idx, b.Green, r.cfg.Y)
 		case b.realBlocks() > r.cfg.Z:
 			err = fmt.Errorf("oram: bucket %d holds %d real blocks, Z=%d", idx, b.realBlocks(), r.cfg.Z)
-		case len(b.Slots) != r.cfg.SlotsPerBucket():
-			err = fmt.Errorf("oram: bucket %d has %d slots, want %d", idx, len(b.Slots), r.cfg.SlotsPerBucket())
+		case len(b.IDs) != r.cfg.SlotsPerBucket():
+			err = fmt.Errorf("oram: bucket %d has %d slots, want %d", idx, len(b.IDs), r.cfg.SlotsPerBucket())
 		}
 	})
 	if err != nil {

@@ -94,7 +94,7 @@ func (r *Ring) Save(w io.Writer) error {
 		RoundCount: r.roundCount,
 		NextFiller: r.nextFiller,
 		WarmSeed:   r.warmSeed,
-		SelState:   r.selSrc.State(),
+		SelState:   r.sel.src.State(),
 		PermState:  r.permSrc.State(),
 		PosState:   r.pos.src.State(),
 		Stats:      r.stats,
@@ -118,8 +118,12 @@ func (r *Ring) Save(w io.Writer) error {
 		snap.PosMap = append(snap.PosMap, posSnap{ID: id, Path: p})
 	})
 	r.buckets.ascending(func(idx int64, b *Bucket) {
+		slots := make([]Slot, len(b.IDs))
+		for s := range slots {
+			slots[s] = b.slot(s)
+		}
 		snap.Buckets = append(snap.Buckets, bucketSnap{
-			Index: idx, Count: b.Count, Green: b.Green, Epoch: b.Epoch, Slots: b.Slots,
+			Index: idx, Count: b.Count, Green: b.Green, Epoch: b.Epoch, Slots: slots,
 		})
 	})
 	switch st := r.store.(type) {
@@ -153,6 +157,9 @@ func Load(rd io.Reader, key []byte) (*Ring, error) {
 		return nil, fmt.Errorf("oram: checkpoint version %d, want %d", snap.Version, snapshotVersion)
 	}
 	if err := snap.Cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("oram: checkpoint config: %w", err)
+	}
+	if err := checkSlotsPerBucket(snap.Cfg.SlotsPerBucket()); err != nil {
 		return nil, fmt.Errorf("oram: checkpoint config: %w", err)
 	}
 	if snap.Cfg.BlockSize > maxCheckpointBlock {
@@ -242,10 +249,8 @@ func Load(rd io.Reader, key []byte) (*Ring, error) {
 			// An epoch past its nonce field would alias another bucket's nonce.
 			return nil, fmt.Errorf("oram: checkpoint bucket %d Epoch %d outside [0, 2^%d)", b.Index, b.Epoch, nonceEpochBits)
 		}
-		rb := &Bucket{
-			Slots: b.Slots, Count: b.Count, Green: b.Green, Epoch: b.Epoch,
-		}
-		rb.reindex()
+		rb := bucketFromSlots(b.Slots)
+		rb.Count, rb.Green, rb.Epoch = b.Count, b.Green, b.Epoch
 		r.buckets.set(b.Index, rb)
 	}
 	if err := r.CheckInvariants(); err != nil {

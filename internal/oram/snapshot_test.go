@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"stringoram/internal/config"
 	"stringoram/internal/rng"
 )
 
@@ -389,6 +390,44 @@ func inconsistentCheckpoints(t testing.TB, valid []byte) []struct {
 		{"mapped block resident nowhere", func(s *ringSnap) { s.Stash = s.Stash[1:] }, "resident nowhere"},
 		{"count over S", func(s *ringSnap) { s.Buckets[0].Count = 1000 }, "exceeds S"},
 		{"green over Y", func(s *ringSnap) { s.Buckets[0].Green = s.Cfg.Y + 1 }, "exceeds Y"},
+	}
+}
+
+// wideCfg is smallCfg(2) widened to maxSlotsPerBucket+1 physical slots
+// per bucket: a geometry config.ORAM.Validate accepts (the analytic
+// bandwidth model runs it) but no controller does.
+func wideCfg() config.ORAM {
+	cfg := smallCfg(2)
+	cfg.S = maxSlotsPerBucket + 1 - cfg.Z + cfg.Y
+	return cfg
+}
+
+// TestControllersRejectWideBuckets: a bucket's real and valid flags are
+// one 64-bit mask each, so NewRing, NewPath and Load refuse a geometry
+// with more slots per bucket, naming the limit.
+func TestControllersRejectWideBuckets(t *testing.T) {
+	cfg := wideCfg()
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("the wide geometry must pass config validation: %v", err)
+	}
+	wide := corruptCheckpoint(t, checkpointForLoadTests(t), func(s *ringSnap) { s.Cfg = cfg })
+	for _, tc := range []struct {
+		name string
+		open func() error
+	}{
+		{"NewRing", func() error { _, err := NewRing(cfg, 1, nil); return err }},
+		{"NewPath", func() error {
+			_, err := NewPath(maxSlotsPerBucket+1, cfg.Levels, cfg.BlockSize, cfg.StashSize, 1, nil)
+			return err
+		}},
+		{"Load", func() error { _, err := Load(bytes.NewReader(wide), testKey()); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.open()
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("limit of %d", maxSlotsPerBucket)) {
+				t.Fatalf("%s = %v, want an error naming the %d-slot limit", tc.name, err, maxSlotsPerBucket)
+			}
+		})
 	}
 }
 

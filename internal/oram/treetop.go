@@ -3,6 +3,7 @@ package oram
 import (
 	"bytes"
 	"errors"
+	"math/bits"
 
 	"stringoram/internal/invariant"
 )
@@ -95,12 +96,10 @@ func (r *Ring) warmTreetop() {
 		if b == nil {
 			continue
 		}
-		for s := range b.Slots {
-			// Warming is a bus-silent copy of store contents into
-			// controller memory; it emits no ops.
-			if !b.Slots[s].Real || !b.Slots[s].Valid {
-				continue
-			}
+		// Warming is a bus-silent copy of store contents into
+		// controller memory; it emits no ops.
+		for m := b.residents(); m != 0; m &= m - 1 {
+			s := bits.TrailingZeros64(m)
 			i := tt.index(idx, s)
 			r.putBlockBuf(tt.buf[i])
 			tt.buf[i] = r.readSlotData(idx, b.Epoch, s)
@@ -171,10 +170,8 @@ func (r *Ring) verifyTreetop() {
 		if b == nil || tt.dirty[idx] {
 			continue
 		}
-		for s := range b.Slots {
-			if !b.Slots[s].Real || !b.Slots[s].Valid {
-				continue
-			}
+		for m := b.residents(); m != 0; m &= m - 1 {
+			s := bits.TrailingZeros64(m)
 			data := r.readSlotData(idx, b.Epoch, s)
 			got := tt.buf[tt.index(idx, s)]
 			ok := bytes.Equal(got, data) || got == nil && bytes.Count(data, []byte{0}) == len(data)

@@ -42,12 +42,14 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"stringoram/internal/atomicfile"
 	"stringoram/internal/config"
 	"stringoram/internal/obs"
 	"stringoram/internal/oram"
@@ -1388,29 +1390,19 @@ func (sh *shard) snapshotBytes() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// snapshot writes the shard to path atomically (temp file + rename):
-// after a crash mid-write the file is either the complete new snapshot
-// or absent/old. Called only after the worker has exited.
+// snapshot writes the shard to path atomically and durably (synced temp
+// file + rename, see atomicfile.Write): after a crash mid-write the file
+// is either the complete new snapshot or absent/old. Called only after
+// the worker has exited.
 func (sh *shard) snapshot(path string) error {
 	data, err := sh.snapshotBytes()
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".snap-*")
-	if err != nil {
-		return fmt.Errorf("server: shard %d snapshot: %w", sh.id, err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: shard %d snapshot: %w", sh.id, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: shard %d snapshot: %w", sh.id, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := atomicfile.Write(path, ".snap-*", 0o600, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		return fmt.Errorf("server: shard %d snapshot: %w", sh.id, err)
 	}
 	return nil

@@ -34,9 +34,6 @@ type Options struct {
 	// CollectStash records the stash occupancy after every ORAM access
 	// into Result.StashSamples (Fig. 15).
 	CollectStash bool
-	// FunctionalStore attaches an encrypted in-memory store so real
-	// data flows through the ORAM (slower; used by integration tests).
-	FunctionalStore bool
 	// BalanceChannels enables imbalance-aware dummy-slot selection
 	// (Che et al., ICCD'19): among equally valid dummy slots, the
 	// controller picks the one on the least-loaded memory channel.
@@ -280,14 +277,6 @@ func newSim(sys config.System, trs []*trace.Trace, name string, opts Options) (*
 	}
 	var ringOpts oram.Options
 	res := &Result{Workload: name, Scheduler: sys.Scheduler, CBRate: sys.ORAM.Y}
-	if opts.FunctionalStore {
-		crypt, err := oram.NewCrypt([]byte("stringoram-key16")[:16], sys.ORAM.BlockSize)
-		if err != nil {
-			return nil, err
-		}
-		ringOpts.Store = oram.NewMemStore(sys.ORAM.SlotsPerBucket())
-		ringOpts.Crypt = crypt
-	}
 	if opts.BalanceChannels {
 		load := make([]int64, sys.DRAM.Channels)
 		ringOpts.SlotBalancer = func(bucket int64, _ int, cands []int) int {

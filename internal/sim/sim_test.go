@@ -214,17 +214,6 @@ func TestMaxAccessesRespected(t *testing.T) {
 	}
 }
 
-func TestFunctionalStoreRuns(t *testing.T) {
-	sys := testSystem()
-	res, err := Run(sys, testTrace(t, 500), Options{MaxAccesses: 100, FunctionalStore: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ORAMAccesses == 0 {
-		t.Fatal("functional run serviced nothing")
-	}
-}
-
 func TestRunWholeTrace(t *testing.T) {
 	res := runOne(t, testSystem(), 300, 0)
 	// Every trace record retires.

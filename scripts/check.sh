@@ -119,8 +119,8 @@ for procs in 1 2 4; do
 	    ./internal/cluster ./internal/server ./internal/obs
 done
 
-echo "== data-plane goldens (sealed bytes, stored slots open at their position, treetop store trace, Path op trace, checkpoint bytes, earlier checkpoints, inconsistent checkpoints, DRAM command stream, Path ORAM stash samples) =="
-go test -count=1 -run='^(TestSealedBytesGolden|TestStoredSlotsOpenAtPosition|TestTreetopStoreTraceGolden|TestPathTraceGolden|TestRingSaveBytesGolden|TestLoadCheckpointCompat|TestLoadRejectsInconsistentBuckets)$' ./internal/oram
+echo "== data-plane goldens (sealed bytes, stored slots open at their position, treetop store trace, Path op trace, checkpoint bytes, earlier checkpoints, inconsistent checkpoints, buckets wider than 64 slots refused, DRAM command stream, Path ORAM stash samples) =="
+go test -count=1 -run='^(TestSealedBytesGolden|TestStoredSlotsOpenAtPosition|TestTreetopStoreTraceGolden|TestPathTraceGolden|TestRingSaveBytesGolden|TestLoadCheckpointCompat|TestLoadRejectsInconsistentBuckets|TestControllersRejectWideBuckets)$' ./internal/oram
 go test -count=1 -run='^(TestCommandStreamGolden|TestPathORAMStashSamplesCollected)$' ./internal/sim
 
 echo "== treetop cache equivalence (serial vs uncached oracle, -race) =="
