@@ -21,7 +21,10 @@
 //	-queue N             per-shard queue depth (default 256)
 //	-batch N             max requests drained per worker wakeup (default 32)
 //	-treetop-cache       hold the top tree levels decrypted in
-//	                     controller memory (default off)
+//	                     controller memory (default on; with
+//	                     -treetop-cache=false the store serves those
+//	                     levels, and its reads there show which of
+//	                     their slots hold real blocks)
 //	-seed N              master seed for per-shard protocol randomness
 //	-snapshots DIR       snapshot directory: restore on boot, save on
 //	                     shutdown (empty disables persistence)
@@ -168,7 +171,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	levels := fs.Int("levels", 12, "ORAM tree levels per shard")
 	queue := fs.Int("queue", 256, "per-shard request queue depth")
 	batch := fs.Int("batch", 32, "max requests per worker batch")
-	treetop := fs.Bool("treetop-cache", false, "hold the top tree levels decrypted in controller memory")
+	treetop := fs.Bool("treetop-cache", true, "hold the top tree levels decrypted in controller memory (false: the store serves them, and its reads there reveal which slots hold real blocks)")
 	seed := fs.Uint64("seed", 1, "master protocol seed")
 	snapdir := fs.String("snapshots", "", "snapshot directory (restore on boot, save on shutdown)")
 	timeout := fs.Duration("timeout", 2*time.Second, "default per-request deadline (0 disables)")

@@ -745,3 +745,29 @@ func TestRouterHealthyGetDuringHangingDial(t *testing.T) {
 		}
 	}
 }
+
+// TestHandoffChunkRejectsUnknownShard: a handoff chunk for a shard
+// outside the placement is refused with ErrWrongShard before anything
+// is buffered, as Replicate and Promote refuse theirs.
+func TestHandoffChunkRejectsUnknownShard(t *testing.T) {
+	p, err := Static(2, []NodeInfo{{ID: "node-0", Addr: "127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewNode(NodeConfig{ID: "node-0", Placement: p, Server: testServerConfig(5, 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	for _, shard := range []int{99, -5, 2} {
+		if err := n.HandoffChunk(shard, true, false, []byte("chunk")); !errors.Is(err, server.ErrWrongShard) {
+			t.Fatalf("first chunk for shard %d: err = %v, want ErrWrongShard", shard, err)
+		}
+	}
+	n.hmu.Lock()
+	buffered := len(n.hbuf)
+	n.hmu.Unlock()
+	if buffered != 0 {
+		t.Fatalf("refused chunks left %d handoff buffers", buffered)
+	}
+}

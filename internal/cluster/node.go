@@ -368,6 +368,9 @@ func (n *Node) Replicate(tc obs.TraceContext, pver uint64, shard int, entries se
 // installs the shard (dormant) when the stream completes; the sender
 // then replays the op-log tail via Replicate and flips the placement.
 func (n *Node) HandoffChunk(shard int, first, last bool, data []byte) error {
+	if shard < 0 || shard >= len(n.repl) {
+		return fmt.Errorf("cluster: handoff chunk for shard %d: %w", shard, server.ErrWrongShard)
+	}
 	n.hmu.Lock()
 	defer n.hmu.Unlock()
 	if first {

@@ -71,11 +71,6 @@ type Ring struct {
 	// (nil: the logical access ordinal); see Record.
 	rec   *obs.Recorder[obs.Event]
 	clock func() int64
-
-	// Read-path scratch beside the core's (same ownership rules, see
-	// treeScratch): updBuf carries the plaintext copy handed to Update
-	// callbacks.
-	updBuf []byte `oramlint:"secret,scratch"`
 }
 
 // NewRing returns a Ring ORAM controller for the given configuration.
@@ -296,43 +291,10 @@ func (r *Ring) Write(id BlockID, data []byte) (ops []Op, err error) {
 // The returned data and ops alias controller-owned scratch reused by the
 // next operation on this Ring: callers that need them longer must copy.
 func (r *Ring) Access(id BlockID, write bool, data []byte) ([]byte, []Op, error) {
-	return r.access(id, write, data, nil, nil)
+	return r.access(id, write, data)
 }
 
-// AccessRemapTo is Access with the remap target chosen by the caller
-// instead of drawn internally. It exists for controllers that manage the
-// position map externally (see RecursiveRing): the caller must store
-// newPath wherever it keeps its map. newPath must be uniformly random for
-// the access-pattern guarantees to hold.
-func (r *Ring) AccessRemapTo(id BlockID, write bool, data []byte, newPath PathID) ([]byte, []Op, error) {
-	return r.access(id, write, data, &newPath, nil)
-}
-
-// Update performs a single-access read-modify-write: fn receives the
-// block's current contents (a zero block for never-written addresses)
-// and returns the new contents. The pre-update data is returned. One
-// Update costs exactly one ORAM access on the bus. The slice passed to fn
-// and both returned slices are controller-owned scratch, valid only until
-// the next operation on this Ring.
-func (r *Ring) Update(id BlockID, fn func(cur []byte) []byte) ([]byte, []Op, error) {
-	return r.access(id, true, nil, nil, fn)
-}
-
-// UpdateRemapTo combines Update and AccessRemapTo.
-func (r *Ring) UpdateRemapTo(id BlockID, newPath PathID, fn func(cur []byte) []byte) ([]byte, []Op, error) {
-	return r.access(id, true, nil, &newPath, fn)
-}
-
-// PositionOf exposes the block's current path assignment (for
-// consistency checks by external position-map layers).
-func (r *Ring) PositionOf(id BlockID) (PathID, bool) {
-	if p, ok := r.stash.Path(id); ok {
-		return p, true
-	}
-	return r.pos.Lookup(id)
-}
-
-func (r *Ring) access(id BlockID, write bool, data []byte, forcedPath *PathID, updateFn func([]byte) []byte) ([]byte, []Op, error) {
+func (r *Ring) access(id BlockID, write bool, data []byte) ([]byte, []Op, error) {
 	//oramlint:allow secret-branch argument validation on the public API: the id comes from a public allocation counter, and a rejection issues no access at all
 	if id < 0 {
 		//oramlint:allow secret-early-exit argument validation on the public API: block ids are allocated by a public counter, so rejecting a negative id reveals only argument well-formedness, never mapped state
@@ -345,7 +307,7 @@ func (r *Ring) access(id BlockID, write bool, data []byte, forcedPath *PathID, u
 	}
 	if write {
 		//oramlint:allow secret-branch the payload length is caller framing checked against the public BlockSize, before any access is issued; the contents are never read
-		if updateFn == nil && r.store != nil && len(data) != r.cfg.BlockSize {
+		if r.store != nil && len(data) != r.cfg.BlockSize {
 			//oramlint:allow secret-early-exit the size check is the public API contract (BlockSize is configuration); server encoders normalize every value to exactly BlockSize before calling, so the rejection depends only on caller framing, not content
 			return nil, nil, fmt.Errorf("oram: write of %d bytes, want %d", len(data), r.cfg.BlockSize)
 		}
@@ -373,49 +335,18 @@ func (r *Ring) access(id BlockID, write bool, data []byte, forcedPath *PathID, u
 
 	r.readPathOp(OpReadPath, readPath, id, haveTarget)
 
-	// Remap-on-access: the block gets a fresh path (drawn internally or
-	// supplied by an external position-map layer) and logically lives
+	// Remap-on-access: the block gets a fresh path and logically lives
 	// in the stash until an eviction pushes it back into the tree.
-	var newPath PathID
-	if forcedPath != nil {
-		newPath = *forcedPath
-		r.pos.Set(id, newPath)
-	} else {
-		newPath = r.pos.Remap(id)
-	}
+	newPath := r.pos.Remap(id)
 	r.remapToStash(id, newPath)
 
-	// Snapshot the block's pre-update contents into the out scratch.
-	// Plain writes skip it: their callers receive no data.
+	// A write stores its payload; a read snapshots the block's contents
+	// into the out scratch (writes return no data).
 	var out []byte
-	if r.store != nil && (updateFn != nil || !write) {
-		out = r.snapshotOut(id)
-	}
-	switch {
-	case updateFn != nil:
-		var cur []byte
-		if r.store == nil {
-			cur = make([]byte, 0)
-		} else {
-			cur = ensure(r.updBuf, len(out))
-			r.updBuf = cur
-			copy(cur, out)
-		}
-		updated := updateFn(cur)
-		if r.store != nil && len(updated) != r.cfg.BlockSize {
-			return nil, r.scr.ops, fmt.Errorf("oram: update of block %d returned %d bytes, want %d", id, len(updated), r.cfg.BlockSize)
-		}
-		var stored []byte
-		if r.store != nil {
-			stored = r.getBlockBuf()
-		} else {
-			stored = make([]byte, len(updated))
-		}
-		copy(stored, updated)
-		r.putBlockBuf(r.stash.Put(id, newPath, stored))
-	case write:
+	if write {
 		r.stashStore(id, newPath, data)
-		out = nil
+	} else if r.store != nil {
+		out = r.snapshotOut(id)
 	}
 
 	r.bumpRound()

@@ -610,11 +610,6 @@ func TestRecursiveAccessors(t *testing.T) {
 	if rr.DataRing() == nil {
 		t.Fatal("nil data ring")
 	}
-	for k := 0; k < rr.Levels(); k++ {
-		if rr.MapRing(k) == nil {
-			t.Fatalf("nil map ring %d", k)
-		}
-	}
 }
 
 func TestRingSelectionPolicies(t *testing.T) {

@@ -134,16 +134,6 @@ func (s *Stash) SetPath(id BlockID, path PathID) {
 	}
 }
 
-// Path returns the assigned path of a buffered block. ok is false when the
-// block is not buffered.
-func (s *Stash) Path(id BlockID) (PathID, bool) {
-	e := s.find(id)
-	if e == nil {
-		return 0, false
-	}
-	return e.path, true
-}
-
 // Remove deletes the block and returns its data (nil in timing mode).
 // Ownership of the returned buffer transfers to the caller.
 func (s *Stash) Remove(id BlockID) []byte {

@@ -184,7 +184,7 @@ func stashModel(t *testing.T, step int, s *Stash, ref map[BlockID]stashEntry, pr
 		if s.Contains(id) != in {
 			t.Fatalf("step %d: Contains(%d) = %v", step, id, !in)
 		}
-		if p, ok := s.Path(id); ok != in || p != want.path {
+		if p, ok := stashPath(s, id); ok != in || p != want.path {
 			t.Fatalf("step %d: Path(%d) = %d,%v, want %d,%v", step, id, p, ok, want.path, in)
 		}
 		if got := s.Get(id); !bytes.Equal(got, want.data) || (got == nil) != (want.data == nil) {
@@ -304,7 +304,7 @@ func TestStashRePutOwnBuffer(t *testing.T) {
 	if d := s.Put(9, 2, s.Get(9)); d != nil {
 		t.Fatalf("re-Put of the entry's own buffer displaced %v", d)
 	}
-	if p, _ := s.Path(9); p != 2 || !bytes.Equal(s.Get(9), buf) {
+	if p, _ := stashPath(s, 9); p != 2 || !bytes.Equal(s.Get(9), buf) {
 		t.Fatalf("re-Put lost the entry: path %d data %v", p, s.Get(9))
 	}
 	if d := s.Put(9, 3, []byte{4}); len(d) != 3 || &d[0] != &buf[0] {

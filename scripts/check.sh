@@ -142,8 +142,11 @@ go test -count=1 \
     -run='^(TestAllocFreeInstrumentedAccess|TestInstrumentUpdatesAllocFree|TestRecorderEmitAllocFree|TestWriteTracePerfettoShape|TestMergeTracesAlignsClocks|TestWritePrometheusFormatAndDeterminism|TestValidateExpositionRejectsGarbage|TestQuantile|TestMetricsScrapeAllocBound|TestMetricsQuantilesMatchExposition|TestRingSeriesMatchStats|TestAllocFreeTracedUnsampled)$' \
     ./internal/obs ./internal/oram ./internal/server
 
-echo "== examples/server smoke =="
-go run ./examples/server >/dev/null
+echo "== examples smoke (every examples/*/ runs to completion) =="
+for ex in examples/*/; do
+	echo "-- $ex"
+	go run "./$ex" >/dev/null
+done
 
 echo "== bench smoke =="
 # bench/ is frozen outside benchmark PRs and builds against the program's

@@ -91,15 +91,17 @@ var ErrStashOverflow = oram.ErrStashOverflow
 
 // Recursive position-map types.
 type (
-	// RecursiveRing stores the position map in recursively smaller
-	// Ring ORAMs (an extension beyond the paper's on-chip map).
+	// RecursiveRing models the traffic of a position map stored in
+	// recursively smaller Ring ORAMs (an extension beyond the paper's
+	// on-chip map).
 	RecursiveRing = oram.RecursiveRing
 	// RecursiveConfig parameterizes NewRecursiveRing.
 	RecursiveConfig = oram.RecursiveConfig
 )
 
 // NewRecursiveRing builds a Ring ORAM whose position map is itself
-// ORAM-protected; see oram.RecursiveRing for the cost model.
+// ORAM-protected, its map levels timing-only; see oram.RecursiveRing for
+// the cost model.
 func NewRecursiveRing(rc RecursiveConfig, seed uint64, opts *RingOptions) (*RecursiveRing, error) {
 	return oram.NewRecursiveRing(rc, seed, opts)
 }
