@@ -3,6 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -122,5 +126,56 @@ func TestRunJSON(t *testing.T) {
 		if f.Allowed && f.Reason == "" {
 			t.Errorf("allowed finding without justification: %+v", f)
 		}
+	}
+}
+
+// maxTelemetryAllows is the ceiling on secret-telemetry allows in the
+// module outside internal/analysis (whose fixtures exercise the rule).
+// It only ever goes down: a new telemetry sink of secret state is
+// removed, not allowed.
+const maxTelemetryAllows = 2
+
+// TestSecretTelemetryAllowRatchet counts the module's
+// //oramlint:allow secret-telemetry directives, read as comments.
+func TestSecretTelemetryAllowRatchet(t *testing.T) {
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	var found []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case ".git", "testdata":
+				return filepath.SkipDir
+			}
+			if path == filepath.Join(root, "internal", "analysis") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				rest, ok := strings.CutPrefix(c.Text, "//oramlint:allow ")
+				if ok && strings.HasPrefix(rest, "secret-telemetry ") {
+					found = append(found, fset.Position(c.Pos()).String())
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(found) > maxTelemetryAllows {
+		t.Fatalf("%d secret-telemetry allows, ceiling %d:\n%s", len(found), maxTelemetryAllows, strings.Join(found, "\n"))
 	}
 }

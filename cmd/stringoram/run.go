@@ -167,7 +167,7 @@ func runSingle(args []string, w io.Writer) error {
 // with atomicfile.Write, so the output file is never a torn document.
 func writeFlightRecording(path string, rec *obs.Recorder[obs.Event]) error {
 	if err := atomicfile.Write(path, ".flightrec-*", 0o600, func(w io.Writer) error {
-		return obs.WriteTrace(w, "cycles", rec.Snapshot(nil))
+		return obs.WriteTrace(w, rec.Snapshot(nil))
 	}); err != nil {
 		return fmt.Errorf("flightrec: %w", err)
 	}

@@ -15,31 +15,32 @@ import (
 type EventKind uint8
 
 const (
-	// EvAccess: one ORAM access completed. Arg0 = stash occupancy after
-	// the access, Arg1 = number of tree ops the access emitted.
+	// EvAccess: one ORAM access. Arg0 = stash occupancy after the
+	// access, Arg1 = number of tree ops the access emitted.
 	EvAccess EventKind = iota
 	// EvEarlyReshuffle: a bucket hit its S-count and was reshuffled
 	// outside the eviction cadence. Arg0 = tree level, Arg1 = bucket
-	// index within the level.
+	// (global index).
 	EvEarlyReshuffle
-	// EvBackgroundEviction: the background evictor ran a piggybacked
-	// eviction. Arg0 = stash occupancy before, Arg1 = after.
+	// EvBackgroundEviction: an access ran background evictions. Arg0 =
+	// evictions in this access, Arg1 = run total so far.
 	EvBackgroundEviction
 	// EvBackgroundDummy: the background evictor issued a dummy read
-	// batch. Arg0 = stash occupancy.
+	// path. Arg0 = its ordinal within the access (from 1), Arg1 = path.
 	EvBackgroundDummy
-	// EvGreenFetch: Compact Bucket pulled a green block into the stash in
-	// place of a dummy. Arg0 = tree level, Arg1 = slot.
+	// EvGreenFetch: Compact Bucket pulled green blocks into the stash in
+	// place of dummies during an access. Arg0 = green blocks in this
+	// access, Arg1 = run total so far.
 	EvGreenFetch
 	// EvTxn: a scheduler transaction completed; used as a duration span.
 	// Arg0 = transaction tag (sched.Tag numeric value), Arg1 = number of
 	// DRAM requests in the transaction.
 	EvTxn
 	// EvEarlyPRE: Proactive Bank issued a PRE for a future transaction.
-	// Arg0 = channel, Arg1 = bank.
+	// Arg0 = channel, Arg1 = rank × banks + bank.
 	EvEarlyPRE
 	// EvEarlyACT: Proactive Bank issued an ACT for a future transaction.
-	// Arg0 = channel, Arg1 = bank.
+	// Arg0 = channel, Arg1 = rank × banks + bank.
 	EvEarlyACT
 	numEventKinds
 )
@@ -70,9 +71,9 @@ var eventKindCats = [numEventKinds]string{
 var eventArgNames = [numEventKinds][2]string{
 	EvAccess:             {"stash", "ops"},
 	EvEarlyReshuffle:     {"level", "bucket"},
-	EvBackgroundEviction: {"stash_before", "stash_after"},
-	EvBackgroundDummy:    {"stash", "round"},
-	EvGreenFetch:         {"level", "slot"},
+	EvBackgroundEviction: {"count", "total"},
+	EvBackgroundDummy:    {"round", "path"},
+	EvGreenFetch:         {"count", "total"},
 	EvTxn:                {"tag", "requests"},
 	EvEarlyPRE:           {"channel", "bank"},
 	EvEarlyACT:           {"channel", "bank"},
@@ -86,12 +87,11 @@ func (k EventKind) String() string {
 	return "unknown"
 }
 
-// Event is one flight-recorder record. TS and Dur are in the time domain
-// of the component that emits it (DRAM cycles in the simulator, access
-// ordinals in the protocol layer — never wall clock: serving-side
-// timings are Spans); Dur == 0 renders as an instant, Dur > 0 as a
-// complete span beginning at TS. Track separates parallel lanes (bank,
-// tag) into distinct Perfetto threads.
+// Event is one flight-recorder record; the simulator is its one emitter.
+// TS and Dur are DRAM cycles, never wall clock (serving-side timings are
+// Spans); Dur == 0 renders as an instant, Dur > 0 as a complete span
+// beginning at TS. Track separates parallel lanes (bank, tag) into
+// distinct Perfetto threads.
 type Event struct {
 	TS    int64
 	Dur   int64
@@ -179,13 +179,12 @@ func (r *Recorder[T]) Snapshot(dst []T) []T {
 
 // WriteTrace renders a flight-recorder snapshot as Chrome trace-event
 // JSON (the {"traceEvents": [...]} object form), loadable in Perfetto
-// and chrome://tracing. domain names the time unit of TS/Dur ("cycles",
-// "accesses") and is embedded in the export metadata:
-// timestamps are exported 1:1 as microsecond fields, so in a cycle-domain
-// recording one trace microsecond equals one DRAM cycle.
-func WriteTrace(w io.Writer, domain string, events []Event) error {
+// and chrome://tracing. Timestamps are exported 1:1 as microsecond
+// fields, so one trace microsecond equals one DRAM cycle; the export
+// metadata names that time domain ("cycles").
+func WriteTrace(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"timeDomain\":%q},\"traceEvents\":[", domain)
+	bw.WriteString(`{"displayTimeUnit":"ms","otherData":{"timeDomain":"cycles"},"traceEvents":[`)
 	bw.WriteString(`{"ph":"M","pid":1,"tid":1,"name":"process_name","args":{"name":"stringoram"}}`)
 	var args []byte
 	for _, ev := range events {

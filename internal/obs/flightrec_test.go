@@ -24,7 +24,7 @@ func TestRecorderNilIsNoOp(t *testing.T) {
 		t.Fatal("nil span recorder must be empty")
 	}
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, "none", r.Snapshot(nil)); err != nil {
+	if err := WriteTrace(&buf, r.Snapshot(nil)); err != nil {
 		t.Fatal(err)
 	}
 	var doc map[string]any
@@ -106,7 +106,7 @@ func TestWriteTracePerfettoShape(t *testing.T) {
 	r.Emit(Event{TS: 150, Kind: EvEarlyPRE, Track: 1, Arg0: 0, Arg1: 5})
 
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, "cycles", r.Snapshot(nil)); err != nil {
+	if err := WriteTrace(&buf, r.Snapshot(nil)); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

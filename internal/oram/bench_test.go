@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"stringoram/internal/config"
-	"stringoram/internal/obs"
 )
 
 // benchRing builds a mid-size ring for throughput benchmarks.
@@ -139,31 +138,6 @@ func warmedCachedRing(b *testing.B) *Ring {
 func BenchmarkAccessFunctionalCached(b *testing.B) {
 	b.ReportAllocs()
 	r := warmedCachedRing(b)
-	payload := make([]byte, r.Config().BlockSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if i%2 == 0 {
-			_, _, err = r.Access(BlockID(i%4096), true, payload)
-		} else {
-			_, _, err = r.Access(BlockID(i%4096), false, nil)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAccessFunctionalObs is BenchmarkAccessFunctional with a live
-// flight recorder attached by Record, the ring's only telemetry hook;
-// the pair quantifies its overhead (budget ≤5%). The shared warmed ring
-// gets the recorder on entry and drops it on exit so benchmark order
-// does not matter.
-func BenchmarkAccessFunctionalObs(b *testing.B) {
-	b.ReportAllocs()
-	r := warmedFunctionalRing(b)
-	r.Record(obs.NewRecorder[obs.Event](4096), nil)
-	defer r.Record(nil, nil)
 	payload := make([]byte, r.Config().BlockSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

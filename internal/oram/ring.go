@@ -8,7 +8,6 @@ import (
 
 	"stringoram/internal/config"
 	"stringoram/internal/invariant"
-	"stringoram/internal/obs"
 	"stringoram/internal/rng"
 )
 
@@ -66,11 +65,6 @@ type Ring struct {
 
 	// sel is the dummy-selection policy and its scratch.
 	sel selector
-
-	// rec receives the ring's flight-recorder events, stamped by clock
-	// (nil: the logical access ordinal); see Record.
-	rec   *obs.Recorder[obs.Event]
-	clock func() int64
 }
 
 // NewRing returns a Ring ORAM controller for the given configuration.
@@ -219,23 +213,6 @@ func poisson(src *rng.Source, mean float64) int {
 // Config returns the controller's configuration.
 func (r *Ring) Config() config.ORAM { return r.cfg }
 
-// Record attaches a flight recorder that receives the ring's typed
-// events (nil detaches it). clock stamps them and must be in a
-// deterministic domain when the ring feeds a simulator (the sim injects
-// its cycle counter); nil stamps them with the logical access ordinal.
-// The ring's counters are its Stats and StashLen; it keeps no other.
-func (r *Ring) Record(rec *obs.Recorder[obs.Event], clock func() int64) {
-	r.rec, r.clock = rec, clock
-}
-
-// obsNow returns the timestamp for the ring's flight-recorder events.
-func (r *Ring) obsNow() int64 {
-	if r.clock != nil {
-		return r.clock()
-	}
-	return r.stats.Reads + r.stats.Writes
-}
-
 // bucket returns the bucket at the given global index, materializing it
 // (warm-filled when configured) on first touch.
 func (r *Ring) bucket(idx int64) *Bucket {
@@ -364,19 +341,12 @@ func (r *Ring) access(id BlockID, write bool, data []byte) ([]byte, []Op, error)
 			return nil, r.scr.ops, ErrStashOverflow
 		}
 		p := r.pos.RandomPath()
-		before := r.stash.Len()
 		r.readPathOp(OpDummyReadPath, p, InvalidBlock, false)
 		r.stats.BackgroundDummyReads++
-		//oramlint:allow secret-telemetry stash occupancy is the deliberately exported capacity signal: an aggregate over every resident block that the deployment sizes dashboards and alerts on, published since the first scrape (same contract as the servers' oram_stash_blocks gauge)
-		r.rec.Emit(obs.Event{TS: r.obsNow(), Kind: obs.EvBackgroundDummy,
-			Arg0: int64(r.stash.Len()), Arg1: int64(rounds)})
 		wasBoundary := r.roundCount == r.cfg.A-1
 		r.bumpRound()
 		if wasBoundary {
 			r.stats.BackgroundEvictions++
-			//oramlint:allow secret-telemetry before/after stash occupancy of a background eviction is the same deliberately exported capacity aggregate as the oram_stash_blocks gauge
-			r.rec.Emit(obs.Event{TS: r.obsNow(), Kind: obs.EvBackgroundEviction,
-				Arg0: int64(before), Arg1: int64(r.stash.Len())})
 		}
 	}
 	if invariant.Enabled {
@@ -397,9 +367,6 @@ func (r *Ring) access(id BlockID, write bool, data []byte) ([]byte, []Op, error)
 		// fresh decrypted read of the same buckets.
 		r.verifyTreetop()
 	}
-	//oramlint:allow secret-telemetry the per-access event carries aggregate stash occupancy and op count, the same capacity signal the servers' stash gauges publish
-	r.rec.Emit(obs.Event{TS: r.obsNow(), Kind: obs.EvAccess,
-		Arg0: int64(r.stash.Len()), Arg1: int64(len(r.scr.ops))})
 	return out, r.scr.ops, nil
 }
 
@@ -505,8 +472,6 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 			r.fetchToStash(idx, b.Epoch, slot, green, gp)
 			b.consumeReal(slot)
 			r.stats.GreenFetches++
-			r.rec.Emit(obs.Event{TS: r.obsNow(), Kind: obs.EvGreenFetch,
-				Arg0: int64(lvl), Arg1: int64(slot)})
 		}
 		op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: lvl, Slot: slot, Write: false})
 	}
@@ -528,8 +493,6 @@ func (r *Ring) earlyReshuffleOp(idx int64, level int) {
 	r.refillBucket(op, idx, level, b, r.readBucketOp(op, idx, level, b))
 
 	r.stats.EarlyReshuffles++
-	r.rec.Emit(obs.Event{TS: r.obsNow(), Kind: obs.EvEarlyReshuffle,
-		Arg0: int64(level), Arg1: idx})
 	r.stats.ReshuffledBuckets++
 	r.stats.ReshuffleBlocks += int64(len(op.Accesses))
 }

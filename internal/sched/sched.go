@@ -19,7 +19,6 @@ import (
 	"stringoram/internal/config"
 	"stringoram/internal/dram"
 	"stringoram/internal/invariant"
-	"stringoram/internal/obs"
 )
 
 // Tag groups requests for statistics; the simulator uses it to separate
@@ -326,7 +325,6 @@ type Controller struct {
 
 	seq   int64
 	stats Stats
-	rec   *obs.Recorder[obs.Event] // PB early-command events; see Instrument
 
 	// OnCommand, when set, observes every issued command.
 	OnCommand func(CommandEvent)
@@ -835,21 +833,18 @@ func (c *Controller) tryProactive(ch *chanState, now int64) (int64, bool) {
 	if best == nil {
 		return next, false
 	}
-	bank := int64(best.Coord.Rank*c.cfg.Banks + best.Coord.Bank)
 	if bestCmd == dram.CmdPRE {
 		ch.dev.Issue(bestCmd, best.Coord.Rank, best.Coord.Bank, 0, now)
 		c.stats.PREs++
 		c.stats.EarlyPREs++
 		best.hadPre = true
 		c.emit(ch.idx, bestCmd, best.Coord.Rank, best.Coord.Bank, 0, now, best.Txn, true)
-		c.rec.Emit(obs.Event{TS: now, Kind: obs.EvEarlyPRE, Track: int32(ch.idx), Arg0: int64(ch.idx), Arg1: bank})
 	} else {
 		ch.dev.Issue(bestCmd, best.Coord.Rank, best.Coord.Bank, best.Coord.Row, now)
 		c.stats.ACTs++
 		c.stats.EarlyACTs++
 		best.hadAct = true
 		c.emit(ch.idx, bestCmd, best.Coord.Rank, best.Coord.Bank, best.Coord.Row, now, best.Txn, true)
-		c.rec.Emit(obs.Event{TS: now, Kind: obs.EvEarlyACT, Track: int32(ch.idx), Arg0: int64(ch.idx), Arg1: bank})
 	}
 	return now + 1, true
 }
@@ -884,4 +879,21 @@ func (c *Controller) issueColumn(ch *chanState, r *Request, cmd dram.CmdKind, no
 	}
 	ch.banks[r.Coord.Rank*c.cfg.Banks+r.Coord.Bank].remove(r)
 	c.outstanding.add(r.Txn, -1)
+}
+
+// classify applies the row-buffer outcome to r and bumps the Stats
+// counters.
+func (c *Controller) classify(r *Request) {
+	r.classified = true
+	switch {
+	case r.hadPre:
+		r.Class = RowConflict
+		c.stats.Conflicts[r.Tag]++
+	case r.hadAct:
+		r.Class = RowMiss
+		c.stats.Misses[r.Tag]++
+	default:
+		r.Class = RowHit
+		c.stats.Hits[r.Tag]++
+	}
 }

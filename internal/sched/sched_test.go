@@ -439,3 +439,18 @@ func TestTagString(t *testing.T) {
 		t.Fatal("unknown tag empty string")
 	}
 }
+
+// TestUninstrumentedControllerUnaffected: classification fills Stats,
+// counting every completed request as exactly one hit, miss or conflict.
+func TestUninstrumentedControllerUnaffected(t *testing.T) {
+	c := New(testDRAM(), config.SchedProactiveBank)
+	drain(t, c, randomTxns(11, 20, testDRAM()))
+	st := c.Stats()
+	total := int64(0)
+	for tag := Tag(0); tag < NumTags; tag++ {
+		total += st.Hits[tag] + st.Misses[tag] + st.Conflicts[tag]
+	}
+	if total != st.ReadReqs+st.WriteReqs {
+		t.Fatalf("classification total %d != completed requests %d", total, st.ReadReqs+st.WriteReqs)
+	}
+}

@@ -38,6 +38,7 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -1309,8 +1310,9 @@ func decodeValue(dst, block []byte) ([]byte, error) {
 // --- snapshots ---
 
 // shardSnapVersion guards the snapshot file format. Version 2 adds
-// Salt, which names the key the Ring checkpoint is sealed under.
-const shardSnapVersion = 2
+// Salt, which names the key the Ring checkpoint is sealed under; version
+// 3 trails the gob body with its SHA-256 (encodeShardSnap).
+const shardSnapVersion = 3
 
 // shardSnap is the on-disk (and on-wire, for handoff) form of one
 // shard: the key directory plus the Ring checkpoint (oram.Ring.Save
@@ -1383,11 +1385,38 @@ func (sh *shard) snapshotBytes() ([]byte, error) {
 	for k, id := range sh.dir {
 		snap.Dir[k] = int64(id)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+	data, err := encodeShardSnap(&snap)
+	if err != nil {
 		return nil, fmt.Errorf("server: shard %d snapshot: %w", sh.id, err)
 	}
-	return buf.Bytes(), nil
+	return data, nil
+}
+
+// encodeShardSnap is the one encoder of snapshot bytes: the gob body of
+// snap followed by its SHA-256, so that decodeShardSnap refuses a
+// flipped, cut or appended byte before trusting any field.
+func encodeShardSnap(snap *shardSnap) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		return nil, err
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return append(buf.Bytes(), sum[:]...), nil
+}
+
+// decodeShardSnap checks the SHA-256 that encodeShardSnap appended and
+// decodes the gob body before it.
+func decodeShardSnap(data []byte) (shardSnap, error) {
+	var snap shardSnap
+	if len(data) < sha256.Size {
+		return snap, errors.New("snapshot shorter than its checksum")
+	}
+	body := data[:len(data)-sha256.Size]
+	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], data[len(body):]) {
+		return snap, errors.New("snapshot checksum mismatch")
+	}
+	err := gob.NewDecoder(bytes.NewReader(body)).Decode(&snap)
+	return snap, err
 }
 
 // snapshot writes the shard to path atomically and durably (synced temp
@@ -1411,8 +1440,8 @@ func (sh *shard) snapshot(path string) error {
 // restoreBytes loads the shard from snapshot bytes written by
 // snapshotBytes (from disk, DetachShard, or a handoff stream).
 func (sh *shard) restoreBytes(data []byte, cfg Config) error {
-	var snap shardSnap
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+	snap, err := decodeShardSnap(data)
+	if err != nil {
 		return fmt.Errorf("server: shard %d restore: %w", sh.id, err)
 	}
 	if snap.Version != shardSnapVersion {

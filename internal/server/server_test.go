@@ -414,8 +414,8 @@ func slotBodies(t *testing.T, s *Server, id int) map[string]int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap shardSnap
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&snap); err != nil {
+	snap, err := decodeShardSnap(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// ring mirrors the store section of an oram checkpoint; gob matches
@@ -673,8 +673,8 @@ func TestConfigPipelineIsInert(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var snap shardSnap
-			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+			snap, err := decodeShardSnap(data)
+			if err != nil {
 				t.Fatal(err)
 			}
 			ring, err := oram.Load(bytes.NewReader(snap.Ring), ringKey(cfg, id, snap.Salt))

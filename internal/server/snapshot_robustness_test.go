@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -126,16 +125,15 @@ func TestRestoreOldCheckpointVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap shardSnap
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+	snap, err := decodeShardSnap(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	snap.Ring = old
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+	if data, err = encodeShardSnap(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(cfg)
@@ -201,5 +199,51 @@ func TestRestoreWrongShardCount(t *testing.T) {
 	cfg.TotalShards = 0
 	if _, err := New(cfg); err == nil {
 		t.Fatal("New with changed shard count over old snapshots succeeded, want error")
+	}
+}
+
+// TestSnapshotBitFlipRefused flips one bit at evenly spaced offsets of a
+// shard snapshot: every flip must be refused, by AttachShard (the
+// handoff ingest) and by New over the on-disk file, never served as a
+// shard whose keys read back wrong or missing.
+func TestSnapshotBitFlipRefused(t *testing.T) {
+	dir := t.TempDir()
+	cfg := writeSnapshots(t, dir)
+	path := snapshotPath(dir, 0)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := mustNew(t, Config{TotalShards: cfg.Shards, ShardIDs: []int{1}, ORAM: cfg.ORAM,
+		Seed: cfg.Seed, QueueDepth: cfg.QueueDepth, MaxBatch: cfg.MaxBatch})
+	defer host.Close()
+
+	const flips = 64
+	for i := 0; i < flips; i++ {
+		off := i * len(good) / flips
+		bad := bytes.Clone(good)
+		bad[off] ^= 1 << (i % 8)
+		if err := host.AttachShard(0, bad, false); err == nil {
+			t.Fatalf("AttachShard accepted a snapshot with bit %d of byte %d of %d flipped", i%8, off, len(good))
+		}
+		if err := os.WriteFile(path, bad, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := New(cfg); err == nil {
+			s.Close()
+			t.Fatalf("New restored a snapshot with bit %d of byte %d of %d flipped", i%8, off, len(good))
+		}
+	}
+	// The unflipped bytes still attach and load, so each refusal above
+	// was the flip's doing.
+	if err := host.AttachShard(0, good, false); err != nil {
+		t.Fatalf("AttachShard refused the intact snapshot: %v", err)
+	}
+	if err := os.WriteFile(path, good, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s := mustNew(t, cfg)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

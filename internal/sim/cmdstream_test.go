@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"stringoram/internal/config"
+	"stringoram/internal/obs"
 	"stringoram/internal/sched"
 	"stringoram/internal/trace"
 )
@@ -28,8 +29,9 @@ type streamCase struct {
 // DRAM command the controller issues into a SHA-256 digest. The digest
 // covers (kind, channel, rank, bank, row, cycle, txn) of each command in
 // issue order, i.e. exactly the bus-visible behaviour the paper's security
-// argument reasons about.
-func cmdStreamHash(t *testing.T, tc streamCase) string {
+// argument reasons about. rec, when non-nil, is attached as the run's
+// flight recorder.
+func cmdStreamHash(t *testing.T, tc streamCase, rec *obs.Recorder[obs.Event]) string {
 	t.Helper()
 	p, err := trace.ByName(tc.workload)
 	if err != nil {
@@ -60,6 +62,7 @@ func cmdStreamHash(t *testing.T, tc streamCase) string {
 			binary.LittleEndian.PutUint64(buf[48:], uint64(e.Txn))
 			h.Write(buf[:])
 		},
+		FlightRecorder: rec,
 	}
 	if _, err := Run(sys, tr, opts); err != nil {
 		t.Fatal(err)
@@ -73,7 +76,8 @@ func cmdStreamHash(t *testing.T, tc streamCase) string {
 // or control-flow change to internal/sched must reproduce it bit for bit.
 // The security argument depends on the bus-visible sequence being a
 // function of public state only, so equivalence is checked mechanically
-// here rather than eyeballed.
+// here rather than eyeballed. Each case runs twice, the second time with
+// a flight recorder attached: recording must not move a single command.
 func TestCommandStreamGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-simulation golden skipped in -short mode")
@@ -89,9 +93,15 @@ func TestCommandStreamGolden(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.workload+"/"+tc.kind.String(), func(t *testing.T) {
-			got := cmdStreamHash(t, tc)
-			if got != tc.want {
+			if got := cmdStreamHash(t, tc, nil); got != tc.want {
 				t.Fatalf("command stream diverged from the recorded golden:\n got %s\nwant %s", got, tc.want)
+			}
+			rec := obs.NewRecorder[obs.Event](1024)
+			if got := cmdStreamHash(t, tc, rec); got != tc.want {
+				t.Fatalf("command stream with a flight recorder diverged from the recorded golden:\n got %s\nwant %s", got, tc.want)
+			}
+			if rec.Total() == 0 {
+				t.Fatal("the flight recorder saw no events")
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"stringoram/internal/config"
 	"stringoram/internal/obs"
 )
 
@@ -72,10 +73,63 @@ func TestObsEndToEnd(t *testing.T) {
 	}
 
 	var trace bytes.Buffer
-	if err := obs.WriteTrace(&trace, "cycles", rec.Snapshot(nil)); err != nil {
+	if err := obs.WriteTrace(&trace, rec.Snapshot(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(trace.Bytes(), []byte(`"name":"txn"`)) {
 		t.Fatal("trace export lacks txn spans")
+	}
+}
+
+// TestFlightRecorderMatchesResult pins the simulator as the recorder's
+// one emitter: per kind, the recorded events add up to the counters the
+// run reports, for the Ring and for the Path ORAM baseline alike. The
+// stash is small enough that PB with Y = 8 needs background eviction,
+// and the half-full warm tree gives green fetches and early reshuffles
+// from the first accesses on.
+func TestFlightRecorderMatchesResult(t *testing.T) {
+	sys := testSystem().WithCBRate(8).WithStashSize(12)
+	sys.ORAM.WarmFill = 0.5
+	sys.Scheduler = config.SchedProactiveBank
+	for _, pathORAM := range []bool{false, true} {
+		rec := obs.NewRecorder[obs.Event](1 << 16)
+		res, err := Run(sys, testTrace(t, 3000), Options{MaxAccesses: 600, PathORAM: pathORAM, FlightRecorder: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Total() != uint64(rec.Len()) {
+			t.Fatalf("recorder dropped %d events; raise its capacity", rec.Total()-uint64(rec.Len()))
+		}
+		count := make(map[obs.EventKind]int64)
+		var greens, bgEvictions int64
+		for _, ev := range rec.Snapshot(nil) {
+			count[ev.Kind]++
+			switch ev.Kind {
+			case obs.EvGreenFetch:
+				greens += ev.Arg0
+			case obs.EvBackgroundEviction:
+				bgEvictions += ev.Arg0
+			}
+		}
+		if !pathORAM && (res.ORAM.BackgroundEvictions == 0 || res.ORAM.GreenFetches == 0 ||
+			res.ORAM.EarlyReshuffles == 0 || res.Sched.EarlyPREs == 0 || res.Sched.EarlyACTs == 0) {
+			t.Fatalf("run does not exercise every recorded kind: %+v %+v", res.ORAM, res.Sched)
+		}
+		for _, c := range []struct {
+			what      string
+			got, want int64
+		}{
+			{"access events", count[obs.EvAccess], res.ORAMAccesses},
+			{"early-reshuffle events", count[obs.EvEarlyReshuffle], res.ORAM.EarlyReshuffles},
+			{"background-dummy events", count[obs.EvBackgroundDummy], res.ORAM.BackgroundDummyReads},
+			{"recorded background evictions", bgEvictions, res.ORAM.BackgroundEvictions},
+			{"recorded green fetches", greens, res.ORAM.GreenFetches},
+			{"early-PRE events", count[obs.EvEarlyPRE], res.Sched.EarlyPREs},
+			{"early-ACT events", count[obs.EvEarlyACT], res.Sched.EarlyACTs},
+		} {
+			if c.got != c.want {
+				t.Errorf("PathORAM=%v: %s = %d, Result says %d", pathORAM, c.what, c.got, c.want)
+			}
+		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"stringoram/internal/cache"
 	"stringoram/internal/config"
 	"stringoram/internal/cpu"
+	"stringoram/internal/dram"
 	"stringoram/internal/invariant"
 	"stringoram/internal/obs"
 	"stringoram/internal/oram"
@@ -46,10 +47,10 @@ type Options struct {
 	// access) so the two protocols can be compared in execution time on
 	// the same memory system. S, Y and A of the ORAM config are ignored.
 	PathORAM bool
-	// FlightRecorder, when set, captures typed events (accesses, early
-	// reshuffles, PB early commands, transaction spans) stamped with the
-	// simulator's DRAM cycle — never wall clock, so runs stay seed
-	// deterministic.
+	// FlightRecorder, when set, captures typed events the simulator reads
+	// off its own run (op lists, protocol Stats, the controller's command
+	// stream), stamped with the DRAM cycle — never wall clock, so runs
+	// stay seed deterministic.
 	FlightRecorder *obs.Recorder[obs.Event]
 }
 
@@ -211,10 +212,12 @@ type Sim struct {
 	// res.StashSamples (Options.CollectStash).
 	stash bool
 
-	// now mirrors the run loop's current cycle so recorder clocks and
+	// now mirrors the run loop's current cycle so recorded events and
 	// transaction birth stamps read the simulated time, not wall clock.
 	now int64
 	rec *obs.Recorder[obs.Event]
+	// last is the protocol's Stats after the last recorded access.
+	last oram.Stats
 
 	res *Result
 }
@@ -306,6 +309,22 @@ func newSim(sys config.System, trs []*trace.Trace, name string, opts Options) (*
 	}
 	ctrl := sched.New(sys.DRAM, sys.Scheduler)
 	ctrl.OnCommand = opts.OnCommand
+	if rec := opts.FlightRecorder; rec != nil {
+		next, banks := opts.OnCommand, sys.DRAM.Banks
+		ctrl.OnCommand = func(e sched.CommandEvent) {
+			if e.Early {
+				kind := obs.EvEarlyACT
+				if e.Kind == dram.CmdPRE {
+					kind = obs.EvEarlyPRE
+				}
+				rec.Emit(obs.Event{TS: e.Cycle, Kind: kind, Track: int32(e.Channel),
+					Arg0: int64(e.Channel), Arg1: int64(e.Rank*banks + e.Bank)})
+			}
+			if next != nil {
+				next(e)
+			}
+		}
+	}
 	var clus *cpu.Cluster
 	if len(trs) == 1 {
 		// Homogeneous run: shard the trace across cores (the paper's
@@ -326,12 +345,6 @@ func newSim(sys config.System, trs []*trace.Trace, name string, opts Options) (*
 		rec:    opts.FlightRecorder,
 		stash:  opts.CollectStash,
 	}
-	if opts.FlightRecorder != nil {
-		s.ctrl.Instrument(opts.FlightRecorder)
-		if ring, ok := proto.(*oram.Ring); ok {
-			ring.Record(opts.FlightRecorder, func() int64 { return s.now })
-		}
-	}
 	return s, nil
 }
 
@@ -346,6 +359,9 @@ func (s *Sim) oramAccess(blockID oram.BlockID, write bool) (int64, error) {
 	s.accesses++
 	if s.stash {
 		s.res.StashSamples = append(s.res.StashSamples, s.proto.StashLen())
+	}
+	if s.rec != nil {
+		s.record(ops)
 	}
 	dataTxn := int64(-1)
 	for _, op := range ops {
@@ -379,6 +395,33 @@ func (s *Sim) oramAccess(blockID oram.BlockID, write bool) (int64, error) {
 		return 0, errors.New("sim: access produced no read path operation")
 	}
 	return dataTxn, nil
+}
+
+// record stamps one access's flight-recorder events at s.now: one per
+// early reshuffle and background dummy read in ops, the green fetches and
+// background evictions it added to the protocol's Stats, and the access.
+func (s *Sim) record(ops []oram.Op) {
+	dummies := int64(0)
+	for _, op := range ops {
+		switch op.Kind {
+		case oram.OpEarlyReshuffle:
+			a := op.Accesses[0]
+			s.rec.Emit(obs.Event{TS: s.now, Kind: obs.EvEarlyReshuffle, Arg0: int64(a.Level), Arg1: a.Bucket})
+		case oram.OpDummyReadPath:
+			dummies++
+			s.rec.Emit(obs.Event{TS: s.now, Kind: obs.EvBackgroundDummy, Arg0: dummies, Arg1: int64(op.Path)})
+		}
+	}
+	st := s.proto.Stats()
+	if n := st.GreenFetches - s.last.GreenFetches; n > 0 {
+		s.rec.Emit(obs.Event{TS: s.now, Kind: obs.EvGreenFetch, Arg0: n, Arg1: st.GreenFetches})
+	}
+	if n := st.BackgroundEvictions - s.last.BackgroundEvictions; n > 0 {
+		s.rec.Emit(obs.Event{TS: s.now, Kind: obs.EvBackgroundEviction, Arg0: n, Arg1: st.BackgroundEvictions})
+	}
+	s.last = st
+	s.rec.Emit(obs.Event{TS: s.now, Kind: obs.EvAccess,
+		Arg0: int64(s.proto.StashLen()), Arg1: int64(len(ops))})
 }
 
 // feed streams pending transactions into the controller, in order, as

@@ -137,10 +137,10 @@ echo "== profiling entry points (every internal/oram benchmark, one iteration) =
 # running, not just compiling.
 go test -run='^$' -bench=. -benchtime=1x ./internal/oram
 
-echo "== observability gate (alloc guards, Perfetto schema, exposition parse, one quantile source, one ring record) =="
+echo "== observability gate (alloc guards, Perfetto schema, exposition parse, one quantile source, one ring record, one event emitter, corrupt snapshots refused) =="
 go test -count=1 \
-    -run='^(TestAllocFreeInstrumentedAccess|TestInstrumentUpdatesAllocFree|TestRecorderEmitAllocFree|TestWriteTracePerfettoShape|TestMergeTracesAlignsClocks|TestWritePrometheusFormatAndDeterminism|TestValidateExpositionRejectsGarbage|TestQuantile|TestMetricsScrapeAllocBound|TestMetricsQuantilesMatchExposition|TestRingSeriesMatchStats|TestAllocFreeTracedUnsampled)$' \
-    ./internal/obs ./internal/oram ./internal/server
+    -run='^(TestFlightRecorderMatchesResult|TestObsDoesNotPerturbSimulation|TestSnapshotBitFlipRefused|TestInstrumentUpdatesAllocFree|TestRecorderEmitAllocFree|TestWriteTracePerfettoShape|TestMergeTracesAlignsClocks|TestWritePrometheusFormatAndDeterminism|TestValidateExpositionRejectsGarbage|TestQuantile|TestMetricsScrapeAllocBound|TestMetricsQuantilesMatchExposition|TestRingSeriesMatchStats|TestAllocFreeTracedUnsampled)$' \
+    ./internal/obs ./internal/sim ./internal/server
 
 echo "== examples smoke (every examples/*/ runs to completion) =="
 for ex in examples/*/; do
