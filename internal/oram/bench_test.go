@@ -7,20 +7,21 @@ import (
 	"stringoram/internal/config"
 )
 
-// benchRing builds a mid-size ring for throughput benchmarks.
+// benchRing builds a mid-size ring for throughput benchmarks: timing-only,
+// or functional as the uncached reference (newUncachedRing), so that
+// every cached-level block moves through the store and AES too.
 func benchRing(b *testing.B, functional bool) *Ring {
 	b.Helper()
 	cfg := config.Default().ORAM
 	cfg.Levels = 16
-	var opts *Options
 	if functional {
 		crypt, err := NewCrypt([]byte("bench-key-16byte"), cfg.BlockSize)
 		if err != nil {
 			b.Fatal(err)
 		}
-		opts = &Options{Store: NewMemStore(cfg.SlotsPerBucket()), Crypt: crypt}
+		return newUncachedRing(b, cfg, 1, &Options{Store: NewMemStore(cfg.SlotsPerBucket()), Crypt: crypt})
 	}
-	r, err := NewRing(cfg, 1, opts)
+	r, err := NewRing(cfg, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func BenchmarkAccessFunctional(b *testing.B) {
 
 // warmCachedRing mirrors warmFunctionalRing for the treetop-cached
 // variant: same geometry and trace, the deepest tree top whose plaintext
-// fits 4 MiB (4095 buckets x 768 B), cache enabled from construction.
+// fits 4 MiB (4095 buckets x 768 B), cached as every functional Ring is.
 var warmCachedRing *Ring
 
 func warmedCachedRing(b *testing.B) *Ring {
@@ -104,11 +105,7 @@ func warmedCachedRing(b *testing.B) *Ring {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r, err := NewRing(cfg, 1, &Options{
-			Store:        NewMemStore(cfg.SlotsPerBucket()),
-			Crypt:        crypt,
-			TreetopCache: true,
-		})
+		r, err := NewRing(cfg, 1, &Options{Store: NewMemStore(cfg.SlotsPerBucket()), Crypt: crypt})
 		if err != nil {
 			b.Fatal(err)
 		}

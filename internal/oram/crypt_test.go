@@ -140,17 +140,19 @@ func TestDifferentKeysDiffer(t *testing.T) {
 // every slot the store holds, real or dummy, must be exactly BlockSize
 // bytes and must open at its position (bucket, slot, the bucket's
 // reshuffle epoch): a dummy to the zero block and a resident real to the
-// block's last written contents. It runs with Compact Bucket, without it
-// (Y = 0), and with the treetop cache (after Save has flushed it).
+// block's last written contents. It runs on the uncached reference
+// (newUncachedRing) with Compact Bucket and without it (Y = 0), and with
+// the treetop cache every functional Ring runs (after Save has flushed
+// it).
 func TestStoredSlotsOpenAtPosition(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		y       int
-		treetop bool
+		name     string
+		y        int
+		uncached bool
 	}{
-		{name: "compact", y: 2},
-		{name: "sealed-y0", y: 0},
-		{name: "treetop", y: 2, treetop: true},
+		{name: "compact", y: 2, uncached: true},
+		{name: "sealed-y0", y: 0, uncached: true},
+		{name: "treetop", y: 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallCfg(tc.y)
@@ -159,8 +161,11 @@ func TestStoredSlotsOpenAtPosition(t *testing.T) {
 				t.Fatal(err)
 			}
 			store := NewMemStore(cfg.SlotsPerBucket())
-			r, err := NewRing(cfg, 0x4ead, &Options{Store: store, Crypt: crypt, TreetopCache: tc.treetop})
-			if err != nil {
+			opts := &Options{Store: store, Crypt: crypt}
+			var r *Ring
+			if tc.uncached {
+				r = newUncachedRing(t, cfg, 0x4ead, opts)
+			} else if r, err = NewRing(cfg, 0x4ead, opts); err != nil {
 				t.Fatal(err)
 			}
 			trace := genTrace(1500, 0x9b1c)

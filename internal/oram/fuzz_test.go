@@ -2,8 +2,11 @@ package oram
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"io"
 	"testing"
+
+	"stringoram/internal/checksum"
 )
 
 // FuzzCryptOpen feeds arbitrary bytes to the sealed-block decoder: it
@@ -89,20 +92,26 @@ func FuzzRingAccessSequence(f *testing.F) {
 // valid checkpoint and from corruptions of it: Load must return a Ring or
 // an error, never panic on an index it did not check or allocate by a
 // number it read, and whatever it accepts must satisfy the protocol
-// invariants and checkpoint again.
+// invariants and checkpoint again. The fuzzer mutates the gob body, and
+// each input gets a matching SHA-256 trailer, so that mutations reach the
+// decoder rather than stop at the checksum.
 func FuzzLoad(f *testing.F) {
 	valid := checkpointForLoadTests(f)
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add(corruptCheckpoint(f, valid, func(s *ringSnap) { s.Buckets[0].Epoch = -1 }))
-	f.Add(corruptCheckpoint(f, valid, func(s *ringSnap) { s.Cfg = wideCfg() }))
-	for _, tc := range inconsistentCheckpoints(f, valid) {
-		f.Add(corruptCheckpoint(f, valid, tc.corrupt))
+	for _, seed := range [][]byte{
+		valid,
+		valid[:len(valid)/2],
+		corruptCheckpoint(f, valid, func(s *ringSnap) { s.Buckets[0].Epoch = -1 }),
+		corruptCheckpoint(f, valid, func(s *ringSnap) { s.Cfg = wideCfg() }),
+		{},
+	} {
+		f.Add(bodyOf(seed))
 	}
-	f.Add([]byte{})
+	for _, tc := range inconsistentCheckpoints(f, valid) {
+		f.Add(bodyOf(corruptCheckpoint(f, valid, tc.corrupt)))
+	}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := Load(bytes.NewReader(data), testKey())
+	f.Fuzz(func(t *testing.T, body []byte) {
+		r, err := Load(bytes.NewReader(checksum.Append(bytes.Clone(body))), testKey())
 		if err != nil {
 			return
 		}
@@ -113,4 +122,9 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("a loaded checkpoint does not save: %v", err)
 		}
 	})
+}
+
+// bodyOf is a checkpoint without its SHA-256 trailer.
+func bodyOf(checkpoint []byte) []byte {
+	return checkpoint[:max(len(checkpoint)-sha256.Size, 0)]
 }

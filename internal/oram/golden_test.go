@@ -61,51 +61,51 @@ func TestSealedBytesGolden(t *testing.T) {
 }
 
 // TestRingSaveBytesGolden pins the exact checkpoint bytes Ring.Save emits
-// after a fixed seeded run, in three sealed configurations a server shard
-// can run: Compact Bucket (Y = 2), no Compact Bucket (Y = 0), and Y = 2
-// with the treetop cache. The server's snapshot files and shard handoff
-// are these bytes. Save must keep emitting one [][]byte per touched store
+// after a fixed seeded run, in three sealed configurations: Compact
+// Bucket (Y = 2) and no Compact Bucket (Y = 0) on the uncached reference
+// (newUncachedRing), and Y = 2 as every functional Ring runs, with the
+// treetop cache. The server's snapshot files and shard handoff wrap
+// these bytes. Save must keep emitting one [][]byte per touched store
 // bucket with nil for never-written slots, in ascending bucket order, and
 // every snapshot slice sorted by id. The treetop hash equals the compact
 // one by construction: the cache flushes to the bytes an uncached
 // controller wrote (TestTreetopSerialEquivalence).
 //
-// The hashes were re-captured three times. Once when seals moved to
+// The hashes were re-captured four times. Once when seals moved to
 // position IVs and the checkpoint to version 2 without a write counter:
 // every sealed slot changed, and Load refuses version 1. Once when the
 // functional XOR read mode was deleted: gob's type descriptor lists field
 // names, and ringSnap lost XOR and Stats lost XORDecodes, while every
-// value the checkpoint carries stayed the same. And once when a refill
-// began to seal its bucket in one AES-GCM pass under the bucket's
-// position nonce, with no slot header: every stored slot changed and
-// shrank to BlockSize bytes, and the checkpoint moved to version 3. A
-// changed hash alone does not break loading older checkpoints (gob skips
-// fields it does not know); TestLoadCheckpointCompat loads checkpoints an
+// value the checkpoint carries stayed the same. Once when a refill began
+// to seal its bucket in one AES-GCM pass under the bucket's position
+// nonce, with no slot header: every stored slot changed and shrank to
+// BlockSize bytes, and the checkpoint moved to version 3. And once when
+// the checkpoint moved to version 4 and gained its SHA-256 trailer: only
+// the Version value and the trailer changed, and each new body
+// re-encoded at Version 3 without the trailer hashed to its row's
+// previous value (55e42b12…, 75e8e769…, 55e42b12…). A changed hash alone
+// does not break loading older checkpoints (gob skips fields it does not
+// know); TestLoadCheckpointCompat loads checkpoints an
 // earlier version saved and checks that they continue bit-identically,
 // or that Load refuses them by version.
 func TestRingSaveBytesGolden(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		y       int
-		treetop bool
-		want    string
+		name     string
+		y        int
+		uncached bool
+		want     string
 	}{
-		{name: "compact", y: 2, want: "55e42b12626638985eb35ca9a56f0343279d148a086ddfa16fdc7804a344a11d"},
-		{name: "sealed-y0", y: 0, want: "75e8e769a51aafbd077b73322a3b5ab7dc21f549f6dda3d3d2c0907e9c264e4b"},
-		{name: "treetop", y: 2, treetop: true, want: "55e42b12626638985eb35ca9a56f0343279d148a086ddfa16fdc7804a344a11d"},
+		{name: "compact", y: 2, uncached: true, want: "c0450b5bcab92c4d107f16b74ccc105288623f461beb98f5501ccf21c84b3d04"},
+		{name: "sealed-y0", y: 0, uncached: true, want: "c8074707390fce8382e8517ae9c3fb58ea44fd574f185f3656d4f0c595d387cf"},
+		{name: "treetop", y: 2, want: "c0450b5bcab92c4d107f16b74ccc105288623f461beb98f5501ccf21c84b3d04"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallCfg(tc.y)
-			crypt, err := NewCrypt(testKey(), cfg.BlockSize)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := NewRing(cfg, 2024, &Options{
-				Store: NewMemStore(cfg.SlotsPerBucket()), Crypt: crypt,
-				TreetopCache: tc.treetop,
-			})
-			if err != nil {
-				t.Fatal(err)
+			var r *Ring
+			if tc.uncached {
+				r = newUncachedRing(t, cfg, 2024, variantOptions(t, cfg, false))
+			} else {
+				r = newTreetopRing(t, cfg, 2024, false)
 			}
 			runSerialTrace(t, r, cfg, genTrace(1500, 77))
 			sum := sha256.Sum256(saveBytes(t, r))

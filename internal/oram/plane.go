@@ -86,7 +86,9 @@ type treeCore struct {
 	permSrc *rng.Source // bucket permutations
 	stats   Stats
 
-	// tt is the treetop data cache (nil when disabled); see treetop.go.
+	// tt is the treetop data cache, attached to every Ring with a Store
+	// (nil without one, for Path ORAM, or with no cached levels); see
+	// treetop.go.
 	tt *treetopCache
 
 	pathBuf []int64 // scratch for path walks

@@ -40,12 +40,11 @@ type Options struct {
 	// (e.g. channel balance) without weakening obliviousness. It takes
 	// the place of selection's RNG draws and overrides UniformSelect.
 	SlotBalancer func(bucket int64, level int, candidates []int) int
-	// TreetopCache holds the top TreeTopCacheLevels levels' block
-	// contents decrypted in controller memory (see treetop.go): cached
-	// levels cost neither store I/O nor AES, and refilled buckets flush
-	// sealed at snapshot time. Requires Store. The protocol trace is
-	// unchanged — the op-trace elision for those levels (emitFrom) exists
-	// with or without the data cache.
+	// TreetopCache is accepted and ignored: a Ring with a Store always
+	// holds its top TreeTopCacheLevels levels decrypted in controller
+	// memory (see treetop.go). The field survives only so bench/, which
+	// may change only in a benchmark PR, keeps compiling; that PR removes
+	// it.
 	TreetopCache bool
 }
 
@@ -84,10 +83,8 @@ func NewRing(cfg config.ORAM, seed uint64, opts *Options) (*Ring, error) {
 	r.sel.balance = opts.SlotBalancer
 	r.warmSeed = root.Uint64()
 	r.nextFiller = FillerBase
-	if opts.TreetopCache {
-		if err := r.EnableTreetop(); err != nil {
-			return nil, err
-		}
+	if opts.Store != nil {
+		r.attachTreetop()
 	}
 	return r, nil
 }

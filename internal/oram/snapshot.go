@@ -1,11 +1,13 @@
 package oram
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
 	"sort"
 
+	"stringoram/internal/checksum"
 	"stringoram/internal/config"
 	"stringoram/internal/rng"
 )
@@ -13,8 +15,9 @@ import (
 // snapshotVersion guards the checkpoint format. Version 1 sealed real
 // slots under a sequential write counter, and version 2 stored an 8-byte
 // IV header with each slot; version 3 slots are bare BlockSize bytes
-// sealed under their bucket's position nonce, so Load refuses both.
-const snapshotVersion = 3
+// sealed under their bucket's position nonce, and version 4 trails the
+// gob body with its SHA-256 (checksum.Append). Load refuses all three.
+const snapshotVersion = 4
 
 // maxCheckpointBlock bounds the block size Load accepts: the sealer
 // allocates a block-sized buffer up front, and a checkpoint is outside
@@ -78,9 +81,15 @@ type ringSnap struct {
 // contents. A Ring restored with Load continues exactly where Save left
 // off, access for access.
 //
-// Save fails for rings with a custom (non-MemStore) store: external
-// storage persists independently and the caller re-attaches it on Load.
+// Save fails for rings with a custom (non-MemStore) store, and writes
+// nothing to it: external storage persists independently and the caller
+// re-attaches it on Load. The gob body is followed by its SHA-256, which
+// Load checks before it decodes anything.
 func (r *Ring) Save(w io.Writer) error {
+	ms, isMem := r.store.(*MemStore)
+	if r.store != nil && !isMem {
+		return fmt.Errorf("oram: Save supports nil or MemStore stores, got %T", r.store)
+	}
 	// A treetop cache may hold dirty buckets whose store bytes are stale;
 	// seal them back first so the serialized store is bit-identical to an
 	// uncached controller's.
@@ -126,22 +135,28 @@ func (r *Ring) Save(w io.Writer) error {
 			Index: idx, Count: b.Count, Green: b.Green, Epoch: b.Epoch, Slots: slots,
 		})
 	})
-	switch st := r.store.(type) {
-	case nil:
-		// timing-only: nothing to persist
-	case *MemStore:
-		st.eachBucket(func(bkt int64, slots [][]byte) {
+	if isMem {
+		ms.eachBucket(func(bkt int64, slots [][]byte) {
 			snap.Store = append(snap.Store, storeSnap{Bucket: bkt, Slots: slots})
 		})
-	default:
-		return fmt.Errorf("oram: Save supports nil or MemStore stores, got %T", r.store)
 	}
-	return gob.NewEncoder(w).Encode(&snap)
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(&snap); err != nil {
+		return fmt.Errorf("oram: encoding checkpoint: %w", err)
+	}
+	if _, err := w.Write(checksum.Append(body.Bytes())); err != nil {
+		return fmt.Errorf("oram: writing checkpoint: %w", err)
+	}
+	return nil
 }
 
 // Load restores a Ring from a Save checkpoint. The restored ring
 // reconstructs its store from the checkpoint: rings saved with a
-// MemStore come back functional, timing-only rings come back timing-only.
+// MemStore come back functional, their treetop cache re-warmed from the
+// store, and timing-only rings come back timing-only. A checkpoint whose
+// SHA-256 trailer does not match is refused before any of it is decoded;
+// one that names an earlier version (none of which had a trailer) is
+// refused by that version.
 //
 // key may be nil for timing-only or plaintext-store checkpoints; for
 // encrypted checkpoints it must be the 16-byte AES key the original ring
@@ -149,8 +164,21 @@ func (r *Ring) Save(w io.Writer) error {
 // seals under that key at the positions the checkpoint's tree had already
 // sealed at; unless it is the only copy ever to serve on, Rekey it first.
 func Load(rd io.Reader, key []byte) (*Ring, error) {
+	data, err := io.ReadAll(rd)
+	if err != nil {
+		return nil, fmt.Errorf("oram: reading checkpoint: %w", err)
+	}
+	body, err := checksum.Strip(data)
+	if err != nil {
+		// Name an earlier format by its version rather than as corruption.
+		var head struct{ Version int }
+		if gob.NewDecoder(bytes.NewReader(data)).Decode(&head) == nil && head.Version != snapshotVersion {
+			return nil, fmt.Errorf("oram: checkpoint version %d, want %d", head.Version, snapshotVersion)
+		}
+		return nil, fmt.Errorf("oram: checkpoint %w", err)
+	}
 	var snap ringSnap
-	if err := gob.NewDecoder(rd).Decode(&snap); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("oram: decoding checkpoint: %w", err)
 	}
 	if snap.Version != snapshotVersion {
@@ -255,6 +283,9 @@ func Load(rd io.Reader, key []byte) (*Ring, error) {
 	}
 	if err := r.CheckInvariants(); err != nil {
 		return nil, err
+	}
+	if store != nil {
+		r.attachTreetop()
 	}
 	return r, nil
 }

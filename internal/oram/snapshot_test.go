@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"stringoram/internal/checksum"
 	"stringoram/internal/config"
 	"stringoram/internal/rng"
 )
@@ -81,21 +82,26 @@ func TestSaveLoadContinuation(t *testing.T) {
 }
 
 // TestLoadCheckpointCompat loads checkpoints an earlier version of this
-// package saved. All four are 5-level sealed rings (seed 4242) after
-// genTrace(300, 31). The version-3 ones, ring-v3-y2.ckpt with Compact
-// Bucket (Y = 2) and ring-v3-y0.ckpt without it, must continue exactly as
+// package saved. All six are 5-level sealed rings (seed 4242) after
+// genTrace(300, 31). The version-4 ones, ring-v4-y2.ckpt with Compact
+// Bucket (Y = 2) and ring-v4-y0.ckpt without it, must continue exactly as
 // the saving version continued them: the hashes cover the responses and
-// op lists of genTrace(400, 2025) and then every stored slot, and were
-// captured by the saving version from the ring it saved. The version-2
-// ones, ring-y2.ckpt (Y = 2) and ring-xor.ckpt (Y = 0, under the
-// since-deleted XOR read mode), store an 8-byte IV header with every slot
-// and must be refused by version.
+// op lists of genTrace(400, 2025) and then every stored slot (after a
+// flush of the treetop cache), and were captured by the version-3 code
+// from the ring it saved as ring-v3-y2.ckpt and ring-v3-y0.ckpt; the
+// version-4 files are those checkpoints loaded and saved again. Every
+// earlier checkpoint lacks the SHA-256 trailer and must be refused by
+// version: the version-3 ones, and the version-2 ones, ring-y2.ckpt
+// (Y = 2) and ring-xor.ckpt (Y = 0, under the since-deleted XOR read
+// mode), which also store an 8-byte IV header with every slot.
 func TestLoadCheckpointCompat(t *testing.T) {
 	for _, tc := range []struct{ file, want string }{
-		{"ring-v3-y2.ckpt", "a7cdebdf36ee9fd5ccacc296633e9ac2b8aa7a22a7df8d5546235197b998872e"},
-		{"ring-v3-y0.ckpt", "2150ae11949d88b0665bcdb1890cbf1a2a36643984e5a3f9b9aa942f615724a9"},
-		{"ring-y2.ckpt", ""},
-		{"ring-xor.ckpt", ""},
+		{"ring-v4-y2.ckpt", "a7cdebdf36ee9fd5ccacc296633e9ac2b8aa7a22a7df8d5546235197b998872e"},
+		{"ring-v4-y0.ckpt", "2150ae11949d88b0665bcdb1890cbf1a2a36643984e5a3f9b9aa942f615724a9"},
+		{"ring-v3-y2.ckpt", "version 3"},
+		{"ring-v3-y0.ckpt", "version 3"},
+		{"ring-y2.ckpt", "version 2"},
+		{"ring-xor.ckpt", "version 2"},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			data, err := os.ReadFile(filepath.Join("testdata", tc.file))
@@ -103,9 +109,9 @@ func TestLoadCheckpointCompat(t *testing.T) {
 				t.Fatal(err)
 			}
 			r, err := Load(bytes.NewReader(data), testKey())
-			if tc.want == "" {
-				if err == nil || !strings.Contains(err.Error(), "checkpoint version 2, want 3") {
-					t.Fatalf("Load = %v, want a version error", err)
+			if strings.HasPrefix(tc.want, "version ") {
+				if want := fmt.Sprintf("checkpoint %s, want %d", tc.want, snapshotVersion); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("Load = %v, want an error naming %q", err, want)
 				}
 				return
 			}
@@ -125,6 +131,7 @@ func TestLoadCheckpointCompat(t *testing.T) {
 					}
 				}
 			}
+			r.flushTreetop()
 			r.store.(*MemStore).eachBucket(func(bkt int64, slots [][]byte) {
 				binary.Write(h, binary.BigEndian, bkt)
 				for _, s := range slots {
@@ -264,7 +271,8 @@ func checkpointForLoadTests(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// corruptCheckpoint re-encodes checkpoint bytes after corrupt edits them.
+// corruptCheckpoint re-encodes checkpoint bytes after corrupt edits them,
+// under a fresh checksum, so that Load reaches the edited fields.
 func corruptCheckpoint(t testing.TB, valid []byte, corrupt func(s *ringSnap)) []byte {
 	var snap ringSnap
 	if err := gob.NewDecoder(bytes.NewReader(valid)).Decode(&snap); err != nil {
@@ -275,7 +283,7 @@ func corruptCheckpoint(t testing.TB, valid []byte, corrupt func(s *ringSnap)) []
 	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return checksum.Append(buf.Bytes())
 }
 
 // TestLoadRejectsBadIndices: a checkpoint is outside input, and every
@@ -446,6 +454,9 @@ func TestLoadRejectsInconsistentBuckets(t *testing.T) {
 	}
 }
 
+// TestSaveRejectsCustomStore: Save refuses a store it cannot serialize,
+// and the refusal writes nothing to it, not even the dirty cached buckets
+// a successful Save would flush.
 func TestSaveRejectsCustomStore(t *testing.T) {
 	cfg := smallCfg(0)
 	r, err := NewRing(cfg, 2, &Options{Store: customStore{}})
@@ -455,6 +466,56 @@ func TestSaveRejectsCustomStore(t *testing.T) {
 	var buf bytes.Buffer
 	if err := r.Save(&buf); err == nil {
 		t.Fatal("custom store accepted by Save")
+	}
+
+	ts := &traceStore{inner: NewMemStore(cfg.SlotsPerBucket())}
+	r, err = NewRing(cfg, 2, &Options{Store: ts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runSerialTrace(t, r, cfg, genTrace(100, 0x5afe))
+	if !slices.Contains(r.tt.dirty, true) {
+		t.Fatal("no cached bucket is dirty; a flush would write nothing")
+	}
+	ts.log = ts.log[:0]
+	if err := r.Save(&buf); err == nil {
+		t.Fatal("custom store accepted by Save")
+	}
+	if len(ts.log) != 0 {
+		t.Fatalf("a refused Save made %d store calls, first %+v", len(ts.log), ts.log[0])
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("a refused Save wrote %d bytes", buf.Len())
+	}
+}
+
+// TestCheckpointBitFlipRefused: Load checks the checkpoint's SHA-256
+// trailer before it decodes anything, so every single-bit flip of a
+// sealed checkpoint is refused, in the metadata, the sealed slots, the
+// stash or the trailer alike. Without the trailer, 336 of these 403
+// flips loaded at seed 0xf11b, and some such loads serve a wrong block.
+func TestCheckpointBitFlipRefused(t *testing.T) {
+	cfg := smallCfg(2)
+	r := newFunctionalRing(t, cfg, 0xf11b)
+	for i := 0; i < 600; i++ {
+		id := BlockID(i % 40)
+		if _, err := r.Write(id, blockData(cfg, id, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	good := saveBytes(t, r)
+	const flips = 403
+	for i := 0; i < flips; i++ {
+		off := i * len(good) / flips
+		bad := bytes.Clone(good)
+		bad[off] ^= 1 << (i % 8)
+		if _, err := Load(bytes.NewReader(bad), testKey()); err == nil {
+			t.Fatalf("Load accepted a checkpoint with bit %d of byte %d of %d flipped", i%8, off, len(good))
+		}
+	}
+	// The unflipped bytes load, so each refusal above was the flip's doing.
+	if _, err := Load(bytes.NewReader(good), testKey()); err != nil {
+		t.Fatalf("Load refused the intact checkpoint: %v", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package oram
 
 import (
 	"bytes"
-	"errors"
 	"math/bits"
 
 	"stringoram/internal/invariant"
@@ -22,11 +21,12 @@ import (
 // Flush discipline: a refill rewrites a whole bucket, and its seal is one
 // pass over the plaintexts under the nonce of the bucket's public
 // position and epoch alone. A cached refill keeps the plaintexts in buf
-// and marks the bucket dirty; a flush seals each dirty bucket in the one writeBucket the
-// uncached controller made at the bucket's last refill, so the flushed
-// store bytes are bit-identical to the store of an uncached controller
-// that ran the same access sequence — the property the snapshot
-// round-trip and equivalence oracles pin.
+// and marks the bucket dirty; a flush seals each dirty bucket in the one
+// writeBucket an uncached controller makes at the bucket's last refill,
+// so the flushed store bytes are bit-identical to the store of an
+// uncached controller that ran the same access sequence — the property
+// the snapshot round-trip and equivalence oracles pin against the
+// in-package uncached reference (treetop_test.go).
 //
 // A clean bucket's store bytes are current (warmed or flushed). A nil buf
 // slot is the zero block (a dummy, or a real never written with data),
@@ -51,22 +51,14 @@ func (tt *treetopCache) cached(bucket int64) bool {
 	return tt != nil && bucket < tt.nBuckets
 }
 
-// EnableTreetop attaches the treetop data cache, warming it from the
-// store, and returns nil if the cache is active (or a no-op because
-// TreeTopCacheLevels is 0). NewRing calls it for Options.TreetopCache,
-// and callers of Load re-enable it on the restored ring.
-func (r *Ring) EnableTreetop() error {
-	if r.tt != nil {
-		return nil
+// attachTreetop attaches the treetop data cache, warming it from the
+// store; with TreeTopCacheLevels 0 there is nothing to cache. NewRing
+// and Load call it on every Ring that has a Store.
+func (r *Ring) attachTreetop() {
+	n := int64(1)<<uint(r.cfg.TreeTopCacheLevels) - 1
+	if n == 0 {
+		return
 	}
-	if r.store == nil {
-		return errors.New("oram: treetop cache requires a functional Store")
-	}
-	c := r.cfg.TreeTopCacheLevels
-	if c <= 0 {
-		return nil
-	}
-	n := (int64(1) << uint(c)) - 1
 	slots := r.cfg.SlotsPerBucket()
 	r.tt = &treetopCache{
 		nBuckets: n,
@@ -75,11 +67,7 @@ func (r *Ring) EnableTreetop() error {
 		dirty:    make([]bool, n),
 	}
 	r.warmTreetop()
-	return nil
 }
-
-// TreetopEnabled reports whether the treetop data cache is attached.
-func (r *Ring) TreetopEnabled() bool { return r.tt != nil }
 
 // warmTreetop decrypts every resident real slot of the cached buckets
 // out of the store. Buckets absent from the metadata map have no store

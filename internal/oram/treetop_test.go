@@ -3,18 +3,33 @@ package oram
 import (
 	"bytes"
 	"crypto/subtle"
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"stringoram/internal/config"
 	"stringoram/internal/invariant"
 )
 
-// newTreetopRing builds a functional ring with the treetop data cache
-// enabled for one of the protocol variants the equivalence tests cover.
+// newTreetopRing builds a functional ring, which caches its tree top,
+// for one of the protocol variants the equivalence tests cover.
 func newTreetopRing(t *testing.T, cfg config.ORAM, seed uint64, plain bool) *Ring {
 	t.Helper()
-	opts := &Options{Store: NewMemStore(cfg.SlotsPerBucket()), TreetopCache: true}
+	r, err := NewRing(cfg, seed, variantOptions(t, cfg, plain))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.tt == nil {
+		t.Fatal("functional ring has no treetop cache")
+	}
+	return r
+}
+
+// variantOptions is a fresh MemStore, sealed unless plain.
+func variantOptions(t testing.TB, cfg config.ORAM, plain bool) *Options {
+	t.Helper()
+	opts := &Options{Store: NewMemStore(cfg.SlotsPerBucket())}
 	if !plain {
 		crypt, err := NewCrypt(testKey(), cfg.BlockSize)
 		if err != nil {
@@ -22,13 +37,21 @@ func newTreetopRing(t *testing.T, cfg config.ORAM, seed uint64, plain bool) *Rin
 		}
 		opts.Crypt = crypt
 	}
+	return opts
+}
+
+// newUncachedRing builds a Ring from opts and detaches its treetop cache:
+// the uncached controller, whose every cached-level fetch and refill goes
+// to the store, is the reference the treetop oracles compare the cache
+// against, and it exists only in tests. Right after NewRing on a fresh
+// store the cache is empty and clean, so dropping it loses nothing.
+func newUncachedRing(t testing.TB, cfg config.ORAM, seed uint64, opts *Options) *Ring {
+	t.Helper()
 	r, err := NewRing(cfg, seed, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.TreetopEnabled() {
-		t.Fatal("treetop cache did not enable")
-	}
+	r.tt = nil
 	return r
 }
 
@@ -125,11 +148,12 @@ var treetopVariants = []struct {
 	{name: "plaintext", plain: true, y: 0},
 }
 
-// TestTreetopSerialEquivalence is the cache's core oracle: a serial ring
-// with the treetop cache enabled must return byte-identical responses,
+// TestTreetopSerialEquivalence is the cache's core oracle: a functional
+// ring, which caches its tree top, must return byte-identical responses,
 // emit identical op lists, and Save a byte-identical checkpoint (the
 // flush seals each dirty bucket at its slots' position IVs, so even the
-// sealed store bytes match) versus an uncached ring fed the same trace.
+// sealed store bytes match) versus the uncached reference
+// (newUncachedRing) fed the same trace.
 func TestTreetopSerialEquivalence(t *testing.T) {
 	const seed = 0x7e340
 	for _, v := range treetopVariants {
@@ -137,18 +161,7 @@ func TestTreetopSerialEquivalence(t *testing.T) {
 			cfg := smallCfg(v.y)
 			trace := genTrace(800, 0xcac4e+uint64(len(v.name)))
 
-			plainOpts := &Options{Store: NewMemStore(cfg.SlotsPerBucket())}
-			if !v.plain {
-				crypt, err := NewCrypt(testKey(), cfg.BlockSize)
-				if err != nil {
-					t.Fatal(err)
-				}
-				plainOpts.Crypt = crypt
-			}
-			uncached, err := NewRing(cfg, seed, plainOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			uncached := newUncachedRing(t, cfg, seed, variantOptions(t, cfg, v.plain))
 			want := runSerialTrace(t, uncached, cfg, trace)
 
 			cached := newTreetopRing(t, cfg, seed, v.plain)
@@ -196,11 +209,12 @@ func (ts *traceStore) WriteSlot(bucket int64, slot int, sealed []byte) {
 }
 
 // TestTreetopStoreTraceGolden pins the cache's bus contract directly:
-// the cached ring's physical store trace must equal the uncached ring's
-// trace with exactly the cached-bucket accesses removed — nothing else
-// reordered, added or dropped. This is the golden-trace form of the
-// security argument: the elided operations are precisely the uniform
-// per-level accesses every path access performs at the cached levels.
+// the cached ring's physical store trace must equal the uncached
+// reference's (newUncachedRing) trace with exactly the cached-bucket
+// accesses removed — nothing else reordered, added or dropped. This is
+// the golden-trace form of the security argument: the elided operations
+// are precisely the uniform per-level accesses every path access
+// performs at the cached levels.
 func TestTreetopStoreTraceGolden(t *testing.T) {
 	const seed = 0x90fda
 	cfg := smallCfg(2)
@@ -213,7 +227,13 @@ func TestTreetopStoreTraceGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewRing(cfg, seed, &Options{Store: ts, Crypt: crypt, TreetopCache: cacheOn})
+		opts := &Options{Store: ts, Crypt: crypt}
+		var r *Ring
+		if cacheOn {
+			r, err = NewRing(cfg, seed, opts)
+		} else {
+			r = newUncachedRing(t, cfg, seed, opts)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,24 +276,107 @@ func TestTreetopStoreTraceGolden(t *testing.T) {
 	}
 }
 
+// TestStoreTraceWithinOpList checks what the untrusted store sees against
+// the op list each access returns, on rings built with plain
+// Options{Store, Crypt}, over the genTrace mixes at smallCfg and at the
+// default geometry, with Compact Bucket and without it, with cached
+// levels and without them. For every access the store's writes must equal
+// the op list's writes in order, the store's calls in the order made must be
+// an ordered subsequence of the op list's accesses (so every store read
+// is one the op list names), and no store call may touch a cached bucket.
+// The reads are not yet equal: a read path fetches only its target and
+// greens, and a bucket drain only its resident reals, where the op list
+// names one slot per level and Z per bucket. Making them equal is the
+// open half of ROADMAP's "One bus: the store sees exactly the op list".
+func TestStoreTraceWithinOpList(t *testing.T) {
+	for _, geo := range []struct {
+		name string
+		cfg  config.ORAM
+	}{{"small", smallCfg(2)}, {"default", config.Default().ORAM}} {
+		for _, y := range []int{0, geo.cfg.Y} {
+			for _, levels := range []int{0, geo.cfg.TreeTopCacheLevels} {
+				cfg := geo.cfg
+				cfg.Y, cfg.TreeTopCacheLevels = y, levels
+				t.Run(fmt.Sprintf("%s/y%d/cached%d", geo.name, y, levels), func(t *testing.T) {
+					checkStoreTraceWithinOpList(t, cfg)
+				})
+			}
+		}
+	}
+}
+
+func checkStoreTraceWithinOpList(t *testing.T, cfg config.ORAM) {
+	ts := &traceStore{inner: NewMemStore(cfg.SlotsPerBucket())}
+	crypt, err := NewCrypt(testKey(), cfg.BlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRing(cfg, 0x5ee, &Options{Store: ts, Crypt: crypt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nCached := (int64(1) << uint(cfg.TreeTopCacheLevels)) - 1
+	var listed, listedWrites, storeWrites []storeOp
+	reads, writes := 0, 0
+	for i, st := range genTrace(600, 0x5107+uint64(cfg.Y)) {
+		ts.log = ts.log[:0]
+		var data []byte
+		if st.write {
+			data = blockData(cfg, st.id, st.ver)
+		}
+		_, ops, err := r.Access(st.id, st.write, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		listed, listedWrites, storeWrites = listed[:0], listedWrites[:0], storeWrites[:0]
+		for _, op := range ops {
+			for _, a := range op.Accesses {
+				so := storeOp{write: a.Write, bucket: a.Bucket, slot: a.Slot}
+				listed = append(listed, so)
+				if a.Write {
+					listedWrites = append(listedWrites, so)
+				}
+			}
+		}
+		next := 0 // the first op-list access the next store call may match
+		for _, so := range ts.log {
+			if so.bucket < nCached {
+				t.Fatalf("access %d: the store saw %+v in a cached bucket", i, so)
+			}
+			for next < len(listed) && listed[next] != so {
+				next++
+			}
+			if next == len(listed) {
+				t.Fatalf("access %d: store call %+v is not in the op list after the calls before it", i, so)
+			}
+			next++
+			if so.write {
+				storeWrites = append(storeWrites, so)
+				writes++
+			} else {
+				reads++
+			}
+		}
+		if !slices.Equal(storeWrites, listedWrites) {
+			t.Fatalf("access %d: the store saw %d writes, the op list lists %d, or their order differs", i, len(storeWrites), len(listedWrites))
+		}
+	}
+	if reads == 0 || writes == 0 {
+		t.Fatalf("the store saw %d reads and %d writes; the comparison is vacuous", reads, writes)
+	}
+}
+
 // TestTreetopSnapshotRoundTrip checks the flush discipline end to end:
 // a checkpoint taken while the cache is dirty must be bit-identical to
-// the uncached oracle's; a ring restored from it (cache re-enabled)
-// must continue bit-identically through more traffic and a second
+// the uncached reference's; a ring restored from it (Load re-warms the
+// cache) must continue bit-identically through more traffic and a second
 // checkpoint.
 func TestTreetopSnapshotRoundTrip(t *testing.T) {
 	const seed = 0x5a7e
 	cfg := smallCfg(2)
 	trace := genTrace(600, 0x40dd)
 
-	crypt, err := NewCrypt(testKey(), cfg.BlockSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uncached, err := NewRing(cfg, seed, &Options{Store: NewMemStore(cfg.SlotsPerBucket()), Crypt: crypt})
-	if err != nil {
-		t.Fatal(err)
-	}
+	uncached := newUncachedRing(t, cfg, seed, variantOptions(t, cfg, false))
 	cached := newTreetopRing(t, cfg, seed, false)
 
 	runSerialTrace(t, uncached, cfg, trace[:300])
@@ -291,11 +394,8 @@ func TestTreetopSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.EnableTreetop(); err != nil {
-		t.Fatal(err)
-	}
-	if !restored.TreetopEnabled() {
-		t.Fatal("treetop cache did not re-enable after Load")
+	if restored.tt == nil {
+		t.Fatal("Load did not re-attach the treetop cache")
 	}
 
 	wantTail := runSerialTrace(t, uncached, cfg, trace[300:])
@@ -438,34 +538,41 @@ func TestRekeyIgnoresStoredBytes(t *testing.T) {
 	}
 }
 
-// TestTreetopEnableGuards pins EnableTreetop's preconditions.
+// TestTreetopEnableGuards pins when a Ring caches its tree top: exactly
+// when it has a Store and TreeTopCacheLevels > 0, whether NewRing built
+// it or Load restored it, and whatever Options.TreetopCache says.
 func TestTreetopEnableGuards(t *testing.T) {
-	cfg := smallCfg(2)
-	timing, err := NewRing(cfg, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := timing.EnableTreetop(); err == nil {
-		t.Fatal("EnableTreetop accepted a timing-only ring")
-	}
-
-	r := newFunctionalRing(t, cfg, 2)
-	if err := r.EnableTreetop(); err != nil {
-		t.Fatalf("EnableTreetop on a functional ring: %v", err)
-	}
-	if err := r.EnableTreetop(); err != nil {
-		t.Fatalf("EnableTreetop is not idempotent: %v", err)
-	}
-
-	// C = 0 is a documented no-op, not an error.
 	cfg0 := smallCfg(2)
 	cfg0.TreeTopCacheLevels = 0
-	r0 := newFunctionalRing(t, cfg0, 3)
-	if err := r0.EnableTreetop(); err != nil {
-		t.Fatal(err)
-	}
-	if r0.TreetopEnabled() {
-		t.Fatal("TreetopEnabled() true with TreeTopCacheLevels = 0")
+	for _, tc := range []struct {
+		name string
+		cfg  config.ORAM
+		opts *Options
+		want bool
+	}{
+		{"functional", smallCfg(2), variantOptions(t, smallCfg(2), false), true},
+		{"plaintext", smallCfg(2), variantOptions(t, smallCfg(2), true), true},
+		{"TreetopCache false is ignored", smallCfg(2), &Options{Store: NewMemStore(smallCfg(2).SlotsPerBucket()), TreetopCache: false}, true},
+		{"timing-only", smallCfg(2), &Options{TreetopCache: true}, false},
+		{"no cached levels", cfg0, variantOptions(t, cfg0, false), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := NewRing(tc.cfg, 2, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runSerialTrace(t, r, tc.cfg, genTrace(50, 0xe7))
+			restored, err := Load(bytes.NewReader(saveBytes(t, r)), testKey())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := r.tt != nil; got != tc.want {
+				t.Fatalf("NewRing cached = %v, want %v", got, tc.want)
+			}
+			if got := restored.tt != nil; got != tc.want {
+				t.Fatalf("Load cached = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -38,7 +38,6 @@ package server
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -51,6 +50,7 @@ import (
 	"time"
 
 	"stringoram/internal/atomicfile"
+	"stringoram/internal/checksum"
 	"stringoram/internal/config"
 	"stringoram/internal/obs"
 	"stringoram/internal/oram"
@@ -121,11 +121,10 @@ type Config struct {
 	// which may change only in a benchmark PR, keeps compiling; that PR
 	// removes it.
 	Pipeline int
-	// TreetopCache, when true, enables each shard Ring's treetop data
-	// cache: the top TreeTopCacheLevels levels are held decrypted in
-	// controller memory, so accesses touching them skip store I/O and
-	// AES entirely (see oram.Ring.EnableTreetop for the security
-	// argument).
+	// TreetopCache is accepted and ignored: every shard Ring holds its
+	// top ORAM.TreeTopCacheLevels levels decrypted in controller memory
+	// (oram's treetop cache). It survives, like Pipeline, only so bench/
+	// keeps compiling until the benchmark PR removes it.
 	TreetopCache bool
 	// ORAM configures each shard's Ring. Zero value: DefaultORAM(12).
 	ORAM config.ORAM
@@ -533,10 +532,7 @@ func (s *Server) queueDepth(id int) int {
 
 // fresh builds shard i's Ring from scratch.
 func (sh *shard) fresh(cfg Config, i int) error {
-	opts := &oram.Options{
-		Store:        oram.NewMemStore(cfg.ORAM.SlotsPerBucket()),
-		TreetopCache: cfg.TreetopCache,
-	}
+	opts := &oram.Options{Store: oram.NewMemStore(cfg.ORAM.SlotsPerBucket())}
 	sh.salt = oram.NewSalt()
 	if key := ringKey(cfg, i, sh.salt); key != nil {
 		crypt, err := oram.NewCrypt(key, cfg.ORAM.BlockSize)
@@ -1393,29 +1389,25 @@ func (sh *shard) snapshotBytes() ([]byte, error) {
 }
 
 // encodeShardSnap is the one encoder of snapshot bytes: the gob body of
-// snap followed by its SHA-256, so that decodeShardSnap refuses a
-// flipped, cut or appended byte before trusting any field.
+// snap followed by its SHA-256 (checksum.Append), so that decodeShardSnap
+// refuses a flipped, cut or appended byte before trusting any field.
 func encodeShardSnap(snap *shardSnap) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		return nil, err
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	return append(buf.Bytes(), sum[:]...), nil
+	return checksum.Append(buf.Bytes()), nil
 }
 
 // decodeShardSnap checks the SHA-256 that encodeShardSnap appended and
 // decodes the gob body before it.
 func decodeShardSnap(data []byte) (shardSnap, error) {
 	var snap shardSnap
-	if len(data) < sha256.Size {
-		return snap, errors.New("snapshot shorter than its checksum")
+	body, err := checksum.Strip(data)
+	if err != nil {
+		return snap, fmt.Errorf("snapshot %w", err)
 	}
-	body := data[:len(data)-sha256.Size]
-	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], data[len(body):]) {
-		return snap, errors.New("snapshot checksum mismatch")
-	}
-	err := gob.NewDecoder(bytes.NewReader(body)).Decode(&snap)
+	err = gob.NewDecoder(bytes.NewReader(body)).Decode(&snap)
 	return snap, err
 }
 
@@ -1458,13 +1450,6 @@ func (sh *shard) restoreBytes(data []byte, cfg Config) error {
 	sh.salt = oram.NewSalt()
 	if key := ringKey(cfg, sh.id, sh.salt); key != nil {
 		if err := ring.Rekey(key); err != nil {
-			return fmt.Errorf("server: shard %d restore: %w", sh.id, err)
-		}
-	}
-	if cfg.TreetopCache {
-		// The checkpoint stores sealed bytes only; rebuild the decrypted
-		// treetop from them.
-		if err := ring.EnableTreetop(); err != nil {
 			return fmt.Errorf("server: shard %d restore: %w", sh.id, err)
 		}
 	}

@@ -119,14 +119,16 @@ for procs in 1 2 4; do
 	    ./internal/cluster ./internal/server ./internal/obs
 done
 
-echo "== data-plane goldens (sealed bytes, stored slots open at their position, treetop store trace, Path op trace, checkpoint bytes, earlier checkpoints, inconsistent checkpoints, buckets wider than 64 slots refused, DRAM command stream, Path ORAM stash samples) =="
-go test -count=1 -run='^(TestSealedBytesGolden|TestStoredSlotsOpenAtPosition|TestTreetopStoreTraceGolden|TestPathTraceGolden|TestRingSaveBytesGolden|TestLoadCheckpointCompat|TestLoadRejectsInconsistentBuckets|TestControllersRejectWideBuckets)$' ./internal/oram
+echo "== data-plane goldens (sealed bytes, stored slots open at their position, treetop store trace, store trace within the op list, Path op trace, checkpoint bytes, earlier checkpoints, inconsistent checkpoints, bit-flipped checkpoints refused, buckets wider than 64 slots refused, DRAM command stream, Path ORAM stash samples) =="
+go test -count=1 -run='^(TestSealedBytesGolden|TestStoredSlotsOpenAtPosition|TestTreetopStoreTraceGolden|TestStoreTraceWithinOpList|TestPathTraceGolden|TestRingSaveBytesGolden|TestLoadCheckpointCompat|TestLoadRejectsInconsistentBuckets|TestCheckpointBitFlipRefused|TestControllersRejectWideBuckets)$' ./internal/oram
 go test -count=1 -run='^(TestCommandStreamGolden|TestPathORAMStashSamplesCollected)$' ./internal/sim
 
-echo "== treetop cache equivalence (serial vs uncached oracle, -race) =="
-# Covers Compact Bucket, sealed Y = 0 and plaintext stores: the cached
-# controller must return identical data, op traces, and snapshot bytes,
-# and elide exactly the cached levels from the store trace.
+echo "== treetop cache equivalence (serial vs the in-package uncached reference, -race) =="
+# Covers Compact Bucket, sealed Y = 0 and plaintext stores: every
+# functional Ring caches its tree top, and must return the data, op
+# traces and snapshot bytes of the uncached reference, a test-only Ring
+# with its empty cache detached (newUncachedRing), and elide exactly the
+# cached levels from the store trace.
 go test -race -count=1 -run='^TestTreetop' ./internal/oram
 
 echo "== alloc-regression guards (data-plane hot path, scheduler Tick, loopback client ops) =="

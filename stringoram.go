@@ -74,8 +74,10 @@ type (
 	Ring = oram.Ring
 	// PathORAM is the Path ORAM baseline controller.
 	PathORAM = oram.Path
-	// RingOptions configures optional Ring/Path behaviour (functional
-	// store, sealing, selection policy, treetop cache).
+	// RingOptions configures optional Ring/Path behaviour: functional
+	// store, sealing and selection policy. A Ring with a store always
+	// keeps its top TreeTopCacheLevels levels decrypted in controller
+	// memory; TreetopCache is accepted and ignored.
 	RingOptions = oram.Options
 	// BlockID identifies a logical data block.
 	BlockID = oram.BlockID
