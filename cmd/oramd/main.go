@@ -78,6 +78,11 @@ import (
 // once the listener is up.
 var notifyListening func(addr string)
 
+// listen opens the daemon's TCP listeners. Tests swap it to hand over
+// listeners they opened in advance, so no other process can take a
+// port between its reservation and the daemon's bind.
+var listen = net.Listen
+
 // metricsMux builds the operator HTTP surface: Prometheus text on
 // /metrics, this node's span ring as a Perfetto-ready trace on
 // /debug/trace, pprof, the SLO verdict on /healthz (with -slo-p99), and
@@ -243,7 +248,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		}
 		tcp = stringoram.NewTCPServer(srv)
 	}
-	ln, err := net.Listen("tcp", listenAddr)
+	ln, err := listen("tcp", listenAddr)
 	if err != nil {
 		srv.Close()
 		return err
@@ -272,7 +277,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	var metricsSrv *http.Server
 	if *metricsAddr != "" {
 		mux := metricsMux(srv, node, slo)
-		mln, err := net.Listen("tcp", *metricsAddr)
+		mln, err := listen("tcp", *metricsAddr)
 		if err != nil {
 			srv.Close()
 			return fmt.Errorf("-metrics: %w", err)

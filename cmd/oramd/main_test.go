@@ -55,6 +55,42 @@ func startDaemon(t *testing.T, args []string) (addr string, stop context.CancelF
 	return addr, cancel, done, out
 }
 
+// reserveListeners opens n loopback listeners and returns their
+// addresses. It keeps them open and hands each to the daemon through
+// listen when the daemon binds its address, so the ports stay held
+// from reservation to use; any the daemon never takes close at cleanup.
+func reserveListeners(t *testing.T, n int) []string {
+	t.Helper()
+	var mu sync.Mutex
+	held := make(map[string]net.Listener)
+	t.Cleanup(func() {
+		listen = net.Listen
+		for _, ln := range held {
+			ln.Close()
+		}
+	})
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Skipf("loopback listen unavailable: %v", err)
+		}
+		addrs[i] = ln.Addr().String()
+		held[addrs[i]] = ln
+	}
+	listen = func(network, addr string) (net.Listener, error) {
+		mu.Lock()
+		ln, ok := held[addr]
+		delete(held, addr)
+		mu.Unlock()
+		if ok {
+			return ln, nil
+		}
+		return net.Listen(network, addr)
+	}
+	return addrs
+}
+
 // syncWriter makes the daemon's log buffer safe to read after shutdown
 // while run is still writing from the test goroutine.
 type syncWriter struct {
@@ -202,7 +238,7 @@ func TestMetricsMuxEndpoints(t *testing.T) {
 	}
 	for _, want := range []string{
 		`server_requests_total{shard="0",op="put"}`,
-		`oram_stash_blocks{shard="1"}`,
+		`oram_accesses_total{shard="1"}`,
 		"server_queue_depth",
 	} {
 		if !strings.Contains(string(body), want) {
@@ -292,22 +328,9 @@ func TestMetricsMuxEndpoints(t *testing.T) {
 // daemon's flag surface, routes traffic with the cluster-aware client,
 // and checks the placement table the metrics listener exposes.
 func TestDaemonClusterThreeNodes(t *testing.T) {
-	addrs := make([]string, 3)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Skipf("loopback listen unavailable: %v", err)
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-	}
+	reserved := reserveListeners(t, 4)
+	addrs, maddr := reserved[:3], reserved[3]
 	peersFlag := fmt.Sprintf("n0=%s,n1=%s,n2=%s", addrs[0], addrs[1], addrs[2])
-	mln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback listen unavailable: %v", err)
-	}
-	maddr := mln.Addr().String()
-	mln.Close()
 
 	stops := make([]context.CancelFunc, 3)
 	dones := make([]chan error, 3)
@@ -387,12 +410,7 @@ func TestDaemonClusterBadFlags(t *testing.T) {
 // scrapes it, then verifies the graceful drain shuts that listener down
 // (connections are refused after shutdown completes).
 func TestDaemonMetricsDrain(t *testing.T) {
-	mln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback listen unavailable: %v", err)
-	}
-	maddr := mln.Addr().String()
-	mln.Close()
+	maddr := reserveListeners(t, 1)[0]
 
 	addr, stop, done, _ := startDaemon(t, []string{"-shards", "1", "-levels", "8", "-metrics", maddr})
 	c, err := stringoram.DialServer(addr)

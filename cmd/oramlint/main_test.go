@@ -133,7 +133,7 @@ func TestRunJSON(t *testing.T) {
 // module outside internal/analysis (whose fixtures exercise the rule).
 // It only ever goes down: a new telemetry sink of secret state is
 // removed, not allowed.
-const maxTelemetryAllows = 2
+const maxTelemetryAllows = 1
 
 // TestSecretTelemetryAllowRatchet counts the module's
 // //oramlint:allow secret-telemetry directives, read as comments.

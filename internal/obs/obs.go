@@ -336,7 +336,7 @@ func (r *Registry) register(name, help, kind string, build func() any) any {
 }
 
 // Counter registers (or finds) a counter series. name may carry a label
-// block: `oram_green_fetches_total{shard="0"}`. Returns nil on a nil
+// block: `server_requests_total{shard="0",op="get"}`. Returns nil on a nil
 // registry, making the counter a no-op.
 func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {

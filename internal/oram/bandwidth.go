@@ -49,7 +49,7 @@ func MeasuredBandwidth(s Stats) Bandwidth {
 		return Bandwidth{}
 	}
 	total := float64(s.ReadPathBlocks + s.EvictBlocks + s.ReshuffleBlocks)
-	online := float64(s.ReadPathBlocks) / float64(maxI64(s.ReadPaths+s.DummyReadPaths, 1))
+	online := float64(s.ReadPathBlocks) / float64(maxI64(s.ReadPaths+s.BackgroundDummyReads, 1))
 	return Bandwidth{Online: online, Overall: total / accesses}
 }
 

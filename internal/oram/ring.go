@@ -299,7 +299,6 @@ func (r *Ring) access(id BlockID, write bool, data []byte) ([]byte, []Op, error)
 	// bus-visible behaviour is identical in all cases.
 	readPath, haveTarget := r.pos.Lookup(id)
 	if r.stash.Contains(id) { //oramlint:allow secret-branch both arms issue one full read path; a stash hit only redirects it to a fresh random path, indistinguishable on the bus
-		r.stats.StashHits++
 		haveTarget = false
 	}
 	//oramlint:allow secret-branch both arms issue one full read path: an unmapped or stashed block reads a fresh uniform path, a mapped one its uniform assigned path, indistinguishable on the bus
@@ -308,6 +307,7 @@ func (r *Ring) access(id BlockID, write bool, data []byte) ([]byte, []Op, error)
 	}
 
 	r.readPathOp(OpReadPath, readPath, id, haveTarget)
+	r.stats.ReadPaths++
 
 	// Remap-on-access: the block gets a fresh path and logically lives
 	// in the stash until an eviction pushes it back into the tree.
@@ -472,11 +472,6 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 		}
 		op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: lvl, Slot: slot, Write: false})
 	}
-	if kind == OpReadPath {
-		r.stats.ReadPaths++
-	} else {
-		r.stats.DummyReadPaths++
-	}
 	r.stats.ReadPathBlocks += int64(len(op.Accesses))
 }
 
@@ -490,7 +485,6 @@ func (r *Ring) earlyReshuffleOp(idx int64, level int) {
 	r.refillBucket(op, idx, level, b, r.readBucketOp(op, idx, level, b))
 
 	r.stats.EarlyReshuffles++
-	r.stats.ReshuffledBuckets++
 	r.stats.ReshuffleBlocks += int64(len(op.Accesses))
 }
 

@@ -104,14 +104,11 @@ type Stats struct {
 	Reads  int64
 	Writes int64
 
-	// Operations issued.
+	// Operations issued. ReadPaths counts the read paths that serve a
+	// request; BackgroundDummyReads counts the others.
 	ReadPaths       int64
-	DummyReadPaths  int64
 	EvictPaths      int64
 	EarlyReshuffles int64
-	// Buckets rewritten by early reshuffles (an OpEarlyReshuffle may
-	// cover several buckets on one path).
-	ReshuffledBuckets int64
 
 	// Physical block accesses, split by operation kind.
 	ReadPathBlocks  int64
@@ -123,9 +120,7 @@ type Stats struct {
 	BackgroundEvictions  int64 // evictions triggered by stash pressure
 	BackgroundDummyReads int64 // dummy read paths issued to reach the A boundary
 
-	// Stash telemetry.
-	StashPeak int64 // maximum occupancy observed
-	StashHits int64 // requests served while the block sat in the stash
+	StashPeak int64 // maximum stash occupancy observed
 }
 
 // GreenPerReadPath returns the average number of green blocks fetched per

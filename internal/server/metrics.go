@@ -193,7 +193,7 @@ func (s *Server) Metrics() Metrics {
 			out.MaxBatch = mb
 		}
 		out.Keys += int(sh.m.keys.Value())
-		st := sh.record().stats
+		st := sh.record()
 		out.ORAMAccesses += uint64(st.Reads + st.Writes)
 		out.SlotAccesses += uint64(slotAccesses(&st))
 		out.LatencySamples += int64(sh.m.latSecs.AddCounts(lat[:]))
@@ -216,7 +216,7 @@ func (s *Server) ShardStats() []oram.Stats {
 	defer s.mu.RUnlock()
 	out := make([]oram.Stats, len(s.shards))
 	for i, sh := range s.shards {
-		out[i] = sh.record().stats
+		out[i] = sh.record()
 	}
 	return out
 }
@@ -226,21 +226,24 @@ func slotAccesses(st *oram.Stats) int64 {
 	return st.ReadPathBlocks + st.EvictBlocks + st.ReshuffleBlocks
 }
 
-// ringRecord returns hosted shard id's published record, the zero record
+// ringStats returns hosted shard id's published Ring counters, zero
 // when the shard is not hosted.
-func (s *Server) ringRecord(id int) (rec busOp) {
+func (s *Server) ringStats(id int) (st oram.Stats) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if sh := s.byID[id]; sh != nil {
-		rec = sh.record()
+		st = sh.record()
 	}
-	return rec
+	return st
 }
 
-// ringSeries registers shard id's Ring series. Each reads the shard's
-// published record at scrape time, so the exposition, Metrics and
-// ShardStats cannot disagree: cumulative over the shard's life, carried
-// through snapshots, 0 while the shard is not hosted.
+// ringSeries registers shard id's Ring series. Only counts of bus
+// operations the bus itself tells apart are exported: every read path,
+// dummy or not, is one read path there, and stash and Compact Bucket
+// state never reach it. Each series reads the shard's published record
+// at scrape time, so the exposition, Metrics and ShardStats cannot
+// disagree: cumulative over the shard's life, carried through
+// snapshots, 0 while the shard is not hosted.
 func (s *Server) ringSeries(id int) {
 	name := func(fam, kind string) string {
 		if kind == "" {
@@ -254,23 +257,13 @@ func (s *Server) ringSeries(id int) {
 	}{
 		{"server_slot_accesses_total", "", "Physical slot accesses emitted.", slotAccesses},
 		{"oram_accesses_total", "", "ORAM accesses completed (reads and writes)", func(st *oram.Stats) int64 { return st.Reads + st.Writes }},
-		{"oram_stash_hits_total", "", "accesses served while the block sat in the stash", func(st *oram.Stats) int64 { return st.StashHits }},
-		{"oram_green_fetches_total", "", "Compact Bucket green blocks pulled into the stash in place of dummies", func(st *oram.Stats) int64 { return st.GreenFetches }},
 		{"oram_early_reshuffles_total", "", "buckets reshuffled after exhausting their S dummy budget", func(st *oram.Stats) int64 { return st.EarlyReshuffles }},
-		{"oram_background_evictions_total", "", "scheduled evictions issued by the background stash-drain loop", func(st *oram.Stats) int64 { return st.BackgroundEvictions }},
-		{"oram_background_dummy_reads_total", "", "dummy read paths issued by the background stash-drain loop", func(st *oram.Stats) int64 { return st.BackgroundDummyReads }},
-		{"oram_paths_total", "read", "read-path and eviction operations by kind", func(st *oram.Stats) int64 { return st.ReadPaths }},
-		{"oram_paths_total", "dummy", "read-path and eviction operations by kind", func(st *oram.Stats) int64 { return st.DummyReadPaths }},
+		{"oram_paths_total", "read", "read-path and eviction operations by kind", func(st *oram.Stats) int64 { return st.ReadPaths + st.BackgroundDummyReads }},
 		{"oram_paths_total", "evict", "read-path and eviction operations by kind", func(st *oram.Stats) int64 { return st.EvictPaths }},
 	} {
 		s.reg.CounterFunc(name(c.fam, c.kind), c.help, func() float64 {
-			st := s.ringRecord(id).stats
+			st := s.ringStats(id)
 			return float64(c.v(&st))
 		})
 	}
-	s.reg.GaugeFunc(name("oram_stash_peak_blocks", ""), "highest stash occupancy observed",
-		func() float64 { return float64(s.ringRecord(id).stats.StashPeak) })
-	//oramlint:allow secret-telemetry stash occupancy is the deliberately exported capacity signal: an aggregate over every resident block, not any per-block identity, that the deployment sizes dashboards and alerts on
-	s.reg.GaugeFunc(name("oram_stash_blocks", ""), "current stash occupancy in blocks",
-		func() float64 { return float64(s.ringRecord(id).stash) })
 }

@@ -1082,23 +1082,22 @@ func (sh *shard) serve(now time.Time, r *request) {
 // secret-dependent branching.
 type busOp struct {
 	stats oram.Stats
-	stash int `oramlint:"secret"` // stash occupancy in blocks
 }
 
 // publish copies the Ring's counters into the shard's record. Only the
 // worker calls it (or buildShard, before the worker starts).
 func (sh *shard) publish() {
-	rec := busOp{stats: sh.ring.Stats(), stash: sh.ring.StashLen()}
+	rec := busOp{stats: sh.ring.Stats()}
 	sh.recMu.Lock()
 	sh.rec = rec
 	sh.recMu.Unlock()
 }
 
-// record returns the shard's last published record.
-func (sh *shard) record() busOp {
+// record returns the Ring counters the shard last published.
+func (sh *shard) record() oram.Stats {
 	sh.recMu.Lock()
 	defer sh.recMu.Unlock()
-	return sh.rec
+	return sh.rec.stats
 }
 
 // access issues the single ORAM access a request maps to and finishes
