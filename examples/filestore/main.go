@@ -123,12 +123,14 @@ func main() {
 	fmt.Printf("bus profile so far: %d read paths, %d evictions (uniform %d accesses per file op)\n",
 		s.ReadPaths, s.EvictPaths, chunksPerFile)
 
-	// Checkpoint the whole store and resume it.
+	// Checkpoint the whole controller and resume it. The checkpoint holds
+	// plaintext (the stash and the cached tree top), so it belongs inside
+	// the trusted boundary.
 	var snap bytes.Buffer
 	if err := fs.ring.Save(&snap); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ncheckpointed the store: %d bytes (sealed blocks + metadata)\n", snap.Len())
+	fmt.Printf("\ncheckpointed the controller: %d bytes (sealed store blocks + plaintext stash and tree top + metadata)\n", snap.Len())
 
 	ring2, err := stringoram.LoadRing(&snap, key)
 	if err != nil {

@@ -110,6 +110,17 @@ func (o ORAM) EvictThreshold() int {
 	return o.StashSize * 9 / 10
 }
 
+// WithLevels returns the configuration on a tree of the given number of
+// levels, its tree-top cache shrunk to levels/3 when the configured one
+// would leave fewer than three uncached levels.
+func (o ORAM) WithLevels(levels int) ORAM {
+	o.Levels = levels
+	if o.TreeTopCacheLevels+2 >= levels {
+		o.TreeTopCacheLevels = levels / 3
+	}
+	return o
+}
+
 // Validate reports whether the ORAM parameters are internally consistent.
 func (o ORAM) Validate() error {
 	switch {
@@ -573,10 +584,7 @@ func (s System) WithPagePolicy(p PagePolicy) System {
 // exercising identical code paths. DRAM is shrunk proportionally.
 func ScaledDefault(levels int) System {
 	s := Default()
-	s.ORAM.Levels = levels
-	if levels <= s.ORAM.TreeTopCacheLevels+2 {
-		s.ORAM.TreeTopCacheLevels = levels / 3
-	}
+	s.ORAM = s.ORAM.WithLevels(levels)
 	// Shrink rows so the address space stays dense but sufficient.
 	need := s.ORAM.TotalCapacityBytes()
 	rowBytes := s.DRAM.RowBytes(s.ORAM.BlockSize)

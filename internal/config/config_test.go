@@ -354,6 +354,22 @@ func TestScaledDefaultValidates(t *testing.T) {
 	}
 }
 
+// TestWithLevelsScalesTreeTop pins the one tree-top sizing rule that
+// ScaledDefault and the server's DefaultORAM share: the default cache
+// (6 levels) stays while it leaves at least three uncached levels, and
+// shrinks to levels/3 otherwise.
+func TestWithLevelsScalesTreeTop(t *testing.T) {
+	for _, tc := range []struct{ levels, want int }{{2, 0}, {5, 1}, {8, 2}, {9, 6}, {24, 6}} {
+		o := Default().ORAM.WithLevels(tc.levels)
+		if o.Levels != tc.levels || o.TreeTopCacheLevels != tc.want {
+			t.Errorf("WithLevels(%d) = %d levels, %d cached; want %d cached", tc.levels, o.Levels, o.TreeTopCacheLevels, tc.want)
+		}
+		if got := ScaledDefault(tc.levels).ORAM.TreeTopCacheLevels; got != tc.want {
+			t.Errorf("ScaledDefault(%d) caches %d levels, want %d", tc.levels, got, tc.want)
+		}
+	}
+}
+
 func TestSchedulerKindString(t *testing.T) {
 	if SchedTransaction.String() != "transaction" {
 		t.Error("bad string for SchedTransaction")

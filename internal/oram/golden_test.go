@@ -67,11 +67,11 @@ func TestSealedBytesGolden(t *testing.T) {
 // treetop cache. The server's snapshot files and shard handoff wrap
 // these bytes. Save must keep emitting one [][]byte per touched store
 // bucket with nil for never-written slots, in ascending bucket order, and
-// every snapshot slice sorted by id. The treetop hash equals the compact
-// one by construction: the cache flushes to the bytes an uncached
-// controller wrote (TestTreetopSerialEquivalence).
+// every snapshot slice sorted by id. The treetop row keeps its cached
+// buckets in the Treetop field, never in the store, so its hash differs
+// from the compact row's; checkTreetopCheckpoint relates the two.
 //
-// The hashes were re-captured five times. Once when seals moved to
+// The hashes were re-captured six times. Once when seals moved to
 // position IVs and the checkpoint to version 2 without a write counter:
 // every sealed slot changed, and Load refuses version 1. Once when the
 // functional XOR read mode was deleted: gob's type descriptor lists field
@@ -87,11 +87,15 @@ func TestSealedBytesGolden(t *testing.T) {
 // lost DummyReadPaths, ReshuffledBuckets and StashHits, which changes
 // gob's type descriptor: each previous checkpoint, loaded and saved
 // again without those fields, hashes to its row's value here
-// (c0450b5b…, c8074707…, c0450b5b… before). A changed hash alone
-// does not break loading older checkpoints (gob skips fields it does not
-// know); TestLoadCheckpointCompat loads checkpoints an
-// earlier version saved and checks that they continue bit-identically,
-// or that Load refuses them by version.
+// (c0450b5b…, c8074707…, c0450b5b… before). And once when the cached
+// buckets left the store for the checkpoint's plaintext Treetop field and
+// the checkpoint moved to version 5: each new checkpoint, decoded, with
+// its Treetop dropped, each refilled cached bucket sealed back into Store
+// at its epoch, and re-encoded at version 4 without the field, hashes to
+// its row's previous value (cefe4622…, eb166713…, cefe4622…).
+// TestLoadCheckpointCompat loads checkpoints an earlier version saved and
+// checks that they continue bit-identically, or that Load refuses them by
+// version.
 func TestRingSaveBytesGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -99,9 +103,9 @@ func TestRingSaveBytesGolden(t *testing.T) {
 		uncached bool
 		want     string
 	}{
-		{name: "compact", y: 2, uncached: true, want: "cefe46220bdda3ebea38e539c77e66487ea84f61ebacd4707d78509a0a952f18"},
-		{name: "sealed-y0", y: 0, uncached: true, want: "eb16671324cd7001b9cadce13d54f6a40f545158c8830c5b75677e22cc762124"},
-		{name: "treetop", y: 2, want: "cefe46220bdda3ebea38e539c77e66487ea84f61ebacd4707d78509a0a952f18"},
+		{name: "compact", y: 2, uncached: true, want: "12dc3b011918a46e8363aa8ecf3396b06cb7b8d7501a58b88beb49b220e3efbc"},
+		{name: "sealed-y0", y: 0, uncached: true, want: "bd17563132f65833a542cc88a9efd7d990d25cdf469fc40a6269ce42be44d0f7"},
+		{name: "treetop", y: 2, want: "99530024c17cf4687af64739075dfa9fcf35a108a14645382ee3425fce834e8f"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallCfg(tc.y)

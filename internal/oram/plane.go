@@ -25,9 +25,9 @@ import (
 // metadata-only and never depends on block contents; the methods here
 // carry out the block movement those decisions imply, between the store,
 // the stash and the treetop cache. A refill seals a whole bucket under the
-// nonce of its position (Crypt), whether it seals the bucket at once
-// (writeBucket) or defers to the treetop cache, so the sealed bytes are
-// the same either way.
+// nonce of its position (Crypt) into the store (writeBucket), or, at a
+// cached level, keeps its plaintext in the treetop cache, the bucket's
+// one home.
 
 // treeScratch groups the buffers the core reuses across accesses so the
 // steady-state data plane allocates nothing. Everything here is owned by
@@ -359,9 +359,8 @@ func (c *treeCore) refillBucket(op *Op, idx int64, level int, b *Bucket, ids []B
 	if c.store != nil {
 		// Treetop elision: the eviction rewrites every slot of every
 		// bucket on its path regardless of contents, so absorbing the
-		// cached levels' uniform writes into controller memory (flushed
-		// at snapshot time as the same bucket write) changes no
-		// bus-visible behaviour; the bucket index is public.
+		// cached levels' uniform writes into controller memory changes
+		// no bus-visible behaviour; the bucket index is public.
 		if c.tt.cached(idx) {
 			c.ttWriteBucket(idx, srcs)
 		} else {
@@ -373,7 +372,8 @@ func (c *treeCore) refillBucket(op *Op, idx int64, level int, b *Bucket, ids []B
 			op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: level, Slot: s, Write: true})
 		}
 	}
-	// The plaintext was re-sealed into the store; recycle the buffers.
+	// The plaintext was sealed into the store or copied into the cache;
+	// recycle the buffers.
 	//oramlint:allow secret-branch recycles each placed block's buffer after the bucket write and emits nothing; the accesses above already covered every slot
 	for _, s := range targets {
 		c.putBlockBuf(srcs[s])

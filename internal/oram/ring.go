@@ -359,11 +359,6 @@ func (r *Ring) access(id BlockID, write bool, data []byte) ([]byte, []Op, error)
 	if n := int64(r.stash.Len()); n > r.stats.StashPeak { //oramlint:allow secret-branch statistics only, after all ops are emitted
 		r.stats.StashPeak = n
 	}
-	if invariant.Enabled {
-		// Treetop consistency: cached plaintext must always match a
-		// fresh decrypted read of the same buckets.
-		r.verifyTreetop()
-	}
 	return out, r.scr.ops, nil
 }
 

@@ -16,8 +16,10 @@ import (
 // slots under a sequential write counter, and version 2 stored an 8-byte
 // IV header with each slot; version 3 slots are bare BlockSize bytes
 // sealed under their bucket's position nonce, and version 4 trails the
-// gob body with its SHA-256 (checksum.Append). Load refuses all three.
-const snapshotVersion = 4
+// gob body with its SHA-256 (checksum.Append). Version 5 carries the
+// treetop cache's plaintext (ringSnap.Treetop) where version 4 stored the
+// cached buckets sealed. Load refuses all four.
+const snapshotVersion = 5
 
 // maxCheckpointBlock bounds the block size Load accepts: the sealer
 // allocates a block-sized buffer up front, and a checkpoint is outside
@@ -71,29 +73,28 @@ type ringSnap struct {
 	PosMap  []posSnap
 	Buckets []bucketSnap
 	Store   []storeSnap
+	// Treetop is the treetop cache's plaintext, one entry per cached slot
+	// in treetopCache.buf order, nil for the zero block.
+	Treetop [][]byte
 	Stats   Stats
 }
 
 // Save checkpoints the controller's complete state — configuration,
-// position map, stash (plaintext: the checkpoint itself must be stored
-// inside the trusted boundary or sealed by the caller), bucket metadata,
-// RNG streams, and, when the block store is a MemStore, the sealed slot
-// contents. A Ring restored with Load continues exactly where Save left
-// off, access for access.
+// position map, stash and treetop cache (plaintext: the checkpoint itself
+// must be stored inside the trusted boundary or sealed by the caller),
+// bucket metadata, RNG streams, and, when the block store is a MemStore,
+// the sealed slot contents. A Ring restored with Load continues exactly
+// where Save left off, access for access.
 //
-// Save fails for rings with a custom (non-MemStore) store, and writes
-// nothing to it: external storage persists independently and the caller
-// re-attaches it on Load. The gob body is followed by its SHA-256, which
-// Load checks before it decodes anything.
+// Save makes no store call. It fails for rings with a custom
+// (non-MemStore) store: external storage persists independently and the
+// caller re-attaches it on Load. The gob body is followed by its SHA-256,
+// which Load checks before it decodes anything.
 func (r *Ring) Save(w io.Writer) error {
 	ms, isMem := r.store.(*MemStore)
 	if r.store != nil && !isMem {
 		return fmt.Errorf("oram: Save supports nil or MemStore stores, got %T", r.store)
 	}
-	// A treetop cache may hold dirty buckets whose store bytes are stale;
-	// seal them back first so the serialized store is bit-identical to an
-	// uncached controller's.
-	r.flushTreetop()
 	snap := ringSnap{
 		Version:    snapshotVersion,
 		Cfg:        r.cfg,
@@ -123,6 +124,13 @@ func (r *Ring) Save(w io.Writer) error {
 		snap.Stash = append(snap.Stash, stashSnap{ID: id, Path: p, Data: data})
 	})
 	sort.Slice(snap.Stash, func(i, j int) bool { return snap.Stash[i].ID < snap.Stash[j].ID })
+	if r.tt != nil {
+		// Copied as the stash is: the cache's buffers are recycled too.
+		snap.Treetop = make([][]byte, len(r.tt.buf))
+		for i, d := range r.tt.buf {
+			snap.Treetop[i] = bytes.Clone(d)
+		}
+	}
 	r.pos.ForEach(func(id BlockID, p PathID) {
 		snap.PosMap = append(snap.PosMap, posSnap{ID: id, Path: p})
 	})
@@ -151,12 +159,11 @@ func (r *Ring) Save(w io.Writer) error {
 }
 
 // Load restores a Ring from a Save checkpoint. The restored ring
-// reconstructs its store from the checkpoint: rings saved with a
-// MemStore come back functional, their treetop cache re-warmed from the
-// store, and timing-only rings come back timing-only. A checkpoint whose
-// SHA-256 trailer does not match is refused before any of it is decoded;
-// one that names an earlier version (none of which had a trailer) is
-// refused by that version.
+// reconstructs its store and treetop cache from the checkpoint: rings
+// saved with a MemStore come back functional, and timing-only rings come
+// back timing-only. A checkpoint whose SHA-256 trailer does not match is
+// refused before any of it is decoded; one that names an earlier version
+// is refused by that version.
 //
 // key may be nil for timing-only or plaintext-store checkpoints; for
 // encrypted checkpoints it must be the 16-byte AES key the original ring
@@ -210,12 +217,24 @@ func Load(rd io.Reader, key []byte) (*Ring, error) {
 	tree := NewTree(snap.Cfg.Levels)
 	perBkt := snap.Cfg.SlotsPerBucket()
 	var store Store
+	var nCached int64 // the store never holds a cached bucket
+	if snap.HasStore {
+		nCached = treetopBuckets(snap.Cfg.TreeTopCacheLevels)
+	}
+	if int64(len(snap.Treetop)) != nCached*int64(perBkt) {
+		return nil, fmt.Errorf("oram: checkpoint Treetop holds %d slots, want %d", len(snap.Treetop), nCached*int64(perBkt))
+	}
+	for i, d := range snap.Treetop {
+		if len(d) != 0 && len(d) != snap.Cfg.BlockSize {
+			return nil, fmt.Errorf("oram: checkpoint Treetop slot %d holds %d bytes, want %d", i, len(d), snap.Cfg.BlockSize)
+		}
+	}
 	if snap.HasStore {
 		ms := NewMemStore(perBkt)
 		for _, s := range snap.Store {
 			switch {
-			case s.Bucket < 0 || s.Bucket >= tree.Buckets():
-				return nil, fmt.Errorf("oram: checkpoint Store.Bucket %d outside the tree's %d buckets", s.Bucket, tree.Buckets())
+			case s.Bucket < nCached || s.Bucket >= tree.Buckets():
+				return nil, fmt.Errorf("oram: checkpoint Store.Bucket %d outside the tree's uncached buckets [%d, %d)", s.Bucket, nCached, tree.Buckets())
 			case len(s.Slots) != perBkt:
 				return nil, fmt.Errorf("oram: checkpoint bucket %d has %d slots, want %d", s.Bucket, len(s.Slots), perBkt)
 			case ms.buckets.get(s.Bucket) != nil:
@@ -286,6 +305,11 @@ func Load(rd io.Reader, key []byte) (*Ring, error) {
 	}
 	if store != nil {
 		r.attachTreetop()
+		for i, d := range snap.Treetop {
+			if len(d) != 0 { // gob decodes a nil slot as empty
+				r.tt.buf[i] = d
+			}
+		}
 	}
 	return r, nil
 }
@@ -309,9 +333,6 @@ func (r *Ring) Rekey(key []byte) error {
 	bs := r.cfg.BlockSize
 	var body []byte
 	ms.eachBucket(func(bkt int64, slots [][]byte) {
-		if r.tt.cached(bkt) && r.tt.dirty[bkt] {
-			return // stale bytes, never read: the flush seals the bucket under key
-		}
 		var epoch int // a stored bucket without metadata is never read
 		if b := r.buckets.get(bkt); b != nil {
 			epoch = b.Epoch

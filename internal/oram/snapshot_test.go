@@ -82,26 +82,33 @@ func TestSaveLoadContinuation(t *testing.T) {
 }
 
 // TestLoadCheckpointCompat loads checkpoints an earlier version of this
-// package saved. All six are 5-level sealed rings (seed 4242) after
-// genTrace(300, 31). The version-4 ones, ring-v4-y2.ckpt with Compact
-// Bucket (Y = 2) and ring-v4-y0.ckpt without it, must continue exactly as
-// the saving version continued them: the hashes cover the responses and
-// op lists of genTrace(400, 2025) and then every stored slot (after a
-// flush of the treetop cache), and were captured by the version-3 code
-// from the ring it saved as ring-v3-y2.ckpt and ring-v3-y0.ckpt; the
-// version-4 files are those checkpoints loaded and saved again. Every
-// earlier checkpoint lacks the SHA-256 trailer and must be refused by
-// version: the version-3 ones, and the version-2 ones, ring-y2.ckpt
-// (Y = 2) and ring-xor.ckpt (Y = 0, under the since-deleted XOR read
-// mode), which also store an 8-byte IV header with every slot.
+// package saved. All eight are 5-level sealed rings (seed 4242) after
+// genTrace(300, 31). The version-5 ones, ring-v5-y2.ckpt with Compact
+// Bucket (Y = 2) and ring-v5-y0.ckpt without it, must continue exactly as
+// the saving version continued them. The version-5 files are the
+// version-4 ones of the same name with each stored cached bucket opened
+// at its metadata epoch into the Treetop field, and the version-4 files
+// are the version-3 ones loaded and saved again. The trace hash covers
+// the responses and op lists of genTrace(400, 2025); the version-4 code
+// computes the same value from the version-4 files. The state hash covers
+// every stored slot and then the treetop cache's plaintext after the
+// continuation; it was re-captured at version 5, and the version-4 code
+// gives the same value when it skips the cached buckets in its store.
+// Every earlier checkpoint must be refused by version: the version-4
+// ones, whose cached buckets sit in the store; the version-3 ones, which
+// lack the SHA-256 trailer; and the version-2 ones, ring-y2.ckpt (Y = 2)
+// and ring-xor.ckpt (Y = 0, under the since-deleted XOR read mode), which
+// also store an 8-byte IV header with every slot.
 func TestLoadCheckpointCompat(t *testing.T) {
-	for _, tc := range []struct{ file, want string }{
-		{"ring-v4-y2.ckpt", "a7cdebdf36ee9fd5ccacc296633e9ac2b8aa7a22a7df8d5546235197b998872e"},
-		{"ring-v4-y0.ckpt", "2150ae11949d88b0665bcdb1890cbf1a2a36643984e5a3f9b9aa942f615724a9"},
-		{"ring-v3-y2.ckpt", "version 3"},
-		{"ring-v3-y0.ckpt", "version 3"},
-		{"ring-y2.ckpt", "version 2"},
-		{"ring-xor.ckpt", "version 2"},
+	for _, tc := range []struct{ file, trace, state string }{
+		{"ring-v5-y2.ckpt", "9638900a9c5c547a8194a3280cd65574c0e64cd643515a5b251eeed440d5ae86", "ebeb1d2b6315c25695e7d612fa9d452163813d23cc03cddaafaeea8450884d13"},
+		{"ring-v5-y0.ckpt", "1384c332d591ecf38326aa8b00ff886354d27962f676e954b9f711ce03a36cad", "07c0c984cbb7bd86b47b3c9d37b528ad5a14aa756b5c61038643c9cba7c8730e"},
+		{"ring-v4-y2.ckpt", "version 4", ""},
+		{"ring-v4-y0.ckpt", "version 4", ""},
+		{"ring-v3-y2.ckpt", "version 3", ""},
+		{"ring-v3-y0.ckpt", "version 3", ""},
+		{"ring-y2.ckpt", "version 2", ""},
+		{"ring-xor.ckpt", "version 2", ""},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			data, err := os.ReadFile(filepath.Join("testdata", tc.file))
@@ -109,8 +116,8 @@ func TestLoadCheckpointCompat(t *testing.T) {
 				t.Fatal(err)
 			}
 			r, err := Load(bytes.NewReader(data), testKey())
-			if strings.HasPrefix(tc.want, "version ") {
-				if want := fmt.Sprintf("checkpoint %s, want %d", tc.want, snapshotVersion); err == nil || !strings.Contains(err.Error(), want) {
+			if strings.HasPrefix(tc.trace, "version ") {
+				if want := fmt.Sprintf("checkpoint %s, want %d", tc.trace, snapshotVersion); err == nil || !strings.Contains(err.Error(), want) {
 					t.Fatalf("Load = %v, want an error naming %q", err, want)
 				}
 				return
@@ -131,7 +138,10 @@ func TestLoadCheckpointCompat(t *testing.T) {
 					}
 				}
 			}
-			r.flushTreetop()
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.trace {
+				t.Fatalf("continuation of %s diverged:\n got %s\nwant %s", tc.file, got, tc.trace)
+			}
+			h.Reset()
 			r.store.(*MemStore).eachBucket(func(bkt int64, slots [][]byte) {
 				binary.Write(h, binary.BigEndian, bkt)
 				for _, s := range slots {
@@ -139,8 +149,12 @@ func TestLoadCheckpointCompat(t *testing.T) {
 					h.Write(s)
 				}
 			})
-			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
-				t.Fatalf("continuation of %s diverged:\n got %s\nwant %s", tc.file, got, tc.want)
+			for _, s := range r.tt.buf {
+				binary.Write(h, binary.BigEndian, int64(len(s)))
+				h.Write(s)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.state {
+				t.Fatalf("state after the continuation of %s diverged:\n got %s\nwant %s", tc.file, got, tc.state)
 			}
 			if err := r.CheckInvariants(); err != nil {
 				t.Fatal(err)
@@ -248,7 +262,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 // checkpointForLoadTests returns the bytes of a valid sealed checkpoint
-// with a populated store, bucket table, position map and stash.
+// with a populated store, bucket table, position map, stash and tree top.
 func checkpointForLoadTests(t testing.TB) []byte {
 	cfg := smallCfg(2)
 	crypt, err := NewCrypt(testKey(), cfg.BlockSize)
@@ -263,6 +277,9 @@ func checkpointForLoadTests(t testing.TB) []byte {
 		if _, err := r.Write(BlockID(i%10), blockData(cfg, BlockID(i%10), i)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if !slices.ContainsFunc(r.tt.buf, func(d []byte) bool { return d != nil }) {
+		t.Fatal("the tree top holds no block")
 	}
 	var buf bytes.Buffer
 	if err := r.Save(&buf); err != nil {
@@ -297,9 +314,9 @@ func TestLoadRejectsBadIndices(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(valid)).Decode(&probe); err != nil {
 		t.Fatal(err)
 	}
-	if len(probe.Store) == 0 || len(probe.Buckets) == 0 || len(probe.PosMap) == 0 || len(probe.Stash) == 0 {
-		t.Fatalf("checkpoint lacks a section: %d store buckets, %d buckets, %d mappings, %d stashed",
-			len(probe.Store), len(probe.Buckets), len(probe.PosMap), len(probe.Stash))
+	if len(probe.Store) == 0 || len(probe.Buckets) == 0 || len(probe.PosMap) == 0 || len(probe.Stash) == 0 || len(probe.Treetop) == 0 {
+		t.Fatalf("checkpoint lacks a section: %d store buckets, %d buckets, %d mappings, %d stashed, %d tree-top slots",
+			len(probe.Store), len(probe.Buckets), len(probe.PosMap), len(probe.Stash), len(probe.Treetop))
 	}
 	tree := NewTree(probe.Cfg.Levels)
 	for _, tc := range []struct {
@@ -312,6 +329,11 @@ func TestLoadRejectsBadIndices(t *testing.T) {
 		{"store bucket 2^60", func(s *ringSnap) { s.Store[0].Bucket = 1 << 60 }, "Store.Bucket"},
 		{"store bucket twice", func(s *ringSnap) { s.Store = append(s.Store, s.Store[0]) }, "Store.Bucket"},
 		{"store slot length", func(s *ringSnap) { s.Store[0].Slots[0] = []byte{1, 2, 3} }, "Store bucket"},
+		// The store never holds a cached bucket: its one home is the
+		// checkpoint's Treetop.
+		{"store bucket cached", func(s *ringSnap) { s.Store[0].Bucket = 0 }, "Store.Bucket"},
+		{"treetop slot count", func(s *ringSnap) { s.Treetop = s.Treetop[1:] }, "Treetop holds"},
+		{"treetop slot length", func(s *ringSnap) { s.Treetop[0] = []byte{1, 2, 3} }, "Treetop slot"},
 		{"bucket index negative", func(s *ringSnap) { s.Buckets[0].Index = -7 }, "Buckets.Index"},
 		{"bucket index one past the tree", func(s *ringSnap) { s.Buckets[0].Index = tree.Buckets() }, "Buckets.Index"},
 		{"bucket index 2^60", func(s *ringSnap) { s.Buckets[0].Index = 1 << 60 }, "Buckets.Index"},
@@ -455,8 +477,7 @@ func TestLoadRejectsInconsistentBuckets(t *testing.T) {
 }
 
 // TestSaveRejectsCustomStore: Save refuses a store it cannot serialize,
-// and the refusal writes nothing to it, not even the dirty cached buckets
-// a successful Save would flush.
+// and the refusal writes nothing to it.
 func TestSaveRejectsCustomStore(t *testing.T) {
 	cfg := smallCfg(0)
 	r, err := NewRing(cfg, 2, &Options{Store: customStore{}})
@@ -474,9 +495,6 @@ func TestSaveRejectsCustomStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	runSerialTrace(t, r, cfg, genTrace(100, 0x5afe))
-	if !slices.Contains(r.tt.dirty, true) {
-		t.Fatal("no cached bucket is dirty; a flush would write nothing")
-	}
 	ts.log = ts.log[:0]
 	if err := r.Save(&buf); err == nil {
 		t.Fatal("custom store accepted by Save")
@@ -486,6 +504,50 @@ func TestSaveRejectsCustomStore(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("a refused Save wrote %d bytes", buf.Len())
+	}
+}
+
+// TestSaveIsStoreSilent: the tree top is trusted state, not a write-back
+// cache of the store, so Save leaves the store exactly as it found it
+// even when the cache holds refilled buckets the store never saw. The
+// ring runs on a traceStore, which shows that serving kept the cached
+// buckets off the bus; Save serializes only a MemStore, so across Save
+// the check is the MemStore itself: no bucket appears and no byte
+// changes.
+func TestSaveIsStoreSilent(t *testing.T) {
+	cfg := smallCfg(2)
+	ms := NewMemStore(cfg.SlotsPerBucket())
+	ts := &traceStore{inner: ms}
+	crypt, err := NewCrypt(testKey(), cfg.BlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRing(cfg, 0x51e7, &Options{Store: ts, Crypt: crypt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runSerialTrace(t, r, cfg, genTrace(300, 0x51e7))
+	for _, op := range ts.log {
+		if r.tt.cached(op.bucket) {
+			t.Fatalf("serving touched cached bucket %d in the store", op.bucket)
+		}
+	}
+	if !slices.ContainsFunc(r.tt.buf, func(d []byte) bool { return d != nil }) {
+		t.Fatal("the cache holds no refilled slot; the check is vacuous")
+	}
+	contents := func() (n int, all [][]byte) {
+		ms.eachBucket(func(bkt int64, slots [][]byte) {
+			for _, d := range slots {
+				all = append(all, bytes.Clone(d))
+			}
+		})
+		return ms.TouchedBuckets(), all
+	}
+	n, before := contents()
+	r.store = ms // Save serializes only a MemStore
+	saveBytes(t, r)
+	if m, after := contents(); m != n || !slices.EqualFunc(before, after, bytes.Equal) {
+		t.Fatalf("Save changed the store: %d buckets before, %d after", n, m)
 	}
 }
 

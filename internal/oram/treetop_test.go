@@ -3,11 +3,14 @@ package oram
 import (
 	"bytes"
 	"crypto/subtle"
+	"encoding/gob"
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 
+	"stringoram/internal/checksum"
 	"stringoram/internal/config"
 	"stringoram/internal/invariant"
 )
@@ -43,8 +46,8 @@ func variantOptions(t testing.TB, cfg config.ORAM, plain bool) *Options {
 // newUncachedRing builds a Ring from opts and detaches its treetop cache:
 // the uncached controller, whose every cached-level fetch and refill goes
 // to the store, is the reference the treetop oracles compare the cache
-// against, and it exists only in tests. Right after NewRing on a fresh
-// store the cache is empty and clean, so dropping it loses nothing.
+// against, and it exists only in tests. Right after NewRing the cache is
+// empty, so dropping it loses nothing.
 func newUncachedRing(t testing.TB, cfg config.ORAM, seed uint64, opts *Options) *Ring {
 	t.Helper()
 	r, err := NewRing(cfg, seed, opts)
@@ -148,12 +151,93 @@ var treetopVariants = []struct {
 	{name: "plaintext", plain: true, y: 0},
 }
 
+// checkTreetopCheckpoint is the treetop oracle on checkpoints: the cached
+// ring's checkpoint (got) must equal the uncached reference's (want, from
+// newUncachedRing) in every field, except that the reference's Store
+// entries for cached buckets appear in got as Treetop plaintext, opened
+// at each bucket's metadata epoch under testKey. A nil slot on either
+// side is the zero block.
+func checkTreetopCheckpoint(t *testing.T, want, got []byte) {
+	t.Helper()
+	var ref, cached ringSnap
+	for _, c := range []struct {
+		data []byte
+		snap *ringSnap
+	}{{want, &ref}, {got, &cached}} {
+		body, err := checksum.Strip(c.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(c.snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := ref.Cfg
+	per, nCached := cfg.SlotsPerBucket(), treetopBuckets(cfg.TreeTopCacheLevels)
+	epochs := make(map[int64]int)
+	for _, b := range ref.Buckets {
+		epochs[b.Index] = b.Epoch
+	}
+	var crypt *Crypt
+	if ref.HasCrypt {
+		var err error
+		if crypt, err = NewCrypt(testKey(), cfg.BlockSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	top := make([][]byte, nCached*int64(per)) // the reference's tree top, opened
+	var store []storeSnap
+	for _, e := range ref.Store {
+		if e.Bucket >= nCached {
+			store = append(store, e)
+			continue
+		}
+		for s, sealed := range e.Slots {
+			if sealed == nil {
+				continue
+			}
+			plain := bytes.Clone(sealed)
+			if crypt != nil {
+				crypt.cryptAt(plain, sealed, e.Bucket, epochs[e.Bucket], s)
+			}
+			top[int(e.Bucket)*per+s] = plain
+		}
+	}
+	if len(cached.Treetop) != len(top) {
+		t.Fatalf("cached checkpoint holds %d tree-top slots, want %d", len(cached.Treetop), len(top))
+	}
+	zero, refilled := make([]byte, cfg.BlockSize), 0
+	orZero := func(d []byte) []byte {
+		if len(d) == 0 {
+			return zero
+		}
+		return d
+	}
+	for i, d := range cached.Treetop {
+		if !bytes.Equal(orZero(d), orZero(top[i])) {
+			t.Fatalf("tree-top bucket %d slot %d: cached %x, the reference's store opens to %x", i/per, i%per, d, top[i])
+		}
+		if d != nil {
+			refilled++
+		}
+	}
+	if refilled == 0 {
+		t.Fatal("the cached checkpoint's tree top is empty; the comparison is vacuous")
+	}
+	ref.Store, ref.Treetop, cached.Treetop = store, nil, nil
+	rv, cv := reflect.ValueOf(ref), reflect.ValueOf(cached)
+	for i := range rv.NumField() {
+		if !reflect.DeepEqual(rv.Field(i).Interface(), cv.Field(i).Interface()) {
+			t.Fatalf("checkpoint field %s diverged from the uncached reference's", rv.Type().Field(i).Name)
+		}
+	}
+}
+
 // TestTreetopSerialEquivalence is the cache's core oracle: a functional
 // ring, which caches its tree top, must return byte-identical responses,
-// emit identical op lists, and Save a byte-identical checkpoint (the
-// flush seals each dirty bucket at its slots' position IVs, so even the
-// sealed store bytes match) versus the uncached reference
-// (newUncachedRing) fed the same trace.
+// emit identical op lists, and Save the checkpoint of the uncached
+// reference (newUncachedRing) fed the same trace, with the cached buckets
+// in the tree top instead of the store (checkTreetopCheckpoint).
 func TestTreetopSerialEquivalence(t *testing.T) {
 	const seed = 0x7e340
 	for _, v := range treetopVariants {
@@ -178,9 +262,7 @@ func TestTreetopSerialEquivalence(t *testing.T) {
 					t.Fatalf("step %d (%+v): cached op list diverged", i, trace[i])
 				}
 			}
-			if !bytes.Equal(saveBytes(t, uncached), saveBytes(t, cached)) {
-				t.Fatal("cached ring's checkpoint diverged from the uncached oracle")
-			}
+			checkTreetopCheckpoint(t, saveBytes(t, uncached), saveBytes(t, cached))
 		})
 	}
 }
@@ -366,11 +448,11 @@ func checkStoreTraceWithinOpList(t *testing.T, cfg config.ORAM) {
 	}
 }
 
-// TestTreetopSnapshotRoundTrip checks the flush discipline end to end:
-// a checkpoint taken while the cache is dirty must be bit-identical to
-// the uncached reference's; a ring restored from it (Load re-warms the
-// cache) must continue bit-identically through more traffic and a second
-// checkpoint.
+// TestTreetopSnapshotRoundTrip checks the tree top's one home end to
+// end: a checkpoint taken mid-stream must match the uncached reference's
+// (checkTreetopCheckpoint); a ring restored from it (Load restores the
+// cache from the checkpoint) must continue bit-identically through more
+// traffic and a second checkpoint.
 func TestTreetopSnapshotRoundTrip(t *testing.T) {
 	const seed = 0x5a7e
 	cfg := smallCfg(2)
@@ -382,13 +464,9 @@ func TestTreetopSnapshotRoundTrip(t *testing.T) {
 	runSerialTrace(t, uncached, cfg, trace[:300])
 	runSerialTrace(t, cached, cfg, trace[:300])
 
-	// Mid-stream: the cache holds dirty slots now. Save must flush them
-	// into a checkpoint identical to the uncached controller's.
-	wantSnap := saveBytes(t, uncached)
+	// Mid-stream: the cache holds refilled buckets the store never saw.
 	gotSnap := saveBytes(t, cached)
-	if !bytes.Equal(wantSnap, gotSnap) {
-		t.Fatal("dirty-cache checkpoint diverged from the uncached oracle")
-	}
+	checkTreetopCheckpoint(t, saveBytes(t, uncached), gotSnap)
 
 	restored, err := Load(bytes.NewReader(gotSnap), testKey())
 	if err != nil {
@@ -408,52 +486,24 @@ func TestTreetopSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("post-restore step %d: op list diverged", i)
 		}
 	}
-	if !bytes.Equal(saveBytes(t, uncached), saveBytes(t, restored)) {
-		t.Fatal("post-restore checkpoint diverged from the uncached oracle")
-	}
+	checkTreetopCheckpoint(t, saveBytes(t, uncached), saveBytes(t, restored))
 }
 
-// TestRekeyReseals pins Ring.Rekey, taken mid-trace with dirty cached
-// buckets (which it leaves to their flush), with Compact Bucket (Y = 2)
-// and without it (Y = 0): the rekeyed ring serves the rest of the trace
-// exactly as its twin without Rekey does, every stored slot is resealed
-// (it differs from the twin's at the same position), and the checkpoint
-// opens under the new key.
+// TestRekeyReseals pins Ring.Rekey, taken mid-trace, with Compact
+// Bucket (Y = 2) and without it (Y = 0): the rekeyed ring serves the rest
+// of the trace exactly as its twin without Rekey does, every stored slot
+// is resealed (it differs from the twin's at the same position), and the
+// checkpoint opens under the new key.
 func TestRekeyReseals(t *testing.T) {
 	trace := genTrace(600, 0x4e4b)
 	key := RingKey(testKey(), 1, NewSalt())
 	for _, y := range []int{2, 0} {
 		cfg := smallCfg(y)
 		twin, r := newTreetopRing(t, cfg, 9, false), newTreetopRing(t, cfg, 9, false)
-		// A flush halfway leaves the cached buckets refilled since then
-		// dirty over stored bytes that are stale. Rekey must leave those
-		// to the flush, which seals the bucket under the new key;
-		// resealing them too would seal two bodies under one nonce.
-		for _, ring := range []*Ring{twin, r} {
-			runSerialTrace(t, ring, cfg, trace[:150])
-			ring.flushTreetop()
-			runSerialTrace(t, ring, cfg, trace[150:300])
-		}
-		stale := make(map[int64][]byte)
-		for idx, dirty := range r.tt.dirty {
-			for s := 0; dirty && s < r.tt.slots; s++ {
-				stale[int64(idx)] = append(stale[int64(idx)], r.store.ReadSlot(int64(idx), s)...)
-			}
-		}
+		runSerialTrace(t, twin, cfg, trace[:300])
+		runSerialTrace(t, r, cfg, trace[:300])
 		if err := r.Rekey(key); err != nil {
 			t.Fatal(err)
-		}
-		for idx, old := range stale {
-			var cur []byte
-			for s := 0; s < r.tt.slots; s++ {
-				cur = append(cur, r.store.ReadSlot(idx, s)...)
-			}
-			if !bytes.Equal(old, cur) {
-				t.Fatalf("y=%d: Rekey resealed dirty cached bucket %d", y, idx)
-			}
-		}
-		if len(stale) == 0 || len(stale[0]) == 0 {
-			t.Fatalf("y=%d: the root is not dirty over stored bytes at Rekey", y)
 		}
 		want, got := runSerialTrace(t, twin, cfg, trace[300:]), runSerialTrace(t, r, cfg, trace[300:])
 		for i := range want {
@@ -461,8 +511,6 @@ func TestRekeyReseals(t *testing.T) {
 				t.Fatalf("y=%d: step %d after Rekey diverged from the twin", y, 300+i)
 			}
 		}
-		twin.flushTreetop()
-		r.flushTreetop()
 		stored := 0
 		twin.store.(*MemStore).eachBucket(func(bkt int64, slots [][]byte) {
 			for s, old := range slots {

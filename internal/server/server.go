@@ -194,11 +194,7 @@ type Config struct {
 // number of levels, no warm fill (the tree starts empty and holds only
 // real application data), and a tree-top cache scaled to the height.
 func DefaultORAM(levels int) config.ORAM {
-	o := config.Default().ORAM
-	o.Levels = levels
-	if o.TreeTopCacheLevels+2 >= levels {
-		o.TreeTopCacheLevels = levels / 3
-	}
+	o := config.Default().ORAM.WithLevels(levels)
 	o.WarmFill = 0
 	return o
 }
@@ -1442,6 +1438,22 @@ func (sh *shard) restoreBytes(data []byte, cfg Config) error {
 		return fmt.Errorf("server: snapshot is shard %d of %d, want shard %d of %d (re-sharding requires a fresh directory)",
 			snap.ShardID, snap.Shards, sh.id, cfg.TotalShards)
 	}
+	// The key directory is outside input too: a key on a block no Put
+	// allocated (the probe block among them), or two keys on one block,
+	// would serve one key's value for another.
+	nextID := max(oram.BlockID(snap.NextID), firstKeyID)
+	dir := make(map[string]oram.BlockID, len(snap.Dir))
+	owned := make(map[oram.BlockID]bool, len(snap.Dir))
+	for k, v := range snap.Dir {
+		id := oram.BlockID(v)
+		switch {
+		case id < firstKeyID || id >= nextID:
+			return fmt.Errorf("server: shard %d snapshot maps a key to block %d, outside the allocated [%d, %d)", sh.id, id, firstKeyID, nextID)
+		case owned[id]:
+			return fmt.Errorf("server: shard %d snapshot maps two keys to block %d", sh.id, id)
+		}
+		dir[k], owned[id] = id, true
+	}
 	ring, err := oram.Load(bytes.NewReader(snap.Ring), ringKey(cfg, sh.id, snap.Salt))
 	if err != nil {
 		return fmt.Errorf("server: shard %d restore: %w", sh.id, err)
@@ -1453,14 +1465,8 @@ func (sh *shard) restoreBytes(data []byte, cfg Config) error {
 		}
 	}
 	sh.ring = ring
-	sh.dir = make(map[string]oram.BlockID, len(snap.Dir))
-	for k, id := range snap.Dir {
-		sh.dir[k] = oram.BlockID(id)
-	}
-	sh.nextID = oram.BlockID(snap.NextID)
-	if sh.nextID < firstKeyID {
-		sh.nextID = firstKeyID
-	}
+	sh.dir = dir
+	sh.nextID = nextID
 	sh.appliedSeq = snap.AppliedSeq
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -236,6 +237,85 @@ func TestSnapshotBitFlipRefused(t *testing.T) {
 	}
 	// The unflipped bytes still attach and load, so each refusal above
 	// was the flip's doing.
+	if err := host.AttachShard(0, good, false); err != nil {
+		t.Fatalf("AttachShard refused the intact snapshot: %v", err)
+	}
+	if err := os.WriteFile(path, good, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s := mustNew(t, cfg)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestoreRejectsBadDirectory: a shard snapshot's key directory is
+// outside input like its ring checkpoint. A directory that maps two keys
+// to one block would serve one key's value for the other, and a Put to
+// either would overwrite both; one that maps a key outside the blocks
+// Puts allocated, [firstKeyID, NextID), points it at the probe block or
+// at the block of a later Put. Each row edits one defect into shard 0's
+// snapshot and re-encodes it under a fresh checksum: New over the file
+// and AttachShard over the bytes must both refuse it.
+func TestRestoreRejectsBadDirectory(t *testing.T) {
+	dir := t.TempDir()
+	cfg := writeSnapshots(t, dir)
+	path := snapshotPath(dir, 0)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := decodeShardSnap(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range probe.Dir {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if len(keys) < 2 {
+		t.Fatalf("shard 0 holds %d keys, want at least 2", len(keys))
+	}
+	host := mustNew(t, Config{TotalShards: cfg.Shards, ShardIDs: []int{1}, ORAM: cfg.ORAM,
+		Seed: cfg.Seed, QueueDepth: cfg.QueueDepth, MaxBatch: cfg.MaxBatch})
+	defer host.Close()
+
+	for _, tc := range []struct {
+		name string
+		edit func(s *shardSnap)
+		want string
+	}{
+		{"two keys on one block", func(s *shardSnap) { s.Dir[keys[1]] = s.Dir[keys[0]] }, "two keys"},
+		{"key on the probe block", func(s *shardSnap) { s.Dir[keys[0]] = int64(probeID) }, "outside the allocated"},
+		{"key at NextID", func(s *shardSnap) { s.Dir[keys[0]] = s.NextID }, "outside the allocated"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap, err := decodeShardSnap(good)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(&snap)
+			bad, err := encodeShardSnap(&snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := host.AttachShard(0, bad, false); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("AttachShard = %v, want an error naming %q", err, tc.want)
+			}
+			if err := os.WriteFile(path, bad, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			if s, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				if err == nil {
+					s.Close()
+				}
+				t.Fatalf("New = %v, want an error naming %q", err, tc.want)
+			}
+		})
+	}
+	// The unedited bytes attach and load, so each refusal above was the
+	// edit's doing.
 	if err := host.AttachShard(0, good, false); err != nil {
 		t.Fatalf("AttachShard refused the intact snapshot: %v", err)
 	}

@@ -119,16 +119,17 @@ for procs in 1 2 4; do
 	    ./internal/cluster ./internal/server ./internal/obs
 done
 
-echo "== data-plane goldens (sealed bytes, stored slots open at their position, treetop store trace, store trace within the op list, Path op trace, checkpoint bytes, earlier checkpoints, inconsistent checkpoints, bit-flipped checkpoints refused, buckets wider than 64 slots refused, DRAM command stream, Path ORAM stash samples) =="
-go test -count=1 -run='^(TestSealedBytesGolden|TestStoredSlotsOpenAtPosition|TestTreetopStoreTraceGolden|TestStoreTraceWithinOpList|TestPathTraceGolden|TestRingSaveBytesGolden|TestLoadCheckpointCompat|TestLoadRejectsInconsistentBuckets|TestCheckpointBitFlipRefused|TestControllersRejectWideBuckets)$' ./internal/oram
+echo "== data-plane goldens (sealed bytes, stored slots open at their position, treetop store trace, store trace within the op list, Save makes no store call, Path op trace, checkpoint bytes, earlier checkpoints, inconsistent checkpoints, bit-flipped checkpoints refused, buckets wider than 64 slots refused, DRAM command stream, Path ORAM stash samples) =="
+go test -count=1 -run='^(TestSealedBytesGolden|TestStoredSlotsOpenAtPosition|TestTreetopStoreTraceGolden|TestStoreTraceWithinOpList|TestSaveIsStoreSilent|TestPathTraceGolden|TestRingSaveBytesGolden|TestLoadCheckpointCompat|TestLoadRejectsInconsistentBuckets|TestCheckpointBitFlipRefused|TestControllersRejectWideBuckets)$' ./internal/oram
 go test -count=1 -run='^(TestCommandStreamGolden|TestPathORAMStashSamplesCollected)$' ./internal/sim
 
 echo "== treetop cache equivalence (serial vs the in-package uncached reference, -race) =="
 # Covers Compact Bucket, sealed Y = 0 and plaintext stores: every
-# functional Ring caches its tree top, and must return the data, op
-# traces and snapshot bytes of the uncached reference, a test-only Ring
-# with its empty cache detached (newUncachedRing), and elide exactly the
-# cached levels from the store trace.
+# functional Ring caches its tree top, and must return the data and op
+# traces of the uncached reference, a test-only Ring with its empty
+# cache detached (newUncachedRing), save its checkpoint with the cached
+# buckets moved from the store into the plaintext tree top, and elide
+# exactly the cached levels from the store trace.
 go test -race -count=1 -run='^TestTreetop' ./internal/oram
 
 echo "== alloc-regression guards (data-plane hot path, scheduler Tick, loopback client ops) =="
@@ -139,9 +140,9 @@ echo "== profiling entry points (every internal/oram benchmark, one iteration) =
 # running, not just compiling.
 go test -run='^$' -bench=. -benchtime=1x ./internal/oram
 
-echo "== observability gate (alloc guards, Perfetto schema, exposition parse, one quantile source, one ring record, one event emitter, corrupt snapshots refused) =="
+echo "== observability gate (alloc guards, Perfetto schema, exposition parse, one quantile source, one ring record, one event emitter, corrupt snapshots and aliased key directories refused) =="
 go test -count=1 \
-    -run='^(TestFlightRecorderMatchesResult|TestObsDoesNotPerturbSimulation|TestSnapshotBitFlipRefused|TestInstrumentUpdatesAllocFree|TestRecorderEmitAllocFree|TestWriteTracePerfettoShape|TestMergeTracesAlignsClocks|TestWritePrometheusFormatAndDeterminism|TestValidateExpositionRejectsGarbage|TestQuantile|TestMetricsScrapeAllocBound|TestMetricsQuantilesMatchExposition|TestRingSeriesMatchStats|TestAllocFreeTracedUnsampled)$' \
+    -run='^(TestFlightRecorderMatchesResult|TestObsDoesNotPerturbSimulation|TestSnapshotBitFlipRefused|TestRestoreRejectsBadDirectory|TestInstrumentUpdatesAllocFree|TestRecorderEmitAllocFree|TestWriteTracePerfettoShape|TestMergeTracesAlignsClocks|TestWritePrometheusFormatAndDeterminism|TestValidateExpositionRejectsGarbage|TestQuantile|TestMetricsScrapeAllocBound|TestMetricsQuantilesMatchExposition|TestRingSeriesMatchStats|TestAllocFreeTracedUnsampled)$' \
     ./internal/obs ./internal/sim ./internal/server
 
 echo "== examples smoke (every examples/*/ runs to completion) =="
