@@ -111,8 +111,13 @@ func TestMemStore(t *testing.T) {
 	if got := m.ReadSlot(1, 2); len(got) != 1 || got[0] != 9 {
 		t.Fatalf("ReadSlot = %v", got)
 	}
-	if m.ReadSlot(1, 3) != nil {
-		t.Fatal("neighbor slot has data")
+	// A bucket is stored whole: a slot of a touched bucket not yet
+	// written reads as zero bytes, a bucket never written as nil.
+	if got := m.ReadSlot(1, 3); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("unwritten slot of a touched bucket = %v, want [0]", got)
+	}
+	if m.ReadSlot(2, 2) != nil {
+		t.Fatal("untouched bucket returned data")
 	}
 	if m.TouchedBuckets() != 1 {
 		t.Fatalf("touched buckets = %d, want 1", m.TouchedBuckets())

@@ -83,7 +83,7 @@ func FuzzSealBucketMatchesGCM(f *testing.F) {
 			if !bytes.Equal(got, want[s*size:(s+1)*size]) {
 				t.Fatalf("bucket %d slot %d of %d, epoch %d, diverges from cipher.NewGCM:\n  got:  %x\n  want: %x", b, s, n, e, got, want[s*size:(s+1)*size])
 			}
-			if open := core.readSlotData(b, e, s); !bytes.Equal(open, body[s*size:(s+1)*size]) {
+			if open := core.openSlot(got, b, e, s); !bytes.Equal(open, body[s*size:(s+1)*size]) {
 				t.Fatalf("slot %d round trip corrupted plaintext: got %x want %x", s, open, body[s*size:(s+1)*size])
 			}
 		}

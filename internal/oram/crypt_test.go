@@ -140,10 +140,10 @@ func TestDifferentKeysDiffer(t *testing.T) {
 // every slot the store holds, real or dummy, must be exactly BlockSize
 // bytes and must open at its position (bucket, slot, the bucket's
 // reshuffle epoch): a dummy to the zero block and a resident real to the
-// block's last written contents. It runs on the uncached reference
-// (newUncachedRing) with Compact Bucket and without it (Y = 0), and with
-// the treetop cache every functional Ring runs (after Save has flushed
-// it).
+// block's last written contents. A stored bucket is whole, so no slot of
+// one may be missing. It runs on the uncached reference (newUncachedRing)
+// with Compact Bucket and without it (Y = 0), and with the treetop cache
+// every functional Ring runs.
 func TestStoredSlotsOpenAtPosition(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -170,7 +170,6 @@ func TestStoredSlotsOpenAtPosition(t *testing.T) {
 			}
 			trace := genTrace(1500, 0x9b1c)
 			runSerialTrace(t, r, cfg, trace)
-			saveBytes(t, r)
 			latest := make(map[BlockID][]byte) // block -> last written contents
 			for _, st := range trace {
 				if st.write {
@@ -183,7 +182,7 @@ func TestStoredSlotsOpenAtPosition(t *testing.T) {
 				b := r.buckets.get(idx)
 				for s, sealed := range slots {
 					if sealed == nil {
-						continue
+						t.Fatalf("bucket %d slot %d is missing from a stored bucket", idx, s)
 					}
 					if len(sealed) != cfg.BlockSize {
 						t.Fatalf("bucket %d slot %d stores %d bytes, want %d", idx, s, len(sealed), cfg.BlockSize)

@@ -98,9 +98,13 @@ func (p *Path) Access(id BlockID, write bool, data []byte) ([]byte, []Op, error)
 	for lvl, idx := range path {
 		b, _ := p.materialize(idx)
 		for s := range p.cfg.SlotsPerBucket() {
-			op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: lvl, Slot: s, Write: false})
+			//oramlint:allow secret-branch both arms read and list slot s once; a real block's bytes are also opened into the stash
+			if b.residents()&(1<<uint(s)) != 0 {
+				p.fetchToStash(op, idx, lvl, b, s)
+			} else {
+				p.readSlot(op, idx, lvl, s) // a dummy, discarded unopened
+			}
 		}
-		p.drainBucket(idx, b)
 	}
 
 	newLeaf := p.pos.Remap(id)

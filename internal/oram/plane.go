@@ -156,15 +156,54 @@ func (c *treeCore) putBlockBuf(buf []byte) {
 	c.scr.blockPool = append(c.scr.blockPool, buf[:c.cfg.BlockSize])
 }
 
-// readSlotData pulls a real block's plaintext out of slot (bucket, slot),
-// last written in the bucket's reshuffle epoch, into a pool buffer; nil
-// store yields nil (timing-only mode). Ownership of the returned buffer
-// transfers to the caller (usually straight into the stash).
-func (c *treeCore) readSlotData(bucket int64, epoch, slot int) []byte {
-	if c.store == nil {
+// readSlot is the one way a slot read reaches the store: it lists the
+// read of (idx, slot) in op at the levels that emit (see emitFrom) and
+// issues it, so the store sees exactly the op list. It returns the
+// store's sealed bytes (owned by the store; see Store), nil in
+// timing-only mode and at a cached bucket. A dummy's bytes are discarded
+// unopened; fetchToStash opens a real block's.
+func (c *treeCore) readSlot(op *Op, idx int64, level, slot int) []byte {
+	if level >= c.emitFrom() {
+		op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: level, Slot: slot, Write: false})
+	}
+	if c.store == nil || c.tt.cached(idx) {
 		return nil
 	}
-	sealed := c.store.ReadSlot(bucket, slot)
+	return c.store.ReadSlot(idx, slot)
+}
+
+// fetchToStash reads slot of bucket b (at idx, level) through readSlot,
+// moves the real block it holds into the stash under the block's mapped
+// path, consumes the slot and returns the block.
+func (c *treeCore) fetchToStash(op *Op, idx int64, level int, b *Bucket, slot int) BlockID {
+	sealed := c.readSlot(op, idx, level, slot)
+	id := b.consumeReal(slot)
+	p, known := c.pos.Lookup(id)
+	//oramlint:allow secret-branch consistency check after the read is listed; an unmapped resident block panics the simulation rather than emitting anything
+	if !known {
+		panic(fmt.Sprintf("oram: resident block %d unmapped", id))
+	}
+	var buf []byte
+	switch {
+	case c.store == nil:
+	case c.tt.cached(idx):
+		// Treetop elision: every access's path crosses every cached
+		// level, so serving those uniform per-level operations from
+		// controller memory instead of the bus is invisible to the
+		// adversary; the branch keys on the public bucket index.
+		buf = c.ttFetch(idx, slot)
+	default:
+		buf = c.openSlot(sealed, idx, b.Epoch, slot)
+	}
+	c.putBlockBuf(c.stash.Put(id, p, buf))
+	return id
+}
+
+// openSlot opens the sealed bytes of slot (bucket, slot), last written
+// in the bucket's reshuffle epoch, into a pool buffer whose ownership
+// passes to the caller. nil, a bucket never written, opens to the zero
+// block.
+func (c *treeCore) openSlot(sealed []byte, bucket int64, epoch, slot int) []byte {
 	buf := c.getBlockBuf()
 	switch {
 	case sealed == nil:
@@ -177,21 +216,6 @@ func (c *treeCore) readSlotData(bucket int64, epoch, slot int) []byte {
 		copy(buf, sealed)
 	}
 	return buf
-}
-
-// fetchToStash moves one real block's plaintext from the store slot into
-// the stash under (id, p); epoch is the bucket's.
-func (c *treeCore) fetchToStash(bucket int64, epoch, slot int, id BlockID, p PathID) {
-	// Treetop elision: every access's path crosses every cached level,
-	// so serving those uniform per-level operations from controller
-	// memory instead of the bus is invisible to the adversary (the op
-	// trace already excludes cached levels); the branch keys on the
-	// bucket index, which the emitted op list makes public.
-	if c.tt.cached(bucket) {
-		c.ttFetch(bucket, slot, id, p)
-		return
-	}
-	c.putBlockBuf(c.stash.Put(id, p, c.readSlotData(bucket, epoch, slot)))
 }
 
 // writeBucket rewrites every slot of bucket idx in the store: srcs holds
@@ -257,30 +281,6 @@ func (c *treeCore) remapToStash(id BlockID, newPath PathID) {
 		c.stash.Put(id, newPath, nil)
 	}
 	c.stash.SetPath(id, newPath)
-}
-
-// drainBucket moves every resident real block of b into the stash under
-// its mapped path. It returns the slots it read and the blocks they
-// held, both in ascending slot order and both aliasing scratch that the
-// next drain reuses. Which slots hold reals is secret, so this is data
-// movement only and emits nothing: the callers report a read set whose
-// size the geometry fixes (Z per bucket), and slot positions are a secret
-// uniform permutation refreshed every epoch.
-func (c *treeCore) drainBucket(idx int64, b *Bucket) (slots []int, ids []BlockID) {
-	slots, ids = c.scr.readSlots[:0], c.scr.blocks[:0]
-	for m := b.residents(); m != 0; m &= m - 1 {
-		s := bits.TrailingZeros64(m)
-		id := b.IDs[s]
-		p, known := c.pos.Lookup(id)
-		if !known {
-			panic(fmt.Sprintf("oram: resident block %d unmapped", id))
-		}
-		c.fetchToStash(idx, b.Epoch, s, id, p)
-		b.consumeReal(s)
-		slots, ids = append(slots, s), append(ids, id)
-	}
-	c.scr.readSlots, c.scr.blocks = slots, ids
-	return slots, ids
 }
 
 // placeOnPath assigns stash blocks to the buckets of path p, deepest-

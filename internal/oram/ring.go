@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"stringoram/internal/config"
@@ -265,10 +266,6 @@ func (r *Ring) Write(id BlockID, data []byte) (ops []Op, err error) {
 // The returned data and ops alias controller-owned scratch reused by the
 // next operation on this Ring: callers that need them longer must copy.
 func (r *Ring) Access(id BlockID, write bool, data []byte) ([]byte, []Op, error) {
-	return r.access(id, write, data)
-}
-
-func (r *Ring) access(id BlockID, write bool, data []byte) ([]byte, []Op, error) {
 	//oramlint:allow secret-branch argument validation on the public API: the id comes from a public allocation counter, and a rejection issues no access at all
 	if id < 0 {
 		//oramlint:allow secret-early-exit argument validation on the public API: block ids are allocated by a public counter, so rejecting a negative id reveals only argument well-formedness, never mapped state
@@ -335,6 +332,7 @@ func (r *Ring) access(id BlockID, write bool, data []byte) ([]byte, []Op, error)
 	for r.stash.Len() >= r.cfg.EvictThreshold() {
 		if rounds++; rounds > maxBackgroundRounds {
 			//oramlint:allow secret-early-exit stash overflow is the catastrophic safety valve: it aborts the access loudly with ErrStashOverflow, a condition the deployment treats as public (parameters were mis-sized), not as a per-access signal
+			//oramlint:allow scratch-return the ops list aliases controller scratch by the documented API contract: valid until the next operation on this Ring
 			return nil, r.scr.ops, ErrStashOverflow
 		}
 		p := r.pos.RandomPath()
@@ -353,12 +351,14 @@ func (r *Ring) access(id BlockID, write bool, data []byte) ([]byte, []Op, error)
 		invariant.Assertf(r.stash.Len() < r.cfg.EvictThreshold(), "background eviction left stash at %d, threshold %d", r.stash.Len(), r.cfg.EvictThreshold())
 	}
 	if r.stash.Len() > r.stash.Cap() { //oramlint:allow secret-branch overflow detection aborts the run after all ops are emitted; it never alters the trace
+		//oramlint:allow scratch-return the ops list aliases controller scratch by the documented API contract: valid until the next operation on this Ring
 		return nil, r.scr.ops, ErrStashOverflow
 	}
 
 	if n := int64(r.stash.Len()); n > r.stats.StashPeak { //oramlint:allow secret-branch statistics only, after all ops are emitted
 		r.stats.StashPeak = n
 	}
+	//oramlint:allow scratch-return returned data and ops alias controller scratch by the documented API contract: valid until the next operation on this Ring, callers that retain must copy
 	return out, r.scr.ops, nil
 }
 
@@ -425,19 +425,18 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 		}
 	}
 
-	// Cached-level target: pull it straight out of the on-chip bucket;
-	// the DRAM path below is then all dummies.
-	if targetLevel >= 0 && targetLevel < emitFrom {
-		b := r.bucket(path[targetLevel])
-		r.fetchToStash(path[targetLevel], b.Epoch, targetSlot, id, p)
-		b.consumeReal(targetSlot)
-		targetLevel = -1
-	}
-
 	// The early reshuffles above are complete, so the read-path op can
 	// be taken now (taking it earlier would pin a stale pointer across
 	// the list growth).
 	op := takeOp(&r.scr.ops, kind, p)
+
+	// Cached-level target: pull it straight out of the on-chip bucket
+	// (readSlot lists nothing above emitFrom); the DRAM path below is
+	// then all dummies.
+	if targetLevel >= 0 && targetLevel < emitFrom {
+		r.fetchToStash(op, path[targetLevel], targetLevel, r.bucket(path[targetLevel]), targetSlot)
+		targetLevel = -1
+	}
 
 	for lvl := emitFrom; lvl < len(path); lvl++ {
 		idx := path[lvl]
@@ -447,25 +446,17 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 			invariant.Assertf(b.Count <= r.cfg.S, "bucket %d count %d exceeds access budget S=%d", idx, b.Count, r.cfg.S)
 		}
 		if lvl == targetLevel {
-			r.fetchToStash(idx, b.Epoch, targetSlot, id, p)
-			b.consumeReal(targetSlot)
-			op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: lvl, Slot: targetSlot, Write: false})
+			r.fetchToStash(op, idx, lvl, b, targetSlot)
 			continue
 		}
 		slot, green := r.sel.selectDummy(b, idx, lvl, greenBudget)
-		//oramlint:allow secret-branch the slot was already chosen and is emitted the same either way; a green block only rides along into the stash (CB, paper Sec. IV)
+		//oramlint:allow secret-branch the slot was already chosen and both arms read it once; a green block only rides along into the stash (CB, paper Sec. IV)
 		if green != InvalidBlock {
-			// A green block: real data rides along into the stash.
-			gp, known := r.pos.Lookup(green)
-			//oramlint:allow secret-branch consistency check; an unmapped resident block panics the simulation rather than emitting anything
-			if !known {
-				panic(fmt.Sprintf("oram: green block %d resident but unmapped", green))
-			}
-			r.fetchToStash(idx, b.Epoch, slot, green, gp)
-			b.consumeReal(slot)
+			r.fetchToStash(op, idx, lvl, b, slot)
 			r.stats.GreenFetches++
+		} else {
+			r.readSlot(op, idx, lvl, slot) // a dummy, discarded unopened
 		}
-		op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: lvl, Slot: slot, Write: false})
 	}
 	r.stats.ReadPathBlocks += int64(len(op.Accesses))
 }
@@ -485,28 +476,33 @@ func (r *Ring) earlyReshuffleOp(idx int64, level int) {
 
 // readBucketOp is the read phase of a reshuffle or eviction on one
 // bucket: its resident reals drain into the stash and, at uncached
-// levels, the op records exactly Z slot reads so the count never reveals
-// the bucket's real occupancy. It returns the drained blocks in slot
-// order (aliasing scratch reused by the next call).
+// levels, padding slots are read and discarded unopened until exactly Z
+// slots are read, so the count never reveals the bucket's real
+// occupancy. It returns the drained blocks in slot order (aliasing
+// scratch reused by the next call).
 //
 // Known weakness, kept bit-identical here (DESIGN.md "Security
 // invariants", ROADMAP item 2): the reads list the slots that held reals
 // first and then pad with the lowest-index other slots, so the order and
-// the set of reported slots are a function of the occupancy the count
-// hides. Ring ORAM's ReadBucket pads with random valid dummies.
+// the set of read slots are a function of the occupancy the count hides.
+// Ring ORAM's ReadBucket pads with random valid dummies.
 func (r *Ring) readBucketOp(op *Op, idx int64, level int, b *Bucket) []BlockID {
-	slots, ids := r.drainBucket(idx, b)
+	slots, ids := r.scr.readSlots[:0], r.scr.blocks[:0]
+	//oramlint:allow secret-branch reads one slot per resident real; the padding below brings the reads to exactly Z at every level that emits, and their order is the known weakness documented above
+	//oramlint:allow secret-trip-count reads one slot per resident real; the padding below brings the reads to exactly Z at every level that emits, so the count the bus sees is fixed by the geometry
+	for m := b.residents(); m != 0; m &= m - 1 {
+		s := bits.TrailingZeros64(m)
+		slots, ids = append(slots, s), append(ids, r.fetchToStash(op, idx, level, b, s))
+	}
 	if level >= r.emitFrom() {
 		for s := 0; len(slots) < r.cfg.Z && s < r.cfg.SlotsPerBucket(); s++ {
 			if !slices.Contains(slots, s) {
 				slots = append(slots, s)
+				r.readSlot(op, idx, level, s)
 			}
 		}
-		r.scr.readSlots = slots
-		for _, s := range slots {
-			op.Accesses = append(op.Accesses, Access{Bucket: idx, Level: level, Slot: s, Write: false})
-		}
 	}
+	r.scr.readSlots, r.scr.blocks = slots, ids
 	return ids
 }
 

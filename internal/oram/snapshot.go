@@ -240,10 +240,8 @@ func Load(rd io.Reader, key []byte) (*Ring, error) {
 			case ms.buckets.get(s.Bucket) != nil:
 				return nil, fmt.Errorf("oram: checkpoint Store.Bucket %d appears twice", s.Bucket)
 			}
+			// A stored bucket is whole: a missing slot is refused too.
 			for slot, sealed := range s.Slots {
-				if sealed == nil {
-					continue // never written
-				}
 				if len(sealed) != snap.Cfg.BlockSize {
 					return nil, fmt.Errorf("oram: checkpoint Store bucket %d slot %d holds %d bytes, want %d", s.Bucket, slot, len(sealed), snap.Cfg.BlockSize)
 				}
@@ -339,14 +337,12 @@ func (r *Ring) Rekey(key []byte) error {
 		}
 		body = ensure(body, len(slots)*bs+gcmTagSize)[:len(slots)*bs]
 		for s, old := range slots {
-			copy(body[s*bs:(s+1)*bs], old) // a never-written slot stays unwritten
+			copy(body[s*bs:(s+1)*bs], old)
 		}
 		r.crypt.sealBucket(body, bkt, epoch)
 		next.sealBucket(body, bkt, epoch)
-		for s, old := range slots {
-			if old != nil {
-				ms.WriteSlot(bkt, s, body[s*bs:(s+1)*bs])
-			}
+		for s := range slots {
+			ms.WriteSlot(bkt, s, body[s*bs:(s+1)*bs])
 		}
 	})
 	r.crypt = next

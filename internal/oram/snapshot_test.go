@@ -329,6 +329,8 @@ func TestLoadRejectsBadIndices(t *testing.T) {
 		{"store bucket 2^60", func(s *ringSnap) { s.Store[0].Bucket = 1 << 60 }, "Store.Bucket"},
 		{"store bucket twice", func(s *ringSnap) { s.Store = append(s.Store, s.Store[0]) }, "Store.Bucket"},
 		{"store slot length", func(s *ringSnap) { s.Store[0].Slots[0] = []byte{1, 2, 3} }, "Store bucket"},
+		// A stored bucket is whole: one missing slot is refused by name.
+		{"store slot missing", func(s *ringSnap) { s.Store[0].Slots[1] = nil }, fmt.Sprintf("bucket %d slot 1 holds 0 bytes", probe.Store[0].Bucket)},
 		// The store never holds a cached bucket: its one home is the
 		// checkpoint's Treetop.
 		{"store bucket cached", func(s *ringSnap) { s.Store[0].Bucket = 0 }, "Store.Bucket"},

@@ -93,6 +93,19 @@ func TestMemStoreMatchesMap(t *testing.T) {
 		slot   int
 	}
 	ref := map[cell][]byte{}
+	touched := map[int64]bool{}
+	// want is what a slot reads as: a bucket is stored whole, so an
+	// unwritten slot of a touched bucket reads as zero bytes, and one of
+	// a bucket never written as nil.
+	want := func(c cell) []byte {
+		if d, ok := ref[c]; ok {
+			return d
+		}
+		if touched[c.bucket] {
+			return make([]byte, slotLen)
+		}
+		return nil
+	}
 	buckets := boundaryKeys(1 << 16)
 	src := rng.New(11)
 	buf := make([]byte, slotLen) // reused: WriteSlot must copy
@@ -104,13 +117,10 @@ func TestMemStoreMatchesMap(t *testing.T) {
 			}
 			m.WriteSlot(c.bucket, c.slot, buf)
 			ref[c] = bytes.Clone(buf)
-		} else if got := m.ReadSlot(c.bucket, c.slot); !bytes.Equal(got, ref[c]) || (got == nil) != (ref[c] == nil) {
-			t.Fatalf("step %d: ReadSlot(%d, %d) = %x, want %x", step, c.bucket, c.slot, got, ref[c])
+			touched[c.bucket] = true
+		} else if got := m.ReadSlot(c.bucket, c.slot); !bytes.Equal(got, want(c)) || (got == nil) != (want(c) == nil) {
+			t.Fatalf("step %d: ReadSlot(%d, %d) = %x, want %x", step, c.bucket, c.slot, got, want(c))
 		}
-	}
-	touched := map[int64]bool{}
-	for c := range ref {
-		touched[c.bucket] = true
 	}
 	if m.TouchedBuckets() != len(touched) {
 		t.Fatalf("TouchedBuckets = %d, want %d", m.TouchedBuckets(), len(touched))
@@ -122,8 +132,8 @@ func TestMemStoreMatchesMap(t *testing.T) {
 		}
 		prev = bucket
 		for s, got := range slots {
-			if want := ref[cell{bucket, s}]; !bytes.Equal(got, want) || (got == nil) != (want == nil) {
-				t.Fatalf("eachBucket(%d) slot %d = %x, want %x", bucket, s, got, want)
+			if got == nil || !bytes.Equal(got, want(cell{bucket, s})) {
+				t.Fatalf("eachBucket(%d) slot %d = %x, want %x", bucket, s, got, want(cell{bucket, s}))
 			}
 		}
 	})

@@ -15,7 +15,7 @@ package oram
 // the stash and the position map: the store never holds a cached bucket,
 // and a checkpoint carries the cache's plaintext as it carries the
 // stash's (Save, Load). A nil buf slot is the zero block (a dummy, or a
-// slot never refilled), mirroring readSlotData on a never-written slot.
+// slot never refilled), as openSlot opens a bucket never written.
 type treetopCache struct {
 	nBuckets int64 // heap-order buckets [0, nBuckets) are cached
 	slots    int   // physical slots per bucket
@@ -51,16 +51,17 @@ func (r *Ring) attachTreetop() {
 	r.tt = &treetopCache{nBuckets: n, slots: slots, buf: make([][]byte, n*int64(slots))}
 }
 
-// ttFetch serves a cached-level fetchToStash from controller
-// memory: a copy instead of a store read plus AES open.
-func (c *treeCore) ttFetch(bucket int64, slot int, id BlockID, p PathID) {
+// ttFetch copies a cached slot's plaintext into a pool buffer whose
+// ownership passes to the caller: a copy instead of a store read plus
+// AES open.
+func (c *treeCore) ttFetch(bucket int64, slot int) []byte {
 	buf := c.getBlockBuf()
 	if src := c.tt.buf[c.tt.index(bucket, slot)]; src == nil {
 		clear(buf)
 	} else {
 		copy(buf, src)
 	}
-	c.putBlockBuf(c.stash.Put(id, p, buf))
+	return buf
 }
 
 // ttWriteBucket applies a cached-level refill to controller memory: srcs

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"slices"
 	"testing"
 
 	"stringoram/internal/checksum"
@@ -358,19 +357,14 @@ func TestTreetopStoreTraceGolden(t *testing.T) {
 	}
 }
 
-// TestStoreTraceWithinOpList checks what the untrusted store sees against
-// the op list each access returns, on rings built with plain
-// Options{Store, Crypt}, over the genTrace mixes at smallCfg and at the
-// default geometry, with Compact Bucket and without it, with cached
-// levels and without them. For every access the store's writes must equal
-// the op list's writes in order, the store's calls in the order made must be
-// an ordered subsequence of the op list's accesses (so every store read
-// is one the op list names), and no store call may touch a cached bucket.
-// The reads are not yet equal: a read path fetches only its target and
-// greens, and a bucket drain only its resident reals, where the op list
-// names one slot per level and Z per bucket. Making them equal is the
-// open half of ROADMAP's "One bus: the store sees exactly the op list".
-func TestStoreTraceWithinOpList(t *testing.T) {
+// TestStoreTraceIsOpList checks that the untrusted store sees exactly
+// the op list each access returns: per access, the store's (read/write,
+// bucket, slot) sequence must equal the op list's accesses in order, real
+// and dummy reads alike. It runs Rings built with plain Options{Store,
+// Crypt} over the genTrace mixes at smallCfg and at the default geometry,
+// with Compact Bucket and without it, with cached levels and without
+// them, and a sealed Path ORAM controller at smallCfg's size.
+func TestStoreTraceIsOpList(t *testing.T) {
 	for _, geo := range []struct {
 		name string
 		cfg  config.ORAM
@@ -380,25 +374,36 @@ func TestStoreTraceWithinOpList(t *testing.T) {
 				cfg := geo.cfg
 				cfg.Y, cfg.TreeTopCacheLevels = y, levels
 				t.Run(fmt.Sprintf("%s/y%d/cached%d", geo.name, y, levels), func(t *testing.T) {
-					checkStoreTraceWithinOpList(t, cfg)
+					opts := variantOptions(t, cfg, false)
+					ts := &traceStore{inner: opts.Store}
+					opts.Store = ts
+					r, err := NewRing(cfg, 0x5ee, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkStoreTraceIsOpList(t, ts, cfg, r.Access)
 				})
 			}
 		}
 	}
+	t.Run("path/sealed", func(t *testing.T) {
+		// smallCfg's size as a Path ORAM geometry: Z slots per bucket.
+		cfg := config.ORAM{Z: 4, Levels: 8, BlockSize: 32, StashSize: 200}
+		opts := variantOptions(t, cfg, false)
+		ts := &traceStore{inner: opts.Store}
+		opts.Store = ts
+		p, err := NewPath(cfg.Z, cfg.Levels, cfg.BlockSize, cfg.StashSize, 0x5ee, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkStoreTraceIsOpList(t, ts, cfg, p.Access)
+	})
 }
 
-func checkStoreTraceWithinOpList(t *testing.T, cfg config.ORAM) {
-	ts := &traceStore{inner: NewMemStore(cfg.SlotsPerBucket())}
-	crypt, err := NewCrypt(testKey(), cfg.BlockSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRing(cfg, 0x5ee, &Options{Store: ts, Crypt: crypt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nCached := (int64(1) << uint(cfg.TreeTopCacheLevels)) - 1
-	var listed, listedWrites, storeWrites []storeOp
+// checkStoreTraceIsOpList replays a genTrace mix through access and
+// compares, per access, the store calls ts logged with the op list.
+func checkStoreTraceIsOpList(t *testing.T, ts *traceStore, cfg config.ORAM, access func(BlockID, bool, []byte) ([]byte, []Op, error)) {
+	var listed []storeOp
 	reads, writes := 0, 0
 	for i, st := range genTrace(600, 0x5107+uint64(cfg.Y)) {
 		ts.log = ts.log[:0]
@@ -406,46 +411,41 @@ func checkStoreTraceWithinOpList(t *testing.T, cfg config.ORAM) {
 		if st.write {
 			data = blockData(cfg, st.id, st.ver)
 		}
-		_, ops, err := r.Access(st.id, st.write, data)
+		_, ops, err := access(st.id, st.write, data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		listed, listedWrites, storeWrites = listed[:0], listedWrites[:0], storeWrites[:0]
+		listed = listed[:0]
 		for _, op := range ops {
 			for _, a := range op.Accesses {
-				so := storeOp{write: a.Write, bucket: a.Bucket, slot: a.Slot}
-				listed = append(listed, so)
-				if a.Write {
-					listedWrites = append(listedWrites, so)
-				}
+				listed = append(listed, storeOp{write: a.Write, bucket: a.Bucket, slot: a.Slot})
 			}
 		}
-		next := 0 // the first op-list access the next store call may match
-		for _, so := range ts.log {
-			if so.bucket < nCached {
-				t.Fatalf("access %d: the store saw %+v in a cached bucket", i, so)
+		for j, so := range ts.log {
+			if j == len(listed) || so != listed[j] {
+				t.Fatalf("access %d: store call %d is %+v, the op list's is %s", i, j, so, listedAt(listed, j))
 			}
-			for next < len(listed) && listed[next] != so {
-				next++
-			}
-			if next == len(listed) {
-				t.Fatalf("access %d: store call %+v is not in the op list after the calls before it", i, so)
-			}
-			next++
 			if so.write {
-				storeWrites = append(storeWrites, so)
 				writes++
 			} else {
 				reads++
 			}
 		}
-		if !slices.Equal(storeWrites, listedWrites) {
-			t.Fatalf("access %d: the store saw %d writes, the op list lists %d, or their order differs", i, len(storeWrites), len(listedWrites))
+		if len(ts.log) != len(listed) {
+			t.Fatalf("access %d: the store saw %d calls, the op list lists %d", i, len(ts.log), len(listed))
 		}
 	}
 	if reads == 0 || writes == 0 {
 		t.Fatalf("the store saw %d reads and %d writes; the comparison is vacuous", reads, writes)
 	}
+}
+
+// listedAt formats the op list's j-th access, or its end.
+func listedAt(listed []storeOp, j int) string {
+	if j >= len(listed) {
+		return "past its end"
+	}
+	return fmt.Sprintf("%+v", listed[j])
 }
 
 // TestTreetopSnapshotRoundTrip checks the tree top's one home end to
@@ -554,19 +554,10 @@ func TestRekeyIgnoresStoredBytes(t *testing.T) {
 		slot   int
 	}
 	data := corruptCheckpoint(t, saveBytes(t, r), func(snap *ringSnap) {
-		// The forged pair is the first two written slots of the deepest
-		// stored bucket, whose metadata names them.
+		// The forged pair is slots 0 and 1 of the deepest stored bucket
+		// (a stored bucket is whole), whose metadata names them.
 		s := snap.Store[len(snap.Store)-1]
-		var written []int
-		for slot, sealed := range s.Slots {
-			if sealed != nil {
-				written = append(written, slot)
-			}
-		}
-		if len(written) < 2 {
-			t.Fatalf("bucket %d has %d written slots", s.Bucket, len(written))
-		}
-		a.bucket, a.slot, b.bucket, b.slot = s.Bucket, written[0], s.Bucket, written[1]
+		a.bucket, a.slot, b.bucket, b.slot = s.Bucket, 0, s.Bucket, 1
 		copy(s.Slots[b.slot][:forged], s.Slots[a.slot][:forged])
 	})
 	restored, err := Load(bytes.NewReader(data), testKey())
@@ -580,7 +571,7 @@ func TestRekeyIgnoresStoredBytes(t *testing.T) {
 	storedXOR := make([]byte, cfg.BlockSize)
 	subtle.XORBytes(storedXOR, restored.store.ReadSlot(a.bucket, a.slot), restored.store.ReadSlot(b.bucket, b.slot))
 	plainXOR := make([]byte, cfg.BlockSize)
-	subtle.XORBytes(plainXOR, restored.readSlotData(a.bucket, epoch, a.slot), restored.readSlotData(b.bucket, epoch, b.slot))
+	subtle.XORBytes(plainXOR, restored.openSlot(restored.store.ReadSlot(a.bucket, a.slot), a.bucket, epoch, a.slot), restored.openSlot(restored.store.ReadSlot(b.bucket, b.slot), b.bucket, epoch, b.slot))
 	if bytes.Equal(storedXOR, plainXOR) {
 		t.Fatalf("bucket %d slots %d and %d share a keystream after Rekey: their stored XOR is their plaintext XOR %x", a.bucket, a.slot, b.slot, plainXOR)
 	}
