@@ -102,28 +102,6 @@ func TestGreenPerReadPathZeroDivision(t *testing.T) {
 	}
 }
 
-func TestMemStore(t *testing.T) {
-	m := NewMemStore(4)
-	if m.ReadSlot(1, 2) != nil {
-		t.Fatal("fresh store returned data")
-	}
-	m.WriteSlot(1, 2, []byte{9})
-	if got := m.ReadSlot(1, 2); len(got) != 1 || got[0] != 9 {
-		t.Fatalf("ReadSlot = %v", got)
-	}
-	// A bucket is stored whole: a slot of a touched bucket not yet
-	// written reads as zero bytes, a bucket never written as nil.
-	if got := m.ReadSlot(1, 3); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("unwritten slot of a touched bucket = %v, want [0]", got)
-	}
-	if m.ReadSlot(2, 2) != nil {
-		t.Fatal("untouched bucket returned data")
-	}
-	if m.TouchedBuckets() != 1 {
-		t.Fatalf("touched buckets = %d, want 1", m.TouchedBuckets())
-	}
-}
-
 // TestXOROnlineBandwidth: in the analytic model the XOR technique's
 // online transfer per read path is a single block, independent of the
 // configuration and the tree height.

@@ -150,6 +150,37 @@ func BenchmarkAccessFunctionalCached(b *testing.B) {
 	}
 }
 
+// BenchmarkReadPathServerGeometry is the in-package stand-in for the
+// `ring-sealed` workload's p50: the serving geometry (server.DefaultORAM(16):
+// the default ORAM at 16 levels, no warm fill) over a sealed MemStore
+// holding 16,384 preloaded blocks, timed on read-only accesses.
+func BenchmarkReadPathServerGeometry(b *testing.B) {
+	b.ReportAllocs()
+	const blocks = 16384
+	cfg := config.Default().ORAM.WithLevels(16)
+	cfg.WarmFill = 0
+	crypt, err := NewCrypt([]byte("bench-key-16byte"), cfg.BlockSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := NewRing(cfg, 1, &Options{Store: NewMemStore(cfg.SlotsPerBucket()), Crypt: crypt})
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := make([]byte, cfg.BlockSize)
+	for i := 0; i < blocks; i++ {
+		if _, _, err := r.Access(BlockID(i), true, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := r.Access(BlockID(i%blocks), false, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSeal measures the sealing layer alone on 64-byte blocks: the
 // kernel sealing one slot (SealInto, the caller-buffer path) and opening
 // one slot of a sealed bucket (a read's one-slot open), a refill's one GCM

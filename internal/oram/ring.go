@@ -390,13 +390,17 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 		greenBudget = 0
 	}
 
-	// Locate the target along the path, including cached top levels.
+	// Locate the target along the path, including cached top levels. The
+	// search runs from the leaf up: eviction places blocks as deep as
+	// they fit, so in a sparsely filled tree the target almost always
+	// sits near the leaf. A block is resident in at most one bucket
+	// (checkLocations), so the order does not change the result.
 	targetLevel := -1
 	targetSlot := -1
 	//oramlint:allow secret-branch target search only; with or without a target the emitted path reads exactly one slot per level
 	if wantTarget {
-		for lvl, idx := range path {
-			if b := r.buckets.get(idx); b != nil {
+		for lvl := len(path) - 1; lvl >= 0; lvl-- {
+			if b := r.buckets.get(path[lvl]); b != nil {
 				if s := b.findBlock(id); s >= 0 { //oramlint:allow secret-branch target lookup; the emitted path still reads exactly one untouched slot per level, and slot positions are a secret uniform permutation (Ring ORAM Sec. 3.2)
 					targetLevel, targetSlot = lvl, s
 					break

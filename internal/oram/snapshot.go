@@ -237,7 +237,7 @@ func Load(rd io.Reader, key []byte) (*Ring, error) {
 				return nil, fmt.Errorf("oram: checkpoint Store.Bucket %d outside the tree's uncached buckets [%d, %d)", s.Bucket, nCached, tree.Buckets())
 			case len(s.Slots) != perBkt:
 				return nil, fmt.Errorf("oram: checkpoint bucket %d has %d slots, want %d", s.Bucket, len(s.Slots), perBkt)
-			case ms.buckets.get(s.Bucket) != nil:
+			case ms.index.get(s.Bucket) != 0:
 				return nil, fmt.Errorf("oram: checkpoint Store.Bucket %d appears twice", s.Bucket)
 			}
 			// A stored bucket is whole: a missing slot is refused too.

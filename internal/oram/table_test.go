@@ -85,66 +85,6 @@ func TestTableFarKeyAllocatesNothingDense(t *testing.T) {
 	}
 }
 
-func TestMemStoreMatchesMap(t *testing.T) {
-	const perBkt, slotLen = 5, 24
-	m := NewMemStore(perBkt)
-	type cell struct {
-		bucket int64
-		slot   int
-	}
-	ref := map[cell][]byte{}
-	touched := map[int64]bool{}
-	// want is what a slot reads as: a bucket is stored whole, so an
-	// unwritten slot of a touched bucket reads as zero bytes, and one of
-	// a bucket never written as nil.
-	want := func(c cell) []byte {
-		if d, ok := ref[c]; ok {
-			return d
-		}
-		if touched[c.bucket] {
-			return make([]byte, slotLen)
-		}
-		return nil
-	}
-	buckets := boundaryKeys(1 << 16)
-	src := rng.New(11)
-	buf := make([]byte, slotLen) // reused: WriteSlot must copy
-	for step := 0; step < 5000; step++ {
-		c := cell{buckets[src.Intn(len(buckets))], src.Intn(perBkt)}
-		if src.Intn(2) == 0 {
-			for i := range buf {
-				buf[i] = byte(src.Intn(256))
-			}
-			m.WriteSlot(c.bucket, c.slot, buf)
-			ref[c] = bytes.Clone(buf)
-			touched[c.bucket] = true
-		} else if got := m.ReadSlot(c.bucket, c.slot); !bytes.Equal(got, want(c)) || (got == nil) != (want(c) == nil) {
-			t.Fatalf("step %d: ReadSlot(%d, %d) = %x, want %x", step, c.bucket, c.slot, got, want(c))
-		}
-	}
-	if m.TouchedBuckets() != len(touched) {
-		t.Fatalf("TouchedBuckets = %d, want %d", m.TouchedBuckets(), len(touched))
-	}
-	prev := int64(-1)
-	m.eachBucket(func(bucket int64, slots [][]byte) {
-		if bucket <= prev || !touched[bucket] || len(slots) != perBkt {
-			t.Fatalf("eachBucket visited %d after %d with %d slots", bucket, prev, len(slots))
-		}
-		prev = bucket
-		for s, got := range slots {
-			if got == nil || !bytes.Equal(got, want(cell{bucket, s})) {
-				t.Fatalf("eachBucket(%d) slot %d = %x, want %x", bucket, s, got, want(cell{bucket, s}))
-			}
-		}
-	})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("WriteSlot of another length did not panic")
-		}
-	}()
-	m.WriteSlot(0, 0, make([]byte, slotLen+1))
-}
-
 func TestPositionMapMatchesMap(t *testing.T) {
 	const leaves, capacity = 1 << 15, 4 * (1<<16 - 1)
 	pm := NewPositionMap(leaves, capacity, rng.New(5))
