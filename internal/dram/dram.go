@@ -138,16 +138,6 @@ func (ch *Channel) BankBusyCycles(rank, bank int) int64 {
 	return ch.ranks[rank].banks[bank].busyCycles
 }
 
-func max64(vals ...int64) int64 {
-	m := vals[0]
-	for _, v := range vals[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // EarliestIssue returns the first cycle >= now at which the command could
 // legally issue given current device state, or Never when the bank state
 // forbids it (wrong row open, bank not active, ...). row is ignored for
@@ -162,7 +152,7 @@ func (ch *Channel) EarliestIssue(k CmdKind, rank, bank, row int, now int64) int6
 			return Never
 		}
 		fawRef := rk.actTimes[rk.actIdx] // oldest of the last four ACTs
-		return max64(now, cmdBus, b.earliestACT, rk.lastACT+int64(ch.t.TRRD), fawRef+int64(ch.t.TFAW))
+		return max(now, cmdBus, b.earliestACT, rk.lastACT+int64(ch.t.TRRD), fawRef+int64(ch.t.TFAW))
 	case CmdRD:
 		b := &rk.banks[bank]
 		if !b.active || b.openRow != row {
@@ -170,7 +160,7 @@ func (ch *Channel) EarliestIssue(k CmdKind, rank, bank, row int, now int64) int6
 		}
 		// The data burst must find the bus free at t+CL.
 		busReady := ch.busFreeAt - int64(ch.t.CL)
-		return max64(now, cmdBus, b.earliestCol,
+		return max(now, cmdBus, b.earliestCol,
 			ch.lastColCycle+int64(ch.t.TCCD),
 			rk.writeDataEnd+int64(ch.t.TWTR),
 			busReady)
@@ -180,7 +170,7 @@ func (ch *Channel) EarliestIssue(k CmdKind, rank, bank, row int, now int64) int6
 			return Never
 		}
 		busReady := ch.busFreeAt - int64(ch.t.CWL)
-		return max64(now, cmdBus, b.earliestCol,
+		return max(now, cmdBus, b.earliestCol,
 			ch.lastColCycle+int64(ch.t.TCCD),
 			busReady)
 	case CmdPRE:
@@ -188,15 +178,15 @@ func (ch *Channel) EarliestIssue(k CmdKind, rank, bank, row int, now int64) int6
 		if !b.active {
 			return Never
 		}
-		return max64(now, cmdBus, b.earliestPRE)
+		return max(now, cmdBus, b.earliestPRE)
 	case CmdREF:
 		// All banks of the rank must be precharged.
-		earliest := max64(now, cmdBus)
+		earliest := max(now, cmdBus)
 		for i := range rk.banks {
 			if rk.banks[i].active {
 				return Never
 			}
-			earliest = max64(earliest, rk.banks[i].earliestACT-int64(ch.t.TRP))
+			earliest = max(earliest, rk.banks[i].earliestACT-int64(ch.t.TRP))
 		}
 		return earliest
 	default:

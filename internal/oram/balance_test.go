@@ -8,8 +8,8 @@ import (
 
 func TestSelectDummyBalancedPoolOrdering(t *testing.T) {
 	src := rng.New(1)
-	b := newBucket(8)
-	b.reshuffleScratch([]BlockID{1, 2, 3, 4}, src, &shuffleScratch{})
+	b, ids := testBucket(8)
+	b.reshuffleScratch(ids, []BlockID{1, 2, 3, 4}, src, &shuffleScratch{})
 	// With reserved dummies present the pool must be dummies only.
 	gotPool := -1
 	sel := &selector{balance: func(_ int64, _ int, cands []int) int {
@@ -18,7 +18,7 @@ func TestSelectDummyBalancedPoolOrdering(t *testing.T) {
 	}}
 	for i := 0; i < 4; i++ {
 		_, green := sel.selectDummy(b, 0, 0, 4)
-		if green != InvalidBlock {
+		if green {
 			t.Fatalf("selection %d consumed a green with dummies available", i)
 		}
 		if gotPool != 4-i {
@@ -27,7 +27,7 @@ func TestSelectDummyBalancedPoolOrdering(t *testing.T) {
 	}
 	// Dummies gone: pool switches to greens.
 	_, green := sel.selectDummy(b, 0, 0, 4)
-	if green == InvalidBlock {
+	if !green {
 		t.Fatal("expected a green selection after dummies exhausted")
 	}
 	if gotPool != 4 {
@@ -37,7 +37,7 @@ func TestSelectDummyBalancedPoolOrdering(t *testing.T) {
 
 func TestSelectDummyBalancedPanics(t *testing.T) {
 	src := rng.New(2)
-	b := newBucket(4)
+	b, _ := testBucket(4)
 	for i := 0; i < 4; i++ {
 		(&selector{src: src}).selectDummy(b, 0, 0, 0)
 	}
@@ -51,8 +51,8 @@ func TestSelectDummyBalancedPanics(t *testing.T) {
 
 func TestSelectDummyBalancedRejectsBadPick(t *testing.T) {
 	src := rng.New(3)
-	b := newBucket(6)
-	b.reshuffleScratch(nil, src, &shuffleScratch{})
+	b, ids := testBucket(6)
+	b.reshuffleScratch(ids, nil, src, &shuffleScratch{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on out-of-range pick")

@@ -1,16 +1,36 @@
 package oram
 
 import (
+	"bytes"
+	"encoding/gob"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
+	"stringoram/internal/checksum"
+	"stringoram/internal/config"
+	"stringoram/internal/invariant"
 	"stringoram/internal/rng"
 )
 
+// testBucket returns a fresh bucket of the given width and an ID run for
+// it, as treeCore's slabs would hand them out.
+func testBucket(slots int) (*Bucket, []BlockID) {
+	b := newBucket(slots)
+	return &b, make([]BlockID, slots)
+}
+
 func TestNewBucketAllDummyValid(t *testing.T) {
-	b := newBucket(12)
-	if len(b.IDs) != 12 {
-		t.Fatalf("slots = %d, want 12", len(b.IDs))
+	b, ids := testBucket(12)
+	if b.valid != onesMask(12) || b.run != 0 {
+		t.Fatalf("fresh bucket: valid=%#x run=%d", b.valid, b.run)
+	}
+	if sl := b.slot(nil, 11); sl.Real || !sl.Valid || sl.ID != 0 {
+		t.Fatalf("fresh bucket without a run: slot 11 = %+v", sl)
+	}
+	if b.findBlock(ids, 0) >= 0 {
+		t.Fatal("fresh bucket resolves block 0")
 	}
 	if b.validDummies() != 12 || b.realBlocks() != 0 {
 		t.Fatalf("fresh bucket: dummies=%d reals=%d", b.validDummies(), b.realBlocks())
@@ -22,19 +42,19 @@ func TestNewBucketAllDummyValid(t *testing.T) {
 
 func TestReshufflePlacesBlocks(t *testing.T) {
 	src := rng.New(1)
-	b := newBucket(12)
+	b, ids := testBucket(12)
 	blocks := []BlockID{10, 20, 30}
-	targets := b.reshuffleScratch(blocks, src, &shuffleScratch{})
+	targets := b.reshuffleScratch(ids, blocks, src, &shuffleScratch{})
 	if len(targets) != 3 {
 		t.Fatalf("targets = %v", targets)
 	}
 	for i, id := range blocks {
 		s := targets[i]
-		if sl := b.slot(s); !sl.Real || !sl.Valid || sl.ID != id {
+		if sl := b.slot(ids, s); !sl.Real || !sl.Valid || sl.ID != id {
 			t.Errorf("block %d not at slot %d: %+v", id, s, sl)
 		}
-		if b.findBlock(id) != s {
-			t.Errorf("findBlock(%d) = %d, want %d", id, b.findBlock(id), s)
+		if b.findBlock(ids, id) != s {
+			t.Errorf("findBlock(%d) = %d, want %d", id, b.findBlock(ids, id), s)
 		}
 	}
 	if b.realBlocks() != 3 || b.validDummies() != 9 {
@@ -44,10 +64,10 @@ func TestReshufflePlacesBlocks(t *testing.T) {
 
 func TestReshuffleResetsCounters(t *testing.T) {
 	src := rng.New(2)
-	b := newBucket(8)
+	b, ids := testBucket(8)
 	b.Count = 7
 	b.Green = 3
-	b.reshuffleScratch(nil, src, &shuffleScratch{})
+	b.reshuffleScratch(ids, nil, src, &shuffleScratch{})
 	if b.Count != 0 || b.Green != 0 {
 		t.Fatalf("counters not reset: count=%d green=%d", b.Count, b.Green)
 	}
@@ -58,8 +78,8 @@ func TestReshufflePermutationVaries(t *testing.T) {
 	same := 0
 	const trials = 50
 	for i := 0; i < trials; i++ {
-		b := newBucket(12)
-		targets := b.reshuffleScratch([]BlockID{1, 2, 3, 4}, src, &shuffleScratch{})
+		b, ids := testBucket(12)
+		targets := b.reshuffleScratch(ids, []BlockID{1, 2, 3, 4}, src, &shuffleScratch{})
 		if targets[0] == 0 && targets[1] == 1 && targets[2] == 2 && targets[3] == 3 {
 			same++
 		}
@@ -75,23 +95,23 @@ func TestReshuffleTooManyBlocksPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	b := newBucket(2)
-	b.reshuffleScratch([]BlockID{1, 2, 3}, rng.New(1), &shuffleScratch{})
+	b, ids := testBucket(2)
+	b.reshuffleScratch(ids, []BlockID{1, 2, 3}, rng.New(1), &shuffleScratch{})
 }
 
 func TestConsumeReal(t *testing.T) {
 	src := rng.New(4)
-	b := newBucket(6)
-	b.reshuffleScratch([]BlockID{42}, src, &shuffleScratch{})
-	s := b.findBlock(42)
-	id := b.consumeReal(s)
+	b, ids := testBucket(6)
+	b.reshuffleScratch(ids, []BlockID{42}, src, &shuffleScratch{})
+	s := b.findBlock(ids, 42)
+	id := b.consumeReal(ids, s)
 	if id != 42 {
 		t.Fatalf("consumeReal returned %d, want 42", id)
 	}
-	if b.findBlock(42) >= 0 {
+	if b.findBlock(ids, 42) >= 0 {
 		t.Fatal("block still resident after consume")
 	}
-	if b.slot(s).Valid {
+	if b.slot(ids, s).Valid {
 		t.Fatal("consumed slot still valid")
 	}
 	if b.realBlocks() != 0 {
@@ -103,11 +123,11 @@ func TestSelectDummyPrefersReservedDummies(t *testing.T) {
 	src := rng.New(5)
 	// Z=4 reals, 4 reserved dummies, Y=4 budget, dummy-first policy:
 	// the first 4 selections must all be reserved dummies.
-	b := newBucket(8)
-	b.reshuffleScratch([]BlockID{1, 2, 3, 4}, src, &shuffleScratch{})
+	b, ids := testBucket(8)
+	b.reshuffleScratch(ids, []BlockID{1, 2, 3, 4}, src, &shuffleScratch{})
 	for i := 0; i < 4; i++ {
 		_, green := (&selector{src: src}).selectDummy(b, 0, 0, 4)
-		if green != InvalidBlock {
+		if green {
 			t.Fatalf("selection %d consumed a green block while reserved dummies remained", i)
 		}
 	}
@@ -117,7 +137,7 @@ func TestSelectDummyPrefersReservedDummies(t *testing.T) {
 	// Now only green blocks remain eligible.
 	for i := 0; i < 4; i++ {
 		_, green := (&selector{src: src}).selectDummy(b, 0, 0, 4)
-		if green == InvalidBlock {
+		if !green {
 			t.Fatalf("selection %d should have consumed a green block", i)
 		}
 	}
@@ -128,13 +148,13 @@ func TestSelectDummyPrefersReservedDummies(t *testing.T) {
 
 func TestSelectDummyRespectsGreenBudget(t *testing.T) {
 	src := rng.New(6)
-	b := newBucket(8)
-	b.reshuffleScratch([]BlockID{1, 2, 3, 4}, src, &shuffleScratch{})
+	b, ids := testBucket(8)
+	b.reshuffleScratch(ids, []BlockID{1, 2, 3, 4}, src, &shuffleScratch{})
 	// Exhaust the 4 reserved dummies, then Y=1 allows one green.
 	for i := 0; i < 4; i++ {
 		(&selector{src: src}).selectDummy(b, 0, 0, 1)
 	}
-	if _, green := (&selector{src: src}).selectDummy(b, 0, 0, 1); green == InvalidBlock {
+	if _, green := (&selector{src: src}).selectDummy(b, 0, 0, 1); !green {
 		t.Fatal("expected a green selection")
 	}
 	if b.canServe(false, 100, 1) {
@@ -144,7 +164,7 @@ func TestSelectDummyRespectsGreenBudget(t *testing.T) {
 
 func TestSelectDummyPanicsWhenExhausted(t *testing.T) {
 	src := rng.New(7)
-	b := newBucket(4)
+	b, _ := testBucket(4)
 	for i := 0; i < 4; i++ {
 		(&selector{src: src}).selectDummy(b, 0, 0, 0)
 	}
@@ -159,8 +179,8 @@ func TestSelectDummyPanicsWhenExhausted(t *testing.T) {
 func TestSelectDummyNeverReusesSlot(t *testing.T) {
 	err := quick.Check(func(seed uint32) bool {
 		s := rng.New(uint64(seed))
-		b := newBucket(10)
-		b.reshuffleScratch([]BlockID{1, 2, 3}, s, &shuffleScratch{})
+		b, ids := testBucket(10)
+		b.reshuffleScratch(ids, []BlockID{1, 2, 3}, s, &shuffleScratch{})
 		seen := make(map[int]bool)
 		for b.canServe(false, 100, 3) {
 			slot, _ := (&selector{src: s}).selectDummy(b, 0, 0, 3)
@@ -182,9 +202,9 @@ func TestSelectDummyUniformUsesGreensEarly(t *testing.T) {
 	src := rng.New(9)
 	greens := 0
 	for trial := 0; trial < 200; trial++ {
-		b := newBucket(12)
-		b.reshuffleScratch([]BlockID{1, 2, 3, 4, 5, 6, 7, 8}, src, &shuffleScratch{})
-		if _, g := (&selector{src: src, uniform: true}).selectDummy(b, 0, 0, 8); g != InvalidBlock {
+		b, ids := testBucket(12)
+		b.reshuffleScratch(ids, []BlockID{1, 2, 3, 4, 5, 6, 7, 8}, src, &shuffleScratch{})
+		if _, g := (&selector{src: src, uniform: true}).selectDummy(b, 0, 0, 8); g {
 			greens++
 		}
 	}
@@ -198,8 +218,8 @@ func TestSelectDummyUniformUsesGreensEarly(t *testing.T) {
 
 func TestCanServe(t *testing.T) {
 	src := rng.New(10)
-	b := newBucket(6) // Z=2 reals below, 4 dummies
-	b.reshuffleScratch([]BlockID{1, 2}, src, &shuffleScratch{})
+	b, ids := testBucket(6) // Z=2 reals below, 4 dummies
+	b.reshuffleScratch(ids, []BlockID{1, 2}, src, &shuffleScratch{})
 
 	if !b.canServe(true, 8, 0) {
 		t.Error("bucket with target must serve")
@@ -224,8 +244,8 @@ func TestCanServe(t *testing.T) {
 		t.Error("green budget with resident reals: must serve")
 	}
 	// Consume the reals.
-	b.consumeReal(b.findBlock(1))
-	b.consumeReal(b.findBlock(2))
+	b.consumeReal(ids, b.findBlock(ids, 1))
+	b.consumeReal(ids, b.findBlock(ids, 2))
 	if b.canServe(false, 8, 1) {
 		t.Error("green budget but no resident reals: must not serve")
 	}
@@ -233,13 +253,113 @@ func TestCanServe(t *testing.T) {
 
 func TestResidentBlocks(t *testing.T) {
 	src := rng.New(11)
-	b := newBucket(8)
-	b.reshuffleScratch([]BlockID{5, 6, 7}, src, &shuffleScratch{})
-	b.consumeReal(b.findBlock(6))
+	b, ids := testBucket(8)
+	b.reshuffleScratch(ids, []BlockID{5, 6, 7}, src, &shuffleScratch{})
+	b.consumeReal(ids, b.findBlock(ids, 6))
 	if n := b.realBlocks(); n != 2 {
 		t.Fatalf("%d blocks resident after consuming one of three, want 2", n)
 	}
-	if b.findBlock(5) < 0 || b.findBlock(7) < 0 || b.findBlock(6) >= 0 {
+	if b.findBlock(ids, 5) < 0 || b.findBlock(ids, 7) < 0 || b.findBlock(ids, 6) >= 0 {
 		t.Fatalf("resident set is not {5,7}: slots %+v", b)
 	}
+}
+
+// TestBucketArena pins where bucket metadata lives: records come from
+// the treeCore slab 1,024 at a time, and a bucket takes an ID run only
+// at its first ID write. Dummy read paths over every leaf of a 12-level
+// tree materialise the 3,840 buckets of its four uncached levels; once
+// one path has grown the bucket index, the other 2,047 paths (3,836
+// fresh buckets) allocate only the slab's new chunks, not two objects a
+// bucket. None of those buckets holds a run, and Save still records each
+// of their slots with ID 0, as Load restores them; the first reshuffle
+// gives a bucket its run.
+func TestBucketArena(t *testing.T) {
+	cfg := config.Default().ORAM
+	cfg.Levels = 12
+	cfg.TreeTopCacheLevels = 8 // an uncached bucket is read at most 8 < S times
+	if sz := unsafe.Sizeof(Bucket{}); sz > 32 {
+		t.Fatalf("a bucket record takes %d bytes, want at most 32", sz)
+	}
+	r, err := NewRing(cfg, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readPath := func(p PathID) {
+		r.scr.ops = r.scr.ops[:0]
+		r.readPathOp(OpDummyReadPath, p, InvalidBlock, false)
+	}
+	leaves := PathID(r.tree.Leaves())
+	readPath(leaves - 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for p := PathID(0); p < leaves-1; p++ {
+		readPath(p)
+	}
+	runtime.ReadMemStats(&after)
+	const uncached = 1<<12 - 1<<8
+	if n := r.buckets.len(); n != uncached {
+		t.Fatalf("%d buckets materialised, want %d", n, uncached)
+	}
+	if n := after.Mallocs - before.Mallocs; n > 8 && !invariant.Enabled {
+		t.Errorf("reading paths across %d fresh buckets made %d allocations, want at most 8", uncached-4, n)
+	}
+	if r.nRuns != 0 || len(r.ids) != 0 {
+		t.Fatalf("read-only buckets took %d ID runs", r.nRuns)
+	}
+
+	checkSaved := func(r *Ring, wantIDs func(idx int64) BlockID) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := r.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		body, err := checksum.Strip(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap ringSnap
+		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Buckets) != uncached {
+			t.Fatalf("Save recorded %d buckets, want %d", len(snap.Buckets), uncached)
+		}
+		for _, b := range snap.Buckets {
+			for s, sl := range b.Slots {
+				if sl.Real || sl.ID != wantIDs(b.Index) {
+					t.Fatalf("bucket %d slot %d saved as %+v, want a dummy with ID %d", b.Index, s, sl, wantIDs(b.Index))
+				}
+			}
+		}
+	}
+	zero := func(int64) BlockID { return 0 }
+	checkSaved(r, zero)
+	var buf bytes.Buffer
+	if err := r.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Load(&buf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.nRuns != 0 {
+		t.Fatalf("Load gave read-only buckets %d ID runs", restored.nRuns)
+	}
+	checkSaved(restored, zero)
+
+	// A reshuffle is the bucket's first ID write: it takes a run, and
+	// its emptied slots now name no block.
+	idx := r.tree.BucketIndex(0, cfg.Levels-1)
+	r.scr.ops = r.scr.ops[:0]
+	r.earlyReshuffleOp(idx, cfg.Levels-1)
+	if r.nRuns != 1 || r.lookup(idx).run != 1 {
+		t.Fatalf("after one reshuffle: %d runs, bucket %d run %d", r.nRuns, idx, r.lookup(idx).run)
+	}
+	checkSaved(r, func(b int64) BlockID {
+		if b == idx {
+			return InvalidBlock
+		}
+		return 0
+	})
 }

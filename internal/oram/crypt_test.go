@@ -179,7 +179,8 @@ func TestStoredSlotsOpenAtPosition(t *testing.T) {
 			zero := make([]byte, cfg.BlockSize)
 			dummies, reals := 0, 0
 			store.eachBucket(func(idx int64, slots [][]byte) {
-				b := r.buckets.get(idx)
+				b := r.lookup(idx)
+				ids := r.run(b)
 				for s, sealed := range slots {
 					if sealed == nil {
 						t.Fatalf("bucket %d slot %d is missing from a stored bucket", idx, s)
@@ -187,7 +188,7 @@ func TestStoredSlotsOpenAtPosition(t *testing.T) {
 					if len(sealed) != cfg.BlockSize {
 						t.Fatalf("bucket %d slot %d stores %d bytes, want %d", idx, s, len(sealed), cfg.BlockSize)
 					}
-					sl := b.slot(s)
+					sl := b.slot(ids, s)
 					if !sl.Valid {
 						continue // consumed: may hold a copy of a block since moved
 					}

@@ -66,7 +66,8 @@ func TestSealedBytesGolden(t *testing.T) {
 // (newUncachedRing), and Y = 2 as every functional Ring runs, with the
 // treetop cache. The server's snapshot files and shard handoff wrap
 // these bytes. Save must keep emitting one [][]byte per touched store
-// bucket with nil for never-written slots, in ascending bucket order, and
+// bucket, every slot's sealed bytes (a stored bucket is written whole),
+// in ascending bucket order, and
 // every snapshot slice sorted by id. The treetop row keeps its cached
 // buckets in the Treetop field, never in the store, so its hash differs
 // from the compact row's; checkTreetopCheckpoint relates the two.

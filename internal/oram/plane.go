@@ -73,12 +73,23 @@ type treeCore struct {
 	// ORAM bucket is a Ring bucket with no reserved dummies (S = Y = 0).
 	cfg  config.ORAM
 	tree Tree
+	// slots is cfg.SlotsPerBucket(): the width of every ID run.
+	slots int
 
 	pos   *PositionMap
 	stash *Stash
-	// buckets holds the metadata of every bucket touched so far, by
-	// heap-order index.
-	buckets table[*Bucket]
+	// buckets maps the heap-order index of every bucket touched so far
+	// to 1 + the position of its record in meta.
+	buckets table[int32]
+	// meta holds the bucket records, metaChunk to a chunk, in the order
+	// the buckets were first touched; ids holds the buckets' slot-ID
+	// runs, runChunk runs of SlotsPerBucket IDs to a chunk, in the order
+	// the buckets were first written (nRuns so far). Both slabs are
+	// pointer-free and their chunks never move, so a *Bucket or a run
+	// stays valid while the slabs grow.
+	meta  [][]Bucket
+	ids   [][]BlockID `oramlint:"secret"`
+	nRuns int32
 
 	store Store
 	crypt *Crypt
@@ -102,9 +113,10 @@ func newTreeCore(cfg config.ORAM, store Store, crypt *Crypt, permSrc, posSrc *rn
 	return treeCore{
 		cfg:     cfg,
 		tree:    tree,
+		slots:   cfg.SlotsPerBucket(),
 		pos:     NewPositionMap(tree.Leaves(), int64(cfg.Z)*tree.Buckets(), posSrc),
 		stash:   NewStash(cfg.StashSize),
-		buckets: newTable[*Bucket](denseBound),
+		buckets: newTable[int32](denseBound),
 		store:   store,
 		crypt:   crypt,
 		permSrc: permSrc,
@@ -118,16 +130,91 @@ func (c *treeCore) Stats() Stats { return c.stats }
 // StashLen returns the current stash occupancy in blocks.
 func (c *treeCore) StashLen() int { return c.stash.Len() }
 
+// The slab chunk sizes, powers of two so a position splits into chunk
+// and offset by shift and mask: a chunk holds 1,024 bucket records (32
+// KiB) or 256 ID runs (24 KiB at the serving geometry's 12 slots), which
+// bounds each slab's unused tail.
+const (
+	metaShift = 10
+	metaChunk = 1 << metaShift
+	runShift  = 8
+	runChunk  = 1 << runShift
+)
+
+// lookup returns the bucket at the given global index, nil if it was
+// never touched.
+func (c *treeCore) lookup(idx int64) *Bucket {
+	if i := c.buckets.get(idx); i != 0 {
+		return c.record(i - 1)
+	}
+	return nil
+}
+
+// record returns the bucket record at slab position pos.
+func (c *treeCore) record(pos int32) *Bucket {
+	return &c.meta[pos>>metaShift][pos&(metaChunk-1)]
+}
+
 // materialize returns the bucket at the given global index, creating a
 // fresh all-dummy bucket on first touch (reported by fresh).
 func (c *treeCore) materialize(idx int64) (b *Bucket, fresh bool) {
-	b = c.buckets.get(idx)
-	if b == nil {
-		b = newBucket(c.cfg.SlotsPerBucket())
-		c.buckets.set(idx, b)
-		fresh = true
+	if b = c.lookup(idx); b != nil {
+		return b, false
 	}
-	return b, fresh
+	n := int32(c.buckets.len())
+	if n&(metaChunk-1) == 0 {
+		c.meta = append(c.meta, make([]Bucket, metaChunk))
+	}
+	c.buckets.set(idx, n+1)
+	b = c.record(n)
+	*b = newBucket(c.slots)
+	return b, true
+}
+
+// eachBucket visits every touched bucket in ascending index order.
+func (c *treeCore) eachBucket(fn func(idx int64, b *Bucket)) {
+	c.buckets.ascending(func(idx int64, i int32) { fn(idx, c.record(i-1)) })
+}
+
+// run returns bucket b's slot-ID run, nil while it has none: a bucket
+// whose IDs were never written, every one of them reading 0. Such a
+// bucket has no real slot, so the methods that look an ID up by a real
+// slot never index a nil run.
+func (c *treeCore) run(b *Bucket) []BlockID {
+	if b.run == 0 {
+		return nil
+	}
+	return c.runAt(b.run - 1)
+}
+
+// ownRun returns bucket b's slot-ID run, first giving it one (every ID
+// 0) if it has none: the step before a bucket's first ID write.
+func (c *treeCore) ownRun(b *Bucket) []BlockID {
+	if b.run == 0 {
+		if c.nRuns&(runChunk-1) == 0 {
+			c.ids = append(c.ids, make([]BlockID, runChunk*c.slots))
+		}
+		c.nRuns++
+		b.run = c.nRuns
+	}
+	return c.runAt(b.run - 1)
+}
+
+// runAt returns the run at slab position pos, its capacity ending at the
+// run so that an append cannot reach the next one.
+func (c *treeCore) runAt(pos int32) []BlockID {
+	off := int(pos&(runChunk-1)) * c.slots
+	return c.ids[pos>>runShift][off : off+c.slots : off+c.slots]
+}
+
+// findBlock returns the slot of bucket b holding the given block, or -1,
+// reaching for the bucket's run only when it has a resident block: on a
+// read path through a sparsely filled tree most buckets have none.
+func (c *treeCore) findBlock(b *Bucket, id BlockID) int {
+	if b.residents() == 0 {
+		return -1
+	}
+	return b.findBlock(c.run(b), id)
 }
 
 // emitFrom returns the first tree level that generates DRAM traffic;
@@ -177,7 +264,7 @@ func (c *treeCore) readSlot(op *Op, idx int64, level, slot int) []byte {
 // path, consumes the slot and returns the block.
 func (c *treeCore) fetchToStash(op *Op, idx int64, level int, b *Bucket, slot int) BlockID {
 	sealed := c.readSlot(op, idx, level, slot)
-	id := b.consumeReal(slot)
+	id := b.consumeReal(c.run(b), slot)
 	p, known := c.pos.Lookup(id)
 	//oramlint:allow secret-branch consistency check after the read is listed; an unmapped resident block panics the simulation rather than emitting anything
 	if !known {
@@ -337,7 +424,7 @@ func (c *treeCore) placeOnPath(p PathID) [][]BlockID {
 func (c *treeCore) refillPath(op *Op, p PathID, path []int64) {
 	placed := c.placeOnPath(p)
 	for lvl, idx := range path {
-		c.refillBucket(op, idx, lvl, c.buckets.get(idx), placed[lvl])
+		c.refillBucket(op, idx, lvl, c.lookup(idx), placed[lvl])
 	}
 }
 
@@ -350,7 +437,7 @@ func (c *treeCore) refillBucket(op *Op, idx int64, level int, b *Bucket, ids []B
 	if invariant.Enabled {
 		invariant.Assertf(len(ids) <= c.cfg.Z, "bucket %d refilled with %d real blocks, Z=%d", idx, len(ids), c.cfg.Z)
 	}
-	targets := b.reshuffleScratch(ids, c.permSrc, &c.scr.shuf)
+	targets := b.reshuffleScratch(c.ownRun(b), ids, c.permSrc, &c.scr.shuf)
 	srcs := c.scr.srcs
 	//oramlint:allow secret-branch moves each placed block's plaintext into its slot's source and emits nothing; the bucket write and the accesses below cover every slot whatever the count
 	for i, id := range ids {
@@ -388,10 +475,11 @@ func (c *treeCore) refillBucket(op *Op, idx int64, level int, b *Bucket, ids []B
 func (c *treeCore) checkLocations() error {
 	var err error
 	resident := make(map[BlockID]int64) // block -> the bucket holding it
-	c.buckets.ascending(func(idx int64, b *Bucket) {
+	c.eachBucket(func(idx int64, b *Bucket) {
+		ids := c.run(b)
 		for m := b.residents(); m != 0 && err == nil; m &= m - 1 {
 			s := bits.TrailingZeros64(m)
-			id := b.IDs[s]
+			id := ids[s]
 			p, mapped := c.pos.Lookup(id)
 			prev, twice := resident[id]
 			switch {

@@ -91,11 +91,11 @@ func TestBucketAccessBudgetNeverExceeded(t *testing.T) {
 		if _, _, err := r.Access(BlockID(i%12), false, nil); err != nil {
 			t.Fatal(err)
 		}
-		r.buckets.ascending(func(idx int64, b *Bucket) {
-			if b.Count > cfg.S {
+		r.eachBucket(func(idx int64, b *Bucket) {
+			if int(b.Count) > cfg.S {
 				t.Fatalf("step %d: bucket %d count %d exceeds S=%d", i, idx, b.Count, cfg.S)
 			}
-			if b.Green > cfg.Y {
+			if int(b.Green) > cfg.Y {
 				t.Fatalf("step %d: bucket %d green %d exceeds Y=%d", i, idx, b.Green, cfg.Y)
 			}
 		})

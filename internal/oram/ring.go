@@ -137,7 +137,8 @@ func (r *Ring) warmBucket(idx int64, b *Bucket) {
 			n++
 		}
 	}
-	perm := src.Perm(len(b.IDs))
+	var permBuf [maxSlotsPerBucket]int
+	perm := src.PermInto(permBuf[:r.slots])
 
 	// Phase: k accesses absorbed since the (synthetic) last reshuffle.
 	// In steady state a bucket at level l is reshuffled every A*2^l
@@ -156,7 +157,7 @@ func (r *Ring) warmBucket(idx int64, b *Bucket) {
 			k = r.cfg.S - 1
 		}
 	}
-	reserved := len(b.IDs) - n
+	reserved := r.slots - n
 	dc := k
 	if dc > reserved {
 		dc = reserved
@@ -169,13 +170,18 @@ func (r *Ring) warmBucket(idx int64, b *Bucket) {
 		gc = n
 	}
 
-	// Surviving fillers occupy perm[0 : n-gc].
+	// Surviving fillers occupy perm[0 : n-gc]; only a bucket that places
+	// one takes an ID run.
 	span := uint64(1) << uint(r.tree.L-lvl)
 	inLevel := idx - ((int64(1) << uint(lvl)) - 1)
+	var ids []BlockID
+	if n > gc {
+		ids = r.ownRun(b)
+	}
 	for i := 0; i < n-gc; i++ {
 		id := r.nextFiller
 		r.nextFiller++
-		b.IDs[perm[i]] = id
+		ids[perm[i]] = id
 		b.real |= 1 << uint(perm[i])
 		leaf := PathID(uint64(inLevel)*span + src.Uint64n(span))
 		r.pos.Set(id, leaf)
@@ -186,8 +192,8 @@ func (r *Ring) warmBucket(idx int64, b *Bucket) {
 	for i := n - gc; i < n+dc; i++ {
 		b.valid &^= 1 << uint(perm[i])
 	}
-	b.Count = dc + gc
-	b.Green = gc
+	b.Count = int16(dc + gc)
+	b.Green = int16(gc)
 }
 
 // poisson draws a Poisson(mean) variate (Knuth's method; mean is small —
@@ -400,8 +406,8 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 	//oramlint:allow secret-branch target search only; with or without a target the emitted path reads exactly one slot per level
 	if wantTarget {
 		for lvl := len(path) - 1; lvl >= 0; lvl-- {
-			if b := r.buckets.get(path[lvl]); b != nil {
-				if s := b.findBlock(id); s >= 0 { //oramlint:allow secret-branch target lookup; the emitted path still reads exactly one untouched slot per level, and slot positions are a secret uniform permutation (Ring ORAM Sec. 3.2)
+			if b := r.lookup(path[lvl]); b != nil {
+				if s := r.findBlock(b, id); s >= 0 { //oramlint:allow secret-branch target lookup; the emitted path still reads exactly one untouched slot per level, and slot positions are a secret uniform permutation (Ring ORAM Sec. 3.2)
 					targetLevel, targetSlot = lvl, s
 					break
 				}
@@ -424,7 +430,7 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 			r.earlyReshuffleOp(path[lvl], lvl)
 			if hasTarget {
 				// The reshuffle re-permuted the bucket.
-				targetSlot = b.findBlock(id)
+				targetSlot = r.findBlock(b, id)
 			}
 		}
 	}
@@ -447,7 +453,7 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 		b := r.bucket(idx)
 		b.Count++
 		if invariant.Enabled {
-			invariant.Assertf(b.Count <= r.cfg.S, "bucket %d count %d exceeds access budget S=%d", idx, b.Count, r.cfg.S)
+			invariant.Assertf(int(b.Count) <= r.cfg.S, "bucket %d count %d exceeds access budget S=%d", idx, b.Count, r.cfg.S)
 		}
 		if lvl == targetLevel {
 			r.fetchToStash(op, idx, lvl, b, targetSlot)
@@ -455,7 +461,7 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 		}
 		slot, green := r.sel.selectDummy(b, idx, lvl, greenBudget)
 		//oramlint:allow secret-branch the slot was already chosen and both arms read it once; a green block only rides along into the stash (CB, paper Sec. IV)
-		if green != InvalidBlock {
+		if green {
 			r.fetchToStash(op, idx, lvl, b, slot)
 			r.stats.GreenFetches++
 		} else {
@@ -540,17 +546,15 @@ func (r *Ring) CheckInvariants() error {
 	// Bucket budgets, in ascending bucket order so the first reported
 	// violation is the same run to run.
 	var err error
-	r.buckets.ascending(func(idx int64, b *Bucket) {
+	r.eachBucket(func(idx int64, b *Bucket) {
 		switch {
 		case err != nil:
-		case b.Count > r.cfg.S:
+		case int(b.Count) > r.cfg.S:
 			err = fmt.Errorf("oram: bucket %d count %d exceeds S=%d", idx, b.Count, r.cfg.S)
-		case b.Green > r.cfg.Y:
+		case int(b.Green) > r.cfg.Y:
 			err = fmt.Errorf("oram: bucket %d green %d exceeds Y=%d", idx, b.Green, r.cfg.Y)
 		case b.realBlocks() > r.cfg.Z:
 			err = fmt.Errorf("oram: bucket %d holds %d real blocks, Z=%d", idx, b.realBlocks(), r.cfg.Z)
-		case len(b.IDs) != r.cfg.SlotsPerBucket():
-			err = fmt.Errorf("oram: bucket %d has %d slots, want %d", idx, len(b.IDs), r.cfg.SlotsPerBucket())
 		}
 	})
 	if err != nil {

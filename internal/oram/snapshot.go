@@ -134,13 +134,14 @@ func (r *Ring) Save(w io.Writer) error {
 	r.pos.ForEach(func(id BlockID, p PathID) {
 		snap.PosMap = append(snap.PosMap, posSnap{ID: id, Path: p})
 	})
-	r.buckets.ascending(func(idx int64, b *Bucket) {
-		slots := make([]Slot, len(b.IDs))
+	r.eachBucket(func(idx int64, b *Bucket) {
+		ids := r.run(b)
+		slots := make([]Slot, r.slots)
 		for s := range slots {
-			slots[s] = b.slot(s)
+			slots[s] = b.slot(ids, s)
 		}
 		snap.Buckets = append(snap.Buckets, bucketSnap{
-			Index: idx, Count: b.Count, Green: b.Green, Epoch: b.Epoch, Slots: slots,
+			Index: idx, Count: int(b.Count), Green: int(b.Green), Epoch: b.Epoch, Slots: slots,
 		})
 	})
 	if isMem {
@@ -288,15 +289,37 @@ func Load(rd io.Reader, key []byte) (*Ring, error) {
 			return nil, fmt.Errorf("oram: checkpoint Buckets.Index %d outside the tree's %d buckets", b.Index, tree.Buckets())
 		case len(b.Slots) != perBkt:
 			return nil, fmt.Errorf("oram: checkpoint bucket %d metadata has %d slots, want %d", b.Index, len(b.Slots), perBkt)
-		case r.buckets.get(b.Index) != nil:
+		case r.lookup(b.Index) != nil:
 			return nil, fmt.Errorf("oram: checkpoint Buckets.Index %d appears twice", b.Index)
 		case b.Epoch < 0 || uint64(b.Epoch) >= 1<<nonceEpochBits:
 			// An epoch past its nonce field would alias another bucket's nonce.
 			return nil, fmt.Errorf("oram: checkpoint bucket %d Epoch %d outside [0, 2^%d)", b.Index, b.Epoch, nonceEpochBits)
+		// The counters are checked before the record narrows them to
+		// int16; a negative Green would lift the bucket's CB budget.
+		case b.Count < 0:
+			return nil, fmt.Errorf("oram: checkpoint bucket %d count %d is negative", b.Index, b.Count)
+		case b.Count > snap.Cfg.S:
+			return nil, fmt.Errorf("oram: checkpoint bucket %d count %d exceeds S=%d", b.Index, b.Count, snap.Cfg.S)
+		case b.Green < 0:
+			return nil, fmt.Errorf("oram: checkpoint bucket %d green %d is negative", b.Index, b.Green)
+		case b.Green > snap.Cfg.Y:
+			return nil, fmt.Errorf("oram: checkpoint bucket %d green %d exceeds Y=%d", b.Index, b.Green, snap.Cfg.Y)
 		}
-		rb := bucketFromSlots(b.Slots)
-		rb.Count, rb.Green, rb.Epoch = b.Count, b.Green, b.Epoch
-		r.buckets.set(b.Index, rb)
+		rb, _ := r.materialize(b.Index)
+		*rb = Bucket{Epoch: b.Epoch, Count: int16(b.Count), Green: int16(b.Green)}
+		for s, sl := range b.Slots {
+			if sl.Real {
+				rb.real |= 1 << uint(s)
+			}
+			if sl.Valid {
+				rb.valid |= 1 << uint(s)
+			}
+			// A bucket takes an ID run only where a slot needs one, so a
+			// never-written bucket comes back without one.
+			if sl.Real || sl.ID != 0 {
+				r.ownRun(rb)[s] = sl.ID
+			}
+		}
 	}
 	if err := r.CheckInvariants(); err != nil {
 		return nil, err
@@ -332,7 +355,7 @@ func (r *Ring) Rekey(key []byte) error {
 	var body []byte
 	ms.eachBucket(func(bkt int64, slots [][]byte) {
 		var epoch int // a stored bucket without metadata is never read
-		if b := r.buckets.get(bkt); b != nil {
+		if b := r.lookup(bkt); b != nil {
 			epoch = b.Epoch
 		}
 		body = ensure(body, len(slots)*bs+gcmTagSize)[:len(slots)*bs]

@@ -351,6 +351,13 @@ func TestLoadRejectsBadIndices(t *testing.T) {
 		// field it would alias another position's nonce.
 		{"bucket epoch negative", func(s *ringSnap) { s.Buckets[0].Epoch = -1 }, "Epoch"},
 		{"bucket epoch 2^epochBits", func(s *ringSnap) { s.Buckets[0].Epoch = 1 << nonceEpochBits }, "Epoch"},
+		// The counters are narrowed to int16 in the bucket record: a
+		// negative one (or one that would wrap into range) is refused
+		// first, and a negative Green would lift the CB budget.
+		{"bucket count -5", func(s *ringSnap) { s.Buckets[0].Count = -5 }, "count -5 is negative"},
+		{"bucket count -2^40", func(s *ringSnap) { s.Buckets[0].Count = -1 << 40 }, "is negative"},
+		{"bucket green -3", func(s *ringSnap) { s.Buckets[0].Green = -3 }, "green -3 is negative"},
+		{"bucket count 2^16+1", func(s *ringSnap) { s.Buckets[0].Count = 1<<16 + 1 }, "exceeds S"},
 		// Version 1 sealed under write counters a position nonce can repeat.
 		{"version 1", func(s *ringSnap) { s.Version = 1 }, "version 1"},
 	} {

@@ -567,7 +567,7 @@ func TestRekeyIgnoresStoredBytes(t *testing.T) {
 	if err := restored.Rekey(RingKey(testKey(), 1, NewSalt())); err != nil {
 		t.Fatal(err)
 	}
-	epoch := restored.buckets.get(a.bucket).Epoch
+	epoch := restored.lookup(a.bucket).Epoch
 	storedXOR := make([]byte, cfg.BlockSize)
 	subtle.XORBytes(storedXOR, restored.store.ReadSlot(a.bucket, a.slot), restored.store.ReadSlot(b.bucket, b.slot))
 	plainXOR := make([]byte, cfg.BlockSize)

@@ -22,7 +22,7 @@ func TestWarmFillPopulatesBuckets(t *testing.T) {
 	// Leaf buckets must carry substantial occupancy on average.
 	tr := r.tree
 	var leafBlocks, leafBuckets int
-	r.buckets.ascending(func(idx int64, b *Bucket) {
+	r.eachBucket(func(idx int64, b *Bucket) {
 		if tr.BucketLevel(idx) == tr.L {
 			leafBuckets++
 			leafBlocks += b.realBlocks()

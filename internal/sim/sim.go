@@ -446,18 +446,19 @@ func (s *Sim) feed(now int64) {
 
 // completeWaiters unblocks cores whose data transaction has drained and
 // recycles the memory of fully drained transactions, emitting each
-// drained transaction's latency span on the way out.
+// drained transaction's latency span on the way out. Waiters are
+// appended in increasing transaction order (oramAccess numbers them from
+// one counter), so the drained ones are a prefix.
 func (s *Sim) completeWaiters(now int64) {
 	cur := s.ctrl.CurrentTxn()
-	kept := s.waiters[:0]
-	for _, w := range s.waiters {
-		if w.txn < cur {
-			s.clus.Cores[w.core].Complete()
-		} else {
-			kept = append(kept, w)
-		}
+	n := 0
+	for n < len(s.waiters) && s.waiters[n].txn < cur {
+		s.clus.Cores[s.waiters[n].core].Complete()
+		n++
 	}
-	s.waiters = kept
+	if n > 0 {
+		s.waiters = s.waiters[:copy(s.waiters, s.waiters[n:])]
+	}
 	// Prune the phase window and return drained transactions' requests
 	// to the freelists.
 	s.tags.prune(cur)

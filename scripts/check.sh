@@ -119,8 +119,8 @@ for procs in 1 2 4; do
 	    ./internal/cluster ./internal/server ./internal/obs
 done
 
-echo "== data-plane goldens (sealed bytes, stored slots open at their position, treetop store trace, store trace is the op list, Save makes no store call, Path op trace, checkpoint bytes, earlier checkpoints, inconsistent checkpoints, bit-flipped checkpoints refused, buckets wider than 64 slots refused, store slots stay put and stay in bounds, DRAM command stream, Path ORAM stash samples) =="
-go test -count=1 -run='^(TestSealedBytesGolden|TestStoredSlotsOpenAtPosition|TestTreetopStoreTraceGolden|TestStoreTraceIsOpList|TestSaveIsStoreSilent|TestPathTraceGolden|TestRingSaveBytesGolden|TestLoadCheckpointCompat|TestLoadRejectsInconsistentBuckets|TestCheckpointBitFlipRefused|TestControllersRejectWideBuckets|TestMemStoreSlotsStayPut|TestMemStoreSlotBounds)$' ./internal/oram
+echo "== data-plane goldens (sealed bytes, stored slots open at their position, treetop store trace, store trace is the op list, Save makes no store call, Path op trace, checkpoint bytes, earlier checkpoints, inconsistent checkpoints, bit-flipped checkpoints refused, buckets wider than 64 slots refused, store slots stay put and stay in bounds, bucket metadata stays in its slabs, DRAM command stream, Path ORAM stash samples) =="
+go test -count=1 -run='^(TestSealedBytesGolden|TestStoredSlotsOpenAtPosition|TestTreetopStoreTraceGolden|TestStoreTraceIsOpList|TestSaveIsStoreSilent|TestPathTraceGolden|TestRingSaveBytesGolden|TestLoadCheckpointCompat|TestLoadRejectsInconsistentBuckets|TestCheckpointBitFlipRefused|TestControllersRejectWideBuckets|TestMemStoreSlotsStayPut|TestMemStoreSlotBounds|TestBucketArena)$' ./internal/oram
 go test -count=1 -run='^(TestCommandStreamGolden|TestPathORAMStashSamplesCollected)$' ./internal/sim
 
 echo "== treetop cache equivalence (serial vs the in-package uncached reference, -race) =="
