@@ -8,66 +8,50 @@ import (
 	"stringoram/internal/server"
 )
 
-// ErrLogTrimmed reports an Encode asking for entries the ring buffer
-// has already overwritten; the caller must fall back to a full snapshot
-// instead of a tail replay.
+// ErrLogTrimmed reports an Encode asking for entries the log has
+// already dropped; the caller must fall back to a full snapshot instead
+// of a tail replay.
 var ErrLogTrimmed = errors.New("cluster: op log trimmed past requested sequence")
 
-// entry is one applied write, at slot seq%cap of its log. key and val
-// are copies owned by the log (the ring reuses their backing arrays
-// across generations, carving first-touch buffers out of the log's
-// arena — hence the scratch tag).
-type entry struct {
-	key []byte `oramlint:"secret,scratch"`
-	val []byte `oramlint:"secret,scratch"`
-}
-
-// DefaultLogCap is the per-shard ring capacity: enough tail to cover a
+// DefaultLogCap is the per-shard entry bound: enough tail to cover a
 // handoff's final replay window without unbounded memory.
 const DefaultLogCap = 8192
 
-// Log is a fixed-capacity append-only op log for one shard, kept as a
-// ring buffer: entry seq lives at slot seq%cap until overwritten by
-// seq+cap. Append reuses each slot's Key/Val backing arrays, so the
-// steady-state apply path does not allocate once the ring has warmed to
-// the workload's key/value sizes.
+// logRec locates one resident entry in its log's byte FIFO: the key
+// starts at absolute position pos and the value follows it.
+type logRec struct {
+	pos        uint64
+	klen, vlen uint32
+}
+
+// logMinRecs is the record ring's first length; it doubles up to the
+// log's cap.
+const logMinRecs = 64
+
+// Log is a bounded append-only op log for one shard: it holds the
+// newest cap entries at most, and its memory grows with what it holds.
+// Two pointer-free buffers keep it. recs has entry seq's record at
+// recs[seq%len(recs)], and buf is a byte FIFO with each entry's key and
+// value back to back, in sequence order. Positions in buf are absolute
+// (buf[0] is position base), so dropping the oldest entry only moves
+// first, and compacting only moves base. Once both buffers have grown to
+// the workload, Append does not allocate.
 //
 // Appends happen on the shard's worker goroutine; Encode is called
 // concurrently by the replication sender and handoff, hence the mutex.
 type Log struct {
-	mu      sync.Mutex
-	cap     int
-	entries []entry // allocated on first Append (nodes hold a Log per global shard)
-	first   uint64  // oldest sequence still resident, 0 when empty
-	last    uint64  // newest sequence appended, 0 when empty
-
-	// arena bump-allocates first-touch entry buffers in chunks, so
-	// warming the ring costs one allocation per chunk instead of two per
-	// entry (8192 entries would otherwise take thousands of appends to
-	// amortize). Entries keep their slices across generations; the arena
-	// is only consulted when an entry lacks capacity.
-	arena []byte `oramlint:"secret,scratch"`
+	mu    sync.Mutex
+	cap   int
+	recs  []logRec
+	buf   []byte `oramlint:"secret,scratch"`
+	base  uint64 // absolute position of buf[0]
+	end   uint64 // absolute position one past the newest entry's bytes
+	first uint64 // oldest sequence still resident, 0 when empty
+	last  uint64 // newest sequence appended, 0 when empty
 }
 
-// logArenaChunk is the arena growth quantum.
-const logArenaChunk = 1 << 16
-
-// alloc carves an n-byte buffer out of the arena (a dedicated
-// allocation for oversized requests). Caller holds l.mu.
-func (l *Log) alloc(n int) []byte {
-	if n > logArenaChunk/4 {
-		return make([]byte, 0, n) // oversized: don't burn arena chunks
-	}
-	if n > len(l.arena) {
-		l.arena = make([]byte, logArenaChunk)
-	}
-	b := l.arena[:0:n]
-	l.arena = l.arena[n:]
-	return b
-}
-
-// NewLog builds an empty log with the given ring capacity (0 means
-// DefaultLogCap). The ring itself is allocated on first Append.
+// NewLog builds an empty log that holds at most capacity entries (0
+// means DefaultLogCap). Its buffers are allocated as entries arrive.
 func NewLog(capacity int) *Log {
 	if capacity <= 0 {
 		capacity = DefaultLogCap
@@ -76,29 +60,69 @@ func NewLog(capacity int) *Log {
 }
 
 // Append records one applied write. Sequences must arrive in order
-// (they are produced by the shard worker, which is single-threaded).
+// (they are produced by the shard worker, which is single-threaded); a
+// sequence that does not follow the newest entry starts the window
+// afresh, so the log never reports entries it does not hold.
 func (l *Log) Append(seq uint64, key string, val []byte) {
 	l.mu.Lock()
-	if l.entries == nil {
-		l.entries = make([]entry, l.cap)
-	}
-	e := &l.entries[seq%uint64(len(l.entries))]
-	if cap(e.key) < len(key) {
-		e.key = l.alloc(len(key))
-	}
-	if cap(e.val) < len(val) {
-		e.val = l.alloc(len(val))
-	}
-	e.key = append(e.key[:0], key...)
-	e.val = append(e.val[:0], val...)
-	if l.first == 0 {
+	if l.first == 0 || seq != l.last+1 {
 		l.first = seq
-	} else if seq-l.first >= uint64(len(l.entries)) {
-		// The ring wrapped: the oldest resident entry is now seq-cap+1.
-		l.first = seq + 1 - uint64(len(l.entries))
+	} else if seq-l.first >= uint64(l.cap) {
+		l.first++ // full: drop the oldest entry
 	}
+	if seq-l.first >= uint64(len(l.recs)) {
+		l.growRecs(seq)
+	}
+	start := l.end // oldest live byte once seq is in
+	if l.first < seq {
+		start = l.recs[l.first%uint64(len(l.recs))].pos
+	}
+	n := len(key) + len(val)
+	if int(l.end-l.base)+n > len(l.buf) {
+		l.makeRoom(start, n)
+	}
+	p := l.end - l.base
+	copy(l.buf[p:], key)
+	copy(l.buf[p+uint64(len(key)):], val)
+	l.recs[seq%uint64(len(l.recs))] = logRec{pos: l.end, klen: uint32(len(key)), vlen: uint32(len(val))}
+	l.end += uint64(n)
 	l.last = seq
 	l.mu.Unlock()
+}
+
+// growRecs doubles the record ring (up to cap) and re-slots the
+// resident entries [first, seq). Caller holds l.mu.
+func (l *Log) growRecs(seq uint64) {
+	recs := make([]logRec, min(max(2*len(l.recs), logMinRecs), l.cap))
+	for s := l.first; s < seq; s++ {
+		recs[s%uint64(len(recs))] = l.recs[s%uint64(len(l.recs))]
+	}
+	l.recs = recs
+}
+
+// makeRoom frees n bytes at the FIFO's tail. The live bytes [start, end)
+// slide to the front of buf when they and the new entry fill at most
+// three quarters of it. Otherwise, or when they fill at most a quarter
+// of it, they move to a new buf of about 4/3 that need: a full log keeps
+// at most a third of its live bytes spare, and a log whose entries
+// shrank gives the spare back. Caller holds l.mu.
+func (l *Log) makeRoom(start uint64, n int) {
+	live := l.buf[start-l.base : l.end-l.base]
+	if need := len(live) + n; 4*need > 3*len(l.buf) || 4*need <= len(l.buf) {
+		buf := make([]byte, 4*need/3+1)
+		copy(buf, live)
+		l.buf = buf
+	} else {
+		copy(l.buf, live)
+	}
+	l.base = start
+}
+
+// footprint reports the bytes the log's buffers take (a logRec is 16).
+func (l *Log) footprint() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.recs)*16 + len(l.buf)
 }
 
 // Bounds reports the resident sequence window [first, last]; both are 0
@@ -110,9 +134,9 @@ func (l *Log) Bounds() (first, last uint64) {
 }
 
 // Encode adds entries (from, to] to f in sequence order, straight from
-// the ring under the log's lock, until f is full, and returns the newest
-// entry added. It fails with ErrLogTrimmed when the ring no longer holds
-// entry from+1 or does not yet hold to. from == to adds nothing.
+// the byte FIFO under the log's lock, until f is full, and returns the
+// newest entry added. It fails with ErrLogTrimmed when the log no longer
+// holds entry from+1 or does not yet hold to. from == to adds nothing.
 func (l *Log) Encode(f *server.ReplicateFrame, from, to uint64) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -124,8 +148,10 @@ func (l *Log) Encode(f *server.ReplicateFrame, from, to uint64) (uint64, error) 
 	}
 	last := from
 	for seq := from + 1; seq <= to; seq++ {
-		e := &l.entries[seq%uint64(len(l.entries))]
-		if !f.Add(seq, e.key, e.val) {
+		r := l.recs[seq%uint64(len(l.recs))]
+		p := r.pos - l.base
+		k := p + uint64(r.klen)
+		if !f.Add(seq, l.buf[p:k], l.buf[k:k+uint64(r.vlen)]) {
 			break
 		}
 		last = seq

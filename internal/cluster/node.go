@@ -28,9 +28,11 @@ type NodeConfig struct {
 	// TotalShards are derived from the placement; OnApply is owned by
 	// the node (the op-log/replication hook).
 	Server server.Config
-	// LogCap sizes each per-shard op-log ring (0 = DefaultLogCap). It
-	// also bounds the entries a primary shard may owe its follower: a
-	// write that would overwrite an unacked entry waits for the ack.
+	// LogCap bounds the entries each per-shard op log keeps resident (0
+	// = DefaultLogCap); the log's memory grows with the entries and
+	// bytes it holds, not with the cap. It also bounds the entries a
+	// primary shard may owe its follower: a write that would drop an
+	// unacked entry waits for the ack.
 	LogCap int
 	// Retry shapes the bounded backoff a replication sender applies to a
 	// frame its follower rejects retryably (backlog) before it fails the
@@ -49,8 +51,9 @@ type Node struct {
 	tcp   *server.TCPServer
 	retry server.RetryPolicy
 
-	// logs has one lazily-filled ring per global shard; slots for shards
-	// this node never hosts stay header-only.
+	// logs has one op log per global shard; a log allocates only as
+	// entries arrive, so those of shards this node never hosts stay
+	// header-only.
 	logs []*Log
 
 	// repl is each shard's replication state, indexed like logs.

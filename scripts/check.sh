@@ -4,7 +4,8 @@
 # suite in both build flavors (default and -tags=invariants), the race
 # detector over the packages with scheduler/simulator
 # concurrency-sensitive state, and short fuzz smokes of the trace codec,
-# the sealer, the checkpoint loader and the wire request decoder.
+# the sealer, the checkpoint loader, the wire request decoder and the op
+# log.
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -98,9 +99,9 @@ go test -race -count=1 -run='^TestClusterKillOneNodeChaos$' ./internal/cluster
 echo "== SLO chaos gate (post-kill p99 objective on the survivors, -race) =="
 go test -race -count=1 -run='^TestClusterChaosSLO$' ./internal/cluster
 
-echo "== replication, forwarding and client-send gate (group-commit sender, in-order release, promotion fence, silent follower, lag gauge, relayed deadline, hop budget, combining flusher, failed flush, accept retry, per-shard and per-replica seal keys, -race) =="
+echo "== replication, forwarding and client-send gate (group-commit sender, in-order release, promotion fence, silent follower, lag gauge, relayed deadline, op log vs its reference model, op-log footprint, hop budget, combining flusher, failed flush, accept retry, per-shard and per-replica seal keys, -race) =="
 go test -race -count=3 \
-    -run='^(TestClusterPipelinedReplicationHistory|TestPromoteWaitsForReplicatedFrame|TestReplicationSilentFollowerDemoted|TestReplicationLagMeasuresOldestUnacked|TestAllocFreeReplicatedPut|TestForwardKeepsClientDeadline)$' \
+    -run='^(TestClusterPipelinedReplicationHistory|TestPromoteWaitsForReplicatedFrame|TestReplicationSilentFollowerDemoted|TestReplicationLagMeasuresOldestUnacked|TestAllocFreeReplicatedPut|TestForwardKeepsClientDeadline|TestLogMatchesReference|TestLogHoldsWhatItStores)$' \
     ./internal/cluster
 go test -race -count=3 -run='^(TestReleaseAnswersInOrder|TestGetReadBeforeFailedSettleRefused|TestTCPServeRetriesTemporaryAcceptError|TestClientCombinesConcurrentRequests|TestClientFailedFlushFailsEveryCaller|TestShardsNeverShareKeystream|TestReplicasNeverShareKeystream|TestForwardTTLExhaustion)$' ./internal/server
 
@@ -171,5 +172,8 @@ go test -run='^$' -fuzz='^FuzzLoad$' -fuzztime=5s -fuzzminimizetime=0 ./internal
 
 echo "== fuzz smoke (wire request decoder: no panic, exact re-encoding) =="
 go test -run='^$' -fuzz='^FuzzDecodeRequest$' -fuzztime=5s ./internal/server
+
+echo "== fuzz smoke (op log vs its slice-of-copies reference model) =="
+go test -run='^$' -fuzz='^FuzzLogMatchesReference$' -fuzztime=5s ./internal/cluster
 
 echo "check.sh: all gates passed"
