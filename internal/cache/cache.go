@@ -21,8 +21,10 @@ type line struct {
 
 // Cache is a set-associative LLC. It is not safe for concurrent use.
 type Cache struct {
-	cfg      config.Cache
-	sets     [][]line
+	cfg config.Cache
+	// lines holds the sets back to back, cfg.Ways lines each: set i is
+	// lines[i*Ways : (i+1)*Ways].
+	lines    []line
 	setShift uint
 	setMask  uint64
 	clock    uint64
@@ -40,12 +42,9 @@ func New(cfg config.Cache) (*Cache, error) {
 	sets := cfg.Sets()
 	c := &Cache{
 		cfg:      cfg,
-		sets:     make([][]line, sets),
+		lines:    make([]line, sets*int64(cfg.Ways)),
 		setShift: uint(bits.TrailingZeros64(uint64(cfg.LineSize))),
 		setMask:  uint64(sets) - 1,
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
 	}
 	return c, nil
 }
@@ -65,7 +64,8 @@ type Result struct {
 func (c *Cache) Access(addr uint64, write bool) Result {
 	c.clock++
 	tag := addr >> c.setShift
-	set := c.sets[tag&c.setMask]
+	first := int(tag&c.setMask) * c.cfg.Ways
+	set := c.lines[first : first+c.cfg.Ways]
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			set[i].lastUse = c.clock
@@ -115,5 +115,5 @@ func (c *Cache) HitRate() float64 {
 // String summarizes the geometry for diagnostics.
 func (c *Cache) String() string {
 	return fmt.Sprintf("cache{%dKB, %d-way, %dB lines, %d sets}",
-		c.cfg.SizeBytes>>10, c.cfg.Ways, c.cfg.LineSize, len(c.sets))
+		c.cfg.SizeBytes>>10, c.cfg.Ways, c.cfg.LineSize, c.setMask+1)
 }

@@ -41,7 +41,7 @@ type Scale struct {
 func Quick() Scale { return Scale{Accesses: 800, TraceLen: 8000, Levels: 16, Seed: 7} }
 
 // Full is the larger scale used to generate EXPERIMENTS.md (every
-// experiment in ~45 s on two cores).
+// experiment in ~35 s on two cores).
 func Full() Scale { return Scale{Accesses: 4000, TraceLen: 40000, Levels: 24, Seed: 7} }
 
 // System builds the paper-default system at this scale's tree height.

@@ -14,6 +14,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 
 	"stringoram/internal/addrmap"
 	"stringoram/internal/config"
@@ -179,6 +180,45 @@ func (s *Stats) EnergyNJ(e config.DRAMEnergy, cycles int64, totalRanks int) floa
 type bankList struct {
 	head, tail *Request
 	rank, bank int
+
+	// cand is what the scheduling scan derives from this list and the
+	// bank's row buffer. It is exact while the bank's dirty bit is clear.
+	cand bankCand
+}
+
+// bankRole says which scheduling passes a bank's head takes part in.
+type bankRole uint8
+
+const (
+	// roleIdle: no head, or a head no pass may serve yet.
+	roleIdle bankRole = iota
+	// roleCur: the head belongs to the current transaction (passes 1–2
+	// and the starvation guard).
+	roleCur
+	// roleEarly: PB only; the head belongs to curTxn+1 and needs a PRE
+	// or ACT (pass 3).
+	roleEarly
+)
+
+// bankCand caches one bank's FR-FCFS candidates. It is a function of the
+// bank's list head, its current-transaction prefix, its open row and
+// curTxn alone, so it is recomputed only when one of those changes: an
+// enqueue that becomes the head or joins the current transaction, a
+// column issue removing a request, any PRE or ACT on the bank (refresh
+// and close-page precharges included), or a transaction advance. Timing
+// (dram.EarliestIssue) is not cached; every scan asks the device afresh.
+type bankCand struct {
+	role bankRole
+	// cmd is the command the head needs next (roleCur, roleEarly).
+	cmd dram.CmdKind
+	// cross is the cycle the head crosses the starvation limit when it
+	// needs a PRE (roleCur only; dram.Never when it cannot starve).
+	cross int64
+	// rd and wr are the oldest current-transaction read and write that
+	// hit the open row (roleCur only). Younger same-direction hits share
+	// their EarliestIssue, so these are the only column candidates an
+	// age-ordered scan could issue or draw a hint from.
+	rd, wr *Request
 }
 
 func (l *bankList) pushBack(r *Request) {
@@ -211,17 +251,18 @@ type chanState struct {
 	idx int
 	dev *dram.Channel
 
-	// banks indexes queued requests per (rank, bank); scheduling passes
-	// consult list heads instead of re-walking age-ordered queues, so a
-	// tick costs work proportional to banks with pending requests.
+	// banks indexes queued requests per (rank, bank); the scheduling scan
+	// consults each bank's cached candidates instead of re-walking
+	// age-ordered queues.
 	banks      []bankList
 	readCount  int
 	writeCount int
 
-	// starved flags banks whose oldest current-transaction request has
-	// waited past the starvation limit for a row change (scratch, rebuilt
-	// every recomputed tick).
-	starved []bool
+	// dirty marks banks whose cand is stale; active marks banks whose
+	// cand.role is not roleIdle, the only banks a scan visits. candGen is
+	// the txnGen the clean entries were computed under.
+	dirty, active bankSet
+	candGen       uint64
 
 	// Next-event cache: when hintOK, no command can issue on this channel
 	// before hint, provided the controller generation still matches and
@@ -233,6 +274,15 @@ type chanState struct {
 	hintGen   uint64
 	hintOK    bool
 }
+
+// bankSet is a bitmask over a channel's (rank, bank) indices.
+type bankSet []uint64
+
+func newBankSet(n int) bankSet { return make(bankSet, (n+63)/64) }
+
+func (s bankSet) set(k int)      { s[k>>6] |= 1 << (k & 63) }
+func (s bankSet) unset(k int)    { s[k>>6] &^= 1 << (k & 63) }
+func (s bankSet) has(k int) bool { return s[k>>6]&(1<<(k&63)) != 0 }
 
 // invalidateHint drops the channel's cached next-event hint.
 func (ch *chanState) invalidateHint() { ch.hintOK = false }
@@ -357,7 +407,8 @@ func New(cfg config.DRAM, kind config.SchedulerKind) *Controller {
 			ch.banks[k].rank = k / cfg.Banks
 			ch.banks[k].bank = k % cfg.Banks
 		}
-		ch.starved = make([]bool, cfg.Ranks*cfg.Banks)
+		ch.dirty = newBankSet(len(ch.banks))
+		ch.active = newBankSet(len(ch.banks))
 	}
 	return c
 }
@@ -418,7 +469,14 @@ func (c *Controller) Enqueue(r *Request, now int64) bool {
 	} else {
 		ch.readCount++
 	}
-	ch.banks[r.Coord.Rank*c.cfg.Banks+r.Coord.Bank].pushBack(r)
+	k := r.Coord.Rank*c.cfg.Banks + r.Coord.Bank
+	l := &ch.banks[k]
+	l.pushBack(r)
+	// The bank's candidates derive from its head and its current-
+	// transaction prefix; a request appended behind both leaves them be.
+	if l.head == r || r.Txn == c.curTxn {
+		ch.dirty.set(k)
+	}
 	if r.Txn > c.maxTxn {
 		c.maxTxn = r.Txn
 	}
@@ -527,50 +585,69 @@ func (c *Controller) scanChannel(ch *chanState, now int64) (int64, bool) {
 		return n, n == now+1
 	}
 
+	c.refreshCands(ch)
+	if invariant.Enabled {
+		c.verifyCands(ch)
+	}
+	// One walk over the banks with work evaluates the FR-FCFS passes
+	// together, against the same device state:
+	//
+	//   - pass 1 ("first ready"): the oldest row-hit column command of the
+	//     current transaction;
+	//   - pass 2 (FCFS): each bank's oldest current-transaction request
+	//     (its head) gets its PRE or ACT, so a younger request cannot close
+	//     a row an older same-bank request still needs;
+	//   - pass 3 (PB only): PRE/ACT hoisted for transaction curTxn+1 on
+	//     banks the current transaction no longer needs.
+	//
+	// Each pass keeps its oldest issuable candidate, and the first pass
+	// holding one issues, exactly as if the passes ran one after another.
+	//
+	// Starvation guard: a bank whose head has waited past the limit for a
+	// row change stops serving younger hits, so the pending PRE can land
+	// once tRTP expires. starveHorizon is the earliest future cycle at
+	// which an un-starved head crosses the limit, bounding how long the
+	// computed hint stays valid.
 	next := dram.Never
-	// Starvation guard: a bank whose oldest pending request has waited
-	// past the limit for a row change stops serving younger hits, so
-	// the pending PRE can land once tRTP expires. starveHorizon is the
-	// earliest future cycle at which an un-starved bank crosses the
-	// limit, bounding how long the computed hint stays valid.
 	starveHorizon := dram.Never
-	clear(ch.starved)
-	if lim := int64(c.cfg.StarvationLimit); lim > 0 {
-		for k := range ch.banks {
-			r := ch.banks[k].head
-			if r == nil || r.Txn != c.curTxn || neededCmd(ch.dev, r) != dram.CmdPRE {
+	var hit, inTxn, early pick
+	for w, word := range ch.active {
+		for ; word != 0; word &= word - 1 {
+			l := &ch.banks[w<<6|bits.TrailingZeros64(word)]
+			cd := &l.cand
+			if cd.role == roleEarly {
+				early.offer(ch.dev, l.head, cd.cmd, now, &next)
 				continue
 			}
-			if cross := r.Enqueued + lim; cross <= now {
-				ch.starved[k] = true
-			} else if cross < starveHorizon {
-				starveHorizon = cross
+			if cd.cross > now {
+				starveHorizon = min(starveHorizon, cd.cross)
+				if cd.rd != nil {
+					hit.offer(ch.dev, cd.rd, dram.CmdRD, now, &next)
+				}
+				if cd.wr != nil {
+					hit.offer(ch.dev, cd.wr, dram.CmdWR, now, &next)
+				}
+				// FR-FCFS deferral: a PRE waits while the open row still
+				// has current-transaction hits. A head that is itself a
+				// hit was just offered to pass 1 with the same
+				// EarliestIssue, so pass 2 could add nothing for it.
+				if cd.rd != nil || cd.wr != nil {
+					continue
+				}
 			}
+			inTxn.offer(ch.dev, l.head, cd.cmd, now, &next)
 		}
 	}
-	// Pass 1 (FR-FCFS "first ready"): oldest row-hit column command of
-	// the current transaction.
-	if n, issued := c.tryColumnHit(ch, now); issued {
+	switch {
+	case hit.r != nil:
+		c.issueColumn(ch, hit.r, hit.cmd, now)
 		return now + 1, true
-	} else if n < next {
-		next = n
-	}
-	// Pass 2 (FCFS): oldest request of the current transaction gets its
-	// PRE/ACT/column command; younger requests on other idle banks may
-	// proceed too.
-	if n, issued := c.tryInTxn(ch, now); issued {
+	case inTxn.r != nil:
+		c.issueRowCmd(ch, inTxn.r, inTxn.cmd, now, false)
 		return now + 1, true
-	} else if n < next {
-		next = n
-	}
-	// Pass 3 (PB only): hoist PRE/ACT for transaction curTxn+1 on banks
-	// the current transaction no longer needs.
-	if c.kind == config.SchedProactiveBank {
-		if n, issued := c.tryProactive(ch, now); issued {
-			return now + 1, true
-		} else if n < next {
-			next = n
-		}
+	case early.r != nil:
+		c.issueRowCmd(ch, early.r, early.cmd, now, true)
+		return now + 1, true
 	}
 	// Pass 4 (close-page policy only): precharge banks whose open row
 	// no queued request wants.
@@ -624,6 +701,7 @@ func (c *Controller) tryClosePage(ch *chanState, now int64) (int64, bool) {
 		}
 		if e <= now {
 			ch.dev.Issue(dram.CmdPRE, l.rank, l.bank, 0, now)
+			ch.dirty.set(k)
 			c.stats.PREs++
 			c.emit(ch.idx, dram.CmdPRE, l.rank, l.bank, 0, now, -1, false)
 			return now + 1, true
@@ -660,6 +738,7 @@ func (c *Controller) tickRefresh(ch *chanState, now int64) (int64, bool) {
 			e := ch.dev.EarliestIssue(dram.CmdPRE, rank, bank, 0, now)
 			if e <= now {
 				ch.dev.Issue(dram.CmdPRE, rank, bank, 0, now)
+				ch.dirty.set(rank*c.cfg.Banks + bank)
 				c.stats.PREs++
 				c.emit(ch.idx, dram.CmdPRE, rank, bank, 0, now, -1, false)
 				return now + 1, true
@@ -673,180 +752,144 @@ func (c *Controller) tickRefresh(ch *chanState, now int64) (int64, bool) {
 	return dram.Never, false
 }
 
-// tryColumnHit issues the oldest current-transaction column command whose
-// row is already open. Candidates reduce per bank to the oldest same-row
-// read and the oldest same-row write: all younger same-direction requests
-// share their EarliestIssue, so these two are the only requests the full
-// age-order scan could have issued or drawn a hint from.
-func (c *Controller) tryColumnHit(ch *chanState, now int64) (int64, bool) {
-	next := dram.Never
-	var best *Request
-	var bestCmd dram.CmdKind
-	for k := range ch.banks {
-		l := &ch.banks[k]
-		if l.head == nil || l.head.Txn != c.curTxn || ch.starved[k] {
-			continue // no current-txn work, or bank paused for an aged row change
-		}
-		row, open := ch.dev.OpenRow(l.rank, l.bank)
-		if !open {
-			continue
-		}
-		var rd, wr *Request
-		for r := l.head; r != nil && r.Txn == c.curTxn; r = r.next {
-			if r.Coord.Row != row {
-				continue
-			}
-			if r.Write {
-				if wr == nil {
-					wr = r
-				}
-			} else if rd == nil {
-				rd = r
-			}
-			if rd != nil && wr != nil {
-				break
-			}
-		}
-		if rd != nil {
-			e := ch.dev.EarliestIssue(dram.CmdRD, l.rank, l.bank, row, now)
-			if e <= now {
-				if best == nil || rd.seq < best.seq {
-					best, bestCmd = rd, dram.CmdRD
-				}
-			} else if e < next {
-				next = e
-			}
-		}
-		if wr != nil {
-			e := ch.dev.EarliestIssue(dram.CmdWR, l.rank, l.bank, row, now)
-			if e <= now {
-				if best == nil || wr.seq < best.seq {
-					best, bestCmd = wr, dram.CmdWR
-				}
-			} else if e < next {
-				next = e
-			}
-		}
-	}
-	if best == nil {
-		return next, false
-	}
-	c.issueColumn(ch, best, bestCmd, now)
-	return now + 1, true
+// pick tracks one scheduling pass's oldest issuable candidate.
+type pick struct {
+	r   *Request
+	cmd dram.CmdKind
 }
 
-// tryInTxn considers the oldest current-transaction request of each bank
-// (the list head, since transactions enqueue in order) and issues the
-// oldest legal command (PRE, ACT, or column) among them, so a younger
-// request cannot close a row an older same-bank request still needs.
-// FR-FCFS deferral: a PRE is held back while pending requests can still
-// hit the bank's open row, unless the conflicting request has waited past
-// the starvation limit.
-func (c *Controller) tryInTxn(ch *chanState, now int64) (int64, bool) {
-	next := dram.Never
-	var best *Request
-	var bestCmd dram.CmdKind
-	for k := range ch.banks {
-		l := &ch.banks[k]
-		r := l.head
-		if r == nil || r.Txn != c.curTxn {
-			continue
+// offer makes r the pass's candidate when cmd can issue for it at now and
+// r is older than the candidate so far; otherwise it lowers next to the
+// cycle cmd becomes issuable. The row is r's own: for a column command
+// that is the open row, and PRE ignores it.
+func (p *pick) offer(dev *dram.Channel, r *Request, cmd dram.CmdKind, now int64, next *int64) {
+	e := dev.EarliestIssue(cmd, r.Coord.Rank, r.Coord.Bank, r.Coord.Row, now)
+	switch {
+	case e <= now:
+		if p.r == nil || r.seq < p.r.seq {
+			p.r, p.cmd = r, cmd
 		}
-		cmd := neededCmd(ch.dev, r)
-		if cmd == dram.CmdPRE && !ch.starved[k] {
-			row, _ := ch.dev.OpenRow(l.rank, l.bank)
-			wanted := false
-			for n := r; n != nil && n.Txn == c.curTxn; n = n.next {
-				if n.Coord.Row == row {
-					wanted = true
-					break
-				}
-			}
-			if wanted {
-				continue // let pass 1 drain the open row's hits first
-			}
-		}
-		e := ch.dev.EarliestIssue(cmd, l.rank, l.bank, r.Coord.Row, now)
-		if e == dram.Never {
-			continue
-		}
-		if e <= now {
-			if best == nil || r.seq < best.seq {
-				best, bestCmd = r, cmd
-			}
-		} else if e < next {
-			next = e
-		}
+	case e < *next:
+		*next = e
 	}
-	if best == nil {
-		return next, false
-	}
-	switch bestCmd {
-	case dram.CmdPRE:
-		ch.dev.Issue(bestCmd, best.Coord.Rank, best.Coord.Bank, 0, now)
-		c.stats.PREs++
-		best.hadPre = true
-		c.emit(ch.idx, bestCmd, best.Coord.Rank, best.Coord.Bank, 0, now, best.Txn, false)
-	case dram.CmdACT:
-		ch.dev.Issue(bestCmd, best.Coord.Rank, best.Coord.Bank, best.Coord.Row, now)
-		c.stats.ACTs++
-		best.hadAct = true
-		c.emit(ch.idx, bestCmd, best.Coord.Rank, best.Coord.Bank, best.Coord.Row, now, best.Txn, false)
-	default:
-		c.issueColumn(ch, best, bestCmd, now)
-	}
-	return now + 1, true
 }
 
-// tryProactive implements Algorithm 2's extension: for requests of
-// transaction curTxn+1, issue PRE/ACT ahead of time when the conflict is
-// inter-transaction, i.e. no pending current-transaction request needs
-// the same bank. Data commands are never hoisted. A bank still needed by
-// the current transaction has head.Txn == curTxn (transactions enqueue in
-// order), so such banks are excluded simply by requiring the head to
-// belong to curTxn+1.
-func (c *Controller) tryProactive(ch *chanState, now int64) (int64, bool) {
-	next := dram.Never
-	var best *Request
-	var bestCmd dram.CmdKind
-	for k := range ch.banks {
-		r := ch.banks[k].head
-		if r == nil || r.Txn != c.curTxn+1 {
-			continue
-		}
-		cmd := neededCmd(ch.dev, r)
-		if cmd != dram.CmdPRE && cmd != dram.CmdACT {
-			continue // row already open: nothing to prepare
-		}
-		e := ch.dev.EarliestIssue(cmd, r.Coord.Rank, r.Coord.Bank, r.Coord.Row, now)
-		if e == dram.Never {
-			continue
-		}
-		if e <= now {
-			if best == nil || r.seq < best.seq {
-				best, bestCmd = r, cmd
+// refreshCands brings the channel's candidate cache up to date by
+// recomputing the dirty banks. A transaction advance dirties every bank
+// whose head now belongs to curTxn or curTxn+1; any other head is further
+// ahead and stays idle. That covers the banks that had a role too: a PB
+// hoist's head belongs to the new curTxn at most, and a current-
+// transaction head has since issued (the old transaction drained), which
+// dirtied its bank.
+func (c *Controller) refreshCands(ch *chanState) {
+	if ch.candGen != c.txnGen {
+		ch.candGen = c.txnGen
+		for k := range ch.banks {
+			if h := ch.banks[k].head; h != nil && h.Txn <= c.curTxn+1 {
+				ch.dirty.set(k)
 			}
-		} else if e < next {
-			next = e
 		}
 	}
-	if best == nil {
-		return next, false
+	for w, word := range ch.dirty {
+		for ; word != 0; word &= word - 1 {
+			k := w<<6 | bits.TrailingZeros64(word)
+			l := &ch.banks[k]
+			l.cand = c.bankCand(ch, l)
+			if l.cand.role == roleIdle {
+				ch.active.unset(k)
+			} else {
+				ch.active.set(k)
+			}
+		}
+		ch.dirty[w] = 0
 	}
-	if bestCmd == dram.CmdPRE {
-		ch.dev.Issue(bestCmd, best.Coord.Rank, best.Coord.Bank, 0, now)
+}
+
+// bankCand derives bank l's candidates from its list, its row buffer and
+// curTxn. An idle bank's candidates are the zero value, which is also
+// what a new, empty bank starts with.
+func (c *Controller) bankCand(ch *chanState, l *bankList) bankCand {
+	var cd bankCand
+	r := l.head
+	switch {
+	case r == nil:
+		return cd
+	case r.Txn == c.curTxn+1 && c.kind == config.SchedProactiveBank:
+		// A bank still needed by the current transaction has its head
+		// there (transactions enqueue in order), so a curTxn+1 head marks
+		// an inter-transaction conflict PB may prepare for. Data commands
+		// are never hoisted.
+		if cmd := neededCmd(ch.dev, r); cmd == dram.CmdPRE || cmd == dram.CmdACT {
+			cd.role, cd.cmd = roleEarly, cmd
+		}
+		return cd
+	case r.Txn != c.curTxn:
+		return cd
+	}
+	cd.role = roleCur
+	cd.cmd = neededCmd(ch.dev, r)
+	cd.cross = dram.Never
+	if lim := c.cfg.StarvationLimit; lim > 0 && cd.cmd == dram.CmdPRE {
+		cd.cross = r.Enqueued + int64(lim)
+	}
+	row, open := ch.dev.OpenRow(l.rank, l.bank)
+	if !open {
+		return cd
+	}
+	for n := r; n != nil && n.Txn == c.curTxn; n = n.next {
+		if n.Coord.Row != row {
+			continue
+		}
+		if n.Write {
+			if cd.wr == nil {
+				cd.wr = n
+			}
+		} else if cd.rd == nil {
+			cd.rd = n
+		}
+		if cd.rd != nil && cd.wr != nil {
+			break
+		}
+	}
+	return cd
+}
+
+// verifyCands recomputes every bank's candidates from scratch and checks
+// the cache against them, so an invalidation a mutation site forgot
+// fails at the first scan that would read the stale entry.
+func (c *Controller) verifyCands(ch *chanState) {
+	for k := range ch.banks {
+		l := &ch.banks[k]
+		fresh := c.bankCand(ch, l)
+		invariant.Assertf(l.cand == fresh, "channel %d bank %d: cached candidates %+v, recomputed %+v", ch.idx, k, l.cand, fresh)
+		active := ch.active.has(k)
+		invariant.Assertf(active == (fresh.role != roleIdle), "channel %d bank %d: active bit %v for role %d", ch.idx, k, active, fresh.role)
+	}
+}
+
+// issueRowCmd issues the PRE or ACT request r's bank needs; early marks a
+// PB hoist ahead of r's transaction.
+func (c *Controller) issueRowCmd(ch *chanState, r *Request, cmd dram.CmdKind, now int64, early bool) {
+	row := 0
+	if cmd == dram.CmdACT {
+		row = r.Coord.Row
+	}
+	ch.dev.Issue(cmd, r.Coord.Rank, r.Coord.Bank, row, now)
+	ch.dirty.set(r.Coord.Rank*c.cfg.Banks + r.Coord.Bank)
+	if cmd == dram.CmdPRE {
 		c.stats.PREs++
-		c.stats.EarlyPREs++
-		best.hadPre = true
-		c.emit(ch.idx, bestCmd, best.Coord.Rank, best.Coord.Bank, 0, now, best.Txn, true)
+		r.hadPre = true
+		if early {
+			c.stats.EarlyPREs++
+		}
 	} else {
-		ch.dev.Issue(bestCmd, best.Coord.Rank, best.Coord.Bank, best.Coord.Row, now)
 		c.stats.ACTs++
-		c.stats.EarlyACTs++
-		best.hadAct = true
-		c.emit(ch.idx, bestCmd, best.Coord.Rank, best.Coord.Bank, best.Coord.Row, now, best.Txn, true)
+		r.hadAct = true
+		if early {
+			c.stats.EarlyACTs++
+		}
 	}
-	return now + 1, true
+	c.emit(ch.idx, cmd, r.Coord.Rank, r.Coord.Bank, row, now, r.Txn, early)
 }
 
 // issueColumn issues the RD/WR for a request, records its statistics and
@@ -877,7 +920,9 @@ func (c *Controller) issueColumn(ch *chanState, r *Request, cmd dram.CmdKind, no
 		c.stats.ReadQueueWait += wait
 		ch.readCount--
 	}
-	ch.banks[r.Coord.Rank*c.cfg.Banks+r.Coord.Bank].remove(r)
+	k := r.Coord.Rank*c.cfg.Banks + r.Coord.Bank
+	ch.banks[k].remove(r)
+	ch.dirty.set(k)
 	c.outstanding.add(r.Txn, -1)
 }
 

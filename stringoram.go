@@ -287,7 +287,7 @@ type (
 func QuickScale() ExperimentScale { return experiments.Quick() }
 
 // FullScale is the scale used for EXPERIMENTS.md (every experiment in
-// ~45 s on two cores).
+// ~35 s on two cores).
 func FullScale() ExperimentScale { return experiments.Full() }
 
 // NewExperiments returns an experiment runner at the given scale.
