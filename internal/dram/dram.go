@@ -10,7 +10,9 @@
 // To let the scheduler run event-driven instead of spinning cycle by
 // cycle, every constraint check is exposed as EarliestIssue, which
 // returns the first cycle at or after "now" at which the command becomes
-// legal (or Never when the bank state forbids it outright).
+// legal (or Never when the bank state forbids it outright). EarliestIssue
+// is the max of two parts a scheduler may also read on their own: the
+// rank's per-kind Floors, shared by every bank, and the bank's BankFloor.
 package dram
 
 import (
@@ -138,50 +140,64 @@ func (ch *Channel) BankBusyCycles(rank, bank int) int64 {
 	return ch.ranks[rank].banks[bank].busyCycles
 }
 
+// Floors holds one rank's shared lower bounds on the issue cycle of
+// each command kind, indexed by CmdACT, CmdRD, CmdWR and CmdPRE: the
+// command bus, and the constraints a command inherits from commands on
+// other banks — tRRD and tFAW for ACT; tCCD, data-bus readiness and, for
+// RD, tWTR for column commands. A command's earliest issue cycle is the
+// max of now, its kind's floor and its bank's own floor (BankFloor).
+// Floors change only when a command issues.
+type Floors [CmdREF]int64
+
+// Floors returns the rank's floors under current device state.
+func (ch *Channel) Floors(rank int) Floors {
+	rk := &ch.ranks[rank]
+	cmdBus := ch.lastCmdCycle + 1
+	colBus := max(cmdBus, ch.lastColCycle+int64(ch.t.TCCD))
+	return Floors{
+		CmdACT: max(cmdBus, rk.lastACT+int64(ch.t.TRRD),
+			rk.actTimes[rk.actIdx]+int64(ch.t.TFAW)), // oldest of the last four ACTs
+		// The data burst must find the bus free at t+CL (t+CWL).
+		CmdRD:  max(colBus, rk.writeDataEnd+int64(ch.t.TWTR), ch.busFreeAt-int64(ch.t.CL)),
+		CmdWR:  max(colBus, ch.busFreeAt-int64(ch.t.CWL)),
+		CmdPRE: cmdBus,
+	}
+}
+
+// BankFloor returns the bank's own lower bound on k's issue cycle (tRP,
+// tRC or tRFC for ACT; tRCD for RD and WR; tRAS, tRTP or write recovery
+// for PRE). It assumes k is legal in the bank's state — ACT on a
+// precharged bank, RD, WR or PRE on an active one — and does not check.
+func (ch *Channel) BankFloor(k CmdKind, rank, bank int) int64 {
+	b := &ch.ranks[rank].banks[bank]
+	switch k {
+	case CmdACT:
+		return b.earliestACT
+	case CmdPRE:
+		return b.earliestPRE
+	default:
+		return b.earliestCol
+	}
+}
+
 // EarliestIssue returns the first cycle >= now at which the command could
 // legally issue given current device state, or Never when the bank state
 // forbids it (wrong row open, bank not active, ...). row is ignored for
 // PRE and REF.
 func (ch *Channel) EarliestIssue(k CmdKind, rank, bank, row int, now int64) int64 {
 	rk := &ch.ranks[rank]
-	cmdBus := ch.lastCmdCycle + 1
 	switch k {
-	case CmdACT:
-		b := &rk.banks[bank]
-		if b.active {
+	case CmdACT, CmdPRE:
+		if rk.banks[bank].active != (k == CmdPRE) {
 			return Never
 		}
-		fawRef := rk.actTimes[rk.actIdx] // oldest of the last four ACTs
-		return max(now, cmdBus, b.earliestACT, rk.lastACT+int64(ch.t.TRRD), fawRef+int64(ch.t.TFAW))
-	case CmdRD:
-		b := &rk.banks[bank]
-		if !b.active || b.openRow != row {
+	case CmdRD, CmdWR:
+		if b := &rk.banks[bank]; !b.active || b.openRow != row {
 			return Never
 		}
-		// The data burst must find the bus free at t+CL.
-		busReady := ch.busFreeAt - int64(ch.t.CL)
-		return max(now, cmdBus, b.earliestCol,
-			ch.lastColCycle+int64(ch.t.TCCD),
-			rk.writeDataEnd+int64(ch.t.TWTR),
-			busReady)
-	case CmdWR:
-		b := &rk.banks[bank]
-		if !b.active || b.openRow != row {
-			return Never
-		}
-		busReady := ch.busFreeAt - int64(ch.t.CWL)
-		return max(now, cmdBus, b.earliestCol,
-			ch.lastColCycle+int64(ch.t.TCCD),
-			busReady)
-	case CmdPRE:
-		b := &rk.banks[bank]
-		if !b.active {
-			return Never
-		}
-		return max(now, cmdBus, b.earliestPRE)
 	case CmdREF:
 		// All banks of the rank must be precharged.
-		earliest := max(now, cmdBus)
+		earliest := max(now, ch.lastCmdCycle+1)
 		for i := range rk.banks {
 			if rk.banks[i].active {
 				return Never
@@ -192,6 +208,8 @@ func (ch *Channel) EarliestIssue(k CmdKind, rank, bank, row int, now int64) int6
 	default:
 		panic(fmt.Sprintf("dram: unknown command %v", k))
 	}
+	f := ch.Floors(rank)
+	return max(now, f[k], ch.BankFloor(k, rank, bank))
 }
 
 // CanIssue reports whether the command may issue exactly at now.

@@ -168,3 +168,115 @@ func TestRefreshCadence(t *testing.T) {
 		ch.Issue(CmdREF, 0, 0, 0, e)
 	}
 }
+
+// refEarliestIssue is EarliestIssue as one formula per command kind, the
+// way it read before it was split into Floors and BankFloor; the floors
+// property test holds both to it.
+func refEarliestIssue(ch *Channel, k CmdKind, rank, bank, row int, now int64) int64 {
+	rk := &ch.ranks[rank]
+	b := &rk.banks[bank]
+	cmdBus := ch.lastCmdCycle + 1
+	switch k {
+	case CmdACT:
+		if b.active {
+			return Never
+		}
+		return max(now, cmdBus, b.earliestACT, rk.lastACT+int64(ch.t.TRRD), rk.actTimes[rk.actIdx]+int64(ch.t.TFAW))
+	case CmdRD:
+		if !b.active || b.openRow != row {
+			return Never
+		}
+		return max(now, cmdBus, b.earliestCol, ch.lastColCycle+int64(ch.t.TCCD),
+			rk.writeDataEnd+int64(ch.t.TWTR), ch.busFreeAt-int64(ch.t.CL))
+	case CmdWR:
+		if !b.active || b.openRow != row {
+			return Never
+		}
+		return max(now, cmdBus, b.earliestCol, ch.lastColCycle+int64(ch.t.TCCD), ch.busFreeAt-int64(ch.t.CWL))
+	default: // CmdPRE
+		if !b.active {
+			return Never
+		}
+		return max(now, cmdBus, b.earliestPRE)
+	}
+}
+
+// TestFloorsPriceEarliestIssue drives channels of 1, 2 and 4 ranks through
+// random legal command sequences (refreshes included, each command issued
+// at or after its earliest cycle) and, in every state reached, prices
+// every legal (kind, rank, bank) from the rank's Floors and the bank's
+// BankFloor, as the scheduler's scan does: the price must equal
+// EarliestIssue, and both the per-kind formula, at instants before,
+// inside and after the constraints' windows.
+func TestFloorsPriceEarliestIssue(t *testing.T) {
+	for _, ranks := range []int{1, 2, 4} {
+		cfg := config.Default().DRAM
+		cfg.Ranks = ranks
+		ch := NewChannel(cfg)
+		src := rng.New(uint64(ranks))
+		kinds := []CmdKind{CmdACT, CmdRD, CmdWR, CmdPRE}
+		now := int64(0)
+		priced := 0
+		for step := 0; step < 3000; step++ {
+			// Check every legal command at a few instants around now.
+			for _, at := range []int64{now, now + int64(src.Intn(8)), now + int64(src.Intn(64))} {
+				for rank := 0; rank < ranks; rank++ {
+					f := ch.Floors(rank)
+					for bank := 0; bank < cfg.Banks; bank++ {
+						row, open := ch.OpenRow(rank, bank)
+						if !open {
+							row = src.Intn(64)
+						}
+						for _, k := range kinds {
+							want := refEarliestIssue(ch, k, rank, bank, row, at)
+							got := ch.EarliestIssue(k, rank, bank, row, at)
+							if got != want {
+								t.Fatalf("ranks %d step %d: EarliestIssue(%v, %d, %d, %d, %d) = %d, want %d", ranks, step, k, rank, bank, row, at, got, want)
+							}
+							if got == Never {
+								continue
+							}
+							if p := max(at, f[k], ch.BankFloor(k, rank, bank)); p != got {
+								t.Fatalf("ranks %d step %d: %v rank %d bank %d priced at %d from the floors, EarliestIssue %d (now %d)", ranks, step, k, rank, bank, p, got, at)
+							}
+							priced++
+						}
+					}
+				}
+			}
+			// Advance the device by one random legal command.
+			rank, bank := src.Intn(ranks), src.Intn(cfg.Banks)
+			k := kinds[src.Intn(len(kinds))]
+			row, open := ch.OpenRow(rank, bank)
+			if !open || src.Intn(8) == 0 {
+				row = src.Intn(64)
+			}
+			if ch.RefreshDue(rank, now) {
+				k = CmdREF
+			}
+			e := ch.EarliestIssue(k, rank, bank, row, now)
+			if k == CmdREF && e == Never {
+				k = CmdPRE // close the rank's open banks first
+				for b := 0; b < cfg.Banks; b++ {
+					if _, o := ch.OpenRow(rank, b); o {
+						bank = b
+						break
+					}
+				}
+				e = ch.EarliestIssue(k, rank, bank, row, now)
+			}
+			if e == Never {
+				now++
+				continue
+			}
+			if src.Intn(3) == 0 {
+				e += int64(src.Intn(16))
+			}
+			ch.Issue(k, rank, bank, row, e)
+			now = e + 1
+		}
+		if priced < 10000 {
+			t.Fatalf("ranks %d: only %d legal commands priced", ranks, priced)
+		}
+	}
+}

@@ -113,6 +113,37 @@ func TestAllocFreePositionMapRemap(t *testing.T) {
 	}
 }
 
+// TestAllocFreeWarmBucket: warming a fresh bucket draws from a Source on
+// the stack, reads its occupancy odds and e^-A from the Ring, and maps
+// its fillers with slice stores, so once the bucket has its slot-ID run
+// and the filler index has grown it allocates nothing.
+func TestAllocFreeWarmBucket(t *testing.T) {
+	cfg := config.Default().ORAM
+	cfg.Levels = 10
+	cfg.WarmFill = 0.9
+	r, err := NewRing(cfg, 11, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := r.bucket(r.tree.Buckets() - 1) // a leaf: warmed, and given a run
+	r.ownRun(b)
+	// Grow the filler index to its bound once, as a long run would.
+	r.pos.Set(FillerBase+BlockID(cfg.Z)*BlockID(r.tree.Buckets())-1, 0)
+	idx := int64(0)
+	warm := func() {
+		*b = Bucket{valid: onesMask(r.slots), run: b.run}
+		r.warmBucket(idx, b)
+		idx = (idx + 37) % r.tree.Buckets()
+	}
+	first := r.nextFiller
+	if n := testing.AllocsPerRun(500, warm); n != 0 {
+		t.Fatalf("warming a fresh bucket allocates %.1f times, want 0", n)
+	}
+	if placed := r.nextFiller - first; placed < 500 {
+		t.Fatalf("501 warmed buckets placed only %d fillers", placed)
+	}
+}
+
 // TestAllocFreeFunctionalAccess drives a warmed functional ring (store +
 // AES sealing) and asserts the steady-state access loop performs zero
 // heap allocations. The warmup spans several full reverse-lexicographic

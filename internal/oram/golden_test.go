@@ -1,6 +1,7 @@
 package oram
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
@@ -122,5 +123,48 @@ func TestRingSaveBytesGolden(t *testing.T) {
 				t.Fatalf("Ring.Save bytes drifted:\n got %s\nwant %s", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestWarmSaveBytesGolden pins the checkpoint bytes of a warm-filled,
+// timing-only Ring after a fixed trace: the filler ids, their paths,
+// every bucket's phase and permutation and the RNG states all reach
+// Save, so a change to how a fresh bucket is warmed — its random draws,
+// its occupancy odds, where a filler's position is kept, or the order
+// the position map is written in — moves the hash. The second row
+// continues the trace on a Ring Load rebuilt from the first checkpoint,
+// so the warm state a loaded Ring derives is pinned too.
+func TestWarmSaveBytesGolden(t *testing.T) {
+	const (
+		fresh    = "1a1a51ae4b762ba067394aab93a9b3476aa654622d6ddc8965fefbdb08a1e5e1"
+		reloaded = "287e9f9a0754e12802e744d79853f75565d07eb34ba3980d7103be9462175dbb"
+	)
+	cfg := smallCfg(2)
+	cfg.WarmFill = 0.6
+	r, err := NewRing(cfg, 31, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(r *Ring, trace []traceStep) {
+		for _, st := range trace {
+			if _, _, err := r.Access(st.id, st.write, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(r, genTrace(1200, 91))
+	first := saveBytes(t, r)
+	sum := sha256.Sum256(first)
+	if got := hex.EncodeToString(sum[:]); got != fresh {
+		t.Errorf("warm Ring.Save bytes drifted:\n got %s\nwant %s", got, fresh)
+	}
+	loaded, err := Load(bytes.NewReader(first), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(loaded, genTrace(600, 92))
+	sum = sha256.Sum256(saveBytes(t, loaded))
+	if got := hex.EncodeToString(sum[:]); got != reloaded {
+		t.Errorf("reloaded warm Ring.Save bytes drifted:\n got %s\nwant %s", got, reloaded)
 	}
 }

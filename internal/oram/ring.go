@@ -62,6 +62,11 @@ type Ring struct {
 
 	warmSeed   uint64  // per-bucket warm-fill derivation seed
 	nextFiller BlockID // next synthetic filler block ID
+	// warmOdds[l] is the chance a level-l slot of a fresh bucket holds a
+	// filler, and warmLimit is e^-A, poisson's stopping bound; both are
+	// per-Ring constants of warmBucket's draws.
+	warmOdds  []float64
+	warmLimit float64
 
 	// sel is the dummy-selection policy and its scratch.
 	sel selector
@@ -93,10 +98,19 @@ func NewRing(cfg config.ORAM, seed uint64, opts *Options) (*Ring, error) {
 // newRing assembles a controller around a fresh core from its three RNG
 // streams; NewRing and Load then set what each alone knows.
 func newRing(cfg config.ORAM, store Store, crypt *Crypt, selSrc, permSrc, posSrc *rng.Source) *Ring {
-	return &Ring{
-		treeCore: newTreeCore(cfg, store, crypt, permSrc, posSrc),
-		sel:      selector{src: selSrc, uniform: cfg.UniformSelect},
+	r := &Ring{
+		treeCore:  newTreeCore(cfg, store, crypt, permSrc, posSrc),
+		sel:       selector{src: selSrc, uniform: cfg.UniformSelect},
+		warmLimit: math.Exp(-float64(cfg.A)),
 	}
+	// Occupancy: leaves hold Binomial(Z, WarmFill); interior levels
+	// carry the geometrically decaying overflow load of the subtree
+	// below them (≈ Z*WarmFill/2 one level up, /4 two levels up, ...).
+	r.warmOdds = make([]float64, r.tree.L+1)
+	for lvl := range r.warmOdds {
+		r.warmOdds[lvl] = cfg.WarmFill * math.Pow(0.5, float64(r.tree.L-lvl))
+	}
+	return r
 }
 
 // FillerBase is the first block ID of the synthetic filler space used by
@@ -114,28 +128,19 @@ const FillerBase BlockID = 1 << 40
 // Everything is deterministic per bucket.
 func (r *Ring) warmBucket(idx int64, b *Bucket) {
 	lvl := r.tree.BucketLevel(idx)
-	src := rng.New(r.warmSeed ^ uint64(idx)*0x9e3779b97f4a7c15)
-	// Occupancy: leaves hold Binomial(Z, WarmFill); interior levels
-	// carry the geometrically decaying overflow load of the subtree
-	// below them (≈ Z*WarmFill/2 one level up, /4 two levels up, ...)
-	// plus a transient block in flight toward the root.
+	var src rng.Source
+	src.Seed(r.warmSeed ^ uint64(idx)*0x9e3779b97f4a7c15)
+	// Occupancy: Binomial(Z, warmOdds[lvl]), plus, above the leaves, a
+	// transient block in flight toward the root.
 	n := 0
-	if lvl == r.tree.L {
-		for i := 0; i < r.cfg.Z; i++ {
-			if src.Float64() < r.cfg.WarmFill {
-				n++
-			}
-		}
-	} else {
-		p := r.cfg.WarmFill * math.Pow(0.5, float64(r.tree.L-lvl))
-		for i := 0; i < r.cfg.Z; i++ {
-			if src.Float64() < p {
-				n++
-			}
-		}
-		if src.Float64() < r.cfg.WarmFill && n < r.cfg.Z {
+	p := r.warmOdds[lvl]
+	for i := 0; i < r.cfg.Z; i++ {
+		if src.Float64() < p {
 			n++
 		}
+	}
+	if lvl < r.tree.L && src.Float64() < r.cfg.WarmFill && n < r.cfg.Z {
+		n++
 	}
 	var permBuf [maxSlotsPerBucket]int
 	perm := src.PermInto(permBuf[:r.slots])
@@ -149,7 +154,7 @@ func (r *Ring) warmBucket(idx int64, b *Bucket) {
 	// remainder consumed green blocks (bounded by Y and the fillers).
 	k := 0
 	if r.cfg.A > 1 {
-		period := poisson(src, float64(r.cfg.A))
+		period := poisson(&src, r.warmLimit, r.cfg.A)
 		if period > 0 {
 			k = src.Intn(period + 1)
 		}
@@ -197,9 +202,8 @@ func (r *Ring) warmBucket(idx int64, b *Bucket) {
 }
 
 // poisson draws a Poisson(mean) variate (Knuth's method; mean is small —
-// it is the eviction rate A).
-func poisson(src *rng.Source, mean float64) int {
-	limit := math.Exp(-mean)
+// it is the eviction rate A). limit is e^-mean.
+func poisson(src *rng.Source, limit float64, mean int) int {
 	k := 0
 	p := 1.0
 	for {
@@ -208,7 +212,7 @@ func poisson(src *rng.Source, mean float64) int {
 			return k
 		}
 		k++
-		if k > 20*int(mean+1) {
+		if k > 20*(mean+1) {
 			return k // numeric guard; astronomically unlikely
 		}
 	}

@@ -22,9 +22,10 @@ const denseBound = 1 << 17
 // map spends more time hashing than the protocol spends on the entry.
 //
 // One rule places a key, and it reads only the key: keys in [0, bound)
-// index a slice, every other key — the deep levels of a huge tree, the
-// warm-fill filler ids from FillerBase, a wild trace address — lives in
-// a map behind the same two methods. The slice grows to the next power
+// index a slice, every other key — the deep levels of a huge tree, a
+// wild trace address — lives in a map behind the same two methods. (The
+// warm-fill filler ids, which start at FillerBase, have a table of their
+// own in PositionMap, keyed from zero.) The slice grows to the next power
 // of two above the largest dense key seen and never past bound, so a
 // table costs memory in proportion to the range it was built for, not
 // to the largest key it has been handed.

@@ -89,9 +89,15 @@ func TestPositionMapMatchesMap(t *testing.T) {
 	const leaves, capacity = 1 << 15, 4 * (1<<16 - 1)
 	pm := NewPositionMap(leaves, capacity, rng.New(5))
 	ref := map[BlockID]PathID{}
+	// Filler ids live in a table of their own at id - FillerBase, so the
+	// boundary keys are taken there too, with the last id below it.
 	ids := boundaryKeys(capacity)
+	for _, k := range boundaryKeys(capacity) {
+		ids = append(ids, int64(FillerBase)+k)
+	}
+	ids = append(ids, int64(FillerBase)-1)
 	src := rng.New(6)
-	for step := 0; step < 4000; step++ {
+	for step := 0; step < 8000; step++ {
 		id := BlockID(ids[src.Intn(len(ids))])
 		switch src.Intn(4) {
 		case 0:
@@ -120,6 +126,15 @@ func TestPositionMapMatchesMap(t *testing.T) {
 				t.Fatalf("step %d: ForEach visited %d of %d", step, n, len(ref))
 			}
 		}
+	}
+	fillers := 0
+	for id := range ref {
+		if id >= FillerBase {
+			fillers++
+		}
+	}
+	if fillers == 0 || fillers == len(ref) {
+		t.Fatalf("%d of %d mapped ids are fillers: the walk never interleaved both tables", fillers, len(ref))
 	}
 }
 

@@ -38,6 +38,13 @@ func splitMix64(state *uint64) uint64 {
 // New returns a Source seeded from seed via SplitMix64.
 func New(seed uint64) *Source {
 	src := &Source{}
+	src.Seed(seed)
+	return src
+}
+
+// Seed resets src to the state New(seed) starts from, so a hot path can
+// reseed a Source it owns instead of allocating a fresh one.
+func (src *Source) Seed(seed uint64) {
 	state := seed
 	for i := range src.s {
 		src.s[i] = splitMix64(&state)
@@ -48,7 +55,6 @@ func New(seed uint64) *Source {
 	if src.s[0]|src.s[1]|src.s[2]|src.s[3] == 0 {
 		src.s[0] = 0x9e3779b97f4a7c15
 	}
-	return src
 }
 
 // Uint64 returns the next 64 pseudo-random bits.

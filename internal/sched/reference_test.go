@@ -263,12 +263,12 @@ func (c *Controller) tryProactive(ch *chanState, now int64) (int64, bool) {
 
 // TestSchedulerMatchesReference is the equivalence gate for the per-bank
 // candidate cache: under every scheduler, page policy and starvation
-// limit, with full and with shallow queues, and with rare and with
-// frequent row hits, the controller and the uncached reference fed the
-// same requests at the same cycles must issue the identical command
-// stream and return the identical next-event hint from every Tick. Ticks
-// land on the hint and, at random, on later cycles, which the hint
-// contract allows.
+// limit, with full and with shallow queues, with rare and with frequent
+// row hits, and on one rank and on two, the controller and the uncached
+// reference fed the same requests at the same cycles must issue the
+// identical command stream and return the identical next-event hint from
+// every Tick. Ticks land on the hint and, at random, on later cycles,
+// which the hint contract allows.
 func TestSchedulerMatchesReference(t *testing.T) {
 	kinds := []config.SchedulerKind{config.SchedTransaction, config.SchedProactiveBank}
 	policies := []config.PagePolicy{config.OpenPage, config.ClosePage}
@@ -282,12 +282,17 @@ func TestSchedulerMatchesReference(t *testing.T) {
 					// 64 rows per bank make row hits rare; 4 make most
 					// requests hit or conflict with an open row.
 					for _, rows := range []int{64, 4} {
-						for _, seed := range []uint64{1, 2, 3} {
-							d := testDRAM()
-							d.Policy = policy
-							d.StarvationLimit = limit
-							d.ReadQueue, d.WriteQueue = depth, depth
-							matchReference(t, d, kind, rows, seed)
+						// Two ranks give each scan a second set of
+						// per-rank timing floors to price from.
+						for _, ranks := range []int{1, 2} {
+							for _, seed := range []uint64{1, 2, 3} {
+								d := testDRAM()
+								d.Policy = policy
+								d.StarvationLimit = limit
+								d.ReadQueue, d.WriteQueue = depth, depth
+								d.Ranks = ranks
+								matchReference(t, d, kind, rows, seed)
+							}
 						}
 					}
 				}
@@ -303,14 +308,20 @@ func matchReference(t *testing.T, d config.DRAM, kind config.SchedulerKind, rows
 	got.OnCommand = func(e CommandEvent) { gotEv = append(gotEv, e) }
 	want.OnCommand = func(e CommandEvent) { wantEv = append(wantEv, e) }
 	gotTxns, wantTxns := randomTxns(seed, 120, d), randomTxns(seed, 120, d)
+	rankSrc := rng.New(seed ^ 0x5bd1e995)
 	for i := range gotTxns {
 		for j := range gotTxns[i] {
 			gotTxns[i][j].Coord.Row %= rows
 			wantTxns[i][j].Coord.Row %= rows
+			if d.Ranks > 1 {
+				rank := rankSrc.Intn(d.Ranks)
+				gotTxns[i][j].Coord.Rank = rank
+				wantTxns[i][j].Coord.Rank = rank
+			}
 		}
 	}
 	src := rng.New(seed ^ 0x9e3779b97f4a7c15)
-	name := fmt.Sprintf("%v/%v/limit %d/queues %d/rows %d/seed %d", kind, d.Policy, d.StarvationLimit, d.ReadQueue, rows, seed)
+	name := fmt.Sprintf("%v/%v/limit %d/queues %d/rows %d/ranks %d/seed %d", kind, d.Policy, d.StarvationLimit, d.ReadQueue, rows, d.Ranks, seed)
 
 	now := int64(0)
 	ti, ri, seen := 0, 0, 0

@@ -206,7 +206,7 @@ const (
 // enqueue that becomes the head or joins the current transaction, a
 // column issue removing a request, any PRE or ACT on the bank (refresh
 // and close-page precharges included), or a transaction advance. Timing
-// (dram.EarliestIssue) is not cached; every scan asks the device afresh.
+// is not cached; every scan reads the device's floors afresh.
 type bankCand struct {
 	role bankRole
 	// cmd is the command the head needs next (roleCur, roleEarly).
@@ -263,6 +263,11 @@ type chanState struct {
 	// the txnGen the clean entries were computed under.
 	dirty, active bankSet
 	candGen       uint64
+
+	// floors holds each rank's dram.Floors, read by every scan at its top;
+	// a scan issues at most one command, at its end, so they hold for all
+	// of its candidates.
+	floors []dram.Floors
 
 	// Next-event cache: when hintOK, no command can issue on this channel
 	// before hint, provided the controller generation still matches and
@@ -409,6 +414,7 @@ func New(cfg config.DRAM, kind config.SchedulerKind) *Controller {
 		}
 		ch.dirty = newBankSet(len(ch.banks))
 		ch.active = newBankSet(len(ch.banks))
+		ch.floors = make([]dram.Floors, cfg.Ranks)
 	}
 	return c
 }
@@ -589,6 +595,9 @@ func (c *Controller) scanChannel(ch *chanState, now int64) (int64, bool) {
 	if invariant.Enabled {
 		c.verifyCands(ch)
 	}
+	for rank := range ch.floors {
+		ch.floors[rank] = ch.dev.Floors(rank)
+	}
 	// One walk over the banks with work evaluates the FR-FCFS passes
 	// together, against the same device state:
 	//
@@ -616,26 +625,26 @@ func (c *Controller) scanChannel(ch *chanState, now int64) (int64, bool) {
 			l := &ch.banks[w<<6|bits.TrailingZeros64(word)]
 			cd := &l.cand
 			if cd.role == roleEarly {
-				early.offer(ch.dev, l.head, cd.cmd, now, &next)
+				early.offer(ch, l.head, cd.cmd, now, &next)
 				continue
 			}
 			if cd.cross > now {
 				starveHorizon = min(starveHorizon, cd.cross)
 				if cd.rd != nil {
-					hit.offer(ch.dev, cd.rd, dram.CmdRD, now, &next)
+					hit.offer(ch, cd.rd, dram.CmdRD, now, &next)
 				}
 				if cd.wr != nil {
-					hit.offer(ch.dev, cd.wr, dram.CmdWR, now, &next)
+					hit.offer(ch, cd.wr, dram.CmdWR, now, &next)
 				}
 				// FR-FCFS deferral: a PRE waits while the open row still
 				// has current-transaction hits. A head that is itself a
-				// hit was just offered to pass 1 with the same
-				// EarliestIssue, so pass 2 could add nothing for it.
+				// hit was just offered to pass 1 at the same price, so
+				// pass 2 could add nothing for it.
 				if cd.rd != nil || cd.wr != nil {
 					continue
 				}
 			}
-			inTxn.offer(ch.dev, l.head, cd.cmd, now, &next)
+			inTxn.offer(ch, l.head, cd.cmd, now, &next)
 		}
 	}
 	switch {
@@ -760,10 +769,9 @@ type pick struct {
 
 // offer makes r the pass's candidate when cmd can issue for it at now and
 // r is older than the candidate so far; otherwise it lowers next to the
-// cycle cmd becomes issuable. The row is r's own: for a column command
-// that is the open row, and PRE ignores it.
-func (p *pick) offer(dev *dram.Channel, r *Request, cmd dram.CmdKind, now int64, next *int64) {
-	e := dev.EarliestIssue(cmd, r.Coord.Rank, r.Coord.Bank, r.Coord.Row, now)
+// cycle cmd becomes issuable.
+func (p *pick) offer(ch *chanState, r *Request, cmd dram.CmdKind, now int64, next *int64) {
+	e := ch.price(r, cmd, now)
 	switch {
 	case e <= now:
 		if p.r == nil || r.seq < p.r.seq {
@@ -772,6 +780,23 @@ func (p *pick) offer(dev *dram.Channel, r *Request, cmd dram.CmdKind, now int64,
 	case e < *next:
 		*next = e
 	}
+}
+
+// price returns the first cycle >= now at which cmd can issue for r: the
+// max of now, the scan's floor for r's rank and cmd's kind, and r's
+// bank's own floor. No legality check is needed, because the candidate
+// cache offers only the command the bank's state calls for: ACT on a
+// precharged bank, PRE on a bank another row holds open, and RD or WR for
+// a request whose row is open. The invariants build checks the price
+// against dram.EarliestIssue, the oracle.
+func (ch *chanState) price(r *Request, cmd dram.CmdKind, now int64) int64 {
+	rank, bank := r.Coord.Rank, r.Coord.Bank
+	e := max(now, ch.floors[rank][cmd], ch.dev.BankFloor(cmd, rank, bank))
+	if invariant.Enabled {
+		want := ch.dev.EarliestIssue(cmd, rank, bank, r.Coord.Row, now)
+		invariant.Assertf(e == want, "channel %d: %v for rank %d bank %d row %d priced at %d from the floors, EarliestIssue says %d at cycle %d", ch.idx, cmd, rank, bank, r.Coord.Row, e, want, now)
+	}
+	return e
 }
 
 // refreshCands brings the channel's candidate cache up to date by
