@@ -29,7 +29,9 @@ func newRefController(cfg config.DRAM, kind config.SchedulerKind) *refController
 }
 
 // Tick scans every channel from scratch and issues at most one command
-// on each, returning the earliest cycle another may become issuable.
+// on each, returning the earliest cycle another may become issuable (a
+// refresh deadline or starvation crossing included), or dram.Never when
+// no request is queued.
 func (rc *refController) Tick(now int64) int64 {
 	next := dram.Never
 	for i := range rc.chans {
@@ -38,12 +40,21 @@ func (rc *refController) Tick(now int64) int64 {
 		}
 	}
 	rc.advance()
+	if rc.Pending() == 0 {
+		return dram.Never
+	}
 	return next
 }
 
 func (c *Controller) refScanChannel(ch *chanState, starved []bool, now int64) int64 {
 	if n, handled := c.tickRefresh(ch, now); handled {
 		return n
+	}
+	// Selection changes without a call at the next refresh deadline and
+	// at the next starvation crossing, so the hint stops at both.
+	until := dram.Never
+	for rank := 0; rank < c.cfg.Ranks; rank++ {
+		until = min(until, ch.dev.NextRefresh(rank))
 	}
 	next := dram.Never
 	clear(starved)
@@ -55,6 +66,8 @@ func (c *Controller) refScanChannel(ch *chanState, starved []bool, now int64) in
 			}
 			if cross := r.Enqueued + lim; cross <= now {
 				starved[k] = true
+			} else {
+				until = min(until, cross)
 			}
 		}
 	}
@@ -82,7 +95,7 @@ func (c *Controller) refScanChannel(ch *chanState, starved []bool, now int64) in
 			next = n
 		}
 	}
-	return next
+	return min(next, until)
 }
 
 // tryColumnHit issues the oldest current-transaction column command whose

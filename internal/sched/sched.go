@@ -270,14 +270,14 @@ type chanState struct {
 	floors []dram.Floors
 
 	// Next-event cache: when hintOK, no command can issue on this channel
-	// before hint, provided the controller generation still matches and
-	// now has not reached hintUntil (the earliest refresh deadline or
-	// starvation-limit crossing, whichever comes first). Invalidated by
-	// Enqueue, by issuing any command, and by transaction advancement.
-	hint      int64
-	hintUntil int64
-	hintGen   uint64
-	hintOK    bool
+	// before hint, provided the controller generation still matches. The
+	// hint is never later than the channel's earliest refresh deadline or
+	// starvation-limit crossing, which change what a scan selects without
+	// a call into the controller. Invalidated by Enqueue, by issuing any
+	// command, and by transaction advancement.
+	hint    int64
+	hintGen uint64
+	hintOK  bool
 }
 
 // bankSet is a bitmask over a channel's (rank, bank) indices.
@@ -535,11 +535,14 @@ func neededCmd(dev *dram.Channel, r *Request) dram.CmdKind {
 
 // Tick runs one scheduling step at cycle now: each channel issues at most
 // one command. It returns the earliest future cycle at which another
-// command might become issuable (dram.Never when all queues are empty and
-// no refresh is pending). Successive calls must use non-decreasing now
-// (the per-channel next-event cache depends on time moving forward); Tick
-// may be called later than the returned hint, but never needs to be
-// called earlier.
+// command might become issuable, a refresh coming due included, so a
+// caller that jumps from hint to hint issues the command stream of one
+// that ticks every cycle. With no request queued it returns dram.Never:
+// the caller may then wait for its next Enqueue, and a refresh that fell
+// due meanwhile issues at the next Tick. Successive calls must use
+// non-decreasing now (the per-channel next-event cache depends on time
+// moving forward); Tick may be called later than the returned hint, but
+// never needs to be called earlier.
 func (c *Controller) Tick(now int64) int64 {
 	next := dram.Never
 	for i := range c.chans {
@@ -548,6 +551,9 @@ func (c *Controller) Tick(now int64) int64 {
 		}
 	}
 	c.advance()
+	if c.Pending() == 0 {
+		return dram.Never
+	}
 	return next
 }
 
@@ -558,7 +564,7 @@ func (c *Controller) tickChannel(ch *chanState, now int64) int64 {
 	// refresh deadlines and starvation-limit crossings, channel state is
 	// frozen, so a previously computed hint remains exact and the whole
 	// scheduling scan can be skipped.
-	if ch.hintOK && ch.hintGen == c.txnGen && now < ch.hint && now < ch.hintUntil {
+	if ch.hintOK && ch.hintGen == c.txnGen && now < ch.hint {
 		if invariant.Enabled {
 			c.verifyHint(ch, now)
 		}
@@ -573,11 +579,10 @@ func (c *Controller) tickChannel(ch *chanState, now int64) int64 {
 // cached hint claimed no command can issue before it, so the scan must
 // issue nothing and recompute the identical hint from channel state.
 func (c *Controller) verifyHint(ch *chanState, now int64) {
-	hint, hintUntil := ch.hint, ch.hintUntil
+	hint := ch.hint
 	n, issued := c.scanChannel(ch, now)
 	invariant.Assertf(!issued, "next-event hint %d claimed channel %d idle at cycle %d, but a command issued on replay", hint, ch.idx, now)
 	invariant.Assertf(n == hint, "next-event hint %d stale on channel %d: fresh scan at cycle %d says %d", hint, ch.idx, now, n)
-	invariant.Assertf(ch.hintUntil == hintUntil, "hint validity horizon drifted on channel %d: cached %d, recomputed %d", ch.idx, hintUntil, ch.hintUntil)
 }
 
 // scanChannel performs the full scheduling scan: refresh, then the
@@ -615,8 +620,7 @@ func (c *Controller) scanChannel(ch *chanState, now int64) (int64, bool) {
 	// Starvation guard: a bank whose head has waited past the limit for a
 	// row change stops serving younger hits, so the pending PRE can land
 	// once tRTP expires. starveHorizon is the earliest future cycle at
-	// which an un-starved head crosses the limit, bounding how long the
-	// computed hint stays valid.
+	// which an un-starved head crosses the limit; the hint stops there.
 	next := dram.Never
 	starveHorizon := dram.Never
 	var hit, inTxn, early pick
@@ -667,17 +671,16 @@ func (c *Controller) scanChannel(ch *chanState, now int64) (int64, bool) {
 			next = n
 		}
 	}
-	// Nothing issued: cache the hint. It stays exact until the earliest
-	// refresh deadline or starvation crossing, or until an enqueue /
-	// issue / transaction advance invalidates it.
-	until := starveHorizon
+	// Nothing issued: the hint is the earliest of the candidates' issue
+	// cycles, the starvation crossing and the refresh deadlines, each of
+	// which can change what the scan selects. Cached, it stays exact until
+	// then or until an enqueue / issue / transaction advance invalidates
+	// it.
+	next = min(next, starveHorizon)
 	for rank := 0; rank < c.cfg.Ranks; rank++ {
-		if nr := ch.dev.NextRefresh(rank); nr < until {
-			until = nr
-		}
+		next = min(next, ch.dev.NextRefresh(rank))
 	}
 	ch.hint = next
-	ch.hintUntil = until
 	ch.hintGen = c.txnGen
 	ch.hintOK = true
 	return next, false

@@ -78,6 +78,11 @@ func cmdStreamHash(t *testing.T, tc streamCase, rec *obs.Recorder[obs.Event]) st
 // function of public state only, so equivalence is checked mechanically
 // here rather than eyeballed. Each case runs twice, the second time with
 // a flight recorder attached: recording must not move a single command.
+// Two hashes were re-captured once, when the scheduler's next-event hint
+// began to stop at refresh deadlines and starvation crossings: the
+// simulator jumps to the hint, so before that it served refreshes a few
+// cycles late (mummer/transaction was a1c37d90…, ferret/transaction
+// fdb0f9dc…); TestHintJumpsMatchEveryCycle pins the contract.
 func TestCommandStreamGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-simulation golden skipped in -short mode")
@@ -85,9 +90,9 @@ func TestCommandStreamGolden(t *testing.T) {
 	cases := []streamCase{
 		{"libq", config.SchedTransaction, 3, 0, config.OpenPage, "bc8854c2a5caae9066e7e40c3dce652e752b8cf85203add622c0989247352aaf"},
 		{"libq", config.SchedProactiveBank, 3, 0, config.OpenPage, "3db2d40578bd5748925c65fde5fb079dbc6ec013a838c58d0904ef2439fb9379"},
-		{"mummer", config.SchedTransaction, 11, 64, config.OpenPage, "a1c37d90144635c2a9c95d64c04a47cb242fa0e00fe8f9429e1213b288a22288"},
+		{"mummer", config.SchedTransaction, 11, 64, config.OpenPage, "b7c176d547e032235791b977a654950a052979c14e4ce2db117fcbbb88ff18a3"},
 		{"mummer", config.SchedProactiveBank, 11, 64, config.OpenPage, "17b11ace60baed01d7aa120261b2689115e79124d3636e58f8be6289b0d9dd25"},
-		{"ferret", config.SchedTransaction, 7, 0, config.ClosePage, "fdb0f9dcfaa0a490d8d054eca56b1753134b02de78313c1b6e0c771434793e15"},
+		{"ferret", config.SchedTransaction, 7, 0, config.ClosePage, "27c81c0179c7cf1bae8d534f2b14f03930c9483b4a710101169ac4a424c9eaab"},
 		{"ferret", config.SchedProactiveBank, 7, 48, config.ClosePage, "eaa72825cb70a26249ee3d101366d4a4e5c4dd6fea0b34713ed7da34961ba313"},
 	}
 	for _, tc := range cases {

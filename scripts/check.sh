@@ -120,11 +120,11 @@ for procs in 1 2 4; do
 	    ./internal/cluster ./internal/server ./internal/obs
 done
 
-echo "== data-plane goldens (sealed bytes, stored slots open at their position, treetop store trace, store trace is the op list, Save makes no store call, Path op trace, checkpoint bytes, warm-filled checkpoint bytes, earlier checkpoints, inconsistent checkpoints, bit-flipped checkpoints refused, buckets wider than 64 slots refused, store slots stay put and stay in bounds, bucket metadata stays in its slabs, DRAM command stream, simulation determinism, scheduler vs its uncached reference scan, Path ORAM stash samples) =="
+echo "== data-plane goldens (sealed bytes, stored slots open at their position, treetop store trace, store trace is the op list, Save makes no store call, Path op trace, checkpoint bytes, warm-filled checkpoint bytes, earlier checkpoints, inconsistent checkpoints, bit-flipped checkpoints refused, buckets wider than 64 slots refused, store slots stay put and stay in bounds, bucket metadata stays in its slabs, DRAM command stream, simulation determinism, scheduler vs its uncached reference scan, hint jumps vs ticking every cycle, Path ORAM stash samples) =="
 go test -count=1 -run='^(TestSealedBytesGolden|TestStoredSlotsOpenAtPosition|TestTreetopStoreTraceGolden|TestStoreTraceIsOpList|TestSaveIsStoreSilent|TestPathTraceGolden|TestRingSaveBytesGolden|TestWarmSaveBytesGolden|TestLoadCheckpointCompat|TestLoadRejectsInconsistentBuckets|TestCheckpointBitFlipRefused|TestControllersRejectWideBuckets|TestMemStoreSlotsStayPut|TestMemStoreSlotBounds|TestBucketArena)$' ./internal/oram
 go test -count=1 -run='^(TestCommandStreamGolden|TestPathORAMStashSamplesCollected)$' ./internal/sim
 go test -count=1 -run='^TestSimulationDeterminismGolden$' ./internal/experiments
-go test -count=1 -run='^TestSchedulerMatchesReference$' ./internal/sched
+go test -count=1 -run='^(TestSchedulerMatchesReference|TestHintJumpsMatchEveryCycle)$' ./internal/sched
 
 echo "== treetop cache equivalence (serial vs the in-package uncached reference, -race) =="
 # Covers Compact Bucket, sealed Y = 0 and plaintext stores: every
