@@ -203,10 +203,12 @@ const (
 // bankCand caches one bank's FR-FCFS candidates. It is a function of the
 // bank's list head, its current-transaction prefix, its open row and
 // curTxn alone, so it is recomputed only when one of those changes: an
-// enqueue that becomes the head or joins the current transaction, a
-// column issue removing a request, any PRE or ACT on the bank (refresh
-// and close-page precharges included), or a transaction advance. Timing
-// is not cached; every scan reads the device's floors afresh.
+// enqueue that becomes the head or joins the current transaction, any
+// PRE or ACT on the bank (refresh and close-page precharges included), a
+// transaction advance, or a column issue that leaves the bank without a
+// current-transaction head; any other column issue updates the entry in
+// place (issueColumn). Timing is not cached; every scan reads the
+// device's floors afresh.
 type bankCand struct {
 	role bankRole
 	// cmd is the command the head needs next (roleCur, roleEarly).
@@ -377,6 +379,7 @@ type Controller struct {
 	lastDataTxn int64
 	closedUpTo  int64 // all txns < closedUpTo are fully enqueued
 	txnGen      uint64
+	pending     int // queued requests, over all channels
 
 	seq   int64
 	stats Stats
@@ -432,13 +435,7 @@ func (c *Controller) Stats() *Stats { return &c.stats }
 func (c *Controller) CurrentTxn() int64 { return c.curTxn }
 
 // Pending returns the total number of queued (un-issued) requests.
-func (c *Controller) Pending() int {
-	n := 0
-	for i := range c.chans {
-		n += c.chans[i].readCount + c.chans[i].writeCount
-	}
-	return n
-}
+func (c *Controller) Pending() int { return c.pending }
 
 // CanEnqueue reports whether the target queue for the request's channel
 // and direction has a free entry.
@@ -475,6 +472,7 @@ func (c *Controller) Enqueue(r *Request, now int64) bool {
 	} else {
 		ch.readCount++
 	}
+	c.pending++
 	k := r.Coord.Rank*c.cfg.Banks + r.Coord.Bank
 	l := &ch.banks[k]
 	l.pushBack(r)
@@ -551,7 +549,7 @@ func (c *Controller) Tick(now int64) int64 {
 		}
 	}
 	c.advance()
-	if c.Pending() == 0 {
+	if c.pending == 0 {
 		return dram.Never
 	}
 	return next
@@ -629,16 +627,16 @@ func (c *Controller) scanChannel(ch *chanState, now int64) (int64, bool) {
 			l := &ch.banks[w<<6|bits.TrailingZeros64(word)]
 			cd := &l.cand
 			if cd.role == roleEarly {
-				early.offer(ch, l.head, cd.cmd, now, &next)
+				early.offer(ch, l, l.head, cd.cmd, now, &next)
 				continue
 			}
 			if cd.cross > now {
 				starveHorizon = min(starveHorizon, cd.cross)
 				if cd.rd != nil {
-					hit.offer(ch, cd.rd, dram.CmdRD, now, &next)
+					hit.offer(ch, l, cd.rd, dram.CmdRD, now, &next)
 				}
 				if cd.wr != nil {
-					hit.offer(ch, cd.wr, dram.CmdWR, now, &next)
+					hit.offer(ch, l, cd.wr, dram.CmdWR, now, &next)
 				}
 				// FR-FCFS deferral: a PRE waits while the open row still
 				// has current-transaction hits. A head that is itself a
@@ -648,7 +646,7 @@ func (c *Controller) scanChannel(ch *chanState, now int64) (int64, bool) {
 					continue
 				}
 			}
-			inTxn.offer(ch, l.head, cd.cmd, now, &next)
+			inTxn.offer(ch, l, l.head, cd.cmd, now, &next)
 		}
 	}
 	switch {
@@ -770,11 +768,12 @@ type pick struct {
 	cmd dram.CmdKind
 }
 
-// offer makes r the pass's candidate when cmd can issue for it at now and
-// r is older than the candidate so far; otherwise it lowers next to the
-// cycle cmd becomes issuable.
-func (p *pick) offer(ch *chanState, r *Request, cmd dram.CmdKind, now int64, next *int64) {
-	e := ch.price(r, cmd, now)
+// offer makes r, a request of bank l, the pass's candidate when cmd can
+// issue for it at now and r is older than the candidate so far; otherwise
+// it lowers next to the cycle cmd becomes issuable. Pricing reads the
+// bank, not r, so r is touched only when it can issue.
+func (p *pick) offer(ch *chanState, l *bankList, r *Request, cmd dram.CmdKind, now int64, next *int64) {
+	e := ch.price(l, r, cmd, now)
 	switch {
 	case e <= now:
 		if p.r == nil || r.seq < p.r.seq {
@@ -785,15 +784,15 @@ func (p *pick) offer(ch *chanState, r *Request, cmd dram.CmdKind, now int64, nex
 	}
 }
 
-// price returns the first cycle >= now at which cmd can issue for r: the
-// max of now, the scan's floor for r's rank and cmd's kind, and r's
-// bank's own floor. No legality check is needed, because the candidate
-// cache offers only the command the bank's state calls for: ACT on a
-// precharged bank, PRE on a bank another row holds open, and RD or WR for
-// a request whose row is open. The invariants build checks the price
-// against dram.EarliestIssue, the oracle.
-func (ch *chanState) price(r *Request, cmd dram.CmdKind, now int64) int64 {
-	rank, bank := r.Coord.Rank, r.Coord.Bank
+// price returns the first cycle >= now at which cmd can issue for r, a
+// request of bank l: the max of now, the scan's floor for l's rank and
+// cmd's kind, and l's own floor. No legality check is needed, because
+// the candidate cache offers only the command the bank's state calls
+// for: ACT on a precharged bank, PRE on a bank another row holds open,
+// and RD or WR for a request whose row is open. The invariants build
+// checks the price against dram.EarliestIssue, the oracle.
+func (ch *chanState) price(l *bankList, r *Request, cmd dram.CmdKind, now int64) int64 {
+	rank, bank := l.rank, l.bank
 	e := max(now, ch.floors[rank][cmd], ch.dev.BankFloor(cmd, rank, bank))
 	if invariant.Enabled {
 		want := ch.dev.EarliestIssue(cmd, rank, bank, r.Coord.Row, now)
@@ -854,12 +853,7 @@ func (c *Controller) bankCand(ch *chanState, l *bankList) bankCand {
 	case r.Txn != c.curTxn:
 		return cd
 	}
-	cd.role = roleCur
-	cd.cmd = neededCmd(ch.dev, r)
-	cd.cross = dram.Never
-	if lim := c.cfg.StarvationLimit; lim > 0 && cd.cmd == dram.CmdPRE {
-		cd.cross = r.Enqueued + int64(lim)
-	}
+	c.setCurHead(&cd, r, neededCmd(ch.dev, r))
 	row, open := ch.dev.OpenRow(l.rank, l.bank)
 	if !open {
 		return cd
@@ -880,6 +874,15 @@ func (c *Controller) bankCand(ch *chanState, l *bankList) bankCand {
 		}
 	}
 	return cd
+}
+
+// setCurHead sets cd's role, command and starvation crossing for r, a
+// current-transaction head that needs cmd.
+func (c *Controller) setCurHead(cd *bankCand, r *Request, cmd dram.CmdKind) {
+	cd.role, cd.cmd, cd.cross = roleCur, cmd, dram.Never
+	if lim := c.cfg.StarvationLimit; lim > 0 && cmd == dram.CmdPRE {
+		cd.cross = r.Enqueued + int64(lim)
+	}
 }
 
 // verifyCands recomputes every bank's candidates from scratch and checks
@@ -948,10 +951,43 @@ func (c *Controller) issueColumn(ch *chanState, r *Request, cmd dram.CmdKind, no
 		c.stats.ReadQueueWait += wait
 		ch.readCount--
 	}
+	c.pending--
 	k := r.Coord.Rank*c.cfg.Banks + r.Coord.Bank
-	ch.banks[k].remove(r)
-	ch.dirty.set(k)
+	l := &ch.banks[k]
+	wasHead, younger := l.head == r, r.next
+	l.remove(r)
 	c.outstanding.add(r.Txn, -1)
+	// A scan issues a column command only for a bank's oldest current-
+	// transaction read or write hit (cand.rd or cand.wr), and the row
+	// stays open. So the other direction's hit stands, the hit of r's
+	// direction moves to the next one, which is younger than r, and when
+	// r was the head, the next request takes its place. Only a head from
+	// another transaction, or none, needs a full recompute.
+	cd := &l.cand
+	if ch.dirty.has(k) || ch.candGen != c.txnGen || (cd.rd != r && cd.wr != r) {
+		ch.dirty.set(k)
+		return
+	}
+	if wasHead {
+		h := l.head
+		if h == nil || h.Txn != c.curTxn {
+			ch.dirty.set(k)
+			return
+		}
+		c.setCurHead(cd, h, neededCmd(ch.dev, h))
+	}
+	var hit *Request
+	for n := younger; n != nil && n.Txn == c.curTxn; n = n.next {
+		if n.Write == r.Write && n.Coord.Row == r.Coord.Row {
+			hit = n
+			break
+		}
+	}
+	if r.Write {
+		cd.wr = hit
+	} else {
+		cd.rd = hit
+	}
 }
 
 // classify applies the row-buffer outcome to r and bumps the Stats
