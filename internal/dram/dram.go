@@ -143,8 +143,8 @@ func (ch *Channel) BankBusyCycles(rank, bank int) int64 {
 // Floors holds one rank's shared lower bounds on the issue cycle of
 // each command kind, indexed by CmdACT, CmdRD, CmdWR and CmdPRE: the
 // command bus, and the constraints a command inherits from commands on
-// other banks — tRRD and tFAW for ACT; tCCD, data-bus readiness and, for
-// RD, tWTR for column commands. A command's earliest issue cycle is the
+// other banks — tRRD and tFAW for ACT; tCCD and data-bus readiness for
+// RD and WR; tWTR for RD. A command's earliest issue cycle is the
 // max of now, its kind's floor and its bank's own floor (BankFloor).
 // Floors change only when a command issues.
 type Floors [CmdREF]int64
