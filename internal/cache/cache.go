@@ -22,9 +22,15 @@ type line struct {
 // Cache is a set-associative LLC. It is not safe for concurrent use.
 type Cache struct {
 	cfg config.Cache
-	// lines holds the sets back to back, cfg.Ways lines each: set i is
-	// lines[i*Ways : (i+1)*Ways].
-	lines    []line
+	// slabs hold the sets touched so far, cfg.Ways lines each, setsPerSlab
+	// sets to a slab, in the order of their first touch; slot[i] is 1 +
+	// set i's position there, and 0 for a set never touched, whose lines
+	// are all invalid. A run that stops after a few thousand misses
+	// touches a fraction of a 4 MiB cache's sets, so sets get their lines
+	// on first touch rather than all up front.
+	slabs    [][]line
+	slot     []int32
+	nSets    int32 // sets given lines so far
 	setShift uint
 	setMask  uint64
 	clock    uint64
@@ -42,11 +48,29 @@ func New(cfg config.Cache) (*Cache, error) {
 	sets := cfg.Sets()
 	c := &Cache{
 		cfg:      cfg,
-		lines:    make([]line, sets*int64(cfg.Ways)),
+		slot:     make([]int32, sets),
 		setShift: uint(bits.TrailingZeros64(uint64(cfg.LineSize))),
 		setMask:  uint64(sets) - 1,
 	}
 	return c, nil
+}
+
+// setsPerSlab is the number of sets one slab of lines holds.
+const setsPerSlab = 64
+
+// set returns set i's lines, giving the set its lines on first touch.
+func (c *Cache) set(i uint64) []line {
+	pos := c.slot[i] - 1
+	if pos < 0 {
+		if c.nSets%setsPerSlab == 0 {
+			c.slabs = append(c.slabs, make([]line, setsPerSlab*c.cfg.Ways))
+		}
+		pos = c.nSets
+		c.nSets++
+		c.slot[i] = pos + 1
+	}
+	off := int(pos%setsPerSlab) * c.cfg.Ways
+	return c.slabs[pos/setsPerSlab][off : off+c.cfg.Ways : off+c.cfg.Ways]
 }
 
 // Result describes the outcome of one cache access.
@@ -64,8 +88,7 @@ type Result struct {
 func (c *Cache) Access(addr uint64, write bool) Result {
 	c.clock++
 	tag := addr >> c.setShift
-	first := int(tag&c.setMask) * c.cfg.Ways
-	set := c.lines[first : first+c.cfg.Ways]
+	set := c.set(tag & c.setMask)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			set[i].lastUse = c.clock

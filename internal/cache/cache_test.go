@@ -131,3 +131,79 @@ func TestDistinctSetsDoNotInterfere(t *testing.T) {
 		}
 	}
 }
+
+// TestLazySetsMatchReference drives the cache beside a reference that
+// holds every set's lines from the start, through seeded random reads
+// and writes over more sets than one slab holds, and requires the same
+// hit, writeback and victim address on every access. Only touched sets
+// may have lines.
+func TestLazySetsMatchReference(t *testing.T) {
+	cfg := config.Cache{SizeBytes: 256 << 10, LineSize: 64, Ways: 4} // 1,024 sets
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type refLine struct {
+		tag          uint64
+		valid, dirty bool
+		lastUse      uint64
+	}
+	ref := make([][]refLine, cfg.Sets())
+	for i := range ref {
+		ref[i] = make([]refLine, cfg.Ways)
+	}
+	touched := map[uint64]bool{}
+	x, clock := uint64(7), uint64(0)
+	for step := 0; step < 20000; step++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		// 600 sets of the 1,024, five tags each: hits, misses and LRU
+		// evictions all happen.
+		setIdx, tagHi := (x>>8)%600, (x>>20)%5
+		addr := (tagHi*uint64(cfg.Sets()) + setIdx) * 64
+		write := x&3 == 0
+		touched[setIdx] = true
+
+		clock++
+		tag := addr >> 6
+		set := ref[tag%uint64(cfg.Sets())]
+		var want Result
+		hit := -1
+		for i := range set {
+			if set[i].valid && set[i].tag == tag {
+				hit = i
+				break
+			}
+		}
+		if hit >= 0 {
+			set[hit].lastUse = clock
+			set[hit].dirty = set[hit].dirty || write
+			want.Hit = true
+		} else {
+			victim := 0
+			for i := range set {
+				if !set[i].valid {
+					victim = i
+					break
+				}
+				if set[i].lastUse < set[victim].lastUse {
+					victim = i
+				}
+			}
+			if set[victim].valid && set[victim].dirty {
+				want.Writeback, want.WritebackAddr = true, set[victim].tag<<6
+			}
+			set[victim] = refLine{tag: tag, valid: true, dirty: write, lastUse: clock}
+		}
+		if got := c.Access(addr, write); got != want {
+			t.Fatalf("step %d: Access(%#x, %v) = %+v, reference %+v", step, addr, write, got, want)
+		}
+	}
+	if int(c.nSets) != len(touched) {
+		t.Fatalf("%d sets have lines, %d were touched", c.nSets, len(touched))
+	}
+	if want := (len(touched) + setsPerSlab - 1) / setsPerSlab; len(c.slabs) != want {
+		t.Fatalf("%d slabs for %d touched sets, want %d", len(c.slabs), len(touched), want)
+	}
+}
