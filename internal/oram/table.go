@@ -1,9 +1,6 @@
 package oram
 
-import (
-	"math/bits"
-	"slices"
-)
+import "slices"
 
 // denseBound caps the directly indexed range of every table: 2^17 keys,
 // so no table's index exceeds 1 MiB however large a key it is handed. It
@@ -22,34 +19,44 @@ const denseBound = 1 << 17
 // map spends more time hashing than the protocol spends on the entry.
 //
 // One rule places a key, and it reads only the key: keys in [0, bound)
-// index a slice, every other key — the deep levels of a huge tree, a
-// wild trace address — lives in a map behind the same two methods. (The
-// warm-fill filler ids, which start at FillerBase, have a table of their
-// own in PositionMap, keyed from zero.) The slice grows to the next power
-// of two above the largest dense key seen and never past bound, so a
-// table costs memory in proportion to the range it was built for, not
-// to the largest key it has been handed.
+// are indexed directly, every other key — the deep levels of a huge
+// tree, a wild trace address — lives in a map behind the same two
+// methods. (The warm-fill filler ids, which start at FillerBase, have a
+// table of their own in PositionMap, keyed from zero.) The direct range
+// is cut into pages of pageSize keys, and a page is allocated when the
+// first key in it is set, so a table costs memory in proportion to the
+// stretches of keys it holds, not to the largest key it has been handed:
+// a simulator run's few dozen program ids below the bound sit in a
+// handful of pages, not in one slice spanning them all.
 type table[V comparable] struct {
-	dense  []V
+	pages  []*[pageSize]V // page p holds keys [p*pageSize, (p+1)*pageSize)
 	sparse map[int64]V
 	bound  int64
-	nDense int // keys present in dense
+	nDense int // keys present in pages
 }
+
+// pageShift sizes a table page: 4,096 keys, 32 KiB of int64 values, so
+// the bucket index of a 12-level tree is one page.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+)
 
 // newTable returns an empty table that indexes keys in [0, bound)
 // directly; bound is clamped to denseBound.
 func newTable[V comparable](bound int64) table[V] {
-	return table[V]{bound: min(bound, denseBound)}
+	bound = min(bound, denseBound)
+	return table[V]{pages: make([]*[pageSize]V, (bound+pageSize-1)>>pageShift), bound: bound}
 }
 
 // get returns the value stored under k, or the zero value.
 func (t *table[V]) get(k int64) V {
-	if uint64(k) < uint64(len(t.dense)) {
-		return t.dense[k]
-	}
 	if uint64(k) < uint64(t.bound) {
+		if pg := t.pages[k>>pageShift]; pg != nil {
+			return pg[k&(pageSize-1)]
+		}
 		var absent V
-		return absent // inside the dense range, beyond what has grown
+		return absent // inside the direct range, on a page never written
 	}
 	return t.sparse[k]
 }
@@ -63,16 +70,16 @@ func (t *table[V]) set(k int64, v V) {
 		t.sparse[k] = v
 		return
 	}
-	if k >= int64(len(t.dense)) {
-		grown := make([]V, min(int64(1)<<bits.Len64(uint64(k)), t.bound))
-		copy(grown, t.dense)
-		t.dense = grown
+	pg := t.pages[k>>pageShift]
+	if pg == nil {
+		pg = new([pageSize]V)
+		t.pages[k>>pageShift] = pg
 	}
 	var absent V
-	if t.dense[k] == absent {
+	if pg[k&(pageSize-1)] == absent {
 		t.nDense++
 	}
-	t.dense[k] = v
+	pg[k&(pageSize-1)] = v
 }
 
 // len returns the number of keys present.
@@ -83,9 +90,14 @@ func (t *table[V]) len() int { return t.nDense + len(t.sparse) }
 // checked at the API and by Load.)
 func (t *table[V]) ascending(fn func(k int64, v V)) {
 	var absent V
-	for k, v := range t.dense {
-		if v != absent {
-			fn(int64(k), v)
+	for p, pg := range t.pages {
+		if pg == nil {
+			continue
+		}
+		for i, v := range pg {
+			if v != absent {
+				fn(int64(p)<<pageShift|int64(i), v)
+			}
 		}
 	}
 	keys := make([]int64, 0, len(t.sparse))

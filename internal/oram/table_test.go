@@ -54,10 +54,13 @@ func TestTableMatchesMap(t *testing.T) {
 				}
 			}
 		}
-		// The rule is a property of the key alone, and the slice never
-		// outgrows the bound whatever key the table was handed.
-		if want := min(bound, denseBound); int64(len(tab.dense)) > want {
-			t.Fatalf("bound %d: dense index grew to %d entries", bound, len(tab.dense))
+		// The rule is a property of the key alone, and only pages holding
+		// a key below the bound are allocated, whatever key the table was
+		// handed.
+		for p, pg := range tab.pages {
+			if pg != nil && int64(p)*pageSize >= min(bound, denseBound) {
+				t.Fatalf("bound %d: page %d allocated past the direct range", bound, p)
+			}
 		}
 		if tab.get(-1) != 0 {
 			t.Fatalf("bound %d: a negative key reads as present", bound)
@@ -71,18 +74,30 @@ func TestTableMatchesMap(t *testing.T) {
 }
 
 // TestTableFarKeyAllocatesNothingDense pins the trap the bound exists for:
-// a huge key must cost one map cell, not a slice sized by it.
+// a huge key must cost one map cell, not a slice sized by it, and a key
+// in the direct range costs the one page that holds it.
 func TestTableFarKeyAllocatesNothingDense(t *testing.T) {
 	tab := newTable[int64](1 << 40)
 	tab.set(int64(FillerBase), 7)
 	tab.set(denseBound, 8)
-	if len(tab.dense) != 0 || tab.get(int64(FillerBase)) != 7 || tab.get(denseBound) != 8 {
-		t.Fatalf("far keys grew the dense index to %d entries", len(tab.dense))
+	if n := allocatedPages(&tab); n != 0 || tab.get(int64(FillerBase)) != 7 || tab.get(denseBound) != 8 {
+		t.Fatalf("far keys allocated %d pages", n)
 	}
 	tab.set(denseBound-1, 9)
-	if len(tab.dense) != denseBound || tab.get(denseBound-1) != 9 {
-		t.Fatalf("last dense key: index has %d entries, want %d", len(tab.dense), denseBound)
+	if n := allocatedPages(&tab); n != 1 || tab.pages[len(tab.pages)-1] == nil || tab.get(denseBound-1) != 9 {
+		t.Fatalf("last direct key: %d pages allocated, want only the last", n)
 	}
+}
+
+// allocatedPages counts tab's pages that hold storage.
+func allocatedPages(tab *table[int64]) int {
+	n := 0
+	for _, pg := range tab.pages {
+		if pg != nil {
+			n++
+		}
+	}
+	return n
 }
 
 func TestPositionMapMatchesMap(t *testing.T) {
