@@ -1,6 +1,7 @@
 package oram
 
 import (
+	"runtime"
 	"testing"
 
 	"stringoram/internal/config"
@@ -116,8 +117,10 @@ func TestAllocFreePositionMapRemap(t *testing.T) {
 // TestAllocFreeWarmBucket: warming a fresh bucket draws from a Source on
 // the stack, reads its occupancy odds and e^-A from the Ring, and maps
 // its fillers with stores into the filler index, so once the bucket has
-// its slot-ID run and the index the page its fillers land on (the 501
-// buckets here place fewer than 4,096 fillers) it allocates nothing.
+// its slot-ID run and the index has grown its first page (the 500
+// buckets here place fewer than its 4,096 fillers) it allocates nothing.
+// The count is the loop's total, not a per-call average that rounds a
+// few allocations down to zero.
 func TestAllocFreeWarmBucket(t *testing.T) {
 	cfg := config.Default().ORAM
 	cfg.Levels = 10
@@ -128,18 +131,21 @@ func TestAllocFreeWarmBucket(t *testing.T) {
 	}
 	b := r.bucket(r.tree.Buckets() - 1) // a leaf: warmed, and given a run
 	r.ownRun(b)
-	idx := int64(0)
-	warm := func() {
-		*b = Bucket{valid: onesMask(r.slots), run: b.run}
-		r.warmBucket(idx, b)
-		idx = (idx + 37) % r.tree.Buckets()
-	}
+	r.pos.Set(FillerBase+pageSize-1, 0) // grow the first filler page, as a long run would
 	first := r.nextFiller
-	if n := testing.AllocsPerRun(500, warm); n != 0 {
-		t.Fatalf("warming a fresh bucket allocates %.1f times, want 0", n)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := int64(0); i < 500; i++ {
+		*b = Bucket{valid: onesMask(r.slots), run: b.run}
+		r.warmBucket(i*37%r.tree.Buckets(), b)
 	}
-	if placed := r.nextFiller - first; placed < 500 {
-		t.Fatalf("501 warmed buckets placed only %d fillers", placed)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("warming 500 fresh buckets allocated %d times, want 0", n)
+	}
+	if placed := r.nextFiller - first; placed < 500 || placed >= pageSize {
+		t.Fatalf("500 warmed buckets placed %d fillers, want at least 500 and fewer than a page", placed)
 	}
 }
 

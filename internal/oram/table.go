@@ -1,6 +1,9 @@
 package oram
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // denseBound caps the directly indexed range of every table: 2^17 keys,
 // so no table's index exceeds 1 MiB however large a key it is handed. It
@@ -27,9 +30,11 @@ const denseBound = 1 << 17
 // first key in it is set, so a table costs memory in proportion to the
 // stretches of keys it holds, not to the largest key it has been handed:
 // a simulator run's few dozen program ids below the bound sit in a
-// handful of pages, not in one slice spanning them all.
+// handful of pages, not in one slice spanning them all. The first page
+// grows to the next power of two above its largest key, so a table whose
+// keys stay small costs no more than that.
 type table[V comparable] struct {
-	pages  []*[pageSize]V // page p holds keys [p*pageSize, (p+1)*pageSize)
+	pages  [][]V // page p holds keys [p*pageSize, p*pageSize+len(pages[p]))
 	sparse map[int64]V
 	bound  int64
 	nDense int // keys present in pages
@@ -46,17 +51,17 @@ const (
 // directly; bound is clamped to denseBound.
 func newTable[V comparable](bound int64) table[V] {
 	bound = min(bound, denseBound)
-	return table[V]{pages: make([]*[pageSize]V, (bound+pageSize-1)>>pageShift), bound: bound}
+	return table[V]{pages: make([][]V, (bound+pageSize-1)>>pageShift), bound: bound}
 }
 
 // get returns the value stored under k, or the zero value.
 func (t *table[V]) get(k int64) V {
 	if uint64(k) < uint64(t.bound) {
-		if pg := t.pages[k>>pageShift]; pg != nil {
-			return pg[k&(pageSize-1)]
+		if pg, i := t.pages[k>>pageShift], k&(pageSize-1); i < int64(len(pg)) {
+			return pg[i]
 		}
 		var absent V
-		return absent // inside the direct range, on a page never written
+		return absent // inside the direct range, past what its page holds
 	}
 	return t.sparse[k]
 }
@@ -70,16 +75,23 @@ func (t *table[V]) set(k int64, v V) {
 		t.sparse[k] = v
 		return
 	}
-	pg := t.pages[k>>pageShift]
-	if pg == nil {
-		pg = new([pageSize]V)
-		t.pages[k>>pageShift] = pg
+	p, i := k>>pageShift, k&(pageSize-1)
+	pg := t.pages[p]
+	if i >= int64(len(pg)) {
+		n := min(pageSize, t.bound-p<<pageShift) // the last page ends at bound
+		if p == 0 {
+			n = min(int64(1)<<bits.Len64(uint64(i)), n)
+		}
+		grown := make([]V, n)
+		copy(grown, pg)
+		pg = grown
+		t.pages[p] = pg
 	}
 	var absent V
-	if pg[k&(pageSize-1)] == absent {
+	if pg[i] == absent {
 		t.nDense++
 	}
-	pg[k&(pageSize-1)] = v
+	pg[i] = v
 }
 
 // len returns the number of keys present.
@@ -91,9 +103,6 @@ func (t *table[V]) len() int { return t.nDense + len(t.sparse) }
 func (t *table[V]) ascending(fn func(k int64, v V)) {
 	var absent V
 	for p, pg := range t.pages {
-		if pg == nil {
-			continue
-		}
 		for i, v := range pg {
 			if v != absent {
 				fn(int64(p)<<pageShift|int64(i), v)

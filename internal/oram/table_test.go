@@ -58,8 +58,8 @@ func TestTableMatchesMap(t *testing.T) {
 		// a key below the bound are allocated, whatever key the table was
 		// handed.
 		for p, pg := range tab.pages {
-			if pg != nil && int64(p)*pageSize >= min(bound, denseBound) {
-				t.Fatalf("bound %d: page %d allocated past the direct range", bound, p)
+			if int64(p)*pageSize+int64(len(pg)) > min(bound, denseBound) {
+				t.Fatalf("bound %d: page %d holds %d keys, past the direct range", bound, p, len(pg))
 			}
 		}
 		if tab.get(-1) != 0 {
@@ -80,22 +80,25 @@ func TestTableFarKeyAllocatesNothingDense(t *testing.T) {
 	tab := newTable[int64](1 << 40)
 	tab.set(int64(FillerBase), 7)
 	tab.set(denseBound, 8)
-	if n := allocatedPages(&tab); n != 0 || tab.get(int64(FillerBase)) != 7 || tab.get(denseBound) != 8 {
+	if n := pageKeys(&tab); n != 0 || tab.get(int64(FillerBase)) != 7 || tab.get(denseBound) != 8 {
 		t.Fatalf("far keys allocated %d pages", n)
 	}
 	tab.set(denseBound-1, 9)
-	if n := allocatedPages(&tab); n != 1 || tab.pages[len(tab.pages)-1] == nil || tab.get(denseBound-1) != 9 {
-		t.Fatalf("last direct key: %d pages allocated, want only the last", n)
+	if n := pageKeys(&tab); n != pageSize || len(tab.pages[len(tab.pages)-1]) != pageSize || tab.get(denseBound-1) != 9 {
+		t.Fatalf("last direct key: %d keys of storage allocated, want only the last page's %d", n, pageSize)
+	}
+	// The first page grows with its largest key, as small tables need.
+	tab.set(5, 1)
+	if len(tab.pages[0]) != 8 || tab.get(5) != 1 || tab.get(7) != 0 {
+		t.Fatalf("key 5 grew the first page to %d keys, want 8", len(tab.pages[0]))
 	}
 }
 
-// allocatedPages counts tab's pages that hold storage.
-func allocatedPages(tab *table[int64]) int {
+// pageKeys counts the keys of storage tab's pages hold.
+func pageKeys(tab *table[int64]) int {
 	n := 0
 	for _, pg := range tab.pages {
-		if pg != nil {
-			n++
-		}
+		n += len(pg)
 	}
 	return n
 }
