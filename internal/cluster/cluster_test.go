@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -11,7 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"stringoram/internal/checksum"
+	"stringoram/internal/config"
 	"stringoram/internal/obs"
+	"stringoram/internal/oram"
 	"stringoram/internal/server"
 )
 
@@ -496,6 +501,122 @@ func TestClusterLiveHandoff(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestClusterHandoffMixedTreeTop: a Ring keeps the tree-top depth it was
+// built with across a handoff, because oram.Load takes the cached depth
+// from the checkpoint. Node-0 runs the paper's 6 cached levels, the
+// others the serving default (8 of 14). While writers run, shard 0
+// moves from node-0 to node-2 and shard 1 from node-1 to node-0; each
+// arrives with its own depth, and every acked write reads back.
+func TestClusterHandoffMixedTreeTop(t *testing.T) {
+	paper := config.Default().ORAM.WithLevels(14)
+	paper.WarmFill = 0
+	if paper.TreeTopCacheLevels != 6 || server.DefaultORAM(14).TreeTopCacheLevels != 8 {
+		t.Fatalf("depths %d and %d; the test needs 6 and 8", paper.TreeTopCacheLevels, server.DefaultORAM(14).TreeTopCacheLevels)
+	}
+	tc := startClusterWith(t, 3, 6, 14, func(cfg *server.Config) {
+		if cfg.Seed == 100 { // node-0
+			cfg.ORAM = paper
+		}
+	})
+
+	const (
+		writers = 6
+		keys    = 40
+	)
+	// The handoffs start once every writer has half its writes acked,
+	// so both shards hold data when they move.
+	var (
+		wg, half sync.WaitGroup
+		mu       sync.Mutex
+		acked    = make(map[string]string)
+	)
+	errs := make([]error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		half.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			halfDone := sync.OnceFunc(half.Done)
+			defer halfDone()
+			r, err := DialCluster(tc.placement.Nodes[w%3].Addr)
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			defer r.Close()
+			r.Retry = server.RetryPolicy{MaxAttempts: 60, MaxDelay: 100 * time.Millisecond}
+			for i := 0; i < keys; i++ {
+				key, val := fmt.Sprintf("m%d-k%d", w, i), fmt.Sprintf("m%d-v%d", w, i)
+				if err := r.Put(key, []byte(val)); err != nil {
+					errs[w] = fmt.Errorf("put %s: %w", key, err)
+					return
+				}
+				mu.Lock()
+				acked[key] = val
+				mu.Unlock()
+				if i == keys/2 {
+					halfDone()
+				}
+			}
+		}(w)
+	}
+	half.Wait()
+	if err := tc.nodes[0].Handoff(0, "node-2"); err != nil {
+		t.Fatalf("handoff of shard 0: %v", err)
+	}
+	if err := tc.nodes[1].Handoff(1, "node-0"); err != nil {
+		t.Fatalf("handoff of shard 1: %v", err)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("writer %d: %v", w, err)
+		}
+	}
+
+	for _, c := range []struct {
+		node, shard, want int
+	}{{2, 0, 6}, {0, 1, 8}} {
+		if got := cachedLevels(t, tc.nodes[c.node], c.shard); got != c.want {
+			t.Errorf("shard %d on node-%d caches %d levels, want the %d it was built with", c.shard, c.node, got, c.want)
+		}
+	}
+	r := tc.router()
+	r.Retry = server.RetryPolicy{MaxAttempts: 60, MaxDelay: 100 * time.Millisecond}
+	if len(acked) != writers*keys {
+		t.Fatalf("%d writes acked, want %d", len(acked), writers*keys)
+	}
+	for key, want := range acked {
+		if got, found, err := r.Get(key); err != nil || !found || string(got) != want {
+			t.Fatalf("post-handoff Get(%s) = %q found=%v err=%v, want %q", key, got, found, err, want)
+		}
+	}
+}
+
+// cachedLevels is the tree-top depth of a shard n hosts, read from the
+// Ring checkpoint inside its snapshot (gob skips the snapshot's other
+// fields; the test cluster runs without a key, so the Ring is plaintext).
+func cachedLevels(t *testing.T, n *Node, shard int) int {
+	t.Helper()
+	data, _, err := n.Server().SnapshotShard(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := checksum.Strip(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct{ Ring []byte }
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	ring, err := oram.Load(bytes.NewReader(snap.Ring), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ring.Config().TreeTopCacheLevels
 }
 
 // TestClusterSpansOneClock: spans are the serving layer's one wall-clock

@@ -121,6 +121,33 @@ func (o ORAM) WithLevels(levels int) ORAM {
 	return o
 }
 
+// The serving tree-top budget. A software controller's trusted memory is
+// process memory, not the paper's on-chip SRAM, so a serving Ring caches
+// every level but the bottom servingUncachedLevels (at most 1/64 of the
+// buckets), up to servingTreeTopBytes of worst-case plaintext.
+const (
+	servingUncachedLevels = 6
+	servingTreeTopBytes   = 2 << 20
+)
+
+// WithServingLevels returns the configuration on a tree of the given
+// number of levels with the serving tree-top cache: every level except
+// the bottom six, capped where (2^C-1) × SlotsPerBucket × BlockSize would
+// exceed 2 MiB, and never fewer levels than WithLevels caches. Cached
+// buckets carry no access budget, so Compact Bucket's green blocks and
+// early reshuffles happen only in the uncached levels; six of them keep
+// both in play.
+func (o ORAM) WithServingLevels(levels int) ORAM {
+	o = o.WithLevels(levels)
+	perBucket := int64(o.SlotsPerBucket()) * int64(o.BlockSize)
+	c := levels - servingUncachedLevels
+	for c > o.TreeTopCacheLevels && ((int64(1)<<uint(c))-1)*perBucket > servingTreeTopBytes {
+		c--
+	}
+	o.TreeTopCacheLevels = max(o.TreeTopCacheLevels, c)
+	return o
+}
+
 // Validate reports whether the ORAM parameters are internally consistent.
 func (o ORAM) Validate() error {
 	switch {

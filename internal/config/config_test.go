@@ -354,10 +354,10 @@ func TestScaledDefaultValidates(t *testing.T) {
 	}
 }
 
-// TestWithLevelsScalesTreeTop pins the one tree-top sizing rule that
-// ScaledDefault and the server's DefaultORAM share: the default cache
-// (6 levels) stays while it leaves at least three uncached levels, and
-// shrinks to levels/3 otherwise.
+// TestWithLevelsScalesTreeTop pins the paper's tree-top sizing rule, which
+// ScaledDefault (and so the simulator) uses and the serving rule never
+// goes below: the default cache (6 levels) stays while it leaves at least
+// three uncached levels, and shrinks to levels/3 otherwise.
 func TestWithLevelsScalesTreeTop(t *testing.T) {
 	for _, tc := range []struct{ levels, want int }{{2, 0}, {5, 1}, {8, 2}, {9, 6}, {24, 6}} {
 		o := Default().ORAM.WithLevels(tc.levels)

@@ -112,16 +112,15 @@ func BenchmarkAccessFunctional(b *testing.B) {
 }
 
 // warmCachedRing mirrors warmFunctionalRing for the treetop-cached
-// variant: same geometry and trace, the deepest tree top whose plaintext
-// fits 4 MiB (4095 buckets x 768 B), cached as every functional Ring is.
+// variant: same geometry and trace, with the serving tree top
+// (WithServingLevels: 10 of 16 levels, 1023 buckets x 768 B), cached as
+// every functional Ring is.
 var warmCachedRing *Ring
 
 func warmedCachedRing(b *testing.B) *Ring {
 	b.Helper()
 	if warmCachedRing == nil {
-		cfg := config.Default().ORAM
-		cfg.Levels = 16
-		cfg.TreeTopCacheLevels = 12
+		cfg := config.Default().ORAM.WithServingLevels(16)
 		crypt, err := NewCrypt([]byte("bench-key-16byte"), cfg.BlockSize)
 		if err != nil {
 			b.Fatal(err)
@@ -137,7 +136,7 @@ func warmedCachedRing(b *testing.B) *Ring {
 }
 
 // BenchmarkAccessFunctionalCached is BenchmarkAccessFunctional with the
-// treetop data cache holding the budget-sized tree top decrypted in
+// treetop data cache holding the serving tree top decrypted in
 // controller memory: path reads and eviction writes at cached levels
 // cost a memcpy instead of store I/O plus AES. The pair quantifies the
 // spatial-locality win.
@@ -161,12 +160,13 @@ func BenchmarkAccessFunctionalCached(b *testing.B) {
 
 // BenchmarkReadPathServerGeometry is the in-package stand-in for the
 // `ring-sealed` workload's p50: the serving geometry (server.DefaultORAM(16):
-// the default ORAM at 16 levels, no warm fill) over a sealed MemStore
-// holding 16,384 preloaded blocks, timed on read-only accesses.
+// the default ORAM at 16 levels through the serving tree-top rule, 10
+// levels cached, no warm fill) over a sealed MemStore holding 16,384
+// preloaded blocks, timed on read-only accesses.
 func BenchmarkReadPathServerGeometry(b *testing.B) {
 	b.ReportAllocs()
 	const blocks = 16384
-	cfg := config.Default().ORAM.WithLevels(16)
+	cfg := config.Default().ORAM.WithServingLevels(16)
 	cfg.WarmFill = 0
 	crypt, err := NewCrypt([]byte("bench-key-16byte"), cfg.BlockSize)
 	if err != nil {

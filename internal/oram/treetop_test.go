@@ -150,6 +150,22 @@ var treetopVariants = []struct {
 	{name: "plaintext", plain: true, y: 0},
 }
 
+// deepCfg is smallCfg with most of a 10-level tree cached (7 levels), the
+// shape the serving tree-top rule gives: most evicted blocks land in
+// cached buckets, and a checkpoint's tree top carries much of the data.
+func deepCfg(y int) config.ORAM {
+	cfg := smallCfg(y)
+	cfg.Levels, cfg.TreeTopCacheLevels = 10, 7
+	return cfg
+}
+
+// treetopGeometries are the tree shapes the treetop oracles run at:
+// smallCfg's shallow cache (2 of 8 levels) and deepCfg's.
+var treetopGeometries = []struct {
+	name string
+	cfg  func(y int) config.ORAM
+}{{"shallow", smallCfg}, {"deep", deepCfg}}
+
 // checkTreetopCheckpoint is the treetop oracle on checkpoints: the cached
 // ring's checkpoint (got) must equal the uncached reference's (want, from
 // newUncachedRing) in every field, except that the reference's Store
@@ -238,32 +254,40 @@ func checkTreetopCheckpoint(t *testing.T, want, got []byte) {
 // reference (newUncachedRing) fed the same trace, with the cached buckets
 // in the tree top instead of the store (checkTreetopCheckpoint).
 func TestTreetopSerialEquivalence(t *testing.T) {
-	const seed = 0x7e340
 	for _, v := range treetopVariants {
-		t.Run(v.name, func(t *testing.T) {
-			cfg := smallCfg(v.y)
-			trace := genTrace(800, 0xcac4e+uint64(len(v.name)))
-
-			uncached := newUncachedRing(t, cfg, seed, variantOptions(t, cfg, v.plain))
-			want := runSerialTrace(t, uncached, cfg, trace)
-
-			cached := newTreetopRing(t, cfg, seed, v.plain)
-			got := runSerialTrace(t, cached, cfg, trace)
-
-			for i := range want {
-				if (want[i].err == nil) != (got[i].err == nil) {
-					t.Fatalf("step %d: error mismatch: uncached %v, cached %v", i, want[i].err, got[i].err)
-				}
-				if !bytes.Equal(want[i].data, got[i].data) {
-					t.Fatalf("step %d (%+v): cached response diverged", i, trace[i])
-				}
-				if !opsEqual(want[i].ops, got[i].ops) {
-					t.Fatalf("step %d (%+v): cached op list diverged", i, trace[i])
-				}
-			}
-			checkTreetopCheckpoint(t, saveBytes(t, uncached), saveBytes(t, cached))
-		})
+		t.Run(v.name, func(t *testing.T) { checkTreetopSerialEquivalence(t, smallCfg(v.y), v.name, v.plain) })
 	}
+	t.Run("deep", func(t *testing.T) {
+		for _, v := range treetopVariants {
+			t.Run(v.name, func(t *testing.T) { checkTreetopSerialEquivalence(t, deepCfg(v.y), v.name, v.plain) })
+		}
+	})
+}
+
+// checkTreetopSerialEquivalence runs TestTreetopSerialEquivalence's
+// oracle for one variant at one geometry.
+func checkTreetopSerialEquivalence(t *testing.T, cfg config.ORAM, name string, plain bool) {
+	const seed = 0x7e340
+	trace := genTrace(800, 0xcac4e+uint64(len(name)))
+
+	uncached := newUncachedRing(t, cfg, seed, variantOptions(t, cfg, plain))
+	want := runSerialTrace(t, uncached, cfg, trace)
+
+	cached := newTreetopRing(t, cfg, seed, plain)
+	got := runSerialTrace(t, cached, cfg, trace)
+
+	for i := range want {
+		if (want[i].err == nil) != (got[i].err == nil) {
+			t.Fatalf("step %d: error mismatch: uncached %v, cached %v", i, want[i].err, got[i].err)
+		}
+		if !bytes.Equal(want[i].data, got[i].data) {
+			t.Fatalf("step %d (%+v): cached response diverged", i, trace[i])
+		}
+		if !opsEqual(want[i].ops, got[i].ops) {
+			t.Fatalf("step %d (%+v): cached op list diverged", i, trace[i])
+		}
+	}
+	checkTreetopCheckpoint(t, saveBytes(t, uncached), saveBytes(t, cached))
 }
 
 // storeOp is one bus-visible physical store access.
@@ -297,8 +321,15 @@ func (ts *traceStore) WriteSlot(bucket int64, slot int, sealed []byte) {
 // are precisely the uniform per-level accesses every path access
 // performs at the cached levels.
 func TestTreetopStoreTraceGolden(t *testing.T) {
+	for _, g := range treetopGeometries {
+		t.Run(g.name, func(t *testing.T) { checkTreetopStoreTraceGolden(t, g.cfg(2)) })
+	}
+}
+
+// checkTreetopStoreTraceGolden runs TestTreetopStoreTraceGolden's
+// comparison at one geometry.
+func checkTreetopStoreTraceGolden(t *testing.T, cfg config.ORAM) {
 	const seed = 0x90fda
-	cfg := smallCfg(2)
 	trace := genTrace(400, 0x61de)
 	nCached := (int64(1) << uint(cfg.TreeTopCacheLevels)) - 1
 
@@ -454,8 +485,15 @@ func listedAt(listed []storeOp, j int) string {
 // cache from the checkpoint) must continue bit-identically through more
 // traffic and a second checkpoint.
 func TestTreetopSnapshotRoundTrip(t *testing.T) {
+	for _, g := range treetopGeometries {
+		t.Run(g.name, func(t *testing.T) { checkTreetopSnapshotRoundTrip(t, g.cfg(2)) })
+	}
+}
+
+// checkTreetopSnapshotRoundTrip runs TestTreetopSnapshotRoundTrip at one
+// geometry.
+func checkTreetopSnapshotRoundTrip(t *testing.T, cfg config.ORAM) {
 	const seed = 0x5a7e
-	cfg := smallCfg(2)
 	trace := genTrace(600, 0x40dd)
 
 	uncached := newUncachedRing(t, cfg, seed, variantOptions(t, cfg, false))
@@ -622,7 +660,13 @@ func TestTreetopAllocFree(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariant assertions allocate; the zero-alloc guarantee binds on the default build")
 	}
-	cfg := smallCfg(2)
+	for _, g := range treetopGeometries {
+		t.Run(g.name, func(t *testing.T) { checkTreetopAllocFree(t, g.cfg(2)) })
+	}
+}
+
+// checkTreetopAllocFree runs TestTreetopAllocFree at one geometry.
+func checkTreetopAllocFree(t *testing.T, cfg config.ORAM) {
 	r := newTreetopRing(t, cfg, 7, false)
 	trace := genTrace(4000, 0xa110d)
 	writeBuf := make([]byte, cfg.BlockSize)

@@ -126,7 +126,10 @@ type Config struct {
 	// (oram's treetop cache). It survives, like Pipeline, only so bench/
 	// keeps compiling until the benchmark PR removes it.
 	TreetopCache bool
-	// ORAM configures each shard's Ring. Zero value: DefaultORAM(12).
+	// ORAM configures each shard's Ring, its TreeTopCacheLevels included:
+	// the top levels a shard holds as plaintext in process memory. Zero
+	// value: DefaultORAM(12), which caches 6 of 12 levels. A restored
+	// snapshot's own ORAM configuration wins over this one.
 	ORAM config.ORAM
 	// Seed derives every shard's protocol randomness; shard i uses
 	// Seed mixed with i, so shards are decorrelated but reproducible.
@@ -192,9 +195,13 @@ type Config struct {
 // DefaultORAM returns the server's per-shard protocol configuration: the
 // paper's bucket geometry (Z=8, S=12, Y=8, A=8) on a tree with the given
 // number of levels, no warm fill (the tree starts empty and holds only
-// real application data), and a tree-top cache scaled to the height.
+// real application data), and the serving tree-top cache
+// (config.ORAM.WithServingLevels): every level but the bottom six, at
+// most 2 MiB of plaintext per shard, never fewer than the paper's rule
+// gives (10 of 16 levels, 11 from 17 levels up, 6 at the default 12).
+// A shard restored from a snapshot keeps the depth it was saved with.
 func DefaultORAM(levels int) config.ORAM {
-	o := config.Default().ORAM.WithLevels(levels)
+	o := config.Default().ORAM.WithServingLevels(levels)
 	o.WarmFill = 0
 	return o
 }

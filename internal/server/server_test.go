@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"stringoram/internal/config"
 	"stringoram/internal/obs"
 	"stringoram/internal/oram"
 )
@@ -646,6 +647,102 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if !reflect.DeepEqual(DefaultORAM(8), Config{ORAM: DefaultORAM(8)}.withDefaults().ORAM) {
 		t.Fatal("explicit ORAM config not preserved")
+	}
+}
+
+// TestDefaultORAMTreeTop pins the serving tree-top rule every shard
+// uses: every level but the bottom six is cached, at most 2 MiB of
+// worst-case plaintext ((2^C-1) buckets × 12 slots × 64 bytes) per Ring,
+// and never fewer levels than the paper's WithLevels rule gives. Where
+// the rule raises the paper's depth, the cache holds at most 1/64 of the
+// buckets.
+func TestDefaultORAMTreeTop(t *testing.T) {
+	for _, tc := range []struct{ levels, want int }{
+		{8, 2}, {10, 6}, {12, 6}, {14, 8}, {16, 10}, {17, 11}, {20, 11}, {24, 11},
+	} {
+		o := DefaultORAM(tc.levels)
+		if o.Levels != tc.levels || o.TreeTopCacheLevels != tc.want {
+			t.Errorf("DefaultORAM(%d) = %d levels, %d cached; want %d cached", tc.levels, o.Levels, o.TreeTopCacheLevels, tc.want)
+		}
+		if err := o.Validate(); err != nil {
+			t.Errorf("DefaultORAM(%d): %v", tc.levels, err)
+		}
+		cached := int64(1)<<uint(o.TreeTopCacheLevels) - 1
+		if plain := cached * int64(o.SlotsPerBucket()) * int64(o.BlockSize); plain > 2<<20 {
+			t.Errorf("DefaultORAM(%d) caches %d bytes of worst-case plaintext, over 2 MiB", tc.levels, plain)
+		}
+		paper := config.Default().ORAM.WithLevels(tc.levels).TreeTopCacheLevels
+		if o.TreeTopCacheLevels < paper {
+			t.Errorf("DefaultORAM(%d) caches %d levels, fewer than WithLevels' %d", tc.levels, o.TreeTopCacheLevels, paper)
+		}
+		if o.TreeTopCacheLevels > paper && cached*64 > o.Buckets() {
+			t.Errorf("DefaultORAM(%d) caches %d of %d buckets, over 1/64", tc.levels, cached, o.Buckets())
+		}
+	}
+}
+
+// TestRestoreKeepsSavedTreeTop: oram.Load takes the cached depth from the
+// checkpoint, so a shard keeps the tree top it was saved with. A 14-level
+// shard saved with the paper's 6 cached levels, restored under
+// DefaultORAM(14) (8 cached), returns every acked value, keeps serving,
+// and writes its next snapshot at 6 cached levels.
+func TestRestoreKeepsSavedTreeTop(t *testing.T) {
+	paper := config.Default().ORAM.WithLevels(14)
+	paper.WarmFill = 0
+	if paper.TreeTopCacheLevels != 6 || DefaultORAM(14).TreeTopCacheLevels != 8 {
+		t.Fatalf("depths %d and %d; the test needs 6 and 8", paper.TreeTopCacheLevels, DefaultORAM(14).TreeTopCacheLevels)
+	}
+	cfg := Config{Shards: 1, ORAM: paper, Seed: 14, SnapshotDir: t.TempDir(), Key: []byte("0123456789abcdef")}
+	s := mustNew(t, cfg)
+	want := make(map[string]string)
+	for i := 0; i < 400; i++ {
+		key, val := fmt.Sprintf("k%03d", i%300), fmt.Sprintf("v%d", i)
+		if err := s.Put(key, []byte(val)); err != nil {
+			t.Fatal(err)
+		}
+		want[key] = val
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.ORAM = DefaultORAM(14)
+	s = mustNew(t, cfg)
+	for key, val := range want {
+		if v, found, err := s.Get(key); err != nil || !found || string(v) != val {
+			t.Fatalf("after restore, key %s: got %q found=%v err=%v, want %q", key, v, found, err, val)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		key, val := fmt.Sprintf("k%03d", i*3), fmt.Sprintf("w%d", i)
+		if err := s.Put(key, []byte(val)); err != nil {
+			t.Fatal(err)
+		}
+		want[key] = val
+	}
+	for key, val := range want {
+		if v, found, err := s.Get(key); err != nil || !found || string(v) != val {
+			t.Fatalf("after more writes, key %s: got %q found=%v err=%v, want %q", key, v, found, err, val)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(snapshotPath(cfg.SnapshotDir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := decodeShardSnap(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := oram.Load(bytes.NewReader(snap.Ring), ringKey(cfg, 0, snap.Salt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ring.Config().TreeTopCacheLevels; got != 6 {
+		t.Fatalf("the next snapshot caches %d levels, want the saved 6", got)
 	}
 }
 

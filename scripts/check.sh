@@ -126,14 +126,19 @@ go test -count=1 -run='^(TestCommandStreamGolden|TestPathORAMStashSamplesCollect
 go test -count=1 -run='^TestSimulationDeterminismGolden$' ./internal/experiments
 go test -count=1 -run='^(TestSchedulerMatchesReference|TestHintJumpsMatchEveryCycle)$' ./internal/sched
 
-echo "== treetop cache equivalence (serial vs the in-package uncached reference, -race) =="
-# Covers Compact Bucket, sealed Y = 0 and plaintext stores: every
-# functional Ring caches its tree top, and must return the data and op
-# traces of the uncached reference, a test-only Ring with its empty
-# cache detached (newUncachedRing), save its checkpoint with the cached
-# buckets moved from the store into the plaintext tree top, and elide
-# exactly the cached levels from the store trace.
+echo "== treetop cache equivalence (serial vs the in-package uncached reference, shallow and deep tree tops) and the serving tree-top depth (the rule, restore and handoff across depths), -race =="
+# Covers Compact Bucket, sealed Y = 0 and plaintext stores, with 2 of 8
+# and 7 of 10 levels cached: every functional Ring caches its tree top,
+# and must return the data and op traces of the uncached reference, a
+# test-only Ring with its empty cache detached (newUncachedRing), save
+# its checkpoint with the cached buckets moved from the store into the
+# plaintext tree top, and elide exactly the cached levels from the store
+# trace. The server and cluster tests pin DefaultORAM's tree-top rule and
+# check that a shard keeps the depth it was saved with across a restore
+# and a handoff, losing no acked write.
 go test -race -count=1 -run='^TestTreetop' ./internal/oram
+go test -race -count=1 -run='^(TestDefaultORAMTreeTop|TestRestoreKeepsSavedTreeTop)$' ./internal/server
+go test -race -count=1 -run='^TestClusterHandoffMixedTreeTop$' ./internal/cluster
 
 echo "== alloc-regression guards (data-plane hot path, scheduler Tick, loopback client ops) =="
 go test -run='^TestAlloc(Free|Bound)' -count=1 ./internal/oram ./internal/cluster ./internal/sched ./internal/server

@@ -218,7 +218,10 @@ var (
 func DefaultServerConfig() ServerConfig { return server.Config{} }
 
 // DefaultServerORAM returns the per-shard ORAM parameters for a tree of
-// the given number of levels.
+// the given number of levels. Each shard caches every level but the
+// bottom six as plaintext in process memory, at most 2 MiB per shard
+// and never fewer than 6 levels where the tree has 9 or more (10 of 16
+// levels, 11 from 17 levels up).
 func DefaultServerORAM(levels int) ORAMConfig { return server.DefaultORAM(levels) }
 
 // NewServer starts a sharded ORAM key-value server. When
