@@ -131,23 +131,6 @@ func TestPublicSchedulerKinds(t *testing.T) {
 	}
 }
 
-func TestPublicRecursiveRing(t *testing.T) {
-	cfg := stringoram.ScaledConfig(12).ORAM
-	cfg.Y = 0
-	rr, err := stringoram.NewRecursiveRing(stringoram.RecursiveConfig{
-		Data: cfg, Capacity: 2048, OnChipCutoff: 64,
-	}, 6, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.Levels() == 0 {
-		t.Fatal("expected at least one recursion level")
-	}
-	if _, _, err := rr.Access(100, true, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPublicStashOverflowSurfaces(t *testing.T) {
 	cfg := stringoram.ScaledConfig(8).ORAM
 	cfg.Levels = 3

@@ -169,7 +169,7 @@ func TestRunSingleSubcommand(t *testing.T) {
 	var buf bytes.Buffer
 	err := run(context.Background(), []string{"run", "-workload", "black", "-levels", "10",
 		"-accesses", "60", "-tracelen", "1500", "-scheduler", "pb",
-		"-layout", "flat", "-policy", "close", "-balance", "-uniform", "-warm", "0.3"}, &buf)
+		"-layout", "flat", "-policy", "close", "-uniform", "-warm", "0.3"}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,6 @@ func runSingle(args []string, w io.Writer) error {
 	seed := fs.Uint64("seed", 7, "random seed")
 	layout := fs.String("layout", "subtree", "subtree or flat")
 	policy := fs.String("policy", "open", "open or close (page policy)")
-	balance := fs.Bool("balance", false, "imbalance-aware dummy selection")
 	uniform := fs.Bool("uniform", false, "uniform slot selection instead of dummy-first")
 	warm := fs.Float64("warm", 0.5, "warm-fill occupancy in [0, 0.9]")
 	traceFile := fs.String("trace", "", "replay a trace file (tracegen gen) instead of -workload")
@@ -105,7 +104,7 @@ func runSingle(args []string, w io.Writer) error {
 	}
 	var res *sim.Result
 	var err error
-	simOpts := sim.Options{MaxAccesses: *accesses, BalanceChannels: *balance}
+	simOpts := sim.Options{MaxAccesses: *accesses}
 	var rec *obs.Recorder[obs.Event]
 	if *flightrec != "" {
 		if *flightrecCap <= 0 {

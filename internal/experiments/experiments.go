@@ -520,12 +520,6 @@ func (r *Runner) Ablations() (*stats.Table, error) {
 	}
 	add("uniform slot selection", uniRes)
 
-	balanced, err := sim.Run(def, tr, sim.Options{MaxAccesses: r.Scale.Accesses, BalanceChannels: true})
-	if err != nil {
-		return nil, err
-	}
-	add("imbalance-aware selection [35]", balanced)
-
 	return t, nil
 }
 

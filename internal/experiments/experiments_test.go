@@ -268,8 +268,8 @@ func TestAblationsTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Rows() != 5 {
-		t.Fatalf("Ablations rows = %d, want 5", tb.Rows())
+	if tb.Rows() != 4 {
+		t.Fatalf("Ablations rows = %d, want 4", tb.Rows())
 	}
 }
 
@@ -375,6 +375,24 @@ func TestHardwareTable(t *testing.T) {
 	}
 	if !strings.Contains(buf2.String(), "log2(Y+1)=0") {
 		t.Errorf("Y=0 hardware table still charges green counters:\n%s", buf2.String())
+	}
+	// The recursion's closed form: k map levels at a 1,024-entry cutoff
+	// and 1+k read paths per access. A simulated recursive Ring ORAM
+	// over the same Buckets/2 * Z blocks counted the same k and 1+k.
+	for _, c := range []struct {
+		scale Scale
+		want  string
+	}{
+		{Full(), "k=6 map ORAM levels, 256-entry on-chip table, 1+k=7 read paths per access"},
+		{Quick(), "k=3 map ORAM levels, 512-entry on-chip table, 1+k=4 read paths per access"},
+	} {
+		var buf bytes.Buffer
+		if err := Hardware(c.scale.System()).Render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), c.want) {
+			t.Errorf("%d-level hardware table lacks %q:\n%s", c.scale.Levels, c.want, buf.String())
+		}
 	}
 }
 

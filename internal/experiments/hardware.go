@@ -51,6 +51,10 @@ func Hardware(sys config.System) *stats.Table {
 		bits(realCapacity*leafBits),
 		fmt.Sprintf("%d tracked blocks x %d-bit leaf — why recursion exists", realCapacity, leafBits))
 
+	// A map block packs BlockSize/8 leaf labels, so each map ORAM level
+	// shrinks the table by that fanout until it fits a 1,024-entry
+	// on-chip table. A logical access then reads the data path plus one
+	// path per map level (Path ORAM CCS'13, Sec. 4).
 	fanout := int64(o.BlockSize / 8)
 	levels := 0
 	entries := realCapacity
@@ -60,7 +64,8 @@ func Hardware(sys config.System) *stats.Table {
 	}
 	t.AddRow("recursive position map (on-chip part)", "SRAM",
 		bits(entries*leafBits),
-		fmt.Sprintf("%d map ORAM levels, %d-entry on-chip table", levels, entries))
+		fmt.Sprintf("k=%d map ORAM levels, %d-entry on-chip table, 1+k=%d read paths per access",
+			levels, entries, levels+1))
 
 	// In-DRAM per-bucket metadata (encrypted alongside the bucket).
 	perBucket := int64(o.SlotsPerBucket())*(1+1) + // valid + real bits

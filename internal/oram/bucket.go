@@ -140,29 +140,26 @@ func (b *Bucket) canServe(hasTarget bool, s, y int) bool {
 // zero scratch is ready to use; its capacity grows to the bucket's slot
 // count and stays.
 type selector struct {
-	// src draws the uniform policy's coin and, without balance, the slot
-	// within the chosen pool.
+	// src draws the uniform policy's coin and the slot within the chosen
+	// pool.
 	src *rng.Source
 	// uniform picks uniformly among all eligible slots instead of
 	// reserved dummies first (config.ORAM.UniformSelect).
 	uniform bool
-	// balance, when set, chooses the slot within the pool instead of src
-	// and overrides uniform (Options.SlotBalancer).
-	balance func(bucket int64, level int, candidates []int) int
 
 	dummies, greens []int
 }
 
-// selectDummy picks a slot of bucket b (global index idx, tree level
-// level) to read as a dummy and consumes it. With the dummy-first policy,
-// reserved dummies are used before green blocks so that green fetches
-// (which grow the stash) happen only when necessary; the uniform policy
-// picks uniformly among all eligible slots. y is the green budget.
+// selectDummy picks a slot of bucket b to read as a dummy and consumes
+// it, drawing from src. With the dummy-first policy, reserved dummies
+// are used before green blocks so that green fetches (which grow the
+// stash) happen only when necessary; the uniform policy picks uniformly
+// among all eligible slots. y is the green budget.
 //
 // It returns the slot index and whether it holds a green block: a real
 // block the caller must consume into the stash (fetchToStash), which
 // names it. The caller must have checked canServe.
-func (sel *selector) selectDummy(b *Bucket, idx int64, level, y int) (slot int, green bool) {
+func (sel *selector) selectDummy(b *Bucket, y int) (slot int, green bool) {
 	// Set-bit iteration lists candidates in ascending slot order.
 	sel.dummies, sel.greens = sel.dummies[:0], sel.greens[:0]
 	for m := b.valid &^ b.real; m != 0; m &= m - 1 {
@@ -173,10 +170,10 @@ func (sel *selector) selectDummy(b *Bucket, idx int64, level, y int) (slot int, 
 	}
 	dummies, greens := sel.dummies, sel.greens
 	greenOK := int(b.Green) < y && len(greens) > 0
-	// Reserved dummies first; the uniform policy, unless a balancer
-	// overrides it, tosses a coin weighted by the two pools' sizes.
+	// Reserved dummies first; the uniform policy tosses a coin weighted
+	// by the two pools' sizes.
 	pickGreen := len(dummies) == 0 ||
-		sel.balance == nil && sel.uniform && greenOK && sel.src.Intn(len(dummies)+len(greens)) >= len(dummies)
+		sel.uniform && greenOK && sel.src.Intn(len(dummies)+len(greens)) >= len(dummies)
 	if pickGreen && !greenOK {
 		panic("oram: selectDummy called on a bucket that cannot serve")
 	}
@@ -184,16 +181,7 @@ func (sel *selector) selectDummy(b *Bucket, idx int64, level, y int) (slot int, 
 	if pickGreen {
 		pool = greens
 	}
-	var choice int
-	if sel.balance != nil {
-		choice = sel.balance(idx, level, pool)
-		if choice < 0 || choice >= len(pool) {
-			panic("oram: slot balancer returned an out-of-range candidate index")
-		}
-	} else {
-		choice = sel.src.Intn(len(pool))
-	}
-	i := pool[choice]
+	i := pool[sel.src.Intn(len(pool))]
 	b.valid &^= 1 << uint(i)
 	if pickGreen {
 		b.Green++

@@ -126,7 +126,7 @@ func TestSelectDummyPrefersReservedDummies(t *testing.T) {
 	b, ids := testBucket(8)
 	b.reshuffleScratch(ids, []BlockID{1, 2, 3, 4}, src, &shuffleScratch{})
 	for i := 0; i < 4; i++ {
-		_, green := (&selector{src: src}).selectDummy(b, 0, 0, 4)
+		_, green := (&selector{src: src}).selectDummy(b, 4)
 		if green {
 			t.Fatalf("selection %d consumed a green block while reserved dummies remained", i)
 		}
@@ -136,7 +136,7 @@ func TestSelectDummyPrefersReservedDummies(t *testing.T) {
 	}
 	// Now only green blocks remain eligible.
 	for i := 0; i < 4; i++ {
-		_, green := (&selector{src: src}).selectDummy(b, 0, 0, 4)
+		_, green := (&selector{src: src}).selectDummy(b, 4)
 		if !green {
 			t.Fatalf("selection %d should have consumed a green block", i)
 		}
@@ -152,9 +152,9 @@ func TestSelectDummyRespectsGreenBudget(t *testing.T) {
 	b.reshuffleScratch(ids, []BlockID{1, 2, 3, 4}, src, &shuffleScratch{})
 	// Exhaust the 4 reserved dummies, then Y=1 allows one green.
 	for i := 0; i < 4; i++ {
-		(&selector{src: src}).selectDummy(b, 0, 0, 1)
+		(&selector{src: src}).selectDummy(b, 1)
 	}
-	if _, green := (&selector{src: src}).selectDummy(b, 0, 0, 1); !green {
+	if _, green := (&selector{src: src}).selectDummy(b, 1); !green {
 		t.Fatal("expected a green selection")
 	}
 	if b.canServe(false, 100, 1) {
@@ -166,14 +166,14 @@ func TestSelectDummyPanicsWhenExhausted(t *testing.T) {
 	src := rng.New(7)
 	b, _ := testBucket(4)
 	for i := 0; i < 4; i++ {
-		(&selector{src: src}).selectDummy(b, 0, 0, 0)
+		(&selector{src: src}).selectDummy(b, 0)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on exhausted bucket")
 		}
 	}()
-	(&selector{src: src}).selectDummy(b, 0, 0, 0)
+	(&selector{src: src}).selectDummy(b, 0)
 }
 
 func TestSelectDummyNeverReusesSlot(t *testing.T) {
@@ -183,7 +183,7 @@ func TestSelectDummyNeverReusesSlot(t *testing.T) {
 		b.reshuffleScratch(ids, []BlockID{1, 2, 3}, s, &shuffleScratch{})
 		seen := make(map[int]bool)
 		for b.canServe(false, 100, 3) {
-			slot, _ := (&selector{src: s}).selectDummy(b, 0, 0, 3)
+			slot, _ := (&selector{src: s}).selectDummy(b, 3)
 			if seen[slot] {
 				return false
 			}
@@ -204,7 +204,7 @@ func TestSelectDummyUniformUsesGreensEarly(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		b, ids := testBucket(12)
 		b.reshuffleScratch(ids, []BlockID{1, 2, 3, 4, 5, 6, 7, 8}, src, &shuffleScratch{})
-		if _, g := (&selector{src: src, uniform: true}).selectDummy(b, 0, 0, 8); g {
+		if _, g := (&selector{src: src, uniform: true}).selectDummy(b, 8); g {
 			greens++
 		}
 	}
@@ -235,7 +235,7 @@ func TestCanServe(t *testing.T) {
 
 	// Exhaust dummies.
 	for i := 0; i < 4; i++ {
-		(&selector{src: src}).selectDummy(b, 0, 0, 0)
+		(&selector{src: src}).selectDummy(b, 0)
 	}
 	if b.canServe(false, 8, 0) {
 		t.Error("no dummies, no green budget: must not serve")

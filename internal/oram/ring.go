@@ -31,16 +31,6 @@ type Options struct {
 	// nonces are tree positions, so its key must seal no other Ring nor any
 	// earlier Ring of this store: derive one per Ring with RingKey.
 	Crypt *Crypt
-	// SlotBalancer, when set, chooses which eligible dummy slot a read
-	// path consumes (imbalance-aware retrieval, Che et al. ICCD'19):
-	// it receives the bucket's global index, its level and the candidate
-	// slot indices, in ascending order, and returns the index *into
-	// candidates* to use. The pool is the reserved dummies while any
-	// remain, else the green candidates. All candidates are equally
-	// valid protocol-wise, so the choice may optimize physical placement
-	// (e.g. channel balance) without weakening obliviousness. It takes
-	// the place of selection's RNG draws and overrides UniformSelect.
-	SlotBalancer func(bucket int64, level int, candidates []int) int
 	// TreetopCache is accepted and ignored: a Ring with a Store always
 	// holds its top TreeTopCacheLevels levels decrypted in controller
 	// memory (see treetop.go). The field survives only so bench/, which
@@ -86,7 +76,6 @@ func NewRing(cfg config.ORAM, seed uint64, opts *Options) (*Ring, error) {
 	}
 	root := rng.New(seed)
 	r := newRing(cfg, opts.Store, opts.Crypt, root.Fork(), root.Fork(), root.Fork())
-	r.sel.balance = opts.SlotBalancer
 	r.warmSeed = root.Uint64()
 	r.nextFiller = FillerBase
 	if opts.Store != nil {
@@ -463,7 +452,7 @@ func (r *Ring) readPathOp(kind OpKind, p PathID, id BlockID, wantTarget bool) {
 			r.fetchToStash(op, idx, lvl, b, targetSlot)
 			continue
 		}
-		slot, green := r.sel.selectDummy(b, idx, lvl, greenBudget)
+		slot, green := r.sel.selectDummy(b, greenBudget)
 		//oramlint:allow secret-branch the slot was already chosen and both arms read it once; a green block only rides along into the stash (CB, paper Sec. IV)
 		if green {
 			r.fetchToStash(op, idx, lvl, b, slot)

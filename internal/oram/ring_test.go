@@ -605,13 +605,6 @@ func TestPathPlaintextStore(t *testing.T) {
 	}
 }
 
-func TestRecursiveAccessors(t *testing.T) {
-	rr := newRecursive(t, 1024, 32, false, 9)
-	if rr.DataRing() == nil {
-		t.Fatal("nil data ring")
-	}
-}
-
 func TestRingSelectionPolicies(t *testing.T) {
 	// Uniform selection must fetch greens at least as eagerly as the
 	// default dummy-first policy under the same workload, and both must

@@ -35,10 +35,6 @@ type Options struct {
 	// CollectStash records the stash occupancy after every ORAM access
 	// into Result.StashSamples (Fig. 15).
 	CollectStash bool
-	// BalanceChannels enables imbalance-aware dummy-slot selection
-	// (Che et al., ICCD'19): among equally valid dummy slots, the
-	// controller picks the one on the least-loaded memory channel.
-	BalanceChannels bool
 	// OnCommand, when set, observes every DRAM command the memory
 	// controller issues (for the Fig. 6/8 timeline renderings).
 	OnCommand func(sched.CommandEvent)
@@ -278,27 +274,13 @@ func newSim(sys config.System, trs []*trace.Trace, name string, opts Options) (*
 	if err != nil {
 		return nil, err
 	}
-	var ringOpts oram.Options
 	res := &Result{Workload: name, Scheduler: sys.Scheduler, CBRate: sys.ORAM.Y}
-	if opts.BalanceChannels {
-		load := make([]int64, sys.DRAM.Channels)
-		ringOpts.SlotBalancer = func(bucket int64, _ int, cands []int) int {
-			best, bestLoad := 0, int64(1)<<62
-			for i, s := range cands {
-				if l := load[mapper.MapAccess(bucket, s).Channel]; l < bestLoad {
-					best, bestLoad = i, l
-				}
-			}
-			load[mapper.MapAccess(bucket, cands[best]).Channel]++
-			return best
-		}
-	}
 	var proto protocol
 	if opts.PathORAM {
 		proto, err = oram.NewPath(sys.ORAM.Z, sys.ORAM.Levels, sys.ORAM.BlockSize,
-			sys.ORAM.StashSize, sys.Seed, &ringOpts)
+			sys.ORAM.StashSize, sys.Seed, nil)
 	} else {
-		proto, err = oram.NewRing(sys.ORAM, sys.Seed, &ringOpts)
+		proto, err = oram.NewRing(sys.ORAM, sys.Seed, nil)
 	}
 	if err != nil {
 		return nil, err

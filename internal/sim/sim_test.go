@@ -266,44 +266,6 @@ func TestRequestConservation(t *testing.T) {
 	}
 }
 
-// TestBalanceChannelsRuns verifies the imbalance-aware mode completes and
-// spreads read-path traffic across channels at least as evenly as the
-// default.
-func TestBalanceChannelsRuns(t *testing.T) {
-	sys := testSystem().WithCBRate(0)
-	tr := testTrace(t, 2000)
-	spread := func(balance bool) float64 {
-		perChan := make([]int64, sys.DRAM.Channels)
-		_, err := Run(sys, tr, Options{MaxAccesses: 300, BalanceChannels: balance,
-			OnCommand: func(e sched.CommandEvent) {
-				if e.Kind.String() == "RD" {
-					perChan[e.Channel]++
-				}
-			}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var mn, mx int64 = 1 << 62, 0
-		for _, v := range perChan {
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		if mx == 0 {
-			t.Fatal("no reads observed")
-		}
-		return float64(mx-mn) / float64(mx)
-	}
-	def, bal := spread(false), spread(true)
-	if bal > def+0.05 {
-		t.Fatalf("balanced mode spread (%.3f) notably worse than default (%.3f)", bal, def)
-	}
-	t.Logf("read imbalance (max-min)/max: default %.3f, balanced %.3f", def, bal)
-}
-
 // TestPBSecurityAtSystemLevel is Claim 2 end to end: the full stack
 // (trace -> LLC -> ORAM -> mapper -> controller) produces, per channel,
 // identical per-transaction data-command address multisets in transaction

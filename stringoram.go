@@ -91,23 +91,6 @@ type (
 // stash within capacity (an over-aggressive CB rate for the stash size).
 var ErrStashOverflow = oram.ErrStashOverflow
 
-// Recursive position-map types.
-type (
-	// RecursiveRing models the traffic of a position map stored in
-	// recursively smaller Ring ORAMs (an extension beyond the paper's
-	// on-chip map).
-	RecursiveRing = oram.RecursiveRing
-	// RecursiveConfig parameterizes NewRecursiveRing.
-	RecursiveConfig = oram.RecursiveConfig
-)
-
-// NewRecursiveRing builds a Ring ORAM whose position map is itself
-// ORAM-protected, its map levels timing-only; see oram.RecursiveRing for
-// the cost model.
-func NewRecursiveRing(rc RecursiveConfig, seed uint64, opts *RingOptions) (*RecursiveRing, error) {
-	return oram.NewRecursiveRing(rc, seed, opts)
-}
-
 // NewRing returns a timing-only Ring ORAM controller (no data movement;
 // every access still returns its exact physical operation list).
 func NewRing(cfg ORAMConfig, seed uint64) (*Ring, error) {
