@@ -376,22 +376,50 @@ func TestHardwareTable(t *testing.T) {
 	if !strings.Contains(buf2.String(), "log2(Y+1)=0") {
 		t.Errorf("Y=0 hardware table still charges green counters:\n%s", buf2.String())
 	}
-	// The recursion's closed form: k map levels at a 1,024-entry cutoff
-	// and 1+k read paths per access. A simulated recursive Ring ORAM
-	// over the same Buckets/2 * Z blocks counted the same k and 1+k.
+}
+
+// hardwareTable renders the hardware table for sc's system.
+func hardwareTable(t *testing.T, sc Scale) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Hardware(sc.System()).Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestHardwareRecursionLevels pins the recursion's map-level count k at
+// a 1,024-entry on-chip cutoff. A simulated recursive Ring ORAM over the
+// same Buckets/2 * Z blocks counted the same k; a tree whose working set
+// already fits the cutoff needs no map level.
+func TestHardwareRecursionLevels(t *testing.T) {
 	for _, c := range []struct {
 		scale Scale
 		want  string
 	}{
-		{Full(), "k=6 map ORAM levels, 256-entry on-chip table, 1+k=7 read paths per access"},
-		{Quick(), "k=3 map ORAM levels, 512-entry on-chip table, 1+k=4 read paths per access"},
+		{Full(), "k=6 map ORAM levels, 256-entry on-chip table"},
+		{Quick(), "k=3 map ORAM levels, 512-entry on-chip table"},
+		{Scale{Levels: 8}, "k=0 map ORAM levels, 1016-entry on-chip table"},
 	} {
-		var buf bytes.Buffer
-		if err := Hardware(c.scale.System()).Render(&buf); err != nil {
-			t.Fatal(err)
+		if out := hardwareTable(t, c.scale); !strings.Contains(out, c.want) {
+			t.Errorf("%d-level hardware table lacks %q:\n%s", c.scale.Levels, c.want, out)
 		}
-		if !strings.Contains(buf.String(), c.want) {
-			t.Errorf("%d-level hardware table lacks %q:\n%s", c.scale.Levels, c.want, buf.String())
+	}
+}
+
+// TestHardwareRecursionReadPaths pins the recursion's cost: a logical
+// access reads the data path plus one path per map level, 1+k in all.
+func TestHardwareRecursionReadPaths(t *testing.T) {
+	for _, c := range []struct {
+		scale Scale
+		want  string
+	}{
+		{Full(), "1+k=7 read paths per access"},
+		{Quick(), "1+k=4 read paths per access"},
+		{Scale{Levels: 8}, "1+k=1 read paths per access"},
+	} {
+		if out := hardwareTable(t, c.scale); !strings.Contains(out, c.want) {
+			t.Errorf("%d-level hardware table lacks %q:\n%s", c.scale.Levels, c.want, out)
 		}
 	}
 }

@@ -632,3 +632,25 @@ func TestRingSelectionPolicies(t *testing.T) {
 			uniform.Stats().GreenFetches, dummyFirst.Stats().GreenFetches)
 	}
 }
+
+// TestReadPathOpShape: every read path, real or dummy, reads one block
+// per uncached level on every access, whatever slot selectDummy drew.
+func TestReadPathOpShape(t *testing.T) {
+	cfg := smallCfg(2)
+	r, err := NewRing(cfg, 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cfg.Levels - cfg.TreeTopCacheLevels
+	for i := 0; i < 1000; i++ {
+		_, ops, err := r.Access(BlockID(i%32), false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range ops {
+			if (op.Kind == OpReadPath || op.Kind == OpDummyReadPath) && op.Reads() != want {
+				t.Fatalf("access %d: read path has %d reads, want %d", i, op.Reads(), want)
+			}
+		}
+	}
+}
