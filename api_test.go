@@ -161,7 +161,6 @@ func TestPublicExperiments(t *testing.T) {
 	}
 	scale := stringoram.QuickScale()
 	scale.Accesses = 100
-	scale.TraceLen = 1500
 	scale.Levels = 10
 	r := stringoram.NewExperiments(scale)
 	tb, err := r.Fig5b()

@@ -88,8 +88,6 @@ var subcommands = []subcommand{
 		func(c *cli) error { return c.show(c.r.Protocols()) }},
 	{"ablations", "layout, page policy and slot-selection ablations", true,
 		func(c *cli) error { return c.show(c.r.Ablations()) }},
-	{"mixes", "heterogeneous 4-core mixes: speedup and fairness", true,
-		func(c *cli) error { return c.show(c.r.Mixes()) }},
 	{"timeline", "per-bank command timelines (Fig. 6 vs Fig. 8)", true, func(c *cli) error {
 		s, err := c.r.Timeline(120)
 		if err == nil {

@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"stringoram/internal/trace"
 )
 
 func TestRunRequiresExperiment(t *testing.T) {
@@ -109,7 +107,6 @@ func TestRunSimulatedSubcommands(t *testing.T) {
 		"fig11":     "read-CB",
 		"fig13":     "green/read",
 		"fig15":     "access#",
-		"mixes":     "fairness",
 		"ablations": "flat layout",
 		"timeline":  "proactive-bank",
 	}
@@ -167,65 +164,14 @@ func TestRunSingleSubcommand(t *testing.T) {
 		t.Skip("simulation in -short mode")
 	}
 	var buf bytes.Buffer
-	err := run(context.Background(), []string{"run", "-workload", "black", "-levels", "10",
-		"-accesses", "60", "-tracelen", "1500", "-scheduler", "pb",
+	err := run(context.Background(), []string{"run", "-levels", "10",
+		"-accesses", "60", "-scheduler", "pb",
 		"-layout", "flat", "-policy", "close", "-uniform", "-warm", "0.3"}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "execution cycles") {
 		t.Fatalf("run output malformed:\n%s", buf.String())
-	}
-}
-
-func TestRunSingleMix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation in -short mode")
-	}
-	var buf bytes.Buffer
-	err := run(context.Background(), []string{"run", "-workload", "black+libq", "-levels", "10",
-		"-accesses", "60", "-tracelen", "1500"}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "per-core instructions") {
-		t.Fatalf("mix run missing per-core stats:\n%s", buf.String())
-	}
-}
-
-func TestRunSingleTraceFile(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation in -short mode")
-	}
-	p, err := trace.ByName("black")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.Generate(p, 1200, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "black.trc")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.Write(f, tr); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	var buf bytes.Buffer
-	err = run(context.Background(), []string{"run", "-trace", path, "-levels", "10", "-accesses", "60"}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "workload black") {
-		t.Fatalf("trace replay output:\n%s", buf.String())
-	}
-
-	if err := run(context.Background(), []string{"run", "-trace", "/nonexistent.trc"}, &buf); err == nil {
-		t.Fatal("missing trace file accepted")
 	}
 }
 
@@ -244,7 +190,7 @@ func TestRunSingleRejections(t *testing.T) {
 		{"run", "-scheduler", "bogus"},
 		{"run", "-layout", "bogus"},
 		{"run", "-policy", "bogus"},
-		{"run", "-workload", "nosuch"},
+		{"run", "-accesses", "0"},
 		{"run", "-warm", "5"},
 	}
 	for _, args := range cases {
@@ -275,8 +221,8 @@ func TestRunSingleFlightRecorder(t *testing.T) {
 	}
 	out := filepath.Join(t.TempDir(), "trace.json")
 	var buf bytes.Buffer
-	err := run(context.Background(), []string{"run", "-workload", "black", "-levels", "10",
-		"-accesses", "60", "-tracelen", "1500", "-flightrec", out}, &buf)
+	err := run(context.Background(), []string{"run", "-levels", "10",
+		"-accesses", "60", "-flightrec", out}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +250,8 @@ func TestRunSingleFlightRecorder(t *testing.T) {
 		t.Fatal("flight recording holds no events")
 	}
 
-	if err := run(context.Background(), []string{"run", "-workload", "black", "-levels", "10",
-		"-accesses", "10", "-tracelen", "500", "-flightrec", out, "-flightrec-cap", "0"}, &buf); err == nil {
+	if err := run(context.Background(), []string{"run", "-levels", "10",
+		"-accesses", "10", "-flightrec", out, "-flightrec-cap", "0"}, &buf); err == nil {
 		t.Fatal("-flightrec-cap 0 accepted")
 	}
 }

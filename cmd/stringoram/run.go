@@ -4,8 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"strings"
 
 	"stringoram/internal/atomicfile"
 	"stringoram/internal/config"
@@ -21,19 +19,16 @@ import (
 // exploring the design space beyond the paper's fixed experiments.
 func runSingle(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	workload := fs.String("workload", "ferret", "suite workload name (tracegen list)")
 	scheduler := fs.String("scheduler", "transaction", "transaction or pb")
 	y := fs.Int("y", 8, "CB rate Y")
 	stash := fs.Int("stash", 500, "stash size in blocks")
 	levels := fs.Int("levels", 16, "ORAM tree levels")
 	accesses := fs.Int("accesses", 1000, "ORAM accesses to simulate")
-	traceLen := fs.Int("tracelen", 10000, "trace records to generate")
 	seed := fs.Uint64("seed", 7, "random seed")
 	layout := fs.String("layout", "subtree", "subtree or flat")
 	policy := fs.String("policy", "open", "open or close (page policy)")
 	uniform := fs.Bool("uniform", false, "uniform slot selection instead of dummy-first")
 	warm := fs.Float64("warm", 0.5, "warm-fill occupancy in [0, 0.9]")
-	traceFile := fs.String("trace", "", "replay a trace file (tracegen gen) instead of -workload")
 	flightrec := fs.String("flightrec", "", "write a cycle-stamped Chrome trace of the run here (open in Perfetto)")
 	flightrecCap := fs.Int("flightrec-cap", 1<<16, "flight-recorder capacity in events (ring; oldest dropped)")
 	if err := fs.Parse(args); err != nil {
@@ -74,36 +69,10 @@ func runSingle(args []string, w io.Writer) error {
 	if err := sys.Validate(); err != nil {
 		return err
 	}
-
-	// "a+b+c" runs a heterogeneous mix, one workload per core; -trace
-	// replays a recorded trace file instead.
-	var trs []*trace.Trace
-	if *traceFile != "" {
-		f, err := os.Open(*traceFile)
-		if err != nil {
-			return err
-		}
-		tr, err := trace.Read(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		trs = append(trs, tr)
-	} else {
-		for _, name := range strings.Split(*workload, "+") {
-			p, err := trace.ByName(name)
-			if err != nil {
-				return err
-			}
-			tr, err := trace.Generate(p, *traceLen, trace.SeedFor(*seed, p.Name))
-			if err != nil {
-				return err
-			}
-			trs = append(trs, tr)
-		}
+	if *accesses <= 0 {
+		return fmt.Errorf("-accesses must be positive, got %d", *accesses)
 	}
-	var res *sim.Result
-	var err error
+
 	simOpts := sim.Options{MaxAccesses: *accesses}
 	var rec *obs.Recorder[obs.Event]
 	if *flightrec != "" {
@@ -113,11 +82,7 @@ func runSingle(args []string, w io.Writer) error {
 		rec = obs.NewRecorder[obs.Event](*flightrecCap)
 		simOpts.FlightRecorder = rec
 	}
-	if len(trs) == 1 {
-		res, err = sim.Run(sys, trs[0], simOpts)
-	} else {
-		res, err = sim.RunMulti(sys, trs, simOpts)
-	}
+	res, err := sim.Run(sys, &trace.Trace{Name: "run"}, simOpts)
 	if err != nil {
 		return err
 	}
@@ -129,11 +94,7 @@ func runSingle(args []string, w io.Writer) error {
 			rec.Len(), rec.Total(), *flightrec)
 	}
 
-	fmt.Fprintf(w, "workload %s: %d ORAM accesses, %d instructions retired, LLC hit rate %s\n",
-		res.Workload, res.ORAMAccesses, res.Retired, stats.Pct(res.LLCHitRate))
-	if len(trs) > 1 {
-		fmt.Fprintf(w, "per-core instructions retired: %v\n", res.PerCore)
-	}
+	fmt.Fprintf(w, "%d ORAM accesses, reads of distinct blocks\n", res.ORAMAccesses)
 	fmt.Fprintf(w, "configuration: Z=%d S=%d Y=%d A=%d levels=%d stash=%d %v/%v/%v\n\n",
 		sys.ORAM.Z, sys.ORAM.S, sys.ORAM.Y, sys.ORAM.A, sys.ORAM.Levels, sys.ORAM.StashSize,
 		sys.Scheduler, sys.Layout, sys.DRAM.Policy)

@@ -282,15 +282,14 @@ func (p PagePolicy) String() string {
 
 // DRAM holds the memory-system organization (paper Table II).
 type DRAM struct {
-	Channels    int
-	Ranks       int // per channel
-	Banks       int // per rank
-	Rows        int // per bank
-	Columns     int // cache lines per row
-	ReadQueue   int // entries per channel
-	WriteQueue  int // entries per channel
-	Timing      DRAMTiming
-	CPUClockMul int // CPU cycles per memory cycle (3.2GHz over 800MHz = 4)
+	Channels   int
+	Ranks      int // per channel
+	Banks      int // per rank
+	Rows       int // per bank
+	Columns    int // cache lines per row
+	ReadQueue  int // entries per channel
+	WriteQueue int // entries per channel
+	Timing     DRAMTiming
 	// Policy is the row-buffer management policy (default OpenPage).
 	Policy PagePolicy
 	// StarvationLimit caps FR-FCFS reordering: once the oldest pending
@@ -323,7 +322,6 @@ func (d DRAM) Validate() error {
 		{"Channels", d.Channels}, {"Ranks", d.Ranks}, {"Banks", d.Banks},
 		{"Rows", d.Rows}, {"Columns", d.Columns},
 		{"ReadQueue", d.ReadQueue}, {"WriteQueue", d.WriteQueue},
-		{"CPUClockMul", d.CPUClockMul},
 	} {
 		if x.v <= 0 {
 			return fmt.Errorf("config: DRAM %s must be positive, got %d", x.name, x.v)
@@ -341,58 +339,6 @@ func (d DRAM) Validate() error {
 		}
 	}
 	return d.Timing.Validate()
-}
-
-// CPU holds the processor-side parameters (paper Table I).
-type CPU struct {
-	Cores       int
-	ROBSize     int // in-flight instruction window per core
-	RetireWidth int // instructions retired per CPU cycle
-	MaxMisses   int // outstanding LLC misses per core (MSHR-like limit)
-}
-
-// Validate reports whether the CPU parameters are plausible.
-func (c CPU) Validate() error {
-	switch {
-	case c.Cores <= 0:
-		return fmt.Errorf("config: Cores must be positive, got %d", c.Cores)
-	case c.ROBSize <= 0:
-		return fmt.Errorf("config: ROBSize must be positive, got %d", c.ROBSize)
-	case c.RetireWidth <= 0:
-		return fmt.Errorf("config: RetireWidth must be positive, got %d", c.RetireWidth)
-	case c.MaxMisses <= 0:
-		return fmt.Errorf("config: MaxMisses must be positive, got %d", c.MaxMisses)
-	}
-	return nil
-}
-
-// Cache holds the shared last-level cache parameters.
-type Cache struct {
-	SizeBytes int64
-	LineSize  int
-	Ways      int
-}
-
-// Sets returns the number of cache sets.
-func (c Cache) Sets() int64 {
-	return c.SizeBytes / (int64(c.LineSize) * int64(c.Ways))
-}
-
-// Validate reports whether the cache geometry is consistent.
-func (c Cache) Validate() error {
-	switch {
-	case c.SizeBytes <= 0:
-		return fmt.Errorf("config: cache SizeBytes must be positive, got %d", c.SizeBytes)
-	case c.LineSize <= 0 || c.LineSize&(c.LineSize-1) != 0:
-		return fmt.Errorf("config: cache LineSize must be a positive power of two, got %d", c.LineSize)
-	case c.Ways <= 0:
-		return fmt.Errorf("config: cache Ways must be positive, got %d", c.Ways)
-	}
-	sets := c.Sets()
-	if sets <= 0 || sets&(sets-1) != 0 {
-		return fmt.Errorf("config: cache sets must be a positive power of two, got %d", sets)
-	}
-	return nil
 }
 
 // SchedulerKind selects the memory-controller command scheduling policy.
@@ -449,8 +395,6 @@ func (k LayoutKind) String() string {
 type System struct {
 	ORAM      ORAM
 	DRAM      DRAM
-	CPU       CPU
-	Cache     Cache
 	Scheduler SchedulerKind
 	Layout    LayoutKind
 	Seed      uint64
@@ -465,12 +409,6 @@ func (s System) Validate() error {
 	if err := s.DRAM.Validate(); err != nil {
 		return err
 	}
-	if err := s.CPU.Validate(); err != nil {
-		return err
-	}
-	if err := s.Cache.Validate(); err != nil {
-		return err
-	}
 	if s.Scheduler != SchedTransaction && s.Scheduler != SchedProactiveBank {
 		return errors.New("config: unknown scheduler kind")
 	}
@@ -479,9 +417,6 @@ func (s System) Validate() error {
 	}
 	if s.DRAM.Policy != OpenPage && s.DRAM.Policy != ClosePage {
 		return errors.New("config: unknown page policy")
-	}
-	if s.Cache.LineSize != s.ORAM.BlockSize {
-		return fmt.Errorf("config: cache line size (%d) must equal ORAM block size (%d)", s.Cache.LineSize, s.ORAM.BlockSize)
 	}
 	need := s.ORAM.TotalCapacityBytes()
 	have := s.DRAM.CapacityBytes(s.ORAM.BlockSize)
@@ -511,14 +446,7 @@ func Default() System {
 			// holds 8 GB as the table's capacity line requires.
 			Rows: 1 << 17, Columns: 128,
 			ReadQueue: 64, WriteQueue: 64,
-			Timing:      DDR31600Timing(),
-			CPUClockMul: 4,
-		},
-		CPU: CPU{
-			Cores: 4, ROBSize: 128, RetireWidth: 4, MaxMisses: 8,
-		},
-		Cache: Cache{
-			SizeBytes: 4 << 20, LineSize: 64, Ways: 16,
+			Timing: DDR31600Timing(),
 		},
 		Scheduler: SchedTransaction,
 		Seed:      0x57524e47, // "WRNG"
@@ -624,6 +552,5 @@ func ScaledDefault(levels int) System {
 		rows = 4
 	}
 	s.DRAM.Rows = int(rows)
-	s.Cache.SizeBytes = 64 << 10
 	return s
 }

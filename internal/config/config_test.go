@@ -21,9 +21,6 @@ func TestDefaultMatchesPaperTables(t *testing.T) {
 	if s.DRAM.Channels != 4 || s.DRAM.Banks != 8 || s.DRAM.ReadQueue != 64 {
 		t.Fatalf("DRAM defaults diverge from Table II: %+v", s.DRAM)
 	}
-	if s.CPU.Cores != 4 || s.CPU.ROBSize != 128 || s.CPU.RetireWidth != 4 {
-		t.Fatalf("CPU defaults diverge from Table I: %+v", s.CPU)
-	}
 }
 
 func TestBucketsLeaves(t *testing.T) {
@@ -143,7 +140,6 @@ func TestDRAMValidateRejections(t *testing.T) {
 		{"zero columns", func(d *DRAM) { d.Columns = 0 }},
 		{"zero read queue", func(d *DRAM) { d.ReadQueue = 0 }},
 		{"zero write queue", func(d *DRAM) { d.WriteQueue = 0 }},
-		{"zero clock mul", func(d *DRAM) { d.CPUClockMul = 0 }},
 		{"non-pow2 channels", func(d *DRAM) { d.Channels = 3 }},
 		{"non-pow2 ranks", func(d *DRAM) { d.Ranks = 3 }},
 		{"non-pow2 banks", func(d *DRAM) { d.Banks = 6 }},
@@ -203,62 +199,6 @@ func TestDRAMTimingValidateRejections(t *testing.T) {
 	}
 }
 
-func TestCPUValidateRejections(t *testing.T) {
-	base := Default().CPU
-	cases := []struct {
-		name   string
-		mutate func(*CPU)
-		want   string
-	}{
-		{"zero cores", func(c *CPU) { c.Cores = 0 }, "Cores"},
-		{"zero rob", func(c *CPU) { c.ROBSize = 0 }, "ROBSize"},
-		{"zero retire width", func(c *CPU) { c.RetireWidth = 0 }, "RetireWidth"},
-		{"zero max misses", func(c *CPU) { c.MaxMisses = 0 }, "MaxMisses"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c := base
-			tc.mutate(&c)
-			err := c.Validate()
-			if err == nil {
-				t.Fatalf("expected error containing %q, got nil", tc.want)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not contain %q", err, tc.want)
-			}
-		})
-	}
-}
-
-func TestCacheValidateRejections(t *testing.T) {
-	base := Default().Cache
-	cases := []struct {
-		name   string
-		mutate func(*Cache)
-		want   string
-	}{
-		{"zero size", func(c *Cache) { c.SizeBytes = 0 }, "SizeBytes"},
-		{"zero line size", func(c *Cache) { c.LineSize = 0 }, "LineSize"},
-		{"non-pow2 line size", func(c *Cache) { c.LineSize = 48 }, "LineSize"},
-		{"zero ways", func(c *Cache) { c.Ways = 0 }, "Ways"},
-		{"non-pow2 sets", func(c *Cache) { c.SizeBytes = 3 << 20 }, "sets"},
-		{"zero sets", func(c *Cache) { c.SizeBytes = 512 }, "sets"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c := base
-			tc.mutate(&c)
-			err := c.Validate()
-			if err == nil {
-				t.Fatalf("expected error containing %q, got nil", tc.want)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not contain %q", err, tc.want)
-			}
-		})
-	}
-}
-
 // TestSystemEnumValidation covers the unknown-enum branches of
 // System.Validate: scheduler kind, layout kind, and page policy.
 func TestSystemEnumValidation(t *testing.T) {
@@ -295,29 +235,10 @@ func TestSystemSubValidationPropagates(t *testing.T) {
 	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "Channels") {
 		t.Fatalf("expected DRAM error, got %v", err)
 	}
-
-	s = Default()
-	s.CPU.Cores = 0
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "Cores") {
-		t.Fatalf("expected CPU error, got %v", err)
-	}
-
-	s = Default()
-	s.Cache.Ways = 0
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "Ways") {
-		t.Fatalf("expected cache error, got %v", err)
-	}
 }
 
 func TestSystemCrossValidation(t *testing.T) {
 	s := Default()
-	s.Cache.LineSize = 128
-	s.Cache.SizeBytes = 4 << 20
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "line size") {
-		t.Fatalf("expected line-size mismatch error, got %v", err)
-	}
-
-	s = Default()
 	s.DRAM.Rows = 4 // tree no longer fits
 	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "DRAM only has") {
 		t.Fatalf("expected capacity error, got %v", err)

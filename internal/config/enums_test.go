@@ -86,10 +86,3 @@ func TestRingConfigSEqualsAPlus(t *testing.T) {
 		}
 	}
 }
-
-func TestCacheSets(t *testing.T) {
-	c := Cache{SizeBytes: 4 << 20, LineSize: 64, Ways: 16}
-	if got := c.Sets(); got != 4096 {
-		t.Fatalf("Sets = %d, want 4096", got)
-	}
-}

@@ -5,15 +5,15 @@
 // benchmarks invoke them as testing.B benchmarks.
 //
 // Absolute numbers differ from the paper (their substrate was USIMM with
-// MSC SimPoint traces; ours is a from-scratch simulator with calibrated
-// synthetic traces) — the reproduction targets the paper's *shape*: who
-// wins, by roughly what factor, and where behaviour crosses over.
+// MSC SimPoint traces; ours is a from-scratch simulator whose front end
+// keeps a fixed window of reads outstanding) — the reproduction targets
+// the paper's *shape*: who wins, by roughly what factor, and where
+// behaviour crosses over.
 package experiments
 
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 
 	"stringoram/internal/config"
@@ -27,10 +27,8 @@ import (
 // Scale sizes the simulated runs. The paper simulates 500M-instruction
 // SimPoints; these scales trade fidelity for laptop runtime.
 type Scale struct {
-	// Accesses caps the logical ORAM accesses per run.
+	// Accesses is the number of logical ORAM accesses per run.
 	Accesses int
-	// TraceLen is the number of memory records generated per workload.
-	TraceLen int
 	// Levels overrides the ORAM tree height (0 keeps the paper's 24).
 	Levels int
 	// Seed drives all randomness.
@@ -38,11 +36,11 @@ type Scale struct {
 }
 
 // Quick is the default scale for smoke runs (every experiment in ~5 s).
-func Quick() Scale { return Scale{Accesses: 800, TraceLen: 8000, Levels: 16, Seed: 7} }
+func Quick() Scale { return Scale{Accesses: 800, Levels: 16, Seed: 7} }
 
 // Full is the larger scale used to generate EXPERIMENTS.md (every
 // experiment in ~35 s on two cores).
-func Full() Scale { return Scale{Accesses: 4000, TraceLen: 40000, Levels: 24, Seed: 7} }
+func Full() Scale { return Scale{Accesses: 4000, Levels: 24, Seed: 7} }
 
 // System builds the paper-default system at this scale's tree height.
 // The tree is warmed to steady-state occupancy (0.5): the paper's
@@ -109,69 +107,53 @@ func (s Scheme) Apply(sys config.System, cbRate int) config.System {
 	}
 }
 
-// Runner caches simulation results so Fig. 10, 11 and 12 share one run
-// matrix. It is safe for sequential use only.
+// Runner caches simulation results so Fig. 5(b), 10, 11 and 12 share one
+// run per scheme. It is safe for sequential use only.
 type Runner struct {
 	Scale Scale
 
 	matrixOnce sync.Once
-	matrix     map[string][numSchemes]*sim.Result
+	matrix     [numSchemes]*sim.Result
 	matrixErr  error
 }
 
 // NewRunner returns a runner at the given scale.
 func NewRunner(s Scale) *Runner { return &Runner{Scale: s} }
 
-// suiteTrace generates the named suite workload's trace at the runner's
-// scale.
-func (r *Runner) suiteTrace(name string) (*trace.Trace, error) {
-	p, err := trace.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return trace.Generate(p, r.Scale.TraceLen, trace.SeedFor(r.Scale.Seed, p.Name))
+// suiteRow labels the one row Fig. 5(b) and 10-12 print: the simulator's
+// front end is a fixed window of reads of distinct blocks, which is what
+// every Table IV workload delivered, so one run stands for all ten.
+const suiteRow = "all ten"
+
+// run simulates sys for the scale's access count. The simulator reads no
+// trace records, so the trace only names the run.
+func (r *Runner) run(name string, sys config.System, opts sim.Options) (*sim.Result, error) {
+	opts.MaxAccesses = r.Scale.Accesses
+	return sim.Run(sys, &trace.Trace{Name: name}, opts)
 }
 
-// runJob is one (workload, scheme) simulation.
-type runJob struct {
-	name   string
-	scheme Scheme
-}
-
-// Matrix runs (or returns the cached) full workload x scheme simulation
-// grid used by Fig. 10-12.
-func (r *Runner) Matrix() (map[string][numSchemes]*sim.Result, error) {
+// Matrix runs (or returns the cached) per-scheme simulations Fig. 5(b)
+// and 10-12 read, indexed by Scheme.
+func (r *Runner) Matrix() ([numSchemes]*sim.Result, error) {
 	r.matrixOnce.Do(func() {
-		var jobs []runJob
-		for _, name := range trace.Names() {
-			for s := SchemeBaseline; s < numSchemes; s++ {
-				jobs = append(jobs, runJob{name: name, scheme: s})
-			}
-		}
-		results := make([]*sim.Result, len(jobs))
-		errs := make([]error, len(jobs))
+		var errs [numSchemes]error
 		var wg sync.WaitGroup
 		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		for i, job := range jobs {
+		for s := SchemeBaseline; s < numSchemes; s++ {
 			wg.Add(1)
 			//oramlint:allow gostmt each simulation is seed-deterministic in isolation; results land in index-addressed slots and wg.Wait joins before any read
-			go func(i int, job runJob) {
+			go func(s Scheme) {
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				tr, err := r.suiteTrace(job.name)
+				sys := s.Apply(r.Scale.System(), config.Default().ORAM.Y)
+				res, err := r.run(suiteRow, sys, sim.Options{})
 				if err != nil {
-					errs[i] = err
+					errs[s] = fmt.Errorf("%v: %w", s, err)
 					return
 				}
-				sys := job.scheme.Apply(r.Scale.System(), config.Default().ORAM.Y)
-				res, err := sim.Run(sys, tr, sim.Options{MaxAccesses: r.Scale.Accesses})
-				if err != nil {
-					errs[i] = fmt.Errorf("%s/%v: %w", job.name, job.scheme, err)
-					return
-				}
-				results[i] = res
-			}(i, job)
+				r.matrix[s] = res
+			}(s)
 		}
 		wg.Wait()
 		for _, err := range errs {
@@ -180,13 +162,6 @@ func (r *Runner) Matrix() (map[string][numSchemes]*sim.Result, error) {
 				return
 			}
 		}
-		m := make(map[string][numSchemes]*sim.Result)
-		for i, job := range jobs {
-			row := m[job.name]
-			row[job.scheme] = results[i]
-			m[job.name] = row
-		}
-		r.matrix = m
 	})
 	return r.matrix, r.matrixErr
 }
@@ -223,7 +198,7 @@ func TableV() *stats.Table {
 }
 
 // Fig5b reproduces Fig. 5(b): row-buffer conflict rate of the read path
-// versus the eviction under the subtree layout, per workload.
+// versus the eviction under the subtree layout.
 func (r *Runner) Fig5b() (*stats.Table, error) {
 	m, err := r.Matrix()
 	if err != nil {
@@ -232,22 +207,14 @@ func (r *Runner) Fig5b() (*stats.Table, error) {
 	t := stats.NewTable(
 		"Fig. 5(b) — Row-buffer conflict rate with subtree layout (paper: read ~0.74, evict ~0.10)",
 		"workload", "read-path", "eviction")
-	var reads, evicts []float64
-	for _, name := range trace.Names() {
-		res := m[name][SchemeBaseline]
-		rd := res.Sched.ConflictRate(sched.TagReadPath)
-		ev := res.Sched.ConflictRate(sched.TagEvict)
-		reads = append(reads, rd)
-		evicts = append(evicts, ev)
-		t.AddRowf(name, rd, ev)
-	}
-	t.AddSummaryRowf("MEAN", stats.Mean(reads), stats.Mean(evicts))
+	res := m[SchemeBaseline]
+	t.AddRowf(suiteRow, res.Sched.ConflictRate(sched.TagReadPath), res.Sched.ConflictRate(sched.TagEvict))
 	return t, nil
 }
 
 // Fig10 reproduces Fig. 10: normalized execution time of Baseline, CB,
-// PB and ALL per workload, with the read/evict/reshuffle/other breakdown
-// of the ALL configuration.
+// PB and ALL, with the read/evict/reshuffle/other breakdown of the ALL
+// configuration.
 func (r *Runner) Fig10() (*stats.Table, error) {
 	m, err := r.Matrix()
 	if err != nil {
@@ -256,23 +223,16 @@ func (r *Runner) Fig10() (*stats.Table, error) {
 	t := stats.NewTable(
 		"Fig. 10 — Normalized execution time (paper avg: CB 0.883, PB 0.811, ALL 0.700)",
 		"workload", "baseline", "CB", "PB", "ALL", "ALL-read", "ALL-evict", "ALL-reshuffle", "ALL-other")
-	var cbs, pbs, alls []float64
-	for _, name := range trace.Names() {
-		row := m[name]
-		base := float64(row[SchemeBaseline].Cycles)
-		cb := float64(row[SchemeCB].Cycles) / base
-		pb := float64(row[SchemePB].Cycles) / base
-		all := float64(row[SchemeAll].Cycles) / base
-		cbs, pbs, alls = append(cbs, cb), append(pbs, pb), append(alls, all)
-		ar := row[SchemeAll]
-		at := float64(ar.Cycles)
-		t.AddRowf(name, 1.0, cb, pb, all,
-			float64(ar.PhaseCycles[sched.TagReadPath])/at*all,
-			float64(ar.PhaseCycles[sched.TagEvict])/at*all,
-			float64(ar.PhaseCycles[sched.TagReshuffle])/at*all,
-			float64(ar.OtherCycles)/at*all)
-	}
-	t.AddSummaryRowf("AVG", 1.0, stats.Mean(cbs), stats.Mean(pbs), stats.Mean(alls), "", "", "", "")
+	base := float64(m[SchemeBaseline].Cycles)
+	all := float64(m[SchemeAll].Cycles) / base
+	ar := m[SchemeAll]
+	at := float64(ar.Cycles)
+	t.AddRowf(suiteRow, 1.0,
+		float64(m[SchemeCB].Cycles)/base, float64(m[SchemePB].Cycles)/base, all,
+		float64(ar.PhaseCycles[sched.TagReadPath])/at*all,
+		float64(ar.PhaseCycles[sched.TagEvict])/at*all,
+		float64(ar.PhaseCycles[sched.TagReshuffle])/at*all,
+		float64(ar.OtherCycles)/at*all)
 	return t, nil
 }
 
@@ -286,26 +246,15 @@ func (r *Runner) Fig11() (*stats.Table, error) {
 	t := stats.NewTable(
 		"Fig. 11 — Normalized request queuing time, total cycles spent queued (paper avg: read CB 0.896/PB 0.775/ALL 0.671; write CB 0.882/PB 0.805/ALL 0.687)",
 		"workload", "read-CB", "read-PB", "read-ALL", "write-CB", "write-PB", "write-ALL")
-	var acc [6][]float64
-	for _, name := range trace.Names() {
-		row := m[name]
-		baseR := float64(row[SchemeBaseline].Sched.ReadQueueWait)
-		baseW := float64(row[SchemeBaseline].Sched.WriteQueueWait)
-		vals := []float64{
-			float64(row[SchemeCB].Sched.ReadQueueWait) / baseR,
-			float64(row[SchemePB].Sched.ReadQueueWait) / baseR,
-			float64(row[SchemeAll].Sched.ReadQueueWait) / baseR,
-			float64(row[SchemeCB].Sched.WriteQueueWait) / baseW,
-			float64(row[SchemePB].Sched.WriteQueueWait) / baseW,
-			float64(row[SchemeAll].Sched.WriteQueueWait) / baseW,
-		}
-		for i, v := range vals {
-			acc[i] = append(acc[i], v)
-		}
-		t.AddRowf(name, vals[0], vals[1], vals[2], vals[3], vals[4], vals[5])
-	}
-	t.AddSummaryRowf("AVG", stats.Mean(acc[0]), stats.Mean(acc[1]), stats.Mean(acc[2]),
-		stats.Mean(acc[3]), stats.Mean(acc[4]), stats.Mean(acc[5]))
+	baseR := float64(m[SchemeBaseline].Sched.ReadQueueWait)
+	baseW := float64(m[SchemeBaseline].Sched.WriteQueueWait)
+	t.AddRowf(suiteRow,
+		float64(m[SchemeCB].Sched.ReadQueueWait)/baseR,
+		float64(m[SchemePB].Sched.ReadQueueWait)/baseR,
+		float64(m[SchemeAll].Sched.ReadQueueWait)/baseR,
+		float64(m[SchemeCB].Sched.WriteQueueWait)/baseW,
+		float64(m[SchemePB].Sched.WriteQueueWait)/baseW,
+		float64(m[SchemeAll].Sched.WriteQueueWait)/baseW)
 	return t, nil
 }
 
@@ -322,83 +271,52 @@ func (r *Runner) Fig12() (*stats.Table, *stats.Table, error) {
 	b := stats.NewTable(
 		"Fig. 12(b) — Proportion of commands PB issues early (paper: PRE 0.593, ACT 0.569)",
 		"workload", "early-PRE", "early-ACT")
-	var bi, pi, ep, ea []float64
-	for _, name := range trace.Names() {
-		row := m[name]
-		bIdle := row[SchemeBaseline].BankIdle
-		pIdle := row[SchemePB].BankIdle
-		bi, pi = append(bi, bIdle), append(pi, pIdle)
-		a.AddRowf(name, bIdle, pIdle)
-		pre := row[SchemePB].Sched.EarlyPREFrac()
-		act := row[SchemePB].Sched.EarlyACTFrac()
-		ep, ea = append(ep, pre), append(ea, act)
-		b.AddRowf(name, pre, act)
-	}
-	a.AddSummaryRowf("AVG", stats.Mean(bi), stats.Mean(pi))
-	b.AddSummaryRowf("AVG", stats.Mean(ep), stats.Mean(ea))
+	pb := m[SchemePB]
+	a.AddRowf(suiteRow, m[SchemeBaseline].BankIdle, pb.BankIdle)
+	b.AddRowf(suiteRow, pb.Sched.EarlyPREFrac(), pb.Sched.EarlyACTFrac())
 	return a, b, nil
 }
 
 // Fig13 reproduces Fig. 13: execution time (CB alone and CB+PB) and
 // green blocks fetched per read path as the CB rate Y sweeps over the
-// Table V configurations, averaged over a representative workload subset.
-// The Y=0 configuration is the normalization base, not a row.
+// Table V configurations. The Y=0 configuration is the normalization
+// base (the Baseline scheme), not a row.
 func (r *Runner) Fig13() (*stats.Table, error) {
-	subset := []string{"black", "libq", "mummer", "stream"}
 	t := stats.NewTable(
 		"Fig. 13 — CB rate sensitivity (paper: CB 0.98..0.88, ALL 0.79..0.70; green/read 0.167..3.255)",
 		"config", "Y", "CB-exec", "ALL-exec", "green/read")
-	opts := sim.Options{MaxAccesses: r.Scale.Accesses}
-	traces := make([]*trace.Trace, len(subset))
-	base := make([]float64, len(subset))
-	for i, name := range subset {
-		tr, err := r.suiteTrace(name)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.Run(SchemeBaseline.Apply(r.Scale.System(), 0), tr, opts)
-		if err != nil {
-			return nil, err
-		}
-		traces[i], base[i] = tr, float64(res.Cycles)
+	m, err := r.Matrix()
+	if err != nil {
+		return nil, err
 	}
+	base := float64(m[SchemeBaseline].Cycles)
 	for _, cb := range config.TableVConfigs() {
 		if cb.Y == 0 {
 			continue
 		}
-		var cbv, allv, greens []float64
-		for i, tr := range traces {
-			resCB, err := sim.Run(SchemeCB.Apply(r.Scale.System(), cb.Y), tr, opts)
-			if err != nil {
-				return nil, err
-			}
-			resAll, err := sim.Run(SchemeAll.Apply(r.Scale.System(), cb.Y), tr, opts)
-			if err != nil {
-				return nil, err
-			}
-			cbv = append(cbv, float64(resCB.Cycles)/base[i])
-			allv = append(allv, float64(resAll.Cycles)/base[i])
-			greens = append(greens, resCB.ORAM.GreenPerReadPath())
+		resCB, err := r.run(suiteRow, SchemeCB.Apply(r.Scale.System(), cb.Y), sim.Options{})
+		if err != nil {
+			return nil, err
 		}
-		t.AddRowf(cb.Name, cb.Y, stats.Mean(cbv), stats.Mean(allv), stats.Mean(greens))
+		resAll, err := r.run(suiteRow, SchemeAll.Apply(r.Scale.System(), cb.Y), sim.Options{})
+		if err != nil {
+			return nil, err
+		}
+		t.AddRowf(cb.Name, cb.Y, float64(resCB.Cycles)/base, float64(resAll.Cycles)/base,
+			resCB.ORAM.GreenPerReadPath())
 	}
 	return t, nil
 }
 
 // Fig14 reproduces Fig. 14: normalized execution time and background
-// eviction counts across stash sizes and CB rates on a mixed workload.
+// eviction counts across stash sizes and CB rates.
 func (r *Runner) Fig14() (*stats.Table, error) {
 	t := stats.NewTable(
 		"Fig. 14 — Stash size vs performance and background evictions (paper: stash 200 + Y>=6 triggers background evictions; stash 500 none).\n"+
 			"Green-block inflow scales with tree occupancy; the 20/40-block rows show the same crossover at this run's proportionally lower stash pressure.",
 		"stash", "Y", "norm-exec", "bg-evictions", "bg-dummy-reads", "stash-peak")
-	tr, err := r.mixTrace()
-	if err != nil {
-		return nil, err
-	}
 	// Normalize against the paper's default point (stash 500, Y=0).
-	baseRes, err := sim.Run(r.Scale.System().WithCBRate(0).WithStashSize(500), tr,
-		sim.Options{MaxAccesses: r.Scale.Accesses})
+	baseRes, err := r.run(stashRun, r.Scale.System().WithCBRate(0).WithStashSize(500), sim.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -406,7 +324,7 @@ func (r *Runner) Fig14() (*stats.Table, error) {
 	for _, stash := range []int{20, 40, 200, 500} {
 		for _, cb := range config.TableVConfigs() {
 			sys := r.Scale.System().WithCBRate(cb.Y).WithStashSize(stash)
-			res, err := sim.Run(sys, tr, sim.Options{MaxAccesses: r.Scale.Accesses})
+			res, err := r.run(stashRun, sys, sim.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -417,15 +335,8 @@ func (r *Runner) Fig14() (*stats.Table, error) {
 	return t, nil
 }
 
-// mixTrace builds the mixed-pressure workload used by the stash studies:
-// write-heavy with a concentrated hot set so green fetches accumulate.
-func (r *Runner) mixTrace() (*trace.Trace, error) {
-	p := trace.Profile{
-		Name: "stashmix", MPKI: 20, WriteFrac: 0.4,
-		FootprintBytes: 32 << 20, StreamFrac: 0.2, ZipfTheta: 0.4, Streams: 4,
-	}
-	return trace.Generate(p, r.Scale.TraceLen, trace.SeedFor(r.Scale.Seed, p.Name))
-}
+// stashRun names the runs of the stash studies (Fig. 14 and 15).
+const stashRun = "stash"
 
 // Fig15Points is how many points each Fig. 15 curve is downsampled to.
 const Fig15Points = 40
@@ -433,10 +344,6 @@ const Fig15Points = 40
 // Fig15 reproduces Fig. 15: run-time stash occupancy for each CB rate at
 // the given stash size, downsampled to at most points entries per curve.
 func (r *Runner) Fig15(stashSize, points int) (*stats.Table, error) {
-	tr, err := r.mixTrace()
-	if err != nil {
-		return nil, err
-	}
 	t := stats.NewTable(
 		fmt.Sprintf("Fig. 15 — Run-time stash occupancy (stash size %d)", stashSize),
 		"access#", "Y=0", "Y=2", "Y=4", "Y=6", "Y=8")
@@ -444,7 +351,7 @@ func (r *Runner) Fig15(stashSize, points int) (*stats.Table, error) {
 	var xs []int
 	for _, cb := range config.TableVConfigs() {
 		sys := r.Scale.System().WithCBRate(cb.Y).WithStashSize(stashSize)
-		res, err := sim.Run(sys, tr, sim.Options{MaxAccesses: r.Scale.Accesses, CollectStash: true})
+		res, err := r.run(stashRun, sys, sim.Options{CollectStash: true})
 		if err != nil {
 			return nil, err
 		}
@@ -475,16 +382,12 @@ func (r *Runner) Fig15(stashSize, points int) (*stats.Table, error) {
 //   - dummy-first vs uniform read-path slot selection (green-block
 //     aggressiveness vs stash pressure).
 func (r *Runner) Ablations() (*stats.Table, error) {
-	tr, err := r.suiteTrace("ferret")
-	if err != nil {
-		return nil, err
-	}
 	t := stats.NewTable(
 		"Ablations — design choices on workload ferret (normalized to the default configuration)",
 		"variant", "norm-exec", "read-conflict", "evict-conflict", "green/read", "stash-peak")
 
 	run := func(sys config.System) (*sim.Result, error) {
-		return sim.Run(sys, tr, sim.Options{MaxAccesses: r.Scale.Accesses})
+		return r.run("ferret", sys, sim.Options{})
 	}
 	def := r.Scale.System()
 	baseRes, err := run(def)
@@ -523,92 +426,26 @@ func (r *Runner) Ablations() (*stats.Table, error) {
 	return t, nil
 }
 
-// Mixes evaluates heterogeneous multiprogrammed workloads (the CMP
-// setting the paper's related work CP-ORAM [34] targets): four-core
-// mixes of memory-bound and compute-bound applications under the
-// baseline and full String ORAM. Reported per mix: normalized execution
-// time of ALL vs baseline, and each configuration's fairness (minimum /
-// maximum per-core retired instructions — 1.0 is perfectly fair).
-func (r *Runner) Mixes() (*stats.Table, error) {
-	mixes := [][]string{
-		{"libq", "mummer", "libq", "mummer"},  // memory-bound pair
-		{"black", "swapt", "black", "swapt"},  // compute-leaning pair
-		{"libq", "black", "mummer", "stream"}, // mixed pressure
-		{"leslie", "freq", "face", "ferret"},  // four-way mix
-	}
-	t := stats.NewTable(
-		"Mixes — heterogeneous 4-core workloads: String ORAM speedup and fairness",
-		"mix", "ALL-norm-exec", "fairness-base", "fairness-ALL")
-
-	fairness := func(perCore []int64) float64 {
-		if len(perCore) == 0 {
-			return 0
-		}
-		mn, mx := perCore[0], perCore[0]
-		for _, v := range perCore {
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		if mx == 0 {
-			return 0
-		}
-		return float64(mn) / float64(mx)
-	}
-
-	for _, names := range mixes {
-		var trs []*trace.Trace
-		for _, n := range names {
-			tr, err := r.suiteTrace(n)
-			if err != nil {
-				return nil, err
-			}
-			trs = append(trs, tr)
-		}
-		opts := sim.Options{MaxAccesses: r.Scale.Accesses}
-		base, err := sim.RunMulti(SchemeBaseline.Apply(r.Scale.System(), 8), trs, opts)
-		if err != nil {
-			return nil, err
-		}
-		all, err := sim.RunMulti(SchemeAll.Apply(r.Scale.System(), 8), trs, opts)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRowf(strings.Join(names, "+"),
-			float64(all.Cycles)/float64(base.Cycles),
-			fairness(base.PerCore), fairness(all.PerCore))
-	}
-	return t, nil
-}
-
 // Protocols measures the introduction's Ring-vs-Path claim in execution
 // time on the full cycle-accurate memory system: the same workload under
 // Path ORAM (Z=4), baseline Ring ORAM and full String ORAM, on identical
 // DRAM. This is the end-to-end justification for building on Ring ORAM.
 func (r *Runner) Protocols() (*stats.Table, error) {
-	tr, err := r.suiteTrace("ferret")
-	if err != nil {
-		return nil, err
-	}
 	t := stats.NewTable(
 		"Protocols — execution time on identical DRAM (paper intro: Ring cuts overall bandwidth 2.3-4x vs Path)",
 		"protocol", "cycles", "norm", "blocks/access")
 
 	pathSys := r.Scale.System().WithCBRate(0)
 	pathSys.ORAM.Z = 4 // the canonical Path ORAM bucket size
-	pathRes, err := sim.Run(pathSys, tr, sim.Options{MaxAccesses: r.Scale.Accesses, PathORAM: true})
+	pathRes, err := r.run("ferret", pathSys, sim.Options{PathORAM: true})
 	if err != nil {
 		return nil, err
 	}
-	ringRes, err := sim.Run(r.Scale.System().WithCBRate(0), tr, sim.Options{MaxAccesses: r.Scale.Accesses})
+	ringRes, err := r.run("ferret", r.Scale.System().WithCBRate(0), sim.Options{})
 	if err != nil {
 		return nil, err
 	}
-	allRes, err := sim.Run(SchemeAll.Apply(r.Scale.System(), config.Default().ORAM.Y), tr,
-		sim.Options{MaxAccesses: r.Scale.Accesses})
+	allRes, err := r.run("ferret", SchemeAll.Apply(r.Scale.System(), config.Default().ORAM.Y), sim.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -67,12 +67,8 @@ func TestSimulationDeterminismGolden(t *testing.T) {
 		t.Skip("simulation in -short mode")
 	}
 	run := func() int64 {
-		r := NewRunner(Scale{Accesses: 120, TraceLen: 1500, Levels: 10, Seed: 12345})
-		tr, err := r.suiteTrace("black")
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.Run(SchemeCB.Apply(r.Scale.System(), 8), tr, sim.Options{MaxAccesses: r.Scale.Accesses})
+		r := NewRunner(Scale{Accesses: 120, Levels: 10, Seed: 12345})
+		res, err := r.run("black", SchemeCB.Apply(r.Scale.System(), 8), sim.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

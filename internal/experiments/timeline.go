@@ -8,6 +8,7 @@ import (
 	"stringoram/internal/dram"
 	"stringoram/internal/sched"
 	"stringoram/internal/sim"
+	"stringoram/internal/trace"
 )
 
 // Timeline renders the paper's illustrative Fig. 6 (transaction-based
@@ -19,15 +20,10 @@ import (
 // commands; '|' marks cycles where the current transaction number
 // advances; '.' is idle.
 func (r *Runner) Timeline(window int) (string, error) {
-	tr, err := r.suiteTrace("ferret")
-	if err != nil {
-		return "", err
-	}
-
 	render := func(kind config.SchedulerKind) (string, error) {
 		var events []sched.CommandEvent
 		sys := r.Scale.System().WithCBRate(0).WithScheduler(kind)
-		_, err := sim.Run(sys, tr, sim.Options{
+		_, err := sim.Run(sys, &trace.Trace{Name: "ferret"}, sim.Options{
 			MaxAccesses: 40,
 			OnCommand:   func(e sched.CommandEvent) { events = append(events, e) },
 		})

@@ -33,14 +33,6 @@ type streamCase struct {
 // flight recorder.
 func cmdStreamHash(t *testing.T, tc streamCase, rec *obs.Recorder[obs.Event]) string {
 	t.Helper()
-	p, err := trace.ByName(tc.workload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.Generate(p, 2000, trace.SeedFor(tc.seed, p.Name))
-	if err != nil {
-		t.Fatal(err)
-	}
 	sys := config.Default()
 	sys.ORAM.Levels = 12
 	sys.ORAM.WarmFill = 0.5
@@ -64,7 +56,7 @@ func cmdStreamHash(t *testing.T, tc streamCase, rec *obs.Recorder[obs.Event]) st
 		},
 		FlightRecorder: rec,
 	}
-	if _, err := Run(sys, tr, opts); err != nil {
+	if _, err := Run(sys, &trace.Trace{Name: tc.workload}, opts); err != nil {
 		t.Fatal(err)
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -83,6 +75,11 @@ func cmdStreamHash(t *testing.T, tc streamCase, rec *obs.Recorder[obs.Event]) st
 // simulator jumps to the hint, so before that it served refreshes a few
 // cycles late (mummer/transaction was a1c37d90…, ferret/transaction
 // fdb0f9dc…); TestHintJumpsMatchEveryCycle pins the contract.
+// ferret/proactive-bank was re-captured once more (it was eaa72825…)
+// when a fixed window of reads replaced the trace-driven cores and LLC:
+// the new stream is the one mummer and libq already produced at the same
+// seed, page policy and starvation limit, because ferret's cores had
+// delivered its first reads differently.
 func TestCommandStreamGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-simulation golden skipped in -short mode")
@@ -93,7 +90,7 @@ func TestCommandStreamGolden(t *testing.T) {
 		{"mummer", config.SchedTransaction, 11, 64, config.OpenPage, "b7c176d547e032235791b977a654950a052979c14e4ce2db117fcbbb88ff18a3"},
 		{"mummer", config.SchedProactiveBank, 11, 64, config.OpenPage, "17b11ace60baed01d7aa120261b2689115e79124d3636e58f8be6289b0d9dd25"},
 		{"ferret", config.SchedTransaction, 7, 0, config.ClosePage, "27c81c0179c7cf1bae8d534f2b14f03930c9483b4a710101169ac4a424c9eaab"},
-		{"ferret", config.SchedProactiveBank, 7, 48, config.ClosePage, "eaa72825cb70a26249ee3d101366d4a4e5c4dd6fea0b34713ed7da34961ba313"},
+		{"ferret", config.SchedProactiveBank, 7, 48, config.ClosePage, "cdabff0e079405ad7645d75e1c11dca51bcba5fefd1179d0628627704a158aae"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -15,12 +15,12 @@ import (
 // byte-identical under instrumentation.
 func TestObsDoesNotPerturbSimulation(t *testing.T) {
 	sys := testSystem()
-	base, err := Run(sys, testTrace(t, 1500), Options{MaxAccesses: 300})
+	base, err := Run(sys, testTrace, Options{MaxAccesses: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := obs.NewRecorder[obs.Event](8192)
-	inst, err := Run(sys, testTrace(t, 1500), Options{MaxAccesses: 300, FlightRecorder: rec})
+	inst, err := Run(sys, testTrace, Options{MaxAccesses: 300, FlightRecorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestObsDoesNotPerturbSimulation(t *testing.T) {
 func TestObsEndToEnd(t *testing.T) {
 	sys := testSystem()
 	rec := obs.NewRecorder[obs.Event](8192)
-	res, err := Run(sys, testTrace(t, 1500), Options{MaxAccesses: 300, FlightRecorder: rec})
+	res, err := Run(sys, testTrace, Options{MaxAccesses: 300, FlightRecorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestFlightRecorderMatchesResult(t *testing.T) {
 	sys.Scheduler = config.SchedProactiveBank
 	for _, pathORAM := range []bool{false, true} {
 		rec := obs.NewRecorder[obs.Event](1 << 16)
-		res, err := Run(sys, testTrace(t, 3000), Options{MaxAccesses: 600, PathORAM: pathORAM, FlightRecorder: rec})
+		res, err := Run(sys, testTrace, Options{MaxAccesses: 600, PathORAM: pathORAM, FlightRecorder: rec})
 		if err != nil {
 			t.Fatal(err)
 		}

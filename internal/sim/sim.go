@@ -1,24 +1,27 @@
-// Package sim wires the full String ORAM system together and runs it:
-// trace-driven cores issue accesses through the shared LLC; misses become
+// Package sim wires the full String ORAM system together and runs it: a
+// fixed window of outstanding reads feeds the ORAM; each access becomes
 // Ring ORAM operations; each operation's physical block accesses map
 // through the subtree layout onto DRAM coordinates and execute as one
 // memory transaction under the configured scheduler (baseline
 // transaction-based or Proactive Bank).
 //
-// The simulator advances event-to-event: while any core can retire it
-// steps cycle by cycle (cores are cheap), and while everything waits on
-// DRAM it jumps straight to the controller's next actionable cycle.
+// The front end is a constant, not a processor model. An ORAM maps every
+// address to a uniformly random path and the controller is never idle,
+// so cores, a last-level cache and a workload trace decide only how many
+// accesses are in flight; a model of all three delivered, for every Table
+// IV workload, reads of distinct blocks with a full window (see DESIGN.md).
+//
+// The simulator advances event-to-event: while a window slot is free it
+// steps one cycle to issue, and while everything waits on DRAM it jumps
+// straight to the controller's next actionable cycle.
 package sim
 
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"stringoram/internal/addrmap"
-	"stringoram/internal/cache"
 	"stringoram/internal/config"
-	"stringoram/internal/cpu"
 	"stringoram/internal/dram"
 	"stringoram/internal/invariant"
 	"stringoram/internal/obs"
@@ -27,10 +30,14 @@ import (
 	"stringoram/internal/trace"
 )
 
+// window is the number of reads the front end keeps outstanding: one per
+// slot of the paper's 4 cores x 8 outstanding misses (Table I).
+const window = 32
+
 // Options tunes one simulation run.
 type Options struct {
-	// MaxAccesses stops trace consumption after this many logical ORAM
-	// accesses (LLC misses + writebacks); 0 means run the whole trace.
+	// MaxAccesses is the number of logical ORAM accesses to run; 0 means
+	// one per trace record.
 	MaxAccesses int
 	// CollectStash records the stash occupancy after every ORAM access
 	// into Result.StashSamples (Fig. 15).
@@ -69,14 +76,15 @@ type Result struct {
 	// PhaseCycles attributes execution time to the ORAM operation the
 	// memory system was servicing (read path / evict / reshuffle).
 	PhaseCycles [sched.NumTags]int64
-	// OtherCycles is time with no ORAM transaction in flight (compute,
-	// refresh-only gaps, drain tails).
+	// OtherCycles is time with no ORAM transaction in flight (refresh-only
+	// gaps, drain tails).
 	OtherCycles int64
 
-	Retired      int64   // instructions retired
-	PerCore      []int64 // instructions retired per core (fairness studies)
-	ORAMAccesses int64   // logical ORAM accesses serviced
-	LLCHitRate   float64
+	// Retired is always 0: the simulator models no instructions. It
+	// survives only so the benchmark harness, which compares it between
+	// passes, compiles unchanged.
+	Retired      int64
+	ORAMAccesses int64 // logical ORAM accesses serviced
 
 	ORAM  oram.Stats
 	Sched sched.Stats
@@ -109,13 +117,6 @@ type txnWork struct {
 	reqs []*sched.Request
 	next int
 	born int64 // cycle the transaction was created (latency spans)
-}
-
-// waiter ties a core's outstanding miss to the transaction whose
-// completion delivers its data.
-type waiter struct {
-	core int
-	txn  int64
 }
 
 // tagWindow maps transaction ids to their phase tag over the sliding
@@ -186,8 +187,6 @@ type Sim struct {
 	proto  protocol
 	mapper *addrmap.Mapper
 	ctrl   *sched.Controller
-	llc    *cache.Cache
-	clus   *cpu.Cluster
 
 	// pending and inflight are FIFOs with explicit heads so their backing
 	// arrays (and the txnWork/Request objects flowing through them, via
@@ -200,10 +199,15 @@ type Sim struct {
 	freeReq  []*sched.Request
 	freeWork []*txnWork
 
-	tags     tagWindow
-	nextTxn  int64
-	waiters  []waiter
+	tags    tagWindow
+	nextTxn int64
+	// waiters holds, in increasing order, the read-path transaction of
+	// each outstanding read; a window slot frees when its transaction
+	// drains.
+	waiters  []int64
 	accesses int64
+	// limit is the number of accesses the run issues.
+	limit int64
 	// stash appends the Ring's occupancy after each access to
 	// res.StashSamples (Options.CollectStash).
 	stash bool
@@ -241,25 +245,10 @@ func (s *Sim) getReq() *sched.Request {
 	return &sched.Request{}
 }
 
-// New builds a simulation of the given system over the given trace.
+// New builds a simulation of the given system. The trace names the run
+// and, when opts.MaxAccesses is 0, sets its length; its records are not
+// read.
 func New(sys config.System, tr *trace.Trace, opts Options) (*Sim, error) {
-	return newSim(sys, []*trace.Trace{tr}, tr.Name, opts)
-}
-
-// NewMulti builds a heterogeneous multiprogrammed simulation: one trace
-// per core (repeating round-robin when fewer traces than cores).
-func NewMulti(sys config.System, trs []*trace.Trace, opts Options) (*Sim, error) {
-	if len(trs) == 0 {
-		return nil, errors.New("sim: NewMulti needs at least one trace")
-	}
-	names := make([]string, len(trs))
-	for i, tr := range trs {
-		names[i] = tr.Name
-	}
-	return newSim(sys, trs, "mix("+strings.Join(names, "+")+")", opts)
-}
-
-func newSim(sys config.System, trs []*trace.Trace, name string, opts Options) (*Sim, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
@@ -274,7 +263,7 @@ func newSim(sys config.System, trs []*trace.Trace, name string, opts Options) (*
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Workload: name, Scheduler: sys.Scheduler, CBRate: sys.ORAM.Y}
+	res := &Result{Workload: tr.Name, Scheduler: sys.Scheduler, CBRate: sys.ORAM.Y}
 	var proto protocol
 	if opts.PathORAM {
 		proto, err = oram.NewPath(sys.ORAM.Z, sys.ORAM.Levels, sys.ORAM.BlockSize,
@@ -282,10 +271,6 @@ func newSim(sys config.System, trs []*trace.Trace, name string, opts Options) (*
 	} else {
 		proto, err = oram.NewRing(sys.ORAM, sys.Seed, nil)
 	}
-	if err != nil {
-		return nil, err
-	}
-	llc, err := cache.New(sys.Cache)
 	if err != nil {
 		return nil, err
 	}
@@ -307,21 +292,16 @@ func newSim(sys config.System, trs []*trace.Trace, name string, opts Options) (*
 			}
 		}
 	}
-	var clus *cpu.Cluster
-	if len(trs) == 1 {
-		// Homogeneous run: shard the trace across cores (the paper's
-		// CMP setting runs one application on all cores).
-		clus = cpu.NewCluster(trs[0], sys.CPU, sys.DRAM.CPUClockMul)
-	} else {
-		clus = cpu.NewClusterMulti(trs, sys.CPU, sys.DRAM.CPUClockMul)
+	limit := int64(opts.MaxAccesses)
+	if limit == 0 {
+		limit = int64(len(tr.Records))
 	}
 	s := &Sim{
 		sys:    sys,
 		proto:  proto,
 		mapper: mapper,
 		ctrl:   ctrl,
-		llc:    llc,
-		clus:   clus,
+		limit:  limit,
 		tags:   newTagWindow(),
 		res:    res,
 		rec:    opts.FlightRecorder,
@@ -426,7 +406,20 @@ func (s *Sim) feed(now int64) {
 	s.pendHead = 0
 }
 
-// completeWaiters unblocks cores whose data transaction has drained and
+// issue fills the free window slots, each with a read of a block not
+// accessed before (block i+1 for the i-th access).
+func (s *Sim) issue() error {
+	for s.accesses < s.limit && len(s.waiters) < window {
+		txn, err := s.oramAccess(oram.BlockID(s.accesses+1), false)
+		if err != nil {
+			return err
+		}
+		s.waiters = append(s.waiters, txn)
+	}
+	return nil
+}
+
+// completeWaiters frees the window slots whose read path has drained and
 // recycles the memory of fully drained transactions, emitting each
 // drained transaction's latency span on the way out. Waiters are
 // appended in increasing transaction order (oramAccess numbers them from
@@ -434,8 +427,7 @@ func (s *Sim) feed(now int64) {
 func (s *Sim) completeWaiters(now int64) {
 	cur := s.ctrl.CurrentTxn()
 	n := 0
-	for n < len(s.waiters) && s.waiters[n].txn < cur {
-		s.clus.Cores[s.waiters[n].core].Complete()
+	for n < len(s.waiters) && s.waiters[n] < cur {
 		n++
 	}
 	if n > 0 {
@@ -458,80 +450,34 @@ func (s *Sim) completeWaiters(now int64) {
 	}
 }
 
-// handleAccesses routes core accesses through the LLC and the ORAM.
-func (s *Sim) handleAccesses(acc []cpu.Access, opts Options) error {
-	for _, a := range acc {
-		r := s.llc.Access(a.Addr, a.Write)
-		if r.Hit {
-			// LLC hits return within the core's pipeline; the miss
-			// slot frees immediately in the memory clock domain.
-			s.clus.Cores[a.Core].Complete()
-		} else {
-			txn, err := s.oramAccess(oram.BlockID(a.Addr/uint64(s.sys.ORAM.BlockSize)), false)
-			if err != nil {
-				return err
-			}
-			s.waiters = append(s.waiters, waiter{core: a.Core, txn: txn})
-		}
-		if r.Writeback {
-			if _, err := s.oramAccess(oram.BlockID(r.WritebackAddr/uint64(s.sys.ORAM.BlockSize)), true); err != nil {
-				return err
-			}
-		}
-		if opts.MaxAccesses > 0 && s.accesses >= int64(opts.MaxAccesses) {
-			break
-		}
-	}
-	return nil
-}
-
 // Run executes the simulation to completion and returns the result.
 func Run(sys config.System, tr *trace.Trace, opts Options) (*Result, error) {
 	s, err := New(sys, tr, opts)
 	if err != nil {
 		return nil, err
 	}
-	return s.run(opts)
+	return s.run()
 }
 
-// RunMulti executes a heterogeneous multiprogrammed simulation.
-func RunMulti(sys config.System, trs []*trace.Trace, opts Options) (*Result, error) {
-	s, err := NewMulti(sys, trs, opts)
-	if err != nil {
-		return nil, err
-	}
-	return s.run(opts)
-}
-
-func (s *Sim) run(opts Options) (*Result, error) {
+func (s *Sim) run() (*Result, error) {
 	now := int64(0)
 	const maxIters = 2_000_000_000
-	tracing := true // still consuming the trace
 	for iter := 0; ; iter++ {
 		if iter > maxIters {
 			return nil, errors.New("sim: exceeded iteration budget; likely deadlock")
 		}
 		s.now = now
+		if err := s.issue(); err != nil {
+			return nil, err
+		}
 		s.feed(now)
-
-		if tracing && opts.MaxAccesses > 0 && s.accesses >= int64(opts.MaxAccesses) {
-			tracing = false
-		}
-		if tracing && s.clus.Active() {
-			if err := s.handleAccesses(s.clus.Tick(), opts); err != nil {
-				return nil, err
-			}
-			s.feed(now)
-		}
-		if tracing && s.clus.Done() {
-			tracing = false
-		}
 
 		next := s.ctrl.Tick(now)
 		s.completeWaiters(now)
 
+		issuing := s.accesses < s.limit
 		memDone := s.pendHead == len(s.pending) && s.ctrl.Pending() == 0
-		if !tracing && memDone {
+		if !issuing && memDone {
 			// Account the final cycle (the Tick that drained the last
 			// command) before stopping.
 			s.attribute(now, now+1)
@@ -543,18 +489,14 @@ func (s *Sim) run(opts Options) (*Result, error) {
 		// Choose the next cycle and attribute the elapsed interval to
 		// the phase being serviced.
 		var nxt int64
-		if (tracing && s.clus.Active()) || !memDone && next <= now {
+		switch {
+		case issuing && len(s.waiters) < window, !memDone && (next <= now || next == int64(1<<63-1)):
 			nxt = now + 1
-		} else if memDone {
-			// Memory idle but cores blocked? That means waiters wait
-			// on transactions that never existed — a wiring bug.
-			if !tracing || !s.clus.Active() {
-				return nil, errors.New("sim: stalled with idle memory")
-			}
-			nxt = now + 1
-		} else if next == int64(1<<63-1) {
-			nxt = now + 1
-		} else {
+		case memDone:
+			// Memory idle with the window full means reads wait on
+			// transactions that never existed — a wiring bug.
+			return nil, errors.New("sim: stalled with idle memory")
+		default:
 			nxt = next
 		}
 		s.attribute(now, nxt)
@@ -586,12 +528,7 @@ func (s *Sim) attribute(from, to int64) {
 func (s *Sim) finalize(cycles int64) *Result {
 	r := s.res
 	r.Cycles = cycles
-	r.Retired = s.clus.Retired()
-	for _, core := range s.clus.Cores {
-		r.PerCore = append(r.PerCore, core.Retired())
-	}
 	r.ORAMAccesses = s.accesses
-	r.LLCHitRate = s.llc.HitRate()
 	r.ORAM = s.proto.Stats()
 	r.Sched = *s.ctrl.Stats()
 

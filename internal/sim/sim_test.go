@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"stringoram/internal/config"
@@ -16,24 +17,12 @@ func testSystem() config.System {
 	return config.ScaledDefault(12)
 }
 
-// testTrace generates a small mixed workload whose footprint fits the
-// scaled tree comfortably.
-func testTrace(t *testing.T, n int) *trace.Trace {
-	t.Helper()
-	p := trace.Profile{
-		Name: "testmix", MPKI: 15, WriteFrac: 0.3,
-		FootprintBytes: 1 << 20, StreamFrac: 0.4, ZipfTheta: 0.3, Streams: 4,
-	}
-	tr, err := trace.Generate(p, n, 1234)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
-}
+// testTrace names the tests' runs; the simulator reads no records.
+var testTrace = &trace.Trace{Name: "test"}
 
-func runOne(t *testing.T, sys config.System, n, maxAcc int) *Result {
+func runOne(t *testing.T, sys config.System, accesses int) *Result {
 	t.Helper()
-	res, err := Run(sys, testTrace(t, n), Options{MaxAccesses: maxAcc})
+	res, err := Run(sys, testTrace, Options{MaxAccesses: accesses})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,15 +30,12 @@ func runOne(t *testing.T, sys config.System, n, maxAcc int) *Result {
 }
 
 func TestSmoke(t *testing.T) {
-	res := runOne(t, testSystem(), 2000, 400)
+	res := runOne(t, testSystem(), 400)
 	if res.Cycles <= 0 {
 		t.Fatal("no cycles elapsed")
 	}
-	if res.ORAMAccesses == 0 {
-		t.Fatal("no ORAM accesses serviced")
-	}
-	if res.Retired == 0 {
-		t.Fatal("no instructions retired")
+	if res.ORAMAccesses != 400 {
+		t.Fatalf("%d ORAM accesses serviced, want 400", res.ORAMAccesses)
 	}
 	if res.ORAM.ReadPaths == 0 || res.ORAM.EvictPaths == 0 {
 		t.Fatalf("protocol counters empty: %+v", res.ORAM)
@@ -60,7 +46,7 @@ func TestSmoke(t *testing.T) {
 }
 
 func TestPhaseAttributionComplete(t *testing.T) {
-	res := runOne(t, testSystem(), 2000, 400)
+	res := runOne(t, testSystem(), 400)
 	var sum int64
 	for _, c := range res.PhaseCycles {
 		if c < 0 {
@@ -78,8 +64,8 @@ func TestPhaseAttributionComplete(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	a := runOne(t, testSystem(), 1500, 300)
-	b := runOne(t, testSystem(), 1500, 300)
+	a := runOne(t, testSystem(), 300)
+	b := runOne(t, testSystem(), 300)
 	if a.Cycles != b.Cycles || a.ORAMAccesses != b.ORAMAccesses {
 		t.Fatalf("nondeterministic: %d/%d vs %d/%d cycles/accesses",
 			a.Cycles, a.ORAMAccesses, b.Cycles, b.ORAMAccesses)
@@ -91,11 +77,11 @@ func TestDeterministic(t *testing.T) {
 // combination beats either alone.
 func TestFig10Directions(t *testing.T) {
 	base := testSystem().WithCBRate(0)
-	const n, acc = 4000, 800
-	baseline := runOne(t, base, n, acc).Cycles
-	cb := runOne(t, base.WithCBRate(8), n, acc).Cycles
-	pb := runOne(t, base.WithScheduler(config.SchedProactiveBank), n, acc).Cycles
-	all := runOne(t, base.WithCBRate(8).WithScheduler(config.SchedProactiveBank), n, acc).Cycles
+	const acc = 800
+	baseline := runOne(t, base, acc).Cycles
+	cb := runOne(t, base.WithCBRate(8), acc).Cycles
+	pb := runOne(t, base.WithScheduler(config.SchedProactiveBank), acc).Cycles
+	all := runOne(t, base.WithCBRate(8).WithScheduler(config.SchedProactiveBank), acc).Cycles
 
 	if cb >= baseline {
 		t.Errorf("CB (%d) did not beat baseline (%d)", cb, baseline)
@@ -117,7 +103,7 @@ func TestFig10Directions(t *testing.T) {
 // read path suffers far more row-buffer conflicts than the full-path
 // eviction under the subtree layout.
 func TestFig5bShape(t *testing.T) {
-	res := runOne(t, testSystem().WithCBRate(0), 4000, 800)
+	res := runOne(t, testSystem().WithCBRate(0), 800)
 	read := res.Sched.ConflictRate(sched.TagReadPath)
 	evict := res.Sched.ConflictRate(sched.TagEvict)
 	if read <= evict {
@@ -136,9 +122,9 @@ func TestFig5bShape(t *testing.T) {
 // substantial fraction of PRE/ACT issue early.
 func TestFig12Directions(t *testing.T) {
 	base := testSystem().WithCBRate(0)
-	const n, acc = 4000, 800
-	baseRes := runOne(t, base, n, acc)
-	pbRes := runOne(t, base.WithScheduler(config.SchedProactiveBank), n, acc)
+	const acc = 800
+	baseRes := runOne(t, base, acc)
+	pbRes := runOne(t, base.WithScheduler(config.SchedProactiveBank), acc)
 	if pbRes.BankIdle >= baseRes.BankIdle {
 		t.Errorf("PB bank idle %.3f not below baseline %.3f", pbRes.BankIdle, baseRes.BankIdle)
 	}
@@ -157,9 +143,9 @@ func TestFig12Directions(t *testing.T) {
 // TestFig11Directions checks the queuing-time reductions of Fig. 11.
 func TestFig11Directions(t *testing.T) {
 	base := testSystem().WithCBRate(0)
-	const n, acc = 4000, 800
-	baseRes := runOne(t, base, n, acc)
-	allRes := runOne(t, base.WithCBRate(8).WithScheduler(config.SchedProactiveBank), n, acc)
+	const acc = 800
+	baseRes := runOne(t, base, acc)
+	allRes := runOne(t, base.WithCBRate(8).WithScheduler(config.SchedProactiveBank), acc)
 	if allRes.Sched.AvgReadWait() >= baseRes.Sched.AvgReadWait() {
 		t.Errorf("ALL read wait %.1f not below baseline %.1f",
 			allRes.Sched.AvgReadWait(), baseRes.Sched.AvgReadWait())
@@ -172,7 +158,7 @@ func TestFig11Directions(t *testing.T) {
 
 func TestStashSamplesCollected(t *testing.T) {
 	sys := testSystem()
-	res, err := Run(sys, testTrace(t, 1000), Options{MaxAccesses: 200, CollectStash: true})
+	res, err := Run(sys, testTrace, Options{MaxAccesses: 200, CollectStash: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +177,7 @@ func TestStashSamplesCollected(t *testing.T) {
 func TestPathORAMStashSamplesCollected(t *testing.T) {
 	sys := testSystem().WithCBRate(0)
 	sys.ORAM.Z = 4
-	res, err := Run(sys, testTrace(t, 1000), Options{MaxAccesses: 100, PathORAM: true, CollectStash: true})
+	res, err := Run(sys, testTrace, Options{MaxAccesses: 100, PathORAM: true, CollectStash: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,27 +192,58 @@ func TestPathORAMStashSamplesCollected(t *testing.T) {
 }
 
 func TestMaxAccessesRespected(t *testing.T) {
-	res := runOne(t, testSystem(), 5000, 100)
-	// The cut happens between core ticks, so slight overshoot from one
-	// tick's burst (plus writebacks) is expected — but not runaway.
-	if res.ORAMAccesses < 100 || res.ORAMAccesses > 200 {
-		t.Fatalf("ORAMAccesses = %d, want ~100", res.ORAMAccesses)
+	res := runOne(t, testSystem(), 100)
+	if res.ORAMAccesses != 100 || res.ORAM.Reads != 100 {
+		t.Fatalf("ORAMAccesses = %d (%d reads), want 100", res.ORAMAccesses, res.ORAM.Reads)
 	}
 }
 
+// TestRunWholeTrace: with MaxAccesses 0 a run issues one access per
+// trace record.
 func TestRunWholeTrace(t *testing.T) {
-	res := runOne(t, testSystem(), 300, 0)
-	// Every trace record retires.
-	tr := testTrace(t, 300)
-	if res.Retired != tr.Instructions() {
-		t.Fatalf("retired %d instructions, want %d", res.Retired, tr.Instructions())
+	tr := &trace.Trace{Name: "whole", Records: make([]trace.Record, 300)}
+	res, err := Run(testSystem(), tr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ORAMAccesses != int64(len(tr.Records)) {
+		t.Fatalf("%d ORAM accesses, want one per record (%d)", res.ORAMAccesses, len(tr.Records))
+	}
+}
+
+// TestResultIndependentOfWorkload: the front end is a fixed window of
+// reads of distinct blocks, so every Table IV workload gives the same
+// result, whatever its trace holds.
+func TestResultIndependentOfWorkload(t *testing.T) {
+	sys := testSystem().WithScheduler(config.SchedProactiveBank)
+	var first *Result
+	for _, p := range trace.Suite() {
+		tr, err := trace.Generate(p, 2000, trace.SeedFor(2, p.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(sys, tr, Options{MaxAccesses: 200, CollectStash: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Workload != p.Name {
+			t.Fatalf("Workload = %q, want %q", res.Workload, p.Name)
+		}
+		res.Workload = ""
+		if first == nil {
+			first = res
+			continue
+		}
+		if !reflect.DeepEqual(res, first) {
+			t.Fatalf("%s: result differs from %s's:\n got %+v\nwant %+v", p.Name, trace.Suite()[0].Name, res, first)
+		}
 	}
 }
 
 func TestInvalidSystemRejected(t *testing.T) {
 	sys := testSystem()
 	sys.ORAM.Z = 0
-	if _, err := Run(sys, testTrace(t, 100), Options{}); err == nil {
+	if _, err := Run(sys, testTrace, Options{}); err == nil {
 		t.Fatal("Run accepted an invalid system")
 	}
 }
@@ -245,7 +262,7 @@ func TestPhaseFor(t *testing.T) {
 // controller request, and their read/write split must agree.
 func TestRequestConservation(t *testing.T) {
 	sys := testSystem()
-	tr := testTrace(t, 2000)
+	tr := testTrace
 	var commands int64
 	res, err := Run(sys, tr, Options{MaxAccesses: 300, OnCommand: func(e sched.CommandEvent) {
 		if e.Kind.String() == "RD" || e.Kind.String() == "WR" {
@@ -267,12 +284,12 @@ func TestRequestConservation(t *testing.T) {
 }
 
 // TestPBSecurityAtSystemLevel is Claim 2 end to end: the full stack
-// (trace -> LLC -> ORAM -> mapper -> controller) produces, per channel,
+// (window -> ORAM -> mapper -> controller) produces, per channel,
 // identical per-transaction data-command address multisets in transaction
 // order under both schedulers.
 func TestPBSecurityAtSystemLevel(t *testing.T) {
 	sys := testSystem().WithCBRate(8)
-	tr := testTrace(t, 1500)
+	tr := testTrace
 	type key struct {
 		ch  int
 		txn int64
@@ -329,7 +346,7 @@ func TestPBSecurityAtSystemLevel(t *testing.T) {
 func TestPathORAMMode(t *testing.T) {
 	sys := testSystem().WithCBRate(0)
 	sys.ORAM.Z = 4
-	tr := testTrace(t, 1500)
+	tr := testTrace
 	res, err := Run(sys, tr, Options{MaxAccesses: 150, PathORAM: true})
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +371,7 @@ func TestPathORAMMode(t *testing.T) {
 
 // TestRingBeatsPathInTime is the end-to-end intro claim at this scale.
 func TestRingBeatsPathInTime(t *testing.T) {
-	tr := testTrace(t, 1500)
+	tr := testTrace
 	pathSys := testSystem().WithCBRate(0)
 	pathSys.ORAM.Z = 4
 	path, err := Run(pathSys, tr, Options{MaxAccesses: 150, PathORAM: true})
@@ -371,50 +388,10 @@ func TestRingBeatsPathInTime(t *testing.T) {
 	}
 }
 
-// TestRunMulti verifies the heterogeneous-mix mode: result naming,
-// per-core accounting, and the fairness signature (memory-bound cores
-// retire fewer instructions than compute-bound cores sharing the ORAM).
-func TestRunMulti(t *testing.T) {
-	sys := testSystem()
-	mkTrace := func(name string, mpki float64) *trace.Trace {
-		p := trace.Profile{
-			Name: name, MPKI: mpki, WriteFrac: 0.3,
-			FootprintBytes: 1 << 20, StreamFrac: 0.4, ZipfTheta: 0.3, Streams: 2,
-		}
-		tr, err := trace.Generate(p, 3000, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	heavy := mkTrace("heavy", 40)
-	light := mkTrace("light", 2)
-	res, err := RunMulti(sys, []*trace.Trace{heavy, light, heavy, light}, Options{MaxAccesses: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Workload != "mix(heavy+light+heavy+light)" {
-		t.Fatalf("workload name = %q", res.Workload)
-	}
-	if len(res.PerCore) != sys.CPU.Cores {
-		t.Fatalf("PerCore has %d entries, want %d", len(res.PerCore), sys.CPU.Cores)
-	}
-	// Light cores (1, 3) must retire more than heavy cores (0, 2).
-	if res.PerCore[1] <= res.PerCore[0] || res.PerCore[3] <= res.PerCore[2] {
-		t.Fatalf("fairness signature missing: %v", res.PerCore)
-	}
-}
-
-func TestRunMultiRejectsEmpty(t *testing.T) {
-	if _, err := RunMulti(testSystem(), nil, Options{}); err == nil {
-		t.Fatal("empty trace list accepted")
-	}
-}
-
 // TestGreenPerReadInRange sanity-checks the Fig. 13 metric end to end on
 // the default CB rate.
 func TestGreenPerReadInRange(t *testing.T) {
-	res := runOne(t, testSystem().WithCBRate(8), 4000, 800)
+	res := runOne(t, testSystem().WithCBRate(8), 800)
 	g := res.ORAM.GreenPerReadPath()
 	if g <= 0 {
 		t.Fatalf("green per read = %v, want > 0 at Y=8", g)

@@ -1,22 +1,21 @@
 // Package trace provides the workload layer: the memory-trace record
-// format, a binary trace-file codec, and synthetic trace generators
-// calibrated to the paper's Table IV workload suite.
+// format and synthetic trace generators calibrated to the paper's Table
+// IV workload suite.
 //
 // The paper drives USIMM with SimPoint traces of PARSEC/SPEC/BIOBENCH
 // applications from the MSC contest; those traces are not publicly
-// redistributable, so this package synthesizes traces with the same
-// *memory-system-relevant* characteristics: the published MPKI (request
-// rate), a read/write mix, and a footprint/locality profile per workload.
-// Behind an ORAM the accessed addresses are remapped uniformly anyway, so
-// request rate and mix dominate the memory-system behaviour; the locality
-// profile mainly shapes LLC filtering.
+// redistributable, so this package synthesizes traces with the published
+// MPKI (request rate), a read/write mix, and a footprint/locality profile
+// per workload. The simulator reads only a trace's name and length: behind
+// an ORAM every address maps to a uniformly random path, and a model of
+// cores and an LLC over these traces delivered the same stream of
+// distinct-block reads for every workload (DESIGN.md), so package sim
+// keeps a fixed window of such reads instead.
 package trace
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"stringoram/internal/rng"
@@ -53,86 +52,6 @@ func (t *Trace) MPKI() float64 {
 		return 0
 	}
 	return float64(len(t.Records)) / float64(ins) * 1000
-}
-
-// magic identifies the trace file format.
-var magic = [8]byte{'S', 'O', 'R', 'A', 'M', 'T', 'R', '1'}
-
-// Write serializes the trace in the package's binary format.
-func Write(w io.Writer, t *Trace) error {
-	if _, err := w.Write(magic[:]); err != nil {
-		return err
-	}
-	name := []byte(t.Name)
-	if len(name) > 255 {
-		return fmt.Errorf("trace: name %q too long", t.Name)
-	}
-	hdr := make([]byte, 1+len(name)+8)
-	hdr[0] = byte(len(name))
-	copy(hdr[1:], name)
-	binary.LittleEndian.PutUint64(hdr[1+len(name):], uint64(len(t.Records)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	buf := make([]byte, 13)
-	for _, r := range t.Records {
-		binary.LittleEndian.PutUint32(buf[0:4], r.Gap)
-		binary.LittleEndian.PutUint64(buf[4:12], r.Addr)
-		if r.Write {
-			buf[12] = 1
-		} else {
-			buf[12] = 0
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Read deserializes a trace written by Write.
-func Read(r io.Reader) (*Trace, error) {
-	var m [8]byte
-	if _, err := io.ReadFull(r, m[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if m != magic {
-		return nil, errors.New("trace: bad magic; not a trace file")
-	}
-	var nameLen [1]byte
-	if _, err := io.ReadFull(r, nameLen[:]); err != nil {
-		return nil, err
-	}
-	name := make([]byte, nameLen[0])
-	if _, err := io.ReadFull(r, name); err != nil {
-		return nil, err
-	}
-	var countBuf [8]byte
-	if _, err := io.ReadFull(r, countBuf[:]); err != nil {
-		return nil, err
-	}
-	count := binary.LittleEndian.Uint64(countBuf[:])
-	const maxRecords = 1 << 30
-	if count > maxRecords {
-		return nil, fmt.Errorf("trace: implausible record count %d", count)
-	}
-	// The count is input, not a fact: preallocate a bounded amount and let
-	// append follow the records actually present, so a corrupt or truncated
-	// header cannot demand gigabytes before the first short read reports it.
-	const maxPrealloc = 1 << 12
-	t := &Trace{Name: string(name), Records: make([]Record, 0, min(count, maxPrealloc))}
-	buf := make([]byte, 13)
-	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", i, err)
-		}
-		t.Records = append(t.Records, Record{
-			Gap:   binary.LittleEndian.Uint32(buf[0:4]),
-			Addr:  binary.LittleEndian.Uint64(buf[4:12]),
-			Write: buf[12] != 0,
-		})
-	}
-	return t, nil
 }
 
 // Profile describes a synthetic workload's memory behaviour.

@@ -6,8 +6,7 @@ import "fmt"
 // profiles. MPKI values are the published ones; the footprint, write
 // fraction and locality parameters are plausible characterizations of
 // each application (documented inline), chosen so the suite spans
-// streaming, pointer-chasing and mixed behaviour — which is what shapes
-// LLC filtering and, through it, ORAM request pressure.
+// streaming, pointer-chasing and mixed behaviour.
 func Suite() []Profile {
 	const MB = 1 << 20
 	return []Profile{
@@ -46,16 +45,6 @@ func ByName(name string) (Profile, error) {
 		}
 	}
 	return Profile{}, fmt.Errorf("trace: unknown workload %q", name)
-}
-
-// Names returns the suite's workload names in paper order.
-func Names() []string {
-	ps := Suite()
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		out[i] = p.Name
-	}
-	return out
 }
 
 // SeedFor derives a stable per-workload generation seed from a base seed,

@@ -3,9 +3,8 @@
 # formatting, vet, the project linters (oramlint), build, the full test
 # suite in both build flavors (default and -tags=invariants), the race
 # detector over the packages with scheduler/simulator
-# concurrency-sensitive state, and short fuzz smokes of the trace codec,
-# the sealer, the checkpoint loader, the wire request decoder and the op
-# log.
+# concurrency-sensitive state, and short fuzz smokes of the sealer, the
+# checkpoint loader, the wire request decoder and the op log.
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -164,9 +163,6 @@ echo "== bench smoke =="
 # names; a change that breaks that surface must fail here, not in the
 # pipeline that runs the benchmark after merge.
 go run ./bench -smoke >/dev/null
-
-echo "== fuzz smoke (trace codec) =="
-go test -run='^$' -fuzz=FuzzReadCodec -fuzztime=5s ./internal/trace
 
 echo "== fuzz smoke (bucket seals under position nonces vs the cipher.NewGCM reference, one-slot opens) =="
 go test -run='^$' -fuzz=FuzzSealBucketMatchesGCM -fuzztime=5s ./internal/oram

@@ -3,9 +3,8 @@
 // Optimization", HPCA 2021): Ring ORAM with the Compact Bucket (CB)
 // spatial optimization and the Proactive Bank (PB) DRAM scheduler, plus
 // the full evaluation substrate — a cycle-accurate DDR3 memory-system
-// simulator, subtree address mapping, trace-driven cores, and the
-// experiment harness that regenerates every table and figure in the
-// paper.
+// simulator, subtree address mapping, and the experiment harness that
+// regenerates every table and figure in the paper.
 //
 // Three entry points cover the common uses:
 //
@@ -13,8 +12,8 @@
 //     controllers you can read and write through. Each access also
 //     returns the physical operation list, so the protocol layer can be
 //     embedded in other memory-system simulators.
-//   - Simulation: Simulate runs a workload trace through the full system
-//     (cores -> LLC -> ORAM -> scheduler -> DRAM) and returns timing,
+//   - Simulation: Simulate runs the full system (a window of 32
+//     outstanding reads -> ORAM -> scheduler -> DRAM) and returns timing,
 //     queuing, row-buffer and stash statistics.
 //   - Experiments: NewExperiments regenerates the paper's figures;
 //     cmd/stringoram wraps it as a CLI.
@@ -153,15 +152,11 @@ type (
 	SimResult = sim.Result
 )
 
-// Simulate runs a trace through the full String ORAM system.
+// Simulate runs the full String ORAM system with a fixed window of
+// outstanding reads. The trace names the run and, when opts.MaxAccesses
+// is 0, sets its length; its records are not read.
 func Simulate(sys SystemConfig, tr *Trace, opts SimOptions) (*SimResult, error) {
 	return sim.Run(sys, tr, opts)
-}
-
-// SimulateMix runs a heterogeneous multiprogrammed mix: one trace per
-// core, repeating round-robin when fewer traces than cores.
-func SimulateMix(sys SystemConfig, trs []*Trace, opts SimOptions) (*SimResult, error) {
-	return sim.RunMulti(sys, trs, opts)
 }
 
 // Serving types (see internal/server for the obliviousness and
